@@ -126,7 +126,8 @@ func Aggregate[T any](p *Plan, policy Policy, sr Semiring[T], w VarWeight[T]) T 
 // to Aggregate whenever ⊕ is exactly associative (counting, min/max
 // semirings); floating-point sums may differ by reassociation error.
 func AggregateParallel[T any](p *Plan, policy Policy, sr Semiring[T], w VarWeight[T]) T {
-	return core.AggregateParallel(p, policy, sr, w)
+	t, _ := core.AggregateParallelCtx(context.Background(), p, policy, sr, w)
+	return t
 }
 
 // CountSemiring returns the counting semiring (ℕ, +, ×).
@@ -277,7 +278,8 @@ func Count(q *Query, db *DB, opts Options) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return plan.CountParallel(opts.policy()).Count, nil
+	res, err := plan.CountParallelCtx(context.Background(), opts.policy())
+	return res.Count, err
 }
 
 // Eval enumerates q(D) with CLFTJ; emit receives assignments aligned
@@ -294,8 +296,8 @@ func Eval(q *Query, db *DB, opts Options, emit func(mu []int64) bool) ([]string,
 	if err != nil {
 		return nil, err
 	}
-	plan.EvalParallel(opts.policy(), emit)
-	return plan.Order(), nil
+	_, err = plan.EvalParallelCtx(context.Background(), opts.policy(), emit)
+	return plan.Order(), err
 }
 
 // Prepare compiles q against db once and returns a statement that can
@@ -353,7 +355,9 @@ func (s *Stmt) Count(ctx context.Context) (int64, error) {
 func (s *Stmt) Rows(ctx context.Context) iter.Seq2[[]int64, error] {
 	return func(yield func([]int64, error) bool) {
 		stopped := false
-		_, err := s.plan.EvalCtx(ctx, s.opts.policy(), func(mu []int64) bool {
+		pol := s.opts.policy()
+		pol.Workers = 1
+		_, err := s.plan.EvalParallelCtx(ctx, pol, func(mu []int64) bool {
 			if !yield(append([]int64(nil), mu...), nil) {
 				stopped = true
 				return false

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -30,7 +31,8 @@ func RunCLFTJPlan(plan *core.Plan, compileErr error, policy core.Policy) Measure
 	}
 	var m Measurement
 	start := time.Now()
-	m.Count = plan.WithCounters(&m.Counters).CountParallel(policy).Count
+	res, _ := plan.WithCounters(&m.Counters).CountParallelCtx(context.Background(), policy)
+	m.Count = res.Count
 	m.Duration = time.Since(start)
 	return m
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -29,7 +30,7 @@ func runStream(plan *core.Plan, policy core.Policy, workers int) (Measurement, u
 	var m Measurement
 	h := uint64(1469598103934665603)
 	start := time.Now()
-	res := plan.EvalStream(policy, workers, func(mu []int64) bool {
+	res, _ := plan.EvalStreamCtx(context.Background(), policy, workers, func(mu []int64) bool {
 		h = streamHash(h, mu)
 		return true
 	})
@@ -41,7 +42,7 @@ func runStream(plan *core.Plan, policy core.Policy, workers int) (Measurement, u
 // StreamThroughput (E18) sweeps the worker count of the sharded
 // streaming producer (core.EvalStreamCtx — the engine under Stmt.Rows
 // and the HTTP NDJSON endpoint) and reports throughput against the
-// sequential stream. Unlike E11's CountParallel, the merged stream must
+// sequential stream. Unlike E11's CountParallelCtx, the merged stream must
 // be byte-deterministic: every row crosses a channel and is re-emitted
 // in shard order, so the sweep also verifies the stream hash is
 // identical at every worker count (IDENTICAL column). Streams run with

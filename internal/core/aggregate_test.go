@@ -9,6 +9,7 @@ import (
 	"repro/internal/naive"
 	"repro/internal/queries"
 	"repro/internal/relation"
+	"repro/internal/stats"
 )
 
 // naiveAggregate folds the oracle's result set with per-variable weights
@@ -48,14 +49,55 @@ func aggregateFixtures(t *testing.T) (*Plan, *cq.Query, *relation.DB) {
 	return plan, q, db
 }
 
+// TestAggregateCountCoincidesWithCount pins the collapse of the count
+// executor into the fold: over every shape, cache policy, worker count
+// and block size, CountParallelCtx is AggregateParallelCtx over
+// CountSemiring with unit weights — same value, bit-identical
+// stats.Counters — and both enumerations deliver exactly that many rows.
 func TestAggregateCountCoincidesWithCount(t *testing.T) {
-	plan, _, _ := aggregateFixtures(t)
-	sr := CountSemiring()
-	for _, pol := range []Policy{{}, {Disabled: true}, {Capacity: 4}} {
-		agg := Aggregate(plan, pol, sr, UnitWeight(sr))
-		cnt := plan.Count(pol).Count
-		if agg != cnt {
-			t.Errorf("policy %+v: aggregate %d != count %d", pol, agg, cnt)
+	db := dataset.PreferentialAttachment(60, 3, 21).DB(false)
+	sr, fsr := CountSemiring(), SumProductSemiring()
+	for _, sh := range []struct {
+		name string
+		q    *cq.Query
+	}{
+		{"4-path", queries.Path(4)},
+		{"4-cycle", queries.Cycle(4)},
+		{"lollipop-3-2", queries.Lollipop(3, 2)},
+	} {
+		plan, err := AutoPlan(sh.q, db, AutoOptions{})
+		if err != nil {
+			t.Fatalf("%s: AutoPlan: %v", sh.name, err)
+		}
+		want, err := naive.Count(sh.q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range []Policy{{}, {Disabled: true}, {Capacity: 4}, {SupportThreshold: 1}} {
+			for _, pol.Workers = range []int{1, 2, 3} {
+				for _, pol.BatchSize = range []int{0, 7, 256} {
+					var cc, ca stats.Counters
+					cnt := must(plan.WithCounters(&cc).CountParallelCtx(bg, pol))
+					agg := must(AggregateParallelCtx(bg, plan.WithCounters(&ca), pol, sr, UnitWeight(sr)))
+					if cnt.Count != want || agg != want {
+						t.Fatalf("%s %+v: count %d, aggregate %d, want %d", sh.name, pol, cnt.Count, agg, want)
+					}
+					if cc != ca {
+						t.Fatalf("%s %+v: counters diverge\ncount:     %+v\naggregate: %+v", sh.name, pol, cc, ca)
+					}
+					// Unit weights over another semiring count the same tuples.
+					if f := must(AggregateParallelCtx(bg, plan, pol, fsr, UnitWeight(fsr))); f != float64(want) {
+						t.Fatalf("%s %+v: sum-product unit aggregate %g, want %d", sh.name, pol, f, want)
+					}
+					var rows, streamed int64
+					ev := must(plan.EvalParallelCtx(bg, pol, func([]int64) bool { rows++; return true }))
+					st := must(plan.EvalStreamCtx(bg, pol, pol.Workers, func([]int64) bool { streamed++; return true }))
+					if rows != want || ev.Emitted != want || streamed != want || st.Emitted != want {
+						t.Fatalf("%s %+v: eval delivered %d (reported %d), stream %d (reported %d), want %d",
+							sh.name, pol, rows, ev.Emitted, streamed, st.Emitted, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -34,6 +35,17 @@ func diffQuery(trial int, rng *rand.Rand) *cq.Query {
 	}
 }
 
+// bg is the never-cancelled context the differential tests run under.
+var bg = context.Background()
+
+// must unwraps an execution that cannot fail under bg.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // collectTuples runs one eval-style execution and materializes its
 // emitted tuple sequence (copies; order preserved).
 func collectTuples(run func(emit func(mu []int64) bool)) [][]int64 {
@@ -59,8 +71,8 @@ func sameTuples(t *testing.T, label string, got, want [][]int64) {
 
 // TestBatchedDifferentialEquivalence is the batched-execution
 // differential harness: on random graphs, random query shapes and
-// random cache policies, every batched execution (Count, Eval, the
-// columnar EvalBatches and the streaming producer) must reproduce the
+// random cache policies, every batched execution (Count, Eval and the
+// streaming producer) must reproduce the
 // scalar path exactly — same counts, same tuples in the same order, and
 // bit-identical stats.Counters for completed scans — across worker
 // counts 1..3 and block sizes from 1 to far past the result size.
@@ -93,12 +105,12 @@ func TestBatchedDifferentialEquivalence(t *testing.T) {
 			// Scalar reference for this worker count.
 			var cs stats.Counters
 			sp := plan.WithCounters(&cs)
-			if got := sp.CountParallel(base).Count; got != want {
+			if got := must(sp.CountParallelCtx(bg, base)).Count; got != want {
 				t.Fatalf("trial %d w=%d: scalar count %d, want %d (query %s)", trial, workers, got, want, q)
 			}
 			var es stats.Counters
 			wantTuples := collectTuples(func(emit func([]int64) bool) {
-				plan.WithCounters(&es).EvalParallel(base, emit)
+				plan.WithCounters(&es).EvalParallelCtx(bg, base, emit)
 			})
 			if int64(len(wantTuples)) != want {
 				t.Fatalf("trial %d w=%d: scalar eval emitted %d, want %d", trial, workers, len(wantTuples), want)
@@ -109,7 +121,7 @@ func TestBatchedDifferentialEquivalence(t *testing.T) {
 				bpol.BatchSize = bs
 
 				var cb stats.Counters
-				if got := plan.WithCounters(&cb).CountParallel(bpol).Count; got != want {
+				if got := must(plan.WithCounters(&cb).CountParallelCtx(bg, bpol)).Count; got != want {
 					t.Fatalf("trial %d w=%d bs=%d: batched count %d, want %d (query %s)", trial, workers, bs, got, want, q)
 				}
 				if cb != cs {
@@ -118,40 +130,12 @@ func TestBatchedDifferentialEquivalence(t *testing.T) {
 
 				var eb stats.Counters
 				gotTuples := collectTuples(func(emit func([]int64) bool) {
-					plan.WithCounters(&eb).EvalParallel(bpol, emit)
+					plan.WithCounters(&eb).EvalParallelCtx(bg, bpol, emit)
 				})
 				sameTuples(t, "batched eval", gotTuples, wantTuples)
 				if eb != es {
 					t.Fatalf("trial %d w=%d bs=%d: eval counters diverge\nbatch:  %+v\nscalar: %+v", trial, workers, bs, eb, es)
 				}
-			}
-		}
-
-		// Columnar batches (sequential by construction): the concatenated
-		// blocks must carry exactly the sequential scalar tuple sequence,
-		// with bit-identical accounting.
-		seq := pol
-		seq.Workers = 1
-		var es stats.Counters
-		wantSeq := collectTuples(func(emit func([]int64) bool) {
-			plan.WithCounters(&es).Eval(seq, emit)
-		})
-		for _, bs := range batchDiffSizes {
-			bpol := seq
-			bpol.BatchSize = bs
-			var eb stats.Counters
-			bp := plan.WithCounters(&eb)
-			var gotSeq [][]int64
-			row := make([]int64, len(plan.Order()))
-			bp.EvalBatches(bpol, func(b *Batch) bool {
-				for i := 0; i < b.Len(); i++ {
-					gotSeq = append(gotSeq, append([]int64(nil), b.Row(i, row)...))
-				}
-				return true
-			})
-			sameTuples(t, "columnar batches", gotSeq, wantSeq)
-			if eb != es {
-				t.Fatalf("trial %d bs=%d: EvalBatches counters diverge\nbatch:  %+v\nscalar: %+v", trial, bs, eb, es)
 			}
 		}
 
@@ -169,7 +153,7 @@ func TestBatchedDifferentialEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 2, 3} {
 			var ss stats.Counters
 			scalarStream := collectTuples(func(emit func([]int64) bool) {
-				plan.WithCounters(&ss).EvalStream(nc, workers, emit)
+				plan.WithCounters(&ss).EvalStreamCtx(bg, nc, workers, emit)
 			})
 			sameTuples(t, "stream scalar", scalarStream, canon)
 			for _, bs := range batchDiffSizes {
@@ -177,7 +161,7 @@ func TestBatchedDifferentialEquivalence(t *testing.T) {
 				bpol.BatchSize = bs
 				var sb stats.Counters
 				stream := collectTuples(func(emit func([]int64) bool) {
-					plan.WithCounters(&sb).EvalStream(bpol, workers, emit)
+					plan.WithCounters(&sb).EvalStreamCtx(bg, bpol, workers, emit)
 				})
 				sameTuples(t, "stream batched", stream, canon)
 				if sb != ss {
@@ -192,7 +176,7 @@ func TestBatchedDifferentialEquivalence(t *testing.T) {
 			cached := pol
 			cached.Workers = 1
 			stream := collectTuples(func(emit func([]int64) bool) {
-				plan.EvalStream(cached, workers, emit)
+				plan.EvalStreamCtx(bg, cached, workers, emit)
 			})
 			sameTuples(t, "cached parallel stream", stream, canon)
 		}
@@ -226,10 +210,10 @@ func TestBatchedEarlyStop(t *testing.T) {
 				pol := nc
 				pol.BatchSize = bs
 				var got [][]int64
-				res := plan.EvalStream(pol, workers, func(mu []int64) bool {
+				res := must(plan.EvalStreamCtx(bg, pol, workers, func(mu []int64) bool {
 					got = append(got, append([]int64(nil), mu...))
 					return len(got) < stop
-				})
+				}))
 				if len(got) != stop {
 					t.Fatalf("w=%d stop=%d bs=%d: got %d rows", workers, stop, bs, len(got))
 				}

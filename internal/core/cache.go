@@ -40,25 +40,26 @@ type Policy struct {
 	Eviction EvictionMode
 	// Disabled turns all caching off; CLFTJ then coincides with LFTJ.
 	Disabled bool
-	// Workers sets the parallelism of the Parallel* entry points
-	// (CountParallel, EvalParallel, AggregateParallel): 0 uses one worker
-	// per core (runtime.GOMAXPROCS), 1 forces the sequential code path,
+	// Workers sets the parallelism of the *ParallelCtx entry points
+	// (CountParallelCtx, EvalParallelCtx, AggregateParallelCtx): 0 uses
+	// one worker per core (runtime.GOMAXPROCS), 1 is the sequential scan,
 	// K > 1 shards the root variable's domain over K goroutines, each
-	// with private caches and counters (merged after the join). The plain
-	// Count/Eval/Aggregate entry points ignore the field and always run
-	// sequentially.
+	// with private caches and counters (merged after the join). Count,
+	// Eval and Aggregate are the one-worker forms: they run the same
+	// code with Workers set to 1.
 	Workers int
-	// BatchSize selects block-at-a-time execution for Count and Eval
-	// (sequential, parallel and streaming): the deepest level's scan
-	// advances in blocks of up to BatchSize keys through the trie/frog
-	// batch primitives instead of one key per recursive step. 0 (the
-	// default) keeps the scalar loops. Results, tuple order and — for
-	// scans that run to completion — stats.Counters are bit-identical to
-	// the scalar path (the batch primitives replay the scalar charge
-	// sequence; the differential harness enforces it); an early-stopped
-	// or cancelled batched scan may have read ahead up to one block.
-	// Aggregate ignores the field (its leaf folds per-value weights, so
-	// there is nothing to fuse).
+	// BatchSize selects block-at-a-time execution (sequential, parallel
+	// and streaming): the deepest level's scan advances in blocks of up
+	// to BatchSize keys through the trie/frog batch primitives instead
+	// of one key per recursive step. 0 (the default) keeps the scalar
+	// loops. Results, tuple order and — for scans that run to completion
+	// — stats.Counters are bit-identical to the scalar path (the batch
+	// primitives replay the scalar charge sequence; the differential
+	// harness enforces it); an early-stopped or cancelled batched scan
+	// may have read ahead up to one block. Every evaluation and every
+	// unit-weight fold (Count, Session.Count, Aggregate under a nil
+	// VarWeight) honours it; a weighted Aggregate keeps the scalar leaf,
+	// whose per-value weights leave nothing to fuse.
 	BatchSize int
 }
 

@@ -45,7 +45,7 @@ func TestCountCtxBackgroundMatchesCount(t *testing.T) {
 	ctx := context.Background()
 	want := plan.Count(Policy{})
 
-	got, err := plan.CountCtx(ctx, Policy{})
+	got, err := plan.CountParallelCtx(ctx, Policy{Workers: 1})
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("CountCtx = %+v, %v; want %+v", got, err, want)
 	}
@@ -54,7 +54,7 @@ func TestCountCtxBackgroundMatchesCount(t *testing.T) {
 		t.Fatalf("CountParallelCtx = %+v, %v; want count %d", gotPar, err, want.Count)
 	}
 	sr := CountSemiring()
-	agg, err := AggregateCtx(ctx, plan, Policy{}, sr, UnitWeight(sr))
+	agg, err := AggregateParallelCtx(ctx, plan, Policy{Workers: 1}, sr, UnitWeight(sr))
 	if err != nil || agg != want.Count {
 		t.Fatalf("AggregateCtx = %d, %v; want %d", agg, err, want.Count)
 	}
@@ -63,7 +63,7 @@ func TestCountCtxBackgroundMatchesCount(t *testing.T) {
 		t.Fatalf("AggregateParallelCtx = %d, %v; want %d", aggPar, err, want.Count)
 	}
 	var n int64
-	res, err := plan.EvalCtx(ctx, Policy{}, func([]int64) bool { n++; return true })
+	res, err := plan.EvalParallelCtx(ctx, Policy{Workers: 1}, func([]int64) bool { n++; return true })
 	if err != nil || n != want.Count || res.Emitted != want.Count {
 		t.Fatalf("EvalCtx emitted %d (res %+v, err %v), want %d", n, res, err, want.Count)
 	}
@@ -79,7 +79,7 @@ func TestCountCtxCancelPromptness(t *testing.T) {
 		run  func(ctx context.Context) error
 	}{
 		{"sequential", func(ctx context.Context) error {
-			_, err := plan.CountCtx(ctx, Policy{})
+			_, err := plan.CountParallelCtx(ctx, Policy{Workers: 1})
 			return err
 		}},
 		{"parallel", func(ctx context.Context) error {
@@ -87,7 +87,7 @@ func TestCountCtxCancelPromptness(t *testing.T) {
 			return err
 		}},
 		{"eval", func(ctx context.Context) error {
-			_, err := plan.EvalCtx(ctx, Policy{}, func([]int64) bool { return true })
+			_, err := plan.EvalParallelCtx(ctx, Policy{Workers: 1}, func([]int64) bool { return true })
 			return err
 		}},
 		{"aggregate", func(ctx context.Context) error {
@@ -127,7 +127,7 @@ func TestCountCtxDeadline(t *testing.T) {
 
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := plan.CountCtx(expired, Policy{}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := plan.CountParallelCtx(expired, Policy{Workers: 1}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired ctx: err = %v, want DeadlineExceeded", err)
 	}
 
@@ -151,7 +151,7 @@ func TestEvalCtxCancelKeepsEmitted(t *testing.T) {
 	var emitted int64
 	var afterCancel int64
 	cancelledAt := int64(-1)
-	_, err := plan.EvalCtx(ctx, Policy{}, func([]int64) bool {
+	_, err := plan.EvalParallelCtx(ctx, Policy{Workers: 1}, func([]int64) bool {
 		emitted++
 		if emitted == 1000 {
 			cancel()
@@ -203,7 +203,7 @@ func TestEvalCtxCancelDuringExpansion(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var emitted, afterCancel int64
-	_, err = plan.EvalCtx(ctx, Policy{}, func([]int64) bool {
+	_, err = plan.EvalParallelCtx(ctx, Policy{Workers: 1}, func([]int64) bool {
 		emitted++
 		if emitted == 2*n { // inside the second prefix: expansion territory
 			cancel()
@@ -239,7 +239,7 @@ func TestCancelledRunCachesNothing(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	res, err := plan.CountCtx(ctx, Policy{})
+	res, err := plan.CountParallelCtx(ctx, Policy{Workers: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Skipf("join finished before cancel (res=%+v)", res)
 	}

@@ -27,56 +27,82 @@ type EvalResult struct {
 // pointer to the factorized set that is expanded when results are
 // emitted. emit receives the full assignment indexed by depth (aligned
 // with Plan.Order); the slice is reused, so emit must copy to retain.
-// Returning false stops the enumeration.
+// Returning false stops the enumeration. It is EvalParallelCtx on one
+// worker, never cancelled.
 func (p *Plan) Eval(policy Policy, emit func(mu []int64) bool) EvalResult {
-	res, _ := p.EvalCtx(context.Background(), policy, emit)
+	policy.Workers = 1
+	res, _ := p.EvalParallelCtx(context.Background(), policy, emit)
 	return res
 }
 
-// EvalCtx is Eval with cooperative cancellation: the scan polls ctx
-// once per leapfrog.CancelCheckEvery iterator advances and unwinds
-// promptly when it trips, returning ctx's error. Tuples already emitted
-// stand (the stream simply ends early); nothing is cached from a
-// cancelled run. A non-cancellable ctx runs the exact Eval code path.
-func (p *Plan) EvalCtx(ctx context.Context, policy Policy, emit func(mu []int64) bool) (EvalResult, error) {
-	if err := ctx.Err(); err != nil {
+// EvalParallelCtx is Eval sharded over policy.Workers goroutines (0: one
+// per core; 1: the sequential scan, which streams tuples to emit as it
+// finds them and reuses the emitted slice). Workers buffer their tuples
+// per root value; once all workers join, the buffers are emitted in
+// ascending root order, so the stream consists of the same root-value
+// blocks in the same order as the sequential scan. Within one block the
+// order matches the sequential run except where caches reorder subtree
+// expansion (a cache hit expands the memoized subtree at emit time, a
+// scan emits it during the scan — the same reordering a sequential
+// cached run exhibits); with Policy.Disabled the stream is
+// tuple-for-tuple the sequential scan order. The tradeoff is
+// materialization: the full result is held in memory before the first
+// emit, and an emit callback returning false stops the delivery but not
+// the (already finished) join — use one worker, or EvalStreamCtx, for
+// streaming or early-stopping consumers. On the sharded path the emitted
+// slices are freshly allocated and may be retained by the callback.
+//
+// Cancellation is cooperative, as in CountParallelCtx. When ctx trips,
+// the sequential scan ends the stream early (tuples already emitted
+// stand, and Emitted counts them); sharded workers drain within one
+// polling period and the partially buffered result is discarded without
+// any emit call. Either way ctx's error is returned and nothing is
+// cached from the cancelled scan.
+func (p *Plan) EvalParallelCtx(ctx context.Context, policy Policy, emit func(mu []int64) bool) (EvalResult, error) {
+	keys, workers, err := p.shards(ctx, policy.Workers)
+	if workers == 0 {
 		return EvalResult{}, err
 	}
-	if p.inst.Empty() {
-		return EvalResult{}, nil
+	if workers == 1 {
+		e := newEvalExec(ctx, p, policy, shard{}, p.counters, emit)
+		e.rjoin(0)
+		t := e.finish()
+		if t.err != nil {
+			return EvalResult{Emitted: e.emitted}, t.err
+		}
+		return EvalResult{Emitted: e.emitted, CachedEntries: t.entries, Levels: t.levels}, nil
 	}
-	e := &evalExec{
-		plan:    p,
-		run:     leapfrog.NewRunnerCounters(p.inst, p.counters),
-		ctrs:    p.counters,
-		sets:    make([]factorized.Set, p.numNodes),
-		collect: make([]bool, p.numNodes),
-		intent:  make([]bool, p.numNodes),
-		emit:    emit,
-		cancel:  leapfrog.NewCanceler(ctx),
-		cm: newManager[factorized.Set](policy, p.numNodes, p.cacheable, p.counters,
-			func(s factorized.Set) int { return len(s) }),
-		block: policy.leafBlock(),
-	}
-	e.mu = e.run.Assignment()
-	e.rjoin(0)
-	levels := mergeLevels(nil, e.run)
-	e.run.Release()
-	if err := e.cancel.Err(); err != nil {
-		return EvalResult{Emitted: e.emitted}, err
-	}
-	return EvalResult{Emitted: e.emitted, CachedEntries: e.cm.Entries(), Levels: levels}, nil
-}
-
-// EvalTuples materializes the result in order-variable order; intended
-// for tests and small results.
-func (p *Plan) EvalTuples(policy Policy) [][]int64 {
-	var out [][]int64
-	p.Eval(policy, func(mu []int64) bool {
-		out = append(out, append([]int64(nil), mu...))
-		return true
+	// buckets[i] collects the result tuples whose root value is keys[i];
+	// shards own disjoint index sets, so no locking is needed.
+	buckets := make([][][]int64, len(keys))
+	parts := make([]tally, workers)
+	leapfrog.RunSharded(workers, p.counters, func(w int, wc *stats.Counters) {
+		cur := -1
+		e := newEvalExec(ctx, p, policy, shard{keys, w, workers}, wc, func(mu []int64) bool {
+			buckets[cur] = append(buckets[cur], append([]int64(nil), mu...))
+			return true
+		})
+		e.enter = func(i int) { cur = i }
+		e.rjoin(0)
+		parts[w] = e.finish()
 	})
-	return out
+	var t tally
+	for _, part := range parts {
+		t.add(part)
+	}
+	if t.err != nil {
+		return EvalResult{}, t.err
+	}
+	res := EvalResult{CachedEntries: t.entries, Levels: t.levels}
+	for _, bucket := range buckets {
+		for _, tup := range bucket {
+			res.Emitted++
+			if !emit(tup) {
+				return res, nil
+			}
+		}
+	}
+	return res, nil
 }
 
 // EvalFactorized materializes the entire result as a factorized
@@ -89,19 +115,8 @@ func (p *Plan) EvalFactorized(policy Policy) factorized.Set {
 	if p.inst.Empty() {
 		return nil
 	}
-	e := &evalExec{
-		plan:        p,
-		run:         leapfrog.NewRunnerCounters(p.inst, p.counters),
-		ctrs:        p.counters,
-		sets:        make([]factorized.Set, p.numNodes),
-		collect:     make([]bool, p.numNodes),
-		intent:      make([]bool, p.numNodes),
-		collectRoot: true,
-		emit:        func([]int64) bool { return true },
-		cm: newManager[factorized.Set](policy, p.numNodes, p.cacheable, p.counters,
-			func(s factorized.Set) int { return len(s) }),
-	}
-	e.mu = e.run.Assignment()
+	e := newEvalExec(context.Background(), p, policy, shard{}, p.counters, func([]int64) bool { return true })
+	e.collectRoot = true
 	e.rjoin(0)
 	e.run.Release()
 	return e.sets[p.root]
@@ -111,8 +126,12 @@ func (p *Plan) EvalFactorized(policy Policy) factorized.Set {
 // EvalFactorized represents, invoking emit with assignments aligned with
 // Plan.Order (reused slice; copy to retain). Returning false stops.
 func (p *Plan) ExpandFactorized(s factorized.Set, emit func(mu []int64) bool) {
-	e := &evalExec{plan: p, ctrs: p.counters, mu: make([]int64, p.numVars), emit: emit}
+	if len(s) == 0 {
+		return
+	}
+	e := newEvalExec(context.Background(), p, Policy{Disabled: true}, shard{}, p.counters, emit)
 	e.expandSet(p.root, s, func() bool { return emit(e.mu) })
+	e.run.Release()
 }
 
 type skipFrame struct {
@@ -120,7 +139,10 @@ type skipFrame struct {
 	set  factorized.Set
 }
 
+// evalExec is one worker's enumeration: a runner over the plan's tries,
+// the caches of factorized subtree results, and the consumer.
 type evalExec struct {
+	shard
 	plan        *Plan
 	run         *leapfrog.Runner
 	ctrs        *stats.Counters // this execution's sink (worker-local in parallel runs)
@@ -132,20 +154,40 @@ type evalExec struct {
 	cm          *manager[factorized.Set]
 	cancel      *leapfrog.Canceler // nil never cancels
 	pending     []skipFrame
+	enter       func(i int) // sharded runs: called with the root key's index before its subtree is scanned
 	emit        func([]int64) bool
 	emitted     int64
-
-	// Batched execution state (see batch.go; all nil/zero on the scalar
-	// path). block is the deepest level's key block; batch, batchCap and
-	// yieldB carry the columnar output of EvalBatchesCtx.
-	block    []int64
-	batch    *Batch
-	batchCap int
-	yieldB   func(*Batch) bool
+	block       []int64 // deepest-level key block; nil = scalar advances
 }
 
-// rjoin mirrors countExec.rjoin with factorized intermediates. It returns
-// false when the consumer stopped the enumeration.
+// newEvalExec builds a worker's executor over shard sh, accounting into
+// wc and delivering to emit. It returns the executor by value so that a
+// run keeps it on its own stack.
+func newEvalExec(ctx context.Context, p *Plan, policy Policy, sh shard, wc *stats.Counters, emit func([]int64) bool) evalExec {
+	e := evalExec{
+		shard:   sh,
+		plan:    p,
+		run:     leapfrog.NewRunnerCounters(p.inst, wc),
+		ctrs:    wc,
+		sets:    make([]factorized.Set, p.numNodes),
+		collect: make([]bool, p.numNodes),
+		intent:  make([]bool, p.numNodes),
+		cm: newManager[factorized.Set](policy, p.numNodes, p.cacheable, wc,
+			func(s factorized.Set) int { return len(s) }),
+		cancel: leapfrog.NewCanceler(ctx),
+		emit:   emit,
+		block:  policy.leafBlock(),
+	}
+	e.mu = e.run.Assignment()
+	return e
+}
+
+// finish closes the run (see the driver's finish).
+func (e *evalExec) finish() tally { return finish(e.run, e.cm.Entries(), e.cancel) }
+
+// rjoin is the fold's RCachedJoin with factorized sets as the
+// intermediate (§3.4). It returns false when the consumer stopped the
+// enumeration.
 func (e *evalExec) rjoin(d int) bool {
 	p := e.plan
 	if d == p.numVars {
@@ -182,25 +224,16 @@ func (e *evalExec) rjoin(d int) bool {
 		}
 	}
 
+	// The trie-join scan of x_d. A sharded worker's depth 0 seeks its own
+	// root values instead of advancing with Next().
 	frog, ok := e.run.OpenDepth(d)
+	seek := d == 0 && e.keys != nil
 	cont := true
-	switch {
-	case e.block != nil && d == p.numVars-1 && e.batch != nil && !e.collect[v] && len(e.pending) == 0:
-		// Bulk columnar leaf: every block key completes a plain tuple
-		// (no pending cache-hit frames to expand, no factorized set to
-		// build), so the whole block lands in the output batch with one
-		// copy per column instead of per-tuple appends. Frog.NextBatch
-		// replays the scalar Key/Next charges, and plain tuple emission
-		// charges nothing on either path, so completed scans account
-		// bit-identically to the scalar loop.
-		for ok && cont && !e.cancel.Poll() {
-			n := frog.NextBatch(e.block)
-			ok = !frog.AtEnd()
-			cont = e.appendRows(d, e.block[:n])
-		}
-	case e.block != nil && d == p.numVars-1:
-		// Batched leaf advances feeding the scalar per-tuple epilogue
-		// (pending expansions, factorized collection).
+	if e.block != nil && d == p.numVars-1 && !seek {
+		// Batched leaf advances feeding the per-tuple epilogue (pending
+		// expansions, factorized collection). Frog.NextBatch replays the
+		// scalar Key/Next charges, so completed scans account
+		// bit-identically to the loop below.
 		for ok && cont && !e.cancel.Poll() {
 			n := frog.NextBatch(e.block)
 			ok = !frog.AtEnd()
@@ -212,14 +245,21 @@ func (e *evalExec) rjoin(d int) bool {
 				}
 			}
 		}
-	default:
-		for ok && cont && !e.cancel.Poll() {
-			e.mu[d] = frog.Key()
+	} else {
+		for i := e.start; ok && cont && !e.cancel.Poll(); i += e.stride {
+			if !seek {
+				e.mu[d] = frog.Key()
+			} else if i < len(e.keys) && frog.SeekGE(e.keys[i]) {
+				e.enter(i)
+				e.mu[d] = e.keys[i]
+			} else {
+				break
+			}
 			cont = e.rjoin(d + 1)
 			if p.bagLast[d] && e.collect[v] && cont {
 				e.appendEntry(v)
 			}
-			if cont {
+			if cont && !seek {
 				ok = frog.Next()
 			}
 		}

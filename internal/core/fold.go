@@ -1,0 +1,359 @@
+package core
+
+import (
+	"context"
+
+	"repro/internal/leapfrog"
+	"repro/internal/stats"
+)
+
+// This file is the fold traversal: RCachedJoin of Fig. 2 over an
+// arbitrary commutative semiring — the paper's §6 extension direction
+// "general aggregate operators (e.g., based on the work of Joglekar et
+// al. [10] and Khamis et al. [11])". The count algorithm of Fig. 2 is
+// the fold over (ℕ, +, ×) with unit weights and has no code of its own;
+// the same multivalued dependency that justifies caching counts
+// justifies caching any semiring aggregate of the subtree, because the
+// per-variable weights factor along the decomposition.
+
+// Semiring is a commutative semiring (T, Add, Mul, Zero, One). Add and
+// Mul must be associative and commutative, Mul must distribute over Add,
+// Zero must annihilate Mul and be the unit of Add, One the unit of Mul.
+type Semiring[T any] struct {
+	Zero T
+	One  T
+	Add  func(a, b T) T
+	Mul  func(a, b T) T
+	// IsZero optionally recognizes the annihilator so cached dead
+	// subtrees prune the scan (nil disables the optimization).
+	IsZero func(a T) bool
+}
+
+// times returns a ⊕ a ⊕ … ⊕ a (n terms; Zero for none) in O(log n)
+// additions — what a block of n unit-weight matches adds up to.
+func (sr *Semiring[T]) times(a T, n int) T {
+	sum := sr.Zero
+	for ; n > 0; n >>= 1 {
+		if n&1 == 1 {
+			sum = sr.Add(sum, a)
+		}
+		a = sr.Add(a, a)
+	}
+	return sum
+}
+
+// CountSemiring is the counting semiring (ℕ, +, ×).
+func CountSemiring() Semiring[int64] {
+	return Semiring[int64]{
+		Zero:   0,
+		One:    1,
+		Add:    func(a, b int64) int64 { return a + b },
+		Mul:    func(a, b int64) int64 { return a * b },
+		IsZero: func(a int64) bool { return a == 0 },
+	}
+}
+
+// SumProductSemiring is (ℝ, +, ×) over float64 weights.
+func SumProductSemiring() Semiring[float64] {
+	return Semiring[float64]{
+		Zero:   0,
+		One:    1,
+		Add:    func(a, b float64) float64 { return a + b },
+		Mul:    func(a, b float64) float64 { return a * b },
+		IsZero: func(a float64) bool { return a == 0 },
+	}
+}
+
+// TropicalSemiring is (ℝ∪{+∞}, min, +): Aggregate computes the minimum
+// total weight over all result tuples (e.g., shortest witness).
+func TropicalSemiring() Semiring[float64] {
+	const inf = 1e300
+	return Semiring[float64]{
+		Zero: inf,
+		One:  0,
+		Add: func(a, b float64) float64 {
+			if a < b {
+				return a
+			}
+			return b
+		},
+		Mul:    func(a, b float64) float64 { return a + b },
+		IsZero: func(a float64) bool { return a >= inf },
+	}
+}
+
+// VarWeight assigns a semiring weight to variable depth d taking value v.
+// The aggregate computed is ⊕ over all result tuples of ⊗ over depths of
+// the weights — the FAQ/AJAR form restricted to per-variable factors. A
+// nil VarWeight weighs every assignment with One: the fold then makes no
+// per-key weight call at all, and its deepest level may scan in blocks
+// (Policy.BatchSize).
+type VarWeight[T any] func(d int, v int64) T
+
+// UnitWeight is the nil VarWeight at sr's type: every assignment weighs
+// One, making Aggregate over the counting semiring coincide with Count.
+func UnitWeight[T any](Semiring[T]) VarWeight[T] { return nil }
+
+// CountResult reports a cached count execution.
+type CountResult struct {
+	// Count is |q(D)|.
+	Count int64
+	// CachedEntries is the number of intermediate results resident in the
+	// caches at the end of the run (summed over workers).
+	CachedEntries int
+	// Levels holds the per-depth intersection tallies (merged across
+	// workers in parallel runs); see AlwaysEmptyLevels for the re-plan
+	// feedback they carry. Empty on cancelled runs.
+	Levels []LevelStat
+}
+
+// Count runs CachedTJCount (Fig. 2) over the plan under the given policy
+// and returns |q(D)|: CountParallelCtx on one worker, never cancelled.
+func (p *Plan) Count(policy Policy) CountResult {
+	policy.Workers = 1
+	res, _ := p.CountParallelCtx(context.Background(), policy)
+	return res
+}
+
+// CountParallelCtx runs CachedTJCount — the fold over CountSemiring with
+// unit weights — sharded over policy.Workers goroutines (0: one per
+// core; 1: the sequential scan). The count is bit-identical under every
+// worker count and policy: per-worker caches only change which subtrees
+// are recomputed rather than reused, and a cached intermediate always
+// equals what recomputation would produce.
+//
+// Cancellation is cooperative: every worker polls ctx through its own
+// leapfrog.Canceler once per leapfrog.CancelCheckEvery iterator advances
+// and unwinds promptly when ctx is cancelled or its deadline passes, so
+// all workers drain within one polling period and the call returns
+// ctx's error and a zero result with no goroutine left behind. Nothing
+// is cached from a cancelled scan: a partial intermediate must never be
+// mistaken for the subtree's true count. A non-cancellable ctx
+// (context.Background) pays one nil check per advance.
+func (p *Plan) CountParallelCtx(ctx context.Context, policy Policy) (CountResult, error) {
+	return p.count(ctx, policy, nil)
+}
+
+// count is CountParallelCtx over the caches in cm (nil: fresh ones per
+// worker) — the seam a Session counts through.
+func (p *Plan) count(ctx context.Context, policy Policy, cm *manager[int64]) (CountResult, error) {
+	n, t, err := fold(ctx, p, policy, CountSemiring(), nil, cm)
+	if err != nil {
+		return CountResult{}, err
+	}
+	return CountResult{Count: n, CachedEntries: t.entries, Levels: t.levels}, nil
+}
+
+// Aggregate runs cached trie-join aggregation over the plan: it returns
+//
+//	⊕_{µ ∈ q(D)} ⊗_{d} w(d, µ(x_d))
+//
+// using the same adhesion caches as Count — cached entries hold the
+// subtree's aggregate for the adhesion assignment. With CountSemiring
+// and UnitWeight this is exactly CachedTJCount. It is
+// AggregateParallelCtx on one worker, never cancelled.
+func Aggregate[T any](p *Plan, policy Policy, sr Semiring[T], w VarWeight[T]) T {
+	policy.Workers = 1
+	t, _ := AggregateParallelCtx(context.Background(), p, policy, sr, w)
+	return t
+}
+
+// AggregateParallelCtx is Aggregate sharded over policy.Workers
+// goroutines and cancelled like CountParallelCtx (it returns sr.Zero
+// and ctx's error when ctx trips). Per-tuple ⊗-products are formed in
+// exactly the sequential association; only the ⊕-fold is regrouped by
+// shard, so the result is bit-identical at every worker count whenever
+// ⊕ is exactly associative (integer addition, min/max — hence
+// CountSemiring and TropicalSemiring). For floating-point ⊕
+// (SumProductSemiring) the result is deterministic for a fixed worker
+// count but may differ from the sequential rounding by the usual
+// reassociation error. (A free function, not a Plan method, because Go
+// methods cannot introduce type parameters.)
+func AggregateParallelCtx[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring[T], w VarWeight[T]) (T, error) {
+	total, _, err := fold(ctx, p, policy, sr, w, nil)
+	return total, err
+}
+
+// fold drives the fold traversal: one executor per worker over its
+// shard of the root domain, the workers' totals ⊕-folded and their
+// tallies merged in worker order. cm, when non-nil, is the cache
+// manager the (single) worker reuses instead of a fresh one.
+func fold[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring[T], w VarWeight[T], cm *manager[T]) (T, tally, error) {
+	keys, workers, err := p.shards(ctx, policy.Workers)
+	if workers == 0 {
+		return sr.Zero, tally{}, err
+	}
+	var (
+		total T
+		t     tally
+	)
+	if workers == 1 {
+		e := newFoldExec(ctx, p, policy, sr, w, cm, shard{}, p.counters)
+		e.rjoin(0, sr.One)
+		total, t = e.total, e.finish()
+	} else {
+		totals := make([]T, workers)
+		parts := make([]tally, workers)
+		leapfrog.RunSharded(workers, p.counters, func(i int, wc *stats.Counters) {
+			e := newFoldExec(ctx, p, policy, sr, w, nil, shard{keys, i, workers}, wc)
+			e.rjoin(0, sr.One)
+			totals[i], parts[i] = e.total, e.finish()
+		})
+		total = sr.Zero
+		for i := range totals {
+			total = sr.Add(total, totals[i])
+			t.add(parts[i])
+		}
+	}
+	if t.err != nil {
+		return sr.Zero, tally{}, t.err
+	}
+	return total, t, nil
+}
+
+// foldExec is one worker's fold: a runner over the plan's tries, the
+// caches of subtree aggregates, and the running ⊕-total.
+type foldExec[T any] struct {
+	shard
+	plan   *Plan
+	run    *leapfrog.Runner
+	mu     []int64
+	sr     Semiring[T]
+	w      VarWeight[T] // nil: unit weights
+	intrmd []T
+	cm     *manager[T]
+	cancel *leapfrog.Canceler // nil never cancels
+	total  T
+	block  []int64 // deepest-level key block of a unit-weight fold; nil = scalar advances
+}
+
+// newFoldExec builds a worker's executor over shard sh, accounting into
+// wc, with fresh caches unless cm hands it resident ones. It returns the
+// executor by value so that a run keeps it on its own stack.
+func newFoldExec[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring[T], w VarWeight[T], cm *manager[T], sh shard, wc *stats.Counters) foldExec[T] {
+	if cm == nil {
+		cm = newManager[T](policy, p.numNodes, p.cacheable, wc, nil)
+	}
+	e := foldExec[T]{
+		shard:  sh,
+		plan:   p,
+		run:    leapfrog.NewRunnerCounters(p.inst, wc),
+		sr:     sr,
+		w:      w,
+		intrmd: make([]T, p.numNodes),
+		cm:     cm,
+		cancel: leapfrog.NewCanceler(ctx),
+		total:  sr.Zero,
+	}
+	if w == nil {
+		e.block = policy.leafBlock()
+	}
+	e.mu = e.run.Assignment()
+	return e
+}
+
+// finish closes the run (see the driver's finish).
+func (e *foldExec[T]) finish() tally { return finish(e.run, e.cm.Entries(), e.cancel) }
+
+// rjoin is RCachedJoin(d, f) of Fig. 2 (0-based depths). f aggregates the
+// weights of the assigned prefix and the cached factors of skipped
+// subtrees; every arrival at depth n ⊕-adds f to the total, so over
+// CountSemiring with no cache hits (f == 1 throughout) the procedure is
+// exactly RJoin of Fig. 1.
+func (e *foldExec[T]) rjoin(d int, f T) {
+	p, sr := e.plan, &e.sr
+	if d == p.numVars {
+		e.total = sr.Add(e.total, f)
+		return
+	}
+	v := p.ownerOf[d]
+	// Caching applies only when entering a cacheable bag; bags whose
+	// adhesion is wider than MaxKeyDim run plain LFTJ (cf. §4 footnote on
+	// wide relations).
+	entering := p.bagFirst[d] && v != p.root && p.cacheable[v]
+	var key Key
+	if p.bagFirst[d] {
+		e.intrmd[v] = sr.Zero
+	}
+	if entering {
+		// Lines 6-12: entering v from a different bag; its adhesion is
+		// fully assigned (strong compatibility), so probe the cache.
+		key = p.keyAt(v, e.mu)
+		if val, ok := e.cm.lookup(v, key); ok {
+			// Skip past the subtree interval, multiplying the factor. A
+			// cached zero means the subtree cannot match this adhesion
+			// assignment at all, so the whole prefix is dead — prune
+			// rather than carry a zero factor as Fig. 2 literally would.
+			e.intrmd[v] = val
+			if sr.IsZero == nil || !sr.IsZero(val) {
+				e.rjoin(p.subtreeEnd[v]+1, sr.Mul(f, val))
+			}
+			return
+		}
+	}
+
+	// Lines 13-19: the ordinary trie-join scan of x_d. A sharded worker's
+	// depth 0 seeks its own root values instead of advancing with Next().
+	frog, ok := e.run.OpenDepth(d)
+	seek := d == 0 && e.keys != nil
+	if e.block != nil && d == p.numVars-1 && !seek {
+		// Batched unit-weight leaf: the deepest depth is always its bag's
+		// last (the subtree intervals compile() builds are contiguous and
+		// end at numVars-1) and the bag has no effective children, so n
+		// matches contribute f ⊗ n·One to the total and n·One to
+		// intrmd[v] — no per-key mu write or child fold is needed.
+		// Frog.NextBatch replays the scalar Key/Next charges, so
+		// completed scans account bit-identically to the loop below.
+		for ok && !e.cancel.Poll() {
+			ones := sr.times(sr.One, frog.NextBatch(e.block))
+			e.total = sr.Add(e.total, sr.Mul(f, ones))
+			e.intrmd[v] = sr.Add(e.intrmd[v], ones)
+			ok = !frog.AtEnd()
+		}
+	} else {
+		for i := e.start; ok && !e.cancel.Poll(); i += e.stride {
+			var a int64
+			if !seek {
+				a = frog.Key()
+			} else if i < len(e.keys) && frog.SeekGE(e.keys[i]) {
+				a = e.keys[i]
+			} else {
+				break
+			}
+			e.mu[d] = a
+			if e.w == nil {
+				e.rjoin(d+1, f)
+			} else {
+				e.rjoin(d+1, sr.Mul(f, e.w(d, a)))
+			}
+			if p.bagLast[d] {
+				// Lines 16-18: fold the children's aggregates with the
+				// weight of the bag's own variable block under the
+				// current assignment.
+				prod := sr.One
+				if e.w != nil {
+					for dd := p.firstVar[v]; dd <= p.lastVar[v]; dd++ {
+						prod = sr.Mul(prod, e.w(dd, e.mu[dd]))
+					}
+				}
+				for _, c := range p.children[v] {
+					prod = sr.Mul(prod, e.intrmd[c])
+					if sr.IsZero != nil && sr.IsZero(prod) {
+						break
+					}
+				}
+				e.intrmd[v] = sr.Add(e.intrmd[v], prod)
+			}
+			if !seek {
+				ok = frog.Next()
+			}
+		}
+	}
+	e.run.CloseDepth(d)
+
+	// Lines 20-22: about to leave v upward; cache if the policy agrees.
+	// A cancelled scan left intrmd[v] partial — never cache it.
+	if entering && e.cancel.Err() == nil && e.cm.shouldCache(v, key) {
+		e.cm.store(v, key, e.intrmd[v])
+	}
+}

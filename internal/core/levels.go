@@ -31,24 +31,20 @@ func AlwaysEmptyLevels(levels []LevelStat) []int {
 	return out
 }
 
-// mergeLevels folds the runner's per-depth tallies into dst (allocated
-// on first use), summing across workers so parallel executions report
-// the same totals a sequential run over the union of shards would.
-// Call before the runner is Released — the tallies are pooled state.
-func mergeLevels(dst []LevelStat, r *leapfrog.Runner) []LevelStat {
+// levelsOf copies the runner's per-depth tallies out. Call before the
+// runner is Released — the tallies are pooled state.
+func levelsOf(r *leapfrog.Runner) []LevelStat {
 	attempts, empties := r.LevelStats()
-	if dst == nil {
-		dst = make([]LevelStat, len(attempts))
-	}
+	levels := make([]LevelStat, len(attempts))
 	for d := range attempts {
-		dst[d].Attempts += attempts[d]
-		dst[d].Empties += empties[d]
+		levels[d] = LevelStat{Attempts: attempts[d], Empties: empties[d]}
 	}
-	return dst
+	return levels
 }
 
 // sumLevels adds src into dst elementwise (dst allocated on first use) —
-// the cross-worker merge of already-copied per-worker tallies.
+// the cross-worker merge of per-worker tallies, so parallel executions
+// report the same totals a sequential run over the union of shards would.
 func sumLevels(dst, src []LevelStat) []LevelStat {
 	if src == nil {
 		return dst

@@ -40,7 +40,7 @@ func TestAlwaysEmptyLevels(t *testing.T) {
 	// domain, and per-depth tallies are summed exactly. (Depth 0 is
 	// opened once per worker, so its attempt count scales with the
 	// worker count — which is why AlwaysEmptyLevels excludes it.)
-	par := plan.CountParallel(Policy{Workers: 4})
+	par := must(plan.CountParallelCtx(bg, Policy{Workers: 4}))
 	if len(par.Levels) != len(res.Levels) ||
 		!reflect.DeepEqual(par.Levels[1:], res.Levels[1:]) {
 		t.Fatalf("parallel Levels %+v differ from sequential %+v past depth 0", par.Levels, res.Levels)

@@ -75,7 +75,7 @@ func TestParallelCountMatchesSequential(t *testing.T) {
 			for _, workers := range []int{0, 2, 3, 4, 7} {
 				pol := pol
 				pol.Workers = workers
-				par := plan.CountParallel(pol)
+				par := must(plan.CountParallelCtx(bg, pol))
 				if par.Count != seq.Count {
 					t.Errorf("%s workers=%d policy=%+v: parallel count = %d, sequential = %d",
 						sh.name, workers, pol, par.Count, seq.Count)
@@ -100,15 +100,15 @@ func TestParallelEvalMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: AutoPlan: %v", sh.name, err)
 		}
 		for _, pol := range []Policy{{}, {Capacity: 8}, {Disabled: true}} {
-			seq := plan.EvalTuples(pol)
+			seq := collectTuples(func(emit func([]int64) bool) { plan.Eval(pol, emit) })
 			for _, workers := range []int{2, 4} {
 				pol := pol
 				pol.Workers = workers
 				var par [][]int64
-				res := plan.EvalParallel(pol, func(mu []int64) bool {
+				res := must(plan.EvalParallelCtx(bg, pol, func(mu []int64) bool {
 					par = append(par, append([]int64(nil), mu...))
 					return true
-				})
+				}))
 				if res.Emitted != int64(len(seq)) {
 					t.Fatalf("%s workers=%d: emitted %d, want %d", sh.name, workers, res.Emitted, len(seq))
 				}
@@ -160,10 +160,10 @@ func TestParallelEvalEarlyStop(t *testing.T) {
 		t.Fatalf("workload too small for the test: %d tuples", total)
 	}
 	var seen int64
-	res := plan.EvalParallel(Policy{Workers: 3}, func([]int64) bool {
+	res := must(plan.EvalParallelCtx(bg, Policy{Workers: 3}, func([]int64) bool {
 		seen++
 		return seen < 3
-	})
+	}))
 	if seen != 3 || res.Emitted != 3 {
 		t.Fatalf("early stop delivered %d (reported %d), want 3", seen, res.Emitted)
 	}
@@ -186,10 +186,10 @@ func TestParallelAggregateMatchesSequential(t *testing.T) {
 		seqMin := Aggregate(plan, Policy{}, trop, weight)
 		for _, workers := range []int{0, 2, 4} {
 			pol := Policy{Workers: workers}
-			if got := AggregateParallel(plan, pol, cnt, UnitWeight(cnt)); got != seqCount {
+			if got := must(AggregateParallelCtx(bg, plan, pol, cnt, UnitWeight(cnt))); got != seqCount {
 				t.Errorf("%s workers=%d: count aggregate = %d, sequential = %d", sh.name, workers, got, seqCount)
 			}
-			if got := AggregateParallel(plan, pol, trop, weight); got != seqMin {
+			if got := must(AggregateParallelCtx(bg, plan, pol, trop, weight)); got != seqMin {
 				t.Errorf("%s workers=%d: tropical aggregate = %v, sequential = %v", sh.name, workers, got, seqMin)
 			}
 		}
@@ -213,24 +213,24 @@ func TestParallelWorkersOneIsSequential(t *testing.T) {
 	seqCtrs := c
 
 	c.Reset()
-	par := plan.CountParallel(Policy{Workers: 1})
+	par := must(plan.CountParallelCtx(bg, Policy{Workers: 1}))
 	if !reflect.DeepEqual(par, seq) {
-		t.Fatalf("CountParallel(Workers:1) = %+v, sequential = %+v", par, seq)
+		t.Fatalf("CountParallelCtx(Workers:1) = %+v, sequential = %+v", par, seq)
 	}
 	if c != seqCtrs {
-		t.Errorf("CountParallel(Workers:1) accounting %+v differs from sequential %+v (parallel path taken?)", c, seqCtrs)
+		t.Errorf("CountParallelCtx(Workers:1) accounting %+v differs from sequential %+v (parallel path taken?)", c, seqCtrs)
 	}
 
 	c.Reset()
 	plan.Count(Policy{})
 	seqCtrs = c
 	c.Reset()
-	par2 := plan.CountParallel(Policy{Workers: 2})
+	par2 := must(plan.CountParallelCtx(bg, Policy{Workers: 2}))
 	if par2.Count != seq.Count {
-		t.Fatalf("CountParallel(Workers:2) = %d, want %d", par2.Count, seq.Count)
+		t.Fatalf("CountParallelCtx(Workers:2) = %d, want %d", par2.Count, seq.Count)
 	}
 	if c == seqCtrs {
-		t.Errorf("CountParallel(Workers:2) accounting identical to sequential; expected the root prescan to show up")
+		t.Errorf("CountParallelCtx(Workers:2) accounting identical to sequential; expected the root prescan to show up")
 	}
 }
 
@@ -248,10 +248,10 @@ func TestParallelAccountingMergesExactly(t *testing.T) {
 	}
 	pol := Policy{Workers: 4}
 	c.Reset()
-	plan.CountParallel(pol)
+	must(plan.CountParallelCtx(bg, pol))
 	first := c
 	c.Reset()
-	plan.CountParallel(pol)
+	must(plan.CountParallelCtx(bg, pol))
 	if c != first {
 		t.Errorf("parallel accounting not deterministic: %+v vs %+v", c, first)
 	}
@@ -295,7 +295,7 @@ func TestParallelRandomizedEquivalence(t *testing.T) {
 			Disabled:         rng.Intn(4) == 0,
 			Workers:          2 + rng.Intn(4),
 		}
-		if got := plan.CountParallel(pol).Count; got != want {
+		if got := must(plan.CountParallelCtx(bg, pol)).Count; got != want {
 			t.Errorf("trial %d (%s, workers=%d): parallel count = %d, naive = %d",
 				trial, q, pol.Workers, got, want)
 		}
@@ -325,12 +325,12 @@ func TestPooledRunnersParallelEvalRace(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				if g%2 == 0 {
 					var n int64
-					plan.EvalParallel(Policy{Workers: 3}, func(mu []int64) bool { n++; return true })
+					plan.EvalParallelCtx(bg, Policy{Workers: 3}, func(mu []int64) bool { n++; return true })
 					if n != want {
 						t.Errorf("parallel eval enumerated %d, want %d", n, want)
 						return
 					}
-				} else if got := plan.CountParallel(Policy{Workers: 3}).Count; got != want {
+				} else if got := must(plan.CountParallelCtx(bg, Policy{Workers: 3})).Count; got != want {
 					t.Errorf("parallel count = %d, want %d", got, want)
 					return
 				}

@@ -1,6 +1,6 @@
 package core
 
-import "repro/internal/leapfrog"
+import "context"
 
 // Session keeps a plan's caches alive across executions. The paper
 // frames CLFTJ's caches as dynamically sized memory the operator may
@@ -15,8 +15,10 @@ type Session struct {
 }
 
 // NewSession returns a counting session with empty caches under the
-// given policy.
+// given policy. Session counts are sequential (one set of caches, one
+// worker): policy.Workers is not consulted.
 func (p *Plan) NewSession(policy Policy) *Session {
+	policy.Workers = 1
 	return &Session{
 		plan:   p,
 		policy: policy,
@@ -26,19 +28,8 @@ func (p *Plan) NewSession(policy Policy) *Session {
 
 // Count runs CachedTJCount reusing the session's caches.
 func (s *Session) Count() CountResult {
-	if s.plan.inst.Empty() {
-		return CountResult{}
-	}
-	e := &countExec{
-		plan:   s.plan,
-		run:    leapfrog.NewRunnerCounters(s.plan.inst, s.plan.counters),
-		intrmd: make([]int64, s.plan.numNodes),
-		cm:     s.cm,
-	}
-	e.mu = e.run.Assignment()
-	e.rjoin(0, 1)
-	e.run.Release()
-	return CountResult{Count: e.total, CachedEntries: s.cm.Entries()}
+	res, _ := s.plan.count(context.Background(), s.policy, s.cm)
+	return res
 }
 
 // CachedEntries reports the intermediate results currently resident.

@@ -95,3 +95,44 @@ func TestSessionRespectsCapacityAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionAndFactorizedHonourBatchSize pins that the entry points
+// which used to build their executors by hand now run what every other
+// entry runs: under BatchSize 7 and 256 a cold Session.Count and an
+// EvalFactorized reproduce the scalar result with bit-identical
+// stats.Counters, and the session reports its per-depth Levels.
+func TestSessionAndFactorizedHonourBatchSize(t *testing.T) {
+	db := dataset.PreferentialAttachment(100, 3, 41).DB(false)
+	var c stats.Counters
+	plan, err := AutoPlan(queries.Path(5), db, AutoOptions{Counters: &c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(bs int) (count, factorized int64, session, eval stats.Counters, levels []LevelStat) {
+		c.Reset()
+		res := plan.NewSession(Policy{BatchSize: bs}).Count()
+		session = c
+		c.Reset()
+		factorized = plan.EvalFactorized(Policy{BatchSize: bs}).Count()
+		return res.Count, factorized, session, c, res.Levels
+	}
+	want, wantF, wantSession, wantEval, _ := run(0)
+	if want != wantF {
+		t.Fatalf("scalar session count %d != factorized count %d", want, wantF)
+	}
+	for _, bs := range []int{7, 256} {
+		got, gotF, session, eval, levels := run(bs)
+		if got != want || gotF != want {
+			t.Errorf("bs=%d: session count %d, factorized count %d, want %d", bs, got, gotF, want)
+		}
+		if session != wantSession {
+			t.Errorf("bs=%d: session counters diverge\nbatch:  %+v\nscalar: %+v", bs, session, wantSession)
+		}
+		if eval != wantEval {
+			t.Errorf("bs=%d: EvalFactorized counters diverge\nbatch:  %+v\nscalar: %+v", bs, eval, wantEval)
+		}
+		if len(levels) == 0 {
+			t.Errorf("bs=%d: session count reported no Levels", bs)
+		}
+	}
+}

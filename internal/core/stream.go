@@ -2,17 +2,15 @@ package core
 
 import (
 	"context"
-	"sync"
 
-	"repro/internal/factorized"
 	"repro/internal/leapfrog"
 	"repro/internal/stats"
 )
 
 // This file implements parallel streaming: the sharded producer behind
-// Stmt.Rows and the HTTP "stream" mode. Workers run EvalParallel-style
+// Stmt.Rows and the HTTP "stream" mode. Workers run EvalParallelCtx-style
 // root-domain shards, but instead of materializing the whole result
-// before the first emit (EvalParallel's tradeoff), each worker feeds a
+// before the first emit (EvalParallelCtx's tradeoff), each worker feeds a
 // bounded channel of row blocks and a merger forwards them to the
 // consumer in deterministic shard order: root key i's rows always come
 // from channel i%K, and a worker produces its groups in exactly the
@@ -38,42 +36,37 @@ type streamItem struct {
 // producer ahead of the merger without buffering unbounded results.
 const streamChanDepth = 4
 
-// EvalStream is EvalStreamCtx under context.Background().
-func (p *Plan) EvalStream(policy Policy, workers int, emit func(mu []int64) bool) EvalResult {
-	res, _ := p.EvalStreamCtx(context.Background(), policy, workers, emit)
-	return res
-}
-
 // EvalStreamCtx evaluates the plan and streams result tuples to emit in
 // the canonical (no-cache sequential scan) order, sharding the root
-// domain over the given worker count (<= 1, or a root domain too small
-// to shard, falls back to the sequential EvalCtx under the unmodified
-// policy — including its caches). For workers > 1 the emitted stream is
+// domain over the given worker count (<= 0: one per core; one worker,
+// or a root domain too small to shard, is the sequential
+// EvalParallelCtx scan under the unmodified policy — including its
+// caches). On the sharded path the emitted stream is
 // tuple-for-tuple identical for every worker count; relative to a
 // *cached* sequential run it may reorder tuples within a root-value
 // block exactly where cache hits would (the tuple set is always
-// identical). Emitted slices are freshly allocated and may be retained.
-// Returning false from emit stops the stream and cancels the workers.
-// Policy.BatchSize batches the workers' leaf scans and sizes the row
+// identical). On the sharded path emitted slices are freshly allocated
+// and may be retained. Returning false from emit stops the stream and
+// cancels the workers. Policy.BatchSize batches the workers' leaf scans and sizes the row
 // blocks handed between producer and merger (DefaultBatchSize when
 // unset). CachedEntries is 0 on the sharded path: workers trade their
 // caches for the deterministic order. When ctx trips, delivery stops
 // and ctx's error is returned; tuples already emitted stand.
 func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, emit func(mu []int64) bool) (EvalResult, error) {
-	if err := ctx.Err(); err != nil {
+	keys, workers, err := p.shards(ctx, workers)
+	if workers == 0 {
 		return EvalResult{}, err
 	}
-	if p.inst.Empty() {
-		return EvalResult{}, nil
-	}
-	keys, workers := leapfrog.ShardDomain(p.inst, workers, p.counters)
-	if workers <= 1 {
-		return p.EvalCtx(ctx, policy, emit)
+	if workers == 1 {
+		policy.Workers = 1
+		return p.EvalParallelCtx(ctx, policy, emit)
 	}
 
-	wpol := policy
-	wpol.Disabled = true
-	bs := wpol.batchCap()
+	policy.Disabled = true
+	bs := min(policy.BatchSize, maxBatchSize)
+	if bs <= 0 {
+		bs = DefaultBatchSize
+	}
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	chans := make([]chan streamItem, workers)
@@ -81,28 +74,11 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, em
 		chans[w] = make(chan streamItem, streamChanDepth)
 	}
 
-	var wg sync.WaitGroup
-	ctrs := make([]*stats.Counters, workers)
-	for w := 0; w < workers; w++ {
-		if p.counters != nil {
-			ctrs[w] = &stats.Counters{}
-		}
-		wg.Add(1)
-		go func(w int, wc *stats.Counters) {
-			defer wg.Done()
+	joined := make(chan struct{})
+	go func() {
+		defer close(joined)
+		leapfrog.RunSharded(workers, p.counters, func(w int, wc *stats.Counters) {
 			defer close(chans[w])
-			e := &evalExec{
-				plan:    p,
-				run:     leapfrog.NewRunnerCounters(p.inst, wc),
-				ctrs:    wc,
-				sets:    make([]factorized.Set, p.numNodes),
-				collect: make([]bool, p.numNodes),
-				intent:  make([]bool, p.numNodes),
-				cancel:  leapfrog.NewCanceler(sctx),
-				cm: newManager[factorized.Set](wpol, p.numNodes, p.cacheable, wc,
-					func(s factorized.Set) int { return len(s) }),
-				block: wpol.leafBlock(),
-			}
 			// dead flips when the merger has gone away (sctx cancelled
 			// mid-send); emit then returns false so the scan unwinds.
 			dead := false
@@ -116,7 +92,7 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, em
 					return false
 				}
 			}
-			e.emit = func(mu []int64) bool {
+			e := newEvalExec(sctx, p, policy, shard{keys, w, workers}, wc, func(mu []int64) bool {
 				if dead {
 					return false
 				}
@@ -128,10 +104,9 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, em
 					buf = nil
 				}
 				return true
-			}
+			})
 			open := false
-			e.mu = e.run.Assignment()
-			e.shardScan(keys, w, workers, func(int) {
+			e.enter = func(int) {
 				// Group boundary: seal the previous root value's rows.
 				if open && !dead {
 					if send(streamItem{rows: buf, last: true}) {
@@ -139,13 +114,14 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, em
 					}
 				}
 				open = true
-			})
+			}
+			e.rjoin(0)
 			if open && !dead {
 				send(streamItem{rows: buf, last: true})
 			}
 			e.run.Release()
-		}(w, ctrs[w])
-	}
+		})
+	}()
 
 	var res EvalResult
 	stopped := false
@@ -174,12 +150,6 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, em
 		}
 	}
 	cancel()
-	wg.Wait()
-	if p.counters != nil {
-		p.counters.Merge(ctrs...)
-	}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	return res, nil
+	<-joined
+	return res, ctx.Err()
 }

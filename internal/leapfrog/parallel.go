@@ -71,7 +71,7 @@ func ShardDomain(inst *Instance, workers int, sink *stats.Counters) ([]int64, in
 }
 
 // RunSharded is the shard orchestration shared by every parallel engine
-// (this package's ParallelCount and core's Parallel* entry points): it
+// (this package's ParallelCount and core's *ParallelCtx entry points): it
 // spawns one goroutine per worker, hands each a private Counters when
 // sink is non-nil (nil sink: accounting disabled, workers receive nil),
 // waits for all of them, and merges the per-worker accounting into sink

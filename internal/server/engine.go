@@ -1095,8 +1095,14 @@ func (e *Engine) exec(ctx context.Context, q *cq.Query, text string, names []str
 		resp.Mode = "aggregate"
 		switch req.Semiring {
 		case "", "count":
-			sr := core.CountSemiring()
-			resp.Count, err = core.AggregateParallelCtx(ctx, plan, pol, sr, core.UnitWeight(sr))
+			// Counting is the fold over (ℕ, +, ×) with unit weights: the
+			// count entry is that fold and also reports the resident
+			// entries and the levels the adaptive loop feeds on.
+			var res core.CountResult
+			res, err = plan.CountParallelCtx(ctx, pol)
+			resp.Count = res.Count
+			resp.Stats.CachedEntries = res.CachedEntries
+			levels = res.Levels
 		case "sum":
 			sr := core.SumProductSemiring()
 			resp.Value, err = core.AggregateParallelCtx(ctx, plan, pol, sr,

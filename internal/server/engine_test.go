@@ -221,6 +221,16 @@ func TestEngineAggregate(t *testing.T) {
 	if resp.Count != total {
 		t.Fatalf("aggregate count %d, want %d", resp.Count, total)
 	}
+	// The count semiring is the count entry: same answer, same stats
+	// block (resident cache entries included), mode still "aggregate".
+	cnt, err := e.Do(Request{Query: "E(x,y), E(y,z)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Mode != "aggregate" || resp.Stats.CachedEntries == 0 || resp.Stats.CachedEntries != cnt.Stats.CachedEntries {
+		t.Fatalf("aggregate/count: mode %q, cached entries %d; count mode reports %d",
+			resp.Mode, resp.Stats.CachedEntries, cnt.Stats.CachedEntries)
+	}
 
 	// min over tuples of the sum of bound values must match a direct
 	// scan of the evaluated result.

@@ -252,7 +252,7 @@ func (s *Stmt) stream(ctx context.Context, req Request, header func(order []stri
 	if err != nil {
 		return err
 	}
-	// Streaming never uses the buffering EvalParallel path: the Workers
+	// Streaming never uses the buffering EvalParallelCtx path: the Workers
 	// default applies to Do executions only. Parallelism here comes from
 	// the dedicated StreamWorkers knob and runs the sharded streaming
 	// producer, whose merged output is byte-identical for every worker
