@@ -289,19 +289,6 @@ func (s *Stmt) stream(ctx context.Context, req Request, header func(order []stri
 	return nil
 }
 
-// StreamSummary is StreamCtx's trailer: how many rows were delivered
-// and whether the request's (or prepared default's) limit cut the
-// enumeration short. Partial and Missing are set only by a cluster
-// coordinator serving an allow_partial stream over a degraded fleet
-// (the delivered rows are the exact merge of the surviving shards);
-// a single engine always leaves them zero.
-type StreamSummary struct {
-	Count     int64
-	Truncated bool
-	Partial   bool
-	Missing   []string
-}
-
 // StreamCtx executes one eval request in streaming form: header is
 // invoked once with the plan's variable order, then row per result
 // tuple (reused slice — copy to retain; return false to stop early).
