@@ -51,7 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"runtime/pprof"
 	"strconv"
@@ -202,7 +201,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer engine.Close()
 		if *serveFlag != "" {
 			fmt.Fprintf(stdout, "cltj service listening on %s (POST /query, POST /update, GET /stats, GET /healthz)\n", *serveFlag)
-			if err := http.ListenAndServe(*serveFlag, server.NewHandler(engine)); err != nil {
+			if err := server.NewHTTPServer(*serveFlag, server.NewHandler(engine)).ListenAndServe(); err != nil {
 				return fail(err)
 			}
 			return 0

@@ -151,7 +151,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	gate := server.NewGate()
-	srv := &http.Server{Addr: *addr, Handler: gate}
+	srv := server.NewHTTPServer(*addr, gate)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -300,23 +299,9 @@ func (c *Client) Stats(ctx context.Context) (*server.EngineStats, error) {
 	return &st, nil
 }
 
-// streamLine is one NDJSON line of the daemon's streaming response.
-type streamLine struct {
-	Order   []string `json:"order"`
-	Row     *[]int64 `json:"row"`
-	Summary *struct {
-		Count     int64 `json:"count"`
-		Truncated bool  `json:"truncated"`
-	} `json:"summary"`
-	Error *string `json:"error"`
-}
-
-// maxStreamLine bounds one NDJSON line (a row of a very wide query
-// still fits comfortably).
-const maxStreamLine = 1 << 20
-
 // Stream implements Shard: POST /query with "mode": "stream", decoding
-// the NDJSON answer — header line, row lines, summary or error trailer.
+// the NDJSON answer with the reader that sits beside the shard's writer
+// (server.ReadStream) — header line, row lines, summary or error trailer.
 // Not retried: rows may already have been delivered. The request's
 // context bounds the whole stream (no per-request timeout — long
 // streams are not failures); row returning false abandons the response
@@ -347,43 +332,5 @@ func (c *Client) Stream(ctx context.Context, req server.Request, header func(ord
 	if resp.StatusCode != http.StatusOK {
 		return server.StreamSummary{}, &StatusError{Status: resp.StatusCode, Msg: decodeErrorBody(resp.Body)}
 	}
-
-	var sum server.StreamSummary
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), maxStreamLine)
-	sawTrailer := false
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var msg streamLine
-		if err := json.Unmarshal(line, &msg); err != nil {
-			return sum, fmt.Errorf("cluster: bad stream line from %s: %w", c.name, err)
-		}
-		switch {
-		case msg.Error != nil:
-			return sum, errors.New(*msg.Error)
-		case msg.Summary != nil:
-			sum.Count = msg.Summary.Count
-			sum.Truncated = msg.Summary.Truncated
-			sawTrailer = true
-		case msg.Row != nil:
-			sum.Count++ // a consumer stop still counts the delivered row
-			if !row(*msg.Row) {
-				return sum, nil // consumer stop: normal completion
-			}
-		case msg.Order != nil:
-			if header != nil {
-				header(msg.Order)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return sum, err
-	}
-	if !sawTrailer {
-		return sum, fmt.Errorf("cluster: stream from %s ended without a summary trailer", c.name)
-	}
-	return sum, nil
+	return server.ReadStream(resp.Body, header, row)
 }

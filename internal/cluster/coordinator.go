@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -110,7 +111,7 @@ const readyPollInterval = 100 * time.Millisecond
 func (c *Coordinator) WaitReady(ctx context.Context) error {
 	idxs := c.allShards()
 	for {
-		err := c.each(ctx, idxs, "ready", func(ctx context.Context, i int) error {
+		_, err := c.each(ctx, idxs, "ready", true, func(ctx context.Context, i int) error {
 			return c.shards[i].Ready(ctx)
 		})
 		if err == nil {
@@ -142,52 +143,61 @@ func (c *Coordinator) shardErr(i int, op string, err error) error {
 	return &ShardError{Shard: c.shards[i].Name(), Op: op, Err: err}
 }
 
-// each runs f once per shard index concurrently and returns the first
-// failure (wrapped as a ShardError naming the shard), cancelling the
-// siblings. It waits for every call to return before it does — no
-// goroutine outlives the fan-out.
-func (c *Coordinator) each(ctx context.Context, idxs []int, op string, f func(ctx context.Context, shard int) error) error {
+// each is the one fan-out primitive: it runs f once per shard index
+// concurrently, waits for every call to return — no goroutine outlives
+// the fan-out — and reports the outcomes aligned with idxs (nil entries
+// succeeded, failures are wrapped as ShardErrors naming the shard) plus
+// the first failure to arrive. With strict set that first failure
+// cancels the siblings; otherwise every shard runs to completion,
+// because the caller wants every survivor's answer, not the fastest
+// failure.
+func (c *Coordinator) each(ctx context.Context, idxs []int, op string, strict bool, f func(ctx context.Context, shard int) error) (errs []error, first error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	errc := make(chan error, len(idxs))
-	for _, i := range idxs {
-		go func(i int) {
-			if err := f(ctx, i); err != nil {
-				errc <- c.shardErr(i, op, err)
-				return
-			}
-			errc <- nil
-		}(i)
-	}
-	var first error
-	for range idxs {
-		if err := <-errc; err != nil && first == nil {
-			first = err
-			cancel()
-		}
-	}
-	return first
-}
-
-// eachPartial is each without the cancellation: every shard runs to
-// completion because partial mode wants every survivor's answer, not
-// the fastest failure. It returns the per-index outcomes aligned with
-// idxs (nil entries succeeded), each failure wrapped as a ShardError.
-func (c *Coordinator) eachPartial(ctx context.Context, idxs []int, op string, f func(ctx context.Context, shard int) error) []error {
-	errs := make([]error, len(idxs))
-	done := make(chan struct{}, len(idxs))
+	errs = make([]error, len(idxs))
+	done := make(chan int, len(idxs))
 	for j, i := range idxs {
-		go func(j, i int) {
+		go func() {
 			if err := f(ctx, i); err != nil {
 				errs[j] = c.shardErr(i, op, err)
 			}
-			done <- struct{}{}
-		}(j, i)
+			done <- j
+		}()
 	}
 	for range idxs {
-		<-done
+		if j := <-done; errs[j] != nil && first == nil {
+			first = errs[j]
+			if strict {
+				cancel()
+			}
+		}
 	}
-	return errs
+	return errs, first
+}
+
+// gather is each plus the one tolerate-or-fail decision of degraded
+// mode. Strict (partial unset): the first failure cancels the siblings
+// and fails the fan-out. Partial: every shard runs to completion, a
+// tolerable failure only drops its shard — live lists the indices that
+// answered and dead is the first such failure, for the caller to
+// surface if nobody it needs survived — and any other failure still
+// fails the fan-out.
+func (c *Coordinator) gather(ctx context.Context, idxs []int, op string, partial bool, f func(ctx context.Context, shard int) error) (live []int, dead, err error) {
+	errs, first := c.each(ctx, idxs, op, !partial, f)
+	if !partial || first == nil {
+		return idxs, nil, first
+	}
+	for j, e := range errs {
+		switch {
+		case e == nil:
+			live = append(live, idxs[j])
+		case !tolerable(ctx, e):
+			return nil, nil, e
+		case dead == nil:
+			dead = e
+		}
+	}
+	return live, dead, nil
 }
 
 // tolerable reports whether err is the kind of shard failure
@@ -211,46 +221,23 @@ func tolerable(ctx context.Context, err error) bool {
 }
 
 // preflight collects every shard's full version vector concurrently —
-// the first half of the consistent-snapshot handshake. The returned
-// slice is indexed by shard. In partial mode a tolerable per-shard
-// failure marks that shard missing instead of failing the handshake
-// (its vecs entry stays nil); a fleet with no live shard at all still
-// fails.
-func (c *Coordinator) preflight(ctx context.Context, partial bool) ([]map[string]uint64, []int, error) {
-	vecs := make([]map[string]uint64, len(c.shards))
-	collect := func(ctx context.Context, i int) error {
+// the first half of the consistent-snapshot handshake. vecs is indexed
+// by shard and live lists the shards that answered: all of them, unless
+// partial mode absorbed a tolerable per-shard failure (a fleet with no
+// live shard at all still fails).
+func (c *Coordinator) preflight(ctx context.Context, partial bool) (vecs []map[string]uint64, live []int, err error) {
+	vecs = make([]map[string]uint64, len(c.shards))
+	live, dead, err := c.gather(ctx, c.allShards(), "versions", partial, func(ctx context.Context, i int) error {
 		v, err := c.shards[i].Versions(ctx, nil)
-		if err != nil {
-			return err
-		}
-		vecs[i] = v
-		return nil
-	}
-	if !partial {
-		if err := c.each(ctx, c.allShards(), "versions", collect); err != nil {
-			return nil, nil, err
-		}
-		return vecs, nil, nil
-	}
-	errs := c.eachPartial(ctx, c.allShards(), "versions", collect)
-	var missing []int
-	var firstErr error
-	for i, err := range errs {
 		if err == nil {
-			continue
+			vecs[i] = v
 		}
-		if !tolerable(ctx, err) {
-			return nil, nil, err
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		missing = append(missing, i)
+		return err
+	})
+	if err == nil && len(live) == 0 {
+		err = dead
 	}
-	if len(missing) == len(c.shards) {
-		return nil, nil, firstErr
-	}
-	return vecs, missing, nil
+	return vecs, live, err
 }
 
 // encodeVectors renders the global version vector — every shard's
@@ -295,20 +282,6 @@ func optsKey(req server.Request) string {
 	return ""
 }
 
-// sortedRelNames returns the sorted distinct relation names q touches.
-func sortedRelNames(q *cq.Query) []string {
-	seen := make(map[string]bool, len(q.Atoms))
-	names := make([]string, 0, len(q.Atoms))
-	for _, a := range q.Atoms {
-		if !seen[a.Rel] {
-			seen[a.Rel] = true
-			names = append(names, a.Rel)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
 // routed is one resolved execution: the route, the touched relations,
 // the expected variable order (nil until the first execution at this
 // snapshot learns it), and the preflight vectors backing the key.
@@ -321,39 +294,100 @@ type routed struct {
 	order   []string
 	vecs    []map[string]uint64
 	nocache bool
+
+	// live are the routed shards still answering, in route order.
+	// missing marks the routed shards lost so far — only shards the
+	// route needs count: a dead shard outside the route leaves a
+	// single-shard answer exact, not partial — and dead is the first
+	// loss, what the request fails with once no survivor is left.
+	live    []int
+	missing map[int]bool
+	dead    error
 }
 
-// resolve runs the preflight handshake and the route decision, serving
-// parse + route from the route cache when the global vector matches.
-// In partial mode it also returns the shards whose preflight failed
-// tolerably (the caller subtracts them from the route).
-func (c *Coordinator) resolve(ctx context.Context, req server.Request, partial bool) (*routed, []int, error) {
-	vecs, missing, err := c.preflight(ctx, partial)
-	if err != nil {
-		return nil, nil, err
+// lose marks a routed shard missing.
+func (rt *routed) lose(shard int, err error) {
+	rt.missing[shard] = true
+	if rt.dead == nil {
+		rt.dead = err
 	}
-	var key routeKey
-	if len(missing) == 0 {
-		key = routeKey{text: req.Query, opts: optsKey(req), vers: encodeVectors(vecs)}
-		if route, names, order, ok := c.routes.get(key); ok {
-			return &routed{key: key, route: route, names: names, order: order, vecs: vecs}, nil, nil
+}
+
+// resolve is the one fan-out prologue of Do and StreamCtx: validate and
+// normalize the request, run the preflight handshake and the route
+// decision — parse + route come from the route cache when the global
+// vector matches — and split the route into the shards to ask and, in
+// partial mode, the ones whose preflight failed tolerably.
+//
+// Prepared statements are engine-local handles a coordinator cannot
+// route, and the orderer is forced to the greedy strategy — the one
+// planning mode that is purely structural, so every shard (whatever its
+// data slice looks like) compiles the same variable order and the merges
+// are byte-exact. Cost or adaptive ordering would let two shards pick
+// different orders for one query.
+func (c *Coordinator) resolve(ctx context.Context, req server.Request, op string) (server.Request, *routed, error) {
+	if req.Stmt != "" {
+		return req, nil, fmt.Errorf("cluster: prepared statements are engine-local — send query text to the coordinator")
+	}
+	if req.Orderer != "" && req.Orderer != "greedy" {
+		return req, nil, fmt.Errorf("cluster: coordinator plans with the greedy orderer only (got %q) — data-dependent ordering could diverge across shards", req.Orderer)
+	}
+	req.Orderer = "greedy"
+	vecs, reached, err := c.preflight(ctx, req.AllowPartial)
+	if err != nil {
+		return req, nil, err
+	}
+	rt := &routed{vecs: vecs, nocache: len(reached) < len(c.shards), missing: map[int]bool{}}
+	cached := false
+	if !rt.nocache {
+		rt.key = routeKey{text: req.Query, opts: optsKey(req), vers: encodeVectors(vecs)}
+		rt.route, rt.names, rt.order, cached = c.routes.get(rt.key)
+	}
+	if !cached {
+		q, err := cq.Parse(req.Query)
+		if err != nil {
+			return req, nil, err
+		}
+		if rt.route, err = c.routing.Route(q); err != nil {
+			c.notShardable.Add(1)
+			return req, nil, err
+		}
+		rt.names = server.RelNames(q)
+		if !rt.nocache {
+			c.routes.put(rt.key, rt.route, rt.names, nil)
 		}
 	}
-	q, err := cq.Parse(req.Query)
-	if err != nil {
-		return nil, nil, err
+	for _, i := range rt.route.Shards {
+		if slices.Contains(reached, i) {
+			rt.live = append(rt.live, i)
+		} else {
+			rt.lose(i, c.shardErr(i, op, errors.New("no live endpoint for partition")))
+		}
 	}
-	route, err := c.routing.Route(q)
-	if err != nil {
-		c.notShardable.Add(1)
-		return nil, nil, err
+	if len(rt.live) == 0 {
+		// Every shard holding the answer is down — there are no
+		// survivors to answer from, partial or not.
+		return req, nil, rt.dead
 	}
-	names := sortedRelNames(q)
-	if len(missing) > 0 {
-		return &routed{route: route, names: names, vecs: vecs, nocache: true}, missing, nil
+	return req, rt, nil
+}
+
+// lost names the routed shards a finished answer is missing, sorted
+// (nil: the answer is complete), and counts a partial answer served.
+// Never silently wrong: a degraded answer is exact over the survivors
+// and says so, naming what it lacks.
+func (c *Coordinator) lost(rt *routed) []string {
+	var names []string
+	for _, i := range rt.route.Shards {
+		if rt.missing[i] {
+			names = append(names, c.shards[i].Name())
+		}
 	}
-	c.routes.put(key, route, names, nil)
-	return &routed{key: key, route: route, names: names, vecs: vecs}, nil, nil
+	if names != nil {
+		sort.Strings(names)
+		c.partialServed.Add(1)
+	}
+	return names
 }
 
 // checkOrders verifies the per-shard variable orders agree with each
@@ -368,7 +402,7 @@ func (c *Coordinator) checkOrders(rt *routed, idxs []int, orders [][]string) ([]
 			want = ord
 			continue
 		}
-		if !equalStrings(want, ord) {
+		if !slices.Equal(want, ord) {
 			return nil, &ShardError{
 				Shard: c.shards[idxs[j]].Name(),
 				Op:    "merge",
@@ -391,38 +425,6 @@ func (c *Coordinator) checkOrders(rt *routed, idxs []int, orders [][]string) ([]
 	return want, nil
 }
 
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// prepare validates and normalizes one fan-out request: prepared
-// statements are engine-local handles a coordinator cannot route, and
-// the orderer is forced to the greedy strategy — the one planning mode
-// that is purely structural, so every shard (whatever its data slice
-// looks like) compiles the same variable order and the merges below are
-// byte-exact. Cost or adaptive ordering would let two shards pick
-// different orders for one query.
-func (c *Coordinator) prepare(req server.Request) (server.Request, error) {
-	if req.Stmt != "" {
-		return req, fmt.Errorf("cluster: prepared statements are engine-local — send query text to the coordinator")
-	}
-	switch req.Orderer {
-	case "", "greedy":
-	default:
-		return req, fmt.Errorf("cluster: coordinator plans with the greedy orderer only (got %q) — data-dependent ordering could diverge across shards", req.Orderer)
-	}
-	req.Orderer = "greedy"
-	return req, nil
-}
-
 // Do executes one buffered request across the fleet and merges the
 // per-shard responses: counts and counting aggregates by summation,
 // "sum" by summation and "min" by minimum (an empty shard answers the
@@ -432,19 +434,25 @@ func (c *Coordinator) prepare(req server.Request) (server.Request, error) {
 // carries no Versions map — per-shard vectors do not collapse into one.
 func (c *Coordinator) Do(ctx context.Context, req server.Request) (*server.Response, error) {
 	start := time.Now()
-	req, err := c.prepare(req)
-	if err != nil {
-		return nil, err
-	}
-	if req.Mode == "stream" {
+	// The coordinator folds by mode and semiring, so it refuses the ones
+	// it cannot fold itself, before any shard is asked.
+	switch req.Mode {
+	case "", "count", "eval":
+	case "aggregate":
+		switch req.Semiring {
+		case "", "count", "sum", "min":
+		default:
+			return nil, fmt.Errorf("cluster: unknown semiring %q (want count, sum or min)", req.Semiring)
+		}
+	case "stream":
 		return nil, fmt.Errorf("cluster: mode \"stream\" has no buffered response — use Coordinator.StreamCtx or POST /query over HTTP")
+	default:
+		return nil, fmt.Errorf("cluster: unknown mode %q (want count, eval or aggregate)", req.Mode)
 	}
-	partial := req.AllowPartial
-	rt, preMissing, err := c.resolve(ctx, req, partial)
+	req, rt, err := c.resolve(ctx, req, "query")
 	if err != nil {
 		return nil, err
 	}
-	sreq := req
 	limit := 0
 	if req.Mode == "eval" {
 		// The coordinator resolves the effective limit itself and pins it
@@ -455,65 +463,30 @@ func (c *Coordinator) Do(ctx context.Context, req server.Request) (*server.Respo
 		if limit <= 0 {
 			limit = server.DefaultMaxTuples
 		}
-		sreq.Limit = limit
-	}
-
-	// Only shards the route needs count as missing: a dead shard outside
-	// the route leaves a single-shard answer exact, not partial.
-	missingSet := make(map[int]bool, len(preMissing))
-	for _, i := range preMissing {
-		missingSet[i] = true
-	}
-	var idxs []int
-	var firstDead error
-	for _, i := range rt.route.Shards {
-		if !missingSet[i] {
-			idxs = append(idxs, i)
-		} else if firstDead == nil {
-			firstDead = c.shardErr(i, "query", errors.New("no live endpoint for partition"))
-		}
-	}
-	if len(idxs) == 0 {
-		// Every shard holding the answer is down — there are no
-		// survivors to answer from, partial or not.
-		return nil, firstDead
+		req.Limit = limit
 	}
 
 	byShard := make([]*server.Response, len(c.shards))
-	query := func(ctx context.Context, i int) error {
-		resp, err := c.shards[i].Do(ctx, sreq)
-		if err != nil {
-			return err
-		}
+	live, dead, err := c.gather(ctx, rt.live, "query", req.AllowPartial, func(ctx context.Context, i int) error {
+		resp, err := c.shards[i].Do(ctx, req)
 		byShard[i] = resp
-		return nil
-	}
-	if partial {
-		errs := c.eachPartial(ctx, idxs, "query", query)
-		var live []int
-		for j, e := range errs {
-			if e == nil {
-				live = append(live, idxs[j])
-				continue
-			}
-			if !tolerable(ctx, e) {
-				return nil, e
-			}
-			if firstDead == nil {
-				firstDead = e
-			}
-			missingSet[idxs[j]] = true
-		}
-		if len(live) == 0 {
-			return nil, firstDead
-		}
-		idxs = live
-	} else if err := c.each(ctx, idxs, "query", query); err != nil {
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	resps := make([]*server.Response, len(idxs))
-	for j, i := range idxs {
-		resps[j] = byShard[i]
+	for _, i := range rt.live {
+		if !slices.Contains(live, i) {
+			rt.lose(i, dead)
+		}
+	}
+	if len(live) == 0 {
+		return nil, rt.dead
+	}
+	resps := make([]*server.Response, len(live))
+	orders := make([][]string, len(live))
+	for j, i := range live {
+		resps[j], orders[j] = byShard[i], byShard[i].Order
 	}
 
 	// Second half of the snapshot handshake: every response must have
@@ -522,91 +495,47 @@ func (c *Coordinator) Do(ctx context.Context, req server.Request) (*server.Respo
 	// A single-shard route (or a single survivor) needs no cross-shard
 	// consistency — the shard's own snapshot pin already makes its
 	// answer exact over its partition.
-	if len(idxs) > 1 {
-		for j, i := range idxs {
+	if len(live) > 1 {
+		for j, i := range live {
 			if !versionsMatch(resps[j].Versions, rt.vecs[i]) {
 				c.snapshotRejects.Add(1)
 				return nil, fmt.Errorf("%w: shard %s executed at a newer vector than the handshake collected", ErrSnapshotMoved, c.shards[i].Name())
 			}
 		}
 	}
-
-	orders := make([][]string, len(resps))
-	for j, r := range resps {
-		orders[j] = r.Order
-	}
-	order, err := c.checkOrders(rt, idxs, orders)
+	order, err := c.checkOrders(rt, live, orders)
 	if err != nil {
 		return nil, err
 	}
 
+	// Counts (count, eval, the counting aggregate) and "sum" values fold
+	// by addition — a response leaves the field its mode does not use at
+	// zero — and "min" by minimum.
 	merged := &server.Response{Mode: resps[0].Mode, Order: order}
 	merged.Stats.PlanCached = true
 	for _, r := range resps {
 		merged.Stats.Counters.Merge(&r.Stats.Counters)
 		merged.Stats.CachedEntries += r.Stats.CachedEntries
 		merged.Stats.PlanCached = merged.Stats.PlanCached && r.Stats.PlanCached
+		merged.Count += r.Count
+		merged.Value += r.Value
 	}
-	switch req.Mode {
-	case "", "count":
-		for _, r := range resps {
-			merged.Count += r.Count
+	if req.Mode == "aggregate" && req.Semiring == "min" {
+		merged.Value = resps[0].Value
+		for _, r := range resps[1:] {
+			merged.Value = min(merged.Value, r.Value)
 		}
-	case "eval":
-		for _, r := range resps {
-			merged.Count += r.Count
-		}
+	}
+	if req.Mode == "eval" {
 		merged.Tuples = mergeSamples(resps, limit)
 		merged.Truncated = merged.Count > int64(limit)
-	case "aggregate":
-		switch req.Semiring {
-		case "", "count":
-			for _, r := range resps {
-				merged.Count += r.Count
-			}
-		case "sum":
-			for _, r := range resps {
-				merged.Value += r.Value
-			}
-		case "min":
-			merged.Value = resps[0].Value
-			for _, r := range resps[1:] {
-				if r.Value < merged.Value {
-					merged.Value = r.Value
-				}
-			}
-		default:
-			// The shards validate semirings; reaching here means they all
-			// accepted one this coordinator cannot fold.
-			return nil, fmt.Errorf("cluster: cannot merge semiring %q", req.Semiring)
-		}
-	default:
-		return nil, fmt.Errorf("cluster: unknown mode %q (want count, eval or aggregate)", req.Mode)
 	}
-
-	if names := c.missingNames(rt.route.Shards, missingSet); len(names) > 0 {
-		// Never silently wrong: the answer is exact over the survivors
-		// and says so, naming what it is missing.
-		merged.Partial = true
-		merged.Missing = names
-		c.partialServed.Add(1)
+	if names := c.lost(rt); names != nil {
+		merged.Partial, merged.Missing = true, names
 	}
 	merged.Stats.DurationMS = float64(time.Since(start).Microseconds()) / 1000
 	c.queries.Add(1)
 	return merged, nil
-}
-
-// missingNames renders the routed shards marked missing as their
-// sorted names — the Response.Missing / stream-trailer payload.
-func (c *Coordinator) missingNames(routedShards []int, missingSet map[int]bool) []string {
-	var names []string
-	for _, i := range routedShards {
-		if missingSet[i] {
-			names = append(names, c.shards[i].Name())
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // mergeSamples k-way merges the per-shard eval samples by root key into
@@ -675,13 +604,10 @@ func (c *Coordinator) Update(ctx context.Context, req server.UpdateRequest) (*Up
 		idxs = c.allShards()
 	}
 	results := make([]*server.UpdateResult, len(c.shards))
-	err = c.each(ctx, idxs, "update", func(ctx context.Context, i int) error {
+	_, err = c.each(ctx, idxs, "update", true, func(ctx context.Context, i int) error {
 		res, err := c.shards[i].Update(ctx, parts[i])
-		if err != nil {
-			return err
-		}
 		results[i] = res
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -746,13 +672,10 @@ func (c *Coordinator) Stats(ctx context.Context) (*Stats, error) {
 		return nil, err
 	}
 	per := make([]*server.EngineStats, len(c.shards))
-	errs := c.eachPartial(ctx, c.allShards(), "stats", func(ctx context.Context, i int) error {
+	errs, _ := c.each(ctx, c.allShards(), "stats", false, func(ctx context.Context, i int) error {
 		st, err := c.shards[i].Stats(ctx)
-		if err != nil {
-			return err
-		}
 		per[i] = st
-		return nil
+		return err
 	})
 	out := &Stats{
 		Shards:          len(c.shards),
@@ -761,6 +684,7 @@ func (c *Coordinator) Stats(ctx context.Context) (*Stats, error) {
 		SnapshotRejects: c.snapshotRejects.Load(),
 		NotShardable:    c.notShardable.Load(),
 		PartialServed:   c.partialServed.Load(),
+		Breakers:        c.breakerStates(),
 		Routes:          c.routes.stats(),
 	}
 	for i, st := range per {
@@ -772,9 +696,18 @@ func (c *Coordinator) Stats(ctx context.Context) (*Stats, error) {
 			ss.Error = errs[i].Error()
 		}
 		out.PerShard = append(out.PerShard, ss)
-		if bs, ok := c.shards[i].(BreakerStater); ok {
-			out.Breakers = append(out.Breakers, bs.BreakerStates()...)
-		}
 	}
 	return out, nil
+}
+
+// breakerStates inventories every endpoint circuit the fleet's clients
+// guard, in partition then replica-preference order.
+func (c *Coordinator) breakerStates() []BreakerState {
+	var out []BreakerState
+	for _, s := range c.shards {
+		if bs, ok := s.(BreakerStater); ok {
+			out = append(out, bs.BreakerStates()...)
+		}
+	}
+	return out
 }

@@ -123,6 +123,7 @@ func TestCoordinatorDifferential(t *testing.T) {
 				checkDo(t, h, server.Request{Query: q, Mode: "eval", Limit: 7})
 				checkDo(t, h, server.Request{Query: q, Mode: "eval", Limit: 100000})
 				checkDo(t, h, server.Request{Query: q, Mode: "aggregate"})
+				checkDo(t, h, server.Request{Query: q, Semiring: "ignored outside aggregate"})
 				checkDo(t, h, server.Request{Query: q, Mode: "aggregate", Semiring: "sum"})
 				checkDo(t, h, server.Request{Query: q, Mode: "aggregate", Semiring: "min"})
 

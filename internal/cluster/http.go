@@ -2,19 +2,16 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/server"
 )
 
-// NewHandler exposes the coordinator over the same HTTP/JSON surface a
-// single daemon serves, so clients need not know whether they talk to
-// one engine or a fleet:
+// NewHandler exposes the coordinator over the HTTP/JSON surface a single
+// daemon serves — the same handler (server.Backend), so clients need not
+// know whether they talk to one engine or a fleet:
 //
 //	POST /query    count/eval/aggregate merged across the fleet;
 //	               "mode": "stream" streams merged NDJSON rows,
@@ -24,253 +21,82 @@ import (
 //	GET  /healthz  ready only when every shard is ready
 //
 // Prepared statements are not served — they are engine-local handles.
-// Error statuses: 400 for malformed or unshardable requests (a shard's
-// own 4xx rejection passes through), 409 when the snapshot handshake
-// failed (ErrSnapshotMoved — retry against the settled state), 502 with
-// the failed shard's name for shard failures, 504/499 for
-// deadline/disconnect, exactly like the single-engine surface.
+// What the coordinator adds to the shared surface is its fleet health
+// body and its own error statuses (errStatus); docs/OPERATIONS.md has
+// the whole error → status table.
 func NewHandler(c *Coordinator) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
-		var req server.Request
-		if !decodeInto(w, r, maxRequestBody, &req) {
-			return
-		}
-		if req.Mode == "stream" {
-			streamQuery(c, w, r, req)
-			return
-		}
-		resp, err := c.Do(r.Context(), req)
-		if err != nil {
-			writeError(w, errStatus(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {
-		var req server.UpdateRequest
-		if !decodeInto(w, r, maxUpdateBody, &req) {
-			return
-		}
-		res, err := c.Update(r.Context(), req)
-		if err != nil {
-			writeError(w, errStatus(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		st, err := c.Stats(r.Context())
-		if err != nil {
-			writeError(w, errStatus(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		// The coordinator is ready exactly when its whole fleet is: a
-		// fleet with an unready shard cannot answer any multi-shard
-		// query, so advertising readiness stays 503 — but the body
-		// itemizes which partitions are down (allow_partial queries can
-		// still be served over the rest) and the circuit states, so an
-		// operator sees the blast radius in one probe. Every shard is
-		// probed individually; a dead one does not mask the others.
-		ctx, cancel := context.WithTimeout(r.Context(), healthProbeTimeout)
-		defer cancel()
-		errs := c.eachPartial(ctx, c.allShards(), "ready", func(ctx context.Context, i int) error {
-			return c.shards[i].Ready(ctx)
-		})
-		shards := make([]map[string]any, len(c.shards))
-		var firstErr error
-		for i := range c.shards {
-			state := map[string]any{"shard": c.shards[i].Name(), "ready": errs[i] == nil}
-			if errs[i] != nil {
-				state["error"] = errs[i].Error()
-				if firstErr == nil {
-					firstErr = errs[i]
-				}
-			}
-			shards[i] = state
-		}
-		var breakers []BreakerState
-		for _, s := range c.shards {
-			if bs, ok := s.(BreakerStater); ok {
-				breakers = append(breakers, bs.BreakerStates()...)
-			}
-		}
-		body := map[string]any{
-			"status":   "ok",
-			"ready":    true,
-			"shards":   len(c.shards),
-			"fleet":    shards,
-			"breakers": breakers,
-		}
-		if firstErr != nil {
-			body["status"] = "degraded"
-			body["ready"] = false
-			body["error"] = firstErr.Error()
-			writeJSON(w, http.StatusServiceUnavailable, body)
-			return
-		}
-		writeJSON(w, http.StatusOK, body)
-	})
-	for path, allow := range map[string]string{
-		"/query":   "POST",
-		"/update":  "POST",
-		"/stats":   "GET",
-		"/healthz": "GET",
-	} {
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Allow", allow)
-			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use %s", allow))
-		})
-	}
-	return mux
+	return server.Backend{
+		Query:  c.Do,
+		Stream: c.StreamCtx,
+		Update: func(ctx context.Context, req server.UpdateRequest) (any, error) { return c.Update(ctx, req) },
+		Stats:  func(ctx context.Context) (any, error) { return c.Stats(ctx) },
+		Health: c.health,
+		Status: errStatus,
+	}.Handler()
 }
 
 // healthProbeTimeout bounds one fleet readiness sweep.
 const healthProbeTimeout = 5 * time.Second
 
-// Body bounds and NDJSON flush pacing match the single daemon's.
-const (
-	maxRequestBody   = 1 << 20
-	maxUpdateBody    = 64 << 20
-	streamFlushEvery = 128
-	streamFlushAfter = 100 * time.Millisecond
-)
-
-// streamQuery answers one merged eval as NDJSON with exactly the
-// single-daemon line shapes — {"order": [...]}, {"row": [...]} per
-// tuple, {"summary": {"count": N, "truncated": B}} or {"error": "..."}
-// — so the merged stream is byte-identical to one engine streaming the
-// union. The writer discipline (per-row flush threshold plus a
-// time-based background flusher) mirrors server.NewHandler's.
-func streamQuery(c *Coordinator, w http.ResponseWriter, r *http.Request, req server.Request) {
-	var wmu sync.Mutex
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	dirty := false
-	flush := func() { // callers hold wmu
-		if flusher != nil {
-			flusher.Flush()
-		}
-		dirty = false
-	}
-	if flusher != nil {
-		stopTick := make(chan struct{})
-		defer close(stopTick)
-		go func() {
-			tick := time.NewTicker(streamFlushAfter)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopTick:
-					return
-				case <-tick.C:
-					wmu.Lock()
-					if dirty {
-						flush()
-					}
-					wmu.Unlock()
-				}
+// health answers GET /healthz. The coordinator is ready exactly when its
+// whole fleet is: a fleet with an unready shard cannot answer any
+// multi-shard query, so advertising readiness stays 503 — but the body
+// itemizes which partitions are down (allow_partial queries can still be
+// served over the rest) and the circuit states, so an operator sees the
+// blast radius in one probe. Every shard is probed individually; a dead
+// one does not mask the others.
+func (c *Coordinator) health(ctx context.Context) (int, any) {
+	ctx, cancel := context.WithTimeout(ctx, healthProbeTimeout)
+	defer cancel()
+	errs, _ := c.each(ctx, c.allShards(), "ready", false, func(ctx context.Context, i int) error {
+		return c.shards[i].Ready(ctx)
+	})
+	fleet := make([]map[string]any, len(c.shards))
+	var firstErr error // by partition, not by arrival: the body is stable
+	for i, s := range c.shards {
+		fleet[i] = map[string]any{"shard": s.Name(), "ready": errs[i] == nil}
+		if errs[i] != nil {
+			fleet[i]["error"] = errs[i].Error()
+			if firstErr == nil {
+				firstErr = errs[i]
 			}
-		}()
-	}
-
-	started := false
-	var rows int64
-	sum, err := c.StreamCtx(r.Context(), req,
-		func(order []string) {
-			wmu.Lock()
-			defer wmu.Unlock()
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			started = true
-			_ = enc.Encode(map[string]any{"order": order})
-			flush()
-		},
-		func(mu []int64) bool {
-			wmu.Lock()
-			defer wmu.Unlock()
-			_ = enc.Encode(map[string]any{"row": mu})
-			if rows++; rows%streamFlushEvery == 0 {
-				flush()
-			} else {
-				dirty = true
-			}
-			return true
-		})
-	wmu.Lock()
-	defer wmu.Unlock()
-	if err != nil {
-		if !started {
-			writeError(w, errStatus(err), err)
-			return
 		}
-		_ = enc.Encode(map[string]string{"error": err.Error()})
-		flush()
-		return
 	}
-	trailer := map[string]any{
-		"count":     sum.Count,
-		"truncated": sum.Truncated,
+	body := map[string]any{
+		"status":   "ok",
+		"ready":    true,
+		"shards":   len(c.shards),
+		"fleet":    fleet,
+		"breakers": c.breakerStates(),
 	}
-	if sum.Partial {
-		// Only degraded merges carry the extra keys: a healthy fleet's
-		// trailer stays byte-identical to a single engine's.
-		trailer["partial"] = true
-		trailer["missing_shards"] = sum.Missing
+	if firstErr == nil {
+		return http.StatusOK, body
 	}
-	_ = enc.Encode(map[string]any{"summary": trailer})
-	flush()
+	body["status"] = "degraded"
+	body["ready"] = false
+	body["error"] = firstErr.Error()
+	return http.StatusServiceUnavailable, body
 }
 
-func decodeInto(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// errStatus maps a coordinator failure to its HTTP status. Ordering
-// matters: context outcomes first (a cancelled fan-out wraps the
-// context error inside a ShardError), then the handshake rejection,
-// then shard failures — where a shard's own 4xx rejection passes
-// through (the request was wrong, not the fleet) and everything else is
-// a 502 naming the failed shard via the ShardError message.
+// errStatus maps the coordinator's own failures to their HTTP status (0:
+// not one of them — the shared mapping decides, after it has already
+// claimed context outcomes, which a cancelled fan-out wraps inside a
+// ShardError): the handshake rejection, the routing refusal, then shard
+// failures — where a shard's own 4xx rejection passes through (the
+// request was wrong, not the fleet) and everything else is a 502 naming
+// the failed shard via the ShardError message.
 func errStatus(err error) int {
 	var se *StatusError
+	var she *ShardError
 	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return 499 // client closed request (nginx convention)
 	case errors.Is(err, ErrSnapshotMoved):
 		return http.StatusConflict
 	case errors.Is(err, ErrNotShardable):
 		return http.StatusBadRequest
 	case errors.As(err, &se) && se.Status >= 400 && se.Status < 500:
 		return se.Status
-	default:
-		var she *ShardError
-		if errors.As(err, &she) {
-			return http.StatusBadGateway
-		}
-		return http.StatusBadRequest
+	case errors.As(err, &she):
+		return http.StatusBadGateway
 	}
+	return 0
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
+	"repro/internal/faults"
 	"repro/internal/relation"
 	"repro/internal/server"
 )
@@ -163,9 +166,9 @@ func TestHTTPClusterShardFailure502(t *testing.T) {
 	h := newSocketHarness(t, db, 2)
 
 	// A shard-rejected request passes its 4xx through.
-	status, raw := post(t, h.coordSrv.URL, `{"query": "E(x,y), E(x,z)", "mode": "aggregate", "semiring": "nope"}`)
-	if status != http.StatusBadRequest {
-		t.Fatalf("bad semiring: %d (%s), want 400", status, raw)
+	status, raw := post(t, h.coordSrv.URL, `{"query": "E(x,y), E(x,z)", "cache_eviction": "nope"}`)
+	if status != http.StatusBadRequest || !strings.Contains(string(raw), "shard answered 400") {
+		t.Fatalf("bad cache_eviction: %d (%s), want the shard's 400", status, raw)
 	}
 	// An unshardable query is a client error, not a fleet failure.
 	status, raw = post(t, h.coordSrv.URL, `{"query": "E(x,y), E(y,z), E(x,z)"}`)
@@ -252,5 +255,191 @@ func TestHTTPClusterAdmissionGate(t *testing.T) {
 	hres.Body.Close()
 	if hres.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after gate open: %d, want 200", hres.StatusCode)
+	}
+}
+
+// faultyShard is shard 0 of the conformance fleet: a healthy in-process
+// shard until a table row arms it — movingShard's mid-query update (the
+// 409), or an error its next Do answers with (a shard's own 4xx, a dead
+// shard).
+type faultyShard struct {
+	*movingShard
+	fail error
+}
+
+func (f *faultyShard) Do(ctx context.Context, req server.Request) (*server.Response, error) {
+	if err := f.fail; err != nil {
+		f.fail = nil
+		return nil, err
+	}
+	return f.movingShard.Do(ctx, req)
+}
+
+// fakeErrors is what the fake backend answers for a query text or an
+// update relation: each typed error the status table knows.
+var fakeErrors = map[string]error{
+	"deadline":    fmt.Errorf("fake: %w", context.DeadlineExceeded),
+	"cancelled":   &ShardError{Shard: "s", Op: "query", Err: context.Canceled},
+	"read-only":   fmt.Errorf("%w (fake)", server.ErrReadOnly),
+	"moved":       fmt.Errorf("%w: fake", ErrSnapshotMoved),
+	"unshardable": fmt.Errorf("%w: fake", ErrNotShardable),
+	"shard-4xx":   &ShardError{Shard: "s", Op: "query", Err: &StatusError{Status: 422, Msg: "fake"}},
+	"shard-5xx":   &ShardError{Shard: "s", Op: "query", Err: &StatusError{Status: 503, Msg: "fake"}},
+	"shard-dead":  &ShardError{Shard: "s", Op: "query", Err: errors.New("connection refused")},
+}
+
+// fakeBackend serves the shared handler with canned outcomes, so every
+// row of the status table is reachable without staging its fault.
+func fakeBackend() http.Handler {
+	return server.Backend{
+		Query: func(_ context.Context, req server.Request) (*server.Response, error) {
+			if req.Mode == "drop" || req.Semiring == "nope" {
+				return nil, errors.New("fake: unknown mode or semiring")
+			}
+			return &server.Response{Mode: "count"}, fakeErrors[req.Query]
+		},
+		Stream: func(_ context.Context, req server.Request, header func([]string), _ func([]int64) bool) (server.StreamSummary, error) {
+			return server.StreamSummary{}, fakeErrors[req.Query]
+		},
+		Update: func(_ context.Context, req server.UpdateRequest) (any, error) {
+			return &server.UpdateResult{Relation: req.Relation}, fakeErrors[req.Relation]
+		},
+		Stats:  func(context.Context) (any, error) { return struct{}{}, nil },
+		Health: func(context.Context) (int, any) { return http.StatusOK, map[string]any{"status": "ok"} },
+		Status: errStatus,
+	}.Handler()
+}
+
+// TestHTTPSurfaceConformance runs one request table against the three
+// backends of the one HTTP surface — an engine, a coordinator over
+// in-process shards of the same data, and a fake answering each typed
+// error — and requires the identical error answer from each: status,
+// Content-Type, Allow header and the {"error": "..."} body. A row names
+// the backends it applies to (e, c, f); the fault rows are the
+// coordinator's and the fake's, since one engine has no shard to lose.
+func TestHTTPSurfaceConformance(t *testing.T) {
+	db := dataset.CliqueUnion(500, 280, 18, 1.6, 9).DB(false)
+	dbs, routing, err := Partition(db, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The engine is persistent with its second WAL fsync armed to fail:
+	// the read-only row's update flips it, after every other row ran.
+	engine, _, err := server.OpenEngine(server.Config{
+		DataDir: t.TempDir(),
+		Faults:  faults.New(1).Add(faults.Rule{Site: "store/E.wal/appendsync", Nth: 1}),
+	}, func() (*relation.DB, error) { return db, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	faulty := &faultyShard{movingShard: &movingShard{
+		EngineShard: NewEngineShard("shard-0", server.NewEngine(dbs[0], server.Config{})),
+		delta:       server.UpdateRequest{Relation: "E", Inserts: [][]int64{{100777, 100778}}},
+	}}
+	coord, err := New(routing, []Shard{faulty, NewEngineShard("shard-1", server.NewEngine(dbs[1], server.Config{}))}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := []struct {
+		key     byte
+		name    string
+		handler http.Handler
+	}{
+		{'e', "engine", server.NewHandler(engine)},
+		{'c', "coordinator", NewHandler(coord)},
+		{'f', "fake", fakeBackend()},
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	const star = "E(x,a), E(x,b), E(x,c), E(x,d), E(x,e)" // ~10^8 rows: outlives any 1 ms budget
+	query := func(q, rest string) string { return fmt.Sprintf(`{"query": %q%s}`, q, rest) }
+	type row struct {
+		name, on     string
+		method, path string
+		body         string
+		status       int
+		allow        string
+		ctx          context.Context
+		arm          func()
+	}
+	rows := []row{
+		// Every route × a wrong verb.
+		{name: "GET /query", on: "ecf", method: "GET", path: "/query", status: 405, allow: "POST"},
+		{name: "DELETE /query", on: "ecf", method: "DELETE", path: "/query", status: 405, allow: "POST"},
+		{name: "GET /update", on: "ecf", method: "GET", path: "/update", status: 405, allow: "POST"},
+		{name: "POST /stats", on: "ecf", method: "POST", path: "/stats", body: "{}", status: 405, allow: "GET"},
+		{name: "PUT /healthz", on: "ecf", method: "PUT", path: "/healthz", status: 405, allow: "GET"},
+		{name: "GET /prepare", on: "e", method: "GET", path: "/prepare", status: 405, allow: "POST"},
+		{name: "POST /prepare/{id}", on: "e", method: "POST", path: "/prepare/s1", body: "{}", status: 405, allow: "DELETE"},
+		// Malformed bodies die in the shared decoder.
+		{name: "bad json", on: "ecf", method: "POST", path: "/query", body: `{"query":`, status: 400},
+		{name: "unknown field", on: "ecf", method: "POST", path: "/query", body: `{"query": "E(x,y)", "bogus": 1}`, status: 400},
+		{name: "unknown update field", on: "ecf", method: "POST", path: "/update", body: `{"relation": "E", "bogus": 1}`, status: 400},
+		{name: "oversize body", on: "ecf", method: "POST", path: "/query", body: query(strings.Repeat("E(x,y), ", 1<<17)+"E(x,y)", ""), status: 400},
+		{name: "second JSON value", on: "ecf", method: "POST", path: "/query", body: `{"query":"E(x,y)"}{"mode":"eval"}`, status: 400},
+		{name: "trailing garbage", on: "ecf", method: "POST", path: "/query", body: `{"query":"E(x,y)"} x`, status: 400},
+		{name: "trailing brace", on: "ecf", method: "POST", path: "/update", body: `{"relation":"E"}}`, status: 400},
+		// Caller errors the backend itself finds.
+		{name: "parse error", on: "ec", method: "POST", path: "/query", body: `{"query": "nope("}`, status: 400},
+		{name: "bad mode", on: "ecf", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", `, "mode": "drop"`), status: 400},
+		{name: "bad semiring", on: "ecf", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", `, "mode": "aggregate", "semiring": "nope"`), status: 400},
+		{name: "stream of unknown relation", on: "e", method: "POST", path: "/query", body: query("Z(x,y)", `, "mode": "stream"`), status: 400},
+		{name: "unshardable", on: "c", method: "POST", path: "/query", body: query("E(x,y), E(y,z), E(x,z)", ""), status: 400},
+		{name: "unshardable", on: "f", method: "POST", path: "/query", body: query("unshardable", ""), status: 400},
+		// Context outcomes, buffered and before a stream's first line.
+		{name: "timeout_ms", on: "ec", method: "POST", path: "/query", body: query(star, `, "mode": "eval", "no_cache": true, "orderer": "greedy", "timeout_ms": 1`), status: 504},
+		{name: "timeout_ms", on: "f", method: "POST", path: "/query", body: query("deadline", ""), status: 504},
+		{name: "stream deadline", on: "f", method: "POST", path: "/query", body: query("deadline", `, "mode": "stream"`), status: 504},
+		{name: "cancelled", on: "ec", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", ""), status: 499, ctx: cancelled},
+		{name: "cancelled stream", on: "c", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", `, "mode": "stream"`), status: 499, ctx: cancelled},
+		{name: "cancelled", on: "f", method: "POST", path: "/query", body: query("cancelled", ""), status: 499},
+		// The coordinator's own statuses.
+		{name: "snapshot moved", on: "c", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", ""), status: 409,
+			arm: func() { faulty.armed = true }},
+		{name: "snapshot moved", on: "f", method: "POST", path: "/query", body: query("moved", ""), status: 409},
+		{name: "shard 4xx passes through", on: "c", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", ""), status: 422,
+			arm: func() { faulty.fail = &StatusError{Status: 422, Msg: "shard says no"} }},
+		{name: "shard 4xx passes through", on: "f", method: "POST", path: "/query", body: query("shard-4xx", ""), status: 422},
+		{name: "shard 5xx", on: "c", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", ""), status: 502,
+			arm: func() { faulty.fail = &StatusError{Status: 503, Msg: "shard is booting"} }},
+		{name: "shard 5xx", on: "f", method: "POST", path: "/query", body: query("shard-5xx", ""), status: 502},
+		{name: "dead shard", on: "c", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", ""), status: 502,
+			arm: func() { faulty.fail = errors.New("connection refused") }},
+		{name: "dead shard", on: "f", method: "POST", path: "/query", body: query("shard-dead", ""), status: 502},
+		// Read-only: the engine's own degraded mode (sticky, so last).
+		{name: "read-only", on: "e", method: "POST", path: "/update", body: `{"relation": "E", "inserts": [[100001, 100002]]}`, status: 503},
+		{name: "read-only", on: "f", method: "POST", path: "/update", body: `{"relation": "read-only"}`, status: 503},
+	}
+	for _, r := range rows {
+		for _, b := range backends {
+			if strings.IndexByte(r.on, b.key) < 0 {
+				continue
+			}
+			if r.arm != nil {
+				r.arm()
+			}
+			req := httptest.NewRequest(r.method, r.path, strings.NewReader(r.body))
+			if r.ctx != nil {
+				req = req.WithContext(r.ctx)
+			}
+			rec := httptest.NewRecorder()
+			b.handler.ServeHTTP(rec, req)
+			at := fmt.Sprintf("%s on %s", r.name, b.name)
+			if rec.Code != r.status {
+				t.Errorf("%s: status %d, want %d (%s)", at, rec.Code, r.status, rec.Body)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Errorf("%s: Content-Type %q, want application/json", at, ct)
+			}
+			if allow := rec.Header().Get("Allow"); allow != r.allow {
+				t.Errorf("%s: Allow %q, want %q", at, allow, r.allow)
+			}
+			var body map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || len(body) != 1 || body["error"] == "" {
+				t.Errorf("%s: body %s, want exactly {\"error\": \"...\"}", at, rec.Body)
+			}
+		}
 	}
 }

@@ -76,7 +76,6 @@ func (s *EngineShard) Do(ctx context.Context, req server.Request) (*server.Respo
 
 // Stream implements Shard.
 func (s *EngineShard) Stream(ctx context.Context, req server.Request, header func(order []string), row func(mu []int64) bool) (server.StreamSummary, error) {
-	req.Mode = ""
 	return s.e.StreamCtx(ctx, req, header, row)
 }
 

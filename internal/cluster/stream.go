@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/server"
@@ -53,41 +52,16 @@ type shardStream struct {
 // then the exact merge of the surviving partitions (plus the dead
 // shard's already-delivered prefix), and the summary says so.
 func (c *Coordinator) StreamCtx(ctx context.Context, req server.Request, header func(order []string), row func(mu []int64) bool) (server.StreamSummary, error) {
-	req, err := c.prepare(req)
+	req, rt, err := c.resolve(ctx, req, "stream")
 	if err != nil {
 		return server.StreamSummary{}, err
 	}
-	partial := req.AllowPartial
-	rt, preMissing, err := c.resolve(ctx, req, partial)
-	if err != nil {
-		return server.StreamSummary{}, err
-	}
-	sreq := req
-	sreq.Mode = ""
-
-	missingSet := make(map[int]bool, len(preMissing))
-	for _, i := range preMissing {
-		missingSet[i] = true
-	}
-	var idxs []int
-	var firstDead error
-	for _, i := range rt.route.Shards {
-		if !missingSet[i] {
-			idxs = append(idxs, i)
-		} else if firstDead == nil {
-			firstDead = c.shardErr(i, "stream", errors.New("no live endpoint for partition"))
-		}
-	}
-	if len(idxs) == 0 {
-		return server.StreamSummary{}, firstDead
-	}
+	partial, idxs := req.AllowPartial, rt.live
 
 	// finish stamps the degraded-mode outcome on a completed merge.
 	finish := func(sum server.StreamSummary) server.StreamSummary {
-		if names := c.missingNames(rt.route.Shards, missingSet); len(names) > 0 {
-			sum.Partial = true
-			sum.Missing = names
-			c.partialServed.Add(1)
+		if names := c.lost(rt); names != nil {
+			sum.Partial, sum.Missing = true, names
 		}
 		return sum
 	}
@@ -107,7 +81,7 @@ func (c *Coordinator) StreamCtx(ctx context.Context, req server.Request, header 
 				header(order)
 			}
 		}
-		sum, err := c.shards[i].Stream(ctx, sreq, hdr, row)
+		sum, err := c.shards[i].Stream(ctx, req, hdr, row)
 		if err != nil {
 			return sum, c.shardErr(i, "stream", err)
 		}
@@ -126,7 +100,7 @@ func (c *Coordinator) StreamCtx(ctx context.Context, req server.Request, header 
 		}
 		streams[j] = s
 		go func(s *shardStream) {
-			s.sum, s.err = c.shards[s.shard].Stream(sctx, sreq,
+			s.sum, s.err = c.shards[s.shard].Stream(sctx, req,
 				func(order []string) { s.hdr <- order },
 				func(mu []int64) bool {
 					cp := append([]int64(nil), mu...)
@@ -172,10 +146,7 @@ func (c *Coordinator) StreamCtx(ctx context.Context, req server.Request, header 
 			}
 			err = c.shardErr(s.shard, "stream", err)
 			if partial && tolerable(ctx, err) {
-				missingSet[s.shard] = true
-				if firstDead == nil {
-					firstDead = err
-				}
+				rt.lose(s.shard, err)
 				continue
 			}
 			return server.StreamSummary{}, err
@@ -185,7 +156,7 @@ func (c *Coordinator) StreamCtx(ctx context.Context, req server.Request, header 
 		orders = append(orders, order)
 	}
 	if len(live) == 0 {
-		return server.StreamSummary{}, firstDead
+		return server.StreamSummary{}, rt.dead
 	}
 	order, err := c.checkOrders(rt, liveIdxs, orders)
 	if err != nil {
@@ -206,7 +177,7 @@ func (c *Coordinator) StreamCtx(ctx context.Context, req server.Request, header 
 	// stream fails rather than stand behind them.
 	postflight := func() error {
 		for _, i := range idxs {
-			if missingSet[i] {
+			if rt.missing[i] {
 				continue
 			}
 			post, err := c.shards[i].Versions(ctx, rt.names)
@@ -245,7 +216,7 @@ func (c *Coordinator) StreamCtx(ctx context.Context, req server.Request, header 
 		if partial && tolerable(ctx, err) {
 			// The shard's already-delivered prefix stands; the trailer
 			// names the loss.
-			missingSet[s.shard] = true
+			rt.lose(s.shard, err)
 			return nil
 		}
 		return err
@@ -296,7 +267,7 @@ func (c *Coordinator) StreamCtx(ctx context.Context, req server.Request, header 
 	// row beyond the merged prefix even though no head remains; a shard
 	// dropped mid-merge contributes neither truncation nor certainty.
 	for _, s := range live {
-		if !missingSet[s.shard] {
+		if !rt.missing[s.shard] {
 			sum.Truncated = sum.Truncated || s.sum.Truncated
 		}
 	}

@@ -573,26 +573,39 @@ func (e *Engine) Do(req Request) (*Response, error) {
 // cooperatively within leapfrog.CancelCheckEvery iterator advances per
 // worker and returns ctx's error.
 func (e *Engine) DoCtx(ctx context.Context, req Request) (*Response, error) {
-	if req.Stmt != "" {
-		if req.Query != "" {
-			return nil, fmt.Errorf("server: request names both a query and prepared statement %q", req.Stmt)
-		}
-		s, err := e.Stmt(req.Stmt)
-		if err != nil {
-			return nil, err
-		}
-		return s.Do(ctx, req)
-	}
-	q, err := cq.Parse(req.Query)
+	s, req, err := e.resolve(req)
 	if err != nil {
 		return nil, err
 	}
-	return e.exec(ctx, q, q.String(), relNames(q), req)
+	return s.exec(ctx, req)
 }
 
-// relNames returns the sorted distinct relation names q references —
-// the relations whose versions form the query's plan-cache sub-vector.
-func relNames(q *cq.Query) []string {
+// resolve returns the statement a request executes and the request with
+// the statement's defaults merged under it: the registered statement
+// req.Stmt names, or a transient one parsed from req.Query. (By value:
+// a transient statement then never reaches the heap.)
+func (e *Engine) resolve(req Request) (Stmt, Request, error) {
+	if req.Stmt == "" {
+		q, err := cq.Parse(req.Query)
+		if err != nil {
+			return Stmt{}, req, err
+		}
+		return Stmt{e: e, q: q, text: q.String(), names: RelNames(q)}, req, nil
+	}
+	if req.Query != "" {
+		return Stmt{}, req, fmt.Errorf("server: request names both a query and prepared statement %q", req.Stmt)
+	}
+	s, err := e.Stmt(req.Stmt)
+	if err != nil {
+		return Stmt{}, req, err
+	}
+	return *s, s.merge(req), nil
+}
+
+// RelNames returns the sorted distinct relation names q references —
+// the relations whose versions form the query's plan-cache sub-vector
+// (and a coordinator's snapshot handshake).
+func RelNames(q *cq.Query) []string {
 	seen := make(map[string]bool, len(q.Atoms))
 	names := make([]string, 0, len(q.Atoms))
 	for _, a := range q.Atoms {
@@ -634,12 +647,68 @@ func (e *Engine) planFor(q *cq.Query, text string, names []string, vec string, d
 	return p, key, false, nil
 }
 
-// exec runs one parsed request end to end: resolve policy and deadline,
-// snapshot, plan (cached or compiled), execute with cooperative
-// cancellation, account. q must be the parse of text and names its
-// sorted relation names.
-func (e *Engine) exec(ctx context.Context, q *cq.Query, text string, names []string, req Request) (*Response, error) {
+// execution is what the request prologue hands an execution: the
+// resolved policy, the pinned snapshot and the plan bound to the
+// request's private counters.
+type execution struct {
+	pol           core.Policy
+	streamWorkers int // >= 1; 1 is the sequential, cached stream
+	db            *relation.DB
+	versions      map[string]uint64 // of the touched relations, at the snapshot
+	plan          *core.Plan
+	key           planKey
+	cached        bool
+	// c is the request's private accounting. Its own allocation, not a
+	// field by value: a compiled plan keeps the counters it was compiled
+	// against reachable for as long as the plan cache keeps the plan, and
+	// must not drag the snapshot and the request along.
+	c *stats.Counters
+}
+
+// run is the one request prologue and epilogue around every execution,
+// buffered or streamed: resolve the policy, arm timeout_ms, pin the
+// snapshot, plan (cached or compiled) against private counters, hand
+// over to body, and account. Lifetime counters absorb the work actually
+// performed even when the execution fails or times out (a cancelled
+// query's trie builds and accesses happened; GET /stats must not diverge
+// from the registry's view). Only Queries stays success-only — a body
+// counts its completed request itself (Prepare's compile is none).
+func (s *Stmt) run(ctx context.Context, req Request, body func(ctx context.Context, x execution) error) error {
+	e := s.e
+	pol, err := e.policyOf(req)
+	if err != nil {
+		return err
+	}
+	x := execution{pol: pol, streamWorkers: req.StreamWorkers, c: new(stats.Counters)}
+	if x.streamWorkers == 0 {
+		x.streamWorkers = e.cfg.StreamWorkers
+	}
+	// Unset means the sequential stream, as Config.StreamWorkers
+	// documents — core's "0 = one producer per core" would trade the
+	// caches away on every default-config stream.
+	x.streamWorkers = max(x.streamWorkers, 1)
+	if req.TimeoutMS > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
+		defer cancel()
+	}
+
+	db, vec, nums, ep := e.snapshotFor(s.names)
+	defer e.finish(ep)
+	x.db, x.versions = db, nums
+	defer e.life.Merge(x.c)
+	x.plan, x.key, x.cached, err = e.planFor(s.q, s.text, s.names, vec, db, req, x.c)
+	if err != nil {
+		return err
+	}
+	return body(ctx, x)
+}
+
+// exec answers one buffered request: count, eval or aggregate under the
+// shared prologue, then the adaptive feedback step.
+func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 	start := time.Now()
+	e := s.e
 	// Forced eviction pressure: an armed "registry/pressure" fault
 	// shrinks the resident tries to zero before this query plans, so the
 	// execution pays cold rebuilds — correctness must not depend on a
@@ -647,124 +716,103 @@ func (e *Engine) exec(ctx context.Context, q *cq.Query, text string, names []str
 	if e.reg != nil && e.cfg.Faults.Fire("registry/pressure") != nil {
 		e.reg.Shrink(0)
 	}
-	pol, err := e.policyOf(req)
-	if err != nil {
-		return nil, err
-	}
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
+	var out *Response
+	err := s.run(ctx, req, func(ctx context.Context, x execution) error {
+		plan, pol := x.plan, x.pol
+		resp := &Response{Order: plan.Order(), Versions: x.versions}
+		resp.Stats.PlanCached = x.cached
 
-	db, vec, nums, ep := e.snapshotFor(names)
-	defer e.finish(ep)
+		// levels collects the per-depth intersection tallies of count/eval
+		// executions — the adaptive orderer's early-termination feedback.
+		var levels []core.LevelStat
+		var err error
 
-	// Lifetime counters absorb the work actually performed even when
-	// the execution fails or times out (a cancelled query's trie builds
-	// and accesses happened; GET /stats must not diverge from the
-	// registry's view). Only Queries stays success-only — it counts
-	// completed requests.
-	var c stats.Counters
-	defer func() { e.life.Merge(&c) }()
-	plan, key, cached, err := e.planFor(q, text, names, vec, db, req, &c)
-	if err != nil {
-		return nil, err
-	}
-	resp := &Response{Order: plan.Order(), Versions: nums}
-	resp.Stats.PlanCached = cached
-
-	// levels collects the per-depth intersection tallies of count/eval
-	// executions — the adaptive orderer's early-termination feedback.
-	var levels []core.LevelStat
-
-	switch req.Mode {
-	case "", "count":
-		resp.Mode = "count"
-		res, err := plan.CountParallelCtx(ctx, pol)
-		if err != nil {
-			return nil, err
-		}
-		resp.Count = res.Count
-		resp.Stats.CachedEntries = res.CachedEntries
-		levels = res.Levels
-
-	case "eval":
-		resp.Mode = "eval"
-		limit := req.Limit
-		if limit <= 0 {
-			limit = e.cfg.MaxTuples
-		}
-		if limit <= 0 {
-			limit = DefaultMaxTuples
-		}
-		res, err := plan.EvalParallelCtx(ctx, pol, func(mu []int64) bool {
-			resp.Count++
-			if len(resp.Tuples) < limit {
-				resp.Tuples = append(resp.Tuples, append([]int64(nil), mu...))
-			} else {
-				resp.Truncated = true
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		resp.Stats.CachedEntries = res.CachedEntries
-		levels = res.Levels
-
-	case "aggregate":
-		resp.Mode = "aggregate"
-		switch req.Semiring {
+		switch req.Mode {
 		case "", "count":
-			// Counting is the fold over (ℕ, +, ×) with unit weights: the
-			// count entry is that fold and also reports the resident
-			// entries and the levels the adaptive loop feeds on.
+			resp.Mode = "count"
 			var res core.CountResult
 			res, err = plan.CountParallelCtx(ctx, pol)
 			resp.Count = res.Count
 			resp.Stats.CachedEntries = res.CachedEntries
 			levels = res.Levels
-		case "sum":
-			sr := core.SumProductSemiring()
-			resp.Value, err = core.AggregateParallelCtx(ctx, plan, pol, sr,
-				func(_ int, v int64) float64 { return float64(v) })
-		case "min":
-			sr := core.TropicalSemiring()
-			resp.Value, err = core.AggregateParallelCtx(ctx, plan, pol, sr,
-				func(_ int, v int64) float64 { return float64(v) })
+
+		case "eval":
+			resp.Mode = "eval"
+			limit := req.Limit
+			if limit <= 0 {
+				limit = e.cfg.MaxTuples
+			}
+			if limit <= 0 {
+				limit = DefaultMaxTuples
+			}
+			var res core.EvalResult
+			res, err = plan.EvalParallelCtx(ctx, pol, func(mu []int64) bool {
+				resp.Count++
+				if len(resp.Tuples) < limit {
+					resp.Tuples = append(resp.Tuples, append([]int64(nil), mu...))
+				} else {
+					resp.Truncated = true
+				}
+				return true
+			})
+			resp.Stats.CachedEntries = res.CachedEntries
+			levels = res.Levels
+
+		case "aggregate":
+			resp.Mode = "aggregate"
+			switch req.Semiring {
+			case "", "count":
+				// Counting is the fold over (ℕ, +, ×) with unit weights: the
+				// count entry is that fold and also reports the resident
+				// entries and the levels the adaptive loop feeds on.
+				var res core.CountResult
+				res, err = plan.CountParallelCtx(ctx, pol)
+				resp.Count = res.Count
+				resp.Stats.CachedEntries = res.CachedEntries
+				levels = res.Levels
+			case "sum":
+				sr := core.SumProductSemiring()
+				resp.Value, err = core.AggregateParallelCtx(ctx, plan, pol, sr,
+					func(_ int, v int64) float64 { return float64(v) })
+			case "min":
+				sr := core.TropicalSemiring()
+				resp.Value, err = core.AggregateParallelCtx(ctx, plan, pol, sr,
+					func(_ int, v int64) float64 { return float64(v) })
+			default:
+				return fmt.Errorf("server: unknown semiring %q (want count, sum or min)", req.Semiring)
+			}
+
+		case "stream":
+			// Streaming is transport-level: a buffered Response cannot carry
+			// it. The HTTP handler routes this mode before reaching here.
+			return fmt.Errorf("server: mode \"stream\" has no buffered response — use Engine.StreamCtx or Stmt.Rows in process, or POST /query over HTTP")
+
 		default:
-			return nil, fmt.Errorf("server: unknown semiring %q (want count, sum or min)", req.Semiring)
+			return fmt.Errorf("server: unknown mode %q (want count, eval or aggregate)", req.Mode)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 
-	case "stream":
-		// Streaming is transport-level: a buffered Response cannot carry
-		// it. The HTTP handler routes this mode before reaching here.
-		return nil, fmt.Errorf("server: mode \"stream\" has no buffered response — use Engine.StreamCtx or Stmt.Rows in process, or POST /query over HTTP")
+		// Close the adaptive loop: cache-hit executions under the adaptive
+		// orderer feed their observed traffic back into the entry;
+		// persistent divergence re-plans against the still-pinned snapshot
+		// and swaps the entry in place. The snapshot pin (run releases it
+		// after body returns) makes the recompile race-free against
+		// updates: it compiles exactly the versions this execution read,
+		// and if an update superseded them meanwhile the entry is already
+		// unreachable and replace drops the swap.
+		if ord, _ := e.ordererOf(req); ord == core.OrdererAdaptive && x.cached {
+			e.adapt(s.q, x.key, s.names, x.db, plan, levels, x.c.TrieAccesses, x.c)
+		}
 
-	default:
-		return nil, fmt.Errorf("server: unknown mode %q (want count, eval or aggregate)", req.Mode)
-	}
-
-	// Close the adaptive loop: cache-hit executions under the adaptive
-	// orderer feed their observed traffic back into the entry; persistent
-	// divergence re-plans against the still-pinned snapshot and swaps the
-	// entry in place. The snapshot pin (finish is deferred) makes the
-	// recompile race-free against updates: it compiles exactly the
-	// versions this execution read, and if an update superseded them
-	// meanwhile the entry is already unreachable and replace drops the
-	// swap.
-	if ord, _ := e.ordererOf(req); ord == core.OrdererAdaptive && cached {
-		e.adapt(q, key, names, db, plan, levels, c.TrieAccesses, &c)
-	}
-
-	resp.Stats.DurationMS = float64(time.Since(start).Microseconds()) / 1000
-	resp.Stats.Counters = c
-	e.queries.Add(1)
-	return resp, nil
+		resp.Stats.DurationMS = float64(time.Since(start).Microseconds()) / 1000
+		resp.Stats.Counters = *x.c
+		e.queries.Add(1)
+		out = resp
+		return nil
+	})
+	return out, err
 }
 
 // adapt is one step of the feedback loop (see exec): observe a cache-hit

@@ -6,8 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/dataset"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *Engine) {
@@ -65,51 +63,10 @@ func TestHTTPQueryEval(t *testing.T) {
 	}
 }
 
-func TestHTTPQueryErrors(t *testing.T) {
-	srv, _ := newTestServer(t)
-	for _, tc := range []struct {
-		name, body string
-	}{
-		{"parse error", `{"query": "nope("}`},
-		{"bad json", `{"query":`},
-		{"unknown field", `{"query": "E(x,y)", "bogus": 1}`},
-		{"unknown mode", `{"query": "E(x,y)", "mode": "drop"}`},
-	} {
-		resp, body := postQuery(t, srv, tc.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
-		}
-		if body["error"] == "" {
-			t.Errorf("%s: missing error message", tc.name)
-		}
-	}
-
-	// Wrong method on every route answers the documented JSON error
-	// shape, not the mux's text/plain 405.
-	resp, err := http.Get(srv.URL + "/query")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e405 map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&e405); err != nil {
-		t.Fatalf("GET /query: non-JSON 405 body: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed || e405["error"] == "" {
-		t.Fatalf("GET /query: status %d body %v, want JSON 405", resp.StatusCode, e405)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("GET /query 405 Content-Type = %q", ct)
-	}
-	resp, err = http.Post(srv.URL+"/stats", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /stats: status %d, want 405", resp.StatusCode)
-	}
-}
+// The error surface — malformed bodies, wrong verbs, typed failures and
+// their statuses — is pinned for this handler, the coordinator's and a
+// fake backend's by one table: internal/cluster's
+// TestHTTPSurfaceConformance.
 
 func TestHTTPStatsAndHealthz(t *testing.T) {
 	srv, _ := newTestServer(t)
@@ -340,22 +297,6 @@ func TestHTTPStreamNDJSON(t *testing.T) {
 	}
 	if srows != 4 || ssummary == nil || ssummary["truncated"] != true {
 		t.Fatalf("prepared-default limit ignored by stream: %d rows, summary %v", srows, ssummary)
-	}
-}
-
-func TestHTTPTimeoutStatus(t *testing.T) {
-	e := NewEngine(dataset.CliqueUnion(500, 280, 18, 1.6, 9).DB(false), Config{Workers: 1})
-	srv := httptest.NewServer(NewHandler(e))
-	t.Cleanup(srv.Close)
-
-	// Warm the plan so the 1ms budget lands mid-join.
-	warm, body := postQuery(t, srv, `{"query": "E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)"}`)
-	if warm.StatusCode != http.StatusOK {
-		t.Fatalf("warm: %d %v", warm.StatusCode, body)
-	}
-	resp, body := postQuery(t, srv, `{"query": "E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)", "timeout_ms": 1}`)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("timeout status = %d (%v), want 504", resp.StatusCode, body)
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"time"
 
 	"repro/internal/cq"
-	"repro/internal/stats"
 )
 
 // Stmt is a prepared statement: one query parsed, validated and
@@ -45,9 +43,6 @@ func (e *Engine) Prepare(req Request) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := e.policyOf(req); err != nil {
-		return nil, err
-	}
 	// Surface every deferred-execution error now, not on the first of
 	// many executions: an unknown default mode or semiring would fail
 	// each Do, and streaming is a per-execution transport choice, not
@@ -62,7 +57,7 @@ func (e *Engine) Prepare(req Request) (*Stmt, error) {
 	default:
 		return nil, fmt.Errorf("server: cannot prepare semiring %q (want count, sum or min)", req.Semiring)
 	}
-	s := &Stmt{e: e, q: q, text: q.String(), names: relNames(q), def: req}
+	s := &Stmt{e: e, q: q, text: q.String(), names: RelNames(q), def: req}
 	s.def.Query = ""
 
 	// Refuse a full registry before compiling: a leaking client looping
@@ -83,15 +78,11 @@ func (e *Engine) Prepare(req Request) (*Stmt, error) {
 		return nil, capErr()
 	}
 
-	// Compile once now: surfaces plan errors at prepare time and leaves
-	// the plan resident for the first execution. The work is merged
-	// into the lifetime counters either way — it happened.
-	db, vec, _, ep := e.snapshotFor(s.names)
-	var c stats.Counters
-	_, _, _, err = e.planFor(q, s.text, s.names, vec, db, s.def, &c)
-	e.finish(ep)
-	e.life.Merge(&c)
-	if err != nil {
+	// Compile once now, through the request prologue with nothing to
+	// execute: surfaces policy and plan errors at prepare time and leaves
+	// the plan resident for the first execution. The work is merged into
+	// the lifetime counters either way — it happened.
+	if err := s.run(context.Background(), s.def, func(context.Context, execution) error { return nil }); err != nil {
 		return nil, err
 	}
 
@@ -188,7 +179,7 @@ func (s *Stmt) merge(over Request) Request {
 // Engine.DoCtx minus parsing — with a warm cache, minus TD selection
 // and plan compilation too.
 func (s *Stmt) Do(ctx context.Context, over Request) (*Response, error) {
-	return s.e.exec(ctx, s.q, s.text, s.names, s.merge(over))
+	return s.exec(ctx, s.merge(over))
 }
 
 // CountCtx counts |q(D)| at the engine's current snapshot under the
@@ -241,52 +232,30 @@ func (s *Stmt) Rows(ctx context.Context) iter.Seq2[[]int64, error] {
 }
 
 // stream is the shared streaming execution under Rows and
-// Engine.StreamCtx: sequential eval of req against the current
-// snapshot, header invoked once with the plan's variable order (may be
-// nil), row per assignment (reused slice; return false to stop). The
-// row callbacks run as the scan finds matches — nothing is buffered.
-// The returned error is the compile failure or ctx's error; a consumer
-// stop is a normal completion.
+// Engine.StreamCtx: eval of req against the current snapshot, header
+// invoked once with the plan's variable order (may be nil), row per
+// assignment (reused slice; return false to stop). The row callbacks run
+// as the scan finds matches — nothing is buffered. The returned error is
+// the compile failure or ctx's error; a consumer stop is a normal
+// completion.
 func (s *Stmt) stream(ctx context.Context, req Request, header func(order []string), row func(mu []int64) bool) error {
-	pol, err := s.e.policyOf(req)
-	if err != nil {
-		return err
-	}
-	// Streaming never uses the buffering EvalParallelCtx path: the Workers
-	// default applies to Do executions only. Parallelism here comes from
-	// the dedicated StreamWorkers knob and runs the sharded streaming
-	// producer, whose merged output is byte-identical for every worker
-	// count (core.EvalStreamCtx).
-	pol.Workers = 1
-	streamWorkers := req.StreamWorkers
-	if streamWorkers == 0 {
-		streamWorkers = s.e.cfg.StreamWorkers
-	}
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-
-	db, vec, _, ep := s.e.snapshotFor(s.names)
-	defer s.e.finish(ep)
-
-	// As in exec: lifetime counters absorb the work even when the
-	// stream fails mid-scan; only Queries is success-only.
-	var c stats.Counters
-	defer func() { s.e.life.Merge(&c) }()
-	plan, _, _, err := s.e.planFor(s.q, s.text, s.names, vec, db, req, &c)
-	if err != nil {
-		return err
-	}
-	if header != nil {
-		header(plan.Order())
-	}
-	if _, err := plan.EvalStreamCtx(ctx, pol, streamWorkers, row); err != nil {
-		return err
-	}
-	s.e.queries.Add(1)
-	return nil
+	return s.run(ctx, req, func(ctx context.Context, x execution) error {
+		if header != nil {
+			header(x.plan.Order())
+		}
+		// Streaming never uses the buffering EvalParallelCtx path: the
+		// Workers default applies to Do executions only. Parallelism here
+		// comes from the dedicated StreamWorkers knob and runs the sharded
+		// streaming producer, whose merged output is byte-identical for
+		// every worker count (core.EvalStreamCtx).
+		pol := x.pol
+		pol.Workers = 1
+		if _, err := x.plan.EvalStreamCtx(ctx, pol, x.streamWorkers, row); err != nil {
+			return err
+		}
+		s.e.queries.Add(1)
+		return nil
+	})
 }
 
 // StreamCtx executes one eval request in streaming form: header is
@@ -301,28 +270,13 @@ func (s *Stmt) stream(ctx context.Context, req Request, header func(order []stri
 // explicitly, since 0 means "unset" in the merge. This is the
 // transport-agnostic core of the HTTP NDJSON endpoint.
 func (e *Engine) StreamCtx(ctx context.Context, req Request, header func(order []string), row func(mu []int64) bool) (StreamSummary, error) {
-	var s *Stmt
-	merged := req
-	if req.Stmt != "" {
-		if req.Query != "" {
-			return StreamSummary{}, fmt.Errorf("server: request names both a query and prepared statement %q", req.Stmt)
-		}
-		var err error
-		if s, err = e.Stmt(req.Stmt); err != nil {
-			return StreamSummary{}, err
-		}
-		merged = s.merge(req)
-	} else {
-		q, err := cq.Parse(req.Query)
-		if err != nil {
-			return StreamSummary{}, err
-		}
-		s = &Stmt{e: e, q: q, text: q.String(), names: relNames(q), def: req}
+	s, req, err := e.resolve(req)
+	if err != nil {
+		return StreamSummary{}, err
 	}
-
 	var sum StreamSummary
-	limit := int64(merged.Limit)
-	err := s.stream(ctx, merged, header, func(mu []int64) bool {
+	limit := int64(req.Limit)
+	err = s.stream(ctx, req, header, func(mu []int64) bool {
 		if limit > 0 && sum.Count >= limit {
 			// Only now is truncation a fact, not a guess: a row beyond
 			// the limit exists (a result of exactly limit rows ends the

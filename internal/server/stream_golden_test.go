@@ -77,6 +77,31 @@ func TestStreamNDJSONGoldenAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestStreamDefaultWorkersIsSequential pins what Config.StreamWorkers
+// documents: unset (0) is the sequential stream — the one that keeps the
+// per-query caches — on a multi-core GOMAXPROCS too, where core's own
+// "0 = one producer per core" would shard it. The sequential path shows
+// in the accounting (the sharded producers never enter the caches), and
+// its bytes equal the explicitly sharded stream's.
+func TestStreamDefaultWorkersIsSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	e := NewEngine(testDB(), Config{})
+	srv := httptest.NewServer(NewHandler(e))
+	t.Cleanup(srv.Close)
+
+	// A 3-path caches on its middle adhesion; the triangle's single bag
+	// has none, so the cached and the sharded scans emit the same order.
+	streamBody(t, srv, `{"query": "E(x,y), E(y,z), E(z,w)", "mode": "stream"}`)
+	if life := e.Stats().Lifetime; life.CacheHits+life.CacheMisses == 0 {
+		t.Fatal("default-config stream never entered the caches: StreamWorkers 0 ran the sharded producers")
+	}
+	def := streamBody(t, srv, `{"query": "E(x,y), E(y,z), E(x,z)", "mode": "stream"}`)
+	sharded := streamBody(t, srv, `{"query": "E(x,y), E(y,z), E(x,z)", "mode": "stream", "stream_workers": 4}`)
+	if !bytes.Equal(def, sharded) {
+		t.Fatalf("default stream differs from stream_workers=4:\n--- default ---\n%s\n--- 4 workers ---\n%s", def, sharded)
+	}
+}
+
 // TestStreamConcurrentStress mixes parallel streams, live updates and
 // registry eviction pressure, with some streams abandoned mid-iteration
 // and some cancelled mid-scan, then checks that every producer

@@ -133,12 +133,15 @@ type Response struct {
 // enumeration short. Partial and Missing are set only by a cluster
 // coordinator serving an allow_partial stream over a degraded fleet
 // (the delivered rows are the exact merge of the surviving shards);
-// a single engine always leaves them zero.
+// a single engine always leaves them zero. It is the NDJSON stream's
+// {"summary": ...} trailer verbatim: the field order is the wire's key
+// order, and only a degraded merge carries the two extra keys — a
+// healthy fleet's trailer stays byte-identical to a single engine's.
 type StreamSummary struct {
-	Count     int64
-	Truncated bool
-	Partial   bool
-	Missing   []string
+	Count     int64    `json:"count"`
+	Missing   []string `json:"missing_shards,omitempty"`
+	Partial   bool     `json:"partial,omitempty"`
+	Truncated bool     `json:"truncated"`
 }
 
 // UpdateRequest is one mutation submission: a batch of inserts and
