@@ -37,9 +37,10 @@ func refSeekLevel(vals []int64, pos, hi int32, v int64, charges *int64) int32 {
 
 // TestBinProbesMatchesSortSearch verifies the charged model cost:
 // binProbes(n, r) must equal the number of probes sort.Search performs
-// on n elements when the predicate flips at offset r, for every (n, r).
+// on n elements when the predicate flips at offset r, for every (n, r)
+// with n <= 4096 — both sides of the table/replay split.
 func TestBinProbesMatchesSortSearch(t *testing.T) {
-	for n := int32(0); n <= 300; n++ {
+	for n := int32(0); n <= 4096; n++ {
 		for r := int32(0); r <= n; r++ {
 			var probes int64
 			got := sort.Search(int(n), func(i int) bool {

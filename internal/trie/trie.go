@@ -501,8 +501,29 @@ func gallop(vals []int64, v int64) (int32, int32) {
 // elements when the predicate flips at offset r — the charged model
 // cost of one seek. Each probe of the lower-bound search compares its
 // midpoint against r, so the probe path (and count) is fully determined
-// by (n, r) and replaying it costs O(log n) integer ops, no loads.
+// by (n, r): ranges shorter than binProbeTableN — most of LFTJ's seeks —
+// read the count from a table filled once from the replay loop, longer
+// ones replay it in O(log n) integer ops, no loads.
 func binProbes(n, r int32) int64 {
+	if uint32(n) < binProbeTableN {
+		return int64(binProbeTable[n][r&(binProbeTableN-1)])
+	}
+	return replayBinProbes(n, r)
+}
+
+const binProbeTableN = 64
+
+// binProbeTable[n][r] is replayBinProbes(n, r) for 0 <= r <= n < 64.
+var binProbeTable = func() (t [binProbeTableN][binProbeTableN]uint8) {
+	for n := int32(0); n < binProbeTableN; n++ {
+		for r := int32(0); r <= n; r++ {
+			t[n][r] = uint8(replayBinProbes(n, r))
+		}
+	}
+	return t
+}()
+
+func replayBinProbes(n, r int32) int64 {
 	i, j := int32(0), n
 	var p int64
 	for i < j {
