@@ -8,12 +8,12 @@ import (
 )
 
 // TestCountSequentialAllocs is the allocation guard on the shared
-// driver, beside leapfrog's zero-alloc gate: a warm sequential no-cache
-// count allocates the five objects it did when the count executor was
-// its own monomorphic type (the intermediates, the cache manager and
-// its two per-bag tables, the returned Levels) and nothing per run on
-// top — the executor stays on the stack and the one-worker path builds
-// no closure. A rise here shows up in the benchmark's allocs_per_req.
+// driver, beside leapfrog's zero-alloc gate: a warm sequential count
+// allocates its intermediates and the returned Levels and nothing per
+// run on top — the executor stays on the stack, the one-worker path
+// builds no closure, a no-cache run takes no cache manager at all and a
+// cached one takes its manager, tables included, from the pool. A rise
+// here shows up in the benchmark's allocs_per_req.
 func TestCountSequentialAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation accounting")
@@ -23,13 +23,28 @@ func TestCountSequentialAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := Policy{Disabled: true, Workers: 1}
-	want := must(plan.CountParallelCtx(bg, pol)).Count // warm the runner pool
-	if allocs := testing.AllocsPerRun(20, func() {
-		if must(plan.CountParallelCtx(bg, pol)).Count != want {
-			t.Error("count drifted across pooled runs")
-		}
-	}); allocs > 5 {
-		t.Fatalf("sequential no-cache count allocates %.1f objects/run, want <= 5", allocs)
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+	}{
+		{"nocache", Policy{Disabled: true}},
+		{"cached", Policy{}},
+		{"lru256", Policy{Capacity: 256, Eviction: EvictLRU}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pol := tc.policy
+			pol.Workers = 1
+			// Warm the runner pool and, twice over, the manager pool: the
+			// first run grows the tables, the second finds them grown.
+			want := must(plan.CountParallelCtx(bg, pol)).Count
+			must(plan.CountParallelCtx(bg, pol))
+			if allocs := testing.AllocsPerRun(20, func() {
+				if must(plan.CountParallelCtx(bg, pol)).Count != want {
+					t.Error("count drifted across pooled runs")
+				}
+			}); allocs > 2 {
+				t.Fatalf("warm sequential count allocates %.1f objects/run, want <= 2", allocs)
+			}
+		})
 	}
 }

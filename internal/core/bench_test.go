@@ -1,0 +1,123 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/queries"
+	"repro/internal/stats"
+)
+
+// The core rung of the measurement spine: steady-state b.N loops over the
+// adhesion-cache tables alone and over whole counts with the caches on,
+// bounded, support-gated and off. Every benchmark reports accesses/op —
+// the paper's model charge, which a table change must leave exactly where
+// it was — beside ns/op and allocs/op.
+
+// benchKeys is how many distinct adhesion assignments the table
+// benchmarks cycle through: a few times the vertex count of the
+// repository benchmark's graphs.
+const benchKeys = 1 << 13
+
+func benchKey(dim, i int) Key {
+	var k Key
+	for j := 0; j < dim; j++ {
+		k[j] = int64(i) * int64(j+1)
+	}
+	return k
+}
+
+// BenchmarkCacheTable times one bag visit against a table of benchKeys
+// entries, by outcome: hit (probe, value returned), miss (probe, and the
+// store refused — the table is full under EvictNone — so it stays as it
+// was), store (probe and insert into a growing table, handed back to the
+// pool and taken again every benchKeys visits) and evict (probe and
+// insert into a full FIFO table: every visit drops the oldest entry).
+func BenchmarkCacheTable(b *testing.B) {
+	for _, dim := range []int{1, 2, 4} {
+		plan := tablePlan(dim)
+		run := func(name string, policy Policy, prefill int, visit func(m *manager[int64], i int) *manager[int64]) {
+			b.Run(fmt.Sprintf("%s/dim%d", name, dim), func(b *testing.B) {
+				var c stats.Counters
+				m := acquireManager[int64](policy, plan, &c, nil)
+				for i := 0; i < prefill; i++ {
+					put(m, 0, benchKey(dim, i), int64(i))
+				}
+				c.Reset()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m = visit(m, i)
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(c.Total())/float64(b.N), "accesses/op")
+				m.release()
+			})
+		}
+		run("hit", Policy{}, benchKeys, func(m *manager[int64], i int) *manager[int64] {
+			if _, ok := get(m, 0, benchKey(dim, i%benchKeys)); !ok {
+				b.Fatal("resident key missed")
+			}
+			return m
+		})
+		run("miss", Policy{Capacity: benchKeys, Eviction: EvictNone}, benchKeys, func(m *manager[int64], i int) *manager[int64] {
+			put(m, 0, benchKey(dim, benchKeys+i%benchKeys), 1)
+			return m
+		})
+		run("store", Policy{}, 0, func(m *manager[int64], i int) *manager[int64] {
+			if i%benchKeys == 0 && i > 0 {
+				c := m.c
+				m.release()
+				m = acquireManager[int64](Policy{}, plan, c, nil)
+			}
+			put(m, 0, benchKey(dim, i%benchKeys), 1)
+			return m
+		})
+		run("evict", Policy{Capacity: benchKeys}, benchKeys, func(m *manager[int64], i int) *manager[int64] {
+			put(m, 0, benchKey(dim, benchKeys+i), 1)
+			return m
+		})
+	}
+}
+
+// BenchmarkCount times a warm sequential count of two multi-bag shapes
+// over a skewed graph under the four cache regimes the repository
+// benchmark's join workloads mix: unbounded caches, a 256-entry LRU that
+// the working set overflows, a support threshold, and no caches at all.
+func BenchmarkCount(b *testing.B) {
+	db := dataset.TriadicPA(700, 6, 0.5, 33).DB(false)
+	for _, shape := range []struct {
+		name string
+		plan *Plan
+	}{
+		{"path4", must(AutoPlan(queries.Path(4), db, AutoOptions{}))},
+		{"lollipop32", must(AutoPlan(queries.Lollipop(3, 2), db, AutoOptions{}))},
+	} {
+		for _, tc := range []struct {
+			name   string
+			policy Policy
+		}{
+			{"cached", Policy{}},
+			{"lru256", Policy{Capacity: 256, Eviction: EvictLRU}},
+			{"support2", Policy{SupportThreshold: 2}},
+			{"nocache", Policy{Disabled: true}},
+		} {
+			b.Run(shape.name+"/"+tc.name, func(b *testing.B) {
+				var c stats.Counters
+				plan, pol := shape.plan.WithCounters(&c), tc.policy
+				pol.Workers = 1
+				want := must(plan.CountParallelCtx(bg, pol)).Count // warms the pools
+				c.Reset()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if must(plan.CountParallelCtx(bg, pol)).Count != want {
+						b.Fatal("count drifted")
+					}
+				}
+				b.ReportMetric(float64(c.Total())/float64(b.N), "accesses/op")
+			})
+		}
+	}
+}

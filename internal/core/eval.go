@@ -118,7 +118,7 @@ func (p *Plan) EvalFactorized(policy Policy) factorized.Set {
 	e := newEvalExec(context.Background(), p, policy, shard{}, p.counters, func([]int64) bool { return true })
 	e.collectRoot = true
 	e.rjoin(0)
-	e.run.Release()
+	e.finish()
 	return e.sets[p.root]
 }
 
@@ -131,7 +131,7 @@ func (p *Plan) ExpandFactorized(s factorized.Set, emit func(mu []int64) bool) {
 	}
 	e := newEvalExec(context.Background(), p, Policy{Disabled: true}, shard{}, p.counters, emit)
 	e.expandSet(p.root, s, func() bool { return emit(e.mu) })
-	e.run.Release()
+	e.finish()
 }
 
 type skipFrame struct {
@@ -147,12 +147,12 @@ type evalExec struct {
 	run         *leapfrog.Runner
 	ctrs        *stats.Counters // this execution's sink (worker-local in parallel runs)
 	mu          []int64
-	sets        []factorized.Set // per bag: the set built/reused in the current iteration
-	collect     []bool           // per bag: building its factorized set right now
-	intent      []bool           // per bag: will store to cache on exit
-	collectRoot bool             // materialize the whole result as a factorized set
-	cm          *manager[factorized.Set]
-	cancel      *leapfrog.Canceler // nil never cancels
+	sets        []factorized.Set         // per bag: the set built/reused in the current iteration
+	collect     []bool                   // per bag: building its factorized set right now
+	intent      []bool                   // per bag: will store to cache on exit
+	collectRoot bool                     // materialize the whole result as a factorized set
+	cm          *manager[factorized.Set] // pooled; nil: nothing is cached (acquireManager)
+	cancel      *leapfrog.Canceler       // nil never cancels
 	pending     []skipFrame
 	enter       func(i int) // sharded runs: called with the root key's index before its subtree is scanned
 	emit        func([]int64) bool
@@ -172,18 +172,26 @@ func newEvalExec(ctx context.Context, p *Plan, policy Policy, sh shard, wc *stat
 		sets:    make([]factorized.Set, p.numNodes),
 		collect: make([]bool, p.numNodes),
 		intent:  make([]bool, p.numNodes),
-		cm: newManager[factorized.Set](policy, p.numNodes, p.cacheable, wc,
-			func(s factorized.Set) int { return len(s) }),
-		cancel: leapfrog.NewCanceler(ctx),
-		emit:   emit,
-		block:  policy.leafBlock(),
+		cm:      acquireManager(policy, p, wc, setCost),
+		cancel:  leapfrog.NewCanceler(ctx),
+		emit:    emit,
+		block:   policy.leafBlock(),
 	}
 	e.mu = e.run.Assignment()
 	return e
 }
 
-// finish closes the run (see the driver's finish).
-func (e *evalExec) finish() tally { return finish(e.run, e.cm.Entries(), e.cancel) }
+// setCost is what a cached factorized set occupies of Policy.Capacity:
+// its entries count individually.
+func setCost(s factorized.Set) int { return len(s) }
+
+// finish closes the run (see the driver's finish) and hands the caches
+// back to the pool, whether the scan completed, stopped or was cancelled.
+func (e *evalExec) finish() tally {
+	t := finish(e.run, e.cm.Entries(), e.cancel)
+	e.cm.release()
+	return t
+}
 
 // rjoin is the fold's RCachedJoin with factorized sets as the
 // intermediate (§3.4). It returns false when the consumer stopped the
@@ -194,8 +202,8 @@ func (e *evalExec) rjoin(d int) bool {
 		return e.emitPending(0)
 	}
 	v := p.ownerOf[d]
-	entering := p.bagFirst[d] && v != p.root && p.cacheable[v]
-	var key Key
+	entering := e.cm != nil && p.bagFirst[d] && v != p.root && p.cacheable[v]
+	var slot int32 // where the missed adhesion assignment's set goes
 	if p.bagFirst[d] {
 		e.intent[v] = false
 		e.collect[v] = (p.parent[v] != -1 && e.collect[p.parent[v]]) ||
@@ -203,8 +211,9 @@ func (e *evalExec) rjoin(d int) bool {
 		e.sets[v] = nil
 	}
 	if entering {
-		key = p.keyAt(v, e.mu)
-		if set, ok := e.cm.lookup(v, key); ok {
+		set, ref, ok := e.cm.lookup(v, p.keyAt(v, e.mu))
+		slot = ref
+		if ok {
 			e.sets[v] = set
 			if len(set) == 0 {
 				// Cached empty subtree: the prefix is dead.
@@ -215,7 +224,7 @@ func (e *evalExec) rjoin(d int) bool {
 			e.pending = e.pending[:len(e.pending)-1]
 			return cont
 		}
-		if e.cm.shouldCache(v, key) {
+		if e.cm.shouldCache(v, slot) {
 			// Decide the caching intent on entry: evaluation must build
 			// the factorized set during the scan to have something to
 			// store on exit (§3.4: intrmd is maintained only when needed).
@@ -268,7 +277,7 @@ func (e *evalExec) rjoin(d int) bool {
 
 	// A cancelled scan left sets[v] partial — never cache it.
 	if entering && e.intent[v] && cont && e.cancel.Err() == nil {
-		e.cm.store(v, key, e.sets[v])
+		e.cm.store(v, slot, e.sets[v])
 	}
 	return cont
 }

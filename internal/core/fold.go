@@ -134,7 +134,7 @@ func (p *Plan) CountParallelCtx(ctx context.Context, policy Policy) (CountResult
 	return p.count(ctx, policy, nil)
 }
 
-// count is CountParallelCtx over the caches in cm (nil: fresh ones per
+// count is CountParallelCtx over the caches in cm (nil: pooled ones per
 // worker) — the seam a Session counts through.
 func (p *Plan) count(ctx context.Context, policy Policy, cm *manager[int64]) (CountResult, error) {
 	n, t, err := fold(ctx, p, policy, CountSemiring(), nil, cm)
@@ -177,7 +177,7 @@ func AggregateParallelCtx[T any](ctx context.Context, p *Plan, policy Policy, sr
 // fold drives the fold traversal: one executor per worker over its
 // shard of the root domain, the workers' totals ⊕-folded and their
 // tallies merged in worker order. cm, when non-nil, is the cache
-// manager the (single) worker reuses instead of a fresh one.
+// manager the (single) worker reuses instead of a pooled one.
 func fold[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring[T], w VarWeight[T], cm *manager[T]) (T, tally, error) {
 	keys, workers, err := p.shards(ctx, policy.Workers)
 	if workers == 0 {
@@ -221,18 +221,20 @@ type foldExec[T any] struct {
 	sr     Semiring[T]
 	w      VarWeight[T] // nil: unit weights
 	intrmd []T
-	cm     *manager[T]
+	cm     *manager[T]        // nil: nothing is cached (acquireManager)
+	ownCM  bool               // cm came from the pool and goes back at finish
 	cancel *leapfrog.Canceler // nil never cancels
 	total  T
 	block  []int64 // deepest-level key block of a unit-weight fold; nil = scalar advances
 }
 
 // newFoldExec builds a worker's executor over shard sh, accounting into
-// wc, with fresh caches unless cm hands it resident ones. It returns the
+// wc, with pooled caches unless cm hands it resident ones. It returns the
 // executor by value so that a run keeps it on its own stack.
 func newFoldExec[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring[T], w VarWeight[T], cm *manager[T], sh shard, wc *stats.Counters) foldExec[T] {
-	if cm == nil {
-		cm = newManager[T](policy, p.numNodes, p.cacheable, wc, nil)
+	own := cm == nil
+	if own {
+		cm = acquireManager[T](policy, p, wc, nil)
 	}
 	e := foldExec[T]{
 		shard:  sh,
@@ -242,6 +244,7 @@ func newFoldExec[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring
 		w:      w,
 		intrmd: make([]T, p.numNodes),
 		cm:     cm,
+		ownCM:  own,
 		cancel: leapfrog.NewCanceler(ctx),
 		total:  sr.Zero,
 	}
@@ -252,8 +255,15 @@ func newFoldExec[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring
 	return e
 }
 
-// finish closes the run (see the driver's finish).
-func (e *foldExec[T]) finish() tally { return finish(e.run, e.cm.Entries(), e.cancel) }
+// finish closes the run (see the driver's finish) and hands pooled
+// caches back, whether the scan completed or was cancelled.
+func (e *foldExec[T]) finish() tally {
+	t := finish(e.run, e.cm.Entries(), e.cancel)
+	if e.ownCM {
+		e.cm.release()
+	}
+	return t
+}
 
 // rjoin is RCachedJoin(d, f) of Fig. 2 (0-based depths). f aggregates the
 // weights of the assigned prefix and the cached factors of skipped
@@ -270,16 +280,17 @@ func (e *foldExec[T]) rjoin(d int, f T) {
 	// Caching applies only when entering a cacheable bag; bags whose
 	// adhesion is wider than MaxKeyDim run plain LFTJ (cf. §4 footnote on
 	// wide relations).
-	entering := p.bagFirst[d] && v != p.root && p.cacheable[v]
-	var key Key
+	entering := e.cm != nil && p.bagFirst[d] && v != p.root && p.cacheable[v]
+	var slot int32 // where the missed adhesion assignment's result goes
 	if p.bagFirst[d] {
 		e.intrmd[v] = sr.Zero
 	}
 	if entering {
 		// Lines 6-12: entering v from a different bag; its adhesion is
 		// fully assigned (strong compatibility), so probe the cache.
-		key = p.keyAt(v, e.mu)
-		if val, ok := e.cm.lookup(v, key); ok {
+		val, ref, ok := e.cm.lookup(v, p.keyAt(v, e.mu))
+		slot = ref
+		if ok {
 			// Skip past the subtree interval, multiplying the factor. A
 			// cached zero means the subtree cannot match this adhesion
 			// assignment at all, so the whole prefix is dead — prune
@@ -353,7 +364,7 @@ func (e *foldExec[T]) rjoin(d int, f T) {
 
 	// Lines 20-22: about to leave v upward; cache if the policy agrees.
 	// A cancelled scan left intrmd[v] partial — never cache it.
-	if entering && e.cancel.Err() == nil && e.cm.shouldCache(v, key) {
-		e.cm.store(v, key, e.intrmd[v])
+	if entering && e.cancel.Err() == nil && e.cm.shouldCache(v, slot) {
+		e.cm.store(v, slot, e.intrmd[v])
 	}
 }

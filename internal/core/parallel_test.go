@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -336,6 +338,108 @@ func TestPooledRunnersParallelEvalRace(t *testing.T) {
 				}
 			}
 		}(g)
+	}
+	wg.Wait()
+}
+
+// TestPooledCacheTablesConcurrent runs counts, evaluations, aggregates,
+// an early-stopped and a cancelled evaluation side by side over one plan
+// (and counts over a second plan on other data), all drawing cache
+// managers from the shared pools. A table shared between two runs is a
+// data race; one returned dirty — by the cancelled scan, say — answers
+// the next run from another run's entries, which shows in the sequential
+// runs' results and in their exact hit/miss accounting. Run under -race
+// by the CI race job.
+func TestPooledCacheTablesConcurrent(t *testing.T) {
+	q := queries.Path(4)
+	plan, err := AutoPlan(q, dataset.TriadicPA(140, 3, 0.5, 21).DB(false), AutoOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := AutoPlan(q, dataset.TriadicPA(90, 4, 0.3, 22).DB(false), AutoOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lru := Policy{Workers: 1, Capacity: 64, Eviction: EvictLRU}
+	sr := SumProductSemiring()
+	weight := func(d int, v int64) float64 { return float64(v%3 + 1) }
+	// count runs one sequential count with private accounting and
+	// returns the count, the resident entries and the counters.
+	count := func(p *Plan, pol Policy) ([2]int64, stats.Counters) {
+		var c stats.Counters
+		res := must(p.WithCounters(&c).CountParallelCtx(bg, pol))
+		return [2]int64{res.Count, int64(res.CachedEntries)}, c
+	}
+	wantLRU, wantLRUStats := count(plan, lru)
+	wantOther, wantOtherStats := count(other, Policy{Workers: 1, SupportThreshold: 1})
+	wantAgg := Aggregate(plan, Policy{}, sr, weight)
+	if wantLRU[0] < 1000 || wantLRUStats.CacheEvictions == 0 {
+		t.Fatalf("workload too small to prove anything: %+v, %+v", wantLRU, wantLRUStats)
+	}
+
+	var wg sync.WaitGroup
+	for _, run := range []func() error{
+		func() error {
+			if got, c := count(plan, lru); got != wantLRU || c != wantLRUStats {
+				return errors.New("bounded-LRU count or its accounting drifted")
+			}
+			return nil
+		},
+		func() error {
+			if got, c := count(other, Policy{Workers: 1, SupportThreshold: 1}); got != wantOther || c != wantOtherStats {
+				return errors.New("support-threshold count on the second plan or its accounting drifted")
+			}
+			return nil
+		},
+		func() error {
+			if got := must(plan.CountParallelCtx(bg, Policy{Workers: 3})).Count; got != wantLRU[0] {
+				return errors.New("sharded count drifted")
+			}
+			return nil
+		},
+		func() error {
+			if got := must(AggregateParallelCtx(bg, plan, Policy{Workers: 2}, sr, weight)); got != wantAgg {
+				return errors.New("aggregate drifted")
+			}
+			return nil
+		},
+		func() error {
+			var n int64
+			must(plan.EvalParallelCtx(bg, Policy{Workers: 1}, func([]int64) bool { n++; return true }))
+			if n != wantLRU[0] {
+				return errors.New("evaluation drifted")
+			}
+			return nil
+		},
+		func() error { // stopped by its consumer with sets half built
+			n := 0
+			must(plan.EvalParallelCtx(bg, Policy{Workers: 1}, func([]int64) bool { n++; return n < 300 }))
+			return nil
+		},
+		func() error { // cancelled mid-scan: its tables go back to the pool too
+			ctx, cancel := context.WithCancel(bg)
+			defer cancel()
+			_, err := plan.EvalParallelCtx(ctx, Policy{Workers: 1}, func([]int64) bool { cancel(); return true })
+			if !errors.Is(err, context.Canceled) {
+				return errors.New("cancelled evaluation returned no cancellation")
+			}
+			_, err = plan.CountParallelCtx(ctx, Policy{Workers: 2})
+			if !errors.Is(err, context.Canceled) {
+				return errors.New("count under a dead context returned no cancellation")
+			}
+			return nil
+		},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				if err := run(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
 	}
 	wg.Wait()
 }

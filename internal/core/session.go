@@ -11,7 +11,10 @@ import "context"
 type Session struct {
 	plan   *Plan
 	policy Policy
-	cm     *manager[int64]
+	// cm is the session's own: taken like any execution's manager but
+	// never released, so its tables are reclaimed with the session. It is
+	// nil when the session caches nothing (acquireManager).
+	cm *manager[int64]
 }
 
 // NewSession returns a counting session with empty caches under the
@@ -22,7 +25,7 @@ func (p *Plan) NewSession(policy Policy) *Session {
 	return &Session{
 		plan:   p,
 		policy: policy,
-		cm:     newManager[int64](policy, p.numNodes, p.cacheable, p.counters, nil),
+		cm:     acquireManager[int64](policy, p, p.counters, nil),
 	}
 }
 
@@ -38,10 +41,10 @@ func (s *Session) CachedEntries() int { return s.cm.Entries() }
 // Shrink reduces the resident cache to at most maxEntries, evicting in
 // the policy's eviction order — the "dynamically adjust the size of the
 // cache" knob from the paper's abstract. It reports the resulting size.
+// Support counts (Policy.SupportThreshold) are not entries: they stay.
 func (s *Session) Shrink(maxEntries int) int {
-	if maxEntries < 0 {
-		maxEntries = 0
+	if s.cm != nil {
+		s.cm.evictUntil(max(maxEntries, 0))
 	}
-	s.cm.evictUntil(maxEntries)
 	return s.cm.Entries()
 }

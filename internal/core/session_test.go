@@ -80,6 +80,40 @@ func TestSessionShrink(t *testing.T) {
 	}
 }
 
+// TestSessionShrinkKeepsSupport: Shrink gives back cached values, not
+// the support counts — they are not charged against Capacity and are
+// never evicted — so a flushed session under a support threshold
+// re-caches on the very next run instead of counting sightings afresh;
+// and a session that caches nothing (it holds no manager) still counts.
+func TestSessionShrinkKeepsSupport(t *testing.T) {
+	db := dataset.PreferentialAttachment(120, 3, 43).DB(false)
+	plan, err := AutoPlan(queries.Path(5), db, AutoOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := plan.Count(Policy{}).Count
+	s := plan.NewSession(Policy{SupportThreshold: 3})
+	var warm int
+	for i := 0; i < 4; i++ {
+		warm = s.Count().CachedEntries
+	}
+	if warm == 0 {
+		t.Skip("nothing reaches the support threshold")
+	}
+	if got := s.Shrink(0); got != 0 {
+		t.Fatalf("Shrink(0) left %d entries", got)
+	}
+	if res := s.Count(); res.Count != want || res.CachedEntries < warm {
+		t.Fatalf("run after the flush: count %d (want %d), %d entries (had %d) — support was lost with the values",
+			res.Count, want, res.CachedEntries, warm)
+	}
+
+	off := plan.NewSession(Policy{Disabled: true})
+	if res := off.Count(); res.Count != want || off.CachedEntries() != 0 || off.Shrink(5) != 0 {
+		t.Fatalf("disabled session: count %d (want %d), %d entries", res.Count, want, off.CachedEntries())
+	}
+}
+
 func TestSessionRespectsCapacityAcrossRuns(t *testing.T) {
 	g := dataset.PreferentialAttachment(120, 3, 44)
 	db := g.DB(false)

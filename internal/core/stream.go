@@ -119,7 +119,7 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, em
 			if open && !dead {
 				send(streamItem{rows: buf, last: true})
 			}
-			e.run.Release()
+			e.finish()
 		})
 	}()
 

@@ -506,6 +506,7 @@ func gallop(vals []int64, v int64) (int32, int32) {
 // ones replay it in O(log n) integer ops, no loads.
 func binProbes(n, r int32) int64 {
 	if uint32(n) < binProbeTableN {
+		// 0 <= r <= n here; the mask only spares the bounds check.
 		return int64(binProbeTable[n][r&(binProbeTableN-1)])
 	}
 	return replayBinProbes(n, r)
@@ -523,6 +524,8 @@ var binProbeTable = func() (t [binProbeTableN][binProbeTableN]uint8) {
 	return t
 }()
 
+// replayBinProbes runs sort.Search's index arithmetic for (n, r) and
+// counts the probes.
 func replayBinProbes(n, r int32) int64 {
 	i, j := int32(0), n
 	var p int64
