@@ -86,12 +86,12 @@ type (
 	// parsed and compiled once through the engine's plan cache, with
 	// ctx-aware Do/CountCtx/Rows executions (Engine.Prepare). The
 	// engine variant follows live updates — execution always runs
-	// against the current snapshot, recompiling only when the touched
-	// relations changed version. For a static database without an
-	// Engine, see Prepare.
+	// against the current snapshot, re-binding the compiled plan to the
+	// new tries (not recompiling it) when the touched relations changed
+	// version. For a static database without an Engine, see Prepare.
 	EngineStmt = server.Stmt
-	// PlanCacheStats reports the engine plan cache's hit/miss/eviction
-	// history and residency (EngineStats.Plans).
+	// PlanCacheStats reports the engine plan cache's hit/miss/re-bind/
+	// eviction history and residency (EngineStats.Plans).
 	PlanCacheStats = server.PlanCacheStats
 	// RelationStore is a mutable, versioned relation: immutable
 	// snapshots advanced by ApplyDelta, with base/delta lineage that

@@ -517,6 +517,7 @@ func (c *Coordinator) Do(ctx context.Context, req server.Request) (*server.Respo
 		merged.Stats.Counters.Merge(&r.Stats.Counters)
 		merged.Stats.CachedEntries += r.Stats.CachedEntries
 		merged.Stats.PlanCached = merged.Stats.PlanCached && r.Stats.PlanCached
+		merged.Stats.PlanRebound = merged.Stats.PlanRebound || r.Stats.PlanRebound
 		merged.Count += r.Count
 		merged.Value += r.Value
 	}

@@ -9,10 +9,9 @@ const DefaultRouteCacheSize = 256
 // routeKey identifies one routed query at one global snapshot: the raw
 // query text, the plan-affecting options, and the global version vector
 // — every shard's per-relation version numbers, concatenated in shard
-// order. Keying on the global vector gives the same free invalidation
-// the engine's plan cache enjoys: an update anywhere moves the vector,
-// so stale routes (and the variable order pinned with them) become
-// unreachable by construction.
+// order. Keying on the global vector makes invalidation free: an update
+// anywhere moves the vector, so stale routes (and the variable order
+// pinned with them) become unreachable by construction.
 type routeKey struct {
 	text string
 	opts string

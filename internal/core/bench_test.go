@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cq"
 	"repro/internal/dataset"
+	"repro/internal/leapfrog"
 	"repro/internal/queries"
+	"repro/internal/relation"
 	"repro/internal/stats"
+	"repro/internal/trie"
 )
 
 // The core rung of the measurement spine: steady-state b.N loops over the
@@ -119,5 +123,72 @@ func BenchmarkCount(b *testing.B) {
 				b.ReportMetric(float64(c.Total())/float64(b.N), "accesses/op")
 			})
 		}
+	}
+}
+
+// planBench is the query and the two snapshots the planning benchmarks
+// share: a 3-path over a skewed graph in a warm registry, and the same
+// graph one 16-tuple delta later, its indices patched — what a resident
+// engine holds when a read follows an update.
+func planBench(b *testing.B) (q *cq.Query, reg *trie.Registry, snaps [2]*relation.DB) {
+	g := dataset.TriadicPA(700, 6, 0.5, 33)
+	rel := g.EdgeRelation("E", false)
+	st := relation.NewStore(rel)
+	var ins, del [][]int64
+	for i := 0; i < 8; i++ {
+		ins = append(ins, []int64{int64(9000 + i), int64(9001 + i)})
+		del = append(del, append([]int64(nil), rel.Tuple(i*37)...))
+	}
+	v, _, err := st.ApplyDelta(ins, del)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg = trie.NewRegistry(0)
+	reg.Observe(v)
+	return queries.Path(3), reg, [2]*relation.DB{relation.NewDB(rel), relation.NewDB(v.Rel)}
+}
+
+// BenchmarkAutoPlan times what a plan-cache miss pays — selection,
+// validation, table compile and binding — per orderer, over a registry
+// that already holds every index the selection probes and the plan uses.
+func BenchmarkAutoPlan(b *testing.B) {
+	q, reg, snaps := planBench(b)
+	for _, ord := range []Orderer{OrdererCost, OrdererGreedy} {
+		b.Run(string(ord), func(b *testing.B) {
+			opts := AutoOptions{Orderer: ord, Tries: reg}
+			must(AutoPlan(q, snaps[0], opts))
+			must(AutoPlan(q, snaps[1], opts))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				must(AutoPlan(q, snaps[i&1], opts))
+			}
+		})
+	}
+}
+
+// BenchmarkPlanRebind times what the same read pays when the shape was
+// kept: Rebind to the other snapshot, alternating so every iteration
+// really changes tries. The orderer no longer matters — that is the
+// point — but the sub-benchmarks pair with BenchmarkAutoPlan's.
+func BenchmarkPlanRebind(b *testing.B) {
+	q, reg, snaps := planBench(b)
+	for _, ord := range []Orderer{OrdererCost, OrdererGreedy} {
+		b.Run(string(ord), func(b *testing.B) {
+			bopts := leapfrog.BuildOpts{Tries: reg}
+			plan := must(AutoPlan(q, snaps[0], AutoOptions{Orderer: ord, Tries: reg}))
+			want := must(plan.CountParallelCtx(bg, Policy{Workers: 1})).Count
+			plan = must(plan.Rebind(snaps[1], bopts))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				plan = must(plan.Rebind(snaps[i&1], bopts))
+			}
+			b.StopTimer()
+			plan = must(plan.Rebind(snaps[0], bopts))
+			if got := must(plan.CountParallelCtx(bg, Policy{Workers: 1})).Count; got != want {
+				b.Fatalf("re-bound plan counts %d, compiled plan %d", got, want)
+			}
+		})
 	}
 }

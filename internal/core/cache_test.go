@@ -13,11 +13,11 @@ import (
 // tablePlan is the part of a Plan a cache manager binds to: one bag per
 // width, cacheable unless the width is negative.
 func tablePlan(widths ...int) *Plan {
-	p := &Plan{
+	p := &Plan{shape: shape{
 		numNodes:       len(widths),
 		cacheable:      make([]bool, len(widths)),
 		adhesionDepths: make([][]int, len(widths)),
-	}
+	}}
 	for v, w := range widths {
 		if p.cacheable[v] = w >= 0; w > 0 {
 			p.adhesionDepths[v] = make([]int, w)

@@ -18,10 +18,24 @@ import (
 )
 
 // Plan is a compiled CLFTJ execution plan. Build once, run many times.
+// It is a shape — everything derived from the query, the TD and the
+// variable order alone — plus a binding: the leapfrog instance holding
+// the trie handles of one database snapshot. The shape is immutable and
+// survives data changes; Rebind pairs it with a newer snapshot's tries
+// without repeating validation, selection or table compilation.
 type Plan struct {
-	inst  *leapfrog.Instance
-	tree  *td.TD
-	order []string
+	shape
+	inst     *leapfrog.Instance // nil on an Unbound plan
+	counters *stats.Counters
+}
+
+// shape is the data-independent half of a Plan.
+type shape struct {
+	// layout holds the per-atom column permutations the binding's tries
+	// follow; binding it to a database yields the instance.
+	layout *leapfrog.Layout
+	tree   *td.TD
+	order  []string
 
 	numVars  int
 	numNodes int
@@ -49,8 +63,6 @@ type Plan struct {
 	// cacheable[v] marks non-root bags with adhesion width <= MaxKeyDim.
 	cacheable []bool
 	root      int
-
-	counters *stats.Counters
 }
 
 // NewPlan compiles q against db with the given ordered TD and variable
@@ -90,16 +102,23 @@ func newPlan(q *cq.Query, db *relation.DB, tree *td.TD, order []string, bopts le
 	if !tree.StronglyCompatible(orderIdx) {
 		return nil, fmt.Errorf("core: tree decomposition is not strongly compatible with order %v", order)
 	}
-	inst, err := leapfrog.BuildOptions(q, db, order, bopts)
+	layout, err := leapfrog.NewLayout(q, order)
+	if err != nil {
+		return nil, err
+	}
+	inst, err := layout.Bind(db, bopts)
 	if err != nil {
 		return nil, err
 	}
 
 	p := &Plan{
+		shape: shape{
+			layout:  layout,
+			tree:    tree,
+			order:   append([]string(nil), order...),
+			numVars: len(order),
+		},
 		inst:     inst,
-		tree:     tree,
-		order:    append([]string(nil), order...),
-		numVars:  len(order),
 		counters: bopts.Counters,
 	}
 	if err := p.compile(orderIdx); err != nil {
@@ -108,8 +127,32 @@ func newPlan(q *cq.Query, db *relation.DB, tree *td.TD, order []string, bopts le
 	return p, nil
 }
 
+// Rebind returns a plan of the same shape bound to db: the tries are
+// re-acquired (through bopts.Tries where shared — a delta-aware
+// registry usually serves a patched index) and accounted to
+// bopts.Counters, and nothing else of compilation runs: no TD
+// validation, no compatibility check, no table derivation, no order
+// selection. The shape's tables are shared with the receiver, which
+// may itself be bound, to any snapshot, or Unbound.
+func (p *Plan) Rebind(db *relation.DB, bopts leapfrog.BuildOpts) (*Plan, error) {
+	inst, err := p.layout.Bind(db, bopts)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{shape: p.shape, inst: inst, counters: bopts.Counters}, nil
+}
+
+// Unbound returns the plan's shape without a binding. It holds no trie,
+// so a cache can keep it while the snapshot it was bound to is
+// reclaimed; it must be Rebound before it executes.
+func (p *Plan) Unbound() *Plan { return &Plan{shape: p.shape} }
+
+// SameShape reports whether the two plans came from one compilation —
+// one is the other, or a Rebind or Unbound of it.
+func (p *Plan) SameShape(o *Plan) bool { return p.layout == o.layout }
+
 // compile derives the owner/adhesion/interval tables from the TD.
-func (p *Plan) compile(orderIdx []int) error {
+func (p *shape) compile(orderIdx []int) error {
 	t := p.tree
 	n := p.numVars
 	owners := t.Owners(n) // per variable index
@@ -248,13 +291,19 @@ func (p *Plan) compile(orderIdx []int) error {
 	return nil
 }
 
-// Instance exposes the underlying leapfrog instance.
+// Instance exposes the underlying leapfrog instance (nil on an Unbound
+// plan).
 func (p *Plan) Instance() *leapfrog.Instance { return p.inst }
 
-// Embedded returns the shared-registry indices the plan's instance
+// Embedded returns the shared-registry indices the plan's binding
 // draws on (see leapfrog.Instance.Embedded) — what a plan cache tracks
-// to invalidate precisely on registry evictions.
-func (p *Plan) Embedded() []leapfrog.SourceEntry { return p.inst.Embedded() }
+// to unbind precisely on registry evictions. An Unbound plan embeds none.
+func (p *Plan) Embedded() []leapfrog.SourceEntry {
+	if p.inst == nil {
+		return nil
+	}
+	return p.inst.Embedded()
+}
 
 // TD returns the plan's tree decomposition.
 func (p *Plan) TD() *td.TD { return p.tree }

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/cq"
 	"repro/internal/dataset"
+	"repro/internal/leapfrog"
 	"repro/internal/queries"
 	"repro/internal/relation"
+	"repro/internal/stats"
 	"repro/internal/td"
+	"repro/internal/trie"
 )
 
 func TestNewPlanRejectsIncompatibleOrder(t *testing.T) {
@@ -156,5 +160,69 @@ func TestKeyAt(t *testing.T) {
 	got := plan.keyAt(1, mu) // bag 1's adhesion is {x2} at depth 1
 	if !reflect.DeepEqual(got, Key{8, 0, 0, 0}) {
 		t.Fatalf("keyAt = %v", got)
+	}
+}
+
+// TestPlanRebind: a plan's shape bound to another database answers as a
+// plan compiled against that database would, shares the shape's tables
+// rather than deriving them again, accounts into the binder's counters,
+// and leaves the original bound where it was. Constants, repeated
+// variables and a guard atom ride along, since their derived relations
+// are what a binding has to redo.
+func TestPlanRebind(t *testing.T) {
+	db1 := dataset.ErdosRenyi(14, 0.4, 5).DB(false)
+	db2 := dataset.ErdosRenyi(14, 0.4, 6).DB(false)
+	// The guard is an edge both graphs have, so neither result is empty.
+	e1, _ := db1.Get("E")
+	e2, _ := db2.Get("E")
+	guard := e1.Intersect(e2).Tuple(0)
+	q := cq.MustParse(fmt.Sprintf("E(x,y), E(y,z), E(x,z), E(3,w), E(w,y), E(%d,%d)", guard[0], guard[1]))
+	reg := trie.NewRegistry(0)
+
+	plan, err := AutoPlan(q, db1, AutoOptions{Tries: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want1 := plan.Count(Policy{}).Count
+
+	var c stats.Counters
+	re, err := plan.Rebind(db2, leapfrog.BuildOpts{Counters: &c, Tries: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := AutoPlan(q, db2, AutoOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := re.Count(Policy{}).Count, fresh.Count(Policy{}).Count; got != want || got == 0 || got == want1 {
+		t.Fatalf("re-bound count %d, plan compiled at that database %d (at the first database %d)", got, want, want1)
+	}
+	if c.TrieBuilds == 0 || c.TrieAccesses == 0 {
+		t.Fatalf("binding and run charged nothing to the binder's counters: %+v", c)
+	}
+	if !re.SameShape(plan) || fresh.SameShape(plan) {
+		t.Fatal("SameShape does not tell a re-bind from a separate compilation")
+	}
+	if &re.ownerOf[0] != &plan.ownerOf[0] || re.TD() != plan.TD() {
+		t.Fatal("re-bind derived the shape's tables again")
+	}
+	if got := plan.Count(Policy{}).Count; got != want1 {
+		t.Fatalf("original plan counts %d after a re-bind, %d before", got, want1)
+	}
+
+	un := re.Unbound()
+	if un.Instance() != nil || un.Embedded() != nil || !un.SameShape(plan) {
+		t.Fatal("Unbound kept a binding or lost the shape")
+	}
+	back, err := un.Rebind(db1, leapfrog.BuildOpts{Tries: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Count(Policy{}).Count; got != want1 {
+		t.Fatalf("unbound shape re-bound to the first database counts %d, want %d", got, want1)
+	}
+
+	if _, err := plan.Rebind(relation.NewDB(), leapfrog.BuildOpts{}); err == nil {
+		t.Fatal("re-bind to a database without the relation succeeded")
 	}
 }

@@ -7,6 +7,7 @@ package leapfrog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -110,13 +111,104 @@ func BuildWith(q *cq.Query, db *relation.DB, order []string, counters *stats.Cou
 }
 
 // BuildOptions is the full-control compilation entry point: BuildWith
-// plus the trie-build parallelism knob.
+// plus the trie-build parallelism knob. It is NewLayout followed by
+// Layout.Bind.
 func BuildOptions(q *cq.Query, db *relation.DB, order []string, opts BuildOpts) (*Instance, error) {
-	counters, tries := opts.Counters, opts.Tries
-	buildWorkers := opts.Workers
-	if buildWorkers == 0 {
-		buildWorkers = 1
+	l, err := NewLayout(q, order)
+	if err != nil {
+		return nil, err
 	}
+	return l.Bind(db, opts)
+}
+
+// Layout is the data-independent half of an Instance: the query, the
+// variable order, and per atom how its columns map onto trie levels.
+// It is derived from the query text and the order alone, so one Layout
+// binds to any number of database snapshots (Bind); a resident engine
+// keeps it across updates and only re-acquires the tries. Immutable
+// after NewLayout.
+type Layout struct {
+	query  *cq.Query
+	order  []string
+	atoms  []atomLayout // one per query atom, in atom order
+	legsAt [][]int
+}
+
+// atomLayout is one atom's share of a Layout: the selection its
+// constants and repeated variables impose, the projection onto one
+// column per distinct variable, and the permutation of those columns
+// into global-order-sorted trie levels.
+type atomLayout struct {
+	consts map[int]int64 // column -> required constant
+	equal  [][]int       // column classes of repeated variables
+	cols   []int         // first-occurrence column of each distinct variable
+	vars   []string      // distinct variables, in column order
+	// perm sorts vars by global order position and varPos holds those
+	// positions ascending (trie level i binds order position varPos[i]);
+	// both are nil for a constant-only guard atom.
+	perm    []int
+	varPos  []int
+	permSig string // trie.PermSig(perm)
+}
+
+func layoutAtom(atom cq.Atom) atomLayout {
+	a := atomLayout{
+		cols: make([]int, 0, len(atom.Args)),
+		vars: make([]string, 0, len(atom.Args)),
+	}
+	// Atoms are a handful of arguments wide: linear scans, and nothing
+	// allocated for constants or repeats an atom does not have.
+	var classes [][]int // by variable; nil until the variable repeats
+	for col, t := range atom.Args {
+		if !t.IsVar() {
+			if a.consts == nil {
+				a.consts = make(map[int]int64)
+			}
+			a.consts[col] = t.Const
+			continue
+		}
+		i := slices.Index(a.vars, t.Var)
+		if i < 0 {
+			a.vars = append(a.vars, t.Var)
+			a.cols = append(a.cols, col)
+			continue
+		}
+		if classes == nil {
+			classes = make([][]int, len(atom.Args))
+		}
+		if classes[i] == nil {
+			classes[i] = []int{a.cols[i]}
+		}
+		classes[i] = append(classes[i], col)
+	}
+	for _, cls := range classes {
+		if cls != nil {
+			a.equal = append(a.equal, cls)
+		}
+	}
+	return a
+}
+
+// derive applies the atom's selection and projection to rel. An atom of
+// all-distinct variables and no constants derives rel itself — the case
+// a shared trie source can serve.
+func (a *atomLayout) derive(rel *relation.Relation) (*relation.Relation, error) {
+	if len(a.consts) == 0 && len(a.equal) == 0 {
+		if len(a.cols) == rel.Arity() {
+			return rel, nil
+		}
+		return rel.Project(a.cols)
+	}
+	selected, err := rel.Select(a.consts, a.equal)
+	if err != nil {
+		return nil, err
+	}
+	return selected.Project(a.cols)
+}
+
+// NewLayout compiles the data-independent half of BuildOptions: order
+// must be a permutation of q.Vars().
+func NewLayout(q *cq.Query, order []string) (*Layout, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -137,13 +229,64 @@ func BuildOptions(q *cq.Query, db *relation.DB, order []string, opts BuildOpts) 
 		}
 	}
 
+	l := &Layout{
+		query:  q,
+		order:  append([]string(nil), order...),
+		atoms:  make([]atomLayout, len(q.Atoms)),
+		legsAt: make([][]int, len(order)),
+	}
+	legs := 0
+	for i, atom := range q.Atoms {
+		a := layoutAtom(atom)
+		if len(a.vars) > 0 {
+			// Sort the atom's variables by global order position; the trie
+			// levels must follow the variable ordering (§2.4).
+			vars := a.vars
+			a.perm = make([]int, len(vars))
+			for j := range a.perm {
+				a.perm[j] = j
+			}
+			sort.Slice(a.perm, func(x, y int) bool { return pos[vars[a.perm[x]]] < pos[vars[a.perm[y]]] })
+			a.permSig = trie.PermSig(a.perm)
+			a.varPos = make([]int, len(vars))
+			for j, p := range a.perm {
+				d := pos[vars[p]]
+				a.varPos[j] = d
+				l.legsAt[d] = append(l.legsAt[d], legs)
+			}
+			legs++
+		}
+		l.atoms[i] = a
+	}
+	for d, at := range l.legsAt {
+		if len(at) == 0 {
+			return nil, fmt.Errorf("leapfrog: variable %q is constrained by no atom", order[d])
+		}
+	}
+	return l, nil
+}
+
+// Bind completes the layout into an Instance over db: every atom's
+// relation is fetched, derived and indexed — from opts.Tries where the
+// derived relation is the base relation itself, privately otherwise.
+// This is all the per-snapshot work of compilation; binding the same
+// layout to a newer snapshot re-acquires the tries (from a delta-aware
+// source, usually patched ones) and repeats none of the layout's.
+func (l *Layout) Bind(db *relation.DB, opts BuildOpts) (*Instance, error) {
+	counters, tries := opts.Counters, opts.Tries
+	buildWorkers := opts.Workers
+	if buildWorkers == 0 {
+		buildWorkers = 1
+	}
 	inst := &Instance{
-		query:    q,
-		order:    append([]string(nil), order...),
-		legsAt:   make([][]int, len(order)),
+		query:    l.query,
+		order:    l.order,
+		atoms:    make([]AtomLeg, 0, len(l.atoms)),
+		legsAt:   l.legsAt,
 		counters: counters,
 	}
-	for _, atom := range q.Atoms {
+	for i, atom := range l.query.Atoms {
+		a := &l.atoms[i]
 		rel, err := db.Get(atom.Rel)
 		if err != nil {
 			return nil, err
@@ -152,53 +295,33 @@ func BuildOptions(q *cq.Query, db *relation.DB, order []string, opts BuildOpts) 
 			return nil, fmt.Errorf("leapfrog: atom %s has %d args, relation has arity %d",
 				atom, len(atom.Args), rel.Arity())
 		}
-		derived, vars, err := DeriveAtomRelation(rel, atom)
+		derived, err := a.derive(rel)
 		if err != nil {
 			return nil, err
 		}
 		if derived.Len() == 0 {
 			inst.empty = true
 		}
-		if len(vars) == 0 {
+		if len(a.vars) == 0 {
 			continue // constant-only guard atom; emptiness already noted
 		}
-		// Sort the atom's variables by global order position; the trie
-		// levels must follow the variable ordering (§2.4).
-		perm := make([]int, len(vars))
-		for i := range perm {
-			perm[i] = i
-		}
-		sort.Slice(perm, func(a, b int) bool { return pos[vars[perm[a]]] < pos[vars[perm[b]]] })
 		var tr *trie.Trie
 		if tries != nil && derived == rel {
 			// The derived relation is the base relation itself, so the
 			// index is query-independent: draw it from the shared source.
-			tr, err = tries.Trie(rel, perm, counters)
+			tr, err = tries.Trie(rel, a.perm, counters)
 			if err != nil {
 				return nil, err
 			}
-			inst.embedded = append(inst.embedded, SourceEntry{Rel: rel, Perm: trie.PermSig(perm)})
+			inst.embedded = append(inst.embedded, SourceEntry{Rel: rel, Perm: a.permSig})
 		} else {
-			permuted, err := derived.Permute(perm)
+			permuted, err := derived.Permute(a.perm)
 			if err != nil {
 				return nil, err
 			}
 			tr = trie.BuildParallel(permuted, counters, buildWorkers)
 		}
-		leg := AtomLeg{Trie: tr, VarPos: make([]int, len(vars))}
-		for i, p := range perm {
-			leg.VarPos[i] = pos[vars[p]]
-		}
-		inst.atoms = append(inst.atoms, leg)
-		legIdx := len(inst.atoms) - 1
-		for _, p := range leg.VarPos {
-			inst.legsAt[p] = append(inst.legsAt[p], legIdx)
-		}
-	}
-	for d, legs := range inst.legsAt {
-		if len(legs) == 0 {
-			return nil, fmt.Errorf("leapfrog: variable %q is constrained by no atom", order[d])
-		}
+		inst.atoms = append(inst.atoms, AtomLeg{Trie: tr, VarPos: a.varPos})
 	}
 	return inst, nil
 }
@@ -209,47 +332,12 @@ func BuildOptions(q *cq.Query, db *relation.DB, order []string, opts BuildOpts) 
 // the distinct variable names in column order. It is shared by every
 // engine that must turn an atom into a variable-pure relation.
 func DeriveAtomRelation(rel *relation.Relation, atom cq.Atom) (*relation.Relation, []string, error) {
-	consts := make(map[int]int64)
-	firstCol := make(map[string]int)
-	classes := make(map[string][]int)
-	var vars []string
-	for col, t := range atom.Args {
-		if !t.IsVar() {
-			consts[col] = t.Const
-			continue
-		}
-		if _, ok := firstCol[t.Var]; !ok {
-			firstCol[t.Var] = col
-			vars = append(vars, t.Var)
-		}
-		classes[t.Var] = append(classes[t.Var], col)
-	}
-	var equal [][]int
-	for _, v := range vars {
-		if cls := classes[v]; len(cls) > 1 {
-			equal = append(equal, cls)
-		}
-	}
-	selected := rel
-	if len(consts) > 0 || len(equal) > 0 {
-		var err error
-		selected, err = rel.Select(consts, equal)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	cols := make([]int, len(vars))
-	for i, v := range vars {
-		cols[i] = firstCol[v]
-	}
-	if len(cols) == rel.Arity() && len(consts) == 0 && len(equal) == 0 {
-		return selected, vars, nil
-	}
-	projected, err := selected.Project(cols)
+	a := layoutAtom(atom)
+	derived, err := a.derive(rel)
 	if err != nil {
 		return nil, nil, err
 	}
-	return projected, vars, nil
+	return derived, a.vars, nil
 }
 
 // Order returns the variable ordering (names, by depth).

@@ -69,7 +69,7 @@ func NewStore(base *Relation) *Store {
 // NewStoreAt wraps base as version num of a mutable relation — the
 // restart path: a persistent engine that reloads a relation snapshot
 // stamped with its version number resumes the version chain where the
-// previous process left it, so clients (and plan caches keyed by version
+// previous process left it, so clients (and plan caches comparing version
 // vectors) never see version numbers regress across a restart.
 func NewStoreAt(base *Relation, num uint64) *Store {
 	s := NewStore(base)

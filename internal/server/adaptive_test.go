@@ -118,7 +118,8 @@ func TestAdaptiveReplanOnDivergence(t *testing.T) {
 func TestObserveAccumulatesDemotes(t *testing.T) {
 	pc := newPlanCache(4)
 	key := planKey{text: "q", opts: "ord=adaptive"}
-	pc.put(key, nil, []string{"E"}, nil, 42)
+	vec := []uint64{0}
+	pc.put(key, cachedPlan(t), []string{"E"}, vec, nil, 42)
 
 	if _, replan := pc.observe(key, 100, nil, 0.5, 2); replan {
 		t.Fatal("baselining observation replanned")
@@ -146,7 +147,7 @@ func TestObserveAccumulatesDemotes(t *testing.T) {
 	}
 
 	// replace re-baselines and counts.
-	pc.replace(key, nil, []string{"E"}, nil, 7)
+	pc.replace(key, cachedPlan(t), vec, nil, 7)
 	if s := pc.stats(); s.Replans != 1 {
 		t.Fatalf("Replans = %d, want 1", s.Replans)
 	}
@@ -194,5 +195,89 @@ func TestAdaptiveCountMatchesAcrossReplans(t *testing.T) {
 	}
 	if s := e.Stats().Plans; s.Replans == 0 {
 		t.Fatalf("alternating cache policy never diverged: %v", s)
+	}
+}
+
+// TestAdaptiveSurvivesUpdates pins what keeping shapes across updates
+// gives the adaptive loop, and what it must not take away. Under steady
+// update traffic an entry now lives long enough to collect AdaptRuns
+// consecutive divergent observations (when every update dropped the
+// entry, the streak died with it and no such workload ever re-planned);
+// and because the entry is long-lived, its re-plan budget must come back
+// when a compaction drops the shape, or adaptation would switch itself
+// off for good after adaptMaxReplans.
+func TestAdaptiveSurvivesUpdates(t *testing.T) {
+	e := NewEngine(testDB(), Config{
+		Workers:         1,
+		Orderer:         "adaptive",
+		AdaptThreshold:  0.05,
+		AdaptRuns:       3,
+		CompactFraction: 0.9,
+	})
+	const query = "E(a,b), E(b,c), E(c,d), E(d,e)"
+	do := func(req Request) *Response {
+		t.Helper()
+		req.Query = query
+		resp, err := e.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	next := int64(50000)
+	update := func(tuples int) *UpdateResult {
+		t.Helper()
+		var ins [][]int64
+		for i := 0; i < tuples; i++ {
+			ins = append(ins, []int64{next, next + 1})
+			next += 2
+		}
+		res, err := e.Update(UpdateRequest{Relation: "E", Inserts: ins})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// divergeUnderUpdates is AdaptRuns rounds of one update, the read
+	// that re-binds, and one observed read whose traffic (NoCache: LFTJ
+	// instead of CLFTJ on the same key) is far off the baseline.
+	divergeUnderUpdates := func() {
+		t.Helper()
+		do(Request{}) // baseline right after a (re-)plan, conforming otherwise
+		for i := 0; i < 3; i++ {
+			if update(1).Compacted {
+				t.Fatal("a one-tuple update compacted")
+			}
+			if r := do(Request{NoCache: true}); !r.Stats.PlanRebound {
+				t.Fatal("read after update did not re-bind")
+			}
+			do(Request{NoCache: true})
+		}
+	}
+
+	do(Request{}) // compile
+	for want := int64(1); want <= adaptMaxReplans; want++ {
+		divergeUnderUpdates()
+		if s := e.Stats().Plans; s.Replans != want || s.Misses != 1 {
+			t.Fatalf("after %d divergent streaks under updates: %v (want %d replans, still 1 miss)", want, s, want)
+		}
+	}
+	divergeUnderUpdates()
+	if s := e.Stats().Plans; s.Replans != adaptMaxReplans {
+		t.Fatalf("re-plan budget not enforced between compactions: %v", s)
+	}
+
+	if !update(1000).Compacted {
+		t.Fatal("a delta larger than the relation did not compact")
+	}
+	if r := do(Request{}); r.Stats.PlanCached {
+		t.Fatal("shape survived its relation's compaction")
+	}
+	divergeUnderUpdates()
+	if s := e.Stats().Plans; s.Replans != adaptMaxReplans+1 {
+		t.Fatalf("re-plan budget did not reset with the shape at compaction: %v", s)
+	}
+	if got, want := do(Request{}).Count, seqCount(t, e.DB(), query); got != want {
+		t.Fatalf("count after the storm = %d, fresh sequential run says %d", got, want)
 	}
 }

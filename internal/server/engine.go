@@ -70,12 +70,16 @@ type Config struct {
 	// DefaultPlanCacheSize, negative: disabled, so every request pays
 	// parse + TD selection + plan compilation — the control arm of the
 	// E14 benchmark). Plans are keyed by (canonical query text,
-	// plan-affecting options, version vector of the touched relations),
-	// so updates invalidate exactly the plans they staled. Note the cap
-	// is entries, not bytes: a cached plan over constant-specialized
-	// atoms retains their private derived tries (selections, so usually
-	// small) outside the TrieBudget accounting — lower PlanCache to
-	// bound that retention on constant-heavy workloads.
+	// plan-affecting options); the snapshot is a binding, not a key
+	// component. An update unbinds exactly the plans over the relation it
+	// touched — their superseded tries are released, their shapes stay —
+	// and the next read re-binds to the new snapshot's tries without
+	// re-planning; a shape is dropped only when its relation compacts.
+	// Note the cap is entries, not bytes: a bound plan over
+	// constant-specialized atoms retains their private derived tries
+	// (selections, so usually small) outside the TrieBudget accounting —
+	// lower PlanCache to bound that retention on constant-heavy
+	// workloads.
 	PlanCache int
 	// Orderer selects the default planning strategy for requests that do
 	// not name their own: "cost" (or empty — the full cost model),
@@ -148,7 +152,7 @@ type Engine struct {
 	updateMu sync.Mutex
 
 	// plans caches compiled plans across requests (nil when disabled);
-	// see planCache for the keying that makes update invalidation free.
+	// see planKey for how an entry outlives the snapshot it was bound to.
 	plans *planCache
 
 	// stmtMu guards the prepared-statement registry (HTTP query-by-id;
@@ -214,17 +218,16 @@ func newEngine(db *relation.DB, cfg Config, stores map[string]*relation.Store) *
 		// Cold index builds use the same parallelism budget as the
 		// queries they unblock.
 		e.reg.SetBuildWorkers(e.buildWorkers())
-		// A plan embeds the registry tries it compiled against, so a
-		// byte-budget eviction must also drop the plans pinning that
+		// A cached binding embeds the registry tries it was bound to, so
+		// a byte-budget eviction must also unbind the plans pinning that
 		// index — otherwise TrieBudget would stop bounding resident trie
 		// memory (evicted-but-pinned copies) and the next compile over
 		// the relation would build a duplicate. The cache tracks the
-		// exact (relation, order) registry entries each plan embeds, so
-		// only plans pinning the evicted index recompile — plans over
-		// the relation's other, still-resident orders stay warm. (A
-		// compile racing the eviction may still cache one plan holding
-		// the evicted trie; it is a bounded, self-healing overshoot,
-		// like the stale re-insert race on updates.)
+		// exact (relation, order) registry entries each binding embeds,
+		// so only plans pinning the evicted index re-bind — plans over
+		// the relation's other, still-resident orders stay bound. (A
+		// bind racing the eviction may still cache one binding holding
+		// the evicted trie; it is a bounded, self-healing overshoot.)
 		e.reg.SetEvictHook(func(rel *relation.Relation, perm string) {
 			e.plans.invalidateEmbedding(rel, perm)
 		})
@@ -410,21 +413,20 @@ func (e *Engine) snapshot() (*relation.DB, uint64) {
 	return e.db, e.epochs.enter()
 }
 
-// snapshotFor is snapshot plus the version sub-vector of the given
-// (sorted) relation names — rendered as the plan-cache key string and as
-// the name→number map a response reports — under the same verMu hold, so
-// the vector a query assembles always describes exactly the snapshot it
-// will execute against, atomically with respect to Update's install step.
-func (e *Engine) snapshotFor(names []string) (*relation.DB, string, map[string]uint64, uint64) {
+// snapshotFor is snapshot plus the version vector of the given (sorted)
+// relation names, aligned with them, under the same verMu hold: the
+// vector a query assembles always describes exactly the snapshot it will
+// execute against, atomically with respect to Update's install step.
+// Relations the engine does not store read as version 0 (such a query
+// fails to compile and reports nothing).
+func (e *Engine) snapshotFor(names []string) (*relation.DB, []uint64, uint64) {
+	vec := make([]uint64, len(names))
 	e.verMu.Lock()
 	defer e.verMu.Unlock()
-	nums := make(map[string]uint64, len(names))
-	for _, name := range names {
-		if v, ok := e.versions[name]; ok {
-			nums[name] = v.Num
-		}
+	for i, name := range names {
+		vec[i] = e.versions[name].Num
 	}
-	return e.db, versionVector(names, e.versions), nums, e.epochs.enter()
+	return e.db, vec, e.epochs.enter()
 }
 
 // VersionNumbers returns the current version number of each named
@@ -603,8 +605,8 @@ func (e *Engine) resolve(req Request) (Stmt, Request, error) {
 }
 
 // RelNames returns the sorted distinct relation names q references —
-// the relations whose versions form the query's plan-cache sub-vector
-// (and a coordinator's snapshot handshake).
+// the relations whose versions form the vector a plan binding is built
+// at (and a coordinator's snapshot handshake).
 func RelNames(q *cq.Query) []string {
 	seen := make(map[string]bool, len(q.Atoms))
 	names := make([]string, 0, len(q.Atoms))
@@ -618,46 +620,61 @@ func RelNames(q *cq.Query) []string {
 	return names
 }
 
-// planFor resolves the compiled plan for one execution: a plan-cache
-// hit returns the resident plan rebound to the request's counters, a
-// miss compiles (charging the compile — including any shared trie
-// builds — to the requester) and caches the plan with a nil sink. The
-// returned key identifies the entry (the adaptive loop observes into
-// it); cached reports which path was taken.
-func (e *Engine) planFor(q *cq.Query, text string, names []string, vec string, db *relation.DB, req Request, c *stats.Counters) (plan *core.Plan, key planKey, cached bool, err error) {
+// planFor resolves the compiled plan for the execution x, whose
+// snapshot is already pinned: a plan-cache hit returns the resident plan
+// attached to the request's counters; an entry whose binding is missing
+// or belongs to another snapshot is re-bound to this one (tries
+// re-acquired through the registry, nothing re-planned); a miss
+// compiles. Binding and compiling happen outside the cache's lock and
+// charge their work — including any shared trie builds or patches — to
+// the requester; what is cached carries a nil sink.
+func (e *Engine) planFor(s *Stmt, req Request, x *execution) error {
 	ord, err := e.ordererOf(req)
 	if err != nil {
-		return nil, planKey{}, false, err
+		return err
 	}
-	key = planKey{text: text, opts: planOptsKey(req, ord), vers: vec}
-	if p, ok := e.plans.get(key); ok {
-		return p.WithCounters(c), key, true, nil
+	x.key = planKey{text: s.text, opts: planOptsKey(req, ord)}
+	bopts := leapfrog.BuildOpts{Counters: x.c, Tries: e.tries(), Workers: e.buildWorkers()}
+	if p, bound := e.plans.get(x.key, x.vec); p != nil {
+		x.cached = true
+		if bound {
+			x.plan = p.WithCounters(x.c)
+			return nil
+		}
+		x.rebound = true
+		if x.plan, err = p.Rebind(x.db, bopts); err != nil {
+			return err
+		}
+		e.plans.rebound(x.key, x.plan.WithCounters(nil), x.vec, x.plan.Embedded())
+		return nil
 	}
-	p, err := core.AutoPlan(q, db, core.AutoOptions{
-		Counters:      c,
-		Tries:         e.tries(),
+	x.plan, err = core.AutoPlan(s.q, x.db, core.AutoOptions{
+		Counters:      x.c,
+		Tries:         bopts.Tries,
 		Orderer:       ord,
 		SkipOrderCost: req.NoOrderCost,
-		BuildWorkers:  e.buildWorkers(),
+		BuildWorkers:  bopts.Workers,
 	})
 	if err != nil {
-		return nil, planKey{}, false, err
+		return err
 	}
-	e.plans.put(key, p.WithCounters(nil), names, p.Embedded(), p.Instance().EstimateOrderCost())
-	return p, key, false, nil
+	e.plans.put(x.key, x.plan.WithCounters(nil), s.names, x.vec, x.plan.Embedded(), x.plan.Instance().EstimateOrderCost())
+	return nil
 }
 
 // execution is what the request prologue hands an execution: the
-// resolved policy, the pinned snapshot and the plan bound to the
-// request's private counters.
+// resolved policy, the pinned snapshot and the plan bound to it and to
+// the request's private counters.
 type execution struct {
 	pol           core.Policy
 	streamWorkers int // >= 1; 1 is the sequential, cached stream
 	db            *relation.DB
-	versions      map[string]uint64 // of the touched relations, at the snapshot
+	vec           []uint64 // versions of the statement's relations at db
 	plan          *core.Plan
 	key           planKey
-	cached        bool
+	// cached: selection and compile were skipped; rebound: the cached
+	// shape had to be bound to this snapshot first.
+	cached, rebound bool
 	// c is the request's private accounting. Its own allocation, not a
 	// field by value: a compiled plan keeps the counters it was compiled
 	// against reachable for as long as the plan cache keeps the plan, and
@@ -693,12 +710,11 @@ func (s *Stmt) run(ctx context.Context, req Request, body func(ctx context.Conte
 		defer cancel()
 	}
 
-	db, vec, nums, ep := e.snapshotFor(s.names)
+	var ep uint64
+	x.db, x.vec, ep = e.snapshotFor(s.names)
 	defer e.finish(ep)
-	x.db, x.versions = db, nums
 	defer e.life.Merge(x.c)
-	x.plan, x.key, x.cached, err = e.planFor(s.q, s.text, s.names, vec, db, req, x.c)
-	if err != nil {
+	if err := e.planFor(s, req, &x); err != nil {
 		return err
 	}
 	return body(ctx, x)
@@ -719,8 +735,11 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 	var out *Response
 	err := s.run(ctx, req, func(ctx context.Context, x execution) error {
 		plan, pol := x.plan, x.pol
-		resp := &Response{Order: plan.Order(), Versions: x.versions}
-		resp.Stats.PlanCached = x.cached
+		resp := &Response{Order: plan.Order(), Versions: make(map[string]uint64, len(s.names))}
+		for i, name := range s.names {
+			resp.Versions[name] = x.vec[i]
+		}
+		resp.Stats.PlanCached, resp.Stats.PlanRebound = x.cached, x.rebound
 
 		// levels collects the per-depth intersection tallies of count/eval
 		// executions — the adaptive orderer's early-termination feedback.
@@ -800,10 +819,11 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 		// and swaps the entry in place. The snapshot pin (run releases it
 		// after body returns) makes the recompile race-free against
 		// updates: it compiles exactly the versions this execution read,
-		// and if an update superseded them meanwhile the entry is already
-		// unreachable and replace drops the swap.
-		if ord, _ := e.ordererOf(req); ord == core.OrdererAdaptive && x.cached {
-			e.adapt(s.q, x.key, s.names, x.db, plan, levels, x.c.TrieAccesses, x.c)
+		// and if an update superseded them meanwhile replace drops the
+		// swap. Re-binding executions are not observed: their counters
+		// also hold the binding's private trie builds.
+		if ord, _ := e.ordererOf(req); ord == core.OrdererAdaptive && x.cached && !x.rebound {
+			e.adapt(s.q, x, levels)
 		}
 
 		resp.Stats.DurationMS = float64(time.Since(start).Microseconds()) / 1000
@@ -820,19 +840,19 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 // divergence, recompile with the accumulated demote set and swap the
 // entry. The recompile is charged to the triggering request's counters —
 // it is work this request decided to do.
-func (e *Engine) adapt(q *cq.Query, key planKey, names []string, db *relation.DB, plan *core.Plan, levels []core.LevelStat, observed int64, c *stats.Counters) {
-	order := plan.Order()
+func (e *Engine) adapt(q *cq.Query, x execution, levels []core.LevelStat) {
+	order := x.plan.Order()
 	var emptyVars []string
 	for _, d := range core.AlwaysEmptyLevels(levels) {
 		emptyVars = append(emptyVars, order[d])
 	}
 	threshold, runs := e.adaptParams()
-	demote, replan := e.plans.observe(key, observed, emptyVars, threshold, runs)
+	demote, replan := e.plans.observe(x.key, x.c.TrieAccesses, emptyVars, threshold, runs)
 	if !replan {
 		return
 	}
-	p, err := core.AutoPlan(q, db, core.AutoOptions{
-		Counters:     c,
+	p, err := core.AutoPlan(q, x.db, core.AutoOptions{
+		Counters:     x.c,
 		Tries:        e.tries(),
 		Orderer:      core.OrdererAdaptive,
 		Demote:       demote,
@@ -841,5 +861,5 @@ func (e *Engine) adapt(q *cq.Query, key planKey, names []string, db *relation.DB
 	if err != nil {
 		return // keep serving the incumbent plan
 	}
-	e.plans.replace(key, p.WithCounters(nil), names, p.Embedded(), p.Instance().EstimateOrderCost())
+	e.plans.replace(x.key, p.WithCounters(nil), x.vec, p.Embedded(), p.Instance().EstimateOrderCost())
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -14,15 +15,15 @@ import (
 // the config does not name one.
 const DefaultPlanCacheSize = 128
 
-// planKey identifies one compiled plan: the canonical query text, the
-// plan-affecting options, and the version sub-vector of the relations
-// the query touches. Keying the cache on the version vector is what
-// makes invalidation free: an update to relation R changes R's version
-// number, so every later execution of a query touching R assembles a
-// key no stale entry can match — the old plan is unreachable by
-// construction, without flushing, and without touching plans for
-// queries that never read R. Stale entries age out through the LRU
-// list like any other cold entry.
+// planKey identifies one plan shape: the canonical query text and the
+// plan-affecting options. The snapshot is deliberately not part of it. A
+// plan is a shape (TD, variable order, cache layout — functions of the
+// query and the options) plus a binding (the tries of one snapshot), and
+// only the binding goes stale when data changes: an update unbinds the
+// entries over the touched relation, the next reader re-binds the kept
+// shape to its own snapshot's tries, and nothing is re-planned. Shapes
+// are dropped only when their relation compacts, when the adaptive loop
+// replaces them, or by LRU eviction.
 type planKey struct {
 	// text is the canonical query text (cq.Query.String of the parsed
 	// query, so formatting variants of one query share an entry).
@@ -31,9 +32,6 @@ type planKey struct {
 	// whether order-cost probing was skipped; execution-only knobs like
 	// workers or cache policy never enter the key).
 	opts string
-	// vers is the version sub-vector: "name:num" per relation the query
-	// references, sorted by name.
-	vers string
 }
 
 // planOptsKey canonicalizes the plan-affecting options of a request:
@@ -64,9 +62,13 @@ const DefaultAdaptThreshold = 0.5
 // executions that trigger a re-plan when the config does not name one.
 const DefaultAdaptRuns = 3
 
-// adaptMaxReplans caps the re-plans one cache entry may trigger over
-// its lifetime, so a workload that genuinely alternates between two
-// traffic regimes cannot make the engine recompile forever.
+// adaptMaxReplans caps the re-plans one cache entry may trigger, so a
+// workload that genuinely alternates between two traffic regimes cannot
+// make the engine recompile forever. An entry outlives updates, so the
+// cap is per statistics epoch, not per process lifetime: the compaction
+// that drops the shape (the data has moved by CompactFraction since the
+// order was chosen) drops the feedback record with it, and the entry
+// compiled next starts with a full budget and no baseline.
 const adaptMaxReplans = 3
 
 // adaptiveState is the feedback record of one cached plan under the
@@ -93,40 +95,36 @@ type adaptiveState struct {
 	replans int
 }
 
-// versionVector renders the version sub-vector for the given sorted
-// relation names against the versions map (callers pass the engine's
-// installed-versions map while holding verMu, so the vector is atomic
-// with the snapshot it describes). Relations the engine does not store
-// (unknown names surface as compile errors later) render as "?".
-func versionVector(names []string, versions map[string]relation.Version) string {
-	var b strings.Builder
-	for i, name := range names {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(name)
-		b.WriteByte(':')
-		if v, ok := versions[name]; ok {
-			fmt.Fprintf(&b, "%d", v.Num)
-		} else {
-			b.WriteByte('?')
+// olderThan reports whether version vector a is older than b in some
+// component. Vectors of one relation set are totally ordered — snapshots
+// are installed one at a time — so "not older" means the same snapshot
+// or a later one.
+func olderThan(a, b []uint64) bool {
+	for i := range a {
+		if a[i] < b[i] {
+			return true
 		}
 	}
-	return b.String()
+	return false
 }
 
 // PlanCacheStats reports the plan cache's lifetime activity and current
 // residency, served under "plans" in GET /stats.
 type PlanCacheStats struct {
-	// Hits and Misses count executions served by a cached plan and
-	// executions that had to compile (parse + TD selection + plan
-	// compilation), respectively.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// Evictions counts entries dropped to respect the capacity bound;
-	// Invalidations counts entries dropped eagerly by updates to a
-	// relation they touch (their keys were already unreachable — the
-	// drop releases the trie indices the stale plans pinned).
+	// Hits and Misses count executions served by a cached shape and
+	// executions that had to compile (TD selection + plan compilation),
+	// respectively. Rebinds is the subset of Hits whose cached binding was
+	// missing or belonged to another snapshot, so the execution
+	// re-acquired its tries first — all a read pays after an update.
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Rebinds int64 `json:"rebinds"`
+	// Evictions counts entries dropped to respect the capacity bound.
+	// Invalidations counts entries that lost their binding eagerly, so
+	// the tries it pinned could be reclaimed: unbound by an update to a
+	// relation they touch or by a registry eviction of an index they
+	// embed (the shape stays; the next read re-binds), or dropped whole
+	// because the relation compacted.
 	Evictions     int64 `json:"evictions"`
 	Invalidations int64 `json:"invalidations"`
 	// Replans counts adaptive re-plans: cached plans recompiled with a
@@ -142,18 +140,19 @@ type PlanCacheStats struct {
 
 // String renders the stats as a one-line summary for logs and CLIs.
 func (s PlanCacheStats) String() string {
-	return fmt.Sprintf("size=%d capacity=%d hits=%d misses=%d evictions=%d invalidations=%d replans=%d",
-		s.Size, s.Capacity, s.Hits, s.Misses, s.Evictions, s.Invalidations, s.Replans)
+	return fmt.Sprintf("size=%d capacity=%d hits=%d misses=%d rebinds=%d evictions=%d invalidations=%d replans=%d",
+		s.Size, s.Capacity, s.Hits, s.Misses, s.Rebinds, s.Evictions, s.Invalidations, s.Replans)
 }
 
 // planCache is an LRU cache of compiled plans. Cached plans are stored
 // with a nil counters sink; executions attach per-request accounting
 // via Plan.WithCounters, so one resident plan serves any number of
 // concurrent requests. Concurrent misses on one key may compile the
-// same plan twice and both store it — compilation is pure, so the
-// duplicate work is benign and not worth a singleflight (the expensive
-// shared part, trie construction, is already singleflighted by the trie
-// registry underneath).
+// same plan twice, and concurrent readers of an unbound entry may each
+// re-bind it: the first to store wins and the duplicate work is benign
+// and not worth a singleflight (the expensive shared part, trie
+// construction, is already singleflighted by the trie registry
+// underneath).
 type planCache struct {
 	mu          sync.Mutex
 	cap         int
@@ -162,26 +161,41 @@ type planCache struct {
 	tail        *planEntry // most recently used
 	hits        int64
 	misses      int64
+	rebinds     int64
 	evicted     int64
 	invalidated int64
 	replans     int64
 }
 
 type planEntry struct {
-	key  planKey
+	key planKey
+	// plan is the entry's shape and, while bound, the binding that
+	// serves readers pinned to vers; otherwise it is core.Plan.Unbound.
 	plan *core.Plan
-	// names are the relations the plan touches (the sub-vector's
-	// components), so an update can drop exactly the entries it staled.
+	// names are the relations the plan touches, sorted; vers is the
+	// version vector over them of the snapshot the binding was built at.
+	// On an entry an update unbound it is that update's vector instead —
+	// a floor no binding of an older snapshot may be stored under.
 	names []string
-	// embedded are the shared-registry indices the plan pins (one per
-	// (relation, column order) drawn at compile time), so a registry
-	// byte-budget eviction can drop exactly the plans holding the
+	vers  []uint64
+	// embedded are the shared-registry indices the binding pins (one per
+	// (relation, column order) drawn when it was bound), so a registry
+	// byte-budget eviction can unbind exactly the entries holding the
 	// evicted index and no others.
 	embedded []leapfrog.SourceEntry
 	// adapt is the adaptive-orderer feedback record; only entries whose
 	// key carries the adaptive orderer ever observe into it.
 	adapt      adaptiveState
 	prev, next *planEntry
+}
+
+func (e *planEntry) bound() bool { return e.plan.Instance() != nil }
+
+// unbind releases the entry's binding and keeps its shape.
+func (e *planEntry) unbind() {
+	if e.bound() {
+		e.plan, e.embedded = e.plan.Unbound(), nil
+	}
 }
 
 // newPlanCache returns an LRU plan cache holding at most capacity
@@ -194,9 +208,14 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{cap: capacity, entries: make(map[planKey]*planEntry)}
 }
 
-// get returns the cached plan for key, refreshing its recency. The miss
-// is counted here so hit-rate accounting lives in one place.
-func (pc *planCache) get(key planKey) (*core.Plan, bool) {
+// get looks key up for a reader pinned to the snapshot with version
+// vector vec, refreshing the entry's recency. With bound set, p is the
+// resident plan and is bound to exactly that snapshot. Otherwise a
+// non-nil p is the entry's shape alone — the binding is missing or
+// belongs to another snapshot — and the caller re-binds it (see
+// rebound). A nil p is a miss. Hits and misses are counted here so
+// hit-rate accounting lives in one place.
+func (pc *planCache) get(key planKey, vec []uint64) (p *core.Plan, bound bool) {
 	if pc == nil {
 		return nil, false
 	}
@@ -212,17 +231,23 @@ func (pc *planCache) get(key planKey) (*core.Plan, bool) {
 		pc.unlink(e)
 		pc.pushBack(e)
 	}
+	if !e.bound() {
+		return e.plan, false
+	}
+	if !slices.Equal(e.vers, vec) {
+		return e.plan.Unbound(), false
+	}
 	return e.plan, true
 }
 
-// put stores a compiled plan, evicting the least recently used entry
-// past capacity. Re-storing an existing key (two requests raced on the
-// same miss) keeps the incumbent. names are the relations the plan
-// touches (retained for invalidateTouching); embedded the registry
-// entries it pins (retained for invalidateEmbedding); predicted the
+// put stores a freshly compiled plan, bound at version vector vec,
+// evicting the least recently used entry past capacity. Re-storing an
+// existing key (two requests raced on the same miss) keeps the
+// incumbent. names are the relations the plan touches, sorted, as vec
+// is; embedded the registry entries the binding pins; predicted the
 // orderer's traffic estimate at compile time (retained as the adaptive
 // feedback record's prediction).
-func (pc *planCache) put(key planKey, p *core.Plan, names []string, embedded []leapfrog.SourceEntry, predicted float64) {
+func (pc *planCache) put(key planKey, p *core.Plan, names []string, vec []uint64, embedded []leapfrog.SourceEntry, predicted float64) {
 	if pc == nil {
 		return
 	}
@@ -231,7 +256,7 @@ func (pc *planCache) put(key planKey, p *core.Plan, names []string, embedded []l
 	if _, ok := pc.entries[key]; ok {
 		return
 	}
-	e := &planEntry{key: key, plan: p, names: names, embedded: embedded,
+	e := &planEntry{key: key, plan: p, names: names, vers: vec, embedded: embedded,
 		adapt: adaptiveState{predicted: predicted}}
 	pc.entries[key] = e
 	pc.pushBack(e)
@@ -243,62 +268,92 @@ func (pc *planCache) put(key planKey, p *core.Plan, names []string, embedded []l
 	}
 }
 
-// invalidateTouching drops every cached plan that references the given
-// relation. Correctness never needs this — an update bumps the
-// relation's version, so stale keys are unreachable by construction —
-// but dropping them eagerly releases the trie indices the stale plans
-// pin, keeping resident memory proportional to the *live* plan set
-// under continuous updates instead of to the LRU capacity. (A query
-// racing the update may re-insert one entry for the superseded
-// snapshot it already admitted against; it is unreachable afterwards
-// and ages out through the LRU like any cold entry.)
-func (pc *planCache) invalidateTouching(name string) {
+// rebound records that a reader re-bound key's shape to the snapshot
+// with version vector vec, and offers the result p as the entry's
+// binding. It is taken only if the entry still holds that shape (it was
+// not dropped, re-planned or evicted and recompiled meanwhile) and vec
+// is not older than the entry's own vector: a reader pinned to a
+// superseded snapshot keeps its binding to itself and never displaces a
+// newer one, nor re-pins tries an update just let go. Between two
+// binders of one snapshot the first wins.
+func (pc *planCache) rebound(key planKey, p *core.Plan, vec []uint64, embedded []leapfrog.SourceEntry) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	pc.rebinds++
+	e, ok := pc.entries[key]
+	if !ok || !e.plan.SameShape(p) || olderThan(vec, e.vers) {
+		return
+	}
+	if e.bound() && slices.Equal(vec, e.vers) {
+		return
+	}
+	e.plan, e.vers, e.embedded = p, vec, embedded
+}
+
+// invalidateTouching is Update's sweep over the entries that reference
+// relation name, whose installed version is now num. While the relation
+// keeps patching its base the entries are unbound: the binding, which
+// pins tries of the superseded version, is released so resident memory
+// under continuous updates tracks the live snapshot, and the shape
+// stays for the next reader to re-bind. Their vector advances to num,
+// so a reader still pinned to the superseded snapshot cannot store its
+// binding back. When the update compacted, the entries are dropped
+// whole: the data has moved by the store's compact fraction since the
+// shape's statistics were read, so the next reader selects afresh (and
+// the adaptive feedback record starts over with it).
+func (pc *planCache) invalidateTouching(name string, num uint64, compacted bool) {
 	if pc == nil {
 		return
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	for key, e := range pc.entries {
-		for _, n := range e.names {
-			if n == name {
-				pc.unlink(e)
-				delete(pc.entries, key)
-				pc.invalidated++
-				break
-			}
+		i, ok := slices.BinarySearch(e.names, name)
+		if !ok {
+			continue
 		}
+		pc.invalidated++
+		if compacted {
+			pc.unlink(e)
+			delete(pc.entries, key)
+			continue
+		}
+		e.unbind()
+		// Readers hold the vector they stored; advance a copy.
+		e.vers = slices.Clone(e.vers)
+		e.vers[i] = num
 	}
 }
 
-// invalidateEmbedding drops every cached plan that embeds the registry
-// entry (rel, perm) — the trie over rel whose levels follow the column
-// permutation perm (trie.PermSig). It is the registry's byte-budget
-// evict hook: only plans pinning the evicted index recompile, while
-// plans over the same relation's other, still-resident orders stay
-// warm (the precision the coarse by-name drop of earlier versions
-// lacked). Matching is by relation identity, not name, so a plan over
-// a newer version of the relation never matches an older version's
-// eviction.
+// invalidateEmbedding unbinds every entry whose binding embeds the
+// registry entry (rel, perm) — the trie over rel whose levels follow the
+// column permutation perm (trie.PermSig). It is the registry's
+// byte-budget evict hook: the binding would otherwise keep the evicted
+// index alive while the registry reports its bytes reclaimed. Only
+// entries pinning the evicted index re-bind (re-acquiring it through the
+// registry, which rebuilds it once); entries over the same relation's
+// other, still-resident orders stay bound, and no shape is lost.
+// Matching is by relation identity, not name, so a binding over a newer
+// version of the relation never matches an older version's eviction.
 //
-// Plans over a *patched* version V2 record only {V2, perm}, so a
+// Bindings over a *patched* version V2 record only {V2, perm}, so a
 // budget eviction of the base entry {V1, perm} — whose level arrays
-// V2's patched trie shares — leaves them warm. That is sound for the
+// V2's patched trie shares — leaves them bound. That is sound for the
 // byte bound: the registry deliberately charges a patched entry its
 // full MemoryBytes including the shared base arrays (see
 // Trie.MemoryBytes), so the pinned memory stays covered by the
 // resident {V2, perm} entry, and evicting *that* entry reaches these
-// plans through this hook as usual.
+// bindings through this hook as usual.
 func (pc *planCache) invalidateEmbedding(rel *relation.Relation, perm string) {
 	if pc == nil {
 		return
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	for key, e := range pc.entries {
+	for _, e := range pc.entries {
 		for _, emb := range e.embedded {
 			if emb.Rel == rel && emb.Perm == perm {
-				pc.unlink(e)
-				delete(pc.entries, key)
+				e.unbind()
 				pc.invalidated++
 				break
 			}
@@ -316,7 +371,7 @@ func (pc *planCache) invalidateEmbedding(rel *relation.Relation, perm string) {
 // emptyVars, and once the counter reaches runs the method returns the
 // accumulated demote set and true — the caller must re-plan with it and
 // swap via replace. At most adaptMaxReplans re-plans are signalled per
-// entry. Missing entries (evicted or invalidated since the hit) are
+// entry. Missing entries (evicted or dropped since the hit) are
 // ignored.
 func (pc *planCache) observe(key planKey, observed int64, emptyVars []string, threshold float64, runs int) ([]string, bool) {
 	if pc == nil {
@@ -362,26 +417,25 @@ func (pc *planCache) observe(key planKey, observed int64, emptyVars []string, th
 	return append([]string(nil), a.demote...), true
 }
 
-// replace swaps a re-planned entry's plan in place — same key (the
-// query, options and snapshot are unchanged; only the variable order
-// moved), fresh plan, names and pinned registry entries — and
-// re-baselines the feedback record so the swapped plan's own traffic
-// becomes the new reference. Counted in Replans. If the entry vanished
-// meanwhile (evicted, invalidated), the swap is dropped: the next miss
-// compiles fresh anyway.
-func (pc *planCache) replace(key planKey, p *core.Plan, names []string, embedded []leapfrog.SourceEntry, predicted float64) {
+// replace swaps a re-planned entry's shape and binding in place — same
+// key (the query and options are unchanged; only the variable order
+// moved), fresh plan bound at version vector vec — and re-baselines the
+// feedback record so the swapped plan's own traffic becomes the new
+// reference. Counted in Replans. If the entry vanished meanwhile
+// (evicted, dropped at a compaction) or an update has moved it past vec,
+// the swap is dropped: the re-plan was compiled for a superseded
+// snapshot and the incumbent shape keeps serving.
+func (pc *planCache) replace(key planKey, p *core.Plan, vec []uint64, embedded []leapfrog.SourceEntry, predicted float64) {
 	if pc == nil {
 		return
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	e, ok := pc.entries[key]
-	if !ok {
+	if !ok || olderThan(vec, e.vers) {
 		return
 	}
-	e.plan = p
-	e.names = names
-	e.embedded = embedded
+	e.plan, e.vers, e.embedded = p, vec, embedded
 	e.adapt.predicted = predicted
 	e.adapt.baseline = 0
 	e.adapt.divergent = 0
@@ -397,6 +451,7 @@ func (pc *planCache) stats() PlanCacheStats {
 	return PlanCacheStats{
 		Hits:          pc.hits,
 		Misses:        pc.misses,
+		Rebinds:       pc.rebinds,
 		Evictions:     pc.evicted,
 		Invalidations: pc.invalidated,
 		Replans:       pc.replans,

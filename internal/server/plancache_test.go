@@ -3,17 +3,29 @@ package server
 import (
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/cq"
 	"repro/internal/leapfrog"
 	"repro/internal/relation"
 )
 
+// cachedPlan compiles a small plan for tests that drive the cache
+// directly: it has a real shape to keep and a binding to lose.
+func cachedPlan(t *testing.T) *core.Plan {
+	t.Helper()
+	db := relation.NewDB(relation.MustNew("E", 2, [][]int64{{1, 2}, {2, 3}, {1, 3}}))
+	p, err := core.AutoPlan(cq.MustParse("E(x,y), E(y,z)"), db, core.AutoOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestPlanCachePerEntryInvalidation pins the precision contract of the
 // registry evict hook: dropping one (relation, column order) registry
-// entry invalidates exactly the plans embedding that entry — plans
-// over the same relation's other, still-resident orders stay warm, as
-// do plans embedding no shared index at all. (The coarse by-name drop
-// this replaced recompiled all of them; see ROADMAP's closed
-// "plan cache × trie-budget precision" item.)
+// entry unbinds exactly the plans embedding that entry — plans over the
+// same relation's other, still-resident orders stay bound, as do plans
+// embedding no shared index at all — and no shape is lost.
 func TestPlanCachePerEntryInvalidation(t *testing.T) {
 	pc := newPlanCache(8)
 	relE := relation.MustNew("E", 2, [][]int64{{1, 2}})
@@ -24,15 +36,16 @@ func TestPlanCachePerEntryInvalidation(t *testing.T) {
 	keyB := planKey{text: "b"}
 	keyC := planKey{text: "c"}
 	keyD := planKey{text: "d"}
-	pc.put(keyA, nil, []string{"E"}, []leapfrog.SourceEntry{{Rel: relE, Perm: permID}}, 0)
-	pc.put(keyB, nil, []string{"E"}, []leapfrog.SourceEntry{{Rel: relE, Perm: permSwap}}, 0)
-	pc.put(keyC, nil, []string{"E"}, nil, 0) // private (constant-specialized) tries only
-	pc.put(keyD, nil, []string{"R"}, []leapfrog.SourceEntry{{Rel: relR, Perm: permID}}, 0)
+	vec := []uint64{0}
+	pc.put(keyA, cachedPlan(t), []string{"E"}, vec, []leapfrog.SourceEntry{{Rel: relE, Perm: permID}}, 0)
+	pc.put(keyB, cachedPlan(t), []string{"E"}, vec, []leapfrog.SourceEntry{{Rel: relE, Perm: permSwap}}, 0)
+	pc.put(keyC, cachedPlan(t), []string{"E"}, vec, nil, 0) // private (constant-specialized) tries only
+	pc.put(keyD, cachedPlan(t), []string{"R"}, vec, []leapfrog.SourceEntry{{Rel: relR, Perm: permID}}, 0)
 
 	pc.invalidateEmbedding(relE, permID)
 
-	if _, ok := pc.get(keyA); ok {
-		t.Fatal("plan embedding the evicted (E, id) entry survived")
+	if p, bound := pc.get(keyA, vec); p == nil || bound || p.Instance() != nil {
+		t.Fatalf("plan embedding the evicted (E, id) entry: shape kept %v, still bound %v", p != nil, bound)
 	}
 	for _, tc := range []struct {
 		key  planKey
@@ -42,8 +55,8 @@ func TestPlanCachePerEntryInvalidation(t *testing.T) {
 		{keyC, "plan with no shared index"},
 		{keyD, "plan over an unrelated relation"},
 	} {
-		if _, ok := pc.get(tc.key); !ok {
-			t.Fatalf("%s was invalidated by an unrelated eviction", tc.what)
+		if _, bound := pc.get(tc.key, vec); !bound {
+			t.Fatalf("%s was unbound by an unrelated eviction", tc.what)
 		}
 	}
 	if s := pc.stats(); s.Invalidations != 1 {
@@ -51,19 +64,75 @@ func TestPlanCachePerEntryInvalidation(t *testing.T) {
 	}
 
 	// Relation identity, not name, scopes the match: evicting a *newer*
-	// version's entry must not drop plans compiled against the old one.
+	// version's entry must not unbind plans bound to the old one.
 	relE2 := relation.MustNew("E", 2, [][]int64{{1, 2}, {3, 4}})
 	pc.invalidateEmbedding(relE2, permSwap)
-	if _, ok := pc.get(keyB); !ok {
-		t.Fatal("eviction of another version's entry dropped an unrelated plan")
+	if _, bound := pc.get(keyB, vec); !bound {
+		t.Fatal("eviction of another version's entry unbound an unrelated plan")
+	}
+}
+
+// TestPlanCacheBindingVersions pins the rule that keeps snapshots apart
+// inside one entry: a reader gets the resident binding only at exactly
+// its own version vector, an update's sweep leaves a floor no older
+// binding is stored under, a newer binding displaces an older one, and
+// a compaction drops the shape.
+func TestPlanCacheBindingVersions(t *testing.T) {
+	pc := newPlanCache(4)
+	key := planKey{text: "q"}
+	shape := cachedPlan(t)
+	names := []string{"E", "R"}
+	pc.put(key, shape, names, []uint64{4, 1}, nil, 0)
+
+	if p, bound := pc.get(key, []uint64{5, 1}); p == nil || bound || p.Instance() != nil {
+		t.Fatal("a reader at another snapshot was handed the resident binding")
+	}
+	// A newer reader's binding replaces the resident one.
+	pc.rebound(key, shape, []uint64{5, 1}, nil)
+	if _, bound := pc.get(key, []uint64{5, 1}); !bound {
+		t.Fatal("newer binding was not stored")
+	}
+	// A superseded reader's never does.
+	pc.rebound(key, shape, []uint64{4, 1}, nil)
+	if _, bound := pc.get(key, []uint64{4, 1}); bound {
+		t.Fatal("binding of a superseded snapshot displaced a newer one")
+	}
+
+	// Update E to version 6: unbound, and 5 is now superseded too.
+	pc.invalidateTouching("E", 6, false)
+	pc.rebound(key, shape, []uint64{5, 1}, nil)
+	if p, bound := pc.get(key, []uint64{5, 1}); p == nil || bound {
+		t.Fatal("a binding older than the update that unbound the entry was stored")
+	}
+	// A plan of another compilation is not this entry's binding.
+	pc.rebound(key, cachedPlan(t), []uint64{6, 1}, nil)
+	if _, bound := pc.get(key, []uint64{6, 1}); bound {
+		t.Fatal("binding of a different shape was stored")
+	}
+	pc.rebound(key, shape, []uint64{6, 1}, nil)
+	if _, bound := pc.get(key, []uint64{6, 1}); !bound {
+		t.Fatal("binding at the update's own version was refused")
+	}
+	// Updates to relations the plan does not touch leave it alone.
+	pc.invalidateTouching("S", 9, true)
+	if _, bound := pc.get(key, []uint64{6, 1}); !bound {
+		t.Fatal("update to an untouched relation unbound the entry")
+	}
+
+	pc.invalidateTouching("R", 2, true)
+	if p, _ := pc.get(key, []uint64{6, 2}); p != nil {
+		t.Fatal("shape survived its relation's compaction")
+	}
+	if s := pc.stats(); s.Rebinds != 5 || s.Invalidations != 2 || s.Misses != 1 {
+		t.Fatalf("stats = %+v, want 5 rebinds, 2 invalidations, 1 miss", s)
 	}
 }
 
 // TestEngineEvictionKeepsOtherOrdersWarm drives the same contract
 // through a live engine: with a byte budget that forces the registry to
 // evict E's index when R's is built, the cached plan over R must stay
-// warm afterwards while only the plan pinning the evicted index
-// recompiles.
+// bound afterwards while only the plan pinning the evicted index
+// re-binds.
 func TestEngineEvictionKeepsOtherOrdersWarm(t *testing.T) {
 	db := relation.NewDB()
 	g := testDB()
@@ -78,7 +147,7 @@ func TestEngineEvictionKeepsOtherOrdersWarm(t *testing.T) {
 	if _, err := e.Do(Request{Query: "E(x,y), E(y,z), E(x,z)"}); err != nil {
 		t.Fatal(err)
 	}
-	// R's index build evicts E's; E's plan must drop, R's must stay.
+	// R's index build evicts E's; E's plan must unbind, R's must stay.
 	if _, err := e.Do(Request{Query: "R(x,y), R(y,z), R(x,z)"}); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +155,7 @@ func TestEngineEvictionKeepsOtherOrdersWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Stats.PlanCached {
-		t.Fatal("R's plan did not survive the eviction that only touched E")
+	if !resp.Stats.PlanCached || resp.Stats.PlanRebound {
+		t.Fatal("R's binding did not survive the eviction that only touched E")
 	}
 }

@@ -10,12 +10,13 @@ import (
 
 // Stmt is a prepared statement: one query parsed, validated and
 // compiled once, executable any number of times. The compiled plan
-// lives in the engine's plan cache keyed by the versions of the
-// relations the query touches, so a Stmt never serves a stale plan —
-// after an Update the next execution recompiles against the new
-// versions (and re-warms the cache) transparently. A Stmt is safe for
-// concurrent use; executions are independent requests with private
-// caches and counters, exactly as Engine.DoCtx.
+// lives in the engine's plan cache as a shape plus a binding to one
+// snapshot's tries, and an execution only ever runs a binding of the
+// snapshot it pinned, so a Stmt never answers from stale data — after
+// an Update the next execution re-binds the shape to the new versions'
+// tries (patched, usually) transparently, without planning again. A
+// Stmt is safe for concurrent use; executions are independent requests
+// with private caches and counters, exactly as Engine.DoCtx.
 //
 // The request passed to Prepare supplies the statement's default mode,
 // cache policy, parallelism, limit and timeout; per-execution overrides
@@ -25,7 +26,7 @@ type Stmt struct {
 	id    string
 	q     *cq.Query
 	text  string   // canonical query text (q.String())
-	names []string // sorted distinct relation names, for the version sub-vector
+	names []string // sorted distinct relation names, the components of its version vector
 	def   Request  // defaults from the prepare request (Query and Stmt cleared)
 }
 

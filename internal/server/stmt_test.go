@@ -120,7 +120,7 @@ func TestPlanCacheLRUEvicts(t *testing.T) {
 }
 
 // twoRelDB pairs the test graph with an independent relation R, to
-// show updates invalidate per touched relation, not globally.
+// show updates unbind per touched relation, not globally.
 func twoRelDB() *relation.DB {
 	g := testDB()
 	e, _ := g.Get("E")
@@ -129,10 +129,10 @@ func twoRelDB() *relation.DB {
 }
 
 // TestPlanCacheInvalidationOnUpdate is the staleness acceptance test: a
-// warm plan must stop serving the moment its relation changes version,
-// and the recompiled plan must answer exactly as a fresh engine loaded
-// at the new data would — while plans over untouched relations stay
-// warm.
+// warm binding must stop serving the moment its relation changes
+// version, and the shape re-bound to the new snapshot must answer
+// exactly as a fresh engine loaded at the new data would — without
+// re-planning, and while plans over untouched relations stay bound.
 func TestPlanCacheInvalidationOnUpdate(t *testing.T) {
 	db := twoRelDB()
 	e := NewEngine(db, Config{Workers: 1})
@@ -164,8 +164,12 @@ func TestPlanCacheInvalidationOnUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Stats.PlanCached {
-		t.Fatal("stale plan served after update (version vector failed to invalidate)")
+	if !after.Stats.PlanCached || !after.Stats.PlanRebound {
+		t.Fatalf("post-update execution: cached=%v rebound=%v, want the kept shape re-bound",
+			after.Stats.PlanCached, after.Stats.PlanRebound)
+	}
+	if after.Stats.Counters.TriePatches == 0 || after.Stats.Counters.TrieBuilds != 0 {
+		t.Fatalf("re-bind built instead of patching: %+v", after.Stats.Counters)
 	}
 	if after.Count != before.Count+1 {
 		t.Fatalf("post-update count %d, want %d (stale data?)", after.Count, before.Count+1)
@@ -180,31 +184,34 @@ func TestPlanCacheInvalidationOnUpdate(t *testing.T) {
 		t.Fatalf("post-update count %d, fresh engine says %d", after.Count, want.Count)
 	}
 
-	// The new plan re-warms under the new version vector.
+	// The new binding is resident: the repeat is a plain hit.
 	rewarm, err := e.Do(triangle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rewarm.Stats.PlanCached || rewarm.Count != after.Count {
-		t.Fatalf("re-warmed run: cached=%v count=%d, want cached with %d",
-			rewarm.Stats.PlanCached, rewarm.Count, after.Count)
+	if !rewarm.Stats.PlanCached || rewarm.Stats.PlanRebound || rewarm.Count != after.Count {
+		t.Fatalf("re-warmed run: cached=%v rebound=%v count=%d, want a plain hit with %d",
+			rewarm.Stats.PlanCached, rewarm.Stats.PlanRebound, rewarm.Count, after.Count)
 	}
 
-	// R's plan never staled: E's update is invisible to its key.
+	// R's binding never staled: E's update does not touch it.
 	runchanged, err := e.Do(rquery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !runchanged.Stats.PlanCached {
-		t.Fatal("update to E invalidated a plan that only touches R")
+	if !runchanged.Stats.PlanCached || runchanged.Stats.PlanRebound {
+		t.Fatal("update to E unbound a plan that only touches R")
+	}
+	if s := e.Stats().Plans; s.Misses != 2 || s.Rebinds != 1 {
+		t.Fatalf("plan cache stats = %+v, want the 2 cold misses and 1 re-bind", s)
 	}
 }
 
 // TestPlanCacheUpdateReleasesStalePlans guards the memory side of
-// invalidation: updates drop the entries they staled eagerly, so the
-// resident plan count under continuous updates tracks the live plan
-// set, not the LRU capacity — and plans over untouched relations
-// survive.
+// invalidation: updates unbind the entries they staled eagerly, so no
+// cached plan pins a superseded version's tries, and one entry per
+// query serves every version. Plans over untouched relations stay
+// bound.
 func TestPlanCacheUpdateReleasesStalePlans(t *testing.T) {
 	e := NewEngine(twoRelDB(), Config{Workers: 1})
 	if _, err := e.Do(Request{Query: "R(x,y), R(y,z)"}); err != nil {
@@ -219,34 +226,39 @@ func TestPlanCacheUpdateReleasesStalePlans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := e.Stats().Plans
-	// One live entry for R's plan; E's current entry was dropped by the
-	// last update, so at most one more can linger from a race-free run.
-	if s.Size > 2 {
-		t.Fatalf("plan cache holds %d entries after 10 updates, want <= 2 (stale plans retained): %+v", s.Size, s)
+	s := e.Stats()
+	if s.Plans.Size != 2 || s.Plans.Misses != 2 {
+		t.Fatalf("plan cache after 10 updates = %+v, want the 2 entries of the 2 cold misses", s.Plans)
 	}
-	if s.Invalidations == 0 {
-		t.Fatalf("updates recorded no plan invalidations: %+v", s)
+	if s.Plans.Invalidations != 10 || s.Plans.Rebinds != 9 {
+		t.Fatalf("plan cache after 10 updates = %+v, want 10 unbinds and 9 re-binds", s.Plans)
+	}
+	// After the last update nothing in the cache holds a trie of E.
+	for _, ent := range e.plans.entries {
+		if ent.names[0] == "E" && (ent.bound() || ent.embedded != nil) {
+			t.Fatalf("E's entry still pins the superseded version: %+v", ent)
+		}
 	}
 	// R's plan was never staled by E's updates.
 	resp, err := e.Do(Request{Query: "R(x,y), R(y,z)"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Stats.PlanCached {
-		t.Fatal("plan over untouched relation R was dropped by E's updates")
+	if !resp.Stats.PlanCached || resp.Stats.PlanRebound {
+		t.Fatal("plan over untouched relation R was unbound by E's updates")
 	}
 }
 
-// TestPlanCacheFollowsTrieEviction: a byte-budget eviction in the trie
-// registry drops the cached plans pinning that index, so TrieBudget
+// TestBudgetEvictionRebinds: a byte-budget eviction in the trie
+// registry unbinds the cached plans pinning that index, so TrieBudget
 // keeps bounding resident trie memory (a pinned-but-evicted trie would
 // otherwise live on inside warm plans while the registry reports its
-// bytes reclaimed).
-func TestPlanCacheFollowsTrieEviction(t *testing.T) {
+// bytes reclaimed) — and the next read re-binds the kept shape rather
+// than planning again.
+func TestBudgetEvictionRebinds(t *testing.T) {
 	// A 1-byte budget admits one resident index at a time: the second
 	// query needs E under the opposite column order, so building it
-	// evicts the first query's trie — and must drop its plan too.
+	// evicts the first query's trie — and must unbind its plan too.
 	e := NewEngine(testDB(), Config{Workers: 1, TrieBudget: 1})
 	if _, err := e.Do(Request{Query: "E(x,y), E(y,z), E(x,z)"}); err != nil {
 		t.Fatal(err)
@@ -254,16 +266,25 @@ func TestPlanCacheFollowsTrieEviction(t *testing.T) {
 	if _, err := e.Do(Request{Query: "E(x,y), E(y,x)"}); err != nil {
 		t.Fatal(err)
 	}
-	if s := e.Stats(); s.Registry.Evictions == 0 || s.Plans.Invalidations == 0 {
-		t.Fatalf("trie eviction did not invalidate pinning plans: %+v / %+v", s.Registry, s.Plans)
+	before := e.Stats()
+	if before.Registry.Evictions == 0 || before.Plans.Invalidations == 0 {
+		t.Fatalf("trie eviction did not unbind pinning plans: %+v / %+v", before.Registry, before.Plans)
 	}
-	// The first query's plan was dropped with its trie: it recompiles.
+	// The first query's binding went with its trie; its shape did not.
 	resp, err := e.Do(Request{Query: "E(x,y), E(y,z), E(x,z)"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Stats.PlanCached {
-		t.Fatal("plan pinning an evicted trie served from cache")
+	if !resp.Stats.PlanCached || !resp.Stats.PlanRebound {
+		t.Fatalf("read after eviction: cached=%v rebound=%v, want the kept shape re-bound",
+			resp.Stats.PlanCached, resp.Stats.PlanRebound)
+	}
+	if resp.Stats.Counters.TrieBuilds == 0 {
+		t.Fatal("re-bind served the evicted trie without rebuilding it")
+	}
+	after := e.Stats().Plans
+	if after.Rebinds != before.Plans.Rebinds+1 || after.Misses != before.Plans.Misses {
+		t.Fatalf("read after eviction moved plans from %+v to %+v, want one more re-bind and no miss", before.Plans, after)
 	}
 }
 

@@ -98,17 +98,16 @@ func (e *Engine) Update(req UpdateRequest) (*UpdateResult, error) {
 		if old.Base != v.Base && old.Base != old.Rel {
 			reclaim = append(reclaim, e.epochs.retire(old.Base)...)
 		}
-		// Drop the plans this delta staled: their keys are already
-		// unreachable (the version vector moved), but dropping them now
-		// releases the superseded trie indices they pin, so resident
-		// memory under continuous updates tracks the live plan set, not
-		// the LRU capacity. It must happen before verMu releases: a
-		// plan for the new version can only be compiled by a query
-		// admitted after this critical section, so the name-based sweep
-		// can never hit a fresh entry — only plans for snapshots this
-		// update superseded (verMu → planCache.mu nests here; no other
-		// path holds them together).
-		e.plans.invalidateTouching(req.Relation)
+		// Release the bindings this delta staled (and, past the compaction
+		// crossover, their shapes): a binding pins tries of the superseded
+		// version, so resident memory under continuous updates must not
+		// wait for the next read of each plan. It happens before verMu
+		// releases, so every query admitted afterwards finds the entries
+		// already advanced to this version (verMu → planCache.mu nests
+		// here; no other path holds them together). A compaction is the
+		// version becoming its own base — not merely !Patched, which is
+		// also how a delta that lands back on the base's content reads.
+		e.plans.invalidateTouching(req.Relation, v.Num, v.Rel == v.Base)
 		e.verMu.Unlock()
 	}
 	e.release(reclaim)

@@ -92,8 +92,12 @@ type QueryStats struct {
 	// PlanCached reports that the query executed a plan served from the
 	// engine's plan cache — parse still happened (for raw-text
 	// requests), but TD selection and plan compilation were skipped
-	// entirely.
-	PlanCached bool `json:"plan_cached,omitempty"`
+	// entirely. PlanRebound adds that the cached shape was first bound
+	// to this request's snapshot: its tries were re-acquired (patched,
+	// usually) because an update or a registry eviction had released the
+	// cached binding, or the request was pinned to another snapshot.
+	PlanCached  bool `json:"plan_cached,omitempty"`
+	PlanRebound bool `json:"plan_rebound,omitempty"`
 }
 
 // Response is the result of one Request.
