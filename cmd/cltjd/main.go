@@ -66,7 +66,8 @@
 // surface (no /prepare — prepared statements are engine-local), merged
 // across its fleet: counts summed, streams merged byte-identically in
 // root-key order, counters folded exactly. Shard failures answer 502
-// naming the failed shard; a snapshot that moved mid-merge answers 409.
+// naming the failed shard; a fleet whose data keeps moving behind the
+// coordinator, or stands behind what it has seen applied, answers 409.
 //
 // Queries run under their request contexts: a disconnected client
 // cancels its query, and SIGINT/SIGTERM shuts the daemon down

@@ -135,7 +135,7 @@ func ClusterScatterGather(cfg Config) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"expected shape: identical answers at every shard count; throughput within a small constant factor of the single engine (the shards share this host's cores, so the ratio prices coordination, not scale-out)",
-		"the coordinator pins orderer=greedy and pre-flights version vectors on every query — both costs are included",
+		"the coordinator pins orderer=greedy and sends its expected version vector with every shard call — both costs are included",
 	)
 	return t
 }

@@ -42,11 +42,12 @@ func chaosInvariant(t *testing.T, tag string, err error) {
 
 // TestChaosSoak drives a mixed read workload through a real 4-shard
 // HTTP fleet under a seeded fault schedule — drops, resets, stream
-// truncation, delays, preflight failures and registry eviction pressure
-// — and holds the serving tier to its one contract: every response is
-// byte-correct against the single-engine oracle, a typed error, or a
-// correctly-marked partial answer that is exact over the shards it
-// names as surviving. Never silently wrong.
+// truncation, delays, updates landing on a shard behind the
+// coordinator's back and registry eviction pressure — and holds the
+// serving tier to its one contract: every response is byte-correct
+// against the single-engine oracle, a typed error, or a correctly-marked
+// partial answer that is exact over the shards it names as surviving.
+// Never silently wrong.
 func TestChaosSoak(t *testing.T) {
 	seed := *faultsSeed
 	if seed == 0 {
@@ -57,7 +58,7 @@ func TestChaosSoak(t *testing.T) {
 	inj := faults.New(seed).
 		Add(faults.Rule{Site: "transport/shard-0/query", P: 0.25}).
 		Add(faults.Rule{Site: "transport/shard-1/query", Kind: faults.KindReset, P: 0.15}).
-		Add(faults.Rule{Site: "transport/shard-1/stats", P: 0.10}).
+		Add(faults.Rule{Site: "soak/shard-1/update", P: 0.10}).
 		Add(faults.Rule{Site: "transport/shard-2/stream", Kind: faults.KindTruncate, P: 0.35, Bytes: 300}).
 		Add(faults.Rule{Site: "transport/shard-3/*", Kind: faults.KindDelay, P: 0.20, Delay: 2 * time.Millisecond}).
 		Add(faults.Rule{Site: "registry/pressure", P: 0.05})
@@ -99,24 +100,29 @@ func TestChaosSoak(t *testing.T) {
 		shard  [4]int64
 	}
 	oracles := make(map[string]*oracle, len(shardableQueries))
-	for _, q := range shardableQueries {
-		o := &oracle{rowSet: make(map[string]bool)}
-		_, o.rows, _ = streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-			return single.StreamCtx(ctx, server.Request{Query: q, Orderer: "greedy"}, hd, row)
-		})
-		o.count = int64(len(o.rows))
-		for _, r := range o.rows {
-			o.rowSet[fmt.Sprint(r)] = true
-		}
-		for i, e := range engines {
-			resp, err := e.DoCtx(ctx, server.Request{Query: q, Orderer: "greedy"})
-			if err != nil {
-				t.Fatal(err)
+	// refresh recomputes the ground truth — at the start, and after each
+	// update landed mid-soak.
+	refresh := func() {
+		for _, q := range shardableQueries {
+			o := &oracle{rowSet: make(map[string]bool)}
+			_, o.rows, _ = streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
+				return single.StreamCtx(ctx, server.Request{Query: q, Orderer: "greedy"}, hd, row)
+			})
+			o.count = int64(len(o.rows))
+			for _, r := range o.rows {
+				o.rowSet[fmt.Sprint(r)] = true
 			}
-			o.shard[i] = resp.Count
+			for i, e := range engines {
+				resp, err := e.DoCtx(ctx, server.Request{Query: q, Orderer: "greedy"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.shard[i] = resp.Count
+			}
+			oracles[q] = o
 		}
-		oracles[q] = o
 	}
+	refresh()
 
 	// liveSum is the exact count over the shards a partial answer did
 	// NOT declare missing.
@@ -140,8 +146,23 @@ func TestChaosSoak(t *testing.T) {
 
 	rng := rand.New(rand.NewPCG(seed, 0x1234))
 	const iterations = 160
-	var served, partials, failures int
+	var served, partials, failures, landed int
 	for it := 0; it < iterations; it++ {
+		// An update nobody routed lands on shard 1, between requests: the
+		// coordinator's vector for it is now stale, and the next query to
+		// touch it must absorb the 409 (or fail typed) — never merge the
+		// shard's new content with an expectation of the old.
+		if inj.Fire("soak/shard-1/update") != nil {
+			landed++
+			root := rootOn(1, 4)
+			delta := server.UpdateRequest{Relation: "E", Inserts: [][]int64{{root, root + int64(landed)}, {root, 3}}, Deletes: [][]int64{{root, root + int64(landed) - 1}}}
+			for _, e := range []*server.Engine{engines[1], single} {
+				if _, err := e.Update(delta); err != nil {
+					t.Fatal(err)
+				}
+			}
+			refresh()
+		}
 		q := shardableQueries[rng.IntN(len(shardableQueries))]
 		o := oracles[q]
 		ap := rng.IntN(2) == 0
@@ -258,5 +279,13 @@ func TestChaosSoak(t *testing.T) {
 	}
 	if partials == 0 && failures == 0 {
 		t.Fatal("chaos schedule injected nothing — soak proved nothing")
+	}
+	st, err := coord.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("chaos soak: %d updates landed behind the coordinator, snapshot_retries=%d snapshot_rejects=%d", landed, st.SnapshotRetries, st.SnapshotRejects)
+	if landed == 0 || st.SnapshotRetries == 0 {
+		t.Fatalf("%d updates landed mid-soak and %d were absorbed — the handshake was never exercised", landed, st.SnapshotRetries)
 	}
 }

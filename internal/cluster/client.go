@@ -156,9 +156,9 @@ func (c *Client) Name() string { return c.name }
 
 // roundTrip performs one bounded HTTP exchange and decodes the JSON
 // answer into out. A non-2xx status decodes the daemon's {"error": ...}
-// body into a *StatusError. idempotent requests are retried on
-// transport errors (connection refused/reset, timeout before any HTTP
-// answer) up to the retry budget.
+// body into the error it stands for (decodeError). idempotent requests
+// are retried on transport errors (connection refused/reset, timeout
+// before any HTTP answer) up to the retry budget.
 func (c *Client) roundTrip(ctx context.Context, method, path string, body any, out any, idempotent bool) error {
 	var payload []byte
 	if body != nil {
@@ -189,7 +189,8 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body any, o
 		}
 		lastErr = c.once(ctx, method, path, payload, out)
 		var se *StatusError
-		answered := lastErr == nil || errors.As(lastErr, &se)
+		var vm *server.VersionMismatch
+		answered := lastErr == nil || errors.As(lastErr, &se) || errors.As(lastErr, &vm)
 		c.brk.record(answered)
 		if answered || ctx.Err() != nil {
 			// An HTTP-level answer is authoritative — the shard saw the
@@ -220,7 +221,7 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return &StatusError{Status: resp.StatusCode, Msg: decodeErrorBody(resp.Body)}
+		return decodeError(resp.StatusCode, resp.Body)
 	}
 	if out == nil {
 		_, err := io.Copy(io.Discard, resp.Body)
@@ -229,17 +230,24 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// decodeErrorBody extracts the daemon's JSON error message, falling
-// back to the raw body for non-JSON answers.
-func decodeErrorBody(r io.Reader) string {
+// decodeError turns a non-2xx answer back into the error the shard
+// refused with: a 409 carrying "versions" is the engine's
+// *server.VersionMismatch, the type an in-process shard returns, and
+// anything else a *StatusError with the daemon's JSON error message (the
+// raw body for non-JSON answers).
+func decodeError(status int, r io.Reader) error {
 	raw, _ := io.ReadAll(io.LimitReader(r, 4096))
 	var e struct {
-		Error string `json:"error"`
+		Error    string            `json:"error"`
+		Versions map[string]uint64 `json:"versions"`
 	}
-	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-		return e.Error
+	if json.Unmarshal(raw, &e) != nil || e.Error == "" {
+		return &StatusError{Status: status, Msg: strings.TrimSpace(string(raw))}
 	}
-	return strings.TrimSpace(string(raw))
+	if status == http.StatusConflict && e.Versions != nil {
+		return &server.VersionMismatch{Have: e.Versions}
+	}
+	return &StatusError{Status: status, Msg: e.Error}
 }
 
 // Ready implements Shard: GET /healthz, expecting the 200 the daemon
@@ -249,7 +257,8 @@ func (c *Client) Ready(ctx context.Context) error {
 	return c.roundTrip(ctx, http.MethodGet, "/healthz", nil, nil, true)
 }
 
-// Versions implements Shard via GET /stats.
+// Versions implements Shard via GET /stats — the whole stats document,
+// which is fine for a call the coordinator makes once per shard.
 func (c *Client) Versions(ctx context.Context, names []string) (map[string]uint64, error) {
 	st, err := c.Stats(ctx)
 	if err != nil {
@@ -280,8 +289,8 @@ func (c *Client) Do(ctx context.Context, req server.Request) (*server.Response, 
 
 // Update implements Shard: POST /update, never retried (a delta is not
 // idempotent — a retry after an ambiguous transport failure could apply
-// it twice... which set semantics would absorb, but the version vector
-// would advance twice and break the snapshot handshake).
+// it twice; set semantics absorb that, but whether to re-send after an
+// ambiguous failure is the caller's call, not the transport's).
 func (c *Client) Update(ctx context.Context, req server.UpdateRequest) (*server.UpdateResult, error) {
 	var res server.UpdateResult
 	if err := c.roundTrip(ctx, http.MethodPost, "/update", req, &res, false); err != nil {
@@ -330,7 +339,7 @@ func (c *Client) Stream(ctx context.Context, req server.Request, header func(ord
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return server.StreamSummary{}, &StatusError{Status: resp.StatusCode, Msg: decodeErrorBody(resp.Body)}
+		return server.StreamSummary{}, decodeError(resp.StatusCode, resp.Body)
 	}
 	return server.ReadStream(resp.Body, header, row)
 }

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,8 +19,8 @@ import (
 type Config struct {
 	// RouteCache bounds the routing cache (entries; 0:
 	// DefaultRouteCacheSize, negative: disabled). Entries are keyed by
-	// (query text, options, global version vector), so any applied
-	// update moves the key and stale routes age out unreached.
+	// (query text, options) alone: a route and the variable order pinned
+	// with it are structural, so updates leave them valid.
 	RouteCache int
 }
 
@@ -39,8 +39,16 @@ type Coordinator struct {
 	shards  []Shard
 	routes  *routeCache
 
+	// known[shard][relation] is the newest version the coordinator has
+	// seen that shard stand at: what it sends as if_versions with the next
+	// call. Forward only — versions never go back, so an older report is a
+	// replica that missed an update, never news.
+	knownMu sync.Mutex
+	known   []map[string]uint64
+
 	queries         atomic.Int64
 	updates         atomic.Int64
+	snapshotRetries atomic.Int64
 	snapshotRejects atomic.Int64
 	notShardable    atomic.Int64
 	partialServed   atomic.Int64
@@ -60,10 +68,15 @@ func New(routing Routing, shards []Shard, cfg Config) (*Coordinator, error) {
 	if capacity == 0 {
 		capacity = DefaultRouteCacheSize
 	}
+	known := make([]map[string]uint64, len(shards))
+	for i := range known {
+		known[i] = make(map[string]uint64)
+	}
 	return &Coordinator{
 		routing: routing,
 		shards:  shards,
 		routes:  newRouteCache(capacity),
+		known:   known,
 	}, nil
 }
 
@@ -109,9 +122,9 @@ const readyPollInterval = 100 * time.Millisecond
 // ctx expires — then the error names the shard still not ready. The
 // coordinator daemon gates admission on it before accepting queries.
 func (c *Coordinator) WaitReady(ctx context.Context) error {
-	idxs := c.allShards()
+	idxs := allIndexes(len(c.shards))
 	for {
-		_, err := c.each(ctx, idxs, "ready", true, func(ctx context.Context, i int) error {
+		_, err := each(ctx, c.shards, idxs, "ready", true, func(ctx context.Context, i int) error {
 			return c.shards[i].Ready(ctx)
 		})
 		if err == nil {
@@ -125,8 +138,10 @@ func (c *Coordinator) WaitReady(ctx context.Context) error {
 	}
 }
 
-func (c *Coordinator) allShards() []int {
-	idxs := make([]int, len(c.shards))
+// allIndexes returns 0..n-1: a whole fleet (or replica group) as each's
+// index list.
+func allIndexes(n int) []int {
+	idxs := make([]int, n)
 	for i := range idxs {
 		idxs[i] = i
 	}
@@ -136,30 +151,38 @@ func (c *Coordinator) allShards() []int {
 // shardErr wraps a shard failure with its name and operation; already
 // typed cluster errors pass through unwrapped so HTTP status mapping
 // sees them.
-func (c *Coordinator) shardErr(i int, op string, err error) error {
+func shardErr(s Shard, op string, err error) error {
 	if _, ok := err.(*ShardError); ok {
 		return err
 	}
-	return &ShardError{Shard: c.shards[i].Name(), Op: op, Err: err}
+	return &ShardError{Shard: s.Name(), Op: op, Err: err}
 }
 
-// each is the one fan-out primitive: it runs f once per shard index
-// concurrently, waits for every call to return — no goroutine outlives
-// the fan-out — and reports the outcomes aligned with idxs (nil entries
-// succeeded, failures are wrapped as ShardErrors naming the shard) plus
-// the first failure to arrive. With strict set that first failure
-// cancels the siblings; otherwise every shard runs to completion,
-// because the caller wants every survivor's answer, not the fastest
-// failure.
-func (c *Coordinator) each(ctx context.Context, idxs []int, op string, strict bool, f func(ctx context.Context, shard int) error) (errs []error, first error) {
+// each is the one fan-out primitive, of a coordinator over its shards
+// and of a replica group over its replicas: it runs f once per index of
+// shards concurrently, waits for every call to return — no goroutine
+// outlives the fan-out — and reports the outcomes aligned with idxs (nil
+// entries succeeded, failures are wrapped as ShardErrors naming the
+// shard) plus the first failure to arrive. With strict set that first
+// failure cancels the siblings; otherwise every shard runs to
+// completion, because the caller wants every survivor's answer, not the
+// fastest failure. A single index has no siblings to overlap with or
+// cancel, so f runs on the caller's goroutine.
+func each(ctx context.Context, shards []Shard, idxs []int, op string, strict bool, f func(ctx context.Context, shard int) error) (errs []error, first error) {
+	errs = make([]error, len(idxs))
+	if len(idxs) == 1 {
+		if err := f(ctx, idxs[0]); err != nil {
+			errs[0] = shardErr(shards[idxs[0]], op, err)
+		}
+		return errs, errs[0]
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	errs = make([]error, len(idxs))
 	done := make(chan int, len(idxs))
 	for j, i := range idxs {
 		go func() {
 			if err := f(ctx, i); err != nil {
-				errs[j] = c.shardErr(i, op, err)
+				errs[j] = shardErr(shards[i], op, err)
 			}
 			done <- j
 		}()
@@ -173,31 +196,6 @@ func (c *Coordinator) each(ctx context.Context, idxs []int, op string, strict bo
 		}
 	}
 	return errs, first
-}
-
-// gather is each plus the one tolerate-or-fail decision of degraded
-// mode. Strict (partial unset): the first failure cancels the siblings
-// and fails the fan-out. Partial: every shard runs to completion, a
-// tolerable failure only drops its shard — live lists the indices that
-// answered and dead is the first such failure, for the caller to
-// surface if nobody it needs survived — and any other failure still
-// fails the fan-out.
-func (c *Coordinator) gather(ctx context.Context, idxs []int, op string, partial bool, f func(ctx context.Context, shard int) error) (live []int, dead, err error) {
-	errs, first := c.each(ctx, idxs, op, !partial, f)
-	if !partial || first == nil {
-		return idxs, nil, first
-	}
-	for j, e := range errs {
-		switch {
-		case e == nil:
-			live = append(live, idxs[j])
-		case !tolerable(ctx, e):
-			return nil, nil, e
-		case dead == nil:
-			dead = e
-		}
-	}
-	return live, dead, nil
 }
 
 // tolerable reports whether err is the kind of shard failure
@@ -220,56 +218,44 @@ func tolerable(ctx context.Context, err error) bool {
 	return true
 }
 
-// preflight collects every shard's full version vector concurrently —
-// the first half of the consistent-snapshot handshake. vecs is indexed
-// by shard and live lists the shards that answered: all of them, unless
-// partial mode absorbed a tolerable per-shard failure (a fleet with no
-// live shard at all still fails).
-func (c *Coordinator) preflight(ctx context.Context, partial bool) (vecs []map[string]uint64, live []int, err error) {
-	vecs = make([]map[string]uint64, len(c.shards))
-	live, dead, err := c.gather(ctx, c.allShards(), "versions", partial, func(ctx context.Context, i int) error {
-		v, err := c.shards[i].Versions(ctx, nil)
-		if err == nil {
-			vecs[i] = v
+// expected returns the sub-vector over names the coordinator expects
+// shard i to stand at, or nil when it has never seen one of them.
+func (c *Coordinator) expected(i int, names []string) map[string]uint64 {
+	want := make(map[string]uint64, len(names))
+	c.knownMu.Lock()
+	defer c.knownMu.Unlock()
+	for _, name := range names {
+		num, ok := c.known[i][name]
+		if !ok {
+			return nil
 		}
-		return err
-	})
-	if err == nil && len(live) == 0 {
-		err = dead
+		want[name] = num
 	}
-	return vecs, live, err
+	return want
 }
 
-// encodeVectors renders the global version vector — every shard's
-// per-relation version numbers, concatenated in shard order — as the
-// route-cache key component.
-func encodeVectors(vecs []map[string]uint64) string {
-	var b strings.Builder
-	for i, m := range vecs {
-		fmt.Fprintf(&b, "#%d{", i)
-		names := make([]string, 0, len(m))
-		for name := range m {
-			names = append(names, name)
+// raise folds a vector shard i was seen at into known, forward only.
+func (c *Coordinator) raise(i int, vec map[string]uint64) {
+	c.knownMu.Lock()
+	defer c.knownMu.Unlock()
+	for name, num := range vec {
+		if have, ok := c.known[i][name]; !ok || num > have {
+			c.known[i][name] = num
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(&b, "%s:%d,", name, m[name])
-		}
-		b.WriteByte('}')
 	}
-	return b.String()
 }
 
-// versionsMatch reports whether the vector a shard's execution pinned
-// agrees with the vector preflight collected (executed covers only the
-// relations the query touches; pre is the shard's full vector).
-func versionsMatch(executed, pre map[string]uint64) bool {
-	for name, num := range executed {
-		if p, ok := pre[name]; !ok || p != num {
-			return false
+// behind reports whether have, a vector a shard refused a request with,
+// trails want, the vector the request expected, on any relation: the
+// shard missed an update the coordinator has seen applied, and asking
+// again will not help.
+func behind(have, want map[string]uint64) bool {
+	for name, num := range want {
+		if h, ok := have[name]; ok && h < num {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // optsKey canonicalizes the route-affecting request options. The
@@ -282,18 +268,14 @@ func optsKey(req server.Request) string {
 	return ""
 }
 
-// routed is one resolved execution: the route, the touched relations,
-// the expected variable order (nil until the first execution at this
-// snapshot learns it), and the preflight vectors backing the key.
-// nocache marks a degraded resolution (missing shards): the vector is
-// incomplete, so the route cache is bypassed in both directions.
+// routed is one resolved execution: the route, the touched relations
+// and the expected variable order (nil until the query's first execution
+// learns it).
 type routed struct {
-	key     routeKey
-	route   RoutePlan
-	names   []string
-	order   []string
-	vecs    []map[string]uint64
-	nocache bool
+	key   routeKey
+	route RoutePlan
+	names []string
+	order []string
 
 	// live are the routed shards still answering, in route order.
 	// missing marks the routed shards lost so far — only shards the
@@ -305,71 +287,179 @@ type routed struct {
 	dead    error
 }
 
-// lose marks a routed shard missing.
+// lose marks a routed shard missing and takes it out of live (into a
+// fresh slice: live starts out as the cached route's own).
 func (rt *routed) lose(shard int, err error) {
+	if rt.missing == nil {
+		rt.missing = make(map[int]bool)
+	}
 	rt.missing[shard] = true
 	if rt.dead == nil {
 		rt.dead = err
 	}
+	live := make([]int, 0, len(rt.live))
+	for _, i := range rt.live {
+		if i != shard {
+			live = append(live, i)
+		}
+	}
+	rt.live = live
+}
+
+// absorb is the one tolerate-or-fail decision of degraded mode, over the
+// outcomes of one each (errs aligned with asked, first the first failure
+// to arrive). Strict (partial unset): the first failure fails the
+// request. Partial: a tolerable failure only loses its shard, any other
+// failure still fails the request, and so does losing every routed
+// shard — there are no survivors to answer from, partial or not.
+func (rt *routed) absorb(ctx context.Context, asked []int, errs []error, first error, partial bool) error {
+	if first == nil || !partial {
+		return first
+	}
+	for j, e := range errs {
+		switch {
+		case e == nil:
+		case !tolerable(ctx, e):
+			return e
+		default:
+			rt.lose(asked[j], e)
+		}
+	}
+	if len(rt.live) == 0 {
+		return rt.dead
+	}
+	return nil
 }
 
 // resolve is the one fan-out prologue of Do and StreamCtx: validate and
-// normalize the request, run the preflight handshake and the route
-// decision — parse + route come from the route cache when the global
-// vector matches — and split the route into the shards to ask and, in
-// partial mode, the ones whose preflight failed tolerably.
+// normalize the request, arm timeout_ms — here, once, so a deadline is a
+// context outcome (504) whatever the fleet is made of, and the shards
+// are sent none of their own — and decide the route: from the route
+// cache, or parse + route on a miss. The returned cancel is never nil.
 //
 // Prepared statements are engine-local handles a coordinator cannot
 // route, and the orderer is forced to the greedy strategy — the one
 // planning mode that is purely structural, so every shard (whatever its
-// data slice looks like) compiles the same variable order and the merges
-// are byte-exact. Cost or adaptive ordering would let two shards pick
-// different orders for one query.
-func (c *Coordinator) resolve(ctx context.Context, req server.Request, op string) (server.Request, *routed, error) {
+// data slice looks like, at whatever version) compiles the same variable
+// order and the merges are byte-exact. Cost or adaptive ordering would
+// let two shards pick different orders for one query.
+func (c *Coordinator) resolve(ctx context.Context, req server.Request) (context.Context, context.CancelFunc, server.Request, *routed, error) {
+	cancel := context.CancelFunc(func() {})
 	if req.Stmt != "" {
-		return req, nil, fmt.Errorf("cluster: prepared statements are engine-local — send query text to the coordinator")
+		return ctx, cancel, req, nil, fmt.Errorf("cluster: prepared statements are engine-local — send query text to the coordinator")
 	}
 	if req.Orderer != "" && req.Orderer != "greedy" {
-		return req, nil, fmt.Errorf("cluster: coordinator plans with the greedy orderer only (got %q) — data-dependent ordering could diverge across shards", req.Orderer)
+		return ctx, cancel, req, nil, fmt.Errorf("cluster: coordinator plans with the greedy orderer only (got %q) — data-dependent ordering could diverge across shards", req.Orderer)
 	}
 	req.Orderer = "greedy"
-	vecs, reached, err := c.preflight(ctx, req.AllowPartial)
-	if err != nil {
-		return req, nil, err
+	if req.IfVersions != nil {
+		return ctx, cancel, req, nil, fmt.Errorf("cluster: if_versions is a precondition on one engine's snapshot — a fleet has one vector per shard, which the coordinator sends itself")
 	}
-	rt := &routed{vecs: vecs, nocache: len(reached) < len(c.shards), missing: map[int]bool{}}
-	cached := false
-	if !rt.nocache {
-		rt.key = routeKey{text: req.Query, opts: optsKey(req), vers: encodeVectors(vecs)}
-		rt.route, rt.names, rt.order, cached = c.routes.get(rt.key)
+	if req.TimeoutMS > 0 {
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
+		req.TimeoutMS = 0
 	}
-	if !cached {
+	rt := &routed{key: routeKey{text: req.Query, opts: optsKey(req)}}
+	var cached bool
+	if rt.route, rt.names, rt.order, cached = c.routes.get(rt.key); !cached {
 		q, err := cq.Parse(req.Query)
 		if err != nil {
-			return req, nil, err
+			return ctx, cancel, req, nil, err
 		}
 		if rt.route, err = c.routing.Route(q); err != nil {
 			c.notShardable.Add(1)
-			return req, nil, err
+			return ctx, cancel, req, nil, err
 		}
 		rt.names = server.RelNames(q)
-		if !rt.nocache {
-			c.routes.put(rt.key, rt.route, rt.names, nil)
+		c.routes.put(rt.key, rt.route, rt.names, nil)
+	}
+	rt.live = rt.route.Shards
+	return ctx, cancel, req, rt, nil
+}
+
+// expect fixes the vector every live routed shard is expected to stand
+// at, indexed by shard, before any of them is asked to execute: each was
+// seen at its vector no later than now and must still be there when it
+// executes, so an instant exists — this one — at which the whole route
+// stood at the vectors the merged answer was computed at. A shard the
+// coordinator has never heard from about one of the query's relations is
+// asked first (cold start only; a relation it does not store reads as
+// version 0, as its own snapshot reads it).
+func (c *Coordinator) expect(ctx context.Context, rt *routed, partial bool) ([]map[string]uint64, error) {
+	want := make([]map[string]uint64, len(c.shards))
+	var cold []int
+	for _, i := range rt.live {
+		if want[i] = c.expected(i, rt.names); want[i] == nil {
+			cold = append(cold, i)
 		}
 	}
-	for _, i := range rt.route.Shards {
-		if slices.Contains(reached, i) {
-			rt.live = append(rt.live, i)
-		} else {
-			rt.lose(i, c.shardErr(i, op, errors.New("no live endpoint for partition")))
+	if cold == nil {
+		return want, nil
+	}
+	errs, first := each(ctx, c.shards, cold, "versions", !partial, func(ctx context.Context, i int) error {
+		have, err := c.shards[i].Versions(ctx, rt.names)
+		if err != nil {
+			return err
 		}
+		vec := make(map[string]uint64, len(rt.names))
+		for _, name := range rt.names {
+			vec[name] = have[name]
+		}
+		c.raise(i, vec)
+		want[i] = c.expected(i, rt.names)
+		return nil
+	})
+	return want, rt.absorb(ctx, cold, errs, first, partial)
+}
+
+// fanout is the optimistic snapshot handshake around one call per live
+// routed shard: f(ctx, shard, want) must send want as the request's
+// if_versions, so a shard that executes, executes at the vector the
+// coordinator expected, and one standing elsewhere refuses with a
+// *server.VersionMismatch before anything is delivered. A refusal
+// reporting a newer vector raises known and re-runs the whole fan-out,
+// once — re-running only the refusing shard would lose the common
+// instant expect establishes — and a second one is ErrSnapshotMoved. A
+// refusal reporting an older vector is a shard behind what the
+// coordinator has seen applied (a replica group has already failed over
+// past its stale members): ErrSnapshotMoved at once, never absorbed by
+// allow_partial. Every other failure is absorb's to tolerate or fail;
+// on a nil return rt.live lists the shards that answered.
+func (c *Coordinator) fanout(ctx context.Context, rt *routed, op string, partial bool, f func(ctx context.Context, shard int, want map[string]uint64) error) error {
+	for retried := false; ; retried = true {
+		want, err := c.expect(ctx, rt, partial)
+		if err != nil {
+			return err
+		}
+		asked := rt.live
+		errs, first := each(ctx, c.shards, asked, op, !partial, func(ctx context.Context, i int) error {
+			return f(ctx, i, want[i])
+		})
+		var moved error
+		for j, e := range errs {
+			var vm *server.VersionMismatch
+			if !errors.As(e, &vm) {
+				continue
+			}
+			i := asked[j]
+			c.raise(i, vm.Have)
+			if behind(vm.Have, want[i]) {
+				c.snapshotRejects.Add(1)
+				return fmt.Errorf("%w: shard %s stands at %v, behind the %v already seen applied, and no caught-up replica answered", ErrSnapshotMoved, c.shards[i].Name(), vm.Have, want[i])
+			}
+			if moved == nil {
+				moved = fmt.Errorf("%w: shard %s was expected at %v and stands at %v, after one retry already", ErrSnapshotMoved, c.shards[i].Name(), want[i], vm.Have)
+			}
+		}
+		switch {
+		case moved == nil:
+			return rt.absorb(ctx, asked, errs, first, partial)
+		case retried:
+			c.snapshotRejects.Add(1)
+			return moved
+		}
+		c.snapshotRetries.Add(1)
 	}
-	if len(rt.live) == 0 {
-		// Every shard holding the answer is down — there are no
-		// survivors to answer from, partial or not.
-		return req, nil, rt.dead
-	}
-	return req, rt, nil
 }
 
 // lost names the routed shards a finished answer is missing, sorted
@@ -419,7 +509,7 @@ func (c *Coordinator) checkOrders(rt *routed, idxs []int, orders [][]string) ([]
 			}
 		}
 	}
-	if !rt.nocache {
+	if rt.order == nil {
 		c.routes.learn(rt.key, want)
 	}
 	return want, nil
@@ -430,8 +520,11 @@ func (c *Coordinator) checkOrders(rt *routed, idxs []int, orders [][]string) ([]
 // "sum" by summation and "min" by minimum (an empty shard answers the
 // semiring identity, so the fold is exact), eval samples by a k-way
 // root-key merge that reproduces the single-engine tuple order, and
-// per-query counters by stats.Counters.Merge. The merged Response
-// carries no Versions map — per-shard vectors do not collapse into one.
+// per-query counters by stats.Counters.Merge. Every shard call carries
+// the vector the coordinator expects of that shard (fanout), so the
+// responses merged here all executed at one global snapshot. The merged
+// Response carries no Versions map — per-shard vectors do not collapse
+// into one.
 func (c *Coordinator) Do(ctx context.Context, req server.Request) (*server.Response, error) {
 	start := time.Now()
 	// The coordinator folds by mode and semiring, so it refuses the ones
@@ -449,7 +542,8 @@ func (c *Coordinator) Do(ctx context.Context, req server.Request) (*server.Respo
 	default:
 		return nil, fmt.Errorf("cluster: unknown mode %q (want count, eval or aggregate)", req.Mode)
 	}
-	req, rt, err := c.resolve(ctx, req, "query")
+	ctx, cancel, req, rt, err := c.resolve(ctx, req)
+	defer cancel()
 	if err != nil {
 		return nil, err
 	}
@@ -467,41 +561,24 @@ func (c *Coordinator) Do(ctx context.Context, req server.Request) (*server.Respo
 	}
 
 	byShard := make([]*server.Response, len(c.shards))
-	live, dead, err := c.gather(ctx, rt.live, "query", req.AllowPartial, func(ctx context.Context, i int) error {
-		resp, err := c.shards[i].Do(ctx, req)
+	err = c.fanout(ctx, rt, "query", req.AllowPartial, func(ctx context.Context, i int, want map[string]uint64) error {
+		sreq := req
+		sreq.IfVersions = want
+		resp, err := c.shards[i].Do(ctx, sreq)
+		if err == nil {
+			c.raise(i, resp.Versions)
+		}
 		byShard[i] = resp
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, i := range rt.live {
-		if !slices.Contains(live, i) {
-			rt.lose(i, dead)
-		}
-	}
-	if len(live) == 0 {
-		return nil, rt.dead
-	}
+	live := rt.live
 	resps := make([]*server.Response, len(live))
 	orders := make([][]string, len(live))
 	for j, i := range live {
 		resps[j], orders[j] = byShard[i], byShard[i].Order
-	}
-
-	// Second half of the snapshot handshake: every response must have
-	// executed at the vector preflight saw, or two shards may have
-	// answered from different global snapshots and the merge is refused.
-	// A single-shard route (or a single survivor) needs no cross-shard
-	// consistency — the shard's own snapshot pin already makes its
-	// answer exact over its partition.
-	if len(live) > 1 {
-		for j, i := range live {
-			if !versionsMatch(resps[j].Versions, rt.vecs[i]) {
-				c.snapshotRejects.Add(1)
-				return nil, fmt.Errorf("%w: shard %s executed at a newer vector than the handshake collected", ErrSnapshotMoved, c.shards[i].Name())
-			}
-		}
 	}
 	order, err := c.checkOrders(rt, live, orders)
 	if err != nil {
@@ -602,11 +679,15 @@ func (c *Coordinator) Update(ctx context.Context, req server.UpdateRequest) (*Up
 		}
 	}
 	if idxs == nil {
-		idxs = c.allShards()
+		idxs = allIndexes(len(c.shards))
 	}
 	results := make([]*server.UpdateResult, len(c.shards))
-	_, err = c.each(ctx, idxs, "update", true, func(ctx context.Context, i int) error {
+	_, err = each(ctx, c.shards, idxs, "update", true, func(ctx context.Context, i int) error {
 		res, err := c.shards[i].Update(ctx, parts[i])
+		if err == nil {
+			// The coordinator's own writes never cost a reader a 409.
+			c.raise(i, map[string]uint64{res.Relation: res.Version})
+		}
 		results[i] = res
 		return err
 	})
@@ -642,9 +723,15 @@ type Stats struct {
 	// deltas (the per-shard stats count their local executions).
 	Queries int64 `json:"queries"`
 	Updates int64 `json:"updates"`
-	// SnapshotRejects counts merges refused because a shard's version
-	// vector moved between the handshake and its execution;
-	// NotShardable counts queries refused by the routing rule.
+	// SnapshotRetries counts fan-outs re-run because a shard refused the
+	// vector the coordinator expected of it and reported a newer one — an
+	// update applied behind the coordinator's back, absorbed. The client
+	// saw nothing. SnapshotRejects counts requests failed with
+	// ErrSnapshotMoved: a shard moved again during the one retry, or
+	// stands behind what the coordinator has seen applied with no
+	// caught-up replica. NotShardable counts queries refused by the
+	// routing rule.
+	SnapshotRetries int64 `json:"snapshot_retries"`
 	SnapshotRejects int64 `json:"snapshot_rejects"`
 	NotShardable    int64 `json:"not_shardable"`
 	// PartialServed counts answers served with partial=true — exact
@@ -673,7 +760,7 @@ func (c *Coordinator) Stats(ctx context.Context) (*Stats, error) {
 		return nil, err
 	}
 	per := make([]*server.EngineStats, len(c.shards))
-	errs, _ := c.each(ctx, c.allShards(), "stats", false, func(ctx context.Context, i int) error {
+	errs, _ := each(ctx, c.shards, allIndexes(len(c.shards)), "stats", false, func(ctx context.Context, i int) error {
 		st, err := c.shards[i].Stats(ctx)
 		per[i] = st
 		return err
@@ -682,6 +769,7 @@ func (c *Coordinator) Stats(ctx context.Context) (*Stats, error) {
 		Shards:          len(c.shards),
 		Queries:         c.queries.Load(),
 		Updates:         c.updates.Load(),
+		SnapshotRetries: c.snapshotRetries.Load(),
 		SnapshotRejects: c.snapshotRejects.Load(),
 		NotShardable:    c.notShardable.Load(),
 		PartialServed:   c.partialServed.Load(),

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/relation"
@@ -222,8 +223,10 @@ func TestCoordinatorUpdateDifferential(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRouteCache checks the routing cache keys on the global
-// version vector: repeats hit, an update anywhere moves the key.
+// TestCoordinatorRouteCache checks the routing cache keys on (text,
+// options) alone: repeats hit, and an update — which cannot change a
+// route or the structural variable order pinned with it — leaves the
+// entry where it is.
 func TestCoordinatorRouteCache(t *testing.T) {
 	db := testGraphDB()
 	ctx := context.Background()
@@ -236,54 +239,90 @@ func TestCoordinatorRouteCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _ := h.coord.Stats(ctx)
-	if st.Routes.Hits < 1 || st.Routes.Misses < 1 {
-		t.Fatalf("route cache hits=%d misses=%d after a repeat", st.Routes.Hits, st.Routes.Misses)
+	if st.Routes.Hits != 1 || st.Routes.Misses != 1 {
+		t.Fatalf("route cache hits=%d misses=%d after a repeat, want 1 and 1", st.Routes.Hits, st.Routes.Misses)
 	}
 	if _, err := h.coord.Update(ctx, server.UpdateRequest{Relation: "E", Inserts: [][]int64{{500, 501}}}); err != nil {
 		t.Fatal(err)
 	}
-	misses := st.Routes.Misses
 	if _, err := h.coord.Do(ctx, req); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := h.coord.Do(ctx, server.Request{Query: req.Query, NoOrderCost: true}); err != nil {
+		t.Fatal(err)
+	}
 	st, _ = h.coord.Stats(ctx)
-	if st.Routes.Misses != misses+1 {
-		t.Fatalf("update did not move the route key: misses %d -> %d", misses, st.Routes.Misses)
+	if st.Routes.Hits != 2 || st.Routes.Misses != 2 || st.Routes.Size != 2 {
+		t.Fatalf("after an update and a second option set: hits=%d misses=%d size=%d, want 2, 2, 2 — the update must not move the key, the option must",
+			st.Routes.Hits, st.Routes.Misses, st.Routes.Size)
 	}
 }
 
-// movingShard wraps a shard and injects one local update between the
-// coordinator's handshake and the query's execution — the exact race
-// the consistent-snapshot check exists to catch.
+// rootOn returns a root value, well clear of the test graphs' vertex
+// ids, whose tuples hash to shard of n.
+func rootOn(shard, n int) int64 {
+	for v := int64(100000); ; v++ {
+		if ShardOf(v, n) == shard {
+			return v
+		}
+	}
+}
+
+// movingShard wraps a shard and, before each of its next moves queries,
+// lands one update on the shard's engine behind the coordinator's back
+// — the race the optimistic handshake exists to catch. landed keeps the
+// deltas, for the test to replay on its oracle.
 type movingShard struct {
-	*EngineShard
-	delta server.UpdateRequest
-	armed bool
+	Shard
+	engine *server.Engine
+	root   int64 // first attribute of the landed tuples: must hash to this shard
+	moves  int
+	landed []server.UpdateRequest
+	calls  int // Do and Stream calls seen
+}
+
+func (m *movingShard) move() error {
+	m.calls++
+	if m.moves == 0 {
+		return nil
+	}
+	m.moves--
+	// A fresh tuple each time — replaying one would be a set-semantics
+	// no-op that leaves the version vector unmoved.
+	delta := server.UpdateRequest{Relation: "E", Inserts: [][]int64{{m.root, m.root + int64(len(m.landed)) + 1}}}
+	m.landed = append(m.landed, delta)
+	_, err := m.engine.Update(delta)
+	return err
 }
 
 func (m *movingShard) Do(ctx context.Context, req server.Request) (*server.Response, error) {
-	if m.armed {
-		m.armed = false
-		if _, err := m.Engine().Update(m.delta); err != nil {
-			return nil, err
-		}
+	if err := m.move(); err != nil {
+		return nil, err
 	}
-	return m.EngineShard.Do(ctx, req)
+	return m.Shard.Do(ctx, req)
 }
 
 func (m *movingShard) Stream(ctx context.Context, req server.Request, header func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-	if m.armed {
-		m.armed = false
-		if _, err := m.Engine().Update(m.delta); err != nil {
-			return server.StreamSummary{}, err
-		}
+	if err := m.move(); err != nil {
+		return server.StreamSummary{}, err
 	}
-	return m.EngineShard.Stream(ctx, req, header, row)
+	return m.Shard.Stream(ctx, req, header, row)
 }
 
-// TestCoordinatorSnapshotMoved rejects a merge whose shard moved
-// between handshake and execution, for both buffered and streaming
-// paths, and recovers on retry once the fleet settles.
+// newMovingShard wraps an in-process shard 0 of n over pdb.
+func newMovingShard(pdb *relation.DB, n int) *movingShard {
+	e := server.NewEngine(pdb, server.Config{})
+	return &movingShard{Shard: NewEngineShard("shard-0", e), engine: e, root: rootOn(0, n)}
+}
+
+// TestCoordinatorSnapshotMoved pins what the optimistic handshake does
+// with an update the coordinator did not route. One such update is
+// absorbed: the shard refuses the stale expectation, the whole fan-out
+// re-runs once, and the answer is the single engine's at the post-update
+// content — buffered and streamed, on merged and single-shard routes. A
+// shard that moves before every call exhausts the one retry and fails
+// ErrSnapshotMoved: two calls to it, no third, and no answer merged from
+// vectors the coordinator did not send.
 func TestCoordinatorSnapshotMoved(t *testing.T) {
 	db := testGraphDB()
 	ctx := context.Background()
@@ -291,37 +330,210 @@ func TestCoordinatorSnapshotMoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mover := &movingShard{
-		EngineShard: NewEngineShard("shard-0", server.NewEngine(dbs[0], server.Config{})),
-		delta:       server.UpdateRequest{Relation: "E", Inserts: [][]int64{{777, 778}}},
-	}
-	coord, err := New(routing, []Shard{mover, NewEngineShard("shard-1", server.NewEngine(dbs[1], server.Config{}))}, Config{})
+	mover := newMovingShard(dbs[0], 2)
+	h := &harness{single: server.NewEngine(db, server.Config{})}
+	h.coord, err = New(routing, []Shard{mover, NewEngineShard("shard-1", server.NewEngine(dbs[1], server.Config{}))}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// settle replays on the oracle what landed behind the coordinator.
+	applied := 0
+	settle := func() {
+		for ; applied < len(mover.landed); applied++ {
+			if _, err := h.single.Update(mover.landed[applied]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	counters := func() (retries, rejects int64) {
+		st, err := h.coord.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.SnapshotRetries, st.SnapshotRejects
+	}
+	star := "E(x,y), E(x,z)"
+	onMover := fmt.Sprintf("E(%d,y)", mover.root) // a single-shard route to the mover
+	checkDo(t, h, server.Request{Query: star})    // cold start: known is filled in
 
-	mover.armed = true
-	if _, err := coord.Do(ctx, server.Request{Query: "E(x,y), E(x,z)"}); !errors.Is(err, ErrSnapshotMoved) {
-		t.Fatalf("buffered merge after mid-query update: %v, want ErrSnapshotMoved", err)
-	}
-	// The fleet has settled (the injected update landed); the retry
-	// merges cleanly.
-	if _, err := coord.Do(ctx, server.Request{Query: "E(x,y), E(x,z)"}); err != nil {
-		t.Fatalf("retry after settle: %v", err)
+	wantRetries := int64(0)
+	for _, q := range []string{star, onMover} {
+		mover.moves = 1
+		merged, err := h.coord.Do(ctx, server.Request{Query: q, Mode: "eval"})
+		if err != nil {
+			t.Fatalf("%s: one behind-the-back update was not absorbed: %v", q, err)
+		}
+		settle()
+		want, err := h.single.DoCtx(ctx, server.Request{Query: q, Mode: "eval", Orderer: "greedy"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if merged.Count != want.Count || !reflect.DeepEqual(merged.Tuples, want.Tuples) {
+			t.Fatalf("%s: absorbed answer (count %d) is not the single engine's at the post-update content (count %d)", q, merged.Count, want.Count)
+		}
+
+		mover.moves = 1
+		req := server.Request{Query: q, Mode: "stream"}
+		_, gotRows, gotSum := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
+			return h.coord.StreamCtx(ctx, req, hd, row)
+		})
+		settle()
+		wantRetries += 2
+		req.Orderer = "greedy"
+		_, wantRows, wantSum := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
+			return h.single.StreamCtx(ctx, req, hd, row)
+		})
+		if !reflect.DeepEqual(gotRows, wantRows) || !reflect.DeepEqual(gotSum, wantSum) {
+			t.Fatalf("%s: absorbed stream (%d rows) is not the single engine's at the post-update content (%d rows)", q, len(gotRows), len(wantRows))
+		}
+		if retries, rejects := counters(); retries != wantRetries || rejects != 0 {
+			t.Fatalf("%s: snapshot_retries=%d snapshot_rejects=%d, want %d and 0", q, retries, rejects, wantRetries)
+		}
 	}
 
-	// Re-arm with a fresh tuple — replaying the first delta would be a
-	// set-semantics no-op that leaves the version vector unmoved.
-	mover.delta = server.UpdateRequest{Relation: "E", Inserts: [][]int64{{888, 889}}}
-	mover.armed = true
-	_, err = coord.StreamCtx(ctx, server.Request{Query: "E(x,y), E(x,z)", Mode: "stream"},
-		nil, func(mu []int64) bool { return true })
-	if !errors.Is(err, ErrSnapshotMoved) {
-		t.Fatalf("stream after mid-query update: %v, want ErrSnapshotMoved", err)
+	// A shard that moves before every call: one retry, then the typed
+	// refusal — and the fleet serves again once it settles.
+	for k, run := range []func() error{
+		func() error { _, err := h.coord.Do(ctx, server.Request{Query: star}); return err },
+		func() error {
+			_, err := h.coord.StreamCtx(ctx, server.Request{Query: star}, nil, func([]int64) bool {
+				t.Error("a row was delivered from a fan-out that never stood at the vectors sent")
+				return true
+			})
+			return err
+		},
+		func() error { _, err := h.coord.Do(ctx, server.Request{Query: onMover}); return err },
+	} {
+		mover.moves, mover.calls = 1000, 0
+		if err := run(); !errors.Is(err, ErrSnapshotMoved) {
+			t.Fatalf("run %d against a shard moving on every call: %v, want ErrSnapshotMoved", k, err)
+		}
+		if mover.calls != 2 {
+			t.Fatalf("run %d: %d calls reached the moving shard, want the call and exactly one retry", k, mover.calls)
+		}
+		mover.moves = 0
+		settle()
+		wantRetries++
+		if retries, rejects := counters(); retries != wantRetries || rejects != int64(k+1) {
+			t.Fatalf("run %d: snapshot_retries=%d snapshot_rejects=%d, want %d and %d", k, retries, rejects, wantRetries, k+1)
+		}
+		checkDo(t, h, server.Request{Query: star})
 	}
-	st, _ := coord.Stats(ctx)
-	if st.SnapshotRejects != 2 {
-		t.Fatalf("snapshot_rejects = %d, want 2", st.SnapshotRejects)
+}
+
+// spyShard counts the calls the coordinator makes to one shard.
+type spyShard struct {
+	Shard
+	do, stream, versions, update atomic.Int64
+}
+
+func (s *spyShard) Versions(ctx context.Context, names []string) (map[string]uint64, error) {
+	s.versions.Add(1)
+	return s.Shard.Versions(ctx, names)
+}
+
+func (s *spyShard) Do(ctx context.Context, req server.Request) (*server.Response, error) {
+	s.do.Add(1)
+	return s.Shard.Do(ctx, req)
+}
+
+func (s *spyShard) Stream(ctx context.Context, req server.Request, header func([]string), row func([]int64) bool) (server.StreamSummary, error) {
+	s.stream.Add(1)
+	return s.Shard.Stream(ctx, req, header, row)
+}
+
+func (s *spyShard) Update(ctx context.Context, req server.UpdateRequest) (*server.UpdateResult, error) {
+	s.update.Add(1)
+	return s.Shard.Update(ctx, req)
+}
+
+// TestCoordinatorCallBudget pins the healthy-fleet cost of the
+// handshake: exactly one call per routed shard, for every mode, and no
+// Versions call once a shard's vector is known — a coordinator-routed
+// update included, whose result keeps the vector current so the read
+// after it is neither a cold start nor a retry.
+func TestCoordinatorCallBudget(t *testing.T) {
+	db := testGraphDB()
+	ctx := context.Background()
+	dbs, routing, err := Partition(db, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spies := make([]*spyShard, 2)
+	shards := make([]Shard, 2)
+	for i, pdb := range dbs {
+		spies[i] = &spyShard{Shard: NewEngineShard(fmt.Sprintf("shard-%d", i), server.NewEngine(pdb, server.Config{}))}
+		shards[i] = spies[i]
+	}
+	coord, err := New(routing, shards, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// calls runs one request and returns the Do, Stream and Versions calls
+	// it cost, summed over the fleet.
+	calls := func(req server.Request) (do, stream, versions int64) {
+		t.Helper()
+		for _, s := range spies {
+			do -= s.do.Load()
+			stream -= s.stream.Load()
+			versions -= s.versions.Load()
+		}
+		var err error
+		if req.Mode == "stream" {
+			_, err = coord.StreamCtx(ctx, req, nil, func([]int64) bool { return true })
+		} else {
+			_, err = coord.Do(ctx, req)
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		for _, s := range spies {
+			do += s.do.Load()
+			stream += s.stream.Load()
+			versions += s.versions.Load()
+		}
+		return do, stream, versions
+	}
+
+	// Cold start: each routed shard is asked for its vector once.
+	if do, _, versions := calls(server.Request{Query: "E(3,y), E(3,z)"}); do != 1 || versions != 1 {
+		t.Fatalf("cold constant-head route: %d Do, %d Versions, want 1 and 1 (the routed shard only)", do, versions)
+	}
+	if do, _, versions := calls(server.Request{Query: "E(x,y), E(x,z)"}); do != 2 || versions != 1 {
+		t.Fatalf("cold star: %d Do, %d Versions, want 2 and 1 (the shard not yet heard from)", do, versions)
+	}
+
+	budget := func(when string) {
+		t.Helper()
+		for _, c := range []struct {
+			req        server.Request
+			do, stream int64
+		}{
+			{server.Request{Query: "E(3,y), E(3,z)"}, 1, 0},
+			{server.Request{Query: "E(4,y)", Mode: "eval"}, 1, 0},
+			{server.Request{Query: "E(x,y), E(x,z)"}, 2, 0},
+			{server.Request{Query: "E(x,y), E(x,z)", Mode: "eval"}, 2, 0},
+			{server.Request{Query: "E(x,y), E(x,z)", Mode: "aggregate", Semiring: "sum"}, 2, 0},
+			{server.Request{Query: "E(x,y), E(x,z)", Mode: "stream", Limit: 50}, 0, 2},
+			{server.Request{Query: "E(3,y)", Mode: "stream"}, 0, 1},
+		} {
+			do, stream, versions := calls(c.req)
+			if do != c.do || stream != c.stream || versions != 0 {
+				t.Errorf("%s, %+v: %d Do, %d Stream, %d Versions; want %d, %d, 0", when, c.req, do, stream, versions, c.do, c.stream)
+			}
+		}
+	}
+	budget("warm")
+	if _, err := coord.Update(ctx, server.UpdateRequest{Relation: "E", Inserts: [][]int64{{3, 900}, {4, 901}, {5, 902}, {6, 903}}}); err != nil {
+		t.Fatal(err)
+	}
+	budget("after a routed update")
+	st, err := coord.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SnapshotRetries != 0 || st.SnapshotRejects != 0 {
+		t.Fatalf("snapshot_retries=%d snapshot_rejects=%d over a fleet only the coordinator wrote to, want 0 and 0", st.SnapshotRetries, st.SnapshotRejects)
 	}
 }
 

@@ -12,11 +12,14 @@ import (
 // rather than returning a silently partial result.
 var ErrNotShardable = errors.New("cluster: query is not shardable under first-attribute partitioning")
 
-// ErrSnapshotMoved marks a broken consistent-snapshot handshake: a
-// shard's version vector advanced between the coordinator's collection
-// and the shard's execution, so the per-shard answers may describe
-// different global snapshots. The merge is rejected (HTTP 409); the
-// client retries against the settled state.
+// ErrSnapshotMoved marks a consistent-snapshot handshake the coordinator
+// could not complete: a shard refused the version vector expected of it
+// again on the one retry (updates are landing behind the coordinator's
+// back faster than it can follow), or stands behind what the coordinator
+// has already seen applied and no caught-up replica answered. Nothing
+// was merged or delivered (HTTP 409); in the first case the client
+// retries against the settled state, in the second the operator has a
+// shard to bring up to date.
 var ErrSnapshotMoved = errors.New("cluster: shard version vector moved mid-query")
 
 // ErrBreakerOpen marks a request rejected locally because the

@@ -153,6 +153,77 @@ func TestReplicaHedgedDo(t *testing.T) {
 	}
 }
 
+// TestReplicaStale closes the hole carried since replica groups exist: a
+// replica that lost an update its siblings hold (here a memory-only
+// replica restarted from its base data) used to serve single-shard reads
+// silently. Every read now carries the vector the coordinator has seen
+// applied, so the stale replica refuses, reads — sequential, hedged and
+// streamed — fail over to the caught-up one, and with only the stale one
+// alive the answer is a 409 that allow_partial does not absorb, never
+// the old data.
+func TestReplicaStale(t *testing.T) {
+	ctx := context.Background()
+	db := testGraphDB()
+	for _, hedge := range []time.Duration{0, time.Millisecond} {
+		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
+			restarted := &spyShard{Shard: NewEngineShard("a", server.NewEngine(db, server.Config{}))}
+			fresh := &spyShard{Shard: NewEngineShard("b", server.NewEngine(db, server.Config{}))}
+			h := &harness{single: server.NewEngine(db, server.Config{})}
+			var err error
+			h.coord, err = New(Routing{Shards: 1}, []Shard{NewReplicaSet([]Shard{restarted, fresh}, ReplicaConfig{Hedge: hedge})}, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta := server.UpdateRequest{Relation: "E", Inserts: [][]int64{{1, 100001}, {1, 100002}, {2, 100003}}}
+			if _, err := h.coord.Update(ctx, delta); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.single.Update(delta); err != nil {
+				t.Fatal(err)
+			}
+			restarted.Shard = NewEngineShard("a", server.NewEngine(db, server.Config{}))
+
+			for _, q := range []string{"E(1,y)", "E(x,y), E(x,z)"} {
+				checkDo(t, h, server.Request{Query: q})
+				checkDo(t, h, server.Request{Query: q, Mode: "eval"})
+				_, got, _ := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
+					return h.coord.StreamCtx(ctx, server.Request{Query: q}, hd, row)
+				})
+				_, want, _ := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
+					return h.single.StreamCtx(ctx, server.Request{Query: q, Orderer: "greedy"}, hd, row)
+				})
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: stream past a stale replica: %d rows, single engine %d", q, len(got), len(want))
+				}
+			}
+			if restarted.do.Load() == 0 || restarted.stream.Load() == 0 {
+				t.Fatalf("the preferred (stale) replica saw %d queries and %d streams — it was never asked, so nothing was refused", restarted.do.Load(), restarted.stream.Load())
+			}
+
+			fresh.Shard = &failingShard{name: "b"}
+			for _, ap := range []bool{false, true} {
+				if _, err := h.coord.Do(ctx, server.Request{Query: "E(1,y)", AllowPartial: ap}); !errors.Is(err, ErrSnapshotMoved) {
+					t.Fatalf("allow_partial=%v read with only the stale replica alive: %v, want ErrSnapshotMoved", ap, err)
+				}
+				_, err := h.coord.StreamCtx(ctx, server.Request{Query: "E(1,y)", AllowPartial: ap}, nil, func([]int64) bool {
+					t.Error("a stale replica's row was delivered")
+					return true
+				})
+				if !errors.Is(err, ErrSnapshotMoved) {
+					t.Fatalf("allow_partial=%v stream with only the stale replica alive: %v, want ErrSnapshotMoved", ap, err)
+				}
+			}
+			st, err := h.coord.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.SnapshotRetries != 0 || st.SnapshotRejects != 4 {
+				t.Fatalf("snapshot_retries=%d snapshot_rejects=%d, want 0 (behind is not retried) and 4", st.SnapshotRetries, st.SnapshotRejects)
+			}
+		})
+	}
+}
+
 // partialFleet builds a 4-shard coordinator with shard `dead` replaced
 // by a failingShard, returning the live engines for ground truth.
 func partialFleet(t *testing.T, db *relation.DB, dead int) (*Coordinator, []*server.Engine) {

@@ -48,7 +48,7 @@ const healthProbeTimeout = 5 * time.Second
 func (c *Coordinator) health(ctx context.Context) (int, any) {
 	ctx, cancel := context.WithTimeout(ctx, healthProbeTimeout)
 	defer cancel()
-	errs, _ := c.each(ctx, c.allShards(), "ready", false, func(ctx context.Context, i int) error {
+	errs, _ := each(ctx, c.shards, allIndexes(len(c.shards)), "ready", false, func(ctx context.Context, i int) error {
 		return c.shards[i].Ready(ctx)
 	})
 	fleet := make([]map[string]any, len(c.shards))

@@ -258,10 +258,10 @@ func TestHTTPClusterAdmissionGate(t *testing.T) {
 	}
 }
 
-// faultyShard is shard 0 of the conformance fleet: a healthy in-process
-// shard until a table row arms it — movingShard's mid-query update (the
-// 409), or an error its next Do answers with (a shard's own 4xx, a dead
-// shard).
+// faultyShard is shard 0 of a conformance fleet: a healthy shard until a
+// table row arms it — movingShard's updates behind the coordinator's
+// back (two exhaust the retry: the 409), or an error its next Do answers
+// with (a shard's own 4xx, a dead shard).
 type faultyShard struct {
 	*movingShard
 	fail error
@@ -310,13 +310,15 @@ func fakeBackend() http.Handler {
 	}.Handler()
 }
 
-// TestHTTPSurfaceConformance runs one request table against the three
+// TestHTTPSurfaceConformance runs one request table against the
 // backends of the one HTTP surface — an engine, a coordinator over
-// in-process shards of the same data, and a fake answering each typed
-// error — and requires the identical error answer from each: status,
-// Content-Type, Allow header and the {"error": "..."} body. A row names
-// the backends it applies to (e, c, f); the fault rows are the
-// coordinator's and the fake's, since one engine has no shard to lose.
+// in-process shards of the same data, a coordinator over the same shards
+// behind sockets, and a fake answering each typed error — and requires
+// the identical error answer from each: status, Content-Type, Allow
+// header and the {"error": "..."} body. A row names the backends it
+// applies to (e, c, f; c is both coordinators — what a fleet is made of
+// must not show in a status); the fault rows are the coordinators' and
+// the fake's, since one engine has no shard to lose.
 func TestHTTPSurfaceConformance(t *testing.T) {
 	db := dataset.CliqueUnion(500, 280, 18, 1.6, 9).DB(false)
 	dbs, routing, err := Partition(db, 2)
@@ -333,22 +335,39 @@ func TestHTTPSurfaceConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer engine.Close()
-	faulty := &faultyShard{movingShard: &movingShard{
-		EngineShard: NewEngineShard("shard-0", server.NewEngine(dbs[0], server.Config{})),
-		delta:       server.UpdateRequest{Relation: "E", Inserts: [][]int64{{100777, 100778}}},
-	}}
-	coord, err := New(routing, []Shard{faulty, NewEngineShard("shard-1", server.NewEngine(dbs[1], server.Config{}))}, Config{})
-	if err != nil {
-		t.Fatal(err)
+	// fleet builds a coordinator over fresh engines on the two partitions,
+	// reached in process or through their own HTTP handlers.
+	fleet := func(socket bool) (http.Handler, *faultyShard) {
+		shards := make([]Shard, 2)
+		faulty := &faultyShard{movingShard: newMovingShard(dbs[0], 2)}
+		shards[1] = NewEngineShard("shard-1", server.NewEngine(dbs[1], server.Config{}))
+		if socket {
+			for i, e := range []*server.Engine{faulty.engine, shards[1].(*EngineShard).Engine()} {
+				srv := httptest.NewServer(server.NewHandler(e))
+				t.Cleanup(srv.Close)
+				shards[i] = NewClient(srv.URL, ClientConfig{Timeout: 10 * time.Second})
+			}
+			faulty.Shard = shards[0]
+		}
+		shards[0] = faulty
+		coord, err := New(routing, shards, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewHandler(coord), faulty
 	}
+	inproc, inprocFaulty := fleet(false)
+	socket, socketFaulty := fleet(true)
 	backends := []struct {
 		key     byte
 		name    string
 		handler http.Handler
+		faulty  *faultyShard
 	}{
-		{'e', "engine", server.NewHandler(engine)},
-		{'c', "coordinator", NewHandler(coord)},
-		{'f', "fake", fakeBackend()},
+		{'e', "engine", server.NewHandler(engine), nil},
+		{'c', "coordinator", inproc, inprocFaulty},
+		{'c', "socket coordinator", socket, socketFaulty},
+		{'f', "fake", fakeBackend(), nil},
 	}
 
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -362,7 +381,7 @@ func TestHTTPSurfaceConformance(t *testing.T) {
 		status       int
 		allow        string
 		ctx          context.Context
-		arm          func()
+		arm          func(f *faultyShard)
 	}
 	rows := []row{
 		// Every route × a wrong verb.
@@ -385,7 +404,11 @@ func TestHTTPSurfaceConformance(t *testing.T) {
 		{name: "parse error", on: "ec", method: "POST", path: "/query", body: `{"query": "nope("}`, status: 400},
 		{name: "bad mode", on: "ecf", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", `, "mode": "drop"`), status: 400},
 		{name: "bad semiring", on: "ecf", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", `, "mode": "aggregate", "semiring": "nope"`), status: 400},
-		{name: "stream of unknown relation", on: "e", method: "POST", path: "/query", body: query("Z(x,y)", `, "mode": "stream"`), status: 400},
+		{name: "unknown relation", on: "ec", method: "POST", path: "/query", body: query("Z(x,y), Z(x,z)", ""), status: 400},
+		{name: "stream of unknown relation", on: "ec", method: "POST", path: "/query", body: query("Z(x,y), Z(x,z)", `, "mode": "stream"`), status: 400},
+		{name: "bad cache_eviction", on: "ec", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", `, "cache_eviction": "nope"`), status: 400},
+		{name: "update of unknown relation", on: "ec", method: "POST", path: "/update", body: `{"relation": "Z", "inserts": [[1, 2]]}`, status: 400},
+		{name: "if_versions at a coordinator", on: "c", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", `, "if_versions": {"E": 0}`), status: 400},
 		{name: "unshardable", on: "c", method: "POST", path: "/query", body: query("E(x,y), E(y,z), E(x,z)", ""), status: 400},
 		{name: "unshardable", on: "f", method: "POST", path: "/query", body: query("unshardable", ""), status: 400},
 		// Context outcomes, buffered and before a stream's first line.
@@ -397,16 +420,18 @@ func TestHTTPSurfaceConformance(t *testing.T) {
 		{name: "cancelled", on: "f", method: "POST", path: "/query", body: query("cancelled", ""), status: 499},
 		// The coordinator's own statuses.
 		{name: "snapshot moved", on: "c", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", ""), status: 409,
-			arm: func() { faulty.armed = true }},
+			arm: func(f *faultyShard) { f.moves = 2 }},
+		{name: "snapshot moved stream", on: "c", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", `, "mode": "stream"`), status: 409,
+			arm: func(f *faultyShard) { f.moves = 2 }},
 		{name: "snapshot moved", on: "f", method: "POST", path: "/query", body: query("moved", ""), status: 409},
 		{name: "shard 4xx passes through", on: "c", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", ""), status: 422,
-			arm: func() { faulty.fail = &StatusError{Status: 422, Msg: "shard says no"} }},
+			arm: func(f *faultyShard) { f.fail = &StatusError{Status: 422, Msg: "shard says no"} }},
 		{name: "shard 4xx passes through", on: "f", method: "POST", path: "/query", body: query("shard-4xx", ""), status: 422},
 		{name: "shard 5xx", on: "c", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", ""), status: 502,
-			arm: func() { faulty.fail = &StatusError{Status: 503, Msg: "shard is booting"} }},
+			arm: func(f *faultyShard) { f.fail = &StatusError{Status: 503, Msg: "shard is booting"} }},
 		{name: "shard 5xx", on: "f", method: "POST", path: "/query", body: query("shard-5xx", ""), status: 502},
 		{name: "dead shard", on: "c", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", ""), status: 502,
-			arm: func() { faulty.fail = errors.New("connection refused") }},
+			arm: func(f *faultyShard) { f.fail = errors.New("connection refused") }},
 		{name: "dead shard", on: "f", method: "POST", path: "/query", body: query("shard-dead", ""), status: 502},
 		// Read-only: the engine's own degraded mode (sticky, so last).
 		{name: "read-only", on: "e", method: "POST", path: "/update", body: `{"relation": "E", "inserts": [[100001, 100002]]}`, status: 503},
@@ -418,7 +443,7 @@ func TestHTTPSurfaceConformance(t *testing.T) {
 				continue
 			}
 			if r.arm != nil {
-				r.arm()
+				r.arm(b.faulty)
 			}
 			req := httptest.NewRequest(r.method, r.path, strings.NewReader(r.body))
 			if r.ctx != nil {

@@ -27,14 +27,16 @@ type ReplicaConfig struct {
 // replica and all must succeed. It implements Shard, so the coordinator
 // treats a replicated partition exactly like a single endpoint.
 //
-// Consistency: a read answers from whichever replica responds, and the
-// snapshot handshake's preflight may have read a different replica than
-// the execution. While the replicas agree (every update succeeded
-// everywhere) that is invisible; after a partial update failure the
-// replicas may diverge, and a multi-shard merge across divergent
-// replicas fails the version re-check (409, retry converges) rather
-// than merging mixed snapshots. Single-shard reads from a stale replica
-// are still internally consistent snapshots of that replica.
+// Consistency: a read carries the version vector the coordinator expects
+// of the partition (Request.IfVersions), and a replica standing anywhere
+// else refuses it. A replica that refuses because it is behind — it
+// missed an update its siblings applied — is failed over like a dead
+// one, so a stale replica is never read from, single-shard routes
+// included; with no caught-up replica answering, the group's error is
+// that refusal (a live but stale partition is a 409 for the operator to
+// repair, not a 502), and a retried update converges the group. A
+// refusal reporting a newer vector is the coordinator's to act on (the
+// data moved behind its back) and is returned as it is.
 type ReplicaSet struct {
 	name  string
 	reps  []Shard
@@ -61,86 +63,95 @@ func NewReplicaSet(reps []Shard, cfg ReplicaConfig) *ReplicaSet {
 func (r *ReplicaSet) Name() string { return r.name }
 
 // failoverable reports whether err justifies trying another replica.
-// Transport failures, open breakers and shard-side 5xx all do — the
-// next replica may well serve. A 4xx is the shard answering that the
-// request itself is bad; every replica would refuse identically, so it
-// is authoritative and returned as-is.
-func failoverable(err error) bool {
+// Transport failures, open breakers, shard-side 5xx and a stale replica
+// all do — the next replica may well serve. A 4xx is the shard answering
+// that the request itself is bad, and a refusal reporting a newer vector
+// that the data has moved; every replica would answer identically, so
+// both are authoritative and returned as-is.
+func failoverable(err error, want map[string]uint64) bool {
 	var se *StatusError
 	if errors.As(err, &se) {
 		return se.Status >= 500
 	}
+	var vm *server.VersionMismatch
+	if errors.As(err, &vm) {
+		return behind(vm.Have, want)
+	}
 	return true
 }
 
-// read runs f against replicas in preference order until one answers,
-// the error is authoritative, or ctx dies.
-func (r *ReplicaSet) read(ctx context.Context, f func(ctx context.Context, s Shard) error) error {
-	var lastErr error
-	for _, s := range r.reps {
-		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return lastErr
-			}
-			return err
-		}
-		lastErr = f(ctx, s)
-		if lastErr == nil || !failoverable(lastErr) {
-			return lastErr
-		}
+// passedOver collects the failures a read failed over past and picks the
+// one the group answers with when no replica served: a stale replica's
+// refusal if there was one — the partition is up but behind, which the
+// caller must not mistake for down — else the last failure.
+type passedOver struct{ stale, last error }
+
+func (p *passedOver) add(err error) {
+	p.last = err
+	var vm *server.VersionMismatch
+	if p.stale == nil && errors.As(err, &vm) {
+		p.stale = err
 	}
-	return lastErr
+}
+
+func (p *passedOver) err() error {
+	if p.stale != nil {
+		return p.stale
+	}
+	return p.last
+}
+
+// read runs f against replicas in preference order until one answers,
+// the error is authoritative, or ctx dies. want is the vector the read
+// expects (nil: none).
+func read[T any](ctx context.Context, r *ReplicaSet, want map[string]uint64, f func(ctx context.Context, s Shard) (T, error)) (T, error) {
+	var zero T
+	var failed passedOver
+	for _, s := range r.reps {
+		if ctx.Err() != nil {
+			break
+		}
+		out, err := f(ctx, s)
+		if err == nil || !failoverable(err, want) {
+			return out, err
+		}
+		failed.add(err)
+	}
+	if err := failed.err(); err != nil {
+		return zero, err
+	}
+	return zero, ctx.Err()
 }
 
 // Ready implements Shard: the partition is ready when any replica is.
 func (r *ReplicaSet) Ready(ctx context.Context) error {
-	return r.read(ctx, func(ctx context.Context, s Shard) error {
-		return s.Ready(ctx)
+	_, err := read(ctx, r, nil, func(ctx context.Context, s Shard) (struct{}, error) {
+		return struct{}{}, s.Ready(ctx)
 	})
+	return err
 }
 
 // Versions implements Shard, answering from the first live replica.
 func (r *ReplicaSet) Versions(ctx context.Context, names []string) (map[string]uint64, error) {
-	var out map[string]uint64
-	err := r.read(ctx, func(ctx context.Context, s Shard) error {
-		var err error
-		out, err = s.Versions(ctx, names)
-		return err
+	return read(ctx, r, nil, func(ctx context.Context, s Shard) (map[string]uint64, error) {
+		return s.Versions(ctx, names)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Stats implements Shard, answering from the first live replica.
 func (r *ReplicaSet) Stats(ctx context.Context) (*server.EngineStats, error) {
-	var out *server.EngineStats
-	err := r.read(ctx, func(ctx context.Context, s Shard) error {
-		var err error
-		out, err = s.Stats(ctx)
-		return err
+	return read(ctx, r, nil, func(ctx context.Context, s Shard) (*server.EngineStats, error) {
+		return s.Stats(ctx)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Do implements Shard: sequential failover, or hedged when configured —
 // queries are reads, so racing two replicas is safe.
 func (r *ReplicaSet) Do(ctx context.Context, req server.Request) (*server.Response, error) {
 	if r.hedge <= 0 || len(r.reps) < 2 {
-		var out *server.Response
-		err := r.read(ctx, func(ctx context.Context, s Shard) error {
-			var err error
-			out, err = s.Do(ctx, req)
-			return err
+		return read(ctx, r, req.IfVersions, func(ctx context.Context, s Shard) (*server.Response, error) {
+			return s.Do(ctx, req)
 		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
 	}
 	return r.hedgedDo(ctx, req)
 }
@@ -148,7 +159,8 @@ func (r *ReplicaSet) Do(ctx context.Context, req server.Request) (*server.Respon
 // hedgedDo races replicas with staggered starts: replica i+1 launches
 // when the hedge delay elapses with no answer yet, or immediately when
 // an attempt fails. First success wins and cancels the laggards; an
-// authoritative 4xx wins too (every replica would refuse identically).
+// authoritative refusal wins too (every replica would refuse
+// identically), and a stale replica counts as a failed attempt.
 func (r *ReplicaSet) hedgedDo(ctx context.Context, req server.Request) (*server.Response, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // the winner abandons the laggards
@@ -173,7 +185,7 @@ func (r *ReplicaSet) hedgedDo(ctx context.Context, req server.Request) (*server.
 	timer := time.NewTimer(r.hedge)
 	defer timer.Stop()
 	pending := 1
-	var lastErr error
+	var failed passedOver
 	for pending > 0 {
 		select {
 		case res := <-results:
@@ -181,10 +193,10 @@ func (r *ReplicaSet) hedgedDo(ctx context.Context, req server.Request) (*server.
 			if res.err == nil {
 				return res.resp, nil
 			}
-			if ctx.Err() == nil && !failoverable(res.err) {
+			if ctx.Err() == nil && !failoverable(res.err, req.IfVersions) {
 				return nil, res.err
 			}
-			lastErr = res.err
+			failed.add(res.err)
 			if ctx.Err() == nil && launched < len(r.reps) {
 				// A failure frees its hedge slot immediately — no point
 				// waiting out the timer on a dead attempt.
@@ -199,7 +211,7 @@ func (r *ReplicaSet) hedgedDo(ctx context.Context, req server.Request) (*server.
 			}
 		}
 	}
-	return nil, lastErr
+	return nil, failed.err()
 }
 
 // Update implements Shard: the delta fans out to every replica
@@ -211,26 +223,13 @@ func (r *ReplicaSet) hedgedDo(ctx context.Context, req server.Request) (*server.
 // the less the retry has left to repair.
 func (r *ReplicaSet) Update(ctx context.Context, req server.UpdateRequest) (*server.UpdateResult, error) {
 	results := make([]*server.UpdateResult, len(r.reps))
-	errc := make(chan error, len(r.reps))
-	for i, s := range r.reps {
-		go func(i int, s Shard) {
-			res, err := s.Update(ctx, req)
-			if err != nil {
-				errc <- &ShardError{Shard: s.Name(), Op: "update", Err: err}
-				return
-			}
-			results[i] = res
-			errc <- nil
-		}(i, s)
-	}
-	var firstErr error
-	for range r.reps {
-		if err := <-errc; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	_, err := each(ctx, r.reps, allIndexes(len(r.reps)), "update", false, func(ctx context.Context, i int) error {
+		res, err := r.reps[i].Update(ctx, req)
+		results[i] = res
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results[0], nil
 }
@@ -238,9 +237,10 @@ func (r *ReplicaSet) Update(ctx context.Context, req server.UpdateRequest) (*ser
 // Stream implements Shard. Failover is only sound while no row has been
 // delivered: once rows are out, a replay from another replica would
 // re-deliver them, so a mid-stream death surfaces as the error it is
-// (the coordinator's partial mode decides what to do with it). The
-// header is deduplicated across attempts — replicas plan identically,
-// so the first fired order stands.
+// (the coordinator's partial mode decides what to do with it). A stale
+// replica refuses before its header, so it is always still failed over.
+// The header is deduplicated across attempts — replicas plan
+// identically, so the first fired order stands.
 func (r *ReplicaSet) Stream(ctx context.Context, req server.Request, header func(order []string), row func(mu []int64) bool) (server.StreamSummary, error) {
 	fired := false
 	hdr := func(order []string) {
@@ -251,10 +251,10 @@ func (r *ReplicaSet) Stream(ctx context.Context, req server.Request, header func
 			}
 		}
 	}
-	var lastErr error
+	var failed passedOver
 	var lastSum server.StreamSummary
 	for _, s := range r.reps {
-		if err := ctx.Err(); err != nil {
+		if ctx.Err() != nil {
 			break
 		}
 		delivered := false
@@ -262,13 +262,16 @@ func (r *ReplicaSet) Stream(ctx context.Context, req server.Request, header func
 			delivered = true
 			return row(mu)
 		})
-		if err == nil || delivered || !failoverable(err) {
+		if err == nil || delivered || !failoverable(err, req.IfVersions) {
 			return sum, err
 		}
-		lastErr = err
+		failed.add(err)
 		lastSum = sum
 	}
-	return lastSum, lastErr
+	if err := failed.err(); err != nil {
+		return lastSum, err
+	}
+	return lastSum, ctx.Err()
 }
 
 // BreakerStates implements BreakerStater: the concatenation of every

@@ -6,22 +6,21 @@ import "sync"
 // the config does not name one.
 const DefaultRouteCacheSize = 256
 
-// routeKey identifies one routed query at one global snapshot: the raw
-// query text, the plan-affecting options, and the global version vector
-// — every shard's per-relation version numbers, concatenated in shard
-// order. Keying on the global vector makes invalidation free: an update
-// anywhere moves the vector, so stale routes (and the variable order
-// pinned with them) become unreachable by construction.
+// routeKey identifies one routed query: the raw query text and the
+// plan-affecting options. No version component: the route is a function
+// of the query's shape and the partitioning, and the variable order
+// pinned with it comes from the greedy orderer the coordinator forces,
+// which reads the query's structure and no index — neither can be moved
+// by an update.
 type routeKey struct {
 	text string
 	opts string
-	vers string
 }
 
-// routeEntry is one cached routing decision plus what the first
-// execution at this snapshot learned: the sorted relation names the
-// query touches and the shards' common variable order, which later
-// executions at the same key are held to.
+// routeEntry is one cached routing decision plus what the query's first
+// execution learned: the sorted relation names the query touches and the
+// shards' common variable order, which every later execution is held
+// to.
 type routeEntry struct {
 	key        routeKey
 	route      RoutePlan
@@ -97,7 +96,7 @@ func (rc *routeCache) put(key routeKey, route RoutePlan, names, order []string) 
 }
 
 // learn records the variable order the shards agreed on for key, so
-// later executions at the same snapshot are verified against it.
+// later executions are verified against it.
 func (rc *routeCache) learn(key routeKey, order []string) {
 	if rc == nil {
 		return

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 
 	"repro/internal/server"
 )
@@ -19,9 +20,10 @@ type Shard interface {
 	// WAL is not ready). The coordinator gates shard admission on it.
 	Ready(ctx context.Context) error
 	// Versions returns the shard's current version number per named
-	// relation — the coordinator's consistent-snapshot handshake
-	// collects these before fanning out and rejects a merge whose
-	// responses executed at any other vector.
+	// relation. The coordinator asks once, about a shard it has never
+	// seen a vector from; afterwards Do and Stream carry the vector it
+	// expects (Request.IfVersions) and a shard standing elsewhere
+	// refuses with a *server.VersionMismatch naming where.
 	Versions(ctx context.Context, names []string) (map[string]uint64, error)
 	// Do executes one buffered query (count, eval, aggregate).
 	Do(ctx context.Context, req server.Request) (*server.Response, error)
@@ -50,8 +52,8 @@ func NewEngineShard(name string, e *server.Engine) *EngineShard {
 	return &EngineShard{name: name, e: e}
 }
 
-// Engine returns the wrapped engine (test hooks: injecting updates
-// between handshake steps).
+// Engine returns the wrapped engine (test hooks: landing updates behind
+// the coordinator's back).
 func (s *EngineShard) Engine() *server.Engine { return s.e }
 
 // Name implements Shard.
@@ -69,14 +71,29 @@ func (s *EngineShard) Versions(ctx context.Context, names []string) (map[string]
 	return s.e.VersionNumbers(names), nil
 }
 
+// refusal renders an engine's own error as its HTTP surface would have
+// answered it to a Client, so one request fails alike over in-process
+// and socket fleets: a *StatusError carrying the status the engine's
+// handler maps the error to. Context outcomes and a refused if_versions
+// stay the typed errors both fleets hand the coordinator.
+func refusal(err error) error {
+	var vm *server.VersionMismatch
+	if err == nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) || errors.As(err, &vm) {
+		return err
+	}
+	return &StatusError{Status: server.ErrorStatus(err), Msg: err.Error()}
+}
+
 // Do implements Shard.
 func (s *EngineShard) Do(ctx context.Context, req server.Request) (*server.Response, error) {
-	return s.e.DoCtx(ctx, req)
+	resp, err := s.e.DoCtx(ctx, req)
+	return resp, refusal(err)
 }
 
 // Stream implements Shard.
 func (s *EngineShard) Stream(ctx context.Context, req server.Request, header func(order []string), row func(mu []int64) bool) (server.StreamSummary, error) {
-	return s.e.StreamCtx(ctx, req, header, row)
+	sum, err := s.e.StreamCtx(ctx, req, header, row)
+	return sum, refusal(err)
 }
 
 // Update implements Shard.
@@ -84,7 +101,8 @@ func (s *EngineShard) Update(ctx context.Context, req server.UpdateRequest) (*se
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.e.Update(req)
+	res, err := s.e.Update(req)
+	return res, refusal(err)
 }
 
 // Stats implements Shard.

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"context"
-	"fmt"
+	"errors"
 
 	"repro/internal/server"
 )
@@ -16,15 +16,52 @@ const streamMergeBuffer = 64
 // written by the producer goroutine before done closes and read only
 // after it — the close is the publication barrier.
 type shardStream struct {
-	shard int
-	hdr   chan []string
-	rows  chan []int64
-	done  chan struct{}
-	sum   server.StreamSummary
-	err   error
+	shard  int
+	cancel context.CancelFunc
+	hdr    chan []string
+	rows   chan []int64
+	done   chan struct{}
+	sum    server.StreamSummary
+	err    error
 	// head/ok are merge-loop state, touched only by the coordinator.
 	head []int64
 	ok   bool
+}
+
+// openStream starts shard i's producer: its scan runs ahead of the merge
+// by up to streamMergeBuffer rows, until the stream ends or stop.
+func (c *Coordinator) openStream(ctx context.Context, i int, req server.Request) *shardStream {
+	ctx, cancel := context.WithCancel(ctx)
+	s := &shardStream{
+		shard:  i,
+		cancel: cancel,
+		hdr:    make(chan []string, 1),
+		rows:   make(chan []int64, streamMergeBuffer),
+		done:   make(chan struct{}),
+	}
+	go func() {
+		s.sum, s.err = c.shards[i].Stream(ctx, req,
+			func(order []string) { s.hdr <- order },
+			func(mu []int64) bool {
+				cp := append([]int64(nil), mu...)
+				select {
+				case s.rows <- cp:
+					return true
+				case <-ctx.Done():
+					return false
+				}
+			})
+		close(s.rows)
+		close(s.hdr)
+		close(s.done)
+	}()
+	return s
+}
+
+// stop cancels the producer's scan and waits for its goroutine.
+func (s *shardStream) stop() {
+	s.cancel()
+	<-s.done
 }
 
 // StreamCtx executes one streaming eval across the fleet: every routed
@@ -38,11 +75,14 @@ type shardStream struct {
 // Engine.StreamCtx: a positive limit stops the merged enumeration early
 // with Truncated set; 0 or negative streams everything.
 //
-// The snapshot handshake brackets the stream: versions are collected
-// before fan-out and re-checked after the last row, and a moved vector
-// fails the stream with ErrSnapshotMoved — rows already delivered
-// cannot be unsent, so the error arrives as the stream's terminal
-// status (the NDJSON trailer over HTTP).
+// The snapshot handshake is the buffered one (fanout): every shard's
+// stream request carries the vector expected of it, a shard standing
+// elsewhere refuses before its header line, and since no row reaches
+// the consumer until every routed shard has announced its header, a
+// refusal is retried — or fails the stream with ErrSnapshotMoved — with
+// nothing delivered. A shard that streams, streams the snapshot it
+// pinned at the expected vector, so nothing is left to certify after
+// the last row.
 //
 // A shard death mid-stream normally fails the stream the moment the
 // merge reaches the dead head (the remaining scans are cancelled and
@@ -52,11 +92,12 @@ type shardStream struct {
 // then the exact merge of the surviving partitions (plus the dead
 // shard's already-delivered prefix), and the summary says so.
 func (c *Coordinator) StreamCtx(ctx context.Context, req server.Request, header func(order []string), row func(mu []int64) bool) (server.StreamSummary, error) {
-	req, rt, err := c.resolve(ctx, req, "stream")
+	ctx, cancel, req, rt, err := c.resolve(ctx, req)
+	defer cancel()
 	if err != nil {
 		return server.StreamSummary{}, err
 	}
-	partial, idxs := req.AllowPartial, rt.live
+	partial := req.AllowPartial
 
 	// finish stamps the degraded-mode outcome on a completed merge.
 	finish := func(sum server.StreamSummary) server.StreamSummary {
@@ -66,134 +107,92 @@ func (c *Coordinator) StreamCtx(ctx context.Context, req server.Request, header 
 		return sum
 	}
 
-	if len(idxs) == 1 {
-		// No merge, so no cross-shard order or snapshot constraints: the
-		// one shard's own snapshot pin already makes its stream exact
-		// (over its partition — finish marks whether that is the whole
-		// route). A death mid-single-stream has no survivors to continue
-		// over, so it surfaces as the error it is.
-		i := idxs[0]
+	if len(rt.live) == 1 {
+		// No merge, so no cross-shard order constraint, and the one shard
+		// streams straight into the consumer's callbacks. A death
+		// mid-single-stream has no survivors to continue over, so it
+		// surfaces as the error it is.
 		hdr := func(order []string) {
-			if !rt.nocache {
+			if rt.order == nil {
 				c.routes.learn(rt.key, order)
 			}
 			if header != nil {
 				header(order)
 			}
 		}
-		sum, err := c.shards[i].Stream(ctx, req, hdr, row)
+		var sum server.StreamSummary
+		err := c.fanout(ctx, rt, "stream", partial, func(ctx context.Context, i int, want map[string]uint64) error {
+			sreq := req
+			sreq.IfVersions = want
+			var err error
+			sum, err = c.shards[i].Stream(ctx, sreq, hdr, row)
+			return err
+		})
 		if err != nil {
-			return sum, c.shardErr(i, "stream", err)
+			return sum, err
 		}
 		c.queries.Add(1)
 		return finish(sum), nil
 	}
 
-	sctx, cancel := context.WithCancel(ctx)
-	streams := make([]*shardStream, len(idxs))
-	for j, i := range idxs {
-		s := &shardStream{
-			shard: i,
-			hdr:   make(chan []string, 1),
-			rows:  make(chan []int64, streamMergeBuffer),
-			done:  make(chan struct{}),
-		}
-		streams[j] = s
-		go func(s *shardStream) {
-			s.sum, s.err = c.shards[s.shard].Stream(sctx, req,
-				func(order []string) { s.hdr <- order },
-				func(mu []int64) bool {
-					cp := append([]int64(nil), mu...)
-					select {
-					case s.rows <- cp:
-						return true
-					case <-sctx.Done():
-						return false
-					}
-				})
-			close(s.rows)
-			close(s.hdr)
-			close(s.done)
-		}(s)
-	}
+	// Header barrier: a successful shard stream announces its variable
+	// order before its first row, so waiting on every header (or the
+	// stream's early death) costs no row latency and lets a snapshot
+	// refusal be retried, and order divergence fail the stream, before
+	// anything is delivered. Under allow_partial a shard dying at the
+	// barrier is dropped instead — nothing of it was delivered yet.
+	// streams and orders are indexed by shard; a retried fan-out reaps the
+	// refused round's producer before opening the next.
+	streams := make([]*shardStream, len(c.shards))
+	orders := make([][]string, len(c.shards))
 	// Every exit path cancels the in-flight scans and waits for the
 	// producers — no goroutine outlives the merge. In particular, a
 	// mid-stream shard death that fails the merge cancels the surviving
 	// scans here, promptly, instead of letting them stream to nowhere.
 	defer func() {
-		cancel()
 		for _, s := range streams {
-			<-s.done
+			if s != nil {
+				s.stop()
+			}
 		}
 	}()
-
-	// Header barrier: a successful shard stream announces its variable
-	// order before its first row, so waiting on every header (or the
-	// stream's early death) costs no row latency and lets order
-	// divergence fail the stream before anything is delivered. Under
-	// allow_partial a shard dying at the barrier is dropped instead —
-	// nothing of it was delivered yet.
-	var live []*shardStream
-	var liveIdxs []int
-	var orders [][]string
-	for _, s := range streams {
-		order, ok := <-s.hdr
-		if !ok {
-			<-s.done
-			err := s.err
-			if err == nil {
-				err = fmt.Errorf("stream ended before announcing its variable order")
-			}
-			err = c.shardErr(s.shard, "stream", err)
-			if partial && tolerable(ctx, err) {
-				rt.lose(s.shard, err)
-				continue
-			}
-			return server.StreamSummary{}, err
+	err = c.fanout(ctx, rt, "stream", partial, func(fctx context.Context, i int, want map[string]uint64) error {
+		if s := streams[i]; s != nil {
+			s.stop()
 		}
-		live = append(live, s)
-		liveIdxs = append(liveIdxs, s.shard)
-		orders = append(orders, order)
+		sreq := req
+		sreq.IfVersions = want
+		s := c.openStream(ctx, i, sreq)
+		streams[i] = s
+		select {
+		case order, ok := <-s.hdr:
+			if ok {
+				orders[i] = order
+				return nil
+			}
+			<-s.done
+			if s.err == nil {
+				return errors.New("stream ended before announcing its variable order")
+			}
+			return s.err
+		case <-fctx.Done():
+			return fctx.Err() // a sibling failed the barrier
+		}
+	})
+	if err != nil {
+		return server.StreamSummary{}, err
 	}
-	if len(live) == 0 {
-		return server.StreamSummary{}, rt.dead
+	live := make([]*shardStream, len(rt.live))
+	liveOrders := make([][]string, len(rt.live))
+	for j, i := range rt.live {
+		live[j], liveOrders[j] = streams[i], orders[i]
 	}
-	order, err := c.checkOrders(rt, liveIdxs, orders)
+	order, err := c.checkOrders(rt, rt.live, liveOrders)
 	if err != nil {
 		return server.StreamSummary{}, err
 	}
 	if header != nil {
 		header(order)
-	}
-
-	// Postflight: the stream wire format carries no version vector (it
-	// must stay byte-identical to a single engine's), so consistency is
-	// re-checked out of band after the rows, over the shards whose rows
-	// were merged. An update landing after a shard's scan finished but
-	// before this probe is indistinguishable from one landing mid-scan;
-	// the check is conservative and rejects both. A survivor that dies
-	// here is NOT dropped even under allow_partial — its rows are
-	// already in the merge and can no longer be certified, so the
-	// stream fails rather than stand behind them.
-	postflight := func() error {
-		for _, i := range idxs {
-			if rt.missing[i] {
-				continue
-			}
-			post, err := c.shards[i].Versions(ctx, rt.names)
-			if err != nil {
-				return c.shardErr(i, "versions", err)
-			}
-			pre := rt.vecs[i]
-			for _, name := range rt.names {
-				if post[name] != pre[name] {
-					c.snapshotRejects.Add(1)
-					return fmt.Errorf("%w: shard %s relation %q advanced %d -> %d during the stream",
-						ErrSnapshotMoved, c.shards[i].Name(), name, pre[name], post[name])
-				}
-			}
-		}
-		return nil
 	}
 
 	// K-way merge by root key. advance blocks on the shard's next row
@@ -212,7 +211,7 @@ func (c *Coordinator) StreamCtx(ctx context.Context, req server.Request, header 
 		if s.err == nil {
 			return nil
 		}
-		err := c.shardErr(s.shard, "stream", s.err)
+		err := shardErr(c.shards[s.shard], "stream", s.err)
 		if partial && tolerable(ctx, err) {
 			// The shard's already-delivered prefix stands; the trailer
 			// names the loss.
@@ -243,19 +242,14 @@ func (c *Coordinator) StreamCtx(ctx context.Context, req server.Request, header 
 		}
 		if limit > 0 && sum.Count >= limit {
 			// A row beyond the limit exists; the enumeration is truncated
-			// as a fact, exactly as Engine.StreamCtx decides it. The
-			// delivered prefix is still a merged answer, so it keeps the
-			// snapshot guarantee.
+			// as a fact, exactly as Engine.StreamCtx decides it.
 			sum.Truncated = true
-			if err := postflight(); err != nil {
-				return sum, err
-			}
 			c.queries.Add(1)
 			return finish(sum), nil
 		}
 		sum.Count++
 		if !row(live[best].head) {
-			return finish(sum), nil // consumer stop: normal completion, no guarantee owed
+			return finish(sum), nil // consumer stop: normal completion
 		}
 		if err := advance(live[best]); err != nil {
 			return sum, err
@@ -270,9 +264,6 @@ func (c *Coordinator) StreamCtx(ctx context.Context, req server.Request, header 
 		if !rt.missing[s.shard] {
 			sum.Truncated = sum.Truncated || s.sum.Truncated
 		}
-	}
-	if err := postflight(); err != nil {
-		return sum, err
 	}
 	c.queries.Add(1)
 	return finish(sum), nil

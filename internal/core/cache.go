@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -261,7 +262,8 @@ type manager[V any] struct {
 	tables []table[V] // indexed by bag node; off for uncacheable bags
 	total  int        // stored cost units (entries for counts, factorized entries for sets)
 	c      *stats.Counters
-	cost   func(V) int // capacity cost of one value; nil costs 1
+	cost   func(V) int    // capacity cost of one value; nil costs 1
+	seen   []atomic.Int32 // the bound plan's slotsSeen, raised at release
 }
 
 // managerPools holds one sync.Pool of *manager[V] per instantiation,
@@ -291,7 +293,7 @@ func acquireManager[V any](policy Policy, p *Plan, c *stats.Counters, cost func(
 	if m == nil {
 		m = new(manager[V])
 	}
-	m.policy, m.c, m.cost = policy, c, cost
+	m.policy, m.c, m.cost, m.seen = policy, c, cost, p.slotsSeen
 	m.tables = m.tables[:cap(m.tables)]
 	if n := p.numNodes - len(m.tables); n > 0 {
 		m.tables = append(m.tables, make([]table[V], n)...)
@@ -300,11 +302,45 @@ func acquireManager[V any](policy Policy, p *Plan, c *stats.Counters, cost func(
 	for v := range m.tables {
 		t := &m.tables[v]
 		t.on, t.width = p.cacheable[v], len(p.adhesionDepths[v])
-		if t.on && t.index == nil {
-			t.index = make([]int32, minIndexCells)
+		if !t.on {
+			continue
+		}
+		// The table is empty here, so one too small for the plan is
+		// replaced, not left to grow: a pooled manager serves plans of
+		// every size, and append's way from a small plan's slab to a large
+		// plan's allocates several times the large one.
+		if slots := m.expectedSlots(v); t.index == nil || cap(t.slab) < slots {
+			t.alloc(slots)
 		}
 	}
 	return m
+}
+
+// expectedSlots is how many slots bag v's table held at most when the
+// plan ran before, less what the policy's capacity rules out now (a
+// bounded run holds one slot per stored unit at most, and the one a
+// probe claims before its store evicts; support counts are kept beside
+// the capacity). 0 when the plan has not run.
+func (m *manager[V]) expectedSlots(v int) int {
+	n := int(m.seen[v].Load())
+	if m.policy.Capacity > 0 && m.policy.SupportThreshold <= 0 {
+		n = min(n, m.policy.Capacity+1)
+	}
+	return n
+}
+
+// alloc gives an empty table a fresh index and slab with room for slots
+// without growing: a manager the pool no longer holds then costs the
+// plan's working set once and not the growth steps on the way there.
+func (t *table[V]) alloc(slots int) {
+	cells := minIndexCells
+	for cells <= 2*slots {
+		cells *= 2
+	}
+	t.index = make([]int32, cells)
+	if slots > 0 {
+		t.slab = make([]slot[V], 0, slots)
+	}
 }
 
 // release empties the manager and returns it to the pool. Tables beyond
@@ -315,9 +351,15 @@ func (m *manager[V]) release() {
 		return
 	}
 	for v := range m.tables {
-		m.tables[v].reset()
+		t := &m.tables[v]
+		// Not an atomic max: a worker's larger count lost to a sibling's
+		// costs the next run a few growth steps and is raised then.
+		if n := int32(len(t.slab)); n > m.seen[v].Load() {
+			m.seen[v].Store(n)
+		}
+		t.reset()
 	}
-	m.total, m.c, m.cost = 0, nil, nil
+	m.total, m.c, m.cost, m.seen = 0, nil, nil, nil
 	managerPool[V]().Put(m)
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/factorized"
@@ -17,6 +19,7 @@ func tablePlan(widths ...int) *Plan {
 		numNodes:       len(widths),
 		cacheable:      make([]bool, len(widths)),
 		adhesionDepths: make([][]int, len(widths)),
+		slotsSeen:      make([]atomic.Int32, len(widths)),
 	}}
 	for v, w := range widths {
 		if p.cacheable[v] = w >= 0; w > 0 {
@@ -302,6 +305,69 @@ func TestManagerPoolReuse(t *testing.T) {
 	if c := cap(big.tables[1].slab); c != kept {
 		t.Fatalf("the small table beside it was dropped too (cap %d, had %d)", c, kept)
 	}
+}
+
+// TestTableSizedFromPlan: a manager taken after the collector has
+// emptied the pool is sized to what the plan's last run left, so that
+// filling it again grows nothing — capped by a bounded policy's
+// capacity, and by nothing under a support threshold, whose seen-only
+// slots the capacity does not count.
+func TestTableSizedFromPlan(t *testing.T) {
+	const n = 5000
+	p := tablePlan(1)
+	fill := func(m *manager[int64]) {
+		for i := int64(0); i < n; i++ {
+			put(m, 0, key(i), i)
+		}
+	}
+	fresh := func(pol Policy) *manager[int64] {
+		runtime.GC() // twice: the pool's content survives one collection
+		runtime.GC()
+		return acquireManager[int64](pol, p, nil, nil)
+	}
+	m := fresh(Policy{})
+	if c := cap(m.tables[0].slab); c != 0 {
+		t.Fatalf("a plan that has not run sized its table to %d slots", c)
+	}
+	fill(m)
+	m.release()
+
+	m = fresh(Policy{})
+	tb := &m.tables[0]
+	slabCap, cells := cap(tb.slab), len(tb.index)
+	if slabCap != n {
+		t.Fatalf("fresh table has room for %d slots, the last run left %d", slabCap, n)
+	}
+	fill(m)
+	if cap(tb.slab) != slabCap || len(tb.index) != cells {
+		t.Fatalf("refilling grew the table: slab %d -> %d, index %d -> %d", slabCap, cap(tb.slab), cells, len(tb.index))
+	}
+	checkTable(t, tb)
+	m.release()
+
+	m = fresh(Policy{Capacity: 256, Eviction: EvictLRU})
+	if c := cap(m.tables[0].slab); c != 257 {
+		t.Fatalf("a capacity of 256 sized the table to %d slots", c)
+	}
+	fill(m)
+	if c := cap(m.tables[0].slab); c != 257 {
+		t.Fatalf("a capacity of 256 filled %d slots", c)
+	}
+	m.release()
+
+	// Pooled or not, a table smaller than the plan expects is replaced
+	// while it is still empty.
+	m = acquireManager[int64](Policy{}, p, nil, nil)
+	if c := cap(m.tables[0].slab); c != n {
+		t.Fatalf("after a bounded run the table has room for %d slots, want %d", c, n)
+	}
+	m.release()
+
+	m = fresh(Policy{Capacity: 256, SupportThreshold: 1})
+	if c := cap(m.tables[0].slab); c != n {
+		t.Fatalf("under a support threshold the table has room for %d slots, want %d", c, n)
+	}
+	m.release()
 }
 
 // checkTable verifies the table's physical invariants: the index and the

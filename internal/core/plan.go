@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/cq"
 	"repro/internal/leapfrog"
@@ -63,6 +64,12 @@ type shape struct {
 	// cacheable[v] marks non-root bags with adhesion width <= MaxKeyDim.
 	cacheable []bool
 	root      int
+
+	// slotsSeen[v] is the most slots a run has left in bag v's cache
+	// table: the room acquireManager gives a table that has less.
+	// Feedback and not shape: the one part a run writes, at release, and
+	// every Rebind shares.
+	slotsSeen []atomic.Int32
 }
 
 // NewPlan compiles q against db with the given ordered TD and variable
@@ -287,6 +294,7 @@ func (p *shape) compile(orderIdx []int) error {
 	p.parent = keptParent
 	p.adhesionDepths = adhesionDepths
 	p.cacheable = cacheable
+	p.slotsSeen = make([]atomic.Int32, numNodes)
 	p.root = t.Root
 	return nil
 }

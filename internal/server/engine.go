@@ -431,11 +431,10 @@ func (e *Engine) snapshotFor(names []string) (*relation.DB, []uint64, uint64) {
 
 // VersionNumbers returns the current version number of each named
 // relation (unknown names are omitted), atomically with respect to
-// Update's install step. A distributed coordinator uses it as the
-// consistent-snapshot handshake: collect each shard's vector before
-// fanning a query out, compare it to the vector the response executed
-// at, and reject the merge if any shard's vector moved mid-query. With
-// names == nil, every relation's version is returned.
+// Update's install step. A distributed coordinator asks once per shard
+// it knows nothing about; from then on it sends the vector it expects
+// with each query (Request.IfVersions) and learns of a move from the
+// refusal. With names == nil, every relation's version is returned.
 func (e *Engine) VersionNumbers(names []string) map[string]uint64 {
 	e.verMu.Lock()
 	defer e.verMu.Unlock()
@@ -684,12 +683,13 @@ type execution struct {
 
 // run is the one request prologue and epilogue around every execution,
 // buffered or streamed: resolve the policy, arm timeout_ms, pin the
-// snapshot, plan (cached or compiled) against private counters, hand
-// over to body, and account. Lifetime counters absorb the work actually
-// performed even when the execution fails or times out (a cancelled
-// query's trie builds and accesses happened; GET /stats must not diverge
-// from the registry's view). Only Queries stays success-only — a body
-// counts its completed request itself (Prepare's compile is none).
+// snapshot, hold it to the request's if_versions, plan (cached or
+// compiled) against private counters, hand over to body, and account.
+// Lifetime counters absorb the work actually performed even when the
+// execution fails or times out (a cancelled query's trie builds and
+// accesses happened; GET /stats must not diverge from the registry's
+// view). Only Queries stays success-only — a body counts its completed
+// request itself (Prepare's compile is none).
 func (s *Stmt) run(ctx context.Context, req Request, body func(ctx context.Context, x execution) error) error {
 	e := s.e
 	pol, err := e.policyOf(req)
@@ -713,6 +713,19 @@ func (s *Stmt) run(ctx context.Context, req Request, body func(ctx context.Conte
 	var ep uint64
 	x.db, x.vec, ep = e.snapshotFor(s.names)
 	defer e.finish(ep)
+	if req.IfVersions != nil {
+		// Checked under the pin the execution runs at, so an update
+		// installing meanwhile cannot slip between check and run.
+		for i, name := range s.names {
+			if want, ok := req.IfVersions[name]; ok && want != x.vec[i] {
+				have := make(map[string]uint64, len(s.names))
+				for j, n := range s.names {
+					have[n] = x.vec[j]
+				}
+				return &VersionMismatch{Have: have}
+			}
+		}
+	}
 	defer e.life.Merge(x.c)
 	if err := e.planFor(s, req, &x); err != nil {
 		return err

@@ -204,8 +204,9 @@ func (b *Backend) reply(w http.ResponseWriter, v any, err error) {
 // own typed error): a query that ran out of wall-clock budget answers
 // 504 (a server-side execution deadline; 408 would invite
 // spec-compliant clients to auto-retry the join that just timed out), a
-// cancelled one the de-facto client-closed-request status. Then the
-// backend's own typed errors, then read-only — degraded, not caller
+// cancelled one the de-facto client-closed-request status. Then a
+// refused if_versions precondition (409, engine and coordinator alike),
+// the backend's own typed errors, then read-only — degraded, not caller
 // error: reads still serve, the operator must intervene — and
 // everything else is a caller error.
 func (b *Backend) status(err error) int {
@@ -214,6 +215,10 @@ func (b *Backend) status(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request (nginx convention)
+	}
+	var vm *VersionMismatch
+	if errors.As(err, &vm) {
+		return http.StatusConflict
 	}
 	if b.Status != nil {
 		if status := b.Status(err); status != 0 {
@@ -225,6 +230,11 @@ func (b *Backend) status(err error) int {
 	}
 	return http.StatusBadRequest
 }
+
+// ErrorStatus is the status an engine's own handler answers err with —
+// what an in-process caller standing in for a socket client (a cluster
+// coordinator over in-process shards) must see in its place.
+func ErrorStatus(err error) int { return new(Backend).status(err) }
 
 // decodeInto reads a bounded JSON body — one value, unknown fields and
 // trailing bytes refused — into v, answering the error itself and
@@ -253,8 +263,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // the status line is out; nothing useful to do on error
 }
 
+// writeError answers {"error": "..."}; a refused if_versions precondition
+// adds "versions", what the snapshot stands at, for the sender to adopt.
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	body := map[string]any{"error": err.Error()}
+	var vm *VersionMismatch
+	if errors.As(err, &vm) {
+		body["versions"] = vm.Have
+	}
+	writeJSON(w, status, body)
 }
 
 // Bounds on the connections of a daemon's listener, fixed rather than

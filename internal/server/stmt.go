@@ -172,6 +172,9 @@ func (s *Stmt) merge(over Request) Request {
 	if over.Orderer != "" {
 		req.Orderer = over.Orderer
 	}
+	if over.IfVersions != nil {
+		req.IfVersions = over.IfVersions
+	}
 	return req
 }
 

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/trie"
@@ -76,6 +78,28 @@ type Request struct {
 	// single-engine server has no shards to lose and ignores it.
 	// Execution-only: never part of the plan-cache key.
 	AllowPartial bool `json:"allow_partial,omitempty"`
+	// IfVersions is a precondition on the snapshot the execution pins:
+	// the version number the sender expects of each named relation. An
+	// execution whose pinned snapshot stands anywhere else is refused
+	// with a *VersionMismatch (HTTP 409) carrying the versions it found —
+	// for a stream, before the header line. Entries naming relations the
+	// query does not touch are ignored. A cluster coordinator sends it
+	// with every shard call, so every merged answer executed at the
+	// vectors it expected. Execution-only: never part of the plan-cache
+	// key.
+	IfVersions map[string]uint64 `json:"if_versions,omitempty"`
+}
+
+// VersionMismatch refuses a request whose IfVersions precondition does
+// not hold at the snapshot its execution pinned. Have is what that
+// snapshot stands at: the version number of each relation the query
+// touches. Nothing was executed or delivered.
+type VersionMismatch struct {
+	Have map[string]uint64
+}
+
+func (e *VersionMismatch) Error() string {
+	return fmt.Sprintf("server: snapshot stands at versions %v, not the if_versions the request expects", e.Have)
 }
 
 // QueryStats is the per-query accounting attached to a Response.
@@ -118,9 +142,9 @@ type Response struct {
 	Truncated bool `json:"truncated,omitempty"`
 	// Versions is the version sub-vector the query executed at: the
 	// version number of each relation it touches, in the consistent
-	// snapshot the execution pinned. A distributed coordinator compares
-	// it against the vector it collected before fanning out to detect a
-	// shard whose data moved mid-query.
+	// snapshot the execution pinned — equal to the request's IfVersions
+	// wherever that named the relation. A distributed coordinator folds
+	// it into the vector it expects of the shard next time.
 	Versions map[string]uint64 `json:"versions,omitempty"`
 	// Partial marks a coordinator answer assembled from a strict subset
 	// of the routed shards (AllowPartial requests only); Missing names

@@ -8,7 +8,12 @@
 #       engine's (same header, rows in root-key order, same trailer),
 #   (c) the merged /stats view parses and sees both shards,
 #   (d) killing a shard mid-fleet turns queries into a typed 502 naming
-#       the dead shard, and /healthz into 503.
+#       the dead shard, and /healthz into 503,
+#   (e) (run before the kill) the optimistic snapshot handshake: an
+#       update routed by the coordinator costs the next query no retry,
+#       an update sent straight to a shard costs it exactly one, and
+#       either way the answer equals the single engine's after the same
+#       updates.
 # Run by CI on every push; usable locally:
 #
 #   ./scripts/cluster_smoke.sh
@@ -89,6 +94,34 @@ if [ "$SHARDS" != "2 2" ]; then
   exit 1
 fi
 
+# --- (e) optimistic handshake: own writes free, foreign writes one retry ---
+count_of() { # addr
+  curl -sf "http://$1/query" -d "$COUNT_BODY" | python3 -c 'import json,sys; print(json.load(sys.stdin)["count"])'
+}
+retries() {
+  curl -sf "http://$COORD/stats" | python3 -c 'import json,sys; st=json.load(sys.stdin); print(st["snapshot_retries"], st["snapshot_rejects"])'
+}
+# 900001 and 900002 hash to shards 0 and 1, so the first delta touches
+# both and the second, sent to shard 1 directly, belongs there.
+ROUTED='{"relation": "E", "inserts": [[900001, 1], [900001, 2], [900002, 1], [900002, 2]]}'
+DIRECT='{"relation": "E", "inserts": [[900002, 3], [900002, 4]]}'
+curl -sf "http://$COORD/update" -d "$ROUTED" >/dev/null
+curl -sf "http://$SINGLE/update" -d "$ROUTED" >/dev/null
+CCOUNT_E=$(count_of "$COORD")
+SCOUNT_E=$(count_of "$SINGLE")
+if [ "$CCOUNT_E" != "$SCOUNT_E" ] || [ "$CCOUNT_E" = "$CCOUNT" ] || [ "$(retries)" != "0 0" ]; then
+  echo "FAIL: after a coordinator-routed update: count $CCOUNT_E vs single $SCOUNT_E (before: $CCOUNT), retries/rejects '$(retries)', want equal, changed, '0 0'" >&2
+  exit 1
+fi
+curl -sf "http://$S1/update" -d "$DIRECT" >/dev/null
+curl -sf "http://$SINGLE/update" -d "$DIRECT" >/dev/null
+CCOUNT_E=$(count_of "$COORD")
+SCOUNT_E=$(count_of "$SINGLE")
+if [ "$CCOUNT_E" != "$SCOUNT_E" ] || [ "$(retries)" != "1 0" ]; then
+  echo "FAIL: after an update straight to shard $S1: count $CCOUNT_E vs single $SCOUNT_E, retries/rejects '$(retries)', want equal and '1 0'" >&2
+  exit 1
+fi
+
 # --- (d) shard failure: typed 502 naming the dead shard ---
 kill -TERM "$S1_PID" 2>/dev/null || true
 wait "$S1_PID" 2>/dev/null || true
@@ -107,4 +140,4 @@ if [ "$HEALTH_STATUS" != "503" ]; then
   exit 1
 fi
 
-echo "PASS: scatter–gather over 2 shards: count=$CCOUNT rows=$ROWS byte-identical; dead shard -> typed 502 naming $S1"
+echo "PASS: scatter–gather over 2 shards: count=$CCOUNT rows=$ROWS byte-identical; routed update 0 retries, direct update 1 retry, count=$CCOUNT_E; dead shard -> typed 502 naming $S1"
