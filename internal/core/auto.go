@@ -75,7 +75,7 @@ type AutoOptions struct {
 	Tries leapfrog.TrieSource
 	// BuildWorkers bounds the goroutines each private trie build of the
 	// final plan may use (0 or 1: sequential; < 0: one per core); see
-	// leapfrog.BuildOpts.Workers. Order-cost probe builds stay
+	// leapfrog.BuildOpts.Workers. Private order-cost probe builds stay
 	// sequential — they are throwaway and already amortized.
 	BuildWorkers int
 }
@@ -135,8 +135,10 @@ func AutoSelect(q *cq.Query, db *relation.DB, opts AutoOptions) (*td.TD, []strin
 		// shared trie source: those are real, once-per-engine work that
 		// the triggering query must be charged for, and must NOT be
 		// charged to later queries that reuse them (the registry prewarms
-		// here, before the final plan compiles). Private probe tries
-		// (constant-specialized atoms) are throwaway either way and stay
+		// here, before the final plan compiles). A constant atom probes
+		// the shared index under its constant like any other atom; the
+		// private probe tries left (every atom without a source, atoms
+		// with a repeated variable with one) are throwaway and stay
 		// unaccounted, so a warm repeat of any query shape reports zero
 		// probe builds.
 		probeTries := opts.Tries
@@ -164,9 +166,9 @@ func AutoSelect(q *cq.Query, db *relation.DB, opts AutoOptions) (*td.TD, []strin
 }
 
 // chargedSource redirects a trie source's accounting to a fixed sink:
-// the order-cost probes build instances with nil counters (their private
-// tries are throwaway), but shared-source builds outlive the probe and
-// must be charged to the query that triggered them.
+// the order-cost probes build instances with nil counters (what they
+// build privately is throwaway), but shared-source builds outlive the
+// probe and must be charged to the query that triggered them.
 type chargedSource struct {
 	src leapfrog.TrieSource
 	c   *stats.Counters
@@ -178,22 +180,9 @@ func (s chargedSource) Trie(rel *relation.Relation, perm []int, _ *stats.Counter
 
 // varSkewFunc derives a per-variable skew coefficient from the database:
 // the maximum skew of any relation column the variable is matched
-// against. Column skews are computed once per (relation, column).
+// against. A column's skew is memoized on the relation itself, so only
+// the first plan over a relation version scans it.
 func varSkewFunc(q *cq.Query, db *relation.DB) func(int) float64 {
-	type colKey struct {
-		rel string
-		col int
-	}
-	colSkew := make(map[colKey]float64)
-	skewOf := func(rel *relation.Relation, col int) float64 {
-		k := colKey{rel.Name(), col}
-		if s, ok := colSkew[k]; ok {
-			return s
-		}
-		s := stats.ColumnSkew(rel.Tuples(), col)
-		colSkew[k] = s
-		return s
-	}
 	idx := q.VarIndex()
 	skews := make([]float64, len(idx))
 	for _, atom := range q.Atoms {
@@ -205,7 +194,7 @@ func varSkewFunc(q *cq.Query, db *relation.DB) func(int) float64 {
 			if !t.IsVar() {
 				continue
 			}
-			if s := skewOf(rel, col); s > skews[idx[t.Var]] {
+			if s := rel.ColumnSkew(col); s > skews[idx[t.Var]] {
 				skews[idx[t.Var]] = s
 			}
 		}

@@ -21,8 +21,10 @@ import (
 // (columns permuted into global-order-sorted variable order) and the
 // global order positions of its variables, ascending.
 type AtomLeg struct {
-	// Trie indexes the derived relation (constants selected away,
-	// repeated variables collapsed), columns sorted by the global order.
+	// Trie has one level per distinct variable of the atom, sorted by
+	// the global order: the index of the relation itself, entered under
+	// the atom's constants (trie.Under) when it has any, or a private
+	// index of the selected relation when a variable repeats.
 	Trie *trie.Trie
 	// VarPos[i] is the global order position of trie level i.
 	VarPos []int
@@ -35,7 +37,7 @@ type Instance struct {
 	order    []string
 	atoms    []AtomLeg
 	legsAt   [][]int // legsAt[d] = indices of atoms participating at depth d
-	empty    bool    // some atom's derived relation is empty: result is ∅
+	empty    bool    // some atom matches no tuple: result is ∅
 	counters *stats.Counters
 	embedded []SourceEntry // shared-source indices this instance draws on
 
@@ -58,11 +60,13 @@ type SourceEntry struct {
 // TrieSource supplies shared, immutable tries over permuted base
 // relations — typically a trie.Registry held by a long-lived engine, so
 // that repeated queries reuse indices instead of rebuilding them. The
-// source is consulted only for atoms whose derived relation is the base
-// relation itself (all-distinct variables, no constants): those tries
-// depend on nothing query-specific and are safe to share. Implementations
-// must be safe for concurrent use and must return tries with no default
-// counter sink (per-run iterators attach their own accounting).
+// source is consulted for every atom without a repeated variable: the
+// index it is asked for is the relation under a column order, which
+// depends on nothing query-specific — an atom's constants come first in
+// that order and are bound afterwards as a prefix of the shared index
+// (trie.Under). Implementations must be safe for concurrent use and
+// must return tries with no default counter sink (per-run iterators
+// attach their own accounting).
 //
 // Relation versions thread through this interface by pointer identity:
 // every relation.Store delta installs a fresh immutable *Relation, so
@@ -84,7 +88,8 @@ type BuildOpts struct {
 	Tries TrieSource
 	// Workers bounds the goroutines trie construction may use per index
 	// (0 or 1: sequential; <0: one per core). Only the private builds
-	// performed by this compilation are affected — a shared source
+	// performed by this compilation are affected (every atom without a
+	// source, atoms with a repeated variable with one) — a shared source
 	// applies its own build parallelism (trie.Registry.SetBuildWorkers).
 	Workers int
 }
@@ -92,20 +97,21 @@ type BuildOpts struct {
 // Build compiles the query against db under the given variable order
 // (names; must be a permutation of q.Vars()). counters may be nil.
 //
-// Atoms with constants or repeated variables are legal: the corresponding
-// relation is pre-filtered and projected so every trie level corresponds
-// to a distinct variable. Atoms left with no variables act as boolean
-// guards (an empty guard empties the result).
+// Atoms with constants or repeated variables are legal, and every trie
+// level still corresponds to a distinct variable: constants are bound
+// as a prefix of the relation's index, a repeated variable is selected
+// and projected away first. Atoms left with no variables act as boolean
+// guards (a guard matching no tuple empties the result).
 func Build(q *cq.Query, db *relation.DB, order []string, counters *stats.Counters) (*Instance, error) {
 	return BuildOptions(q, db, order, BuildOpts{Counters: counters})
 }
 
 // BuildWith is Build with an optional trie source: when tries is non-nil,
-// atoms whose derived relation is the base relation draw their trie from
-// the source (one shared build per (relation, column order)) instead of
-// constructing a private one; atoms specialized by constants or repeated
-// variables always build privately, since their derived relations are
-// query-specific. tries may be nil, which is exactly Build.
+// atoms draw their trie from the source (one shared build per (relation,
+// column order), constants or not) instead of constructing a private
+// one; only atoms with a repeated variable still build privately, since
+// no column order expresses their selection. tries may be nil, which is
+// exactly Build.
 func BuildWith(q *cq.Query, db *relation.DB, order []string, counters *stats.Counters, tries TrieSource) (*Instance, error) {
 	return BuildOptions(q, db, order, BuildOpts{Counters: counters, Tries: tries})
 }
@@ -143,9 +149,17 @@ type atomLayout struct {
 	equal  [][]int       // column classes of repeated variables
 	cols   []int         // first-occurrence column of each distinct variable
 	vars   []string      // distinct variables, in column order
-	// perm sorts vars by global order position and varPos holds those
-	// positions ascending (trie level i binds order position varPos[i]);
-	// both are nil for a constant-only guard atom.
+	// prefix holds the constants in column order. Without a repeated
+	// variable perm permutes the relation's own columns — the constant
+	// columns first, in column order, then the variable columns by
+	// global order position — so the atom's trie is the relation's index
+	// under perm, entered under prefix. With one, no column order
+	// expresses the selection: perm then sorts the columns of the
+	// derived relation (one per distinct variable). varPos holds the
+	// variables' order positions ascending (trie level i binds order
+	// position varPos[i]). perm and varPos are nil for a constant-only
+	// guard atom.
+	prefix  []int64
 	perm    []int
 	varPos  []int
 	permSig string // trie.PermSig(perm)
@@ -165,6 +179,7 @@ func layoutAtom(atom cq.Atom) atomLayout {
 				a.consts = make(map[int]int64)
 			}
 			a.consts[col] = t.Const
+			a.prefix = append(a.prefix, t.Const)
 			continue
 		}
 		i := slices.Index(a.vars, t.Var)
@@ -189,9 +204,11 @@ func layoutAtom(atom cq.Atom) atomLayout {
 	return a
 }
 
-// derive applies the atom's selection and projection to rel. An atom of
-// all-distinct variables and no constants derives rel itself — the case
-// a shared trie source can serve.
+// derive applies the atom's selection and projection to rel: what the
+// engines that join relations rather than tries consume
+// (DeriveAtomRelation), and how Bind indexes an atom with a repeated
+// variable. An atom of all-distinct variables and no constants derives
+// rel itself.
 func (a *atomLayout) derive(rel *relation.Relation) (*relation.Relation, error) {
 	if len(a.consts) == 0 && len(a.equal) == 0 {
 		if len(a.cols) == rel.Arity() {
@@ -242,19 +259,32 @@ func NewLayout(q *cq.Query, order []string) (*Layout, error) {
 			// Sort the atom's variables by global order position; the trie
 			// levels must follow the variable ordering (§2.4).
 			vars := a.vars
-			a.perm = make([]int, len(vars))
-			for j := range a.perm {
-				a.perm[j] = j
+			byPos := make([]int, len(vars))
+			for j := range byPos {
+				byPos[j] = j
 			}
-			sort.Slice(a.perm, func(x, y int) bool { return pos[vars[a.perm[x]]] < pos[vars[a.perm[y]]] })
-			a.permSig = trie.PermSig(a.perm)
+			sort.Slice(byPos, func(x, y int) bool { return pos[vars[byPos[x]]] < pos[vars[byPos[y]]] })
 			a.varPos = make([]int, len(vars))
-			for j, p := range a.perm {
+			for j, p := range byPos {
 				d := pos[vars[p]]
 				a.varPos[j] = d
 				l.legsAt[d] = append(l.legsAt[d], legs)
 			}
 			legs++
+			if len(a.equal) > 0 {
+				a.perm = byPos
+			} else {
+				a.perm = make([]int, 0, len(atom.Args))
+				for col, t := range atom.Args {
+					if !t.IsVar() {
+						a.perm = append(a.perm, col)
+					}
+				}
+				for _, p := range byPos {
+					a.perm = append(a.perm, a.cols[p])
+				}
+			}
+			a.permSig = trie.PermSig(a.perm)
 		}
 		l.atoms[i] = a
 	}
@@ -267,11 +297,14 @@ func NewLayout(q *cq.Query, order []string) (*Layout, error) {
 }
 
 // Bind completes the layout into an Instance over db: every atom's
-// relation is fetched, derived and indexed — from opts.Tries where the
-// derived relation is the base relation itself, privately otherwise.
-// This is all the per-snapshot work of compilation; binding the same
-// layout to a newer snapshot re-acquires the tries (from a delta-aware
-// source, usually patched ones) and repeats none of the layout's.
+// relation is fetched and its index acquired — from opts.Tries when
+// there is one, else built privately — and entered under the atom's
+// constants; a constants-only guard atom is one membership test. Only an
+// atom with a repeated variable is selected, projected and indexed
+// privately. This is all the per-snapshot work of compilation; binding
+// the same layout to a newer snapshot re-acquires the tries (from a
+// delta-aware source, usually patched ones), repeats the descents, and
+// repeats none of the layout's work.
 func (l *Layout) Bind(db *relation.DB, opts BuildOpts) (*Instance, error) {
 	counters, tries := opts.Counters, opts.Tries
 	buildWorkers := opts.Workers
@@ -295,35 +328,53 @@ func (l *Layout) Bind(db *relation.DB, opts BuildOpts) (*Instance, error) {
 			return nil, fmt.Errorf("leapfrog: atom %s has %d args, relation has arity %d",
 				atom, len(atom.Args), rel.Arity())
 		}
-		derived, err := a.derive(rel)
-		if err != nil {
-			return nil, err
-		}
-		if derived.Len() == 0 {
-			inst.empty = true
-		}
 		if len(a.vars) == 0 {
-			continue // constant-only guard atom; emptiness already noted
+			// Constant-only guard atom: prefix is the whole tuple.
+			if !rel.Contains(a.prefix) {
+				inst.empty = true
+			}
+			continue
 		}
 		var tr *trie.Trie
-		if tries != nil && derived == rel {
-			// The derived relation is the base relation itself, so the
-			// index is query-independent: draw it from the shared source.
-			tr, err = tries.Trie(rel, a.perm, counters)
+		if len(a.equal) > 0 {
+			derived, err := a.derive(rel)
 			if err != nil {
 				return nil, err
 			}
-			inst.embedded = append(inst.embedded, SourceEntry{Rel: rel, Perm: a.permSig})
+			if tr, err = buildPrivate(derived, a.perm, counters, buildWorkers); err != nil {
+				return nil, err
+			}
 		} else {
-			permuted, err := derived.Permute(a.perm)
+			if tries != nil {
+				// The index is the relation's own under a column order:
+				// query-independent, so it is drawn from the shared source.
+				tr, err = tries.Trie(rel, a.perm, counters)
+				inst.embedded = append(inst.embedded, SourceEntry{Rel: rel, Perm: a.permSig})
+			} else {
+				tr, err = buildPrivate(rel, a.perm, counters, buildWorkers)
+			}
 			if err != nil {
 				return nil, err
 			}
-			tr = trie.BuildParallel(permuted, counters, buildWorkers)
+			if len(a.prefix) > 0 {
+				tr, _ = tr.Under(a.prefix)
+			}
+		}
+		if tr.Len(0) == 0 {
+			inst.empty = true
 		}
 		inst.atoms = append(inst.atoms, AtomLeg{Trie: tr, VarPos: a.varPos})
 	}
 	return inst, nil
+}
+
+// buildPrivate indexes rel under perm for this instance alone.
+func buildPrivate(rel *relation.Relation, perm []int, c *stats.Counters, workers int) (*trie.Trie, error) {
+	permuted, err := rel.Permute(perm)
+	if err != nil {
+		return nil, err
+	}
+	return trie.BuildParallel(permuted, c, workers), nil
 }
 
 // DeriveAtomRelation applies the atom's constants and repeated-variable
@@ -352,13 +403,13 @@ func (in *Instance) Counters() *stats.Counters { return in.counters }
 // NumVars returns the number of join variables.
 func (in *Instance) NumVars() int { return len(in.order) }
 
-// Empty reports whether some atom's derived relation is empty, forcing an
-// empty result.
+// Empty reports whether some atom matches no tuple, forcing an empty
+// result.
 func (in *Instance) Empty() bool { return in.empty }
 
 // Embedded returns the shared-source indices the instance draws on (nil
-// when compiled without a trie source or when every atom built a
-// private index). The slice is owned by the instance; callers must not
+// when compiled without a trie source or when every atom has a repeated
+// variable and built a private index). The slice is owned by the instance; callers must not
 // modify it.
 func (in *Instance) Embedded() []SourceEntry { return in.embedded }
 

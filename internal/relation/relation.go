@@ -13,6 +13,9 @@ package relation
 import (
 	"fmt"
 	"sort"
+	"sync"
+
+	"repro/internal/stats"
 )
 
 // Relation is an immutable, sorted, duplicate-free set of integer tuples.
@@ -22,6 +25,10 @@ type Relation struct {
 	name  string
 	arity int
 	data  []int64 // len(data) == arity * Len()
+
+	// skew memoizes ColumnSkew per column (-1: not computed yet).
+	skewMu sync.Mutex
+	skew   []float64
 }
 
 // New builds a relation from the given tuples. Tuples are copied, sorted
@@ -102,6 +109,33 @@ func (r *Relation) Tuples() [][]int64 {
 		out[i] = t
 	}
 	return out
+}
+
+// ColumnSkew returns the skew coefficient (stats.SkewCoefficient) of the
+// value frequencies in column col. The relation is immutable, so the
+// number is a property of it: each column is scanned at most once, and
+// concurrent callers wait for that scan instead of repeating it.
+func (r *Relation) ColumnSkew(col int) float64 {
+	r.skewMu.Lock()
+	defer r.skewMu.Unlock()
+	if r.skew == nil {
+		r.skew = make([]float64, r.arity)
+		for i := range r.skew {
+			r.skew[i] = -1
+		}
+	}
+	if r.skew[col] < 0 {
+		counts := make(map[int64]int)
+		for i := col; i < len(r.data); i += r.arity {
+			counts[r.data[i]]++
+		}
+		freqs := make([]int, 0, len(counts))
+		for _, n := range counts {
+			freqs = append(freqs, n)
+		}
+		r.skew[col] = stats.SkewCoefficient(freqs)
+	}
+	return r.skew[col]
 }
 
 // Contains reports whether the relation contains the given tuple, using

@@ -3,8 +3,11 @@ package relation
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stats"
 )
 
 func TestNewSortsAndDedupes(t *testing.T) {
@@ -129,6 +132,29 @@ func TestDistinctCount(t *testing.T) {
 	}
 	if got := r.DistinctCount(1); got != 2 {
 		t.Errorf("DistinctCount(1) = %d, want 2", got)
+	}
+}
+
+// TestColumnSkewMemo holds the memoized per-column skew to the plain
+// computation over a copy of the tuples, from several goroutines at once
+// (the planner's callers share one immutable relation).
+func TestColumnSkewMemo(t *testing.T) {
+	r := MustNew("R", 2, [][]int64{{1, 1}, {1, 2}, {1, 3}, {2, 4}, {3, 5}, {3, 6}})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for col := 0; col < 2; col++ {
+				if got, want := r.ColumnSkew(col), stats.ColumnSkew(r.Tuples(), col); got != want {
+					t.Errorf("column %d: memoized skew %v, computed %v", col, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if r.ColumnSkew(0) <= r.ColumnSkew(1) {
+		t.Error("column 0 repeats values and column 1 does not, yet it is not the more skewed")
 	}
 }
 

@@ -110,7 +110,9 @@ func (s *Store) Name() string { return s.cur.Rel.Name() }
 // fraction the new version carries its base lineage, and a registry
 // derives the new tries by O(k · depth)-node copy-on-write patches.
 // Crossing the fraction compacts the version (new base, empty delta),
-// signalling caches to rebuild once.
+// signalling caches to rebuild once. A delta that undoes the pending
+// ones returns the base itself (v.Rel == v.Base, the base unchanged),
+// which is not a compaction: compare Base pointers to tell the two.
 func (s *Store) ApplyDelta(inserts, deletes [][]int64) (v Version, changed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -136,7 +138,14 @@ func (s *Store) ApplyDelta(inserts, deletes [][]int64) (v Version, changed bool,
 		Dels: cur.Base.Subtract(newRel),
 		Num:  cur.Num + 1,
 	}
-	if float64(next.DeltaSize()) > s.compactFrac*float64(cur.Base.Len()) {
+	switch {
+	case next.DeltaSize() == 0:
+		// The delta landed back on the base's content: the version is the
+		// base itself, pointer included, so every index resident for the
+		// base serves it and nothing is rebuilt. Not a compaction — the
+		// base did not move.
+		next.Rel = cur.Base
+	case float64(next.DeltaSize()) > s.compactFrac*float64(cur.Base.Len()):
 		empty := &Relation{name: newRel.name, arity: newRel.arity}
 		next.Base, next.Adds, next.Dels = newRel, empty, empty
 	}

@@ -95,6 +95,18 @@ func TestStoreApplyDelta(t *testing.T) {
 	if _, _, err := s.ApplyDelta([][]int64{{1}}, nil); err == nil {
 		t.Fatal("bad-arity insert accepted")
 	}
+
+	// Undoing the pending delta lands on the base itself — a new version
+	// number over the old pointer, so whatever is indexed for the base
+	// serves it — and the base has not moved: not a compaction.
+	v5, changed, err := s.ApplyDelta(nil, [][]int64{{5, 6}})
+	if err != nil || !changed {
+		t.Fatalf("undo: changed=%v err=%v", changed, err)
+	}
+	if v5.Rel != base || v5.Base != base || v5.Patched() || v5.Num != v2.Num+1 {
+		t.Fatalf("undo: rel is base=%v base kept=%v patched=%v num=%d, want the base itself at version %d",
+			v5.Rel == base, v5.Base == base, v5.Patched(), v5.Num, v2.Num+1)
+	}
 }
 
 func TestStoreCompaction(t *testing.T) {

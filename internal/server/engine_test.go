@@ -135,35 +135,26 @@ func TestEngineRepeatedQueryZeroBuilds(t *testing.T) {
 	}
 }
 
-// TestEngineConstantQuerySteadyBuilds pins the accounting for queries
-// the registry cannot fully serve, with plan caching disabled so every
-// request recompiles: an atom specialized by a constant builds one
-// private trie per compile (its derived relation is query-specific),
-// but the pure atoms still ride the registry and the plan-selection
-// probes stay uncharged — so warm repeats settle at exactly one build,
-// not one per candidate order. (With the default plan cache the whole
-// compiled plan — private trie included — is reused and warm repeats
-// report zero builds; see TestPlanCacheHit.)
+// TestEngineConstantQuerySteadyBuilds pins the accounting of a query
+// with a constant, with plan caching disabled so every request
+// recompiles: the constant atom's index is the relation's own under the
+// column order that puts the constant first — a registry entry like any
+// other, entered under the constant — so warm repeats settle at zero
+// builds, not one private trie per compile nor one per candidate order.
 func TestEngineConstantQuerySteadyBuilds(t *testing.T) {
 	e := NewEngine(testDB(), Config{Workers: 1, PlanCache: -1})
 	req := Request{Query: "E(x,y), E(y,z), E(z, 0)"}
 	if _, err := e.Do(req); err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	third, err := e.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := second.Stats.Counters.TrieBuilds; got != 1 {
-		t.Fatalf("warm constant-atom run performed %d trie builds, want 1 (the private derived trie)", got)
-	}
-	if second.Stats.Counters.TrieBuilds != third.Stats.Counters.TrieBuilds {
-		t.Fatalf("warm runs disagree on builds: %d vs %d",
-			second.Stats.Counters.TrieBuilds, third.Stats.Counters.TrieBuilds)
+	for i := 0; i < 2; i++ {
+		warm, err := e.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := warm.Stats.Counters.TrieBuilds; got != 0 {
+			t.Fatalf("warm constant-atom run %d performed %d trie builds, want 0", i, got)
+		}
 	}
 }
 

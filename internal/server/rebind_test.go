@@ -81,12 +81,24 @@ func answerOn(t *testing.T, e *Engine, req Request) (answerSet, QueryStats) {
 // variable order (under the data-dependent cost orderer the long-lived
 // engine keeps the order chosen at first compile or at the last
 // compaction, so the orders may legitimately differ).
+//
+// Constants are bound on the shared indices the history patches, so the
+// queries carry one in a leading column, one in a later column, one no
+// tuple ever carries, and two the history moves on purpose: 500 heads no
+// edge until step 1 inserts two (a prefix only the overlay holds) and
+// none again once step 9 deletes them; 3 heads base edges until step 5
+// deletes every one (a prefix whose base node is dead).
 func TestUpdatedEngineMatchesFresh(t *testing.T) {
+	const inserted, emptied = "E(500,y), E(y,z)", "E(3,y), E(y,z)"
 	queries := []string{
 		"E(x,y), E(y,z), E(x,z)",
 		"E(a,b), E(b,c), E(c,d)",
 		"E(7,y), E(y,z)",
 		"E(x,y), R(y,z), E(z,x)",
+		"E(x,7), E(x,z)",
+		"E(9999,y), E(y,z)",
+		inserted,
+		emptied,
 	}
 	modes := []Request{
 		{Mode: "count"},
@@ -115,6 +127,7 @@ func TestUpdatedEngineMatchesFresh(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(20260927))
 			compactions, rebounds := 0, 0
+			counts := map[string][]int64{} // per query, the count after each step
 			for step := 0; step < 16; step++ {
 				name := "E"
 				if step%4 == 3 {
@@ -129,6 +142,18 @@ func TestUpdatedEngineMatchesFresh(t *testing.T) {
 					ins = append(ins, []int64{rng.Int63n(160), rng.Int63n(160)})
 					if rel.Len() > 0 {
 						del = append(del, slices.Clone(rel.Tuple(rng.Intn(rel.Len()))))
+					}
+				}
+				switch step {
+				case 1:
+					ins = append(ins, []int64{500, 7}, []int64{500, 8})
+				case 9:
+					del = append(del, []int64{500, 7}, []int64{500, 8})
+				case 5:
+					for i := 0; i < rel.Len(); i++ {
+						if rel.Tuple(i)[0] == 3 {
+							del = append(del, slices.Clone(rel.Tuple(i)))
+						}
 					}
 				}
 				res, err := live.Update(UpdateRequest{Relation: name, Inserts: ins, Deletes: del})
@@ -153,6 +178,9 @@ func TestUpdatedEngineMatchesFresh(t *testing.T) {
 						if st.PlanRebound {
 							rebounds++
 						}
+						if m.Mode == "count" {
+							counts[q] = append(counts[q], got.count)
+						}
 						what := fmt.Sprintf("step %d %s %s/%s", step, q, m.Mode, m.Semiring)
 						if got.count != want.count || got.value != want.value {
 							t.Fatalf("%s: count %d value %v, fresh engine says %d and %v", what, got.count, got.value, want.count, want.value)
@@ -173,6 +201,12 @@ func TestUpdatedEngineMatchesFresh(t *testing.T) {
 			}
 			if ord == "adaptive" && s.Plans.Replans == 0 {
 				t.Fatalf("adaptive history never re-planned: %v", s.Plans)
+			}
+			if c := counts[inserted]; c[0] != 0 || c[1] == 0 || c[8] == 0 || c[9] != 0 {
+				t.Fatalf("%s was not inserted at step 1 and deleted at step 9: counts %v", inserted, c)
+			}
+			if c := counts[emptied]; c[4] == 0 || c[5] != 0 {
+				t.Fatalf("%s was not emptied at step 5: counts %v", emptied, c)
 			}
 		})
 	}
@@ -240,6 +274,10 @@ func TestSupersededReaderKeepsItsSnapshot(t *testing.T) {
 // re-bind. Every response names the version it executed at, and its
 // count must be that version's: a reader that ran another snapshot's
 // binding, or a binding assembled across an install, cannot produce it.
+// The last reader binds a constant instead: the head of the two-edge
+// path that only version k holds, k the version it last saw or the one
+// after, so the same constant is bound before the update that inserts
+// it, on the overlay that carries it, and after the one that deletes it.
 func TestRebindStorm(t *testing.T) {
 	const query = "E(x,y), E(y,z), E(x,z)"
 	e := NewEngine(twoRelDB(), Config{Workers: 1, CompactFraction: 0.05})
@@ -291,7 +329,7 @@ func TestRebindStorm(t *testing.T) {
 		rd.Add(1)
 		go func(r int) {
 			defer rd.Done()
-			var n, rb int64
+			var n, rb, last int64
 			for done := false; !done; n++ {
 				select {
 				case <-stop:
@@ -299,7 +337,11 @@ func TestRebindStorm(t *testing.T) {
 				default:
 				}
 				req := Request{Query: query}
-				if r%2 == 1 {
+				k := max(last+n%2, 1)
+				switch {
+				case r == readers-1:
+					req = Request{Query: fmt.Sprintf("E(%d,y), E(y,z)", 10000+10*k+5)}
+				case r%2 == 1:
 					req = Request{Stmt: stmt.ID()}
 				}
 				if n%3 == 2 {
@@ -311,9 +353,16 @@ func TestRebindStorm(t *testing.T) {
 					return
 				}
 				v := int64(resp.Versions["E"])
-				if resp.Count != base+v || (req.Mode == "eval" && int64(len(resp.Tuples)) != resp.Count) {
-					t.Errorf("reader %d: count %d with %d tuples at E version %d, that version holds %d",
-						r, resp.Count, len(resp.Tuples), v, base+v)
+				want := base + v
+				if r == readers-1 {
+					last, want = v, 0
+					if v == k {
+						want = 1
+					}
+				}
+				if resp.Count != want || (req.Mode == "eval" && int64(len(resp.Tuples)) != resp.Count) {
+					t.Errorf("reader %d: %s counts %d with %d tuples at E version %d, that version holds %d",
+						r, req.Query, resp.Count, len(resp.Tuples), v, want)
 					return
 				}
 				if resp.Stats.PlanRebound {

@@ -52,6 +52,10 @@ func (e *Engine) Update(req UpdateRequest) (*UpdateResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A compaction is the base moving. !v.Patched() is not the test: a
+	// delta that lands back on the base's content reads that way too,
+	// with the base — and every index resident for it — still in place.
+	compacted := old.Base != v.Base
 	var reclaim []*relation.Relation
 	if changed {
 		// Durability before visibility: the delta is fsync'd (or, past
@@ -65,10 +69,10 @@ func (e *Engine) Update(req UpdateRequest) (*UpdateResult, error) {
 		// snapshot, which is exactly what a restart would recover.
 		if e.pdb != nil {
 			var perr error
-			if v.Patched() {
-				perr = e.pdb.AppendDelta(req.Relation, v.Num, req.Inserts, req.Deletes)
-			} else {
+			if compacted {
 				perr = e.pdb.SaveRelation(req.Relation, v.Rel, v.Num)
+			} else {
+				perr = e.pdb.AppendDelta(req.Relation, v.Num, req.Inserts, req.Deletes)
 			}
 			if perr != nil {
 				e.readOnly.CompareAndSwap(nil, &ReadOnlyState{Reason: perr.Error(), Since: time.Now()})
@@ -104,10 +108,8 @@ func (e *Engine) Update(req UpdateRequest) (*UpdateResult, error) {
 		// wait for the next read of each plan. It happens before verMu
 		// releases, so every query admitted afterwards finds the entries
 		// already advanced to this version (verMu → planCache.mu nests
-		// here; no other path holds them together). A compaction is the
-		// version becoming its own base — not merely !Patched, which is
-		// also how a delta that lands back on the base's content reads.
-		e.plans.invalidateTouching(req.Relation, v.Num, v.Rel == v.Base)
+		// here; no other path holds them together).
+		e.plans.invalidateTouching(req.Relation, v.Num, compacted)
 		e.verMu.Unlock()
 	}
 	e.release(reclaim)
@@ -121,7 +123,7 @@ func (e *Engine) Update(req UpdateRequest) (*UpdateResult, error) {
 		Version:      v.Num,
 		Tuples:       v.Rel.Len(),
 		Applied:      changed,
-		Compacted:    changed && !v.Patched(),
+		Compacted:    compacted,
 		PendingDelta: v.DeltaSize(),
 	}, nil
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -123,6 +124,76 @@ func TestEngineWarmUpdatePatchesNotRebuilds(t *testing.T) {
 	if s.LiveVersions != 2 { // current patched version + its base
 		t.Fatalf("live versions = %d, want 2", s.LiveVersions)
 	}
+}
+
+// TestEngineUpdateBackToBase walks a relation away from its base and
+// back: the delta that undoes the pending ones installs the base itself,
+// which is not a compaction — the registry builds and patches nothing
+// (the base's indices, the constant-first one included, are resident),
+// the plan shapes survive and re-bind, and the next delta patches against
+// the same base.
+func TestEngineUpdateBackToBase(t *testing.T) {
+	e := NewEngine(testDB(), Config{Workers: 1})
+	reads := []Request{{Query: "E(x,y), E(y,z), E(x,z)"}, {Query: "E(7,y), E(y,z)"}}
+	var want []int64
+	for _, req := range reads {
+		resp, err := e.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, resp.Count)
+	}
+	base, _ := e.DB().Get("E")
+	out := [][]int64{slices.Clone(base.Tuple(3)), slices.Clone(base.Tuple(40))}
+	in := [][]int64{{9000, 9001}, {7, 9000}}
+	read := func(what string, patched bool) {
+		t.Helper()
+		var patches int64
+		for i, req := range reads {
+			resp, err := e.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resp.Stats.PlanCached || !resp.Stats.PlanRebound || resp.Stats.Counters.TrieBuilds != 0 {
+				t.Fatalf("%s, %s: cached=%v rebound=%v builds=%d, want a re-bind with no build",
+					what, req.Query, resp.Stats.PlanCached, resp.Stats.PlanRebound, resp.Stats.Counters.TrieBuilds)
+			}
+			if got := seqCount(t, e.DB(), req.Query); resp.Count != got || (!patched && resp.Count != want[i]) {
+				t.Fatalf("%s, %s: count %d, fresh run %d, at the base %d", what, req.Query, resp.Count, got, want[i])
+			}
+			patches += resp.Stats.Counters.TriePatches
+		}
+		if (patches > 0) != patched {
+			t.Fatalf("%s: the reads derived %d patched tries (want some: %v)", what, patches, patched)
+		}
+	}
+
+	res, err := e.Update(UpdateRequest{Relation: "E", Deletes: out, Inserts: in})
+	if err != nil || !res.Applied || res.Compacted || res.PendingDelta != 4 {
+		t.Fatalf("away: %+v, %v", res, err)
+	}
+	read("away from the base", true)
+	before := e.Stats()
+
+	res, err = e.Update(UpdateRequest{Relation: "E", Deletes: in, Inserts: out})
+	if err != nil || !res.Applied || res.Compacted || res.PendingDelta != 0 || res.Version != 2 {
+		t.Fatalf("back: %+v, %v; want version 2, applied, no pending delta and no compaction", res, err)
+	}
+	if rel, _ := e.DB().Get("E"); rel != base {
+		t.Fatal("the delta that undid the pending ones did not install the base relation itself")
+	}
+	read("back at the base", false)
+	after := e.Stats()
+	if after.Registry.Builds != before.Registry.Builds || after.Registry.Patches != before.Registry.Patches ||
+		after.Plans.Misses != before.Plans.Misses {
+		t.Fatalf("back at the base: registry %v -> %v, plans %v -> %v; want no build, no patch, no miss",
+			before.Registry, after.Registry, before.Plans, after.Plans)
+	}
+
+	if res, err = e.Update(UpdateRequest{Relation: "E", Inserts: in[:1]}); err != nil || res.Compacted || res.PendingDelta != 1 {
+		t.Fatalf("away again: %+v, %v", res, err)
+	}
+	read("away again", true)
 }
 
 // TestEngineCompactionCrossover pins the other side of the crossover: a

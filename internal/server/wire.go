@@ -200,7 +200,9 @@ type UpdateResult struct {
 	// its indices will be rebuilt once instead of patched.
 	Compacted bool `json:"compacted"`
 	// PendingDelta is the cumulative |adds| + |dels| the version carries
-	// relative to its base (0 right after compaction).
+	// relative to its base: 0 right after compaction, and when the
+	// update undid the pending ones and installed the base itself
+	// (Compacted false: the base did not move).
 	PendingDelta int `json:"pending_delta"`
 }
 

@@ -43,7 +43,7 @@ func dfsBatch(it *Iterator, arity int, block []int64, keys *[]int64) {
 	it.Up()
 }
 
-func sameKeys(t *testing.T, label string, got, want []int64) {
+func sameKeys(t testing.TB, label string, got, want []int64) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: got %d keys, want %d\ngot  %v\nwant %v", label, len(got), len(want), got, want)

@@ -82,6 +82,7 @@ func BuildParallel(r *relation.Relation, counters *stats.Counters, workers int) 
 		}
 		prevRows = rows
 	}
+	t.root = t.whole()
 	return t
 }
 

@@ -1,6 +1,7 @@
 package trie
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -96,6 +97,46 @@ func FuzzBatchSeek(f *testing.F) {
 			if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 				t.Fatalf("seek drain not sorted: %v", got)
 			}
+		}
+	})
+}
+
+// FuzzTrieUnder binds a fuzzer-chosen constant prefix on built,
+// store-opened and patched tries over a fuzzer-built ternary relation
+// and its delta, for both constant-column choices the prefix length
+// allows, and holds every view to a trie over the selected and
+// projected relation (checkView: keys, Len, charged accesses).
+func FuzzTrieUnder(f *testing.F) {
+	f.Add([]byte{}, []byte{}, uint8(0), uint8(0), false)
+	f.Add([]byte{1, 2, 3, 1, 2, 4, 1, 5, 6, 2, 2, 2}, []byte{1, 2, 3, 1, 2, 4, 3, 3, 3}, uint8(1), uint8(2), true) // kills node (1,2)
+	f.Add([]byte{0, 1, 2, 3, 4, 5}, []byte{6, 1, 7}, uint8(6), uint8(1), true)                                     // overlay-only constant
+	f.Add([]byte{4, 4, 4, 4, 4, 5}, []byte{4, 4, 4, 4, 4, 5, 4, 9, 9}, uint8(4), uint8(9), false)                  // dead base node, value re-added
+
+	tuples := func(data []byte) [][]int64 {
+		var out [][]int64
+		for i := 0; i+2 < len(data); i += 3 {
+			out = append(out, []int64{int64(data[i] % 8), int64(data[i+1] % 8), int64(data[i+2] % 8)})
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, baseB, deltaB []byte, c0, c1 uint8, two bool) {
+		base := relation.MustNew("R", 3, tuples(baseB))
+		// The delta toggles its tuples: present ones go, absent ones come.
+		toggle := relation.MustNew("R", 3, tuples(deltaB))
+		cur := base.Subtract(toggle).Union(toggle.Subtract(base))
+		prefix := []int64{int64(c0 % 8)}
+		if two {
+			prefix = append(prefix, int64(c1%8))
+		}
+		for _, cols := range [][2][]int{
+			{{0, 1}, {2}}, {{1, 2}, {0}}, {{0, 2}, {1}}, // two constants
+			{{0}, {1, 2}}, {{1}, {2, 0}}, {{2}, {1, 0}}, // one
+		} {
+			if len(cols[0]) != len(prefix) {
+				continue
+			}
+			fx := newViewFixture(t, base, cur, cols[0], cols[1])
+			fx.check(t, fmt.Sprintf("consts %v=%v", cols[0], prefix), prefix, int64(c0)<<8|int64(c1))
 		}
 	})
 }

@@ -2,7 +2,7 @@ package trie
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/relation"
 	"repro/internal/stats"
@@ -13,22 +13,39 @@ import (
 // O(k · depth) new nodes for a delta of k tuples, instead of an O(n)
 // full rebuild. A patched trie shares the base trie's level arrays
 // untouched (zero copies) and carries a patch set: a small overlay trie
-// over the inserted tuples plus, per level, the set of base nodes whose
-// every leaf was deleted. Iterators merge the two sides on the fly, so
-// every engine — sequential, parallel, CLFTJ — runs unchanged over a
-// patched index; it just pays a per-step merge branch, which is the
-// patch-vs-rebuild crossover the E13 ablation measures.
+// over the inserted tuples plus, per level, the sorted list of base
+// nodes whose every leaf was deleted. Iterators merge the two sides on
+// the fly, so every engine — sequential, parallel, CLFTJ — runs
+// unchanged over a patched index; it just pays a per-step merge branch,
+// which is the patch-vs-rebuild crossover the E13 ablation measures.
 
 // patchSet is the copy-on-write delta attached to a patched Trie.
 type patchSet struct {
 	// adds holds the overlay trie levels over the inserted tuples, in
-	// the same cascading-vector layout as Trie.levels.
+	// the same cascading-vector layout as Trie.levels; root is the
+	// overlay's counterpart of Trie.root.
 	adds []level
-	// dead[d] marks base nodes at depth d with no surviving leaf: every
-	// tuple below them was deleted. Iterators skip them; descendants of
-	// a dead node are unreachable, so their own entries are redundant
-	// but harmless.
-	dead []map[int32]struct{}
+	root span
+	// dead[d] lists, ascending, the base nodes at depth d with no
+	// surviving leaf: every tuple below them was deleted. Iterators skip
+	// them. Every node on a fully deleted path is listed, the
+	// unreachable descendants of a dead node included, so that
+	// subtracting the entries inside a range from its width counts the
+	// live nodes (Len).
+	dead [][]int32
+}
+
+// isDead reports whether base node i at depth d is dead.
+func (p *patchSet) isDead(d int, i int32) bool {
+	_, gone := slices.BinarySearch(p.dead[d], i)
+	return gone
+}
+
+// deadIn counts the dead base nodes at depth d inside r.
+func (p *patchSet) deadIn(d int, r span) int {
+	lo, _ := slices.BinarySearch(p.dead[d], r.lo)
+	hi, _ := slices.BinarySearch(p.dead[d], r.hi)
+	return hi - lo
 }
 
 // Patched reports whether this trie is a copy-on-write patch over a
@@ -40,7 +57,7 @@ func (t *Trie) Patched() bool { return t.patch != nil }
 // not in the base) and dels (tuples present in the base but deleted),
 // both already permuted into the trie's column order. The base levels
 // are shared, not copied; the patch materializes only the overlay trie
-// over adds — O(|adds| · depth) nodes — and the dead-node sets for dels
+// over adds — O(|adds| · depth) nodes — and the dead-node lists for dels
 // — at most |dels| · depth entries. Every deleted tuple must exist in
 // the base (the relation.Store lineage guarantees it); a missing tuple
 // is reported as an error. Patches do not stack: base must be a plain
@@ -56,12 +73,12 @@ func BuildPatched(base *Trie, adds, dels *relation.Relation, counters *stats.Cou
 		counters.TriePatches++
 	}
 	k := base.arity
-	p := &patchSet{dead: make([]map[int32]struct{}, k)}
 
 	// Overlay trie over the inserted tuples (Build groups the sorted
 	// relation level by level; adds is small, so this is the O(k·depth)
 	// node-copy cost the patch pays instead of a rebuild).
-	p.adds = Build(adds, nil).levels
+	over := Build(adds, nil)
+	p := &patchSet{adds: over.levels, root: over.root, dead: make([][]int32, k)}
 
 	// Locate every deleted tuple's path in the base and count deleted
 	// leaves per node; a node whose deleted-leaf count equals its leaf
@@ -69,43 +86,37 @@ func BuildPatched(base *Trie, adds, dels *relation.Relation, counters *stats.Cou
 	counts := make([]map[int32]int32, k)
 	for d := range counts {
 		counts[d] = make(map[int32]int32)
-		p.dead[d] = make(map[int32]struct{})
 	}
 	for ti := 0; ti < dels.Len(); ti++ {
 		tup := dels.Tuple(ti)
-		lo, hi := int32(0), int32(len(base.levels[0].vals))
+		siblings := base.root
 		for d := 0; d < k; d++ {
 			lvl := &base.levels[d]
-			idx := lo + int32(sort.Search(int(hi-lo), func(i int) bool {
-				return lvl.vals[lo+int32(i)] >= tup[d]
-			}))
-			if idx >= hi || lvl.vals[idx] != tup[d] {
+			idx, ok := lvl.find(siblings, tup[d])
+			if !ok {
 				return nil, fmt.Errorf("trie: deleted tuple %v not present in base", tup)
 			}
 			counts[d][idx]++
 			if d+1 < k {
-				lo, hi = lvl.start[idx], lvl.start[idx+1]
+				siblings = lvl.children(idx)
 			}
 		}
 	}
 	for d := 0; d < k; d++ {
 		for idx, cnt := range counts[d] {
 			if int(cnt) == base.leafSpan(d, idx) {
-				p.dead[d][idx] = struct{}{}
+				p.dead[d] = append(p.dead[d], idx)
 			}
 		}
+		slices.Sort(p.dead[d])
 	}
 
-	return &Trie{arity: k, levels: base.levels, patch: p}, nil
+	return &Trie{arity: k, levels: base.levels, root: base.root, patch: p}, nil
 }
 
 // leafSpan returns the number of leaves (tuples) under node idx at
 // depth d, by following the child-offset chain to the deepest level.
 func (t *Trie) leafSpan(d int, idx int32) int {
-	lo, hi := idx, idx+1
-	for dd := d; dd < t.arity-1; dd++ {
-		lo = t.levels[dd].start[lo]
-		hi = t.levels[dd].start[hi]
-	}
-	return int(hi - lo)
+	leaves := span{idx, idx + 1}.below(t.levels[d:], t.arity-1-d)
+	return int(leaves.hi - leaves.lo)
 }

@@ -132,8 +132,8 @@ func TestPatchedTrieErrors(t *testing.T) {
 }
 
 // TestPatchedTrieLockstepSeeks drives a patched trie and a fresh build
-// of the same relation through an identical randomized Open/Next/SeekGE
-// walk; every observation (AtEnd, Key) must match exactly.
+// of the same relation through an identical randomized walk (lockstep);
+// every observation (AtEnd, Key, batches) must match exactly.
 func TestPatchedTrieLockstepSeeks(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for round := 0; round < 60; round++ {
@@ -168,49 +168,8 @@ func TestPatchedTrieLockstepSeeks(t *testing.T) {
 		pt := patchOf(t, base, cur, nil)
 		ft := Build(cur, nil)
 
-		pit, fit := pt.NewIterator(), ft.NewIterator()
-		var walk func(d int)
-		fail := false
-		walk = func(d int) {
-			if fail {
-				return
-			}
-			pit.Open()
-			fit.Open()
-			for {
-				if rng.Intn(4) == 0 && !fit.AtEnd() {
-					v := rng.Int63n(dom + 1)
-					if v >= fit.Key() { // forward-only seek contract
-						pit.SeekGE(v)
-						fit.SeekGE(v)
-					}
-				}
-				pe, fe := pit.AtEnd(), fit.AtEnd()
-				if pe != fe {
-					t.Errorf("round %d depth %d: AtEnd %v vs fresh %v", round, d, pe, fe)
-					fail = true
-				}
-				if fail || fe {
-					break
-				}
-				pk, fk := pit.Key(), fit.Key()
-				if pk != fk {
-					t.Errorf("round %d depth %d: Key %d vs fresh %d", round, d, pk, fk)
-					fail = true
-					break
-				}
-				if d+1 < arity {
-					walk(d + 1)
-				}
-				pit.Next()
-				fit.Next()
-			}
-			pit.Up()
-			fit.Up()
-		}
-		walk(0)
-		if fail {
-			t.Fatalf("round %d: base=%v cur=%v", round, base.Tuples(), cur.Tuples())
+		if err := lockstep(rng, pt.NewIterator(), ft.NewIterator(), arity); err != nil {
+			t.Fatalf("round %d: %v\nbase=%v cur=%v", round, err, base.Tuples(), cur.Tuples())
 		}
 	}
 }

@@ -22,10 +22,14 @@ type LevelData struct {
 // Snapshot exposes the trie's level arrays for serialization. Only
 // fully materialized tries snapshot — a patched trie is a transient
 // overlay over a base that is itself snapshot-able, so persisting it
-// would duplicate the base; callers compact (rebuild) first.
+// would duplicate the base; callers compact (rebuild) first. A prefix
+// view (Under) is refused too: its levels hold its siblings' subtrees.
 func (t *Trie) Snapshot() ([]LevelData, error) {
 	if t.patch != nil {
 		return nil, fmt.Errorf("trie: cannot snapshot a patched trie (snapshot the base and replay the delta instead)")
+	}
+	if t.arity > 0 && t.root != t.whole() {
+		return nil, fmt.Errorf("trie: cannot snapshot a prefix view (snapshot the trie it was taken from)")
 	}
 	out := make([]LevelData, len(t.levels))
 	for d := range t.levels {
@@ -55,6 +59,7 @@ func FromLevels(levels []LevelData) (*Trie, error) {
 	for d := range levels {
 		t.levels[d] = level{vals: levels[d].Vals, start: levels[d].Start}
 	}
+	t.root = t.whole()
 	return t, nil
 }
 

@@ -17,6 +17,8 @@ package trie
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -29,6 +31,28 @@ type level struct {
 	start []int32
 }
 
+// span is a sibling range [lo, hi) of one level's arrays.
+type span struct{ lo, hi int32 }
+
+// below maps a range of levels[0]'s nodes onto the range of their
+// descendants n levels down, walking the offset chain.
+func (s span) below(levels []level, n int) span {
+	for d := 0; d < n; d++ {
+		s = span{levels[d].start[s.lo], levels[d].start[s.hi]}
+	}
+	return s
+}
+
+// find locates value v among the siblings r of the level.
+func (l *level) find(r span, v int64) (int32, bool) {
+	off, _ := gallop(l.vals[r.lo:r.hi], v)
+	i := r.lo + off
+	return i, i < r.hi && l.vals[i] == v
+}
+
+// children returns the child range of node i.
+func (l *level) children(i int32) span { return span{l.start[i], l.start[i+1]} }
+
 // Trie is an immutable trie over a sorted relation. Depth d corresponds to
 // relation column d (after any permutation applied by the caller).
 //
@@ -36,25 +60,35 @@ type level struct {
 // patch over a shared base (see BuildPatched): levels then aliases the
 // base trie's arrays and patch carries the insert overlay and deleted
 // base nodes that iterators merge on the fly.
+//
+// root is the sibling range Open enters at depth 0: the whole first
+// level of a built trie, the children of one node of a deeper trie for
+// a prefix view (see Under).
 type Trie struct {
 	arity  int
 	levels []level
+	root   span
 	c      *stats.Counters
 	patch  *patchSet // nil for fully materialized tries
 }
 
+// whole is the root range of a trie that is no view: its first level.
+func (t *Trie) whole() span { return span{0, int32(len(t.levels[0].vals))} }
+
 // Arity returns the trie depth (number of levels).
 func (t *Trie) Arity() int { return t.arity }
 
-// Len returns the number of nodes at depth d. For patched tries it is
-// an estimate (base + overlay − dead): a value present in both the base
-// and the overlay under the same prefix counts twice. The estimator
-// consumers (order cost, fanout) tolerate this; the exact tolerance
-// contract is pinned by TestPatchedLenTolerance.
+// Len returns the number of nodes at depth d under the root range. For
+// patched tries it is an estimate (base + overlay − dead): a value
+// present in both the base and the overlay under the same prefix counts
+// twice. The estimator consumers (order cost, fanout) tolerate this;
+// the exact tolerance contract is pinned by TestPatchedLenTolerance.
 func (t *Trie) Len(d int) int {
-	n := len(t.levels[d].vals)
-	if t.patch != nil {
-		n += len(t.patch.adds[d].vals) - len(t.patch.dead[d])
+	b := t.root.below(t.levels, d)
+	n := int(b.hi - b.lo)
+	if p := t.patch; p != nil {
+		a := p.root.below(p.adds, d)
+		n += int(a.hi-a.lo) - p.deadIn(d, b)
 	}
 	return n
 }
@@ -67,24 +101,17 @@ func (t *Trie) Counters() *stats.Counters { return t.c }
 // significant memory is these indices; the estimate quantifies it next
 // to the cache sizes reported by the engines. A patched trie reports
 // the bytes it keeps alive — the shared base arrays plus its own
-// overlay and dead sets — so a byte budget charging both the base and
-// the patch double-counts the shared part, erring on the safe side.
+// overlay and dead lists — so a byte budget charging both the base and
+// the patch double-counts the shared part, erring on the safe side. A
+// prefix view owns no arrays: it reports the levels it shares, which
+// whoever holds the trie it was taken from already accounts for.
 func (t *Trie) MemoryBytes() int64 {
 	var b int64
 	for d := range t.levels {
 		b += 8 * int64(len(t.levels[d].vals))
 		b += 4 * int64(len(t.levels[d].start))
 	}
-	if t.patch != nil {
-		for d := range t.patch.adds {
-			b += 8 * int64(len(t.patch.adds[d].vals))
-			b += 4 * int64(len(t.patch.adds[d].start))
-		}
-		for d := range t.patch.dead {
-			b += 8 * int64(len(t.patch.dead[d]))
-		}
-	}
-	return b
+	return b + t.PatchBytes()
 }
 
 // PatchBytes reports the bytes owned by the patch alone (0 for fully
@@ -100,7 +127,7 @@ func (t *Trie) PatchBytes() int64 {
 		b += 4 * int64(len(t.patch.adds[d].start))
 	}
 	for d := range t.patch.dead {
-		b += 8 * int64(len(t.patch.dead[d]))
+		b += 4 * int64(len(t.patch.dead[d]))
 	}
 	return b
 }
@@ -156,6 +183,10 @@ type Iterator struct {
 type mergeCursor struct {
 	ahi  []int32 // overlay sibling range end per depth
 	apos []int32 // overlay cursor per depth
+	// dead[d] is the least dead base position at or after the point of
+	// depth d's last dead-list search: short of it the base cursor
+	// stands on a live node without looking (skipDead).
+	dead []int32
 }
 
 // NewIterator returns an iterator at the virtual root, accounting into
@@ -176,10 +207,9 @@ func (t *Trie) NewIteratorCounters(c *stats.Counters) *Iterator {
 		pos:   make([]int32, t.arity),
 	}
 	if t.patch != nil {
-		it.mg = &mergeCursor{
-			ahi:  make([]int32, t.arity),
-			apos: make([]int32, t.arity),
-		}
+		k := t.arity
+		buf := make([]int32, 3*k)
+		it.mg = &mergeCursor{ahi: buf[:k:k], apos: buf[k : 2*k : 2*k], dead: buf[2*k:]}
 	}
 	return it
 }
@@ -216,9 +246,10 @@ func (it *Iterator) flush() {
 }
 
 // Open descends to the first child of the current node. At the virtual
-// root it opens the full first level. Opening an empty child range is
-// legal and leaves the iterator AtEnd at the new depth (possible only on
-// empty tries; interior trie nodes always have at least one child).
+// root it opens the trie's root range. Opening an empty child range is
+// legal and leaves the iterator AtEnd at the new depth (possible only at
+// the root, of an empty trie or of a view under a prefix no tuple
+// carries; interior trie nodes always have at least one child).
 func (it *Iterator) Open() {
 	d := it.depth + 1
 	if d >= it.t.arity {
@@ -230,7 +261,7 @@ func (it *Iterator) Open() {
 	}
 	var lo, hi int32
 	if d == 0 {
-		hi = int32(len(it.t.levels[0].vals))
+		lo, hi = it.t.root.lo, it.t.root.hi
 	} else {
 		lvl := &it.t.levels[it.depth]
 		q := it.pos[it.depth]
@@ -255,8 +286,8 @@ func (it *Iterator) openMerge(d int) {
 	p := it.t.patch
 	var blo, bhi, alo, ahi int32
 	if d == 0 {
-		bhi = int32(len(it.t.levels[0].vals))
-		ahi = int32(len(p.adds[0].vals))
+		blo, bhi = it.t.root.lo, it.t.root.hi
+		alo, ahi = p.root.lo, p.root.hi
 	} else {
 		cur := it.cur
 		if bv, ok := it.baseKey(); ok && bv == cur {
@@ -275,6 +306,7 @@ func (it *Iterator) openMerge(d int) {
 	it.depth = d
 	it.hi[d], it.pos[d] = bhi, blo
 	it.mg.ahi[d], it.mg.apos[d] = ahi, alo
+	it.mg.dead[d] = blo // nothing known under this parent: the first check searches
 	it.skipDead(d)
 	it.refreshMerge(d)
 	it.pending++
@@ -582,18 +614,26 @@ func (it *Iterator) mergedKey() int64 {
 }
 
 // skipDead restores the base-cursor invariant at depth d: the position
-// never rests on a node whose every leaf was deleted.
+// never rests on a node whose every leaf was deleted. Under one parent
+// the cursor only moves forward, so it remembers the next dead position
+// ahead of it and searches the sorted dead list again only on reaching
+// that one; a run of adjacent dead nodes is walked in step with the list.
 func (it *Iterator) skipDead(d int) {
-	dead := it.t.patch.dead[d]
-	if len(dead) == 0 {
+	pos, hi := it.pos[d], it.hi[d]
+	if pos < it.mg.dead[d] || pos >= hi {
 		return
 	}
-	for it.pos[d] < it.hi[d] {
-		if _, gone := dead[it.pos[d]]; !gone {
-			return
-		}
-		it.pos[d]++
+	dead := it.t.patch.dead[d]
+	i, _ := slices.BinarySearch(dead, pos)
+	for i < len(dead) && dead[i] == pos && pos < hi {
+		pos++
+		i++
 		it.pending++
+	}
+	it.pos[d] = pos
+	it.mg.dead[d] = math.MaxInt32
+	if i < len(dead) {
+		it.mg.dead[d] = dead[i]
 	}
 }
 
