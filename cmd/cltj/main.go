@@ -99,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	supportFlag := fs.Int("support", 0, "CLFTJ support threshold")
 	workersFlag := fs.Int("workers", 1, "worker goroutines for clftj and for lftj counting (0 = one per core, 1 = sequential); other algorithms ignore it; -eval with workers > 1 materializes the full result before printing")
 	ordererFlag := fs.String("orderer", "", "planning strategy for clftj and the resident modes: cost (default; full cost model), greedy (stats-free pattern ranking) or adaptive (greedy + feedback-driven re-planning of cached plans)")
-	batchFlag := fs.Int("batch-size", 0, "block size for batched clftj execution: advance the deepest trie level in blocks of up to this many keys (0 = scalar loops); results, order and completed-run statistics are identical to scalar")
 	timeoutFlag := fs.Duration("timeout", 0, "wall-clock budget covering planning, index build and the join (clftj and lftj; 0 = unlimited): past it the run unwinds cooperatively and cltj exits nonzero")
 	symFlag := fs.Bool("symmetric", false, "treat edges as undirected (add both directions)")
 	showTD := fs.Bool("show-td", false, "print the selected tree decomposition")
@@ -193,7 +192,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-timeout applies to single-query runs; in -serve/-queries modes set timeout_ms per request"))
 	}
 	if *serveFlag != "" || *queriesFlag != "" {
-		cfg := server.Config{Workers: engineWorkers, TrieBudget: *budgetFlag, BatchSize: *batchFlag, DataDir: *dataDirFlag, Orderer: *ordererFlag}
+		cfg := server.Config{Workers: engineWorkers, TrieBudget: *budgetFlag, DataDir: *dataDirFlag, Orderer: *ordererFlag}
 		engine, err := openEngine(db, cfg, rels, *dataFlag, *symFlag, stdout)
 		if err != nil {
 			return fail(err)
@@ -236,7 +235,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var c stats.Counters
-	policy := core.Policy{Capacity: *cacheFlag, SupportThreshold: *supportFlag, Workers: *workersFlag, BatchSize: *batchFlag}
+	policy := core.Policy{Capacity: *cacheFlag, SupportThreshold: *supportFlag, Workers: *workersFlag}
 	start := time.Now()
 	var count int64
 	switch *algoFlag {

@@ -32,7 +32,7 @@
 // Usage:
 //
 //	cltjd [-addr :8372] [-data graph.txt | -rel R=path ...] [-symmetric]
-//	      [-data-dir DIR] [-workers K] [-stream-workers K] [-batch-size N]
+//	      [-data-dir DIR] [-workers K] [-stream-workers K]
 //	      [-trie-budget BYTES] [-max-tuples N]
 //	      [-orderer cost|greedy|adaptive] [-adapt-threshold F] [-adapt-runs K]
 //	      [-compact-fraction F] [-plan-cache N] [-max-prepared N] [-drain DUR]
@@ -119,7 +119,6 @@ func main() {
 	symFlag := flag.Bool("symmetric", false, "treat edges as undirected (add both directions)")
 	workersFlag := flag.Int("workers", 0, "default per-query worker goroutines (0 = one per core)")
 	streamWorkersFlag := flag.Int("stream-workers", 0, "default producers for streaming executions (\"mode\": \"stream\"): 0 or 1 = sequential, K = sharded producers with byte-identical output for every K")
-	batchFlag := flag.Int("batch-size", 0, "default block size for batched execution (0 = scalar loops)")
 	budgetFlag := flag.Int64("trie-budget", 0, "resident trie byte budget shared across queries (0 = unbounded)")
 	maxTuples := flag.Int("max-tuples", server.DefaultMaxTuples, "default cap on tuples returned by eval responses")
 	compactFlag := flag.Float64("compact-fraction", 0, "patch-vs-rebuild crossover as a fraction of the base relation size (0 = default)")
@@ -187,7 +186,6 @@ func main() {
 		engine, warm, err = server.OpenEngine(server.Config{
 			Workers:         *workersFlag,
 			StreamWorkers:   *streamWorkersFlag,
-			BatchSize:       *batchFlag,
 			TrieBudget:      *budgetFlag,
 			MaxTuples:       *maxTuples,
 			CompactFraction: *compactFlag,

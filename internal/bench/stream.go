@@ -47,7 +47,7 @@ func runStream(plan *core.Plan, policy core.Policy, workers int) (Measurement, u
 // in shard order, so the sweep also verifies the stream hash is
 // identical at every worker count (IDENTICAL column). Streams run with
 // caching disabled — the producer's own tradeoff for its canonical
-// order — and batched leaf scans (BatchSize) sizing the row blocks.
+// order.
 func StreamThroughput(cfg Config) *Table {
 	workerSweep := []int{1, 2, 4, 8}
 	t := &Table{
@@ -70,7 +70,7 @@ func StreamThroughput(cfg Config) *Table {
 		{"4-path", queries.Path(4)},
 		{"5-cycle", queries.Cycle(5)},
 	}
-	policy := core.Policy{Disabled: true, BatchSize: core.DefaultBatchSize}
+	policy := core.Policy{Disabled: true}
 	for _, w := range workloads {
 		plan, perr := core.AutoPlan(w.q, db, core.AutoOptions{})
 		if perr != nil {
@@ -100,6 +100,6 @@ func StreamThroughput(cfg Config) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"expected shape: >= 2x throughput at 4 workers on the compute-heavy shapes, with byte-identical output at every worker count",
-		"the producer trades per-query caches for its deterministic merge order — see DESIGN.md, \"Batched execution and parallel streaming\"")
+		"the producer trades per-query caches for its deterministic merge order — see DESIGN.md, \"The leaf scan and parallel streaming\"")
 	return t
 }

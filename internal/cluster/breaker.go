@@ -21,7 +21,9 @@ const DefaultBreakerCooldown = time.Second
 // circuit, its failure re-opens it for another cooldown.
 //
 // "Failure" means a transport failure only — an endpoint that answers
-// any HTTP status, even a 5xx, is alive and keeps its circuit closed.
+// any HTTP status, even a 5xx, is alive and keeps its circuit closed —
+// and a request whose own caller gave up mid-call (cancelled, hedged
+// away, out of its deadline) is neither: it is forgotten, not recorded.
 // Safe for concurrent use.
 type breaker struct {
 	threshold int
@@ -85,6 +87,22 @@ func (b *breaker) record(ok bool) {
 		b.state = "open"
 		b.openedAt = time.Now()
 		b.opens++
+	}
+}
+
+// forget ends an admitted request with no verdict on the endpoint — its
+// caller gave up before it answered or failed. The failure run stands as
+// it was; a half-open circuit goes back to open with its cooldown already
+// served, so the next request is the probe instead of the circuit waiting
+// on one that will never record.
+func (b *breaker) forget() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == "half_open" {
+		b.state = "open"
 	}
 }
 

@@ -38,8 +38,9 @@ type ClientConfig struct {
 	Backoff time.Duration
 	// BreakerThreshold is how many consecutive transport failures open
 	// the endpoint's circuit (requests then fail fast with
-	// ErrBreakerOpen until a half-open probe succeeds). 0 uses
-	// DefaultBreakerThreshold; negative disables the breaker.
+	// ErrBreakerOpen until a half-open probe succeeds). A call ended by
+	// its caller's context does not count; one ended by Timeout does.
+	// 0 uses DefaultBreakerThreshold; negative disables the breaker.
 	BreakerThreshold int
 	// BreakerCooldown is the open-circuit rejection window before one
 	// half-open probe is admitted; 0 uses DefaultBreakerCooldown.
@@ -191,7 +192,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body any, o
 		var se *StatusError
 		var vm *server.VersionMismatch
 		answered := lastErr == nil || errors.As(lastErr, &se) || errors.As(lastErr, &vm)
-		c.brk.record(answered)
+		c.settle(ctx, answered)
 		if answered || ctx.Err() != nil {
 			// An HTTP-level answer is authoritative — the shard saw the
 			// request; only transport failures are worth retrying.
@@ -199,6 +200,28 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body any, o
 		}
 	}
 	return lastErr
+}
+
+// settle feeds the breaker the outcome of one admitted exchange:
+// answered, a transport failure, or — when the caller's own ctx is done
+// — neither. A caller that cancelled or ran out its deadline mid-call
+// says nothing about the endpoint; the client's own per-call timeout
+// (once) is not the caller's ctx and still counts as a failure.
+func (c *Client) settle(ctx context.Context, answered bool) {
+	if !answered && ctx.Err() != nil {
+		c.brk.forget()
+		return
+	}
+	c.brk.record(answered)
+}
+
+// call is roundTrip decoding the answer into a fresh T.
+func call[T any](ctx context.Context, c *Client, method, path string, body any, idempotent bool) (*T, error) {
+	out := new(T)
+	if err := c.roundTrip(ctx, method, path, body, out, idempotent); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func (c *Client) once(ctx context.Context, method, path string, payload []byte, out any) error {
@@ -280,11 +303,7 @@ func (c *Client) Versions(ctx context.Context, names []string) (map[string]uint6
 // Do implements Shard: POST /query. Count, eval and aggregate are
 // reads, so transport failures are retried within the budget.
 func (c *Client) Do(ctx context.Context, req server.Request) (*server.Response, error) {
-	var resp server.Response
-	if err := c.roundTrip(ctx, http.MethodPost, "/query", req, &resp, true); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[server.Response](ctx, c, http.MethodPost, "/query", req, true)
 }
 
 // Update implements Shard: POST /update, never retried (a delta is not
@@ -292,20 +311,12 @@ func (c *Client) Do(ctx context.Context, req server.Request) (*server.Response, 
 // it twice; set semantics absorb that, but whether to re-send after an
 // ambiguous failure is the caller's call, not the transport's).
 func (c *Client) Update(ctx context.Context, req server.UpdateRequest) (*server.UpdateResult, error) {
-	var res server.UpdateResult
-	if err := c.roundTrip(ctx, http.MethodPost, "/update", req, &res, false); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return call[server.UpdateResult](ctx, c, http.MethodPost, "/update", req, false)
 }
 
 // Stats implements Shard: GET /stats.
 func (c *Client) Stats(ctx context.Context) (*server.EngineStats, error) {
-	var st server.EngineStats
-	if err := c.roundTrip(ctx, http.MethodGet, "/stats", nil, &st, true); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[server.EngineStats](ctx, c, http.MethodGet, "/stats", nil, true)
 }
 
 // Stream implements Shard: POST /query with "mode": "stream", decoding
@@ -333,7 +344,7 @@ func (c *Client) Stream(ctx context.Context, req server.Request, header func(ord
 	// share /query with buffered reads, so the class rides a header.
 	hreq.Header.Set(faults.ClassHeader, "stream")
 	resp, err := c.hc.Do(hreq)
-	c.brk.record(err == nil)
+	c.settle(ctx, err == nil)
 	if err != nil {
 		return server.StreamSummary{}, err
 	}

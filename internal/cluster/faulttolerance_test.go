@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -502,5 +505,107 @@ func TestBreakerOpensFailsFastAndRecovers(t *testing.T) {
 	}
 	if bs := cl.BreakerStates(); bs[0].State != "closed" {
 		t.Fatalf("breaker after recovery = %+v, want closed", bs[0])
+	}
+}
+
+// TestBreakerIgnoresCallerCancel pins what the breaker counts: a call
+// its own caller abandoned mid-flight — cancelled, or hedged away — says
+// nothing about the endpoint, so any number of them leave the circuit
+// closed and the failure run at zero, buffered and streamed; the client's
+// own per-call timeout is still a failure; and an abandoned half-open
+// probe hands the probe slot to the next request instead of leaving the
+// circuit waiting on an outcome that will never be recorded.
+func TestBreakerIgnoresCallerCancel(t *testing.T) {
+	bg := context.Background()
+	var hang atomic.Bool
+	entered := make(chan struct{}, 64) // never blocks a handler: far more than the calls below
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hang.Load() {
+			// The server notices its client going away only once the
+			// request body has been read.
+			io.Copy(io.Discard, r.Body)
+			entered <- struct{}{}
+			<-r.Context().Done()
+			return
+		}
+		io.WriteString(w, "{}")
+	}))
+	defer srv.Close()
+	req := server.Request{Query: "E(x,y)"}
+	state := func(cl *Client) BreakerState { return cl.BreakerStates()[0] }
+	// abandon starts call, cancels its ctx once the endpoint holds the
+	// request, and returns what the call answered.
+	abandon := func(call func(ctx context.Context) error) error {
+		ctx, cancel := context.WithCancel(bg)
+		defer cancel()
+		done := make(chan error, 1)
+		go func() { done <- call(ctx) }()
+		select {
+		case <-entered:
+			cancel()
+			return <-done
+		case err := <-done: // never reached the endpoint
+			return err
+		}
+	}
+	do := func(cl *Client) func(context.Context) error {
+		return func(ctx context.Context) error { _, err := cl.Do(ctx, req); return err }
+	}
+	stream := func(cl *Client) func(context.Context) error {
+		return func(ctx context.Context) error {
+			_, err := cl.Stream(ctx, req, func([]string) {}, func([]int64) bool { return true })
+			return err
+		}
+	}
+
+	cl := NewClient(srv.URL, ClientConfig{Timeout: 10 * time.Second, Retries: -1, Backoff: -1, BreakerThreshold: 2})
+	hang.Store(true)
+	for i := 0; i < 3; i++ {
+		for name, call := range map[string]func(context.Context) error{"do": do(cl), "stream": stream(cl)} {
+			if err := abandon(call); !errors.Is(err, context.Canceled) {
+				t.Fatalf("abandoned %s %d: %v, want context.Canceled", name, i, err)
+			}
+		}
+	}
+	if bs := state(cl); bs.State != "closed" || bs.ConsecutiveFailures != 0 || bs.Opens != 0 {
+		t.Fatalf("after six abandoned calls: %+v, want closed with no failures", bs)
+	}
+
+	// The client's own timeout is not the caller's ctx: it still counts.
+	slow := NewClient(srv.URL, ClientConfig{Timeout: 20 * time.Millisecond, Retries: -1, Backoff: -1, BreakerThreshold: 2})
+	for i := 0; i < 2; i++ {
+		if _, err := slow.Do(bg, req); err == nil {
+			t.Fatalf("call %d against a hung endpoint answered", i)
+		}
+	}
+	if bs := state(slow); bs.State != "open" || bs.Opens != 1 {
+		t.Fatalf("after two per-call timeouts: %+v, want open", bs)
+	}
+
+	// An abandoned half-open probe gives the slot back.
+	inj := faults.New(7).Add(faults.Rule{Site: "transport/s0/query", P: 1, Limit: 2})
+	probed := NewClient(srv.URL, ClientConfig{
+		Timeout: 10 * time.Second, Retries: -1, Backoff: -1,
+		BreakerThreshold: 2, BreakerCooldown: 20 * time.Millisecond,
+		Transport: &faults.Transport{Inj: inj, Site: "transport/s0"},
+	})
+	for i := 0; i < 2; i++ {
+		if _, err := probed.Do(bg, req); err == nil {
+			t.Fatalf("request %d: injected transport failure did not surface", i)
+		}
+	}
+	time.Sleep(30 * time.Millisecond)
+	if err := abandon(do(probed)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned probe: %v, want context.Canceled", err)
+	}
+	if bs := state(probed); bs.State != "open" || bs.Opens != 1 {
+		t.Fatalf("after an abandoned probe: %+v, want open, opened once", bs)
+	}
+	hang.Store(false)
+	if _, err := probed.Do(bg, req); err != nil {
+		t.Fatalf("probe after an abandoned one: %v", err)
+	}
+	if bs := state(probed); bs.State != "closed" {
+		t.Fatalf("after the probe answered: %+v, want closed", bs)
 	}
 }

@@ -345,11 +345,7 @@ func TestHTTPSurfaceConformance(t *testing.T) {
 			for i, e := range []*server.Engine{faulty.engine, shards[1].(*EngineShard).Engine()} {
 				srv := httptest.NewServer(server.NewHandler(e))
 				t.Cleanup(srv.Close)
-				// No breaker: the fault rows fail this endpoint back to back,
-				// and whether that run reaches the threshold depends on how
-				// the deadline and cancel rows before them raced — an open
-				// circuit would answer 502 for a row that is about 422.
-				shards[i] = NewClient(srv.URL, ClientConfig{Timeout: 10 * time.Second, BreakerThreshold: -1})
+				shards[i] = NewClient(srv.URL, ClientConfig{Timeout: 10 * time.Second})
 			}
 			faulty.Shard = shards[0]
 		}

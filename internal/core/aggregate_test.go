@@ -75,27 +75,29 @@ func TestAggregateCountCoincidesWithCount(t *testing.T) {
 		}
 		for _, pol := range []Policy{{}, {Disabled: true}, {Capacity: 4}, {SupportThreshold: 1}} {
 			for _, pol.Workers = range []int{1, 2, 3} {
-				for _, pol.BatchSize = range []int{0, 7, 256} {
-					var cc, ca stats.Counters
-					cnt := must(plan.WithCounters(&cc).CountParallelCtx(bg, pol))
-					agg := must(AggregateParallelCtx(bg, plan.WithCounters(&ca), pol, sr, UnitWeight(sr)))
-					if cnt.Count != want || agg != want {
-						t.Fatalf("%s %+v: count %d, aggregate %d, want %d", sh.name, pol, cnt.Count, agg, want)
-					}
-					if cc != ca {
-						t.Fatalf("%s %+v: counters diverge\ncount:     %+v\naggregate: %+v", sh.name, pol, cc, ca)
-					}
-					// Unit weights over another semiring count the same tuples.
-					if f := must(AggregateParallelCtx(bg, plan, pol, fsr, UnitWeight(fsr))); f != float64(want) {
-						t.Fatalf("%s %+v: sum-product unit aggregate %g, want %d", sh.name, pol, f, want)
-					}
-					var rows, streamed int64
-					ev := must(plan.EvalParallelCtx(bg, pol, func([]int64) bool { rows++; return true }))
-					st := must(plan.EvalStreamCtx(bg, pol, pol.Workers, func([]int64) bool { streamed++; return true }))
-					if rows != want || ev.Emitted != want || streamed != want || st.Emitted != want {
-						t.Fatalf("%s %+v: eval delivered %d (reported %d), stream %d (reported %d), want %d",
-							sh.name, pol, rows, ev.Emitted, streamed, st.Emitted, want)
-					}
+				for _, bl := range []int{1, 7, blockLen} {
+					atLeafLen(bl, func() {
+						var cc, ca stats.Counters
+						cnt := must(plan.WithCounters(&cc).CountParallelCtx(bg, pol))
+						agg := must(AggregateParallelCtx(bg, plan.WithCounters(&ca), pol, sr, UnitWeight(sr)))
+						if cnt.Count != want || agg != want {
+							t.Fatalf("%s %+v len=%d: count %d, aggregate %d, want %d", sh.name, pol, bl, cnt.Count, agg, want)
+						}
+						if cc != ca {
+							t.Fatalf("%s %+v: counters diverge\ncount:     %+v\naggregate: %+v", sh.name, pol, cc, ca)
+						}
+						// Unit weights over another semiring count the same tuples.
+						if f := must(AggregateParallelCtx(bg, plan, pol, fsr, UnitWeight(fsr))); f != float64(want) {
+							t.Fatalf("%s %+v: sum-product unit aggregate %g, want %d", sh.name, pol, f, want)
+						}
+						var rows, streamed int64
+						ev := must(plan.EvalParallelCtx(bg, pol, func([]int64) bool { rows++; return true }))
+						st := must(plan.EvalStreamCtx(bg, pol, pol.Workers, func([]int64) bool { streamed++; return true }))
+						if rows != want || ev.Emitted != want || streamed != want || st.Emitted != want {
+							t.Fatalf("%s %+v: eval delivered %d (reported %d), stream %d (reported %d), want %d",
+								sh.name, pol, rows, ev.Emitted, streamed, st.Emitted, want)
+						}
+					})
 				}
 			}
 		}

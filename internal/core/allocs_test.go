@@ -10,10 +10,14 @@ import (
 // TestCountSequentialAllocs is the allocation guard on the shared
 // driver, beside leapfrog's zero-alloc gate: a warm sequential count
 // allocates its intermediates and the returned Levels and nothing per
-// run on top — the executor stays on the stack, the one-worker path
-// builds no closure, a no-cache run takes no cache manager at all and a
-// cached one takes its manager, tables included, from the pool. A rise
-// here shows up in the benchmark's allocs_per_req.
+// run on top — the executor, leaf block included, stays on the stack,
+// the one-worker path builds no closure, a no-cache run takes no cache
+// manager at all and a cached one takes its manager, tables included,
+// from the pool. A warm sequential no-cache eval, and the one-worker
+// stream that is the same scan, allocate their three per-bag slices and
+// the Levels (a cached eval also allocates the factorized entries it
+// builds, which is the result's size and not the driver's). A rise here
+// shows up in the benchmark's allocs_per_req.
 func TestCountSequentialAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation accounting")
@@ -23,27 +27,37 @@ func TestCountSequentialAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	count := func(pol Policy) int64 { return must(plan.CountParallelCtx(bg, pol)).Count }
+	discard := func([]int64) bool { return true }
 	for _, tc := range []struct {
 		name   string
 		policy Policy
+		run    func(Policy) int64
+		max    float64
 	}{
-		{"nocache", Policy{Disabled: true}},
-		{"cached", Policy{}},
-		{"lru256", Policy{Capacity: 256, Eviction: EvictLRU}},
+		{"nocache", Policy{Disabled: true}, count, 2},
+		{"cached", Policy{}, count, 2},
+		{"lru256", Policy{Capacity: 256, Eviction: EvictLRU}, count, 2},
+		{"eval", Policy{Disabled: true}, func(pol Policy) int64 {
+			return must(plan.EvalParallelCtx(bg, pol, discard)).Emitted
+		}, 4},
+		{"stream", Policy{Disabled: true}, func(pol Policy) int64 {
+			return must(plan.EvalStreamCtx(bg, pol, 1, discard)).Emitted
+		}, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pol := tc.policy
 			pol.Workers = 1
 			// Warm the runner pool and, twice over, the manager pool: the
 			// first run grows the tables, the second finds them grown.
-			want := must(plan.CountParallelCtx(bg, pol)).Count
-			must(plan.CountParallelCtx(bg, pol))
+			want := tc.run(pol)
+			tc.run(pol)
 			if allocs := testing.AllocsPerRun(20, func() {
-				if must(plan.CountParallelCtx(bg, pol)).Count != want {
-					t.Error("count drifted across pooled runs")
+				if tc.run(pol) != want {
+					t.Error("result drifted across pooled runs")
 				}
-			}); allocs > 2 {
-				t.Fatalf("warm sequential count allocates %.1f objects/run, want <= 2", allocs)
+			}); allocs > tc.max {
+				t.Fatalf("warm sequential run allocates %.1f objects, want <= %.0f", allocs, tc.max)
 			}
 		})
 	}

@@ -7,16 +7,25 @@ import (
 
 	"repro/internal/cq"
 	"repro/internal/dataset"
+	"repro/internal/leapfrog"
 	"repro/internal/naive"
 	"repro/internal/queries"
 	"repro/internal/relation"
 	"repro/internal/stats"
 )
 
-// batchDiffSizes are the block sizes the differential harness drives:
-// degenerate (1), tiny primes that straddle shard and batch boundaries,
-// the default-ish 64, and one far larger than any trial's result set.
-var batchDiffSizes = []int{1, 2, 3, 7, 64, 1024}
+// blockLens are the block lengths the differential tests drive: 1 (the
+// scalar Key/Next sequence through the leaf loop — the reference), tiny
+// ones that straddle shard and block boundaries, 64, and blockLen, what
+// every caller outside these tests runs.
+var blockLens = []int{1, 2, 7, 64, blockLen}
+
+// atLeafLen runs f with leaf scans and stream row groups n keys long.
+func atLeafLen(n int, f func()) {
+	defer func(old int) { leafLen = old }(leafLen)
+	leafLen = n
+	f()
+}
 
 // diffQuery draws a query shape the same way the central cross-engine
 // property test does.
@@ -69,13 +78,15 @@ func sameTuples(t *testing.T, label string, got, want [][]int64) {
 	}
 }
 
-// TestBatchedDifferentialEquivalence is the batched-execution
-// differential harness: on random graphs, random query shapes and
-// random cache policies, every batched execution (Count, Eval and the
-// streaming producer) must reproduce the
-// scalar path exactly — same counts, same tuples in the same order, and
-// bit-identical stats.Counters for completed scans — across worker
-// counts 1..3 and block sizes from 1 to far past the result size.
+// TestBatchedDifferentialEquivalence is the leaf scan's differential
+// harness: on random graphs, random query shapes and random cache
+// policies, every execution (Count, Eval and the streaming producer)
+// must give, at every block length, exactly what length 1 — the scalar
+// Key/Next sequence — gives: same counts, same tuples in the same order,
+// and bit-identical stats.Counters for completed scans, across worker
+// counts 1..3. The sequential no-cache count is also held to the
+// counters of leapfrog.Count, the Fig. 1 loop that shares no leaf code
+// with it.
 func TestBatchedDifferentialEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 10; trial++ {
@@ -97,75 +108,75 @@ func TestBatchedDifferentialEquivalence(t *testing.T) {
 			Eviction:         EvictionMode(rng.Intn(3)),
 			Disabled:         rng.Intn(4) == 0,
 		}
-
-		for _, workers := range []int{1, 2, 3} {
-			base := pol
-			base.Workers = workers
-
-			// Scalar reference for this worker count.
-			var cs stats.Counters
-			sp := plan.WithCounters(&cs)
-			if got := must(sp.CountParallelCtx(bg, base)).Count; got != want {
-				t.Fatalf("trial %d w=%d: scalar count %d, want %d (query %s)", trial, workers, got, want, q)
-			}
-			var es stats.Counters
-			wantTuples := collectTuples(func(emit func([]int64) bool) {
-				plan.WithCounters(&es).EvalParallelCtx(bg, base, emit)
-			})
-			if int64(len(wantTuples)) != want {
-				t.Fatalf("trial %d w=%d: scalar eval emitted %d, want %d", trial, workers, len(wantTuples), want)
-			}
-
-			for _, bs := range batchDiffSizes {
-				bpol := base
-				bpol.BatchSize = bs
-
-				var cb stats.Counters
-				if got := must(plan.WithCounters(&cb).CountParallelCtx(bg, bpol)).Count; got != want {
-					t.Fatalf("trial %d w=%d bs=%d: batched count %d, want %d (query %s)", trial, workers, bs, got, want, q)
-				}
-				if cb != cs {
-					t.Fatalf("trial %d w=%d bs=%d: count counters diverge\nbatch:  %+v\nscalar: %+v", trial, workers, bs, cb, cs)
-				}
-
-				var eb stats.Counters
-				gotTuples := collectTuples(func(emit func([]int64) bool) {
-					plan.WithCounters(&eb).EvalParallelCtx(bg, bpol, emit)
-				})
-				sameTuples(t, "batched eval", gotTuples, wantTuples)
-				if eb != es {
-					t.Fatalf("trial %d w=%d bs=%d: eval counters diverge\nbatch:  %+v\nscalar: %+v", trial, workers, bs, eb, es)
-				}
-			}
-		}
-
-		// Streaming producer: under a disabled cache the stream must be
-		// tuple-for-tuple the sequential scan order at every worker count
-		// and block size — the byte-determinism the NDJSON endpoint
-		// relies on. Counters must match the scalar stream at the same
-		// worker count.
 		nc := pol
 		nc.Disabled = true
 		nc.Workers = 1
+
+		// Fig. 1 on a private instance over the plan's order: what the
+		// sequential no-cache count must charge.
+		var lc stats.Counters
+		inst, err := leapfrog.Build(q, db, plan.Order(), &lc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc.Reset() // the trie builds are not the scan's
+		if got := leapfrog.Count(inst); got != want {
+			t.Fatalf("trial %d: leapfrog.Count %d, want %d (query %s)", trial, got, want, q)
+		}
+
+		// run is everything one block length executes, per worker count.
+		type run struct {
+			count, eval, stream stats.Counters
+			tuples, streamed    [][]int64
+		}
+		runAt := func(bl, workers int) (r run) {
+			atLeafLen(bl, func() {
+				base := pol
+				base.Workers = workers
+				if got := must(plan.WithCounters(&r.count).CountParallelCtx(bg, base)).Count; got != want {
+					t.Fatalf("trial %d w=%d len=%d: count %d, want %d (query %s)", trial, workers, bl, got, want, q)
+				}
+				r.tuples = collectTuples(func(emit func([]int64) bool) {
+					plan.WithCounters(&r.eval).EvalParallelCtx(bg, base, emit)
+				})
+				r.streamed = collectTuples(func(emit func([]int64) bool) {
+					plan.WithCounters(&r.stream).EvalStreamCtx(bg, nc, workers, emit)
+				})
+				if workers == 1 {
+					var c stats.Counters
+					if got := plan.WithCounters(&c).Count(nc).Count; got != want || c != lc {
+						t.Fatalf("trial %d len=%d: no-cache count %d (want %d) diverges from leapfrog.Count\ncore:     %+v\nleapfrog: %+v",
+							trial, bl, got, want, c, lc)
+					}
+				}
+			})
+			return r
+		}
+
+		// Under a disabled cache the stream must be tuple-for-tuple the
+		// sequential scan order at every worker count and block length —
+		// the byte-determinism the NDJSON endpoint relies on.
 		canon := collectTuples(func(emit func([]int64) bool) {
 			plan.Eval(nc, emit)
 		})
 		for _, workers := range []int{1, 2, 3} {
-			var ss stats.Counters
-			scalarStream := collectTuples(func(emit func([]int64) bool) {
-				plan.WithCounters(&ss).EvalStreamCtx(bg, nc, workers, emit)
-			})
-			sameTuples(t, "stream scalar", scalarStream, canon)
-			for _, bs := range batchDiffSizes {
-				bpol := nc
-				bpol.BatchSize = bs
-				var sb stats.Counters
-				stream := collectTuples(func(emit func([]int64) bool) {
-					plan.WithCounters(&sb).EvalStreamCtx(bg, bpol, workers, emit)
-				})
-				sameTuples(t, "stream batched", stream, canon)
-				if sb != ss {
-					t.Fatalf("trial %d w=%d bs=%d: stream counters diverge\nbatch:  %+v\nscalar: %+v", trial, workers, bs, sb, ss)
+			ref := runAt(1, workers)
+			if int64(len(ref.tuples)) != want {
+				t.Fatalf("trial %d w=%d: scalar eval emitted %d, want %d", trial, workers, len(ref.tuples), want)
+			}
+			sameTuples(t, "stream scalar", ref.streamed, canon)
+			for _, bl := range blockLens[1:] {
+				got := runAt(bl, workers)
+				sameTuples(t, "block eval", got.tuples, ref.tuples)
+				sameTuples(t, "block stream", got.streamed, canon)
+				if got.count != ref.count {
+					t.Fatalf("trial %d w=%d len=%d: count counters diverge\nblock:  %+v\nscalar: %+v", trial, workers, bl, got.count, ref.count)
+				}
+				if got.eval != ref.eval {
+					t.Fatalf("trial %d w=%d len=%d: eval counters diverge\nblock:  %+v\nscalar: %+v", trial, workers, bl, got.eval, ref.eval)
+				}
+				if got.stream != ref.stream {
+					t.Fatalf("trial %d w=%d len=%d: stream counters diverge\nblock:  %+v\nscalar: %+v", trial, workers, bl, got.stream, ref.stream)
 				}
 			}
 		}
@@ -183,12 +194,13 @@ func TestBatchedDifferentialEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchedEarlyStop checks the one place batched execution is
-// allowed to differ from scalar: an early-stopped scan (consumer
-// returning false) must still terminate cleanly, deliver exactly the
-// requested prefix of the canonical order, and stop the sharded
-// producers without leaking goroutines (the -race run covers the leak
-// half; here we pin the prefix semantics).
+// TestBatchedEarlyStop checks the one place a block scan is allowed to
+// differ from the scalar sequence: an early-stopped scan (consumer
+// returning false) may have read ahead to the end of its block, but must
+// still terminate cleanly, deliver exactly the requested prefix of the
+// canonical order, and stop the sharded producers without leaking
+// goroutines (the -race run covers the leak half; here we pin the prefix
+// semantics).
 func TestBatchedEarlyStop(t *testing.T) {
 	g := dataset.PreferentialAttachment(60, 4, 13)
 	db := g.DB(false)
@@ -206,21 +218,21 @@ func TestBatchedEarlyStop(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		for _, stop := range []int{1, 7, len(canon) / 2} {
-			for _, bs := range []int{0, 1, 3, 64} {
-				pol := nc
-				pol.BatchSize = bs
-				var got [][]int64
-				res := must(plan.EvalStreamCtx(bg, pol, workers, func(mu []int64) bool {
-					got = append(got, append([]int64(nil), mu...))
-					return len(got) < stop
-				}))
-				if len(got) != stop {
-					t.Fatalf("w=%d stop=%d bs=%d: got %d rows", workers, stop, bs, len(got))
-				}
-				if res.Emitted != int64(stop) {
-					t.Fatalf("w=%d stop=%d bs=%d: result reports %d emitted", workers, stop, bs, res.Emitted)
-				}
-				sameTuples(t, "early-stop prefix", got, canon[:stop])
+			for _, bl := range blockLens {
+				atLeafLen(bl, func() {
+					var got [][]int64
+					res := must(plan.EvalStreamCtx(bg, nc, workers, func(mu []int64) bool {
+						got = append(got, append([]int64(nil), mu...))
+						return len(got) < stop
+					}))
+					if len(got) != stop {
+						t.Fatalf("w=%d stop=%d len=%d: got %d rows", workers, stop, bl, len(got))
+					}
+					if res.Emitted != int64(stop) {
+						t.Fatalf("w=%d stop=%d len=%d: result reports %d emitted", workers, stop, bl, res.Emitted)
+					}
+					sameTuples(t, "early-stop prefix", got, canon[:stop])
+				})
 			}
 		}
 	}

@@ -85,19 +85,46 @@ func BenchmarkCacheTable(b *testing.B) {
 	}
 }
 
+type benchShape struct {
+	name string
+	plan *Plan
+}
+
+// benchShapes are the two multi-bag shapes the count and eval rungs run,
+// planned over one skewed graph.
+func benchShapes() []benchShape {
+	db := dataset.TriadicPA(700, 6, 0.5, 33).DB(false)
+	return []benchShape{
+		{"path4", must(AutoPlan(queries.Path(4), db, AutoOptions{}))},
+		{"lollipop32", must(AutoPlan(queries.Lollipop(3, 2), db, AutoOptions{}))},
+	}
+}
+
+// benchRun times warm sequential executions of run over plan under
+// policy, reporting accesses/op; run returns the execution's result size,
+// which must not drift.
+func benchRun(b *testing.B, plan *Plan, policy Policy, run func(*Plan, Policy) int64) {
+	var c stats.Counters
+	plan = plan.WithCounters(&c)
+	policy.Workers = 1
+	want := run(plan, policy) // warms the pools
+	c.Reset()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if run(plan, policy) != want {
+			b.Fatal("result drifted")
+		}
+	}
+	b.ReportMetric(float64(c.Total())/float64(b.N), "accesses/op")
+}
+
 // BenchmarkCount times a warm sequential count of two multi-bag shapes
 // over a skewed graph under the four cache regimes the repository
 // benchmark's join workloads mix: unbounded caches, a 256-entry LRU that
 // the working set overflows, a support threshold, and no caches at all.
 func BenchmarkCount(b *testing.B) {
-	db := dataset.TriadicPA(700, 6, 0.5, 33).DB(false)
-	for _, shape := range []struct {
-		name string
-		plan *Plan
-	}{
-		{"path4", must(AutoPlan(queries.Path(4), db, AutoOptions{}))},
-		{"lollipop32", must(AutoPlan(queries.Lollipop(3, 2), db, AutoOptions{}))},
-	} {
+	for _, shape := range benchShapes() {
 		for _, tc := range []struct {
 			name   string
 			policy Policy
@@ -108,19 +135,32 @@ func BenchmarkCount(b *testing.B) {
 			{"nocache", Policy{Disabled: true}},
 		} {
 			b.Run(shape.name+"/"+tc.name, func(b *testing.B) {
-				var c stats.Counters
-				plan, pol := shape.plan.WithCounters(&c), tc.policy
-				pol.Workers = 1
-				want := must(plan.CountParallelCtx(bg, pol)).Count // warms the pools
-				c.Reset()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if must(plan.CountParallelCtx(bg, pol)).Count != want {
-						b.Fatal("count drifted")
-					}
-				}
-				b.ReportMetric(float64(c.Total())/float64(b.N), "accesses/op")
+				benchRun(b, shape.plan, tc.policy, func(p *Plan, pol Policy) int64 {
+					return must(p.CountParallelCtx(bg, pol)).Count
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkEval times a warm sequential enumeration of the same shapes
+// into a consumer that keeps nothing, with the factorized caches on and
+// off: the leaf scan feeding the per-tuple epilogue, where BenchmarkCount
+// is the leaf scan collapsed to a sum.
+func BenchmarkEval(b *testing.B) {
+	discard := func([]int64) bool { return true }
+	for _, shape := range benchShapes() {
+		for _, tc := range []struct {
+			name   string
+			policy Policy
+		}{
+			{"cached", Policy{}},
+			{"nocache", Policy{Disabled: true}},
+		} {
+			b.Run(shape.name+"/"+tc.name, func(b *testing.B) {
+				benchRun(b, shape.plan, tc.policy, func(p *Plan, pol Policy) int64 {
+					return must(p.EvalParallelCtx(bg, pol, discard)).Emitted
+				})
 			})
 		}
 	}

@@ -58,19 +58,6 @@ type Policy struct {
 	// Eval and Aggregate are the one-worker forms: they run the same
 	// code with Workers set to 1.
 	Workers int
-	// BatchSize selects block-at-a-time execution (sequential, parallel
-	// and streaming): the deepest level's scan advances in blocks of up
-	// to BatchSize keys through the trie/frog batch primitives instead
-	// of one key per recursive step. 0 (the default) keeps the scalar
-	// loops. Results, tuple order and — for scans that run to completion
-	// — stats.Counters are bit-identical to the scalar path (the batch
-	// primitives replay the scalar charge sequence; the differential
-	// harness enforces it); an early-stopped or cancelled batched scan
-	// may have read ahead up to one block. Every evaluation and every
-	// unit-weight fold (Count, Session.Count, Aggregate under a nil
-	// VarWeight) honours it; a weighted Aggregate keeps the scalar leaf,
-	// whose per-value weights leave nothing to fuse.
-	BatchSize int
 }
 
 // table is one adhesion cache (one per cacheable bag), generic over the

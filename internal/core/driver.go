@@ -26,22 +26,18 @@ import (
 // DESIGN.md, "Parallel execution", for the shared-vs-per-worker cache
 // tradeoff this design picks a side of.
 
-// DefaultBatchSize is the row-block size the streaming producer uses
-// when the policy names none (Policy.BatchSize <= 0).
-const DefaultBatchSize = 256
+// blockLen is how many keys the deepest level's scan drains per
+// Frog.NextBatch call, and how many rows the streaming producer hands
+// the merger at a time. The block is a fixed array inside each executor,
+// which a run keeps on its own stack: neither a per-request heap object
+// nor memory a cached plan retains.
+const blockLen = 256
 
-// maxBatchSize caps a request-supplied block size so a hostile or
-// mistyped BatchSize cannot allocate an absurd scratch block.
-const maxBatchSize = 1 << 16
-
-// leafBlock allocates the deepest-level key block a batched execution
-// scans through, or nil when the policy keeps the scalar loops.
-func (p Policy) leafBlock() []int64 {
-	if p.BatchSize <= 0 {
-		return nil
-	}
-	return make([]int64, min(p.BatchSize, maxBatchSize))
-}
+// leafLen is the part of the block a scan uses. It is blockLen outside
+// tests; the differential tests shorten it (1 is the scalar Key/Next
+// sequence through the same loop) to move the block boundaries across
+// small results.
+var leafLen = blockLen
 
 // shard is one worker's share of the root domain: the root values
 // keys[start], keys[start+stride], … — ascending, so the forward-only

@@ -157,7 +157,7 @@ type evalExec struct {
 	enter       func(i int) // sharded runs: called with the root key's index before its subtree is scanned
 	emit        func([]int64) bool
 	emitted     int64
-	block       []int64 // deepest-level key block; nil = scalar advances
+	block       [blockLen]int64 // the deepest level's keys, a block at a time
 }
 
 // newEvalExec builds a worker's executor over shard sh, accounting into
@@ -175,7 +175,6 @@ func newEvalExec(ctx context.Context, p *Plan, policy Policy, sh shard, wc *stat
 		cm:      acquireManager(policy, p, wc, setCost),
 		cancel:  leapfrog.NewCanceler(ctx),
 		emit:    emit,
-		block:   policy.leafBlock(),
 	}
 	e.mu = e.run.Assignment()
 	return e
@@ -238,16 +237,18 @@ func (e *evalExec) rjoin(d int) bool {
 	frog, ok := e.run.OpenDepth(d)
 	seek := d == 0 && e.keys != nil
 	cont := true
-	if e.block != nil && d == p.numVars-1 && !seek {
-		// Batched leaf advances feeding the per-tuple epilogue (pending
-		// expansions, factorized collection). Frog.NextBatch replays the
-		// scalar Key/Next charges, so completed scans account
-		// bit-identically to the loop below.
+	if d == p.numVars-1 && !seek {
+		// The leaf: a block of matches at a time feeds the per-tuple
+		// epilogue (pending expansions, factorized collection).
+		// Frog.NextBatch charges what the scalar Key/Next sequence would,
+		// so a completed scan accounts exactly as the loop below; a
+		// consumer that stops mid-block has read ahead to the block's end.
+		block := e.block[:leafLen]
 		for ok && cont && !e.cancel.Poll() {
-			n := frog.NextBatch(e.block)
+			n := frog.NextBatch(block)
 			ok = !frog.AtEnd()
 			for j := 0; j < n && cont; j++ {
-				e.mu[d] = e.block[j]
+				e.mu[d] = block[j]
 				cont = e.rjoin(d + 1)
 				if p.bagLast[d] && e.collect[v] && cont {
 					e.appendEntry(v)

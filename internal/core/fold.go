@@ -86,8 +86,8 @@ func TropicalSemiring() Semiring[float64] {
 // The aggregate computed is ⊕ over all result tuples of ⊗ over depths of
 // the weights — the FAQ/AJAR form restricted to per-variable factors. A
 // nil VarWeight weighs every assignment with One: the fold then makes no
-// per-key weight call at all, and its deepest level may scan in blocks
-// (Policy.BatchSize).
+// per-key weight call at all, and its deepest level collapses each block
+// of n matches into n·One.
 type VarWeight[T any] func(d int, v int64) T
 
 // UnitWeight is the nil VarWeight at sr's type: every assignment weighs
@@ -225,7 +225,7 @@ type foldExec[T any] struct {
 	ownCM  bool               // cm came from the pool and goes back at finish
 	cancel *leapfrog.Canceler // nil never cancels
 	total  T
-	block  []int64 // deepest-level key block of a unit-weight fold; nil = scalar advances
+	block  [blockLen]int64 // the deepest level's keys, a block at a time
 }
 
 // newFoldExec builds a worker's executor over shard sh, accounting into
@@ -247,9 +247,6 @@ func newFoldExec[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring
 		ownCM:  own,
 		cancel: leapfrog.NewCanceler(ctx),
 		total:  sr.Zero,
-	}
-	if w == nil {
-		e.block = policy.leafBlock()
 	}
 	e.mu = e.run.Assignment()
 	return e
@@ -307,16 +304,17 @@ func (e *foldExec[T]) rjoin(d int, f T) {
 	// depth 0 seeks its own root values instead of advancing with Next().
 	frog, ok := e.run.OpenDepth(d)
 	seek := d == 0 && e.keys != nil
-	if e.block != nil && d == p.numVars-1 && !seek {
-		// Batched unit-weight leaf: the deepest depth is always its bag's
+	if d == p.numVars-1 && e.w == nil && !seek {
+		// The unit-weight leaf: the deepest depth is always its bag's
 		// last (the subtree intervals compile() builds are contiguous and
-		// end at numVars-1) and the bag has no effective children, so n
-		// matches contribute f ⊗ n·One to the total and n·One to
-		// intrmd[v] — no per-key mu write or child fold is needed.
-		// Frog.NextBatch replays the scalar Key/Next charges, so
-		// completed scans account bit-identically to the loop below.
+		// end at numVars-1) and the bag has no effective children, so a
+		// block of n matches contributes f ⊗ n·One to the total and n·One
+		// to intrmd[v] — no per-key mu write or child fold is needed.
+		// Frog.NextBatch charges what the scalar Key/Next sequence would,
+		// so a completed scan accounts exactly as the loop below.
+		block := e.block[:leafLen]
 		for ok && !e.cancel.Poll() {
-			ones := sr.times(sr.One, frog.NextBatch(e.block))
+			ones := sr.times(sr.One, frog.NextBatch(block))
 			e.total = sr.Add(e.total, sr.Mul(f, ones))
 			e.intrmd[v] = sr.Add(e.intrmd[v], ones)
 			ok = !frog.AtEnd()

@@ -131,10 +131,11 @@ func TestSessionRespectsCapacityAcrossRuns(t *testing.T) {
 }
 
 // TestSessionAndFactorizedHonourBatchSize pins that the entry points
-// which used to build their executors by hand now run what every other
-// entry runs: under BatchSize 7 and 256 a cold Session.Count and an
-// EvalFactorized reproduce the scalar result with bit-identical
-// stats.Counters, and the session reports its per-depth Levels.
+// which build their executors apart from the fold and eval drivers scan
+// their leaves as every other entry does: at every block length a cold
+// Session.Count and an EvalFactorized reproduce the length-1 (scalar)
+// result with bit-identical stats.Counters, and the session reports its
+// per-depth Levels.
 func TestSessionAndFactorizedHonourBatchSize(t *testing.T) {
 	db := dataset.PreferentialAttachment(100, 3, 41).DB(false)
 	var c stats.Counters
@@ -142,31 +143,34 @@ func TestSessionAndFactorizedHonourBatchSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(bs int) (count, factorized int64, session, eval stats.Counters, levels []LevelStat) {
-		c.Reset()
-		res := plan.NewSession(Policy{BatchSize: bs}).Count()
-		session = c
-		c.Reset()
-		factorized = plan.EvalFactorized(Policy{BatchSize: bs}).Count()
-		return res.Count, factorized, session, c, res.Levels
+	run := func(bl int) (count, factorized int64, session, eval stats.Counters, levels []LevelStat) {
+		atLeafLen(bl, func() {
+			c.Reset()
+			res := plan.NewSession(Policy{}).Count()
+			count, levels, session = res.Count, res.Levels, c
+			c.Reset()
+			factorized = plan.EvalFactorized(Policy{}).Count()
+			eval = c
+		})
+		return
 	}
-	want, wantF, wantSession, wantEval, _ := run(0)
+	want, wantF, wantSession, wantEval, _ := run(1)
 	if want != wantF {
 		t.Fatalf("scalar session count %d != factorized count %d", want, wantF)
 	}
-	for _, bs := range []int{7, 256} {
-		got, gotF, session, eval, levels := run(bs)
+	for _, bl := range blockLens[1:] {
+		got, gotF, session, eval, levels := run(bl)
 		if got != want || gotF != want {
-			t.Errorf("bs=%d: session count %d, factorized count %d, want %d", bs, got, gotF, want)
+			t.Errorf("len=%d: session count %d, factorized count %d, want %d", bl, got, gotF, want)
 		}
 		if session != wantSession {
-			t.Errorf("bs=%d: session counters diverge\nbatch:  %+v\nscalar: %+v", bs, session, wantSession)
+			t.Errorf("len=%d: session counters diverge\nblock:  %+v\nscalar: %+v", bl, session, wantSession)
 		}
 		if eval != wantEval {
-			t.Errorf("bs=%d: EvalFactorized counters diverge\nbatch:  %+v\nscalar: %+v", bs, eval, wantEval)
+			t.Errorf("len=%d: EvalFactorized counters diverge\nblock:  %+v\nscalar: %+v", bl, eval, wantEval)
 		}
 		if len(levels) == 0 {
-			t.Errorf("bs=%d: session count reported no Levels", bs)
+			t.Errorf("len=%d: session count reported no Levels", bl)
 		}
 	}
 }

@@ -47,11 +47,12 @@ const streamChanDepth = 4
 // block exactly where cache hits would (the tuple set is always
 // identical). On the sharded path emitted slices are freshly allocated
 // and may be retained. Returning false from emit stops the stream and
-// cancels the workers. Policy.BatchSize batches the workers' leaf scans and sizes the row
-// blocks handed between producer and merger (DefaultBatchSize when
-// unset). CachedEntries is 0 on the sharded path: workers trade their
-// caches for the deterministic order. When ctx trips, delivery stops
-// and ctx's error is returned; tuples already emitted stand.
+// cancels the workers; producers hand the merger rows blockLen at a
+// time, so a stopped stream's workers have scanned at most a few blocks
+// past the last delivered row. CachedEntries is 0 on the sharded path:
+// workers trade their caches for the deterministic order. When ctx
+// trips, delivery stops and ctx's error is returned; tuples already
+// emitted stand.
 func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, emit func(mu []int64) bool) (EvalResult, error) {
 	keys, workers, err := p.shards(ctx, workers)
 	if workers == 0 {
@@ -63,10 +64,6 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, em
 	}
 
 	policy.Disabled = true
-	bs := min(policy.BatchSize, maxBatchSize)
-	if bs <= 0 {
-		bs = DefaultBatchSize
-	}
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	chans := make([]chan streamItem, workers)
@@ -97,7 +94,7 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, em
 					return false
 				}
 				buf = append(buf, append([]int64(nil), mu...))
-				if len(buf) >= bs {
+				if len(buf) >= leafLen {
 					if !send(streamItem{rows: buf}) {
 						return false
 					}

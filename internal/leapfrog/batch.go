@@ -1,13 +1,13 @@
 package leapfrog
 
-// This file adds block-at-a-time advances to the unary leapfrog join:
-// Frog.NextBatch drains up to a block of matches per call, and the
-// runner's CountBatch scans the deepest level a block at a time. The
-// accounting contract carries over from the trie layer — a batch call
-// charges exactly what the equivalent scalar Key/Next/search sequence
-// would have charged — so stats totals stay bit-identical to the scalar
-// engine on completed scans (FuzzBlockIntersect and the core
-// differential harness pin it).
+// This file is the block-at-a-time advance of the unary leapfrog join:
+// Frog.NextBatch drains up to a block of matches per call, and is how
+// core's traversals scan their deepest level. The accounting contract
+// carries over from the trie layer — a call charges exactly what the
+// equivalent scalar Key/Next/search sequence would have charged — so
+// stats totals of completed scans are those of the scalar loop
+// (Runner.Count, Fig. 1); FuzzBlockIntersect pins it at this layer and
+// core's differential tests over whole joins.
 
 // NextBatch fills dst with up to len(dst) successive matches, starting
 // with the current one, and advances past them. It returns the number
@@ -46,55 +46,5 @@ func (f *Frog) NextBatch(dst []int64) int {
 			break
 		}
 	}
-	return n
-}
-
-// CountBatch is Runner.Count with the deepest level advanced a block at
-// a time through Frog.NextBatch; block is the caller-owned scratch
-// buffer whose length sets the block size. The count and — for scans
-// that run to completion — the flushed accounting are bit-identical to
-// Count's. Cancellation is polled once per block at the deepest level
-// (instead of once per match), so a cancelled batched scan may have
-// read ahead up to one block.
-func (r *Runner) CountBatch(block []int64) int64 {
-	if r.inst.empty {
-		return 0
-	}
-	if len(block) == 0 || r.inst.NumVars() == 0 {
-		return r.countFrom(0)
-	}
-	return r.countBatchFrom(0, block)
-}
-
-func (r *Runner) countBatchFrom(d int, block []int64) int64 {
-	f, ok := r.OpenDepth(d)
-	var total int64
-	if d == r.inst.NumVars()-1 {
-		for ok && !r.cancel.Poll() {
-			total += int64(f.NextBatch(block))
-			ok = !f.AtEnd()
-		}
-	} else {
-		for ok && !r.cancel.Poll() {
-			r.mu[d] = f.Key()
-			total += r.countBatchFrom(d+1, block)
-			ok = f.Next()
-		}
-	}
-	r.CloseDepth(d)
-	return total
-}
-
-// CountBatch runs the vanilla LFTJ count with block-at-a-time leaf
-// advances: blockSize <= 0 falls back to the scalar Count. One block is
-// allocated per call; engines that run many executions should hold a
-// Runner and reuse their own block.
-func CountBatch(inst *Instance, blockSize int) int64 {
-	if blockSize <= 0 {
-		return Count(inst)
-	}
-	r := NewRunner(inst)
-	n := r.CountBatch(make([]int64, blockSize))
-	r.Release()
 	return n
 }

@@ -1,12 +1,9 @@
 package leapfrog
 
 import (
-	"math/rand"
+	"fmt"
 	"testing"
 
-	"repro/internal/cq"
-	"repro/internal/naive"
-	"repro/internal/queries"
 	"repro/internal/relation"
 	"repro/internal/stats"
 	"repro/internal/trie"
@@ -14,7 +11,7 @@ import (
 
 // unaryTrie builds an arity-1 trie over the given keys (duplicates
 // collapse via set semantics).
-func unaryTrie(t *testing.T, keys []int64) *trie.Trie {
+func unaryTrie(t testing.TB, keys []int64) *trie.Trie {
 	t.Helper()
 	tuples := make([][]int64, len(keys))
 	for i, k := range keys {
@@ -98,7 +95,7 @@ func TestFrogNextBatchEquivalence(t *testing.T) {
 		want := drainScalar(f, ok)
 		flushAll(legs)
 
-		for _, bs := range []int{1, 2, 3, 64} {
+		for _, bs := range []int{1, 2, 3, 64, 256} {
 			var cb stats.Counters
 			f, legs, ok := frogOver(tries, &cb)
 			got := drainBatch(f, ok, make([]int64, bs))
@@ -118,51 +115,73 @@ func TestFrogNextBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestCountBatchEquivalence runs whole joins: CountBatch must agree
-// with Count (and naive) on count and flushed accounting for every
-// block size.
-func TestCountBatchEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	qs := []*cq.Query{queries.Path(3), queries.Cycle(3), queries.Cycle(4), queries.Clique(3)}
-	for trial := 0; trial < 8; trial++ {
-		n := 6 + rng.Intn(10)
-		var edges [][]int64
-		for i := 0; i < 4*n; i++ {
-			edges = append(edges, []int64{int64(rng.Intn(n)), int64(rng.Intn(n))})
-		}
-		db := relation.NewDB(relation.MustNew("E", 2, edges))
-		q := qs[trial%len(qs)]
-		inst, err := Build(q, db, q.Vars(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := naive.Count(q, db)
+var frogSink int64
 
-		var cs stats.Counters
-		r := NewRunnerCounters(inst, &cs)
-		scalar := r.Count()
-		r.Release()
-		if scalar != want {
-			t.Fatalf("trial %d: scalar count %d, want %d", trial, scalar, want)
-		}
-
-		for _, bs := range []int{1, 2, 3, 7, 64} {
-			var cb stats.Counters
-			r := NewRunnerCounters(inst, &cb)
-			got := r.CountBatch(make([]int64, bs))
-			r.Release()
-			if got != want {
-				t.Fatalf("trial %d bs=%d: CountBatch %d, want %d", trial, bs, got, want)
+// BenchmarkFrog is the leapfrog rung under core's leaf scan: one op
+// drains a k-way intersection of unary legs (leg j holds the multiples of
+// j+1), with the scalar Key/Next sequence and with NextBatch blocks of
+// the length core uses, by arity. One leg is the materialized bulk copy;
+// two and three legs are NextBatch's per-key fallback, so those pairs
+// should read alike. accesses/op must be the same within every pair.
+func BenchmarkFrog(b *testing.B) {
+	const domain = 1 << 13
+	var block [256]int64
+	for arity := 1; arity <= 3; arity++ {
+		var c stats.Counters
+		legs := make([]*trie.Iterator, arity)
+		for j := range legs {
+			var keys []int64
+			for k := int64(0); k < domain; k += int64(j + 1) {
+				keys = append(keys, k)
 			}
-			if cb != cs {
-				t.Errorf("trial %d bs=%d: batch counters %+v, scalar %+v", trial, bs, cb, cs)
-			}
+			legs[j] = unaryTrie(b, keys).NewIteratorCounters(&c)
 		}
-		if got := CountBatch(inst, 16); got != want {
-			t.Fatalf("trial %d: package CountBatch %d, want %d", trial, got, want)
-		}
-		if got := CountBatch(inst, 0); got != want {
-			t.Fatalf("trial %d: CountBatch(0) %d, want %d", trial, got, want)
+		f := NewFrog(legs)
+		for _, mode := range []struct {
+			name  string
+			drain func(ok bool) int
+		}{
+			{"next", func(ok bool) (n int) {
+				for ; ok; ok = f.Next() {
+					frogSink += f.Key()
+					n++
+				}
+				return n
+			}},
+			{"nextbatch", func(ok bool) (n int) {
+				for ok {
+					n += f.NextBatch(block[:])
+					ok = !f.AtEnd()
+				}
+				return n
+			}},
+		} {
+			b.Run(fmt.Sprintf("%s/legs=%d", mode.name, arity), func(b *testing.B) {
+				scan := func() int {
+					for _, l := range legs {
+						l.Open()
+					}
+					n := mode.drain(f.Init())
+					for _, l := range legs {
+						l.Up()
+					}
+					return n
+				}
+				want := scan()
+				flushAll(legs)
+				c.Reset()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if scan() != want {
+						b.Fatal("match count drifted")
+					}
+				}
+				b.StopTimer()
+				flushAll(legs)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*want), "ns/key")
+				b.ReportMetric(float64(c.Total())/float64(b.N), "accesses/op")
+			})
 		}
 	}
 }

@@ -3,7 +3,6 @@ package leapfrog
 import (
 	"testing"
 
-	"repro/internal/cq"
 	"repro/internal/relation"
 	"repro/internal/stats"
 	"repro/internal/trie"
@@ -19,11 +18,11 @@ func fuzzKeys(data []byte) []int64 {
 	return out
 }
 
-// FuzzBlockIntersect drives block intersection against the scalar
-// leapfrog on fuzzer-chosen relations: a direct frog-level k-way
-// intersection (1..3 legs, including a patched leg) and a whole
-// two-atom join through CountBatch, asserting identical results and
-// bit-identical counters at every block size.
+// FuzzBlockIntersect drives Frog.NextBatch — the only leaf scan core's
+// traversals have — against the scalar Key/Next leapfrog on
+// fuzzer-chosen relations: a k-way intersection over 1..3 legs,
+// including a patched leg, asserting identical matches and bit-identical
+// counters at every block size.
 func FuzzBlockIntersect(f *testing.F) {
 	f.Add([]byte{}, []byte{}, []byte{}, uint8(1), uint8(2))                                     // empty legs
 	f.Add([]byte{5}, []byte{5}, []byte{}, uint8(2), uint8(1))                                   // single-key legs
@@ -79,40 +78,6 @@ func FuzzBlockIntersect(f *testing.F) {
 		}
 		if cb != cs {
 			t.Fatalf("bs=%d: batch counters %+v, scalar %+v", bs, cb, cs)
-		}
-
-		// Whole-join differential: a two-atom join over fuzzer edges.
-		edges := func(data []byte) [][]int64 {
-			var out [][]int64
-			for i := 0; i+1 < len(data); i += 2 {
-				out = append(out, []int64{int64(data[i] % 12), int64(data[i+1] % 12)})
-			}
-			return out
-		}
-		db := relation.NewDB(
-			relation.MustNew("R", 2, edges(aB)),
-			relation.MustNew("S", 2, edges(bB)),
-		)
-		q, err := cq.Parse("R(x,y), S(y,z)")
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst, err := Build(q, db, q.Vars(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var js, jb stats.Counters
-		r := NewRunnerCounters(inst, &js)
-		scalar := r.Count()
-		r.Release()
-		r = NewRunnerCounters(inst, &jb)
-		batched := r.CountBatch(make([]int64, bs))
-		r.Release()
-		if scalar != batched {
-			t.Fatalf("bs=%d: join count %d (batched) vs %d (scalar)", bs, batched, scalar)
-		}
-		if jb != js {
-			t.Fatalf("bs=%d: join counters %+v (batched) vs %+v (scalar)", bs, jb, js)
 		}
 	})
 }

@@ -41,11 +41,6 @@ type Config struct {
 	// deliberately does not inherit Workers — the parallel stream trades
 	// the per-query caches for its deterministic order, so it is opt-in.
 	StreamWorkers int
-	// BatchSize is the default block size of batched execution when a
-	// request does not set its own: 0 keeps the scalar loops (the
-	// default), K > 0 advances the deepest trie level in blocks of up to
-	// K keys (core.Policy.BatchSize).
-	BatchSize int
 	// TrieBudget bounds the registry's resident trie bytes, shared
 	// across all queries (0 = unbounded). Under pressure the least
 	// recently used index orders are evicted first.
@@ -493,18 +488,9 @@ func (e *Engine) policyOf(req Request) (core.Policy, error) {
 		SupportThreshold: req.CacheSupport,
 		Disabled:         req.NoCache,
 		Workers:          req.Workers,
-		BatchSize:        req.BatchSize,
 	}
 	if pol.Workers == 0 {
 		pol.Workers = e.cfg.Workers
-	}
-	switch {
-	case pol.BatchSize == 0:
-		pol.BatchSize = e.cfg.BatchSize
-	case pol.BatchSize < 0:
-		// An explicit negative forces the scalar loops even when the
-		// engine defaults to batching (0 means "unset" in the merge).
-		pol.BatchSize = 0
 	}
 	switch req.CacheEviction {
 	case "", "fifo":

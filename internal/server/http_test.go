@@ -46,6 +46,13 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 	if _, ok := body["stats"].(map[string]any); !ok {
 		t.Fatalf("response missing stats: %v", body)
 	}
+
+	// The block length is not a request field: a body that names it is
+	// refused by the unknown-field check, never silently ignored.
+	resp, body = postQuery(t, srv, `{"query": "E(x,y), E(y,z), E(x,z)", "batch_size": 256}`)
+	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, `unknown field "batch_size"`) {
+		t.Fatalf("batch_size body: status %d, body %v, want 400 unknown field", resp.StatusCode, body)
+	}
 }
 
 func TestHTTPQueryEval(t *testing.T) {

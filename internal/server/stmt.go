@@ -142,9 +142,6 @@ func (s *Stmt) merge(over Request) Request {
 	if over.StreamWorkers != 0 {
 		req.StreamWorkers = over.StreamWorkers
 	}
-	if over.BatchSize != 0 {
-		req.BatchSize = over.BatchSize
-	}
 	if over.CacheCapacity != 0 {
 		req.CacheCapacity = over.CacheCapacity
 	}

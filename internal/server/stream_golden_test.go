@@ -114,7 +114,7 @@ func TestStreamConcurrentStress(t *testing.T) {
 	// versions come and go under the streams.
 	e := NewEngine(testDB(), Config{Workers: 2, TrieBudget: 1 << 16})
 
-	stmt, err := e.Prepare(Request{Query: "E(x,y), E(y,z)", NoCache: true, StreamWorkers: 3, BatchSize: 8})
+	stmt, err := e.Prepare(Request{Query: "E(x,y), E(y,z)", NoCache: true, StreamWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,6 @@ func TestStreamConcurrentStress(t *testing.T) {
 						Mode:          "stream",
 						NoCache:       true,
 						StreamWorkers: 1 + rng.Intn(4),
-						BatchSize:     1 + rng.Intn(16),
 					}, nil, func([]int64) bool { rows++; return true })
 					if err != nil {
 						errs <- fmt.Errorf("client %d stream %d: %w", c, i, err)
@@ -191,7 +190,6 @@ func TestStreamConcurrentStress(t *testing.T) {
 						Query:         "E(a,b), E(b,c), E(c,d)",
 						Mode:          "stream",
 						StreamWorkers: 2 + rng.Intn(3),
-						BatchSize:     4,
 					}, nil, func([]int64) bool { return true })
 					timer.Stop()
 					cancel()

@@ -25,11 +25,6 @@ type Request struct {
 	// ("mode": "stream", Stmt.Rows) consult it. Execution-only: never
 	// part of the plan-cache key.
 	StreamWorkers int `json:"stream_workers,omitempty"`
-	// BatchSize overrides the engine's default execution block size
-	// (0: engine default; negative: force the scalar loops; K > 0:
-	// blocks of up to K keys). Execution-only: never part of the
-	// plan-cache key.
-	BatchSize int `json:"batch_size,omitempty"`
 	// CacheCapacity bounds this query's CLFTJ caches (entries per
 	// worker; 0 = unbounded), CacheSupport is the support threshold and
 	// CacheEviction one of "fifo" (default), "none", "lru". NoCache

@@ -2,13 +2,12 @@ package trie
 
 // This file adds block-at-a-time primitives to the trie iterator: a
 // caller-owned []int64 block is filled with successive sibling keys in
-// one call, so the join engines can amortize per-advance call overhead
-// across a whole block. The accounting contract is unchanged — a batch
-// call charges exactly what the equivalent scalar Key/Next sequence
-// would have charged (the same replay idea seekLevel uses via
-// binProbes), so stats totals stay bit-identical between the scalar and
-// batched execution paths. The equivalence tests and FuzzBatchSeek pin
-// the contract.
+// one call, which is how core's traversals scan their deepest level
+// (through leapfrog.Frog.NextBatch). The accounting contract is
+// unchanged — a batch call charges exactly what the equivalent scalar
+// Key/Next sequence would have charged (the same replay idea seekLevel
+// uses via binProbes), so a join's stats totals are those of the scalar
+// loop. The equivalence tests and FuzzBatchSeek pin the contract.
 
 // Materialized reports whether the iterator runs the fully materialized
 // fast path (no patched-merge overlay). Batch consumers use it to
