@@ -1,10 +1,11 @@
 package cltj
 
 // Benchmark harness: one testing.B benchmark per table/figure of the
-// paper (E1–E9, see DESIGN.md), each wrapping the corresponding driver
-// in internal/bench at Quick scale so `go test -bench=.` finishes in
-// minutes, plus per-engine micro-benchmarks on a fixed workload. Run
-// `go run ./cmd/figures` for the full-scale tables.
+// paper and per ablation (E1–E11, E13, see DESIGN.md), each wrapping
+// the corresponding driver in internal/bench at Quick scale so
+// `go test -bench=.` finishes in minutes, plus per-engine
+// micro-benchmarks on a fixed workload. Run `go run ./cmd/figures` for
+// the full-scale tables.
 
 import (
 	"fmt"
@@ -41,14 +42,7 @@ func BenchmarkE7Figure10(b *testing.B)       { benchExperiment(b, bench.Figure10
 func BenchmarkE8Figure11(b *testing.B)       { benchExperiment(b, bench.Figure11) }
 func BenchmarkE9Figure13(b *testing.B)       { benchExperiment(b, bench.Figure13) }
 func BenchmarkE11Parallel(b *testing.B)      { benchExperiment(b, bench.ParallelSpeedup) }
-func BenchmarkE12Service(b *testing.B)       { benchExperiment(b, bench.ServiceThroughput) }
 func BenchmarkE13Updates(b *testing.B)       { benchExperiment(b, bench.IncrementalUpdates) }
-func BenchmarkE14Prepared(b *testing.B)      { benchExperiment(b, bench.PreparedStatements) }
-func BenchmarkE15Micro(b *testing.B)         { benchExperiment(b, bench.HotPath) }
-func BenchmarkE17Planner(b *testing.B)       { benchExperiment(b, bench.Planner) }
-func BenchmarkE18Stream(b *testing.B)        { benchExperiment(b, bench.StreamThroughput) }
-func BenchmarkE19Persist(b *testing.B)       { benchExperiment(b, bench.PersistentRestart) }
-func BenchmarkE20Cluster(b *testing.B)       { benchExperiment(b, bench.ClusterScatterGather) }
 
 // Per-engine micro-benchmarks: a fixed skewed graph and query so the
 // three algorithms' costs are directly comparable in one `-bench` run.

@@ -285,11 +285,11 @@ func Count(q *Query, db *DB, opts Options) (int64, error) {
 // Eval enumerates q(D) with CLFTJ; emit receives assignments aligned
 // with the plan's variable order and may return false to stop. It
 // returns the order used. Options.Workers is honored exactly as in
-// Count: the default (0) shards over one worker per core, which
-// materializes and merges per-worker results before emitting (emitted
-// slices are then fresh and may be retained); Workers: 1 forces the
-// sequential path, which streams tuples as the scan finds them but
-// reuses the emit slice (copy to retain). For a streaming iterator
+// Count: the default (0) shards over one worker per core and merges
+// the workers' rows in root order as they are found (emitted slices are
+// then fresh and may be retained); Workers: 1 forces the sequential
+// path, which reuses the emit slice (copy to retain). Either way
+// tuples stream and a false from emit stops the join. For an iterator
 // with cancellation, see Prepare and Stmt.Rows.
 func Eval(q *Query, db *DB, opts Options, emit func(mu []int64) bool) ([]string, error) {
 	plan, err := NewPlan(q, db, opts)

@@ -9,8 +9,7 @@
 //	     [-symmetric] [-show-td] [-cpuprofile out.pprof]
 //	cltj -updates deltas.txt ...                      # replay deltas first
 //	cltj -queries workload.txt [-trie-budget BYTES]   # batch over one engine
-//	cltj -serve :8372 [-trie-budget BYTES]            # HTTP/JSON service
-//	cltj ... [-data-dir DIR]                          # persistent engine modes
+//	cltj -queries workload.txt -data-dir DIR          # persistent batch engine
 //
 // The query flag accepts k-path, k-cycle, k-clique, {c,t}-lollipop (as
 // "lollipop-c-t") and "rand-N-P-SEED". Without -data, a built-in skewed
@@ -20,9 +19,7 @@
 // either explicit text ("E(x,y), E(y,z), E(x,z)") or a named shape
 // ("5-cycle"); blank lines and #-comments are skipped — against one
 // resident engine, so trie indices built for early queries are reused
-// by later ones. Serve mode (-serve) exposes the same engine over HTTP
-// (POST /query, POST /update, GET /stats, GET /healthz; see
-// internal/server).
+// by later ones. The HTTP/JSON service over the same engine is cltjd.
 //
 // Update replay (-updates) batch-applies a delta file to the loaded
 // dataset through the versioned stores before any query runs — the
@@ -37,8 +34,8 @@
 // flushes the tail. Each flushed delta advances the relation's version
 // exactly like a live update would.
 //
-// The resident-engine modes accept -data-dir DIR to run persistently
-// (format: docs/FORMAT.md), exactly like cltjd: a cold start snapshots
+// Batch mode accepts -data-dir DIR to run persistently (format:
+// docs/FORMAT.md), exactly like cltjd: a cold start snapshots
 // the loaded dataset into the directory, updates become durable, and
 // the next start with the same directory boots warm — snapshots
 // verified and mmap'd, write-ahead logs replayed, dataset flags
@@ -97,16 +94,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	evalFlag := fs.Bool("eval", false, "enumerate tuples instead of counting (prints the first few)")
 	cacheFlag := fs.Int("cache", 0, "CLFTJ cache capacity (0 = unbounded)")
 	supportFlag := fs.Int("support", 0, "CLFTJ support threshold")
-	workersFlag := fs.Int("workers", 1, "worker goroutines for clftj and for lftj counting (0 = one per core, 1 = sequential); other algorithms ignore it; -eval with workers > 1 materializes the full result before printing")
-	ordererFlag := fs.String("orderer", "", "planning strategy for clftj and the resident modes: cost (default; full cost model), greedy (stats-free pattern ranking) or adaptive (greedy + feedback-driven re-planning of cached plans)")
+	workersFlag := fs.Int("workers", 1, "worker goroutines for clftj and for lftj counting (0 = one per core, 1 = sequential); other algorithms ignore it")
+	ordererFlag := fs.String("orderer", "", "planning strategy for clftj and -queries: cost (default; full cost model), greedy (stats-free pattern ranking) or adaptive (greedy + feedback-driven re-planning of cached plans)")
 	timeoutFlag := fs.Duration("timeout", 0, "wall-clock budget covering planning, index build and the join (clftj and lftj; 0 = unlimited): past it the run unwinds cooperatively and cltj exits nonzero")
 	symFlag := fs.Bool("symmetric", false, "treat edges as undirected (add both directions)")
 	showTD := fs.Bool("show-td", false, "print the selected tree decomposition")
 	queriesFlag := fs.String("queries", "", "batch mode: run the workload file (one query per line) against one resident engine")
 	updatesFlag := fs.String("updates", "", "replay a delta file ('+ R v...' / '- R v...' / 'apply' lines) against the dataset before running")
-	serveFlag := fs.String("serve", "", "serve mode: listen on this address (e.g. :8372) and answer HTTP/JSON queries over the loaded dataset")
-	budgetFlag := fs.Int64("trie-budget", 0, "resident trie byte budget for -queries/-serve (0 = unbounded)")
-	dataDirFlag := fs.String("data-dir", "", "persistent data directory for -queries/-serve: snapshots + write-ahead logs + trie index files; a populated directory boots warm (dataset flags are ignored) and updates become durable")
+	budgetFlag := fs.Int64("trie-budget", 0, "resident trie byte budget for -queries (0 = unbounded)")
+	dataDirFlag := fs.String("data-dir", "", "persistent data directory for -queries: snapshots + write-ahead logs + trie index files; a populated directory boots warm (dataset flags are ignored) and updates become durable")
 	cpuProfileFlag := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file (analyze with `go tool pprof`)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -133,20 +129,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	// -data-dir only makes sense where an engine owns the data: the
-	// resident modes. -updates replays offline through bare stores,
-	// bypassing the WAL, so combining them would silently drop
-	// durability — reject it.
+	// -data-dir only makes sense where an engine owns the data: batch
+	// mode. -updates replays offline through bare stores, bypassing the
+	// WAL, so combining them would silently drop durability — reject it.
 	if *dataDirFlag != "" {
-		if *serveFlag == "" && *queriesFlag == "" {
-			return fail(fmt.Errorf("-data-dir requires a resident engine mode (-serve or -queries)"))
+		if *queriesFlag == "" {
+			return fail(fmt.Errorf("-data-dir requires the resident engine of -queries (or run cltjd)"))
 		}
 		if *updatesFlag != "" {
 			return fail(fmt.Errorf("-data-dir persists updates through the engine; apply them live (POST /update) instead of -updates"))
 		}
 	}
 
-	// The persistent modes defer loading to server.OpenEngine, which
+	// A persistent batch defers loading to server.OpenEngine, which
 	// skips it entirely on a warm boot; everything else loads up front.
 	var db *relation.DB
 	var err error
@@ -177,34 +172,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The single-query paths default -workers to 1 (the paper's
-	// sequential protocol); the resident-engine modes default to one
-	// worker per core, matching cltjd, unless -workers was set.
+	// sequential protocol); batch mode defaults to one worker per core,
+	// matching cltjd, unless -workers was set.
 	engineWorkers := 0
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "workers" {
 			engineWorkers = *workersFlag
 		}
 	})
-	// -timeout bounds one query run; the resident-engine modes take
+	// -timeout bounds one query run; the resident engine takes
 	// per-request budgets instead (timeout_ms on each request), so a
 	// global flag there would be silently meaningless — reject it.
-	if *timeoutFlag > 0 && (*serveFlag != "" || *queriesFlag != "") {
-		return fail(fmt.Errorf("-timeout applies to single-query runs; in -serve/-queries modes set timeout_ms per request"))
+	if *timeoutFlag > 0 && *queriesFlag != "" {
+		return fail(fmt.Errorf("-timeout applies to single-query runs; the resident engine takes timeout_ms per request (cltjd)"))
 	}
-	if *serveFlag != "" || *queriesFlag != "" {
+	if *queriesFlag != "" {
 		cfg := server.Config{Workers: engineWorkers, TrieBudget: *budgetFlag, DataDir: *dataDirFlag, Orderer: *ordererFlag}
 		engine, err := openEngine(db, cfg, rels, *dataFlag, *symFlag, stdout)
 		if err != nil {
 			return fail(err)
 		}
 		defer engine.Close()
-		if *serveFlag != "" {
-			fmt.Fprintf(stdout, "cltj service listening on %s (POST /query, POST /update, GET /stats, GET /healthz)\n", *serveFlag)
-			if err := server.NewHTTPServer(*serveFlag, server.NewHandler(engine)).ListenAndServe(); err != nil {
-				return fail(err)
-			}
-			return 0
-		}
 		return runBatch(engine, *queriesFlag, stdout, stderr)
 	}
 
@@ -431,11 +419,11 @@ func replayUpdates(db *relation.DB, path string, stdout io.Writer) (*relation.DB
 	return out, nil
 }
 
-// openEngine builds the resident engine for the -serve and -queries
-// modes. With an empty Config.DataDir it wraps the already-loaded db
-// in a memory-only engine; with a data directory it routes through
-// server.OpenEngine, loading the dataset only on a cold start and
-// echoing the warm/cold outcome plus the served relation inventory.
+// openEngine builds the resident engine of batch mode. With an empty
+// Config.DataDir it wraps the already-loaded db in a memory-only engine;
+// with a data directory it routes through server.OpenEngine, loading the
+// dataset only on a cold start and echoing the warm/cold outcome plus
+// the served relation inventory.
 func openEngine(db *relation.DB, cfg server.Config, rels relFlags, dataPath string, symmetric bool, stdout io.Writer) (*server.Engine, error) {
 	if cfg.DataDir == "" {
 		return server.NewEngine(db, cfg), nil

@@ -219,22 +219,6 @@ func Experiments() []Experiment {
 		{"E9 (Fig. 13/14)", Figure13},
 		{"E10 (ablation)", Ablation},
 		{"E11 (parallel)", ParallelSpeedup},
-		{"E12 (service)", ServiceThroughput},
 		{"E13 (updates)", IncrementalUpdates},
-		{"E14 (prepared)", PreparedStatements},
-		{"E15 (hot path)", HotPath},
-		{"E17 (planner)", Planner},
-		{"E18 (streaming)", StreamThroughput},
-		{"E19 (persistence)", PersistentRestart},
-		{"E20 (cluster)", ClusterScatterGather},
 	}
-}
-
-// All runs every experiment and returns the tables in paper order.
-func All(cfg Config) []*Table {
-	var out []*Table
-	for _, e := range Experiments() {
-		out = append(out, e.Run(cfg))
-	}
-	return out
 }

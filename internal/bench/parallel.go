@@ -9,18 +9,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/dataset"
-	"repro/internal/leapfrog"
 	"repro/internal/queries"
-	"repro/internal/relation"
 )
-
-// RunCLFTJParallel measures CLFTJ count sharded over policy.Workers
-// goroutines (auto TD; selection and trie construction excluded from the
-// timing, as in RunCLFTJ).
-func RunCLFTJParallel(q *cq.Query, db *relation.DB, policy core.Policy) Measurement {
-	plan, err := core.AutoPlan(q, db, core.AutoOptions{})
-	return RunCLFTJPlan(plan, err, policy)
-}
 
 // RunCLFTJPlan measures one sharded count over an already-compiled plan
 // (compileErr threads AutoPlan's error through, so sweep drivers can
@@ -33,21 +23,6 @@ func RunCLFTJPlan(plan *core.Plan, compileErr error, policy core.Policy) Measure
 	start := time.Now()
 	res, _ := plan.WithCounters(&m.Counters).CountParallelCtx(context.Background(), policy)
 	m.Count = res.Count
-	m.Duration = time.Since(start)
-	return m
-}
-
-// RunLFTJParallel measures vanilla LFTJ count sharded over the given
-// worker count (trie construction excluded from the timing).
-func RunLFTJParallel(q *cq.Query, db *relation.DB, workers int) Measurement {
-	var m Measurement
-	inst, err := leapfrog.Build(q, db, q.Vars(), &m.Counters)
-	if err != nil {
-		return Measurement{Err: err}
-	}
-	m.Counters.Reset()
-	start := time.Now()
-	m.Count = leapfrog.ParallelCount(inst, workers)
 	m.Duration = time.Since(start)
 	return m
 }
@@ -84,9 +59,8 @@ func ParallelSpeedup(cfg Config) *Table {
 	}
 	for _, w := range workloads {
 		// One compile per workload: the sweep isolates execution scaling,
-		// and RunCLFTJPlan (like RunCLFTJParallel) never timed plan
-		// selection — recompiling an identical plan per worker count only
-		// wasted driver wall-clock.
+		// and RunCLFTJPlan never times plan selection — recompiling an
+		// identical plan per worker count only wastes driver wall-clock.
 		plan, perr := core.AutoPlan(w.q, db, core.AutoOptions{})
 		base := RunCLFTJPlan(plan, perr, core.Policy{Workers: 1})
 		for _, k := range workerSweep {

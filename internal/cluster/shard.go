@@ -41,7 +41,7 @@ type Shard interface {
 // EngineShard adapts an in-process *server.Engine to the shard
 // protocol: the coordinator's fan-out and merge logic runs unchanged
 // over function calls instead of sockets, which is what the
-// differential harness and the E20 benchmark drive.
+// differential harness drives.
 type EngineShard struct {
 	name string
 	e    *server.Engine

@@ -87,7 +87,7 @@ type AutoOptions struct {
 // (adhesion dimension, bag count, depth, data skew, estimated order
 // cost) and compile the best. Under OrdererGreedy/OrdererAdaptive it
 // ranks variables from the query pattern alone (td.SelectGreedy) —
-// planning touches no data, which is the point: the E17 benchmark pits
+// planning touches no data, which is the point: BenchmarkAutoPlan pits
 // the two planning costs against each other.
 func AutoPlan(q *cq.Query, db *relation.DB, opts AutoOptions) (*Plan, error) {
 	tree, order, err := AutoSelect(q, db, opts)
@@ -107,7 +107,7 @@ func AutoPlan(q *cq.Query, db *relation.DB, opts AutoOptions) (*Plan, error) {
 // Under OrdererCost the order-cost probes still touch data — and still
 // charge shared-source builds to opts.Counters — because they ARE
 // planning; under OrdererGreedy/OrdererAdaptive no index is ever
-// opened. The E17 benchmark times exactly this function per strategy.
+// opened.
 func AutoSelect(q *cq.Query, db *relation.DB, opts AutoOptions) (*td.TD, []string, error) {
 	if err := q.Validate(); err != nil {
 		return nil, nil, err

@@ -100,13 +100,13 @@ func benchShapes() []benchShape {
 	}
 }
 
-// benchRun times warm sequential executions of run over plan under
-// policy, reporting accesses/op; run returns the execution's result size,
-// which must not drift.
-func benchRun(b *testing.B, plan *Plan, policy Policy, run func(*Plan, Policy) int64) {
+// benchRun times warm executions of run over plan under policy on the
+// given worker count, reporting accesses/op; run returns the execution's
+// result size, which must not drift.
+func benchRun(b *testing.B, plan *Plan, policy Policy, workers int, run func(*Plan, Policy) int64) {
 	var c stats.Counters
 	plan = plan.WithCounters(&c)
-	policy.Workers = 1
+	policy.Workers = workers
 	want := run(plan, policy) // warms the pools
 	c.Reset()
 	b.ReportAllocs()
@@ -135,7 +135,7 @@ func BenchmarkCount(b *testing.B) {
 			{"nocache", Policy{Disabled: true}},
 		} {
 			b.Run(shape.name+"/"+tc.name, func(b *testing.B) {
-				benchRun(b, shape.plan, tc.policy, func(p *Plan, pol Policy) int64 {
+				benchRun(b, shape.plan, tc.policy, 1, func(p *Plan, pol Policy) int64 {
 					return must(p.CountParallelCtx(bg, pol)).Count
 				})
 			})
@@ -143,25 +143,36 @@ func BenchmarkCount(b *testing.B) {
 	}
 }
 
-// BenchmarkEval times a warm sequential enumeration of the same shapes
-// into a consumer that keeps nothing, with the factorized caches on and
-// off: the leaf scan feeding the per-tuple epilogue, where BenchmarkCount
-// is the leaf scan collapsed to a sum.
+// BenchmarkEval times a warm enumeration of the same shapes into a
+// consumer that keeps nothing: the leaf scan feeding the per-tuple
+// epilogue, where BenchmarkCount is the leaf scan collapsed to a sum.
+// One worker is the sequential scan, two the sharded producers and their
+// merger; "cached" and "nocache" are EvalParallelCtx with the factorized
+// caches on and off, "stream" is EvalStreamCtx under the default policy —
+// the cached scan on one worker, and what a stream pays for its
+// worker-independent order (no caches) on two.
 func BenchmarkEval(b *testing.B) {
 	discard := func([]int64) bool { return true }
+	eval := func(p *Plan, pol Policy) int64 {
+		return must(p.EvalParallelCtx(bg, pol, discard)).Emitted
+	}
 	for _, shape := range benchShapes() {
 		for _, tc := range []struct {
 			name   string
 			policy Policy
+			run    func(*Plan, Policy) int64
 		}{
-			{"cached", Policy{}},
-			{"nocache", Policy{Disabled: true}},
+			{"cached", Policy{}, eval},
+			{"nocache", Policy{Disabled: true}, eval},
+			{"stream", Policy{}, func(p *Plan, pol Policy) int64 {
+				return must(p.EvalStreamCtx(bg, pol, pol.Workers, discard)).Emitted
+			}},
 		} {
-			b.Run(shape.name+"/"+tc.name, func(b *testing.B) {
-				benchRun(b, shape.plan, tc.policy, func(p *Plan, pol Policy) int64 {
-					return must(p.EvalParallelCtx(bg, pol, discard)).Emitted
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/%s/workers=%d", shape.name, tc.name, workers), func(b *testing.B) {
+					benchRun(b, shape.plan, tc.policy, workers, tc.run)
 				})
-			})
+			}
 		}
 	}
 }

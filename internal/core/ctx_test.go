@@ -90,6 +90,10 @@ func TestCountCtxCancelPromptness(t *testing.T) {
 			_, err := plan.EvalParallelCtx(ctx, Policy{Workers: 1}, func([]int64) bool { return true })
 			return err
 		}},
+		{"eval-sharded", func(ctx context.Context) error {
+			_, err := plan.EvalParallelCtx(ctx, Policy{Workers: 4}, func([]int64) bool { return true })
+			return err
+		}},
 		{"aggregate", func(ctx context.Context) error {
 			sr := CountSemiring()
 			_, err := AggregateParallelCtx(ctx, plan, Policy{Workers: 4}, sr, UnitWeight(sr))

@@ -37,72 +37,39 @@ func (p *Plan) Eval(policy Policy, emit func(mu []int64) bool) EvalResult {
 
 // EvalParallelCtx is Eval sharded over policy.Workers goroutines (0: one
 // per core; 1: the sequential scan, which streams tuples to emit as it
-// finds them and reuses the emitted slice). Workers buffer their tuples
-// per root value; once all workers join, the buffers are emitted in
-// ascending root order, so the stream consists of the same root-value
-// blocks in the same order as the sequential scan. Within one block the
-// order matches the sequential run except where caches reorder subtree
-// expansion (a cache hit expands the memoized subtree at emit time, a
-// scan emits it during the scan — the same reordering a sequential
-// cached run exhibits); with Policy.Disabled the stream is
-// tuple-for-tuple the sequential scan order. The tradeoff is
-// materialization: the full result is held in memory before the first
-// emit, and an emit callback returning false stops the delivery but not
-// the (already finished) join — use one worker, or EvalStreamCtx, for
-// streaming or early-stopping consumers. On the sharded path the emitted
-// slices are freshly allocated and may be retained by the callback.
+// finds them and reuses the emitted slice). More workers run evalSharded
+// (stream.go) under the caller's policy, per-worker caches included: the
+// stream consists of the same root-value blocks in the same order as the
+// sequential scan. Within one block the order matches the sequential run
+// except where caches reorder subtree expansion (a cache hit expands the
+// memoized subtree at emit time, a scan emits it during the scan — the
+// same reordering a sequential cached run exhibits); with
+// Policy.Disabled the stream is tuple-for-tuple the sequential scan
+// order. On the sharded path the emitted slices are freshly allocated
+// and may be retained by the callback, at most workers × streamChanDepth
+// × blockLen rows (plus the block each worker is filling) are held
+// between the scans and emit, and an emit returning false cancels the
+// producers instead of finishing the join.
 //
 // Cancellation is cooperative, as in CountParallelCtx. When ctx trips,
-// the sequential scan ends the stream early (tuples already emitted
-// stand, and Emitted counts them); sharded workers drain within one
-// polling period and the partially buffered result is discarded without
-// any emit call. Either way ctx's error is returned and nothing is
-// cached from the cancelled scan.
+// the stream ends early on every path: tuples already emitted stand,
+// Emitted counts them, ctx's error is returned and nothing is cached
+// from the cancelled scan.
 func (p *Plan) EvalParallelCtx(ctx context.Context, policy Policy, emit func(mu []int64) bool) (EvalResult, error) {
 	keys, workers, err := p.shards(ctx, policy.Workers)
 	if workers == 0 {
 		return EvalResult{}, err
 	}
-	if workers == 1 {
-		e := newEvalExec(ctx, p, policy, shard{}, p.counters, emit)
-		e.rjoin(0)
-		t := e.finish()
-		if t.err != nil {
-			return EvalResult{Emitted: e.emitted}, t.err
-		}
-		return EvalResult{Emitted: e.emitted, CachedEntries: t.entries, Levels: t.levels}, nil
+	if workers > 1 {
+		return p.evalSharded(ctx, policy, keys, workers, emit)
 	}
-	// buckets[i] collects the result tuples whose root value is keys[i];
-	// shards own disjoint index sets, so no locking is needed.
-	buckets := make([][][]int64, len(keys))
-	parts := make([]tally, workers)
-	leapfrog.RunSharded(workers, p.counters, func(w int, wc *stats.Counters) {
-		cur := -1
-		e := newEvalExec(ctx, p, policy, shard{keys, w, workers}, wc, func(mu []int64) bool {
-			buckets[cur] = append(buckets[cur], append([]int64(nil), mu...))
-			return true
-		})
-		e.enter = func(i int) { cur = i }
-		e.rjoin(0)
-		parts[w] = e.finish()
-	})
-	var t tally
-	for _, part := range parts {
-		t.add(part)
-	}
+	e := newEvalExec(ctx, p, policy, shard{}, p.counters, emit)
+	e.rjoin(0)
+	t := e.finish()
 	if t.err != nil {
-		return EvalResult{}, t.err
+		return EvalResult{Emitted: e.emitted}, t.err
 	}
-	res := EvalResult{CachedEntries: t.entries, Levels: t.levels}
-	for _, bucket := range buckets {
-		for _, tup := range bucket {
-			res.Emitted++
-			if !emit(tup) {
-				return res, nil
-			}
-		}
-	}
-	return res, nil
+	return EvalResult{Emitted: e.emitted, CachedEntries: t.entries, Levels: t.levels}, nil
 }
 
 // EvalFactorized materializes the entire result as a factorized

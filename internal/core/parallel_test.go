@@ -114,6 +114,18 @@ func TestParallelEvalMatchesSequential(t *testing.T) {
 				if res.Emitted != int64(len(seq)) {
 					t.Fatalf("%s workers=%d: emitted %d, want %d", sh.name, workers, res.Emitted, len(seq))
 				}
+				// The sharded run sums its workers' tallies like the fold
+				// does: the same scan under the same policy opens the same
+				// levels (set and count costs differ only under a bound).
+				cnt := must(plan.CountParallelCtx(bg, pol))
+				if (res.CachedEntries > 0) != (cnt.CachedEntries > 0) {
+					t.Errorf("%s workers=%d policy=%+v: eval CachedEntries = %d, count's = %d",
+						sh.name, workers, pol, res.CachedEntries, cnt.CachedEntries)
+				}
+				if pol.Capacity == 0 && !reflect.DeepEqual(res.Levels, cnt.Levels) {
+					t.Errorf("%s workers=%d policy=%+v: eval Levels %+v, count Levels %+v",
+						sh.name, workers, pol, res.Levels, cnt.Levels)
+				}
 				for i := 1; i < len(par); i++ {
 					if par[i][0] < par[i-1][0] {
 						t.Fatalf("%s workers=%d: root values not ascending at tuple %d", sh.name, workers, i)
@@ -168,6 +180,34 @@ func TestParallelEvalEarlyStop(t *testing.T) {
 	}))
 	if seen != 3 || res.Emitted != 3 {
 		t.Fatalf("early stop delivered %d (reported %d), want 3", seen, res.Emitted)
+	}
+}
+
+// TestParallelEvalStopsProducers pins that the sharded enumeration is a
+// stream, not a finished join handed over: a consumer that stops after
+// three tuples of a large result leaves almost all of the scan undone.
+func TestParallelEvalStopsProducers(t *testing.T) {
+	db := dataset.TriadicPA(700, 6, 0.5, 33).DB(false)
+	var c stats.Counters
+	plan := must(AutoPlan(queries.Path(4), db, AutoOptions{})).WithCounters(&c)
+	pol := Policy{Workers: 3, Disabled: true}
+	full := must(plan.EvalParallelCtx(bg, pol, func([]int64) bool { return true }))
+	if full.Emitted < 1e4 {
+		t.Fatalf("workload too small for the test: %d tuples", full.Emitted)
+	}
+	fullAccesses := c.TrieAccesses
+	c.Reset()
+	var seen int64
+	res := must(plan.EvalParallelCtx(bg, pol, func([]int64) bool {
+		seen++
+		return seen < 3
+	}))
+	if seen != 3 || res.Emitted != 3 {
+		t.Fatalf("early stop delivered %d (reported %d), want 3", seen, res.Emitted)
+	}
+	if c.TrieAccesses*10 >= fullAccesses {
+		t.Fatalf("stopped run charged %d trie accesses, the full enumeration %d: the producers were not stopped",
+			c.TrieAccesses, fullAccesses)
 	}
 }
 

@@ -7,22 +7,17 @@ import (
 	"repro/internal/stats"
 )
 
-// This file implements parallel streaming: the sharded producer behind
-// Stmt.Rows and the HTTP "stream" mode. Workers run EvalParallelCtx-style
-// root-domain shards, but instead of materializing the whole result
-// before the first emit (EvalParallelCtx's tradeoff), each worker feeds a
-// bounded channel of row blocks and a merger forwards them to the
-// consumer in deterministic shard order: root key i's rows always come
-// from channel i%K, and a worker produces its groups in exactly the
-// index order the merger consumes them, so the stream is the same
-// root-value blocks in the same order regardless of K. Workers run with
-// caching disabled — a cache hit expands the memoized subtree at emit
-// time rather than during the scan, so a cached stream's intra-block
-// order depends on per-worker cache state; disabling makes every
-// worker's order the plain scan order and the merged stream
-// byte-deterministic across worker counts. The first rows flow as soon
-// as worker 0 finds them, and an emit returning false cancels the
-// producers instead of finishing the join.
+// This file is the one sharded enumeration, under EvalParallelCtx on
+// more than one worker and under EvalStreamCtx (Stmt.Rows, the HTTP
+// "stream" mode). Each worker scans its root-domain shard into a bounded
+// channel of row blocks and a merger forwards them to the consumer in
+// deterministic shard order: root key i's rows always come from channel
+// i%K, and a worker produces its groups in exactly the index order the
+// merger consumes them, so the stream is the same root-value blocks in
+// the same order regardless of K. The first rows flow as soon as worker
+// 0 finds them, nothing but the channels' blocks is ever buffered, and
+// an emit returning false cancels the producers instead of finishing
+// the join.
 
 // streamItem is one block of rows from a worker. last marks the end of
 // one root value's group; a group may span several items when it
@@ -36,23 +31,17 @@ type streamItem struct {
 // producer ahead of the merger without buffering unbounded results.
 const streamChanDepth = 4
 
-// EvalStreamCtx evaluates the plan and streams result tuples to emit in
-// the canonical (no-cache sequential scan) order, sharding the root
-// domain over the given worker count (<= 0: one per core; one worker,
-// or a root domain too small to shard, is the sequential
-// EvalParallelCtx scan under the unmodified policy — including its
-// caches). On the sharded path the emitted stream is
-// tuple-for-tuple identical for every worker count; relative to a
-// *cached* sequential run it may reorder tuples within a root-value
-// block exactly where cache hits would (the tuple set is always
-// identical). On the sharded path emitted slices are freshly allocated
-// and may be retained. Returning false from emit stops the stream and
-// cancels the workers; producers hand the merger rows blockLen at a
-// time, so a stopped stream's workers have scanned at most a few blocks
-// past the last delivered row. CachedEntries is 0 on the sharded path:
-// workers trade their caches for the deterministic order. When ctx
-// trips, delivery stops and ctx's error is returned; tuples already
-// emitted stand.
+// EvalStreamCtx is EvalParallelCtx with the worker count beside the
+// policy and, on more than one worker, caching forced off: a cache hit
+// expands the memoized subtree at emit time rather than during the scan,
+// so a cached stream's intra-block order depends on per-worker cache
+// state; Disabled makes every worker's order the plain scan order and
+// the merged stream tuple-for-tuple identical for every worker count
+// (relative to a *cached* sequential run it may reorder tuples within a
+// root-value block exactly where cache hits would; the tuple set is
+// always identical). One worker (<= 0 is one per core), or a root domain
+// too small to shard, is the sequential scan under the unmodified policy
+// — including its caches.
 func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, emit func(mu []int64) bool) (EvalResult, error) {
 	keys, workers, err := p.shards(ctx, workers)
 	if workers == 0 {
@@ -62,14 +51,24 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, em
 		policy.Workers = 1
 		return p.EvalParallelCtx(ctx, policy, emit)
 	}
-
 	policy.Disabled = true
+	return p.evalSharded(ctx, policy, keys, workers, emit)
+}
+
+// evalSharded enumerates the plan over workers > 1 shards of the root
+// domain keys and merges their rows into emit in ascending root order.
+// Producers hand the merger rows blockLen at a time, so a stopped
+// stream's workers have scanned at most a few blocks past the last
+// delivered row. The workers' cache entries and level tallies are
+// summed, as in the fold; a run ctx cut short reports only Emitted.
+func (p *Plan) evalSharded(ctx context.Context, policy Policy, keys []int64, workers int, emit func(mu []int64) bool) (EvalResult, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	chans := make([]chan streamItem, workers)
 	for w := range chans {
 		chans[w] = make(chan streamItem, streamChanDepth)
 	}
+	parts := make([]tally, workers)
 
 	joined := make(chan struct{})
 	go func() {
@@ -116,7 +115,7 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, em
 			if open && !dead {
 				send(streamItem{rows: buf, last: true})
 			}
-			e.finish()
+			parts[w] = e.finish()
 		})
 	}()
 
@@ -148,5 +147,15 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, em
 	}
 	cancel()
 	<-joined
-	return res, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return res, err
+	}
+	// A worker the merger stopped latched sctx's cancellation; only the
+	// caller's ctx is an error here.
+	var t tally
+	for _, part := range parts {
+		t.add(part)
+	}
+	res.CachedEntries, res.Levels = t.entries, t.levels
+	return res, nil
 }

@@ -45,12 +45,6 @@ type Config struct {
 	// across all queries (0 = unbounded). Under pressure the least
 	// recently used index orders are evicted first.
 	TrieBudget int64
-	// DisableReuse turns cross-query amortization off entirely: every
-	// query builds private tries and compiles its own plan, as a
-	// one-shot CLI run would (the shared registry and the plan cache
-	// are both disabled). This is the control arm of the E12/E14
-	// benchmarks and an escape hatch, not a fast mode.
-	DisableReuse bool
 	// MaxTuples caps the tuples an eval response carries when the
 	// request does not set its own limit (0: DefaultMaxTuples). The
 	// count is always exact; only the sample is capped.
@@ -63,13 +57,14 @@ type Config struct {
 	CompactFraction float64
 	// PlanCache bounds the compiled-plan cache (entries; 0:
 	// DefaultPlanCacheSize, negative: disabled, so every request pays
-	// parse + TD selection + plan compilation — the control arm of the
-	// E14 benchmark). Plans are keyed by (canonical query text,
-	// plan-affecting options); the snapshot is a binding, not a key
-	// component. An update unbinds exactly the plans over the relation it
-	// touched — their superseded tries are released, their shapes stay —
-	// and the next read re-binds to the new snapshot's tries without
-	// re-planning; a shape is dropped only when its relation compacts.
+	// parse + TD selection + plan compilation — the cold arm behind
+	// benchmark/'s server.do_cold_us). Plans are keyed by (canonical
+	// query text, plan-affecting options); the snapshot is a binding, not
+	// a key component. An update unbinds exactly the plans over the
+	// relation it touched — their superseded tries are released, their
+	// shapes stay — and the next read re-binds to the new snapshot's
+	// tries without re-planning; a shape is dropped only when its
+	// relation compacts.
 	// Note the cap is entries, not bytes: a bound plan over
 	// constant-specialized atoms retains their private derived tries
 	// (selections, so usually small) outside the TrieBudget accounting —
@@ -196,9 +191,6 @@ func newEngine(db *relation.DB, cfg Config, stores map[string]*relation.Store) *
 	if planCap == 0 {
 		planCap = DefaultPlanCacheSize
 	}
-	if cfg.DisableReuse {
-		planCap = -1
-	}
 	e := &Engine{
 		db:       db,
 		cfg:      cfg,
@@ -207,26 +199,24 @@ func newEngine(db *relation.DB, cfg Config, stores map[string]*relation.Store) *
 		versions: make(map[string]relation.Version),
 		plans:    newPlanCache(planCap),
 		stmts:    make(map[string]*Stmt),
+		reg:      trie.NewRegistry(cfg.TrieBudget),
 	}
-	if !cfg.DisableReuse {
-		e.reg = trie.NewRegistry(cfg.TrieBudget)
-		// Cold index builds use the same parallelism budget as the
-		// queries they unblock.
-		e.reg.SetBuildWorkers(e.buildWorkers())
-		// A cached binding embeds the registry tries it was bound to, so
-		// a byte-budget eviction must also unbind the plans pinning that
-		// index — otherwise TrieBudget would stop bounding resident trie
-		// memory (evicted-but-pinned copies) and the next compile over
-		// the relation would build a duplicate. The cache tracks the
-		// exact (relation, order) registry entries each binding embeds,
-		// so only plans pinning the evicted index re-bind — plans over
-		// the relation's other, still-resident orders stay bound. (A
-		// bind racing the eviction may still cache one binding holding
-		// the evicted trie; it is a bounded, self-healing overshoot.)
-		e.reg.SetEvictHook(func(rel *relation.Relation, perm string) {
-			e.plans.invalidateEmbedding(rel, perm)
-		})
-	}
+	// Cold index builds use the same parallelism budget as the queries
+	// they unblock.
+	e.reg.SetBuildWorkers(e.buildWorkers())
+	// A cached binding embeds the registry tries it was bound to, so a
+	// byte-budget eviction must also unbind the plans pinning that index
+	// — otherwise TrieBudget would stop bounding resident trie memory
+	// (evicted-but-pinned copies) and the next compile over the relation
+	// would build a duplicate. The cache tracks the exact (relation,
+	// order) registry entries each binding embeds, so only plans pinning
+	// the evicted index re-bind — plans over the relation's other,
+	// still-resident orders stay bound. (A bind racing the eviction may
+	// still cache one binding holding the evicted trie; it is a bounded,
+	// self-healing overshoot.)
+	e.reg.SetEvictHook(func(rel *relation.Relation, perm string) {
+		e.plans.invalidateEmbedding(rel, perm)
+	})
 	if stores == nil {
 		for _, name := range db.Names() {
 			r, err := db.Get(name)
@@ -245,9 +235,7 @@ func newEngine(db *relation.DB, cfg Config, stores map[string]*relation.Store) *
 			v := st.Version()
 			e.stores[name] = st
 			e.versions[name] = v
-			if e.reg != nil {
-				e.reg.Observe(v)
-			}
+			e.reg.Observe(v)
 		}
 	}
 	return e
@@ -326,16 +314,14 @@ func OpenEngine(cfg Config, load func() (*relation.DB, error)) (e *Engine, warm 
 
 	e = newEngine(db, cfg, stores)
 	e.pdb = pdb
-	if e.reg != nil {
-		// Misses try the directory's index files before building, and
-		// full builds are written behind so the next boot can open them.
-		// SaveTrie ignores non-persisted relations (patched versions) and
-		// swallows write failures — index files are an optimization.
-		e.reg.SetOpener(pdb.OpenTrie)
-		e.reg.SetBuildHook(func(rel *relation.Relation, perm []int, t *trie.Trie) {
-			pdb.SaveTrie(rel, perm, t)
-		})
-	}
+	// Misses try the directory's index files before building, and full
+	// builds are written behind so the next boot can open them. SaveTrie
+	// ignores non-persisted relations (patched versions) and swallows
+	// write failures — index files are an optimization.
+	e.reg.SetOpener(pdb.OpenTrie)
+	e.reg.SetBuildHook(func(rel *relation.Relation, perm []int, t *trie.Trie) {
+		pdb.SaveTrie(rel, perm, t)
+	})
 	return e, warm, nil
 }
 
@@ -459,16 +445,12 @@ func (e *Engine) finish(ep uint64) {
 }
 
 func (e *Engine) release(rels []*relation.Relation) {
-	if e.reg == nil {
-		return
-	}
 	for _, rel := range rels {
 		e.reg.Release(rel)
 	}
 }
 
-// Registry returns the shared trie registry (nil when reuse is
-// disabled).
+// Registry returns the shared trie registry.
 func (e *Engine) Registry() *trie.Registry { return e.reg }
 
 // buildWorkers resolves the trie-build parallelism from the engine
@@ -529,15 +511,6 @@ func (e *Engine) adaptParams() (threshold float64, runs int) {
 		runs = DefaultAdaptRuns
 	}
 	return threshold, runs
-}
-
-// tries returns the shared source for plan compilation (nil when reuse
-// is disabled; leapfrog then builds per-query tries).
-func (e *Engine) tries() leapfrog.TrieSource {
-	if e.reg == nil {
-		return nil
-	}
-	return e.reg
 }
 
 // Do executes one request under context.Background() — the
@@ -619,7 +592,7 @@ func (e *Engine) planFor(s *Stmt, req Request, x *execution) error {
 		return err
 	}
 	x.key = planKey{text: s.text, opts: planOptsKey(req, ord)}
-	bopts := leapfrog.BuildOpts{Counters: x.c, Tries: e.tries(), Workers: e.buildWorkers()}
+	bopts := leapfrog.BuildOpts{Counters: x.c, Tries: e.reg, Workers: e.buildWorkers()}
 	if p, bound := e.plans.get(x.key, x.vec); p != nil {
 		x.cached = true
 		if bound {
@@ -728,7 +701,7 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 	// shrinks the resident tries to zero before this query plans, so the
 	// execution pays cold rebuilds — correctness must not depend on a
 	// warm registry.
-	if e.reg != nil && e.cfg.Faults.Fire("registry/pressure") != nil {
+	if e.cfg.Faults.Fire("registry/pressure") != nil {
 		e.reg.Shrink(0)
 	}
 	var out *Response
@@ -852,7 +825,7 @@ func (e *Engine) adapt(q *cq.Query, x execution, levels []core.LevelStat) {
 	}
 	p, err := core.AutoPlan(q, x.db, core.AutoOptions{
 		Counters:     x.c,
-		Tries:        e.tries(),
+		Tries:        e.reg,
 		Orderer:      core.OrdererAdaptive,
 		Demote:       demote,
 		BuildWorkers: e.buildWorkers(),

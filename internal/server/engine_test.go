@@ -158,24 +158,6 @@ func TestEngineConstantQuerySteadyBuilds(t *testing.T) {
 	}
 }
 
-func TestEngineDisableReuseRebuilds(t *testing.T) {
-	e := NewEngine(testDB(), Config{Workers: 1, DisableReuse: true})
-	req := Request{Query: "E(x,y), E(y,z), E(x,z)"}
-	if _, err := e.Do(req); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := e.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Stats.Counters.TrieBuilds == 0 {
-		t.Fatal("reuse disabled but repeated run built no tries")
-	}
-	if e.Registry() != nil {
-		t.Fatal("DisableReuse engine still carries a registry")
-	}
-}
-
 func TestEngineEval(t *testing.T) {
 	db := testDB()
 	e := NewEngine(db, Config{})

@@ -284,8 +284,8 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
-// NewHTTPServer returns the http.Server every daemon mode serves h
-// through (cltjd, cltj -serve).
+// NewHTTPServer returns the http.Server cltjd serves h through, in
+// every role (single engine, shard, coordinator).
 func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,

@@ -200,7 +200,7 @@ func (e *planEntry) unbind() {
 
 // newPlanCache returns an LRU plan cache holding at most capacity
 // compiled plans; capacity <= 0 returns nil (caching disabled — every
-// execution compiles, the E14 control arm).
+// execution compiles, the cold arm of benchmark/'s per-layer ladder).
 func newPlanCache(capacity int) *planCache {
 	if capacity <= 0 {
 		return nil

@@ -13,9 +13,7 @@ func (e *Engine) Stats() EngineStats {
 		Updates:       e.updates.Load(),
 		UptimeSeconds: time.Since(e.started).Seconds(),
 		Lifetime:      e.life.Snapshot(),
-	}
-	if e.reg != nil {
-		s.Registry = e.reg.Stats()
+		Registry:      e.reg.Stats(),
 	}
 	if e.pdb != nil {
 		ps := e.pdb.Stats()

@@ -244,14 +244,13 @@ func (s *Stmt) stream(ctx context.Context, req Request, header func(order []stri
 		if header != nil {
 			header(x.plan.Order())
 		}
-		// Streaming never uses the buffering EvalParallelCtx path: the
-		// Workers default applies to Do executions only. Parallelism here
-		// comes from the dedicated StreamWorkers knob and runs the sharded
-		// streaming producer, whose merged output is byte-identical for
-		// every worker count (core.EvalStreamCtx).
-		pol := x.pol
-		pol.Workers = 1
-		if _, err := x.plan.EvalStreamCtx(ctx, pol, x.streamWorkers, row); err != nil {
+		// The Workers default applies to Do executions only: sharding
+		// under the request's cache policy would let cache hits reorder
+		// rows within a root value. Parallelism here comes from the
+		// dedicated StreamWorkers knob, whose merged output is
+		// byte-identical for every worker count (core.EvalStreamCtx takes
+		// the count beside the policy and ignores Policy.Workers).
+		if _, err := x.plan.EvalStreamCtx(ctx, x.pol, x.streamWorkers, row); err != nil {
 			return err
 		}
 		s.e.queries.Add(1)

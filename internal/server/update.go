@@ -79,9 +79,7 @@ func (e *Engine) Update(req UpdateRequest) (*UpdateResult, error) {
 				return nil, fmt.Errorf("%w: update not persisted: %s", ErrReadOnly, perr)
 			}
 		}
-		if e.reg != nil {
-			e.reg.Observe(v)
-		}
+		e.reg.Observe(v)
 		ndb := relation.NewDB()
 		for _, name := range e.db.Names() {
 			if r, err := e.db.Get(name); err == nil {

@@ -217,8 +217,7 @@ type EngineStats struct {
 	// plus one DeltaApplies per applied update.
 	Lifetime stats.Counters `json:"lifetime"`
 	// Registry describes the shared trie registry — current resident
-	// bytes and entries next to lifetime hits/builds/patches/evictions
-	// (zero when reuse is disabled).
+	// bytes and entries next to lifetime hits/builds/patches/evictions.
 	Registry trie.RegistryStats `json:"registry"`
 	// Plans describes the compiled-plan cache: hit/miss/eviction
 	// lifetime counts next to the current residency (zero when plan

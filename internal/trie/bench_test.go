@@ -2,11 +2,75 @@ package trie
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/relation"
+	"repro/internal/stats"
 )
+
+// BenchmarkSeekGE is the rung for the scalar seek every non-leaf
+// leapfrog step makes: one sibling range of the given length, crossed in
+// seeks that each land dist keys ahead. ns/op is what gallop and the
+// final binary phase really cost; accesses/op is the charge model's
+// sort.Search count, which the search layout may not move. A pass's
+// Open, Up and closing seek past the end are amortized into both.
+func BenchmarkSeekGE(b *testing.B) {
+	for _, n := range []int{8, 64, 4096, 65536} {
+		tuples := make([][]int64, n)
+		for i := range tuples {
+			tuples[i] = []int64{int64(2 * i)}
+		}
+		tr := Build(relation.MustNew("S", 1, tuples), nil)
+		for _, dist := range []int{1, 16, 256, 4096} {
+			if dist >= n {
+				break
+			}
+			b.Run(fmt.Sprintf("len=%d/dist=%d", n, dist), func(b *testing.B) {
+				var c stats.Counters
+				it := tr.NewIteratorCounters(&c)
+				for i := 0; i < b.N; {
+					it.Open()
+					// Odd targets fall between keys, so every seek searches.
+					for v := int64(1); i < b.N && !it.AtEnd(); v += int64(2 * dist) {
+						it.SeekGE(v)
+						i++
+					}
+					it.Up()
+				}
+				it.Flush()
+				b.ReportMetric(float64(c.TrieAccesses)/float64(b.N), "accesses/op")
+			})
+		}
+	}
+}
+
+// BenchmarkBuild is the rung for a cold index build: the columnar
+// two-pass builder over a skewed 200k-row ternary relation, sequential
+// and with one chunk worker per core.
+func BenchmarkBuild(b *testing.B) {
+	const n = 200_000
+	rng := rand.New(rand.NewSource(515))
+	tuples := make([][]int64, n)
+	for i := range tuples {
+		tuples[i] = []int64{int64(rng.Intn(n / 64)), int64(rng.Intn(256)), int64(rng.Intn(1 << 30))}
+	}
+	rel := relation.MustNew("B", 3, tuples)
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"sequential", 1}, {"percore", runtime.GOMAXPROCS(0)}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BuildParallel(rel, nil, tc.workers)
+			}
+			b.ReportMetric(float64(rel.Len())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
 
 // BenchmarkPatchedScan is the trie rung for reads under live deltas: a
 // ≈1.5k-edge skewed graph one 16-tuple delta (eight edges out, eight
