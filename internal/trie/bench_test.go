@@ -13,10 +13,14 @@ import (
 
 // BenchmarkSeekGE is the rung for the scalar seek every non-leaf
 // leapfrog step makes: one sibling range of the given length, crossed in
-// seeks that each land dist keys ahead. ns/op is what gallop and the
-// final binary phase really cost; accesses/op is the charge model's
-// sort.Search count, which the search layout may not move. A pass's
-// Open, Up and closing seek past the end are amortized into both.
+// seeks that each land dist keys ahead — exactly dist on the fixed axis,
+// a seeded uniform gap in [1, 2·dist) on the rand axis. The fixed axis
+// trains the branch predictor on one search path; the rand axis is the
+// shape of a join's seeks, whose compares it cannot guess. ns/op is what
+// gallop and the final binary phase really cost; accesses/op is the
+// charge model's sort.Search count, which the search layout may not
+// move. A pass's Open, Up and closing seek past the end are amortized
+// into both.
 func BenchmarkSeekGE(b *testing.B) {
 	for _, n := range []int{8, 64, 4096, 65536} {
 		tuples := make([][]int64, n)
@@ -29,22 +33,58 @@ func BenchmarkSeekGE(b *testing.B) {
 				break
 			}
 			b.Run(fmt.Sprintf("len=%d/dist=%d", n, dist), func(b *testing.B) {
-				var c stats.Counters
-				it := tr.NewIteratorCounters(&c)
-				for i := 0; i < b.N; {
-					it.Open()
-					// Odd targets fall between keys, so every seek searches.
-					for v := int64(1); i < b.N && !it.AtEnd(); v += int64(2 * dist) {
-						it.SeekGE(v)
-						i++
-					}
-					it.Up()
-				}
-				it.Flush()
-				b.ReportMetric(float64(c.TrieAccesses)/float64(b.N), "accesses/op")
+				benchSeeks(b, tr, [][]int64{seekTargets(n, func() int { return dist })})
 			})
 		}
+		for _, dist := range []int{16, 256, 4096} {
+			if dist >= n {
+				break
+			}
+			// Distinct passes, 2^17 seeks in all: a short pattern
+			// replayed every pass would be learned by the predictor.
+			rng := rand.New(rand.NewSource(int64(n + dist)))
+			var passes [][]int64
+			for seeks := 0; seeks < 1<<17; {
+				p := seekTargets(n, func() int { return 1 + rng.Intn(2*dist-1) })
+				passes = append(passes, p)
+				seeks += len(p)
+			}
+			b.Run(fmt.Sprintf("len=%d/dist=rand%d", n, dist), func(b *testing.B) { benchSeeks(b, tr, passes) })
+		}
 	}
+}
+
+// seekTargets lists one pass's seek targets over the keys 0, 2, …,
+// 2(n−1): each lands gap() keys past the last, and the final one falls
+// past the end. Targets are odd, between keys, so every seek searches.
+func seekTargets(n int, gap func() int) []int64 {
+	var out []int64
+	for v := int64(1); ; v += int64(2 * gap()) {
+		out = append(out, v)
+		if v > int64(2*(n-1)) {
+			return out
+		}
+	}
+}
+
+// benchSeeks times SeekGE over passes through the trie, cycling through
+// the passes' target lists.
+func benchSeeks(b *testing.B, tr *Trie, passes [][]int64) {
+	var c stats.Counters
+	it := tr.NewIteratorCounters(&c)
+	for i, p := 0, 0; i < b.N; p = (p + 1) % len(passes) {
+		it.Open()
+		for _, v := range passes[p] {
+			if i == b.N || it.AtEnd() {
+				break
+			}
+			it.SeekGE(v)
+			i++
+		}
+		it.Up()
+	}
+	it.Flush()
+	b.ReportMetric(float64(c.TrieAccesses)/float64(b.N), "accesses/op")
 }
 
 // BenchmarkBuild is the rung for a cold index build: the columnar

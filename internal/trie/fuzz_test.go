@@ -2,6 +2,8 @@ package trie
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -137,6 +139,175 @@ func FuzzTrieUnder(f *testing.F) {
 			}
 			fx := newViewFixture(t, base, cur, cols[0], cols[1])
 			fx.check(t, fmt.Sprintf("consts %v=%v", cols[0], prefix), prefix, int64(c0)<<8|int64(c1))
+		}
+	})
+}
+
+// fuzzLevelMax bounds a decoded level: past the 64-entry charge table,
+// small enough to fuzz quickly.
+const fuzzLevelMax = 4096
+
+// fuzzLevel decodes data into a strictly increasing key list anywhere in
+// the int64 range. A cursor u walks the range in unsigned order (the key
+// is u with its sign bit flipped, so u = 0 is MinInt64): a byte with its
+// top bit set jumps u forward by 2^(b&63), saturating at MaxInt64 (or
+// MaxInt64−1 when bit 6 is set too); any other byte emits a run of
+// 1+8·(b&15) keys, 1+(b>>4) apart. A few bytes make thousands of keys
+// that can straddle 0 and reach both extremes.
+func fuzzLevel(data []byte) []int64 {
+	var out []int64
+	u := uint64(0)
+	for _, b := range data {
+		if b&0x80 != 0 {
+			next := u + 1<<(b&63)
+			if next < u {
+				next = max(u, math.MaxUint64-uint64(b>>6&1))
+			}
+			u = next
+			continue
+		}
+		stride := uint64(1 + b>>4)
+		for n := 1 + 8*int(b&15); n > 0; n-- {
+			if len(out) == fuzzLevelMax {
+				return out
+			}
+			out = append(out, int64(u^signBit))
+			if u > math.MaxUint64-stride {
+				return out // the next key would wrap past MaxInt64
+			}
+			u += stride
+		}
+	}
+	return out
+}
+
+// unaryRel is the unary relation over keys.
+func unaryRel(keys []int64) *relation.Relation {
+	tuples := make([][]int64, len(keys))
+	for i, k := range keys {
+		tuples[i] = []int64{k}
+	}
+	return relation.MustNew("S", 1, tuples)
+}
+
+// seekRef is the historical seek over one trie level of a unary trie,
+// built or patched: each merge side — the base, whose dead positions are
+// stepped over at one access apiece, and the overlay — is a cursor that
+// refSeekLevel advances, charging sort.Search's probes.
+type seekRef struct {
+	base, adds []int64
+	dead       map[int32]bool
+	pos, apos  int32
+	charges    int64
+}
+
+func (r *seekRef) skipDead() {
+	for r.pos < int32(len(r.base)) && r.dead[r.pos] {
+		r.pos++
+		r.charges++
+	}
+}
+
+// open charges what Open at the root does.
+func (r *seekRef) open() {
+	r.skipDead()
+	r.charges++
+}
+
+func (r *seekRef) seek(v int64) {
+	r.pos = refSeekLevel(r.base, r.pos, int32(len(r.base)), v, &r.charges)
+	r.skipDead()
+	r.apos = refSeekLevel(r.adds, r.apos, int32(len(r.adds)), v, &r.charges)
+}
+
+// key returns the least live key of the two sides, or false when both
+// are exhausted.
+func (r *seekRef) key() (int64, bool) {
+	k, ok := int64(math.MaxInt64), false
+	if r.pos < int32(len(r.base)) {
+		k, ok = r.base[r.pos], true
+	}
+	if r.apos < int32(len(r.adds)) {
+		k, ok = min(k, r.adds[r.apos]), true
+	}
+	return k, ok
+}
+
+// FuzzSeekGE drives SeekGE through a monotone target sequence over a
+// fuzzer-built level — once as a built trie, once patched with an
+// overlay of fuzzer-built inserts and every third key deleted — and
+// holds each landing key and the flushed charges to seekRef's. Levels
+// and targets both come from fuzzLevel, so seeks run past the 64-entry
+// charge table, across 0 and into both ends of the int64 range.
+func FuzzSeekGE(f *testing.F) {
+	straddle := []byte{0x3f} // −64…: jumps 2^62 … 2^6 reach 2^63−64
+	for e := byte(62); e >= 6; e-- {
+		straddle = append([]byte{0x80 | e}, straddle...)
+	}
+	f.Add([]byte{}, []byte{}, []byte{0x00})
+	f.Add([]byte{0x0f, 0x0f, 0x0f}, []byte{0x8f, 0x01}, []byte{0x2f, 0x2f})                               // runs from MinInt64, targets between keys
+	f.Add(straddle, []byte{0xbf, 0x0f}, append([]byte{0x80}, straddle...))                                // across 0
+	f.Add([]byte{0x01, 0xbf, 0x7f, 0xbf, 0x01}, []byte{0xff, 0x00}, []byte{0x00, 0xbe, 0x1f, 0xbf, 0x01}) // both extremes
+	f.Add(slices.Repeat([]byte{0x7f}, 8), []byte{0x85, 0x1f}, []byte{0x3a, 0x8c, 0x3a, 0x8c, 0x3a})       // ≈1000 keys, strides > 1
+
+	f.Fuzz(func(t *testing.T, keysB, addsB, targetsB []byte) {
+		keys, targets := fuzzLevel(keysB), fuzzLevel(targetsB)
+		built := Build(unaryRel(keys), nil)
+		// The overlay holds what the base lacks, as a version's inserts do.
+		var adds, dels []int64
+		dead := make(map[int32]bool)
+		for _, k := range fuzzLevel(addsB) {
+			if _, found := slices.BinarySearch(keys, k); !found {
+				adds = append(adds, k)
+			}
+		}
+		for i := 0; i < len(keys); i += 3 {
+			dels = append(dels, keys[i])
+			dead[int32(i)] = true
+		}
+		patched, err := BuildPatched(built, unaryRel(adds), unaryRel(dels), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			tr   *Trie
+			ref  seekRef
+		}{
+			{"built", built, seekRef{base: keys}},
+			{"patched", patched, seekRef{base: keys, adds: adds, dead: dead}},
+		} {
+			var c stats.Counters
+			it := tc.tr.NewIteratorCounters(&c)
+			ref := tc.ref
+			it.Open()
+			ref.open()
+			for _, v := range targets {
+				it.SeekGE(v)
+				ref.seek(v)
+				want, ok := ref.key()
+				if !ok {
+					if !it.AtEnd() {
+						t.Fatalf("%s: SeekGE(%d) = %d, reference AtEnd", tc.name, v, it.Key())
+					}
+					break
+				}
+				if it.AtEnd() {
+					t.Fatalf("%s: SeekGE(%d) AtEnd, reference %d", tc.name, v, want)
+				}
+				if got := it.Key(); got != want {
+					t.Fatalf("%s: SeekGE(%d) = %d, reference %d", tc.name, v, got, want)
+				}
+				ref.charges++ // Key
+				it.Flush()
+				if c.TrieAccesses != ref.charges {
+					t.Fatalf("%s: SeekGE(%d) charged %d accesses, reference %d", tc.name, v, c.TrieAccesses, ref.charges)
+				}
+			}
+			it.Flush()
+			if c.TrieAccesses != ref.charges {
+				t.Fatalf("%s: charged %d accesses, reference %d", tc.name, c.TrieAccesses, ref.charges)
+			}
 		}
 	})
 }

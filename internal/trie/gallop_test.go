@@ -1,7 +1,9 @@
 package trie
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -37,21 +39,94 @@ func refSeekLevel(vals []int64, pos, hi int32, v int64, charges *int64) int32 {
 
 // TestBinProbesMatchesSortSearch verifies the charged model cost:
 // binProbes(n, r) must equal the number of probes sort.Search performs
-// on n elements when the predicate flips at offset r, for every (n, r)
-// with n <= 4096 — both sides of the table/replay split.
+// on n elements when the predicate flips at offset r — for every (n, r)
+// with n <= 4096, both sides of the table/replay split; for every r
+// around each power of two up to 2^20, where the replay's trip count
+// steps; and for seeded random pairs with n < 2^24.
 func TestBinProbesMatchesSortSearch(t *testing.T) {
-	for n := int32(0); n <= 4096; n++ {
+	check := func(n, r int32) {
+		var probes int64
+		got := sort.Search(int(n), func(i int) bool {
+			probes++
+			return int32(i) >= r
+		})
+		if int32(got) != r {
+			t.Fatalf("sort.Search(%d) flipped at %d landed at %d", n, r, got)
+		}
+		if bp := binProbes(n, r); bp != probes {
+			t.Fatalf("binProbes(%d, %d) = %d, sort.Search probed %d times", n, r, bp, probes)
+		}
+	}
+	const swept = 4096
+	for n := int32(0); n <= swept; n++ {
 		for r := int32(0); r <= n; r++ {
-			var probes int64
-			got := sort.Search(int(n), func(i int) bool {
-				probes++
-				return int32(i) >= r
-			})
-			if int32(got) != r {
-				t.Fatalf("sort.Search(%d) flipped at %d landed at %d", n, r, got)
+			check(n, r)
+		}
+	}
+	for k := 0; k <= 20; k++ {
+		for _, n := range []int32{1<<k - 1, 1 << k, 1<<k + 1} {
+			if n <= swept {
+				continue
 			}
-			if bp := binProbes(n, r); bp != probes {
-				t.Fatalf("binProbes(%d, %d) = %d, sort.Search probed %d times", n, r, bp, probes)
+			for r := int32(0); r <= n; r++ {
+				check(n, r)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(25))
+	for i := 0; i < 100_000; i++ {
+		n := rng.Int31n(1 << 24)
+		check(n, rng.Int31n(n+1))
+	}
+}
+
+// TestSeekExtremes pins gallop and SeekGE at the ends of the int64
+// range, where a compare by subtraction would overflow: levels holding
+// MinInt64, MinInt64+1, −1, 0, 1, MaxInt64−1 and MaxInt64 — alone, and
+// inside runs at both ends long enough that a seek from the front passes
+// the charge table and its binary window holds keys of both signs —
+// searched for every key and for values between them. Each seek must
+// land where sort.Search lands and charge what refSeekLevel does.
+func TestSeekExtremes(t *testing.T) {
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	padded := slices.Clone(edges)
+	for i := int64(0); i < 40; i++ {
+		padded = append(padded, math.MinInt64+2+i, math.MaxInt64-2-i)
+	}
+	slices.Sort(padded)
+	targets := []int64{
+		math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 2, math.MinInt64 / 2, -2, -1, 0,
+		1, 2, math.MaxInt64 / 2, math.MaxInt64 - 2, math.MaxInt64 - 1, math.MaxInt64,
+	}
+	for _, keys := range [][]int64{edges, padded} {
+		tr := Build(unaryRel(keys), nil)
+		for _, v := range targets {
+			want := int32(sort.Search(len(keys), func(i int) bool { return keys[i] >= v }))
+			if got, _ := gallop(keys, v); got != want {
+				t.Errorf("%d keys: gallop(%d) = %d, sort.Search = %d", len(keys), v, got, want)
+			}
+			var c stats.Counters
+			it := tr.NewIteratorCounters(&c)
+			it.Open()
+			it.SeekGE(v)
+			refCharges := int64(1) // Open
+			refSeekLevel(keys, 0, int32(len(keys)), v, &refCharges)
+			switch {
+			case want == int32(len(keys)):
+				if !it.AtEnd() {
+					t.Errorf("%d keys: SeekGE(%d) at %d, want AtEnd", len(keys), v, it.Key())
+				}
+			case it.AtEnd():
+				t.Errorf("%d keys: SeekGE(%d) AtEnd, want %d", len(keys), v, keys[want])
+			default:
+				if k := it.Key(); k != keys[want] {
+					t.Errorf("%d keys: SeekGE(%d) = %d, want %d", len(keys), v, k, keys[want])
+				}
+				refCharges++ // Key
+			}
+			it.Flush()
+			if c.TrieAccesses != refCharges {
+				t.Errorf("%d keys: SeekGE(%d) charged %d, reference %d", len(keys), v, c.TrieAccesses, refCharges)
 			}
 		}
 	}

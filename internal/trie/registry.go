@@ -54,7 +54,47 @@ type Registry struct {
 // stale index answer for the new data.
 type regKey struct {
 	rel  *relation.Relation
-	perm string
+	perm permKey
+}
+
+// permKey is a column permutation in comparable form that a lookup
+// builds without allocating: cols holds column+1 per position,
+// zero-padded. A permutation that does not fit — more than permKeyCols
+// columns, or a column past 254 — keeps its PermSig in sig instead.
+type permKey struct {
+	cols [permKeyCols]uint8
+	sig  string
+}
+
+const permKeyCols = 16
+
+func makePermKey(perm []int) permKey {
+	var k permKey
+	if len(perm) > permKeyCols {
+		return permKey{sig: PermSig(perm)}
+	}
+	for i, p := range perm {
+		if p < 0 || p >= 0xff {
+			return permKey{sig: PermSig(perm)}
+		}
+		k.cols[i] = uint8(p + 1)
+	}
+	return k
+}
+
+// String returns the PermSig of the permutation k was made from.
+func (k permKey) String() string {
+	if k.sig != "" {
+		return k.sig
+	}
+	b := make([]byte, 0, permKeyCols)
+	for _, c := range k.cols {
+		if c == 0 {
+			break
+		}
+		b = append(b, c-1)
+	}
+	return string(b)
 }
 
 type regEntry struct {
@@ -230,7 +270,7 @@ func PermSig(perm []int) string {
 // updates. Deltas past the compaction crossover arrive with no lineage
 // and fall back to one full build.
 func (r *Registry) Trie(rel *relation.Relation, perm []int, c *stats.Counters) (*Trie, error) {
-	key := regKey{rel: rel, perm: PermSig(perm)}
+	key := regKey{rel: rel, perm: makePermKey(perm)}
 
 	r.mu.Lock()
 	if c != nil {
@@ -358,7 +398,7 @@ func (r *Registry) evictOver(keep *regEntry) {
 			r.bytes -= e.bytes
 			r.stats.Evictions++
 			if r.evictHook != nil {
-				r.evictHook(e.key.rel, e.key.perm)
+				r.evictHook(e.key.rel, e.key.perm.String())
 			}
 		}
 		e = next
@@ -427,7 +467,7 @@ func (r *Registry) Shrink(maxBytes int64) int64 {
 			r.bytes -= e.bytes
 			r.stats.Evictions++
 			if r.evictHook != nil {
-				r.evictHook(e.key.rel, e.key.perm)
+				r.evictHook(e.key.rel, e.key.perm.String())
 			}
 		}
 		e = next

@@ -61,6 +61,45 @@ func TestRegistryHitAvoidsRebuild(t *testing.T) {
 	}
 }
 
+// TestRegistryHitAllocs pins that a registry hit builds no key: a plan
+// re-bind looks up every atom's index, and each PermSig string was two
+// allocations of it.
+func TestRegistryHitAllocs(t *testing.T) {
+	r := NewRegistry(0)
+	rel := regTestRel(t, "E", 20)
+	perm := []int{1, 0}
+	if _, err := r.Trie(rel, perm, nil); err != nil {
+		t.Fatal(err)
+	}
+	var c stats.Counters
+	if n := testing.AllocsPerRun(100, func() { r.Trie(rel, perm, &c) }); n != 0 {
+		t.Fatalf("registry hit: %v allocs, want 0", n)
+	}
+}
+
+// TestPermKey checks the registry's permutation key against PermSig:
+// distinct permutations get distinct keys — the fixed-size form and the
+// verbose fallback alike — and each key names its PermSig for the evict
+// hook.
+func TestPermKey(t *testing.T) {
+	long := make([]int, permKeyCols+1)
+	for i := range long {
+		long[i] = len(long) - 1 - i
+	}
+	perms := [][]int{{}, {0}, {1}, {0, 1}, {1, 0}, {2, 0, 1}, {0, 254}, {0, 255}, {0, 300}, long, long[1:]}
+	seen := make(map[permKey][]int)
+	for _, p := range perms {
+		k := makePermKey(p)
+		if q, dup := seen[k]; dup {
+			t.Fatalf("perms %v and %v share a key", q, p)
+		}
+		seen[k] = p
+		if got, want := k.String(), PermSig(p); got != want {
+			t.Fatalf("perm %v: key names %q, PermSig %q", p, got, want)
+		}
+	}
+}
+
 func TestRegistryKeyedByRelationIdentity(t *testing.T) {
 	r := NewRegistry(0)
 	a := regTestRel(t, "E", 30)

@@ -18,6 +18,7 @@ package trie
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/stats"
@@ -454,7 +455,10 @@ func (it *Iterator) seekMerge(v int64) {
 // double until one lands at or past the target, then a binary search
 // resolves the last window — O(log m) physical probes for a seek of
 // distance m, preserving the amortized-log bound with no per-probe
-// function call.
+// function call. Only the doubling's exit is a data-dependent branch:
+// the binary phase and the charge replay select with masks (see gallop
+// and replayBinProbes), since a join's seek distances are irregular
+// enough that their compares would be coin flips for the predictor.
 //
 // The accounting charge is the model cost, not the physical probe
 // count: one access for the current-position check plus the exact probe
@@ -499,6 +503,13 @@ func (it *Iterator) seekLevel(lvl *level, pos, hi int32, v int64) int32 {
 // window, so a landing offset of m costs O(log m) probes regardless of
 // the level size — the short seeks LFTJ's inner loop is made of stay
 // cheap while the amortized-log worst case is preserved.
+//
+// The binary phase has no data-dependent branch: each compare becomes a
+// mask (lessMask) that selects the step, and its trip count depends on
+// the window size only. Go emits no CMOV for a select that feeds the
+// next load's address, so the select is arithmetic. The trade: a search
+// path the predictor could learn — a fixed seek distance — now waits on
+// each load in turn instead of running ahead speculatively.
 func gallop(vals []int64, v int64) (int32, int32) {
 	n := int32(len(vals))
 	probes := int32(0)
@@ -517,16 +528,36 @@ func gallop(vals []int64, v int64) (int32, int32) {
 		}
 		lo = step
 	}
-	for lo < hi {
-		m := int32(uint32(lo+hi) >> 1)
-		probes++
-		if vals[m] < v {
-			lo = m + 1
-		} else {
-			hi = m
+	// Binary phase, branch-free: the answer lies in [base, base+w]. Each
+	// probe at base+half moves base there when the cell is < v, and w
+	// shrinks by the same amount either way, so the trip count is a
+	// function of the window alone; the last probe settles which end of
+	// [base, base+1] it is.
+	if w := int(hi - lo); w > 0 {
+		vs := uint64(v) ^ signBit
+		base := int(lo)
+		for ; w > 1; w -= w >> 1 {
+			half := w >> 1
+			base += half & lessMask(vals[base+half], vs)
+			probes++
 		}
+		base -= lessMask(vals[base], vs)
+		probes++
+		lo = int32(base)
 	}
 	return lo, probes
+}
+
+const signBit = 1 << 63
+
+// lessMask returns −1 (all ones) if x < v and 0 otherwise, for vs the
+// sign-flipped v: flipping both signs maps int64 order onto uint64
+// order, so the borrow of the unsigned subtraction is the comparison,
+// exact over the whole int64 range and with no branch for the predictor
+// to guess.
+func lessMask(x int64, vs uint64) int {
+	_, borrow := bits.Sub64(uint64(x)^signBit, vs, 0)
+	return -int(borrow)
 }
 
 // binProbes returns the number of probes sort.Search performs on n
@@ -534,8 +565,8 @@ func gallop(vals []int64, v int64) (int32, int32) {
 // cost of one seek. Each probe of the lower-bound search compares its
 // midpoint against r, so the probe path (and count) is fully determined
 // by (n, r): ranges shorter than binProbeTableN — most of LFTJ's seeks —
-// read the count from a table filled once from the replay loop, longer
-// ones replay it in O(log n) integer ops, no loads.
+// read the count from a table, longer ones replay the halvings down to
+// the table's range and read the rest there.
 func binProbes(n, r int32) int64 {
 	if uint32(n) < binProbeTableN {
 		// 0 <= r <= n here; the mask only spares the bounds check.
@@ -546,31 +577,40 @@ func binProbes(n, r int32) int64 {
 
 const binProbeTableN = 64
 
-// binProbeTable[n][r] is replayBinProbes(n, r) for 0 <= r <= n < 64.
+// binProbeTable[n][r] is the probe count of sort.Search over n elements
+// flipping at r, for 0 <= r <= n < 64. Row n follows from the smaller
+// rows: the first probe at h = n/2 leaves the h elements left of it
+// when r <= h and the n−h−1 right of it otherwise.
 var binProbeTable = func() (t [binProbeTableN][binProbeTableN]uint8) {
-	for n := int32(0); n < binProbeTableN; n++ {
-		for r := int32(0); r <= n; r++ {
-			t[n][r] = uint8(replayBinProbes(n, r))
+	for n := 1; n < binProbeTableN; n++ {
+		h := n >> 1
+		for r := 0; r <= n; r++ {
+			if r <= h {
+				t[n][r] = 1 + t[h][r]
+			} else {
+				t[n][r] = 1 + t[n-h-1][r-h-1]
+			}
 		}
 	}
 	return t
 }()
 
-// replayBinProbes runs sort.Search's index arithmetic for (n, r) and
-// counts the probes.
+// replayBinProbes runs sort.Search's index arithmetic for (n, r),
+// n >= binProbeTableN, until the range left is shorter than the table,
+// then reads the rest of the count there. A range under 2^k is under
+// 2^6 after k−6 halvings whichever way each goes, so the trip count is
+// a function of n alone, and mask selects stand in for the h < r
+// branch: the join's irregular landing offsets cost no mispredictions.
 func replayBinProbes(n, r int32) int64 {
 	i, j := int32(0), n
-	var p int64
-	for i < j {
+	t := bits.Len32(uint32(n)) - bits.Len32(binProbeTableN-1)
+	for s := 0; s < t; s++ {
 		h := int32(uint32(i+j) >> 1)
-		p++
-		if h < r {
-			i = h + 1
-		} else {
-			j = h
-		}
+		m := (h - r) >> 31 // −1 when h < r: the search goes right of h
+		i = (h+1)&m | i&^m
+		j = h&^m | j&m
 	}
-	return p
+	return int64(t) + int64(binProbeTable[(j-i)&(binProbeTableN-1)][(r-i)&(binProbeTableN-1)])
 }
 
 // baseKey returns the base cursor's key at the current depth, if the
