@@ -20,48 +20,76 @@ import (
 // gallop and the final binary phase really cost; accesses/op is the
 // charge model's sort.Search count, which the search layout may not
 // move. A pass's Open, Up and closing seek past the end are amortized
-// into both.
+// into both. The keys are 8 apart, too sparse for the dense root index,
+// so these cells time the search a sibling range below the root runs.
+//
+// The root=dense axis times level-0 seeks on a level whose keys are 2
+// apart, at the same seeded random distances: the dense root index
+// answers them with one load, however far they land.
 func BenchmarkSeekGE(b *testing.B) {
 	for _, n := range []int{8, 64, 4096, 65536} {
-		tuples := make([][]int64, n)
-		for i := range tuples {
-			tuples[i] = []int64{int64(2 * i)}
-		}
-		tr := Build(relation.MustNew("S", 1, tuples), nil)
+		tr := strideTrie(n, 8)
 		for _, dist := range []int{1, 16, 256, 4096} {
 			if dist >= n {
 				break
 			}
 			b.Run(fmt.Sprintf("len=%d/dist=%d", n, dist), func(b *testing.B) {
-				benchSeeks(b, tr, [][]int64{seekTargets(n, func() int { return dist })})
+				benchSeeks(b, tr, [][]int64{seekTargets(n, 8, func() int { return dist })})
 			})
 		}
 		for _, dist := range []int{16, 256, 4096} {
 			if dist >= n {
 				break
 			}
-			// Distinct passes, 2^17 seeks in all: a short pattern
-			// replayed every pass would be learned by the predictor.
-			rng := rand.New(rand.NewSource(int64(n + dist)))
-			var passes [][]int64
-			for seeks := 0; seeks < 1<<17; {
-				p := seekTargets(n, func() int { return 1 + rng.Intn(2*dist-1) })
-				passes = append(passes, p)
-				seeks += len(p)
-			}
-			b.Run(fmt.Sprintf("len=%d/dist=rand%d", n, dist), func(b *testing.B) { benchSeeks(b, tr, passes) })
+			b.Run(fmt.Sprintf("len=%d/dist=rand%d", n, dist), func(b *testing.B) {
+				benchSeeks(b, tr, randPasses(n, 8, dist))
+			})
 		}
+	}
+	const n = 65536
+	tr := strideTrie(n, 2)
+	if tr.levels[0].dense == nil {
+		b.Fatal("the root=dense level has no dense index")
+	}
+	for _, dist := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("root=dense/len=%d/dist=rand%d", n, dist), func(b *testing.B) {
+			benchSeeks(b, tr, randPasses(n, 2, dist))
+		})
 	}
 }
 
-// seekTargets lists one pass's seek targets over the keys 0, 2, …,
-// 2(n−1): each lands gap() keys past the last, and the final one falls
-// past the end. Targets are odd, between keys, so every seek searches.
-func seekTargets(n int, gap func() int) []int64 {
+// strideTrie is a unary trie over the n keys 0, stride, …, stride·(n−1).
+func strideTrie(n int, stride int64) *Trie {
+	tuples := make([][]int64, n)
+	for i := range tuples {
+		tuples[i] = []int64{stride * int64(i)}
+	}
+	return Build(relation.MustNew("S", 1, tuples), nil)
+}
+
+// randPasses lists distinct passes of seeded uniform gaps in
+// [1, 2·dist), 2^17 seeks in all: a short pattern replayed every pass
+// would be learned by the predictor.
+func randPasses(n int, stride int64, dist int) [][]int64 {
+	rng := rand.New(rand.NewSource(int64(n + dist)))
+	var passes [][]int64
+	for seeks := 0; seeks < 1<<17; {
+		p := seekTargets(n, stride, func() int { return 1 + rng.Intn(2*dist-1) })
+		passes = append(passes, p)
+		seeks += len(p)
+	}
+	return passes
+}
+
+// seekTargets lists one pass's seek targets over strideTrie(n, stride)'s
+// keys: each lands gap() keys past the last, and the final one falls
+// past the end. Targets sit one past a key, between keys, so every seek
+// searches.
+func seekTargets(n int, stride int64, gap func() int) []int64 {
 	var out []int64
-	for v := int64(1); ; v += int64(2 * gap()) {
+	for v := int64(1); ; v += stride * int64(gap()) {
 		out = append(out, v)
-		if v > int64(2*(n-1)) {
+		if v > stride*int64(n-1) {
 			return out
 		}
 	}

@@ -82,6 +82,7 @@ func BuildParallel(r *relation.Relation, counters *stats.Counters, workers int) 
 		}
 		prevRows = rows
 	}
+	indexRoot(t.levels)
 	t.root = t.whole()
 	return t
 }

@@ -181,6 +181,39 @@ func fuzzLevel(data []byte) []int64 {
 	return out
 }
 
+// fuzzDenseLevel decodes data into a level the dense root index serves:
+// at least denseMinKeys keys, 16 more per byte up to fuzzLevelMax, with
+// gaps of 1 + b%3 cycling through data — under 3 codes a key, inside
+// the density rule. The first byte places the run: from MinInt64 up, to
+// MaxInt64 down, or across 0.
+func fuzzDenseLevel(data []byte) []int64 {
+	n := min(denseMinKeys+16*len(data), fuzzLevelMax)
+	offs := make([]uint64, n)
+	for i := 1; i < n; i++ {
+		gap := uint64(1)
+		if len(data) > 0 {
+			gap += uint64(data[i%len(data)] % 3)
+		}
+		offs[i] = offs[i-1] + gap
+	}
+	var first uint64 // in the sign-flipped order fuzzLevel walks: 0 is MinInt64
+	if len(data) > 0 {
+		switch b := data[0]; b >> 6 {
+		case 0:
+			first = uint64(b & 7)
+		case 1:
+			first = math.MaxUint64 - offs[n-1] - uint64(b&7)
+		default:
+			first = signBit - offs[n-1]/2
+		}
+	}
+	keys := make([]int64, n)
+	for i, o := range offs {
+		keys[i] = int64((first + o) ^ signBit)
+	}
+	return keys
+}
+
 // unaryRel is the unary relation over keys.
 func unaryRel(keys []int64) *relation.Relation {
 	tuples := make([][]int64, len(keys))
@@ -233,30 +266,60 @@ func (r *seekRef) key() (int64, bool) {
 	return k, ok
 }
 
-// FuzzSeekGE drives SeekGE through a monotone target sequence over a
-// fuzzer-built level — once as a built trie, once patched with an
-// overlay of fuzzer-built inserts and every third key deleted — and
+// FuzzSeekGE drives SeekGE through a target sequence over a fuzzer-built
+// level — as a built trie, reopened from its snapshot, and patched with
+// an overlay of fuzzer-built inserts and every third key deleted — and
 // holds each landing key and the flushed charges to seekRef's. Levels
 // and targets both come from fuzzLevel, so seeks run past the 64-entry
-// charge table, across 0 and into both ends of the int64 range.
+// charge table, across 0 and into both ends of the int64 range. With
+// dense set the level comes from fuzzDenseLevel instead, so the seeks
+// read the dense root index, and the targets and inserts are moved to
+// start at its least key.
 func FuzzSeekGE(f *testing.F) {
 	straddle := []byte{0x3f} // −64…: jumps 2^62 … 2^6 reach 2^63−64
 	for e := byte(62); e >= 6; e-- {
 		straddle = append([]byte{0x80 | e}, straddle...)
 	}
-	f.Add([]byte{}, []byte{}, []byte{0x00})
-	f.Add([]byte{0x0f, 0x0f, 0x0f}, []byte{0x8f, 0x01}, []byte{0x2f, 0x2f})                               // runs from MinInt64, targets between keys
-	f.Add(straddle, []byte{0xbf, 0x0f}, append([]byte{0x80}, straddle...))                                // across 0
-	f.Add([]byte{0x01, 0xbf, 0x7f, 0xbf, 0x01}, []byte{0xff, 0x00}, []byte{0x00, 0xbe, 0x1f, 0xbf, 0x01}) // both extremes
-	f.Add(slices.Repeat([]byte{0x7f}, 8), []byte{0x85, 0x1f}, []byte{0x3a, 0x8c, 0x3a, 0x8c, 0x3a})       // ≈1000 keys, strides > 1
+	f.Add([]byte{}, []byte{}, []byte{0x00}, false)
+	f.Add([]byte{0x0f, 0x0f, 0x0f}, []byte{0x8f, 0x01}, []byte{0x2f, 0x2f}, false)                               // runs from MinInt64, targets between keys
+	f.Add(straddle, []byte{0xbf, 0x0f}, append([]byte{0x80}, straddle...), false)                                // across 0
+	f.Add([]byte{0x01, 0xbf, 0x7f, 0xbf, 0x01}, []byte{0xff, 0x00}, []byte{0x00, 0xbe, 0x1f, 0xbf, 0x01}, false) // both extremes
+	f.Add(slices.Repeat([]byte{0x7f}, 8), []byte{0x85, 0x1f}, []byte{0x3a, 0x8c, 0x3a, 0x8c, 0x3a}, false)       // ≈1000 keys, strides > 1
+	f.Add(slices.Repeat([]byte{0x0f}, 7), []byte{}, []byte{0x0f, 0x2f}, false)                                   // 1+8·15 keys 1 apart: dense under fuzzLevel
+	f.Add([]byte{0x00, 0x01, 0x02}, []byte{0x85, 0x03}, []byte{0x03, 0x83, 0x13, 0x87, 0x01}, true)              // dense from MinInt64
+	f.Add([]byte{0x43, 0x02, 0x01}, []byte{0x3f}, []byte{0x8f, 0x21, 0x8a, 0x01}, true)                          // dense up to MaxInt64
+	f.Add(slices.Repeat([]byte{0x81, 0x05}, 40), []byte{0x0f}, []byte{0x01, 0x8b, 0x1f}, true)                   // ≈1300 dense keys across 0
 
-	f.Fuzz(func(t *testing.T, keysB, addsB, targetsB []byte) {
-		keys, targets := fuzzLevel(keysB), fuzzLevel(targetsB)
+	f.Fuzz(func(t *testing.T, keysB, addsB, targetsB []byte, dense bool) {
+		keys, targets, addKeys := fuzzLevel(keysB), fuzzLevel(targetsB), fuzzLevel(addsB)
+		if dense {
+			keys = fuzzDenseLevel(keysB)
+			// fuzzLevel's runs start at MinInt64: shift them onto the level.
+			shift := uint64(keys[0]) ^ signBit
+			for _, s := range [][]int64{targets, addKeys} {
+				for i := range s {
+					s[i] = int64(uint64(s[i]) + shift)
+				}
+			}
+			slices.Sort(addKeys)
+			addKeys = slices.Compact(addKeys)
+		}
 		built := Build(unaryRel(keys), nil)
+		if dense && built.levels[0].dense == nil {
+			t.Fatalf("%d dense keys over [%d, %d] built no index", len(keys), keys[0], keys[len(keys)-1])
+		}
+		ls, err := built.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened, err := FromLevels(ls)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// The overlay holds what the base lacks, as a version's inserts do.
 		var adds, dels []int64
 		dead := make(map[int32]bool)
-		for _, k := range fuzzLevel(addsB) {
+		for _, k := range addKeys {
 			if _, found := slices.BinarySearch(keys, k); !found {
 				adds = append(adds, k)
 			}
@@ -275,6 +338,7 @@ func FuzzSeekGE(f *testing.F) {
 			ref  seekRef
 		}{
 			{"built", built, seekRef{base: keys}},
+			{"opened", opened, seekRef{base: keys}},
 			{"patched", patched, seekRef{base: keys, adds: adds, dead: dead}},
 		} {
 			var c stats.Counters

@@ -43,7 +43,9 @@ func (t *Trie) Snapshot() ([]LevelData, error) {
 // aliased, not copied, which is what makes an mmap-backed open
 // zero-copy: iterators then read the file's pages directly, and every
 // such read is charged through the iterator's stats.Counters exactly
-// like an access to a built trie.
+// like an access to a built trie. A dense first level gets its
+// lower-bound index here, as Build gives it one: the index is derived
+// from the values and never stored (see indexRoot).
 //
 // The arrays are validated structurally before any iterator can touch
 // them (lengths, offset monotonicity and bounds, sorted sibling
@@ -59,6 +61,7 @@ func FromLevels(levels []LevelData) (*Trie, error) {
 	for d := range levels {
 		t.levels[d] = level{vals: levels[d].Vals, start: levels[d].Start}
 	}
+	indexRoot(t.levels)
 	t.root = t.whole()
 	return t, nil
 }

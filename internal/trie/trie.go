@@ -5,7 +5,8 @@
 // per level, a values array plus child-range offsets into the next level.
 // SeekGE is a galloping (exponential-then-binary) search within the
 // sibling range, meeting the amortized-logarithmic requirement for
-// worst-case optimality.
+// worst-case optimality; a next-key seek and any seek on a dense first
+// level land without searching (level.lowerBound).
 //
 // Every cell read — including each search probe — is charged to a
 // stats.Counters (the trie's shared sink by default, or a per-iterator
@@ -27,9 +28,64 @@ import (
 // level holds one trie depth: vals are the node values; start[i] is the
 // offset of node i's children in the next level (children of node i are
 // next.vals[start[i]:start[i+1]]; start has len(vals)+1 entries).
+//
+// dense, when set, is a direct lower-bound index over the whole level:
+// dense[k] is the least position holding a value >= base+k, and the last
+// entry is len(vals). Only a first level sorted across its whole length
+// gets one, and only when its keys are dense (see indexRoot); it is
+// derived data, rebuilt on open and never persisted.
 type level struct {
 	vals  []int64
 	start []int32
+	dense []int32
+	base  int64
+}
+
+// Dense-index rule: level 0 gets a lower-bound table when it holds at
+// least denseMinKeys keys spanning fewer than denseSpread codes per key.
+// The table then has at most denseSpread slots per key — 16 bytes, twice
+// the key's own 8.
+const (
+	denseMinKeys = 64
+	denseSpread  = 4
+)
+
+// indexRoot gives a trie's first level its dense lower-bound table when
+// the level qualifies. Level 0 is the only level sorted across its whole
+// length — deeper levels are sorted within each sibling range only — so
+// it is the only one a single table can serve. Dictionary codes make it
+// dense: a relation's first column covers most codes between its least
+// and greatest.
+func indexRoot(levels []level) {
+	if len(levels) == 0 {
+		return
+	}
+	l := &levels[0]
+	m := len(l.vals)
+	if m < denseMinKeys {
+		return
+	}
+	// The unsigned difference is exact for any ordered pair of int64s;
+	// the level spans diff+1 codes.
+	diff := uint64(l.vals[m-1]) - uint64(l.vals[0])
+	if diff >= denseSpread*uint64(m)-1 {
+		return
+	}
+	l.base = l.vals[0]
+	l.dense = make([]int32, diff+2)
+	k := 0
+	for i, v := range l.vals {
+		for off := int(uint64(v) - uint64(l.base)); k <= off; k++ {
+			l.dense[k] = int32(i)
+		}
+	}
+	l.dense[k] = int32(m)
+}
+
+// bytes is the level's resident size: 8 bytes per value, 4 per child
+// offset and 4 per dense-index slot.
+func (l *level) bytes() int64 {
+	return 8*int64(len(l.vals)) + 4*int64(len(l.start)) + 4*int64(len(l.dense))
 }
 
 // span is a sibling range [lo, hi) of one level's arrays.
@@ -44,11 +100,48 @@ func (s span) below(levels []level, n int) span {
 	return s
 }
 
-// find locates value v among the siblings r of the level.
+// find locates value v among the siblings r of the level, through the
+// same lowerBound every seek uses.
 func (l *level) find(r span, v int64) (int32, bool) {
-	off, _ := gallop(l.vals[r.lo:r.hi], v)
-	i := r.lo + off
+	i, _ := l.lowerBound(r.lo, r.hi, v)
 	return i, i < r.hi && l.vals[i] == v
+}
+
+// lowerBound returns the least position in the sibling range [pos, hi)
+// holding a value >= v (hi if none), and the model charge of landing
+// there: binProbes(hi−pos, offset), the probes sort.Search makes. It is
+// the one search every seek path runs, and it finds the position in one
+// of three ways, none of which moves the charge:
+//
+//   - A level with a dense index reads it: the level is sorted across
+//     its whole length, so the range's lower bound is the level's,
+//     clamped into [pos, hi) — one load, no search.
+//   - A next-key seek, landing at offset 0 or 1, is resolved by reading
+//     vals[pos + (vals[pos] < v)], the index chosen by a mask. sort.Search
+//     makes exactly bits.Len(n) probes for such a landing, so the charge
+//     needs no replay.
+//   - Anything else gallops from offset 2 and replays the charge.
+func (l *level) lowerBound(pos, hi int32, v int64) (int32, int64) {
+	n := hi - pos
+	if l.dense != nil {
+		// v below base selects slot 0; past the table, its last slot.
+		k := (uint64(v) - uint64(l.base)) &^ uint64(lessMask(v, uint64(l.base)^signBit))
+		p := min(max(l.dense[min(k, uint64(len(l.dense)-1))], pos), hi)
+		return p, binProbes(n, p-pos)
+	}
+	vals := l.vals
+	if n < 2 {
+		// 0 or 1 candidates left: the model cost is n probes either way.
+		if n == 1 && vals[pos] < v {
+			pos++
+		}
+		return pos, int64(n)
+	}
+	if p := pos - int32(lessMask(vals[pos], uint64(v)^signBit)); vals[p] >= v {
+		return p, int64(bits.Len32(uint32(n)))
+	}
+	off, _ := gallop(vals[pos+2:hi], v)
+	return pos + 2 + off, binProbes(n, off+2)
 }
 
 // children returns the child range of node i.
@@ -98,19 +191,20 @@ func (t *Trie) Len(d int) int {
 func (t *Trie) Counters() *stats.Counters { return t.c }
 
 // MemoryBytes estimates the trie's resident size: 8 bytes per value
-// cell plus 4 per child offset. The paper's premise is that LFTJ's only
-// significant memory is these indices; the estimate quantifies it next
-// to the cache sizes reported by the engines. A patched trie reports
-// the bytes it keeps alive — the shared base arrays plus its own
-// overlay and dead lists — so a byte budget charging both the base and
-// the patch double-counts the shared part, erring on the safe side. A
+// cell plus 4 per child offset and 4 per dense-index slot (the first
+// level's lower-bound table, see indexRoot). The paper's premise is that
+// LFTJ's only significant memory is these indices; the estimate
+// quantifies it next to the cache sizes reported by the engines. A
+// patched trie reports the bytes it keeps alive — the shared base
+// arrays plus its own overlay and dead lists — so a byte budget
+// charging both the base and the patch double-counts the shared part,
+// erring on the safe side. A
 // prefix view owns no arrays: it reports the levels it shares, which
 // whoever holds the trie it was taken from already accounts for.
 func (t *Trie) MemoryBytes() int64 {
 	var b int64
 	for d := range t.levels {
-		b += 8 * int64(len(t.levels[d].vals))
-		b += 4 * int64(len(t.levels[d].start))
+		b += t.levels[d].bytes()
 	}
 	return b + t.PatchBytes()
 }
@@ -124,8 +218,7 @@ func (t *Trie) PatchBytes() int64 {
 	}
 	var b int64
 	for d := range t.patch.adds {
-		b += 8 * int64(len(t.patch.adds[d].vals))
-		b += 4 * int64(len(t.patch.adds[d].start))
+		b += t.patch.adds[d].bytes()
 	}
 	for d := range t.patch.dead {
 		b += 4 * int64(len(t.patch.dead[d]))
@@ -389,11 +482,11 @@ func (it *Iterator) refreshMerge(d int) {
 }
 
 // SeekGE positions the iterator at the least sibling with value >= v,
-// or AtEnd if none, without moving backwards. The scan is galloping;
-// see seekLevel for the cost and accounting contract. The materialized
-// fast path is flattened in place: the current-position check reads the
-// cached key (no memory probe), and only real searches descend into
-// gallop.
+// or AtEnd if none, without moving backwards; see seekLevel for the cost
+// and accounting contract. The materialized fast path is flattened in
+// place: the current-position check reads the cached key (no memory
+// probe), and only real searches run level.lowerBound — a dense root
+// level's index read, a next-key check, or a gallop.
 func (it *Iterator) SeekGE(v int64) {
 	if it.mg != nil {
 		it.seekMerge(v)
@@ -407,33 +500,13 @@ func (it *Iterator) SeekGE(v int64) {
 		return
 	}
 	d := it.depth
-	pos := it.pos[d] + 1
 	hi := it.hi[d]
-	vals := it.t.levels[d].vals
-	n := hi - pos
-	if n <= 1 {
-		// 0 or 1 candidates left: the model cost is n probes either way.
-		it.pending += int64(n)
-		if n == 1 {
-			if w := vals[pos]; w >= v {
-				it.pos[d] = pos
-				it.cur = w
-				return
-			}
-			pos++
-		}
-		it.pos[d] = pos
-		it.end = true
-		return
-	}
-	lo, _ := gallop(vals[pos:hi], v)
-	if it.c != nil {
-		it.pending += binProbes(n, lo)
-	}
-	p := pos + lo
+	lvl := &it.t.levels[d]
+	p, charge := lvl.lowerBound(it.pos[d]+1, hi, v)
+	it.pending += charge
 	it.pos[d] = p
 	if p < hi {
-		it.cur = vals[p]
+		it.cur = lvl.vals[p]
 	} else {
 		it.end = true
 	}
@@ -449,16 +522,16 @@ func (it *Iterator) seekMerge(v int64) {
 	it.refreshMerge(d)
 }
 
-// seekLevel advances a cursor within one level's sibling range [pos,hi)
-// to the least entry >= v using a galloping search: after checking the
-// current position (LFTJ seeks are frequently short), probe offsets
-// double until one lands at or past the target, then a binary search
-// resolves the last window — O(log m) physical probes for a seek of
-// distance m, preserving the amortized-log bound with no per-probe
-// function call. Only the doubling's exit is a data-dependent branch:
-// the binary phase and the charge replay select with masks (see gallop
-// and replayBinProbes), since a join's seek distances are irregular
-// enough that their compares would be coin flips for the predictor.
+// seekLevel advances one merge side's cursor within one level's sibling
+// range [pos,hi) to the least entry >= v: after checking the current
+// position (LFTJ seeks are frequently short), level.lowerBound finds the
+// rest — on the patched trie's base side the same dense root index,
+// next-key check and gallop the materialized SeekGE runs. A gallop costs
+// O(log m) physical probes for a seek of distance m, preserving the
+// amortized-log bound; its binary phase and the charge replay select
+// with masks (see gallop and replayBinProbes), since a join's seek
+// distances are irregular enough that their compares would be coin
+// flips for the predictor.
 //
 // The accounting charge is the model cost, not the physical probe
 // count: one access for the current-position check plus the exact probe
@@ -474,26 +547,13 @@ func (it *Iterator) seekLevel(lvl *level, pos, hi int32, v int64) int32 {
 	if pos >= hi {
 		return pos
 	}
-	vals := lvl.vals
 	it.pending++
-	if vals[pos] >= v {
+	if lvl.vals[pos] >= v {
 		return pos
 	}
-	pos++
-	n := hi - pos
-	if n <= 1 {
-		// 0 or 1 candidates left: the model cost is n probes either way.
-		it.pending += int64(n)
-		if n == 1 && vals[pos] < v {
-			pos++
-		}
-		return pos
-	}
-	lo, _ := gallop(vals[pos:hi], v)
-	if it.c != nil {
-		it.pending += binProbes(n, lo)
-	}
-	return pos + lo
+	p, charge := lvl.lowerBound(pos+1, hi, v)
+	it.pending += charge
+	return p
 }
 
 // gallop returns the least offset i in [0, len(vals)) with
@@ -567,6 +627,12 @@ func lessMask(x int64, vs uint64) int {
 // by (n, r): ranges shorter than binProbeTableN — most of LFTJ's seeks —
 // read the count from a table, longer ones replay the halvings down to
 // the table's range and read the rest there.
+//
+// For r <= 1 the count is bits.Len(n): the range stays [0, j), and while
+// j >= 2 its midpoint j/2 is >= r, so each probe halves j until j = 1;
+// one last probe at 0 ends the search. That closed form is what
+// level.lowerBound charges a next-key seek, without calling this;
+// TestBinProbesNextKey pins it.
 func binProbes(n, r int32) int64 {
 	if uint32(n) < binProbeTableN {
 		// 0 <= r <= n here; the mask only spares the bounds check.

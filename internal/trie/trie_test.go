@@ -240,4 +240,41 @@ func TestMemoryBytes(t *testing.T) {
 		// Empty tries still hold sentinel offset arrays.
 		t.Log("empty trie footprint is minimal, as expected")
 	}
+
+	// A dense first level carries its lower-bound index, 4 bytes a slot:
+	// roots 0, 2, …, 198 span 199 codes, so 200 slots. A reopened trie
+	// rebuilds and counts the same index; a view under one root shares
+	// only the deeper level, which has none.
+	var tuples [][]int64
+	for x := int64(0); x < 200; x += 2 {
+		tuples = append(tuples, []int64{x, 1})
+	}
+	dense := Build(buildRel(t, 2, tuples), nil)
+	want = 8*100 + 4*101 + 4*200 + 8*100 + 4*101
+	if got := dense.MemoryBytes(); got != want {
+		t.Fatalf("dense MemoryBytes = %d, want %d", got, want)
+	}
+	opened, err := FromLevels(snapLevels(t, dense))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := opened.MemoryBytes(); got != want {
+		t.Fatalf("reopened MemoryBytes = %d, want %d", got, want)
+	}
+	view, _ := dense.Under([]int64{4})
+	if got, want := view.MemoryBytes(), int64(8*100+4*101); got != want {
+		t.Fatalf("view MemoryBytes = %d, want %d", got, want)
+	}
+	// A patch's overlay, dense in its own right, counts its own index.
+	var adds [][]int64
+	for x := int64(1000); x < 1064; x++ {
+		adds = append(adds, []int64{x, 1})
+	}
+	patched, err := BuildPatched(dense, buildRel(t, 2, adds), buildRel(t, 2, nil), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := patched.PatchBytes(), int64(8*64+4*65+4*65+8*64+4*65); got != want {
+		t.Fatalf("dense overlay PatchBytes = %d, want %d", got, want)
+	}
 }
