@@ -14,7 +14,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/leapfrog"
 	"repro/internal/queries"
 	"repro/internal/td"
 	"repro/internal/yannakakis"
@@ -51,17 +50,24 @@ func microDB() *DB {
 	return dataset.TriadicPA(220, 4, 0.5, 33).DB(false)
 }
 
-func BenchmarkEngineLFTJCount5Path(b *testing.B) {
-	db := microDB()
-	q := queries.Path(5)
-	inst, err := leapfrog.Build(q, db, q.Vars(), nil)
+// lftjPlan compiles LFTJ as the system runs it: the one-bag plan over
+// the natural order, executed with caching disabled (lftjPolicy).
+func lftjPlan(b *testing.B, q *Query, db *DB) *Plan {
+	plan, err := core.NewPlan(q, db, td.Singleton(len(q.Vars())), q.Vars(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return plan
+}
+
+var lftjPolicy = core.Policy{Disabled: true}
+
+func BenchmarkEngineLFTJCount5Path(b *testing.B) {
+	plan := lftjPlan(b, queries.Path(5), microDB())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if leapfrog.Count(inst) == 0 {
+		if plan.Count(lftjPolicy).Count == 0 {
 			b.Fatal("zero count")
 		}
 	}
@@ -132,16 +138,11 @@ func BenchmarkEngineCLFTJCount5Cycle(b *testing.B) {
 }
 
 func BenchmarkEngineLFTJCount5Cycle(b *testing.B) {
-	db := dataset.CliqueUnion(200, 110, 12, 1.6, 9).DB(false)
-	q := queries.Cycle(5)
-	inst, err := leapfrog.Build(q, db, q.Vars(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	plan := lftjPlan(b, queries.Cycle(5), dataset.CliqueUnion(200, 110, 12, 1.6, 9).DB(false))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		leapfrog.Count(inst)
+		plan.Count(lftjPolicy)
 	}
 }
 

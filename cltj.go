@@ -121,15 +121,6 @@ func Aggregate[T any](p *Plan, policy Policy, sr Semiring[T], w VarWeight[T]) T 
 	return core.Aggregate(p, policy, sr, w)
 }
 
-// AggregateParallel is Aggregate sharded over policy.Workers goroutines
-// (0: one per core, 1: the sequential path). Results are bit-identical
-// to Aggregate whenever ⊕ is exactly associative (counting, min/max
-// semirings); floating-point sums may differ by reassociation error.
-func AggregateParallel[T any](p *Plan, policy Policy, sr Semiring[T], w VarWeight[T]) T {
-	t, _ := core.AggregateParallelCtx(context.Background(), p, policy, sr, w)
-	return t
-}
-
 // CountSemiring returns the counting semiring (ℕ, +, ×).
 func CountSemiring() Semiring[int64] { return core.CountSemiring() }
 
@@ -371,27 +362,14 @@ func (s *Stmt) Rows(ctx context.Context) iter.Seq2[[]int64, error] {
 }
 
 // CountLFTJ evaluates |q(D)| with vanilla LFTJ under the query's natural
-// variable order. counters may be nil.
+// variable order: CLFTJ over the one-bag TD with caching disabled, which
+// is LFTJ exactly (§3.2). counters may be nil.
 func CountLFTJ(q *Query, db *DB, counters *Counters) (int64, error) {
-	inst, err := leapfrog.Build(q, db, q.Vars(), counters)
+	plan, err := core.NewPlan(q, db, td.Singleton(len(q.Vars())), q.Vars(), counters)
 	if err != nil {
 		return 0, err
 	}
-	return leapfrog.Count(inst), nil
-}
-
-// CountLFTJParallel evaluates |q(D)| with vanilla LFTJ sharded over the
-// given number of worker goroutines (0: one per core, 1: sequential).
-// counters may be nil; per-worker accounting is merged into it exactly.
-func CountLFTJParallel(q *Query, db *DB, workers int, counters *Counters) (int64, error) {
-	inst, err := leapfrog.BuildOptions(q, db, q.Vars(), leapfrog.BuildOpts{
-		Counters: counters,
-		Workers:  buildWorkersOf(workers),
-	})
-	if err != nil {
-		return 0, err
-	}
-	return leapfrog.ParallelCount(inst, workers), nil
+	return plan.Count(Policy{Disabled: true}).Count, nil
 }
 
 // CountYTD evaluates |q(D)| with Yannakakis over an automatically

@@ -10,6 +10,7 @@ import (
 	"repro/internal/naive"
 	"repro/internal/queries"
 	"repro/internal/relation"
+	"repro/internal/td"
 )
 
 func facadeDB() *DB {
@@ -262,13 +263,17 @@ func TestFacadeWorkers(t *testing.T) {
 			if got != want {
 				t.Errorf("%s: Count(Workers: %d) = %d, want %d", q, workers, got, want)
 			}
-			var c Counters
-			lftj, err := CountLFTJParallel(q, db, workers, &c)
+			// Sharded LFTJ: the one-bag TD with caching disabled.
+			lftj, err := Count(q, db, Options{
+				TD:      td.Singleton(len(q.Vars())),
+				Policy:  Policy{Disabled: true},
+				Workers: workers,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if lftj != want {
-				t.Errorf("%s: CountLFTJParallel(%d) = %d, want %d", q, workers, lftj, want)
+				t.Errorf("%s: one-bag LFTJ (Workers: %d) = %d, want %d", q, workers, lftj, want)
 			}
 		}
 	}

@@ -57,7 +57,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/dataset"
-	"repro/internal/leapfrog"
 	"repro/internal/pairwise"
 	"repro/internal/queries"
 	"repro/internal/relation"
@@ -94,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	evalFlag := fs.Bool("eval", false, "enumerate tuples instead of counting (prints the first few)")
 	cacheFlag := fs.Int("cache", 0, "CLFTJ cache capacity (0 = unbounded)")
 	supportFlag := fs.Int("support", 0, "CLFTJ support threshold")
-	workersFlag := fs.Int("workers", 1, "worker goroutines for clftj and for lftj counting (0 = one per core, 1 = sequential); other algorithms ignore it")
+	workersFlag := fs.Int("workers", 1, "worker goroutines for clftj and lftj, counting and -eval alike (0 = one per core, 1 = sequential); other algorithms ignore it")
 	ordererFlag := fs.String("orderer", "", "planning strategy for clftj and -queries: cost (default; full cost model), greedy (stats-free pattern ranking) or adaptive (greedy + feedback-driven re-planning of cached plans)")
 	timeoutFlag := fs.Duration("timeout", 0, "wall-clock budget covering planning, index build and the join (clftj and lftj; 0 = unlimited): past it the run unwinds cooperatively and cltj exits nonzero")
 	symFlag := fs.Bool("symmetric", false, "treat edges as undirected (add both directions)")
@@ -236,32 +235,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "selected TD (order %v):\n%s", plan.Order(), plan.TD())
 		}
 		start = time.Now()
-		if *evalFlag {
-			count, err = evalSome(stdout, plan.Order(), func(emit func([]int64) bool) error {
-				_, err := plan.EvalParallelCtx(ctx, policy, emit)
-				return err
-			})
-		} else {
-			var res core.CountResult
-			res, err = plan.CountParallelCtx(ctx, policy)
-			count = res.Count
-		}
+		count, err = runPlan(ctx, stdout, plan, policy, *evalFlag)
 		if err != nil {
 			return fail(err)
 		}
 	case "lftj":
-		inst, err := leapfrog.Build(q, db, q.Vars(), &c)
+		// LFTJ is CLFTJ with nothing cached (§3.2): the one-bag plan over
+		// the query's natural order, run with caching disabled.
+		plan, err := core.NewPlan(q, db, td.Singleton(len(q.Vars())), q.Vars(), &c)
 		if err != nil {
 			return fail(err)
 		}
+		policy.Disabled = true
 		start = time.Now()
-		if *evalFlag {
-			count, err = evalSome(stdout, inst.Order(), func(emit func([]int64) bool) error {
-				return leapfrog.EvalCtx(ctx, inst, emit)
-			})
-		} else {
-			count, err = leapfrog.ParallelCountCtx(ctx, inst, *workersFlag)
-		}
+		count, err = runPlan(ctx, stdout, plan, policy, *evalFlag)
 		if err != nil {
 			return fail(err)
 		}
@@ -499,6 +486,19 @@ func runBatch(engine *server.Engine, path string, stdout, stderr io.Writer) int 
 		return 1
 	}
 	return 0
+}
+
+// runPlan counts the plan's result, or with eval enumerates it through
+// evalSome, under policy (its Workers included) and ctx.
+func runPlan(ctx context.Context, stdout io.Writer, plan *core.Plan, policy core.Policy, eval bool) (int64, error) {
+	if !eval {
+		res, err := plan.CountParallelCtx(ctx, policy)
+		return res.Count, err
+	}
+	return evalSome(stdout, plan.Order(), func(emit func([]int64) bool) error {
+		_, err := plan.EvalParallelCtx(ctx, policy, emit)
+		return err
+	})
 }
 
 // evalSome drives an evaluation, printing the first 5 tuples and

@@ -56,8 +56,16 @@ func TestCLIGoldenCountLFTJ(t *testing.T) {
 	runGolden(t, "count_lftj_4cycle", []string{"-query", "4-cycle", "-algo", "lftj", "-workers", "1"}, 0)
 }
 
+func TestCLIGoldenCountLFTJWorkers(t *testing.T) {
+	runGolden(t, "count_lftj_4cycle_w2", []string{"-query", "4-cycle", "-algo", "lftj", "-workers", "2"}, 0)
+}
+
 func TestCLIGoldenEval(t *testing.T) {
 	runGolden(t, "eval_3path", []string{"-query", "3-path", "-eval", "-workers", "1"}, 0)
+}
+
+func TestCLIGoldenEvalLFTJ(t *testing.T) {
+	runGolden(t, "eval_lftj_3path", []string{"-query", "3-path", "-algo", "lftj", "-eval", "-workers", "1"}, 0)
 }
 
 func TestCLIGoldenExplicitQuery(t *testing.T) {
@@ -134,6 +142,11 @@ func TestCLITimeout(t *testing.T) {
 	stderr.Reset()
 	if got := run([]string{"-algo", "lftj", "-workers", "1", "-timeout", "1ns"}, &stdout, &stderr); got != 1 {
 		t.Fatalf("lftj exit = %d, want 1\n%s%s", got, &stdout, &stderr)
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if got := run([]string{"-algo", "lftj", "-workers", "2", "-timeout", "1ns"}, &stdout, &stderr); got != 1 {
+		t.Fatalf("lftj workers-2 exit = %d, want 1\n%s%s", got, &stdout, &stderr)
 	}
 
 	// Engines without cancellation hooks reject the flag instead of

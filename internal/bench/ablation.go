@@ -67,11 +67,7 @@ func Ablation(cfg Config) *Table {
 	addTD(fmt.Sprintf("selected (%d bags)", selected.N()), selected)
 	mf := td.MinFillDecompose(q)
 	addTD(fmt.Sprintf("min-fill (%d bags)", mf.N()), mf)
-	all := make([]int, numVars)
-	for i := range all {
-		all[i] = i
-	}
-	addTD("singleton (= LFTJ)", td.MustNew([][]int{all}, []int{-1}))
+	addTD("singleton (= LFTJ)", td.Singleton(numVars))
 
 	t.Notes = append(t.Notes,
 		"support>0 trades recomputation for memory: fewer entries, more misses",

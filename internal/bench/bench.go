@@ -16,7 +16,6 @@ import (
 	"repro/internal/cq"
 	"repro/internal/dataset"
 	"repro/internal/genericjoin"
-	"repro/internal/leapfrog"
 	"repro/internal/pairwise"
 	"repro/internal/relation"
 	"repro/internal/stats"
@@ -111,44 +110,32 @@ func (m Measurement) Speedup(base Measurement) string {
 	return fmt.Sprintf("%.1fx", float64(base.Duration)/float64(m.Duration))
 }
 
+// lftjPolicy is the cache policy under which CLFTJ is LFTJ (§3.2):
+// nothing is cached, so over the one-bag TD (td.Singleton) the run is
+// Fig. 1's TJCount on the executor and leaf loop every CLFTJ row uses.
+var lftjPolicy = core.Policy{Disabled: true}
+
 // RunLFTJ measures vanilla LFTJ count under the given order (nil: the
-// query's natural order). Index (trie) construction is excluded from the
-// timing, matching the paper's preloaded-index protocol.
+// query's natural order) — the one-bag plan with caching disabled. Index
+// (trie) construction is excluded from the timing, matching the paper's
+// preloaded-index protocol.
 func RunLFTJ(q *cq.Query, db *relation.DB, order []string) Measurement {
-	var m Measurement
 	if order == nil {
 		order = q.Vars()
 	}
-	inst, err := leapfrog.Build(q, db, order, &m.Counters)
-	if err != nil {
-		return Measurement{Err: err}
-	}
-	start := time.Now()
-	m.Count = leapfrog.Count(inst)
-	m.Duration = time.Since(start)
-	return m
+	return RunCLFTJWith(q, db, td.Singleton(len(order)), order, lftjPolicy)
 }
 
 // RunLFTJEval measures vanilla LFTJ full evaluation (results consumed,
 // not stored, per §5.3.2's "computing the materialized result rather
-// than storing it").
+// than storing it") — the one-bag plan with caching disabled.
 func RunLFTJEval(q *cq.Query, db *relation.DB) Measurement {
 	var m Measurement
-	inst, err := leapfrog.Build(q, db, q.Vars(), &m.Counters)
+	plan, err := core.NewPlan(q, db, td.Singleton(len(q.Vars())), q.Vars(), &m.Counters)
 	if err != nil {
 		return Measurement{Err: err}
 	}
-	start := time.Now()
-	var n int64
-	var sink int64
-	leapfrog.Eval(inst, func(mu []int64) bool {
-		n++
-		sink ^= mu[0]
-		return true
-	})
-	_ = sink
-	m.Count = n
-	m.Duration = time.Since(start)
+	m.timeEval(plan, lftjPolicy)
 	return m
 }
 
@@ -188,6 +175,13 @@ func RunCLFTJEval(q *cq.Query, db *relation.DB, policy core.Policy) Measurement 
 		return Measurement{Err: err}
 	}
 	m.Counters.Reset() // drop plan-selection accounting; measure the run
+	m.timeEval(plan, policy)
+	return m
+}
+
+// timeEval times one sequential evaluation of plan under policy, the
+// results consumed and counted. plan accounts into m.Counters.
+func (m *Measurement) timeEval(plan *core.Plan, policy core.Policy) {
 	start := time.Now()
 	var n, sink int64
 	plan.Eval(policy, func(mu []int64) bool {
@@ -198,7 +192,6 @@ func RunCLFTJEval(q *cq.Query, db *relation.DB, policy core.Policy) Measurement 
 	_ = sink
 	m.Duration = time.Since(start)
 	m.Count = n
-	return m
 }
 
 // RunYTD measures Yannakakis-over-TD count. Bag materialization and

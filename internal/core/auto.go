@@ -54,8 +54,8 @@ type AutoOptions struct {
 	Cost td.CostConfig
 	// Orderer selects the planning strategy ("" = OrdererCost). Greedy
 	// and adaptive skip the entire cost model — skew probes and
-	// order-cost trie builds included — so SkipOrderCost/SkipSkew are
-	// irrelevant under them.
+	// order-cost trie builds included — so SkipOrderCost is irrelevant
+	// under them.
 	Orderer Orderer
 	// Demote lists variable names pushed to the back of the greedy
 	// ranking (execution feedback from always-empty intersection levels;
@@ -64,8 +64,6 @@ type AutoOptions struct {
 	// SkipOrderCost disables the Chu-et-al.-style order-cost term, which
 	// requires building one trie set per candidate decomposition.
 	SkipOrderCost bool
-	// SkipSkew disables the data-skew term of the cost model.
-	SkipSkew bool
 	// Counters is the accounting sink for the final plan (may be nil).
 	Counters *stats.Counters
 	// Tries is an optional shared trie source (a trie.Registry): both
@@ -126,7 +124,7 @@ func AutoSelect(q *cq.Query, db *relation.DB, opts AutoOptions) (*td.TD, []strin
 		cfg = td.DefaultCostConfig(len(qvars))
 	}
 	cfg.NumVars = len(qvars)
-	if !opts.SkipSkew && cfg.VarSkew == nil {
+	if cfg.VarSkew == nil {
 		cfg.VarSkew = varSkewFunc(q, db)
 	}
 	if !opts.SkipOrderCost && cfg.OrderCost == nil {

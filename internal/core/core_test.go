@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -222,44 +224,86 @@ func TestIMDBQueriesAgree(t *testing.T) {
 }
 
 // TestDisabledCacheMatchesLFTJAccesses verifies the §3.2 claim that with
-// no caching the two algorithms coincide — including identical trie
-// memory traffic.
+// no caching the two algorithms coincide, and with it that LFTJ as the
+// system runs it — the one-bag plan under Policy{Disabled: true}, on the
+// driver every execution shares — is the scalar reference leapfrog.Count
+// and leapfrog.Eval: the same count at every worker count and, on one
+// worker, identical build and run counters and the same tuple sequence.
+// A sharded eval must emit the sequential sequence too.
 func TestDisabledCacheMatchesLFTJAccesses(t *testing.T) {
-	g := dataset.ErdosRenyi(25, 0.15, 9)
-	db := g.DB(false)
-	q := queries.Path(4)
+	db := dataset.TriadicPA(150, 3, 0.4, 2101).DB(false)
+	off := Policy{Disabled: true}
+	for _, sh := range []struct {
+		name string
+		q    *cq.Query
+	}{
+		{"3-path", queries.Path(3)},
+		{"4-path", queries.Path(4)},
+		{"5-path", queries.Path(5)},
+		{"triangle", queries.Clique(3)},
+		{"4-clique", queries.Clique(4)},
+		{"4-cycle", queries.Cycle(4)},
+		{"5-cycle", queries.Cycle(5)},
+		{"lollipop-3-2", queries.Lollipop(3, 2)},
+	} {
+		q := sh.q
+		var cRef, cPlan stats.Counters
+		inst, err := leapfrog.Build(q, db, q.Vars(), &cRef)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := NewPlan(q, db, td.Singleton(len(q.Vars())), q.Vars(), &cPlan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cPlan != cRef {
+			t.Errorf("%s: build counters %+v, reference %+v", sh.name, cPlan, cRef)
+		}
+		want := leapfrog.Count(inst)
+		if got := plan.Count(off).Count; got != want {
+			t.Fatalf("%s: count %d, reference %d", sh.name, got, want)
+		}
+		if cPlan != cRef {
+			t.Errorf("%s: counters %+v, reference %+v", sh.name, cPlan, cRef)
+		}
+		if cPlan.HashAccesses != 0 {
+			t.Errorf("%s: disabled cache still probed: %d hash accesses", sh.name, cPlan.HashAccesses)
+		}
 
-	plan, err := AutoPlan(q, db, AutoOptions{})
-	if err != nil {
+		var ref [][]int64
+		leapfrog.Eval(inst, func(mu []int64) bool {
+			ref = append(ref, slices.Clone(mu))
+			return true
+		})
+		seq := collectEval(t, plan, off)
+		if !reflect.DeepEqual(seq, ref) {
+			t.Errorf("%s: eval sequence differs from leapfrog.Eval's (%d vs %d tuples)", sh.name, len(seq), len(ref))
+		}
+		for _, workers := range []int{2, 4} {
+			pol := off
+			pol.Workers = workers
+			if got := must(plan.CountParallelCtx(bg, pol)).Count; got != want {
+				t.Errorf("%s workers=%d: count %d, reference %d", sh.name, workers, got, want)
+			}
+			if got := collectEval(t, plan, pol); !reflect.DeepEqual(got, seq) {
+				t.Errorf("%s workers=%d: sharded eval sequence differs from the sequential one", sh.name, workers)
+			}
+		}
+	}
+}
+
+// collectEval runs plan's evaluation under pol and returns the emitted
+// tuples in emission order.
+func collectEval(t *testing.T, plan *Plan, pol Policy) [][]int64 {
+	t.Helper()
+	var out [][]int64
+	if _, err := plan.EvalParallelCtx(bg, pol, func(mu []int64) bool {
+		out = append(out, slices.Clone(mu))
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	order := plan.Order()
-
-	var cLFTJ stats.Counters
-	inst, err := leapfrog.Build(q, db, order, &cLFTJ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lftjCount := leapfrog.Count(inst)
-
-	var cCLFTJ stats.Counters
-	plan2, err := NewPlan(q, db, plan.TD(), order, &cCLFTJ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Building the plan builds tries but performs no iterator accesses;
-	// run and compare traffic.
-	res := plan2.Count(Policy{Disabled: true})
-	if res.Count != lftjCount {
-		t.Fatalf("counts differ: CLFTJ %d vs LFTJ %d", res.Count, lftjCount)
-	}
-	if cCLFTJ.TrieAccesses != cLFTJ.TrieAccesses {
-		t.Errorf("trie accesses differ with caching disabled: CLFTJ %d vs LFTJ %d",
-			cCLFTJ.TrieAccesses, cLFTJ.TrieAccesses)
-	}
-	if cCLFTJ.HashAccesses != 0 {
-		t.Errorf("disabled cache still probed: %d hash accesses", cCLFTJ.HashAccesses)
-	}
+	return out
 }
 
 // TestCachingReducesAccesses asserts the headline effect: on a skewed

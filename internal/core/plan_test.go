@@ -139,7 +139,7 @@ func TestAutoPlanOptionsVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noCost, err := AutoPlan(q, db, AutoOptions{SkipOrderCost: true, SkipSkew: true})
+	noCost, err := AutoPlan(q, db, AutoOptions{SkipOrderCost: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
-
-	"repro/internal/dataset"
-	"repro/internal/queries"
 )
 
 func TestCancelerNilForBackground(t *testing.T) {
@@ -62,84 +58,4 @@ func TestCancelerPreCancelled(t *testing.T) {
 	if c == nil || !c.Poll() || c.Err() == nil {
 		t.Fatalf("pre-cancelled ctx: canceler %v did not trip at once", c)
 	}
-}
-
-func TestCountCtxAndParallelCountCtx(t *testing.T) {
-	db := dataset.TriadicPA(150, 3, 0.4, 11).DB(false)
-	q := queries.Cycle(4)
-	inst, err := Build(q, db, q.Vars(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Count(inst)
-
-	got, err := CountCtx(context.Background(), inst)
-	if err != nil || got != want {
-		t.Fatalf("CountCtx = %d, %v; want %d", got, err, want)
-	}
-	gotPar, err := ParallelCountCtx(context.Background(), inst, 4)
-	if err != nil || gotPar != want {
-		t.Fatalf("ParallelCountCtx = %d, %v; want %d", gotPar, err, want)
-	}
-
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := CountCtx(cancelled, inst); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled CountCtx err = %v", err)
-	}
-	if _, err := ParallelCountCtx(cancelled, inst, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled ParallelCountCtx err = %v", err)
-	}
-}
-
-func TestParallelCountCtxCancelMidJoin(t *testing.T) {
-	db := dataset.CliqueUnion(500, 280, 18, 1.6, 9).DB(false)
-	q := queries.Cycle(5)
-	inst, err := Build(q, db, q.Vars(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := ParallelCountCtx(ctx, inst, 4)
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancelledAt := time.Now()
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Skipf("join finished before cancel landed (err=%v)", err)
-		}
-		if lag := time.Since(cancelledAt); lag > 50*time.Millisecond {
-			t.Fatalf("unwound %s after cancel, want <= 50ms", lag)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled parallel count did not return")
-	}
-
-	// EvalCtx under the same cancelled instance family.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	n := 0
-	errc := make(chan error, 1)
-	go func() {
-		errc <- EvalCtx(ctx2, inst, func([]int64) bool {
-			n++
-			if n == 500 {
-				cancel2()
-			}
-			return true
-		})
-	}()
-	select {
-	case err := <-errc:
-		if n >= 500 && !errors.Is(err, context.Canceled) {
-			t.Fatalf("EvalCtx err = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled EvalCtx did not return")
-	}
-	cancel2()
 }

@@ -3,6 +3,15 @@
 // Fig. 1, and full query evaluation. The Instance type — a query bound to
 // a database under a fixed variable ordering, with one trie per atom — is
 // also the substrate CLFTJ (package core), GenericJoin and YTD build on.
+//
+// The package does not execute LFTJ for the system. LFTJ is CLFTJ with
+// nothing cached (§3.2), so every LFTJ run that is timed, served or
+// reported is core's one-bag plan under a disabled cache policy, on
+// core's driver. What stays here is what that driver is made of — the
+// Runner, the Frog, and the shard primitives RootKeys, ShardDomain,
+// RunSharded and Canceler — plus the scalar reference Count and Eval:
+// sequential, uncancellable, one Key/Next step per match, which the
+// differential tests and YTD's bag construction use.
 package leapfrog
 
 import (
@@ -415,10 +424,6 @@ func (in *Instance) Embedded() []SourceEntry { return in.embedded }
 
 // Legs returns the atom legs (for engines layered on the instance).
 func (in *Instance) Legs() []AtomLeg { return in.atoms }
-
-// LegsAt returns, per depth, the indices into Legs of the participating
-// atoms.
-func (in *Instance) LegsAt() [][]int { return in.legsAt }
 
 // EstimateOrderCost approximates the cost model of Chu et al. [7] for the
 // instance's variable ordering: the total number of partial assignments

@@ -1,8 +1,6 @@
 package leapfrog
 
 import (
-	"context"
-
 	"repro/internal/stats"
 	"repro/internal/trie"
 )
@@ -10,15 +8,16 @@ import (
 // Runner executes LFTJ over an Instance: TJCount of Fig. 1 and its
 // evaluation twin. A Runner holds per-run iterator state; obtain one per
 // execution (Count and Eval below do so). It is exported because CLFTJ
-// (package core) drives the same machinery with cache hooks.
+// (package core) drives the same machinery with cache hooks; its own
+// Count and Eval are the scalar reference — sequential, uncancellable,
+// one Key/Next step per match — that core's executor is checked against.
 type Runner struct {
-	inst   *Instance
-	iters  []*trie.Iterator // one per atom leg
-	frogs  []*Frog          // one per depth, legs bound at depth entry
-	legs   [][]*trie.Iterator
-	mu     []int64         // current partial assignment, by depth
-	cancel *Canceler       // cooperative cancellation; nil never cancels
-	c      *stats.Counters // the sink the iterators are bound to
+	inst  *Instance
+	iters []*trie.Iterator // one per atom leg
+	frogs []*Frog          // one per depth, legs bound at depth entry
+	legs  [][]*trie.Iterator
+	mu    []int64         // current partial assignment, by depth
+	c     *stats.Counters // the sink the iterators are bound to
 
 	// attempts[d] counts OpenDepth entries at depth d; empties[d] counts
 	// those whose k-way intersection held no value at all (Frog.Init
@@ -51,7 +50,6 @@ func NewRunner(inst *Instance) *Runner {
 func NewRunnerCounters(inst *Instance, c *stats.Counters) *Runner {
 	if pooled := inst.pool.Get(); pooled != nil {
 		r := pooled.(*Runner)
-		r.cancel = nil
 		if r.c != c {
 			r.c = c
 			for _, it := range r.iters {
@@ -106,19 +104,11 @@ func (r *Runner) Release() {
 	for _, it := range r.iters {
 		it.Flush()
 	}
-	r.cancel = nil
 	r.inst.pool.Put(r)
 }
 
 // Instance returns the instance the runner executes.
 func (r *Runner) Instance() *Instance { return r.inst }
-
-// SetCanceler arms cooperative cancellation for this runner's scans:
-// countFrom/evalFrom poll c once per iterator advance and unwind when
-// it trips. nil (the default) disables cancellation. Engines layered on
-// the runner (package core) poll their own Canceler in their own loops
-// instead.
-func (r *Runner) SetCanceler(c *Canceler) { r.cancel = c }
 
 // Assignment returns the current partial assignment by depth; valid
 // during callbacks.
@@ -172,7 +162,7 @@ func (r *Runner) countFrom(d int) int64 {
 	}
 	f, ok := r.OpenDepth(d)
 	var total int64
-	for ok && !r.cancel.Poll() {
+	for ok {
 		r.mu[d] = f.Key()
 		total += r.countFrom(d + 1)
 		ok = f.Next()
@@ -198,7 +188,7 @@ func (r *Runner) evalFrom(d int, emit func([]int64) bool) bool {
 	}
 	f, ok := r.OpenDepth(d)
 	cont := true
-	for ok && cont && !r.cancel.Poll() {
+	for ok && cont {
 		r.mu[d] = f.Key()
 		cont = r.evalFrom(d+1, emit)
 		if cont {
@@ -217,42 +207,6 @@ func Count(inst *Instance) int64 {
 	n := r.Count()
 	r.Release()
 	return n
-}
-
-// CountCtx is Count with cooperative cancellation: the scan polls ctx
-// once per CancelCheckEvery iterator advances and unwinds promptly when
-// it is cancelled or its deadline passes, returning ctx's error. A
-// non-cancellable ctx (context.Background) adds no per-advance work
-// beyond a nil check.
-func CountCtx(ctx context.Context, inst *Instance) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	r := NewRunner(inst)
-	r.SetCanceler(NewCanceler(ctx))
-	n := r.Count()
-	err := r.cancel.Err()
-	r.Release()
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// EvalCtx is Eval with cooperative cancellation (see CountCtx). The
-// enumeration stops early both when emit returns false (no error) and
-// when ctx trips (ctx's error is returned); tuples already emitted
-// stand either way.
-func EvalCtx(ctx context.Context, inst *Instance, emit func(mu []int64) bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	r := NewRunner(inst)
-	r.SetCanceler(NewCanceler(ctx))
-	r.Eval(emit)
-	err := r.cancel.Err()
-	r.Release()
-	return err
 }
 
 // Eval runs vanilla LFTJ evaluation over the instance.

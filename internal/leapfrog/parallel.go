@@ -1,22 +1,22 @@
 package leapfrog
 
 import (
-	"context"
 	"runtime"
 	"sync"
 
 	"repro/internal/stats"
 )
 
-// This file parallelizes LFTJ by sharding the root trie level: the first
-// variable's matches form the outermost loop of the join and successive
-// root values are completely independent, so the domain is enumerated
-// once (a cheap k-way intersection scan) and dealt to K workers
-// round-robin. Each worker owns a full Runner — private cursors, frogs,
-// assignment buffer and Counters — over the shared immutable tries, and
-// re-seeks the root frog to its assigned values with SeekGE (values
-// ascend within a shard, so the forward-only seek contract holds). See
-// DESIGN.md, "Parallel execution".
+// This file holds the shard primitives of the one parallel trie-join
+// executor, core's driver: the first variable's matches form the
+// outermost loop of the join and successive root values are completely
+// independent, so the domain is enumerated once (a cheap k-way
+// intersection scan) and dealt to K workers round-robin. Each worker
+// owns a full Runner — private cursors, frogs, assignment buffer and
+// Counters — over the shared immutable tries, and re-seeks the root frog
+// to its assigned values with SeekGE (values ascend within a shard, so
+// the forward-only seek contract holds). See DESIGN.md, "Parallel
+// execution".
 
 // RootKeys enumerates the matches of the join's first variable (the
 // intersection of the participating atoms' root trie levels), in
@@ -70,9 +70,10 @@ func ShardDomain(inst *Instance, workers int, sink *stats.Counters) ([]int64, in
 	return keys, workers
 }
 
-// RunSharded is the shard orchestration shared by every parallel engine
-// (this package's ParallelCount and core's *ParallelCtx entry points): it
-// spawns one goroutine per worker, hands each a private Counters when
+// RunSharded is the shard orchestration of core's driver, under every
+// multi-worker count, aggregate and evaluation — LFTJ's included, which
+// is the one-bag plan with caching disabled: it spawns one goroutine per
+// worker, hands each a private Counters when
 // sink is non-nil (nil sink: accounting disabled, workers receive nil),
 // waits for all of them, and merges the per-worker accounting into sink
 // in worker order, so the combined totals are exact without hot-path
@@ -94,60 +95,4 @@ func RunSharded(workers int, sink *stats.Counters, body func(w int, wc *stats.Co
 	}
 	wg.Wait()
 	sink.Merge(ctrs...)
-}
-
-// ParallelCount counts q(D) with vanilla LFTJ sharded over the given
-// number of worker goroutines (<= 0: one per core). The result is
-// bit-identical to Count: int64 addition is associative, so the shard
-// partials sum to the sequential total regardless of interleaving.
-// Accounting is exact: workers count into private Counters that are
-// merged into the instance's sink after the join.
-func ParallelCount(inst *Instance, workers int) int64 {
-	n, _ := ParallelCountCtx(context.Background(), inst, workers)
-	return n
-}
-
-// ParallelCountCtx is ParallelCount with cooperative cancellation:
-// every worker polls ctx through its own Canceler (private tick state,
-// like its private Counters) and stops both its per-shard seek loop and
-// the recursive scan under each root value when ctx trips, so all
-// workers drain within one polling period and the call returns ctx's
-// error with no goroutine left behind. A non-cancellable ctx runs the
-// exact ParallelCount code path.
-func ParallelCountCtx(ctx context.Context, inst *Instance, workers int) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if inst.empty {
-		return 0, nil
-	}
-	keys, workers := ShardDomain(inst, workers, inst.counters)
-	if workers <= 1 {
-		return CountCtx(ctx, inst)
-	}
-	totals := make([]int64, workers)
-	RunSharded(workers, inst.counters, func(w int, wc *stats.Counters) {
-		r := NewRunnerCounters(inst, wc)
-		r.SetCanceler(NewCanceler(ctx))
-		frog, ok := r.OpenDepth(0)
-		var total int64
-		for i := w; ok && i < len(keys) && !r.cancel.Poll(); i += workers {
-			if !frog.SeekGE(keys[i]) {
-				break
-			}
-			r.mu[0] = keys[i]
-			total += r.countFrom(1)
-		}
-		r.CloseDepth(0)
-		r.Release()
-		totals[w] = total
-	})
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, t := range totals {
-		total += t
-	}
-	return total, nil
 }

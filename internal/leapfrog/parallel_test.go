@@ -9,6 +9,41 @@ import (
 	"repro/internal/stats"
 )
 
+// shardedCount counts the join the way core's driver shards LFTJ: the
+// root domain comes from ShardDomain, each worker owns a Runner over
+// its round-robin share of the root keys, and RunSharded merges the
+// per-worker accounting into the instance's counters.
+func shardedCount(inst *Instance, workers int) int64 {
+	if inst.Empty() {
+		return 0
+	}
+	keys, workers := ShardDomain(inst, workers, inst.Counters())
+	if workers <= 1 {
+		return Count(inst)
+	}
+	totals := make([]int64, workers)
+	RunSharded(workers, inst.Counters(), func(w int, wc *stats.Counters) {
+		r := NewRunnerCounters(inst, wc)
+		frog, ok := r.OpenDepth(0)
+		var total int64
+		for i := w; ok && i < len(keys); i += workers {
+			if !frog.SeekGE(keys[i]) {
+				break
+			}
+			r.mu[0] = keys[i]
+			total += r.countFrom(1)
+		}
+		r.CloseDepth(0)
+		r.Release()
+		totals[w] = total
+	})
+	var total int64
+	for _, n := range totals {
+		total += n
+	}
+	return total
+}
+
 func TestParallelCountMatchesSequential(t *testing.T) {
 	db := dataset.TriadicPA(80, 3, 0.5, 5).DB(false)
 	shapes := []struct {
@@ -28,8 +63,8 @@ func TestParallelCountMatchesSequential(t *testing.T) {
 		}
 		want := Count(inst)
 		for _, workers := range []int{0, 1, 2, 3, 8} {
-			if got := ParallelCount(inst, workers); got != want {
-				t.Errorf("%s workers=%d: ParallelCount = %d, Count = %d", sh.name, workers, got, want)
+			if got := shardedCount(inst, workers); got != want {
+				t.Errorf("%s workers=%d: sharded count = %d, Count = %d", sh.name, workers, got, want)
 			}
 		}
 	}
@@ -52,19 +87,19 @@ func TestParallelCountAccounting(t *testing.T) {
 	seq := c
 
 	c.Reset()
-	ParallelCount(inst, 1)
+	shardedCount(inst, 1)
 	if c != seq {
-		t.Errorf("ParallelCount(1) accounting %+v differs from sequential %+v", c, seq)
+		t.Errorf("sharded count (1 worker) accounting %+v differs from sequential %+v", c, seq)
 	}
 
 	c.Reset()
-	ParallelCount(inst, 3)
+	shardedCount(inst, 3)
 	first := c
 	if first.TrieAccesses == 0 {
 		t.Fatalf("parallel run accounted no trie accesses")
 	}
 	c.Reset()
-	ParallelCount(inst, 3)
+	shardedCount(inst, 3)
 	if c != first {
 		t.Errorf("parallel accounting not deterministic: %+v vs %+v", c, first)
 	}

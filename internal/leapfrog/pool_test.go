@@ -23,7 +23,7 @@ func poolTestInstance(t testing.TB, q *cq.Query) *Instance {
 }
 
 // TestPooledRunnersConcurrent hammers one instance's runner pool from
-// many goroutines mixing sequential counts, parallel counts and
+// many goroutines mixing sequential counts, sharded runs and
 // evaluations — the -race run of the pooled frogs the CI race job
 // executes. Every execution must see a fresh-equivalent runner: same
 // count, no cross-talk through recycled cursors or permuted frog legs.
@@ -47,9 +47,25 @@ func TestPooledRunnersConcurrent(t *testing.T) {
 						return
 					}
 				case 1:
-					if got := ParallelCount(inst, 3); got != want {
-						t.Errorf("pooled ParallelCount = %d, want %d", got, want)
+					// The shard primitives core's driver runs on: a root
+					// prescan and three workers, each drawing a pooled
+					// runner with a private sink.
+					if len(RootKeys(inst, nil)) == 0 {
+						t.Error("pooled RootKeys found no root values")
 						return
+					}
+					var c stats.Counters
+					got := make([]int64, 3)
+					RunSharded(3, &c, func(w int, wc *stats.Counters) {
+						r := NewRunnerCounters(inst, wc)
+						got[w] = r.Count()
+						r.Release()
+					})
+					for w, n := range got {
+						if n != want {
+							t.Errorf("pooled sharded worker %d counted %d, want %d", w, n, want)
+							return
+						}
 					}
 				default:
 					var n int64

@@ -199,7 +199,6 @@ func (o Options) withDefaults() Options {
 func Enumerate(q *cq.Query, opts Options) []*TD {
 	opts = opts.withDefaults()
 	g := Gaifman(q)
-	numVars := g.N()
 
 	var tds []*TD
 	seen := make(map[string]bool)
@@ -216,11 +215,7 @@ func Enumerate(q *cq.Query, opts Options) []*TD {
 
 	// The singleton decomposition is always a valid fallback (it makes
 	// CLFTJ coincide with LFTJ, e.g. for cliques, §5.2.2).
-	all := make([]int, numVars)
-	for i := range all {
-		all[i] = i
-	}
-	add(MustNew([][]int{all}, []int{-1}))
+	add(Singleton(g.N()))
 
 	// The min-fill clique tree complements the separator-driven search:
 	// it minimizes bag size where the enumeration minimizes adhesions.

@@ -90,6 +90,17 @@ func MustNew(bags [][]int, parent []int) *TD {
 	return t
 }
 
+// Singleton returns the one-bag TD over numVars variables. It has no
+// adhesion, so no cache site: CLFTJ over it is LFTJ (§3.2), and it is
+// strongly compatible with every variable order.
+func Singleton(numVars int) *TD {
+	all := make([]int, numVars)
+	for i := range all {
+		all[i] = i
+	}
+	return MustNew([][]int{all}, []int{-1})
+}
+
 // N returns the number of bags.
 func (t *TD) N() int { return len(t.Bags) }
 

@@ -163,8 +163,18 @@ func TestGenericDecomposeProducesValidTDs(t *testing.T) {
 
 func TestGenericDecomposeCliqueIsSingleton(t *testing.T) {
 	tree := GenericDecompose(queries.Clique(4), nil)
-	if tree.N() != 1 {
-		t.Fatalf("clique decomposition has %d bags, want 1:\n%s", tree.N(), tree)
+	if tree.N() != 1 || tree.Canonical() != Singleton(4).Canonical() {
+		t.Fatalf("clique decomposition is not the singleton:\n%s", tree)
+	}
+	// The singleton is valid for any query and strongly compatible with
+	// any order (its one bag owns every depth): here, a path reversed.
+	q := queries.Path(5)
+	one := Singleton(len(q.Vars()))
+	if err := one.Validate(q); err != nil {
+		t.Fatalf("Singleton invalid for %s: %v", q, err)
+	}
+	if !one.StronglyCompatible([]int{4, 3, 2, 1, 0}) {
+		t.Fatal("Singleton not strongly compatible with a reversed order")
 	}
 }
 

@@ -61,12 +61,3 @@ func (it *Iterator) NextBatch(dst []int64) int {
 	}
 	return n
 }
-
-// SeekBatch positions the iterator at the least sibling >= v (the
-// SeekGE contract, including its accounting) and then copies up to
-// len(dst) keys from there via NextBatch, advancing past them. It
-// returns the number of keys copied.
-func (it *Iterator) SeekBatch(v int64, dst []int64) int {
-	it.SeekGE(v)
-	return it.NextBatch(dst)
-}

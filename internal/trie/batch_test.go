@@ -99,8 +99,9 @@ func TestNextBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestSeekBatchEquivalence compares SeekBatch against SeekGE plus the
-// scalar drain at level 0, key-for-key and charge-for-charge.
+// TestSeekBatchEquivalence compares a SeekGE followed by NextBatch
+// drains against SeekGE plus the scalar drain at level 0, key-for-key
+// and charge-for-charge.
 func TestSeekBatchEquivalence(t *testing.T) {
 	for name, tr := range batchTries(t) {
 		for _, seek := range []int64{0, 1, 2, 3, 4, 5, 7, 8, 100} {
@@ -121,7 +122,8 @@ func TestSeekBatchEquivalence(t *testing.T) {
 			itb.Open()
 			block := make([]int64, 2)
 			var got []int64
-			for n := itb.SeekBatch(seek, block); n > 0; n = itb.NextBatch(block) {
+			itb.SeekGE(seek)
+			for n := itb.NextBatch(block); n > 0; n = itb.NextBatch(block) {
 				got = append(got, block[:n]...)
 			}
 			itb.Up()

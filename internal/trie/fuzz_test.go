@@ -24,7 +24,7 @@ func fuzzTuples(data []byte) [][]int64 {
 // FuzzBatchSeek drives the batch iterator API against the scalar
 // reference on fuzzer-built key sets — materialized and patched tries —
 // asserting identical key sequences and bit-identical flushed counters
-// for NextBatch walks and SeekBatch probes.
+// for NextBatch walks and SeekGE-then-NextBatch probes.
 func FuzzBatchSeek(f *testing.F) {
 	f.Add([]byte{}, []byte{}, int64(0), uint8(1))                                       // empty legs
 	f.Add([]byte{3, 7}, []byte{}, int64(3), uint8(4))                                   // single-key leg
@@ -70,7 +70,7 @@ func FuzzBatchSeek(f *testing.F) {
 				t.Fatalf("dfs: batch counters %+v, scalar %+v", cb, cs)
 			}
 
-			// Level-0 seek: SeekGE + scalar drain vs SeekBatch drain.
+			// Level-0 seek: SeekGE + scalar drain vs SeekGE + batch drain.
 			cs, cb = stats.Counters{}, stats.Counters{}
 			its = tr.NewIteratorCounters(&cs)
 			its.Open()
@@ -86,7 +86,8 @@ func FuzzBatchSeek(f *testing.F) {
 			itb.Open()
 			block := make([]int64, bs)
 			got = got[:0]
-			for n := itb.SeekBatch(seek, block); n > 0; n = itb.NextBatch(block) {
+			itb.SeekGE(seek)
+			for n := itb.NextBatch(block); n > 0; n = itb.NextBatch(block) {
 				got = append(got, block[:n]...)
 			}
 			itb.Flush()

@@ -11,7 +11,7 @@ import (
 )
 
 // lockstep drives two iterators over what must be the same tuple set
-// through one randomized Open/Next/SeekGE/SeekBatch walk over every
+// through one randomized Open/Next/SeekGE/NextBatch walk over every
 // depth and reports the first observation (AtEnd, Key, a batch) on
 // which they differ. Both sides perform exactly the same operations, so
 // their charged accesses are comparable afterwards.
@@ -40,9 +40,11 @@ func lockstep(rng *rand.Rand, a, b *Iterator, arity int) error {
 				continue
 			case 1:
 				v, n := kb+rng.Int63n(3), 1+rng.Intn(3)
-				na, nb := a.SeekBatch(v, bufA[:n]), b.SeekBatch(v, bufB[:n])
+				a.SeekGE(v)
+				b.SeekGE(v)
+				na, nb := a.NextBatch(bufA[:n]), b.NextBatch(bufB[:n])
 				if !slices.Equal(bufA[:na], bufB[:nb]) {
-					return fmt.Errorf("depth %d: SeekBatch(%d) %v vs %v", d, v, bufA[:na], bufB[:nb])
+					return fmt.Errorf("depth %d: SeekGE(%d)+NextBatch %v vs %v", d, v, bufA[:na], bufB[:nb])
 				}
 				continue
 			}
