@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cq"
@@ -44,6 +46,29 @@ func diffQuery(trial int, rng *rand.Rand) *cq.Query {
 	}
 }
 
+// valueWeight weighs every variable by its value. The weights are
+// integers, so every sum and product of them a test graph yields is
+// exact in float64 and no association of ⊕ or ⊗ can change its bits.
+func valueWeight(_ int, v int64) float64 { return float64(v) }
+
+// weightedWant folds the tuples of a result by hand: the sum over tuples
+// of the product of their values, and the minimum over tuples of the sum
+// of their values — what Aggregate over SumProductSemiring and
+// TropicalSemiring with valueWeight must return.
+func weightedWant(tuples [][]int64) (sum, min float64) {
+	min = TropicalSemiring().Zero
+	for _, tu := range tuples {
+		prod, tot := 1.0, 0.0
+		for _, v := range tu {
+			prod *= float64(v)
+			tot += float64(v)
+		}
+		sum += prod
+		min = math.Min(min, tot)
+	}
+	return sum, min
+}
+
 // bg is the never-cancelled context the differential tests run under.
 var bg = context.Background()
 
@@ -80,13 +105,16 @@ func sameTuples(t *testing.T, label string, got, want [][]int64) {
 
 // TestBatchedDifferentialEquivalence is the leaf scan's differential
 // harness: on random graphs, random query shapes and random cache
-// policies, every execution (Count, Eval and the streaming producer)
-// must give, at every block length, exactly what length 1 — the scalar
-// Key/Next sequence — gives: same counts, same tuples in the same order,
-// and bit-identical stats.Counters for completed scans, across worker
+// policies, every execution (Count, Eval, the streaming producer, and
+// Aggregate over SumProductSemiring and TropicalSemiring with weight =
+// value, the fold's weighted leaf) must give, at every block length,
+// exactly what length 1 — the scalar Key/Next sequence — gives: same
+// counts, same tuples in the same order, bit-identical aggregates,
+// bit-identical stats.Counters for completed scans, and identical
+// per-depth level tallies (what AlwaysEmptyLevels reads), across worker
 // counts 1..3. The sequential no-cache count is also held to the
-// counters of leapfrog.Count, the Fig. 1 loop that shares no leaf code
-// with it.
+// counters of leapfrog.Count, the Fig. 1 loop that never enters trie's
+// leapfrog kernel, and the aggregates to a fold of the result by hand.
 func TestBatchedDifferentialEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 10; trial++ {
@@ -126,16 +154,25 @@ func TestBatchedDifferentialEquivalence(t *testing.T) {
 
 		// run is everything one block length executes, per worker count.
 		type run struct {
-			count, eval, stream stats.Counters
-			tuples, streamed    [][]int64
+			count, eval, stream, sumC, minC stats.Counters
+			tuples, streamed                [][]int64
+			sum, min                        float64
+			countLv, sumLv, minLv           []LevelStat
 		}
 		runAt := func(bl, workers int) (r run) {
 			atLeafLen(bl, func() {
 				base := pol
 				base.Workers = workers
-				if got := must(plan.WithCounters(&r.count).CountParallelCtx(bg, base)).Count; got != want {
-					t.Fatalf("trial %d w=%d len=%d: count %d, want %d (query %s)", trial, workers, bl, got, want, q)
+				res := must(plan.WithCounters(&r.count).CountParallelCtx(bg, base))
+				if res.Count != want {
+					t.Fatalf("trial %d w=%d len=%d: count %d, want %d (query %s)", trial, workers, bl, res.Count, want, q)
 				}
+				r.countLv = res.Levels
+				var tl tally
+				r.sum, tl, _ = fold(bg, plan.WithCounters(&r.sumC), base, SumProductSemiring(), valueWeight, nil)
+				r.sumLv = tl.levels
+				r.min, tl, _ = fold(bg, plan.WithCounters(&r.minC), base, TropicalSemiring(), valueWeight, nil)
+				r.minLv = tl.levels
 				r.tuples = collectTuples(func(emit func([]int64) bool) {
 					plan.WithCounters(&r.eval).EvalParallelCtx(bg, base, emit)
 				})
@@ -159,10 +196,14 @@ func TestBatchedDifferentialEquivalence(t *testing.T) {
 		canon := collectTuples(func(emit func([]int64) bool) {
 			plan.Eval(nc, emit)
 		})
+		sumWant, minWant := weightedWant(canon)
 		for _, workers := range []int{1, 2, 3} {
 			ref := runAt(1, workers)
 			if int64(len(ref.tuples)) != want {
 				t.Fatalf("trial %d w=%d: scalar eval emitted %d, want %d", trial, workers, len(ref.tuples), want)
+			}
+			if ref.sum != sumWant || ref.min != minWant {
+				t.Fatalf("trial %d w=%d: scalar sum %v min %v, want %v and %v (query %s)", trial, workers, ref.sum, ref.min, sumWant, minWant, q)
 			}
 			sameTuples(t, "stream scalar", ref.streamed, canon)
 			for _, bl := range blockLens[1:] {
@@ -177,6 +218,20 @@ func TestBatchedDifferentialEquivalence(t *testing.T) {
 				}
 				if got.stream != ref.stream {
 					t.Fatalf("trial %d w=%d len=%d: stream counters diverge\nblock:  %+v\nscalar: %+v", trial, workers, bl, got.stream, ref.stream)
+				}
+				if math.Float64bits(got.sum) != math.Float64bits(ref.sum) || math.Float64bits(got.min) != math.Float64bits(ref.min) {
+					t.Fatalf("trial %d w=%d len=%d: sum %v min %v, scalar %v and %v", trial, workers, bl, got.sum, got.min, ref.sum, ref.min)
+				}
+				if got.sumC != ref.sumC || got.minC != ref.minC {
+					t.Fatalf("trial %d w=%d len=%d: aggregate counters diverge\nblock:  %+v %+v\nscalar: %+v %+v", trial, workers, bl, got.sumC, got.minC, ref.sumC, ref.minC)
+				}
+				for _, lv := range []struct {
+					name      string
+					got, want []LevelStat
+				}{{"count", got.countLv, ref.countLv}, {"sum", got.sumLv, ref.sumLv}, {"min", got.minLv, ref.minLv}} {
+					if !slices.Equal(lv.got, lv.want) {
+						t.Fatalf("trial %d w=%d len=%d: %s levels %v, scalar %v", trial, workers, bl, lv.name, lv.got, lv.want)
+					}
 				}
 			}
 		}

@@ -201,19 +201,18 @@ func (e *evalExec) rjoin(d int) bool {
 
 	// The trie-join scan of x_d. A sharded worker's depth 0 seeks its own
 	// root values instead of advancing with Next().
-	frog, ok := e.run.OpenDepth(d)
 	seek := d == 0 && e.keys != nil
 	cont := true
 	if d == p.numVars-1 && !seek {
 		// The leaf: a block of matches at a time feeds the per-tuple
 		// epilogue (pending expansions, factorized collection).
-		// Frog.NextBatch charges what the scalar Key/Next sequence would,
-		// so a completed scan accounts exactly as the loop below; a
-		// consumer that stops mid-block has read ahead to the block's end.
+		// Runner.OpenLeaf and Frog.NextBatch charge what the scalar
+		// Key/Next sequence would, so a completed scan accounts exactly as
+		// the loop below; a consumer that stops mid-block has read ahead
+		// to the block's end.
 		block := e.block[:leafLen]
-		for ok && cont && !e.cancel.Poll() {
-			n := frog.NextBatch(block)
-			ok = !frog.AtEnd()
+		frog, n := e.run.OpenLeaf(d, block)
+		for n > 0 && !e.cancel.Poll() {
 			for j := 0; j < n && cont; j++ {
 				e.mu[d] = block[j]
 				cont = e.rjoin(d + 1)
@@ -221,8 +220,13 @@ func (e *evalExec) rjoin(d int) bool {
 					e.appendEntry(v)
 				}
 			}
+			if !cont || frog.AtEnd() {
+				break
+			}
+			n = frog.NextBatch(block)
 		}
 	} else {
+		frog, ok := e.run.OpenDepth(d)
 		for i := e.start; ok && cont && !e.cancel.Poll(); i += e.stride {
 			if !seek {
 				e.mu[d] = frog.Key()

@@ -302,24 +302,49 @@ func (e *foldExec[T]) rjoin(d int, f T) {
 
 	// Lines 13-19: the ordinary trie-join scan of x_d. A sharded worker's
 	// depth 0 seeks its own root values instead of advancing with Next().
-	frog, ok := e.run.OpenDepth(d)
 	seek := d == 0 && e.keys != nil
-	if d == p.numVars-1 && e.w == nil && !seek {
-		// The unit-weight leaf: the deepest depth is always its bag's
-		// last (the subtree intervals compile() builds are contiguous and
-		// end at numVars-1) and the bag has no effective children, so a
-		// block of n matches contributes f ⊗ n·One to the total and n·One
-		// to intrmd[v] — no per-key mu write or child fold is needed.
-		// Frog.NextBatch charges what the scalar Key/Next sequence would,
-		// so a completed scan accounts exactly as the loop below.
+	if d == p.numVars-1 && !seek {
+		// The leaf: the deepest depth is always its bag's last (the
+		// subtree intervals compile() builds are contiguous and end at
+		// numVars-1) and the bag has no effective children, so each match
+		// a contributes f ⊗ w(d, a) to the total and the bag's weight
+		// product to intrmd[v] — no per-key mu write or child fold is
+		// needed. Under unit weights a block of n matches collapses to
+		// f ⊗ n·One and n·One. Weighted, every key applies its weight in
+		// the association the per-key loop below uses, so the results are
+		// bit-identical to it: the bag's product is a left fold over its
+		// depths, whose prefix above d is the same for every key.
+		// Runner.OpenLeaf and Frog.NextBatch charge what the scalar
+		// Key/Next sequence would, so a completed scan accounts exactly as
+		// that loop.
+		var above T
+		if e.w != nil {
+			above = sr.One
+			for dd := p.firstVar[v]; dd < d; dd++ {
+				above = sr.Mul(above, e.w(dd, e.mu[dd]))
+			}
+		}
 		block := e.block[:leafLen]
-		for ok && !e.cancel.Poll() {
-			ones := sr.times(sr.One, frog.NextBatch(block))
-			e.total = sr.Add(e.total, sr.Mul(f, ones))
-			e.intrmd[v] = sr.Add(e.intrmd[v], ones)
-			ok = !frog.AtEnd()
+		frog, n := e.run.OpenLeaf(d, block)
+		for n > 0 && !e.cancel.Poll() {
+			if e.w == nil {
+				ones := sr.times(sr.One, n)
+				e.total = sr.Add(e.total, sr.Mul(f, ones))
+				e.intrmd[v] = sr.Add(e.intrmd[v], ones)
+			} else {
+				for _, a := range block[:n] {
+					wa := e.w(d, a)
+					e.total = sr.Add(e.total, sr.Mul(f, wa))
+					e.intrmd[v] = sr.Add(e.intrmd[v], sr.Mul(above, wa))
+				}
+			}
+			if frog.AtEnd() {
+				break
+			}
+			n = frog.NextBatch(block)
 		}
 	} else {
+		frog, ok := e.run.OpenDepth(d)
 		for i := e.start; ok && !e.cancel.Poll(); i += e.stride {
 			var a int64
 			if !seek {

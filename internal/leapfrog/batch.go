@@ -1,5 +1,7 @@
 package leapfrog
 
+import "repro/internal/trie"
+
 // This file is the block-at-a-time advance of the unary leapfrog join:
 // Frog.NextBatch drains up to a block of matches per call, and is how
 // core's traversals scan their deepest level. The accounting contract
@@ -20,9 +22,11 @@ package leapfrog
 // a match — so that case runs the trie's branch-free bulk copy and
 // replays the scalar search charges via Charge: each scalar advance
 // that keeps the leg live re-reads the key twice (Frog.search on one
-// leg), and the final advance that exhausts it reads nothing. Multi-leg
-// and patched-merge intersections fall back to the scalar primitives,
-// which are charge-identical by construction.
+// leg), and the final advance that exhausts it reads nothing. Several
+// legs whose depth was entered through trie's leapfrog kernel
+// (Runner.OpenDepth, Runner.OpenLeaf) drain there, a block per call;
+// other frogs fall back to the scalar primitives. Both are
+// charge-identical to the scalar loop.
 func (f *Frog) NextBatch(dst []int64) int {
 	if f.done || len(dst) == 0 {
 		return 0
@@ -36,6 +40,11 @@ func (f *Frog) NextBatch(dst []int64) int {
 			f.done = true
 		}
 		leg.Charge(extra)
+		return n
+	}
+	if f.kernel {
+		n, p, ok := trie.LeapfrogNextBatch(f.legs, f.p, dst)
+		f.at(p, ok)
 		return n
 	}
 	n := 0

@@ -10,7 +10,8 @@ import (
 // execution (Count and Eval below do so). It is exported because CLFTJ
 // (package core) drives the same machinery with cache hooks; its own
 // Count and Eval are the scalar reference — sequential, uncancellable,
-// one Key/Next step per match — that core's executor is checked against.
+// one Key/Next step per match, never entering trie's leapfrog kernel —
+// that core's executor is checked against.
 type Runner struct {
 	inst  *Instance
 	iters []*trie.Iterator // one per atom leg
@@ -116,20 +117,46 @@ func (r *Runner) Assignment() []int64 { return r.mu }
 
 // OpenDepth opens all legs of depth d (descends each participating atom
 // iterator into the level of variable order[d]) and returns the frog,
-// initialized. Callers must balance with CloseDepth. Each call is tallied
-// in the per-depth level stats (see LevelStats); a false return means the
-// intersection at d is empty under the current prefix.
+// initialized — through trie's leapfrog kernel, one call for the Opens
+// and the first search, when the legs fit it. Callers must balance with
+// CloseDepth. Each call is tallied in the per-depth level stats (see
+// LevelStats); a false return means the intersection at d is empty under
+// the current prefix.
 func (r *Runner) OpenDepth(d int) (*Frog, bool) {
+	f := r.frogs[d]
+	return f, r.tally(d, f.open())
+}
+
+// OpenLeaf is OpenDepth for a depth whose matches the caller drains a
+// block at a time with Frog.NextBatch — the deepest: it also fills dst,
+// which must not be empty, with the first matches and returns how many.
+// When the intersection ends within dst, the legs of two or more atoms
+// never descend at all (trie.LeapfrogLeaf). CloseDepth balances it
+// either way, and the depth is tallied as OpenDepth tallies it.
+func (r *Runner) OpenLeaf(d int, dst []int64) (*Frog, int) {
+	f := r.frogs[d]
+	n := f.openLeaf(dst)
+	r.tally(d, n > 0)
+	return f, n
+}
+
+// openScalar is OpenDepth through the scalar Open/Key/SeekGE sequence:
+// the reference Count and Eval never enter the kernel.
+func (r *Runner) openScalar(d int) (*Frog, bool) {
 	for _, it := range r.legs[d] {
 		it.Open()
 	}
 	f := r.frogs[d]
-	ok := f.Init()
+	return f, r.tally(d, f.Init())
+}
+
+// tally counts an entry of depth d whose intersection was empty unless ok.
+func (r *Runner) tally(d int, ok bool) bool {
 	r.attempts[d]++
 	if !ok {
 		r.empties[d]++
 	}
-	return f, ok
+	return ok
 }
 
 // LevelStats returns this runner's per-depth intersection tallies:
@@ -141,12 +168,9 @@ func (r *Runner) LevelStats() (attempts, empties []int64) {
 	return r.attempts, r.empties
 }
 
-// CloseDepth ascends all legs of depth d.
-func (r *Runner) CloseDepth(d int) {
-	for _, it := range r.legs[d] {
-		it.Up()
-	}
-}
+// CloseDepth ascends all legs of depth d — none after an OpenLeaf whose
+// legs never descended.
+func (r *Runner) CloseDepth(d int) { r.frogs[d].close() }
 
 // Count implements TJCount (Fig. 1): the number of tuples in q(D).
 func (r *Runner) Count() int64 {
@@ -160,7 +184,7 @@ func (r *Runner) countFrom(d int) int64 {
 	if d == r.inst.NumVars() {
 		return 1
 	}
-	f, ok := r.OpenDepth(d)
+	f, ok := r.openScalar(d)
 	var total int64
 	for ok {
 		r.mu[d] = f.Key()
@@ -186,7 +210,7 @@ func (r *Runner) evalFrom(d int, emit func([]int64) bool) bool {
 	if d == r.inst.NumVars() {
 		return emit(r.mu)
 	}
-	f, ok := r.OpenDepth(d)
+	f, ok := r.openScalar(d)
 	cont := true
 	for ok && cont {
 		r.mu[d] = f.Key()
