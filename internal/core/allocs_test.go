@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -13,7 +14,8 @@ import (
 // run on top — the executor, leaf block included, stays on the stack,
 // the one-worker path builds no closure, a no-cache run takes no cache
 // manager at all and a cached one takes its manager, tables included,
-// from the pool. A warm sequential no-cache eval, and the one-worker
+// from the pool. The generic fold is held to the same two objects by a
+// weighted sum, as the server runs it. A warm sequential no-cache eval, and the one-worker
 // stream that is the same scan, allocate their three per-bag slices and
 // the Levels (a cached eval also allocates the factorized entries it
 // builds, which is the result's size and not the driver's). A rise here
@@ -38,6 +40,10 @@ func TestCountSequentialAllocs(t *testing.T) {
 		{"nocache", Policy{Disabled: true}, count, 2},
 		{"cached", Policy{}, count, 2},
 		{"lru256", Policy{Capacity: 256, Eviction: EvictLRU}, count, 2},
+		{"aggregate", Policy{}, func(pol Policy) int64 {
+			sum := must(AggregateParallelCtx(bg, plan, pol, SumProductSemiring(), func(_ int, v int64) float64 { return float64(v) }))
+			return int64(math.Float64bits(sum))
+		}, 2},
 		{"eval", Policy{Disabled: true}, func(pol Policy) int64 {
 			return must(plan.EvalParallelCtx(bg, pol, discard)).Emitted
 		}, 4},

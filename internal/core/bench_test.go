@@ -119,10 +119,12 @@ func benchRun(b *testing.B, plan *Plan, policy Policy, workers int, run func(*Pl
 	b.ReportMetric(float64(c.Total())/float64(b.N), "accesses/op")
 }
 
-// BenchmarkCount times a warm sequential count of two multi-bag shapes
-// over a skewed graph under the four cache regimes the repository
-// benchmark's join workloads mix: unbounded caches, a 256-entry LRU that
-// the working set overflows, a support threshold, and no caches at all.
+// BenchmarkCount times a warm count of two multi-bag shapes over a
+// skewed graph under the four cache regimes the repository benchmark's
+// join workloads mix: unbounded caches, a 256-entry LRU that the working
+// set overflows, a support threshold, and no caches at all. One worker is
+// the sequential scan, two the sharded one that join_cached's two-worker
+// request runs.
 func BenchmarkCount(b *testing.B) {
 	for _, shape := range benchShapes() {
 		for _, tc := range []struct {
@@ -134,11 +136,13 @@ func BenchmarkCount(b *testing.B) {
 			{"support2", Policy{SupportThreshold: 2}},
 			{"nocache", Policy{Disabled: true}},
 		} {
-			b.Run(shape.name+"/"+tc.name, func(b *testing.B) {
-				benchRun(b, shape.plan, tc.policy, 1, func(p *Plan, pol Policy) int64 {
-					return must(p.CountParallelCtx(bg, pol)).Count
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/%s/workers=%d", shape.name, tc.name, workers), func(b *testing.B) {
+					benchRun(b, shape.plan, tc.policy, workers, func(p *Plan, pol Policy) int64 {
+						return must(p.CountParallelCtx(bg, pol)).Count
+					})
 				})
-			})
+			}
 		}
 	}
 }

@@ -78,6 +78,7 @@ type table[V any] struct {
 	live       int   // slots the index refers to (stored and seen-only)
 	head, tail int32 // eviction list of the stored slots
 	free       int32 // recycled slots, linked through next
+	last       int32 // the slot the latest lookup resolved; 0 = none
 }
 
 // slot is one adhesion assignment's state: its support count and, once
@@ -354,12 +355,23 @@ func (m *manager[V]) release() {
 // it exactly once per bag entry. A miss returns the ref of the key's
 // slot, which shouldCache and store take in place of a second probe; it
 // stays good until the value is stored or the manager released.
-func (m *manager[V]) lookup(v int, key Key) (val V, ref int32, ok bool) {
+//
+// A bag entered once per assignment of variables outside its adhesion
+// probes the key it probed last over and over, so the slot the previous
+// lookup resolved is checked before the index: while it is live (a
+// freed slot has cell -1) and holds key, it is key's slot, whatever was
+// evicted, dropped, recycled or rehashed in between. Only the physical
+// walk is skipped; the charges, support count and LRU refresh are the
+// probe's either way.
+func (m *manager[V]) lookup(v int, key *Key) (val V, ref int32, ok bool) {
 	t := &m.tables[v]
 	if !t.on {
 		return val, 0, false
 	}
-	ref = t.probe(&key)
+	if ref = t.last; ref == 0 || t.slab[ref-1].cell < 0 || !t.match(&t.slab[ref-1].key, key) {
+		ref = t.probe(key)
+		t.last = ref
+	}
 	s := &t.slab[ref-1]
 	if m.policy.SupportThreshold > 0 && s.support < math.MaxInt32 {
 		s.support++

@@ -46,13 +46,13 @@ func key(vals ...int64) Key {
 // put is one bag visit as the executors make it: probe, and on a miss
 // store the value into the missed slot if the policy agrees.
 func put[V any](m *manager[V], v int, k Key, val V) {
-	if _, slot, ok := m.lookup(v, k); !ok && m.shouldCache(v, slot) {
+	if _, slot, ok := m.lookup(v, &k); !ok && m.shouldCache(v, slot) {
 		m.store(v, slot, val)
 	}
 }
 
 func get[V any](m *manager[V], v int, k Key) (V, bool) {
-	val, _, ok := m.lookup(v, k)
+	val, _, ok := m.lookup(v, &k)
 	return val, ok
 }
 
@@ -143,7 +143,8 @@ func TestManagerSupportThreshold(t *testing.T) {
 	m := newTestManager(Policy{SupportThreshold: 2}, 1)
 	// First and second sightings: below support.
 	for sighting, want := range []bool{false, false, true} {
-		_, slot, _ := m.lookup(0, key(7))
+		k := key(7)
+		_, slot, _ := m.lookup(0, &k)
 		if got := m.shouldCache(0, slot); got != want {
 			t.Fatalf("shouldCache after %d sightings with threshold 2 = %v", sighting+1, got)
 		}
@@ -162,12 +163,93 @@ func TestManagerSupportOutlivesEviction(t *testing.T) {
 	if _, ok := get(m, 0, key(2)); !ok || m.Entries() != 1 {
 		t.Fatalf("key(2) not resident alone (Entries = %d)", m.Entries())
 	}
-	_, slot, ok := m.lookup(0, key(1))
+	k := key(1)
+	_, slot, ok := m.lookup(0, &k)
 	if ok || !m.shouldCache(0, slot) {
 		t.Fatalf("evicted key(1): hit = %v, shouldCache = %v; want a miss that re-caches", ok, m.shouldCache(0, slot))
 	}
 	if live := m.tables[0].live; live != 2 {
 		t.Fatalf("table holds %d slots, want the entry and the seen-only one", live)
+	}
+}
+
+// TestManagerReprobeAfterEviction: a bag's key whose slot went away
+// between two probes — evicted by another bag's store under the shared
+// capacity, by evictUntil as Session.Shrink calls it, refused by
+// EvictNone, or reset by a pool round trip — misses on the re-probe and
+// charges exactly a hashed probe's miss, even though the table still
+// remembers the slot its last lookup resolved. Under a support threshold
+// the evicted key's slot stays behind seen-only, and the re-probe counts
+// its support there. The key is the zero key on purpose: a freed slot's
+// key is zeroed, so only its cell tells it from the key's live slot.
+func TestManagerReprobeAfterEviction(t *testing.T) {
+	k := key(0)
+	crossBag := func(m *manager[int64]) *manager[int64] {
+		put(m, 1, key(6), 20)
+		return m
+	}
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+		evict  func(m *manager[int64]) *manager[int64]
+	}{
+		{"cross-bag FIFO", Policy{Capacity: 1}, crossBag},
+		{"cross-bag LRU", Policy{Capacity: 1, Eviction: EvictLRU}, crossBag},
+		{"shrink", Policy{}, func(m *manager[int64]) *manager[int64] {
+			m.evictUntil(0)
+			return m
+		}},
+		{"shrink under support", Policy{SupportThreshold: 1}, func(m *manager[int64]) *manager[int64] {
+			m.evictUntil(0)
+			return m
+		}},
+		{"EvictNone refusal", Policy{Capacity: 1, Eviction: EvictNone}, nil},
+		{"pool round trip", Policy{}, func(m *manager[int64]) *manager[int64] {
+			c := m.c
+			m.release()
+			return acquireManager[int64](Policy{}, tablePlan(1, 1), c, nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var c stats.Counters
+			m := acquireManager[int64](tc.policy, tablePlan(1, 1), &c, nil)
+			if tc.evict == nil {
+				// The capacity is taken by bag 1, so bag 0's store is
+				// refused and its slot dropped.
+				put(m, 1, key(6), 20)
+			}
+			for i := 0; i <= tc.policy.SupportThreshold; i++ {
+				put(m, 0, k, 10)
+			}
+			if tc.evict != nil {
+				if v, ok := get(m, 0, k); !ok || v != 10 {
+					t.Fatalf("stored key read back %d, %v", v, ok)
+				}
+				m = tc.evict(m)
+			}
+			before := c
+			if v, ok := get(m, 0, k); ok {
+				t.Fatalf("re-probe of an evicted key hit, value %d", v)
+			}
+			charge := int64(1)
+			if tc.policy.SupportThreshold > 0 {
+				charge = 2
+			}
+			if c.CacheMisses != before.CacheMisses+1 || c.CacheHits != before.CacheHits || c.HashAccesses != before.HashAccesses+charge {
+				t.Fatalf("re-probe charged %+v after %+v", c, before)
+			}
+			if tc.evict != nil {
+				m.evictUntil(0)
+				put(m, 0, k, 11)
+				if v, ok := get(m, 0, k); !ok || v != 11 {
+					t.Fatalf("re-stored key read back %d, %v", v, ok)
+				}
+			}
+			for v := range m.tables {
+				checkTable(t, &m.tables[v])
+			}
+			m.release()
+		})
 	}
 }
 
@@ -562,10 +644,19 @@ func diffCacheTable[V any](t testing.TB, cfg cacheDiff, mk func(*draws) V, same 
 		}
 	}
 
+	// The key each bag's latest lookup probed: a visit re-probes it a
+	// third of the time, which is what the table's last-slot check
+	// resolves — after whatever the ops in between did to its slot.
+	last := make([]Key, nodes)
+	probed := make([]bool, nodes)
 	var visit func(v int)
 	visit = func(v int) {
 		k := universe[src.n(len(universe))]
-		gv, slot, gok := got.lookup(v, k)
+		if probed[v] && src.n(3) == 0 {
+			k = last[v]
+		}
+		last[v], probed[v] = k, true
+		gv, slot, gok := got.lookup(v, &k)
 		wv, wok := want.lookup(v, k)
 		if gok != wok || (gok && !same(gv, wv)) {
 			t.Fatalf("op %d: lookup(%d, %v) = %v, %v; reference %v, %v", op, v, k, gv, gok, wv, wok)
@@ -594,20 +685,28 @@ func diffCacheTable[V any](t testing.TB, cfg cacheDiff, mk func(*draws) V, same 
 		}
 	}
 	for op = 0; op < cfg.ops && !src.done(); op++ {
-		if src.n(40) == 0 {
+		switch src.n(40) {
+		case 0:
 			target := src.n(want.Entries()+2) - 1
 			if g, w := got.evictUntil(target), want.evictUntil(target); g != w {
 				t.Fatalf("op %d: evictUntil(%d) = %v, reference %v", op, target, g, w)
 			}
 			agree("evictUntil")
-			continue
+		case 1:
+			// A pool release and a re-acquire, as consecutive executions
+			// make them: the tables come back empty.
+			got.release()
+			got = acquireManager(cfg.policy, plan, &gc, cost)
+			want = newRefManager(cfg.policy, nodes, plan.cacheable, &wc, cost)
+			agree("re-acquire")
+		default:
+			visit(src.n(nodes))
 		}
-		visit(src.n(nodes))
 	}
 	// Every key's final answer, in both.
 	for v := 0; v < nodes; v++ {
 		for _, k := range universe {
-			gv, _, gok := got.lookup(v, k)
+			gv, _, gok := got.lookup(v, &k)
 			wv, wok := want.lookup(v, k)
 			if gok != wok || (gok && !same(gv, wv)) {
 				t.Fatalf("final lookup(%d, %v) = %v, %v; reference %v, %v", v, k, gv, gok, wv, wok)

@@ -177,7 +177,9 @@ func (e *evalExec) rjoin(d int) bool {
 		e.sets[v] = nil
 	}
 	if entering {
-		set, ref, ok := e.cm.lookup(v, p.keyAt(v, e.mu))
+		var k Key
+		p.keyAt(v, e.mu, &k)
+		set, ref, ok := e.cm.lookup(v, &k)
 		slot = ref
 		if ok {
 			e.sets[v] = set

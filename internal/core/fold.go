@@ -10,11 +10,12 @@ import (
 // This file is the fold traversal: RCachedJoin of Fig. 2 over an
 // arbitrary commutative semiring — the paper's §6 extension direction
 // "general aggregate operators (e.g., based on the work of Joglekar et
-// al. [10] and Khamis et al. [11])". The count algorithm of Fig. 2 is
-// the fold over (ℕ, +, ×) with unit weights and has no code of its own;
-// the same multivalued dependency that justifies caching counts
-// justifies caching any semiring aggregate of the subtree, because the
-// per-variable weights factor along the decomposition.
+// al. [10] and Khamis et al. [11])". The same multivalued dependency that
+// justifies caching counts justifies caching any semiring aggregate of
+// the subtree, because the per-variable weights factor along the
+// decomposition. The count algorithm of Fig. 2 is this fold over
+// (ℕ, +, ×) with unit weights; count.go runs it over int64 with the
+// operators written inline, on the state, probe and store defined here.
 
 // Semiring is a commutative semiring (T, Add, Mul, Zero, One). Add and
 // Mul must be associative and commutative, Mul must distribute over Add,
@@ -94,56 +95,6 @@ type VarWeight[T any] func(d int, v int64) T
 // One, making Aggregate over the counting semiring coincide with Count.
 func UnitWeight[T any](Semiring[T]) VarWeight[T] { return nil }
 
-// CountResult reports a cached count execution.
-type CountResult struct {
-	// Count is |q(D)|.
-	Count int64
-	// CachedEntries is the number of intermediate results resident in the
-	// caches at the end of the run (summed over workers).
-	CachedEntries int
-	// Levels holds the per-depth intersection tallies (merged across
-	// workers in parallel runs); see AlwaysEmptyLevels for the re-plan
-	// feedback they carry. Empty on cancelled runs.
-	Levels []LevelStat
-}
-
-// Count runs CachedTJCount (Fig. 2) over the plan under the given policy
-// and returns |q(D)|: CountParallelCtx on one worker, never cancelled.
-func (p *Plan) Count(policy Policy) CountResult {
-	policy.Workers = 1
-	res, _ := p.CountParallelCtx(context.Background(), policy)
-	return res
-}
-
-// CountParallelCtx runs CachedTJCount — the fold over CountSemiring with
-// unit weights — sharded over policy.Workers goroutines (0: one per
-// core; 1: the sequential scan). The count is bit-identical under every
-// worker count and policy: per-worker caches only change which subtrees
-// are recomputed rather than reused, and a cached intermediate always
-// equals what recomputation would produce.
-//
-// Cancellation is cooperative: every worker polls ctx through its own
-// leapfrog.Canceler once per leapfrog.CancelCheckEvery iterator advances
-// and unwinds promptly when ctx is cancelled or its deadline passes, so
-// all workers drain within one polling period and the call returns
-// ctx's error and a zero result with no goroutine left behind. Nothing
-// is cached from a cancelled scan: a partial intermediate must never be
-// mistaken for the subtree's true count. A non-cancellable ctx
-// (context.Background) pays one nil check per advance.
-func (p *Plan) CountParallelCtx(ctx context.Context, policy Policy) (CountResult, error) {
-	return p.count(ctx, policy, nil)
-}
-
-// count is CountParallelCtx over the caches in cm (nil: pooled ones per
-// worker) — the seam a Session counts through.
-func (p *Plan) count(ctx context.Context, policy Policy, cm *manager[int64]) (CountResult, error) {
-	n, t, err := fold(ctx, p, policy, CountSemiring(), nil, cm)
-	if err != nil {
-		return CountResult{}, err
-	}
-	return CountResult{Count: n, CachedEntries: t.entries, Levels: t.levels}, nil
-}
-
 // Aggregate runs cached trie-join aggregation over the plan: it returns
 //
 //	⊕_{µ ∈ q(D)} ⊗_{d} w(d, µ(x_d))
@@ -211,15 +162,15 @@ func fold[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring[T], w 
 	return total, t, nil
 }
 
-// foldExec is one worker's fold: a runner over the plan's tries, the
-// caches of subtree aggregates, and the running ⊕-total.
-type foldExec[T any] struct {
+// foldState is one worker's state under either fold executor — the
+// semiring fold below and the count executor: a runner over the plan's
+// tries, the caches of subtree aggregates, the per-bag intermediates and
+// the running total.
+type foldState[T any] struct {
 	shard
 	plan   *Plan
 	run    *leapfrog.Runner
 	mu     []int64
-	sr     Semiring[T]
-	w      VarWeight[T] // nil: unit weights
 	intrmd []T
 	cm     *manager[T]        // nil: nothing is cached (acquireManager)
 	ownCM  bool               // cm came from the pool and goes back at finish
@@ -228,25 +179,24 @@ type foldExec[T any] struct {
 	block  [blockLen]int64 // the deepest level's keys, a block at a time
 }
 
-// newFoldExec builds a worker's executor over shard sh, accounting into
-// wc, with pooled caches unless cm hands it resident ones. It returns the
-// executor by value so that a run keeps it on its own stack.
-func newFoldExec[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring[T], w VarWeight[T], cm *manager[T], sh shard, wc *stats.Counters) foldExec[T] {
+// newFoldState builds a worker's state over shard sh, accounting into
+// wc, with pooled caches unless cm hands it resident ones, and the total
+// at zero. It returns the state by value so that a run keeps it on its
+// own stack.
+func newFoldState[T any](ctx context.Context, p *Plan, policy Policy, cm *manager[T], sh shard, wc *stats.Counters, zero T) foldState[T] {
 	own := cm == nil
 	if own {
 		cm = acquireManager[T](policy, p, wc, nil)
 	}
-	e := foldExec[T]{
+	e := foldState[T]{
 		shard:  sh,
 		plan:   p,
 		run:    leapfrog.NewRunnerCounters(p.inst, wc),
-		sr:     sr,
-		w:      w,
 		intrmd: make([]T, p.numNodes),
 		cm:     cm,
 		ownCM:  own,
 		cancel: leapfrog.NewCanceler(ctx),
-		total:  sr.Zero,
+		total:  zero,
 	}
 	e.mu = e.run.Assignment()
 	return e
@@ -254,12 +204,44 @@ func newFoldExec[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring
 
 // finish closes the run (see the driver's finish) and hands pooled
 // caches back, whether the scan completed or was cancelled.
-func (e *foldExec[T]) finish() tally {
+func (e *foldState[T]) finish() tally {
 	t := finish(e.run, e.cm.Entries(), e.cancel)
 	if e.ownCM {
 		e.cm.release()
 	}
 	return t
+}
+
+// probe is lines 6-12 of Fig. 2: bag v is entered from a different bag
+// and its adhesion is fully assigned (strong compatibility), so its
+// cache is probed with the adhesion assignment. A hit returns the cached
+// aggregate; a miss returns the slot store fills.
+func (e *foldState[T]) probe(v int) (val T, slot int32, hit bool) {
+	var k Key
+	e.plan.keyAt(v, e.mu, &k)
+	return e.cm.lookup(v, &k)
+}
+
+// store is lines 20-22: about to leave bag v upward, its aggregate goes
+// into the slot its probe missed if the policy agrees. A cancelled scan
+// left intrmd[v] partial — never cache it.
+func (e *foldState[T]) store(v int, slot int32) {
+	if e.cancel.Err() == nil && e.cm.shouldCache(v, slot) {
+		e.cm.store(v, slot, e.intrmd[v])
+	}
+}
+
+// foldExec is one worker's semiring fold: the fold state, the semiring
+// and the weights.
+type foldExec[T any] struct {
+	foldState[T]
+	sr Semiring[T]
+	w  VarWeight[T] // nil: unit weights
+}
+
+// newFoldExec builds a worker's semiring fold on newFoldState.
+func newFoldExec[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring[T], w VarWeight[T], cm *manager[T], sh shard, wc *stats.Counters) foldExec[T] {
+	return foldExec[T]{newFoldState(ctx, p, policy, cm, sh, wc, sr.Zero), sr, w}
 }
 
 // rjoin is RCachedJoin(d, f) of Fig. 2 (0-based depths). f aggregates the
@@ -283,11 +265,9 @@ func (e *foldExec[T]) rjoin(d int, f T) {
 		e.intrmd[v] = sr.Zero
 	}
 	if entering {
-		// Lines 6-12: entering v from a different bag; its adhesion is
-		// fully assigned (strong compatibility), so probe the cache.
-		val, ref, ok := e.cm.lookup(v, p.keyAt(v, e.mu))
+		val, ref, hit := e.probe(v)
 		slot = ref
-		if ok {
+		if hit {
 			// Skip past the subtree interval, multiplying the factor. A
 			// cached zero means the subtree cannot match this adhesion
 			// assignment at all, so the whole prefix is dead — prune
@@ -385,9 +365,7 @@ func (e *foldExec[T]) rjoin(d int, f T) {
 	}
 	e.run.CloseDepth(d)
 
-	// Lines 20-22: about to leave v upward; cache if the policy agrees.
-	// A cancelled scan left intrmd[v] partial — never cache it.
-	if entering && e.cancel.Err() == nil && e.cm.shouldCache(v, slot) {
-		e.cm.store(v, slot, e.intrmd[v])
+	if entering {
+		e.store(v, slot)
 	}
 }

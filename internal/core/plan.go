@@ -348,13 +348,12 @@ func (p *Plan) CacheDims() []int {
 	return dims
 }
 
-// keyAt assembles the cache key of bag v from the current assignment.
-func (p *Plan) keyAt(v int, mu []int64) Key {
-	var k Key
+// keyAt writes the cache key of bag v under the current assignment into
+// the adhesion-width prefix of k.
+func (p *Plan) keyAt(v int, mu []int64, k *Key) {
 	for i, d := range p.adhesionDepths[v] {
 		k[i] = mu[d]
 	}
-	return k
 }
 
 func sortInts(xs []int) {

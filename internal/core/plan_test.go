@@ -157,7 +157,8 @@ func TestKeyAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	mu := []int64{7, 8, 9}
-	got := plan.keyAt(1, mu) // bag 1's adhesion is {x2} at depth 1
+	var got Key
+	plan.keyAt(1, mu, &got) // bag 1's adhesion is {x2} at depth 1
 	if !reflect.DeepEqual(got, Key{8, 0, 0, 0}) {
 		t.Fatalf("keyAt = %v", got)
 	}

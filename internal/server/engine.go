@@ -753,9 +753,10 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 			resp.Mode = "aggregate"
 			switch req.Semiring {
 			case "", "count":
-				// Counting is the fold over (ℕ, +, ×) with unit weights: the
-				// count entry is that fold and also reports the resident
-				// entries and the levels the adaptive loop feeds on.
+				// Counting runs the count executor — what the fold over
+				// (ℕ, +, ×) with unit weights computes, charge for charge —
+				// and also reports the resident entries and the levels the
+				// adaptive loop feeds on.
 				var res core.CountResult
 				res, err = plan.CountParallelCtx(ctx, pol)
 				resp.Count = res.Count
