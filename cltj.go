@@ -280,7 +280,9 @@ func Count(q *Query, db *DB, opts Options) (int64, error) {
 // the workers' rows in root order as they are found (emitted slices are
 // then fresh and may be retained); Workers: 1 forces the sequential
 // path, which reuses the emit slice (copy to retain). Either way
-// tuples stream and a false from emit stops the join. For an iterator
+// tuples stream, in the lexicographic order of the plan's variable order
+// at every worker count and cache policy, and a false from emit stops
+// the join. For an iterator
 // with cancellation, see Prepare and Stmt.Rows.
 func Eval(q *Query, db *DB, opts Options, emit func(mu []int64) bool) ([]string, error) {
 	plan, err := NewPlan(q, db, opts)

@@ -32,7 +32,7 @@
 // Usage:
 //
 //	cltjd [-addr :8372] [-data graph.txt | -rel R=path ...] [-symmetric]
-//	      [-data-dir DIR] [-workers K] [-stream-workers K]
+//	      [-data-dir DIR] [-workers K]
 //	      [-trie-budget BYTES] [-max-tuples N]
 //	      [-orderer cost|greedy|adaptive] [-adapt-threshold F] [-adapt-runs K]
 //	      [-compact-fraction F] [-plan-cache N] [-max-prepared N] [-drain DUR]
@@ -117,8 +117,7 @@ func main() {
 	flag.Var(&rels, "rel", "load a relation from a whitespace-delimited file: -rel R=path (repeatable)")
 	dataFlag := flag.String("data", "", "edge-list file for relation E (default: built-in skewed sample graph)")
 	symFlag := flag.Bool("symmetric", false, "treat edges as undirected (add both directions)")
-	workersFlag := flag.Int("workers", 0, "default per-query worker goroutines (0 = one per core)")
-	streamWorkersFlag := flag.Int("stream-workers", 0, "default producers for streaming executions (\"mode\": \"stream\"): 0 or 1 = sequential, K = sharded producers with byte-identical output for every K")
+	workersFlag := flag.Int("workers", 0, "default per-query worker goroutines, streams included (0 = one per core); results and streamed rows are identical at every count")
 	budgetFlag := flag.Int64("trie-budget", 0, "resident trie byte budget shared across queries (0 = unbounded)")
 	maxTuples := flag.Int("max-tuples", server.DefaultMaxTuples, "default cap on tuples returned by eval responses")
 	compactFlag := flag.Float64("compact-fraction", 0, "patch-vs-rebuild crossover as a fraction of the base relation size (0 = default)")
@@ -185,7 +184,6 @@ func main() {
 		var warm bool
 		engine, warm, err = server.OpenEngine(server.Config{
 			Workers:         *workersFlag,
-			StreamWorkers:   *streamWorkersFlag,
 			TrieBudget:      *budgetFlag,
 			MaxTuples:       *maxTuples,
 			CompactFraction: *compactFlag,

@@ -15,11 +15,14 @@ import (
 // the one-worker path builds no closure, a no-cache run takes no cache
 // manager at all and a cached one takes its manager, tables included,
 // from the pool. The generic fold is held to the same two objects by a
-// weighted sum, as the server runs it. A warm sequential no-cache eval, and the one-worker
-// stream that is the same scan, allocate their three per-bag slices and
-// the Levels (a cached eval also allocates the factorized entries it
-// builds, which is the result's size and not the driver's). A rise here
-// shows up in the benchmark's allocs_per_req.
+// weighted sum, as the server runs it. A warm sequential no-cache eval,
+// and the one-worker stream that is the same scan, allocate their three
+// per-bag slices and the Levels. A cached eval also allocates the
+// factorized entries it stores (1 512 objects for this 4-path's 543
+// entries) and nothing per cache hit: the continuation a hit expands its
+// cached set into stays on the stack, where escaping would add an object
+// for each of the run's 1 431 hits. A rise here shows up in the
+// benchmark's allocs_per_req.
 func TestCountSequentialAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation accounting")
@@ -47,6 +50,9 @@ func TestCountSequentialAllocs(t *testing.T) {
 		{"eval", Policy{Disabled: true}, func(pol Policy) int64 {
 			return must(plan.EvalParallelCtx(bg, pol, discard)).Emitted
 		}, 4},
+		{"cached eval", Policy{}, func(pol Policy) int64 {
+			return must(plan.EvalParallelCtx(bg, pol, discard)).Emitted
+		}, 1600},
 		{"stream", Policy{Disabled: true}, func(pol Policy) int64 {
 			return must(plan.EvalStreamCtx(bg, pol, 1, discard)).Emitted
 		}, 4},

@@ -152,9 +152,8 @@ func BenchmarkCount(b *testing.B) {
 // epilogue, where BenchmarkCount is the leaf scan collapsed to a sum.
 // One worker is the sequential scan, two the sharded producers and their
 // merger; "cached" and "nocache" are EvalParallelCtx with the factorized
-// caches on and off, "stream" is EvalStreamCtx under the default policy —
-// the cached scan on one worker, and what a stream pays for its
-// worker-independent order (no caches) on two.
+// caches on and off. A stream is the cached run: it emits the same
+// sequence at every worker count and policy.
 func BenchmarkEval(b *testing.B) {
 	discard := func([]int64) bool { return true }
 	eval := func(p *Plan, pol Policy) int64 {
@@ -168,9 +167,6 @@ func BenchmarkEval(b *testing.B) {
 		}{
 			{"cached", Policy{}, eval},
 			{"nocache", Policy{Disabled: true}, eval},
-			{"stream", Policy{}, func(p *Plan, pol Policy) int64 {
-				return must(p.EvalStreamCtx(bg, pol, pol.Workers, discard)).Emitted
-			}},
 		} {
 			for _, workers := range []int{1, 2} {
 				b.Run(fmt.Sprintf("%s/%s/workers=%d", shape.name, tc.name, workers), func(b *testing.B) {

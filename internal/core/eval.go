@@ -23,12 +23,12 @@ type EvalResult struct {
 
 // Eval runs the evaluation variant of CachedTJCount (§3.4): the ordinary
 // LFTJ scan, but cached bags store factorized representations of their
-// subtree's assignments, and a cache hit skips the subtree, leaving a
-// pointer to the factorized set that is expanded when results are
-// emitted. emit receives the full assignment indexed by depth (aligned
-// with Plan.Order); the slice is reused, so emit must copy to retain.
-// Returning false stops the enumeration. It is EvalParallelCtx on one
-// worker, never cancelled.
+// subtree's assignments, and a cache hit expands the cached set in place
+// of the subtree's scan. emit receives the full assignment indexed by
+// depth (aligned with Plan.Order), in the lexicographic order of
+// Plan.Order under every policy: the sequence a no-cache scan emits. The
+// slice is reused, so emit must copy to retain. Returning false stops
+// the enumeration. It is EvalParallelCtx on one worker, never cancelled.
 func (p *Plan) Eval(policy Policy, emit func(mu []int64) bool) EvalResult {
 	policy.Workers = 1
 	res, _ := p.EvalParallelCtx(context.Background(), policy, emit)
@@ -38,18 +38,13 @@ func (p *Plan) Eval(policy Policy, emit func(mu []int64) bool) EvalResult {
 // EvalParallelCtx is Eval sharded over policy.Workers goroutines (0: one
 // per core; 1: the sequential scan, which streams tuples to emit as it
 // finds them and reuses the emitted slice). More workers run evalSharded
-// (stream.go) under the caller's policy, per-worker caches included: the
-// stream consists of the same root-value blocks in the same order as the
-// sequential scan. Within one block the order matches the sequential run
-// except where caches reorder subtree expansion (a cache hit expands the
-// memoized subtree at emit time, a scan emits it during the scan — the
-// same reordering a sequential cached run exhibits); with
-// Policy.Disabled the stream is tuple-for-tuple the sequential scan
-// order. On the sharded path the emitted slices are freshly allocated
-// and may be retained by the callback, at most workers × streamChanDepth
-// × blockLen rows (plus the block each worker is filling) are held
-// between the scans and emit, and an emit returning false cancels the
-// producers instead of finishing the join.
+// (stream.go) under the caller's policy, per-worker caches included, and
+// the merged stream is the sequential one row for row, whatever the
+// worker count and cache policy. On the sharded path the emitted slices
+// are freshly allocated and may be retained by the callback, at most
+// workers × streamChanDepth × blockLen rows (plus the block each worker
+// is filling) are held between the scans and emit, and an emit
+// returning false cancels the producers instead of finishing the join.
 //
 // Cancellation is cooperative, as in CountParallelCtx. When ctx trips,
 // the stream ends early on every path: tuples already emitted stand,
@@ -101,11 +96,6 @@ func (p *Plan) ExpandFactorized(s factorized.Set, emit func(mu []int64) bool) {
 	e.finish()
 }
 
-type skipFrame struct {
-	node int
-	set  factorized.Set
-}
-
 // evalExec is one worker's enumeration: a runner over the plan's tries,
 // the caches of factorized subtree results, and the consumer.
 type evalExec struct {
@@ -120,8 +110,7 @@ type evalExec struct {
 	collectRoot bool                     // materialize the whole result as a factorized set
 	cm          *manager[factorized.Set] // pooled; nil: nothing is cached (acquireManager)
 	cancel      *leapfrog.Canceler       // nil never cancels
-	pending     []skipFrame
-	enter       func(i int) // sharded runs: called with the root key's index before its subtree is scanned
+	enter       func(i int)              // sharded runs: called with the root key's index before its subtree is scanned
 	emit        func([]int64) bool
 	emitted     int64
 	block       [blockLen]int64 // the deepest level's keys, a block at a time
@@ -165,7 +154,8 @@ func (e *evalExec) finish() tally {
 func (e *evalExec) rjoin(d int) bool {
 	p := e.plan
 	if d == p.numVars {
-		return e.emitPending(0)
+		e.emitted++
+		return e.emit(e.mu)
 	}
 	v := p.ownerOf[d]
 	entering := e.cm != nil && p.bagFirst[d] && v != p.root && p.cacheable[v]
@@ -187,10 +177,11 @@ func (e *evalExec) rjoin(d int) bool {
 				// Cached empty subtree: the prefix is dead.
 				return true
 			}
-			e.pending = append(e.pending, skipFrame{node: v, set: set})
-			cont := e.rjoin(p.subtreeEnd[v] + 1)
-			e.pending = e.pending[:len(e.pending)-1]
-			return cont
+			// The cached rows are the outer loop and the depths after
+			// v's subtree the inner one: those depths see v's rows only
+			// through the adhesion, so the emitted sequence is the
+			// scan's, and the later bags hit their own caches.
+			return e.expandSet(v, set, func() bool { return e.rjoin(p.subtreeEnd[v] + 1) })
 		}
 		if e.cm.shouldCache(v, slot) {
 			// Decide the caching intent on entry: evaluation must build
@@ -207,7 +198,7 @@ func (e *evalExec) rjoin(d int) bool {
 	cont := true
 	if d == p.numVars-1 && !seek {
 		// The leaf: a block of matches at a time feeds the per-tuple
-		// epilogue (pending expansions, factorized collection).
+		// epilogue (emission, factorized collection).
 		// Runner.OpenLeaf and Frog.NextBatch charge what the scalar
 		// Key/Next sequence would, so a completed scan accounts exactly as
 		// the loop below; a consumer that stops mid-block has read ahead
@@ -278,18 +269,6 @@ func (e *evalExec) appendEntry(v int) {
 		c.TupleAccesses += int64(len(vals))
 	}
 	e.sets[v] = append(e.sets[v], &factorized.Entry{Vals: vals, Children: children})
-}
-
-// emitPending expands the pending cache-hit skips (disjoint depth
-// intervals along the current path) into the assignment buffer and emits
-// every completed tuple.
-func (e *evalExec) emitPending(i int) bool {
-	if i == len(e.pending) {
-		e.emitted++
-		return e.emit(e.mu)
-	}
-	fr := e.pending[i]
-	return e.expandSet(fr.node, fr.set, func() bool { return e.emitPending(i + 1) })
 }
 
 // expandSet enumerates the assignments a factorized set represents,

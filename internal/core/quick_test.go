@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/cq"
@@ -117,7 +116,6 @@ func TestEvalNestedCacheHits(t *testing.T) {
 			got = append(got, append([]int64(nil), mu...))
 			return true
 		})
-		sort.Slice(got, func(i, j int) bool { return relation.CompareTuples(got[i], got[j]) < 0 })
 		if len(got) != len(want) {
 			t.Fatalf("policy %+v: %d tuples, want %d", pol, len(got), len(want))
 		}

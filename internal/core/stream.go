@@ -8,16 +8,17 @@ import (
 )
 
 // This file is the one sharded enumeration, under EvalParallelCtx on
-// more than one worker and under EvalStreamCtx (Stmt.Rows, the HTTP
-// "stream" mode). Each worker scans its root-domain shard into a bounded
-// channel of row blocks and a merger forwards them to the consumer in
-// deterministic shard order: root key i's rows always come from channel
-// i%K, and a worker produces its groups in exactly the index order the
-// merger consumes them, so the stream is the same root-value blocks in
-// the same order regardless of K. The first rows flow as soon as worker
-// 0 finds them, nothing but the channels' blocks is ever buffered, and
-// an emit returning false cancels the producers instead of finishing
-// the join.
+// more than one worker (Stmt.Rows and the HTTP "eval" and "stream"
+// modes reach it through Workers). Each worker scans its root-domain
+// shard into a bounded channel of row blocks and a merger forwards them
+// to the consumer in deterministic shard order: root key i's rows always
+// come from channel i%K, and a worker produces its groups in exactly the
+// index order the merger consumes them. Every worker emits a root
+// value's rows in the scan order whatever its caches hold, so the merged
+// stream is the sequential one row for row regardless of K and of the
+// cache policy. The first rows flow as soon as worker 0 finds them,
+// nothing but the channels' blocks is ever buffered, and an emit
+// returning false cancels the producers instead of finishing the join.
 
 // streamItem is one block of rows from a worker. last marks the end of
 // one root value's group; a group may span several items when it
@@ -32,27 +33,10 @@ type streamItem struct {
 const streamChanDepth = 4
 
 // EvalStreamCtx is EvalParallelCtx with the worker count beside the
-// policy and, on more than one worker, caching forced off: a cache hit
-// expands the memoized subtree at emit time rather than during the scan,
-// so a cached stream's intra-block order depends on per-worker cache
-// state; Disabled makes every worker's order the plain scan order and
-// the merged stream tuple-for-tuple identical for every worker count
-// (relative to a *cached* sequential run it may reorder tuples within a
-// root-value block exactly where cache hits would; the tuple set is
-// always identical). One worker (<= 0 is one per core), or a root domain
-// too small to shard, is the sequential scan under the unmodified policy
-// — including its caches.
+// policy (<= 0 is one per core).
 func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, emit func(mu []int64) bool) (EvalResult, error) {
-	keys, workers, err := p.shards(ctx, workers)
-	if workers == 0 {
-		return EvalResult{}, err
-	}
-	if workers == 1 {
-		policy.Workers = 1
-		return p.EvalParallelCtx(ctx, policy, emit)
-	}
-	policy.Disabled = true
-	return p.evalSharded(ctx, policy, keys, workers, emit)
+	policy.Workers = workers
+	return p.EvalParallelCtx(ctx, policy, emit)
 }
 
 // evalSharded enumerates the plan over workers > 1 shards of the root

@@ -30,17 +30,11 @@ import (
 
 // Config sizes a new Engine.
 type Config struct {
-	// Workers is the default per-query parallelism when a request does
-	// not set its own: 0 uses one worker per core, 1 forces sequential.
+	// Workers is the default per-query parallelism of every mode,
+	// streams included, when a request does not set its own: 0 uses one
+	// worker per core, 1 forces sequential. Counts, eval samples and
+	// streamed rows are identical at every setting.
 	Workers int
-	// StreamWorkers is the default parallelism of streaming executions
-	// ("mode": "stream", Stmt.Rows) when a request does not set its own:
-	// 0 or 1 keeps the sequential stream, K > 1 shards the root domain
-	// over K producers merged in deterministic order (the byte output is
-	// identical for every K; see core.EvalStreamCtx). Streaming
-	// deliberately does not inherit Workers — the parallel stream trades
-	// the per-query caches for its deterministic order, so it is opt-in.
-	StreamWorkers int
 	// TrieBudget bounds the registry's resident trie bytes, shared
 	// across all queries (0 = unbounded). Under pressure the least
 	// recently used index orders are evicted first.
@@ -624,12 +618,11 @@ func (e *Engine) planFor(s *Stmt, req Request, x *execution) error {
 // resolved policy, the pinned snapshot and the plan bound to it and to
 // the request's private counters.
 type execution struct {
-	pol           core.Policy
-	streamWorkers int // >= 1; 1 is the sequential, cached stream
-	db            *relation.DB
-	vec           []uint64 // versions of the statement's relations at db
-	plan          *core.Plan
-	key           planKey
+	pol  core.Policy
+	db   *relation.DB
+	vec  []uint64 // versions of the statement's relations at db
+	plan *core.Plan
+	key  planKey
 	// cached: selection and compile were skipped; rebound: the cached
 	// shape had to be bound to this snapshot first.
 	cached, rebound bool
@@ -655,14 +648,7 @@ func (s *Stmt) run(ctx context.Context, req Request, body func(ctx context.Conte
 	if err != nil {
 		return err
 	}
-	x := execution{pol: pol, streamWorkers: req.StreamWorkers, c: new(stats.Counters)}
-	if x.streamWorkers == 0 {
-		x.streamWorkers = e.cfg.StreamWorkers
-	}
-	// Unset means the sequential stream, as Config.StreamWorkers
-	// documents — core's "0 = one producer per core" would trade the
-	// caches away on every default-config stream.
-	x.streamWorkers = max(x.streamWorkers, 1)
+	x := execution{pol: pol, c: new(stats.Counters)}
 	if req.TimeoutMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)

@@ -16,7 +16,7 @@ func liveVersions(e *Engine) int { return e.Stats().LiveVersions }
 func TestRowsPinsOneEpoch(t *testing.T) {
 	db := testDB()
 	e := NewEngine(db, Config{Workers: 2})
-	stmt, err := e.Prepare(Request{Query: "E(x,y), E(y,z)", StreamWorkers: 3})
+	stmt, err := e.Prepare(Request{Query: "E(x,y), E(y,z)", Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,9 +139,6 @@ func (s *Stmt) merge(over Request) Request {
 	if over.Workers != 0 {
 		req.Workers = over.Workers
 	}
-	if over.StreamWorkers != 0 {
-		req.StreamWorkers = over.StreamWorkers
-	}
 	if over.CacheCapacity != 0 {
 		req.CacheCapacity = over.CacheCapacity
 	}
@@ -197,9 +194,10 @@ func (s *Stmt) CountCtx(ctx context.Context) (int64, error) {
 // the plan's variable order (each yielded slice is a fresh copy the
 // consumer may retain). Unlike eval-mode Do, nothing is buffered and no
 // limit applies: rows are produced as the scan finds them (by the
-// sequential engine, or by the sharded streaming producer when the
-// statement's StreamWorkers default asks for parallelism — the row
-// sequence is identical either way), so the first row arrives before
+// sequential engine, or by the sharded producers when the statement's
+// Workers default asks for parallelism — the row sequence, the
+// lexicographic order of the plan's variable order, is identical at
+// every worker count and cache policy), so the first row arrives before
 // the join finishes and an abandoned iteration (break) stops the scan
 // immediately. When ctx is cancelled — or the statement's default
 // timeout passes — the stream ends with a final (nil, ctx.Err()) pair
@@ -244,13 +242,9 @@ func (s *Stmt) stream(ctx context.Context, req Request, header func(order []stri
 		if header != nil {
 			header(x.plan.Order())
 		}
-		// The Workers default applies to Do executions only: sharding
-		// under the request's cache policy would let cache hits reorder
-		// rows within a root value. Parallelism here comes from the
-		// dedicated StreamWorkers knob, whose merged output is
-		// byte-identical for every worker count (core.EvalStreamCtx takes
-		// the count beside the policy and ignores Policy.Workers).
-		if _, err := x.plan.EvalStreamCtx(ctx, x.pol, x.streamWorkers, row); err != nil {
+		// Workers and the cache policy apply as in every mode: the row
+		// sequence is the same at every worker count and policy.
+		if _, err := x.plan.EvalParallelCtx(ctx, x.pol, row); err != nil {
 			return err
 		}
 		s.e.queries.Add(1)

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -39,66 +40,100 @@ func streamBody(t *testing.T, srv *httptest.Server, req string) []byte {
 	return body
 }
 
-// TestStreamNDJSONGoldenAcrossWorkers pins the parallel streaming
-// contract at the wire: the NDJSON bytes of a no-cache stream are
-// byte-identical at stream_workers 1, 2 and 8, and match the checked-in
-// golden transcript (regenerate deliberately with
-// `go test ./internal/server -run StreamNDJSONGolden -update`).
+// streamPolicies are the cache settings every enumeration is held to,
+// as request-body fragments: no caches (what writes the goldens), the
+// default caches, a bounded LRU and a support threshold.
+var streamPolicies = []string{
+	`, "no_cache": true`,
+	``,
+	`, "cache_capacity": 16, "cache_eviction": "lru"`,
+	`, "cache_support": 2`,
+}
+
+// TestStreamNDJSONGoldenAcrossWorkers pins the streaming contract at the
+// wire: the NDJSON bytes of a stream are identical at workers 1, 2 and 8
+// under every cache policy, and match the checked-in golden transcript of
+// the no-cache sequential stream (regenerate deliberately with
+// `go test ./internal/server -run StreamNDJSONGolden -update`). The
+// triangle has one bag and no cache site; the 3-path's plan caches a
+// bag whose hits come before a later bag's depth.
 func TestStreamNDJSONGoldenAcrossWorkers(t *testing.T) {
 	srv, _ := newTestServer(t)
-	bodies := make(map[int][]byte)
-	for _, workers := range []int{1, 2, 8} {
-		req := fmt.Sprintf(`{"query": "E(x,y), E(y,z), E(x,z)", "mode": "stream", "no_cache": true, "stream_workers": %d}`, workers)
-		bodies[workers] = streamBody(t, srv, req)
-	}
-	for _, workers := range []int{2, 8} {
-		if !bytes.Equal(bodies[workers], bodies[1]) {
-			t.Fatalf("stream_workers=%d output differs from sequential:\n--- %d workers ---\n%s\n--- sequential ---\n%s",
-				workers, workers, bodies[workers], bodies[1])
+	for _, g := range []struct {
+		file, query string
+		limit       int
+	}{
+		{"stream.golden", "E(x,y), E(y,z), E(x,z)", 0},
+		{"stream_path.golden", "E(x,y), E(y,z), E(z,w)", 200},
+	} {
+		body := func(workers int, policy string) []byte {
+			return streamBody(t, srv, fmt.Sprintf(`{"query": %q, "mode": "stream", "limit": %d, "workers": %d%s}`,
+				g.query, g.limit, workers, policy))
 		}
-	}
-
-	golden := filepath.Join("testdata", "stream.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+		golden := filepath.Join("testdata", g.file)
+		if *updateGolden {
+			if err := os.WriteFile(golden, body(1, streamPolicies[0]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
-		if err := os.WriteFile(golden, bodies[1], 0o644); err != nil {
-			t.Fatal(err)
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("missing golden file (run `go test ./internal/server -run StreamNDJSONGolden -update`): %v", err)
 		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (run `go test ./internal/server -run StreamNDJSONGolden -update`): %v", err)
-	}
-	if !bytes.Equal(bodies[1], want) {
-		t.Errorf("stream output drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, bodies[1], want)
+		for _, policy := range streamPolicies {
+			for _, workers := range []int{1, 2, 8} {
+				if got := body(workers, policy); !bytes.Equal(got, want) {
+					t.Errorf("%s at workers %d%s: output drifted from %s:\n--- got ---\n%s\n--- want ---\n%s",
+						g.query, workers, policy, golden, got, want)
+				}
+			}
+		}
 	}
 }
 
-// TestStreamDefaultWorkersIsSequential pins what Config.StreamWorkers
-// documents: unset (0) is the sequential stream — the one that keeps the
-// per-query caches — on a multi-core GOMAXPROCS too, where core's own
-// "0 = one producer per core" would shard it. The sequential path shows
-// in the accounting (the sharded producers never enter the caches), and
-// its bytes equal the explicitly sharded stream's.
-func TestStreamDefaultWorkersIsSequential(t *testing.T) {
+// TestStreamDefaultWorkersKeepsCaches pins what a default-config stream
+// runs: Config.Workers 0 (one worker per core, four here) under the
+// request's cache policy, so it enters the caches, and its bytes equal
+// the explicit four-worker stream's.
+func TestStreamDefaultWorkersKeepsCaches(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	e := NewEngine(testDB(), Config{})
 	srv := httptest.NewServer(NewHandler(e))
 	t.Cleanup(srv.Close)
 
-	// A 3-path caches on its middle adhesion; the triangle's single bag
-	// has none, so the cached and the sharded scans emit the same order.
-	streamBody(t, srv, `{"query": "E(x,y), E(y,z), E(z,w)", "mode": "stream"}`)
+	def := streamBody(t, srv, `{"query": "E(x,y), E(y,z), E(z,w)", "mode": "stream"}`)
 	if life := e.Stats().Lifetime; life.CacheHits+life.CacheMisses == 0 {
-		t.Fatal("default-config stream never entered the caches: StreamWorkers 0 ran the sharded producers")
+		t.Fatal("default-config stream never entered the caches")
 	}
-	def := streamBody(t, srv, `{"query": "E(x,y), E(y,z), E(x,z)", "mode": "stream"}`)
-	sharded := streamBody(t, srv, `{"query": "E(x,y), E(y,z), E(x,z)", "mode": "stream", "stream_workers": 4}`)
+	sharded := streamBody(t, srv, `{"query": "E(x,y), E(y,z), E(z,w)", "mode": "stream", "workers": 4}`)
 	if !bytes.Equal(def, sharded) {
-		t.Fatalf("default stream differs from stream_workers=4:\n--- default ---\n%s\n--- 4 workers ---\n%s", def, sharded)
+		t.Fatalf("default stream (%d bytes) differs from workers=4 (%d bytes)", len(def), len(sharded))
+	}
+}
+
+// TestEvalSampleAcrossWorkersAndCaches holds a buffered eval's sample to
+// the same contract: the tuples it returns are the first rows of the one
+// enumeration order under every cache policy and worker count.
+func TestEvalSampleAcrossWorkersAndCaches(t *testing.T) {
+	srv, _ := newTestServer(t)
+	var want []any
+	for _, policy := range streamPolicies {
+		for _, workers := range []int{1, 2, 8} {
+			resp, out := postQuery(t, srv, fmt.Sprintf(`{"query": "E(x,y), E(y,z), E(z,w)", "mode": "eval", "limit": 200, "workers": %d%s}`, workers, policy))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("workers %d%s: status %d, body %v", workers, policy, resp.StatusCode, out)
+			}
+			got, _ := out["tuples"].([]any)
+			if len(got) != 200 {
+				t.Fatalf("workers %d%s: %d tuples, want 200", workers, policy, len(got))
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("workers %d%s: sample differs from the no-cache sequential one", workers, policy)
+			}
+		}
 	}
 }
 
@@ -114,7 +149,7 @@ func TestStreamConcurrentStress(t *testing.T) {
 	// versions come and go under the streams.
 	e := NewEngine(testDB(), Config{Workers: 2, TrieBudget: 1 << 16})
 
-	stmt, err := e.Prepare(Request{Query: "E(x,y), E(y,z)", NoCache: true, StreamWorkers: 3})
+	stmt, err := e.Prepare(Request{Query: "E(x,y), E(y,z)", NoCache: true, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +195,10 @@ func TestStreamConcurrentStress(t *testing.T) {
 					// Full drain through StreamCtx at a random worker count.
 					var rows int64
 					sum, err := e.StreamCtx(context.Background(), Request{
-						Query:         "E(x,y), E(y,z)",
-						Mode:          "stream",
-						NoCache:       true,
-						StreamWorkers: 1 + rng.Intn(4),
+						Query:   "E(x,y), E(y,z)",
+						Mode:    "stream",
+						NoCache: true,
+						Workers: 1 + rng.Intn(4),
 					}, nil, func([]int64) bool { rows++; return true })
 					if err != nil {
 						errs <- fmt.Errorf("client %d stream %d: %w", c, i, err)
@@ -187,9 +222,9 @@ func TestStreamConcurrentStress(t *testing.T) {
 					ctx, cancel := context.WithCancel(context.Background())
 					timer := time.AfterFunc(time.Duration(rng.Intn(5))*time.Millisecond, cancel)
 					_, err := e.StreamCtx(ctx, Request{
-						Query:         "E(a,b), E(b,c), E(c,d)",
-						Mode:          "stream",
-						StreamWorkers: 2 + rng.Intn(3),
+						Query:   "E(a,b), E(b,c), E(c,d)",
+						Mode:    "stream",
+						Workers: 2 + rng.Intn(3),
 					}, nil, func([]int64) bool { return true })
 					timer.Stop()
 					cancel()

@@ -19,12 +19,6 @@ type Request struct {
 	// Workers overrides the engine's default parallelism for this query
 	// (0: engine default; 1: sequential; K: K goroutines).
 	Workers int `json:"workers,omitempty"`
-	// StreamWorkers overrides the engine's default streaming parallelism
-	// for this execution (0: engine default; 1: sequential; K: K
-	// producers merged deterministically). Only streaming executions
-	// ("mode": "stream", Stmt.Rows) consult it. Execution-only: never
-	// part of the plan-cache key.
-	StreamWorkers int `json:"stream_workers,omitempty"`
 	// CacheCapacity bounds this query's CLFTJ caches (entries per
 	// worker; 0 = unbounded), CacheSupport is the support threshold and
 	// CacheEviction one of "fifo" (default), "none", "lru". NoCache
