@@ -336,9 +336,8 @@ func (s *Stmt) Count(ctx context.Context) (int64, error) {
 
 // Rows streams q(D) one assignment at a time in the plan's variable
 // order; each yielded slice is a fresh copy the consumer may retain.
-// Rows always runs the sequential engine, so the first row arrives
-// before the join finishes, breaking out of the loop stops the scan
-// immediately, and cancelling ctx ends the stream with a final
+// The first row arrives before the join finishes, breaking out of the
+// loop stops the scan, and cancelling ctx ends the stream with a final
 // (nil, ctx.Err()) pair after the rows already yielded:
 //
 //	for row, err := range stmt.Rows(ctx) {
@@ -348,9 +347,7 @@ func (s *Stmt) Count(ctx context.Context) (int64, error) {
 func (s *Stmt) Rows(ctx context.Context) iter.Seq2[[]int64, error] {
 	return func(yield func([]int64, error) bool) {
 		stopped := false
-		pol := s.opts.policy()
-		pol.Workers = 1
-		_, err := s.plan.EvalParallelCtx(ctx, pol, func(mu []int64) bool {
+		_, err := s.plan.EvalParallelCtx(ctx, s.opts.policy(), func(mu []int64) bool {
 			if !yield(append([]int64(nil), mu...), nil) {
 				stopped = true
 				return false

@@ -3,6 +3,7 @@ package cltj
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"testing"
 
@@ -158,6 +159,35 @@ func TestFacadePrepare(t *testing.T) {
 
 	if _, err := Prepare(q, NewDB(), Options{}); err == nil {
 		t.Fatal("Prepare against an empty DB must fail")
+	}
+}
+
+// TestFacadeRowsWorkers checks that Rows honours Options.Workers: a
+// statement sharded over two workers yields the one-worker sequence row
+// for row.
+func TestFacadeRowsWorkers(t *testing.T) {
+	db := facadeDB()
+	q := queries.Path(3)
+	rows := func(workers int) [][]int64 {
+		stmt, err := Prepare(q, db, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]int64
+		for row, err := range stmt.Rows(context.Background()) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, row)
+		}
+		return out
+	}
+	want := rows(1)
+	if len(want) < 2 {
+		t.Fatalf("Path(3) over the facade graph yields %d rows, too few to shard", len(want))
+	}
+	if got := rows(2); !slices.EqualFunc(got, want, slices.Equal[[]int64]) {
+		t.Fatalf("Rows at 2 workers yielded %d rows %v, want the 1-worker sequence %v", len(got), got, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cq"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/queries"
 	"repro/internal/relation"
 	"repro/internal/stats"
+	"repro/internal/trie"
 )
 
 // blockLens are the block lengths the differential tests drive: 1 (the
@@ -117,7 +119,10 @@ func sameTuples(t *testing.T, label string, got, want [][]int64) {
 // sequence row for row. The sequential no-cache count is also held to
 // the counters of leapfrog.Count, the Fig. 1 loop that never enters
 // trie's leapfrog kernel, and the aggregates to a fold of the result by
-// hand.
+// hand. Two fixed shapes follow the random trials at one and two
+// workers: a plan over copy-on-write patched indices, whose legs the
+// kernel steps through the patch merge, and a star whose hub joins nine
+// atoms.
 func TestBatchedDifferentialEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 10; trial++ {
@@ -129,110 +134,186 @@ func TestBatchedDifferentialEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: AutoPlan: %v", trial, err)
 		}
-		want, err := naive.Count(q, db)
-		if err != nil {
-			t.Fatal(err)
-		}
 		pol := Policy{
 			Capacity:         rng.Intn(20),
 			SupportThreshold: rng.Intn(3),
 			Eviction:         EvictionMode(rng.Intn(3)),
 			Disabled:         rng.Intn(4) == 0,
 		}
-		nc := pol
-		nc.Disabled = true
-		nc.Workers = 1
+		checkBatched(t, fmt.Sprintf("trial %d", trial), q, plan, db, nil, pol, []int{1, 2, 3, 8})
+	}
 
-		// Fig. 1 on a private instance over the plan's order: what the
-		// sequential no-cache count must charge.
-		var lc stats.Counters
-		inst, err := leapfrog.Build(q, db, plan.Order(), &lc)
-		if err != nil {
-			t.Fatal(err)
+	q, db, reg := patchedPath(t)
+	plan := must(AutoPlan(q, db, AutoOptions{Tries: reg}))
+	patched := 0
+	for _, leg := range plan.Instance().Legs() {
+		if leg.Trie.Patched() {
+			patched++
 		}
-		lc.Reset() // the trie builds are not the scan's
-		if got := leapfrog.Count(inst); got != want {
-			t.Fatalf("trial %d: leapfrog.Count %d, want %d (query %s)", trial, got, want, q)
-		}
+	}
+	if patched == 0 {
+		t.Fatal("patched: the plan's indices are not patches")
+	}
+	checkBatched(t, "patched", q, plan, db, reg, Policy{}, []int{1, 2})
 
-		// run is everything one block length executes, per worker count.
-		type run struct {
-			count, eval, sumC, minC stats.Counters
-			tuples, streamed        [][]int64
-			sum, min                float64
-			countLv, sumLv, minLv   []LevelStat
-		}
-		runAt := func(bl, workers int) (r run) {
-			atLeafLen(bl, func() {
-				base := pol
-				base.Workers = workers
-				res := must(plan.WithCounters(&r.count).CountParallelCtx(bg, base))
-				if res.Count != want {
-					t.Fatalf("trial %d w=%d len=%d: count %d, want %d (query %s)", trial, workers, bl, res.Count, want, q)
-				}
-				r.countLv = res.Levels
-				var tl tally
-				r.sum, tl, _ = fold(bg, plan.WithCounters(&r.sumC), base, SumProductSemiring(), valueWeight, nil)
-				r.sumLv = tl.levels
-				r.min, tl, _ = fold(bg, plan.WithCounters(&r.minC), base, TropicalSemiring(), valueWeight, nil)
-				r.minLv = tl.levels
-				r.tuples = collectTuples(func(emit func([]int64) bool) {
-					plan.WithCounters(&r.eval).EvalParallelCtx(bg, base, emit)
-				})
-				r.streamed = collectTuples(func(emit func([]int64) bool) {
-					plan.EvalStreamCtx(bg, pol, workers, emit)
-				})
-				if workers == 1 {
-					var c stats.Counters
-					if got := plan.WithCounters(&c).Count(nc).Count; got != want || c != lc {
-						t.Fatalf("trial %d len=%d: no-cache count %d (want %d) diverges from leapfrog.Count\ncore:     %+v\nleapfrog: %+v",
-							trial, bl, got, want, c, lc)
-					}
-				}
-			})
-			return r
-		}
+	q, db = nineStar(rng)
+	plan = must(AutoPlan(q, db, AutoOptions{}))
+	checkBatched(t, "star-9", q, plan, db, nil, Policy{Capacity: 16, Eviction: EvictLRU}, []int{1, 2})
+}
 
-		// The sequential no-cache scan order, which every enumeration
-		// emits at every policy, worker count and block length — the
-		// byte-determinism the NDJSON endpoint relies on.
-		canon := collectTuples(func(emit func([]int64) bool) {
-			plan.Eval(nc, emit)
-		})
-		if int64(len(canon)) != want {
-			t.Fatalf("trial %d: no-cache eval emitted %d, want %d", trial, len(canon), want)
+// patchedPath is a 4-path over a graph one 16-tuple delta after the
+// version its registry first indexed, so the plan AutoPlan binds over
+// the registry runs on patched tries.
+func patchedPath(t *testing.T) (*cq.Query, *relation.DB, *trie.Registry) {
+	g := dataset.TriadicPA(60, 3, 0.5, 77)
+	rel := g.EdgeRelation("E", false)
+	st := relation.NewStore(rel)
+	var ins, del [][]int64
+	for i := 0; len(ins) < 8; i++ {
+		if e := []int64{int64(i % 60), int64((i*7 + 3) % 60)}; e[0] != e[1] && !rel.Contains(e) {
+			ins = append(ins, e)
 		}
-		sumWant, minWant := weightedWant(canon)
-		for _, workers := range []int{1, 2, 3, 8} {
-			ref := runAt(1, workers)
-			if ref.sum != sumWant || ref.min != minWant {
-				t.Fatalf("trial %d w=%d: scalar sum %v min %v, want %v and %v (query %s)", trial, workers, ref.sum, ref.min, sumWant, minWant, q)
+	}
+	for i := 0; i < 8; i++ {
+		del = append(del, slices.Clone(rel.Tuple(i*5)))
+	}
+	v, _, err := st.ApplyDelta(ins, del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := queries.Path(4)
+	reg := trie.NewRegistry(0)
+	must(AutoPlan(q, relation.NewDB(rel), AutoOptions{Tries: reg}))
+	reg.Observe(v)
+	return q, relation.NewDB(v.Rel), reg
+}
+
+// nineStar is a star whose hub x joins nine atoms E1(x, y1) … E9(x, y9)
+// over sparse random relations: at x the leapfrog intersects nine legs.
+func nineStar(rng *rand.Rand) (*cq.Query, *relation.DB) {
+	var atoms []string
+	var rels []*relation.Relation
+	for i := 1; i <= 9; i++ {
+		var tuples [][]int64
+		for x := int64(0); x < 40; x++ {
+			if rng.Intn(5) == 0 {
+				continue
 			}
-			sameTuples(t, fmt.Sprintf("trial %d w=%d: scalar eval", trial, workers), ref.tuples, canon)
-			sameTuples(t, fmt.Sprintf("trial %d w=%d: scalar stream", trial, workers), ref.streamed, canon)
-			for _, bl := range blockLens[1:] {
-				got := runAt(bl, workers)
-				sameTuples(t, fmt.Sprintf("trial %d w=%d len=%d: block eval", trial, workers, bl), got.tuples, canon)
-				sameTuples(t, fmt.Sprintf("trial %d w=%d len=%d: block stream", trial, workers, bl), got.streamed, canon)
-				if got.count != ref.count {
-					t.Fatalf("trial %d w=%d len=%d: count counters diverge\nblock:  %+v\nscalar: %+v", trial, workers, bl, got.count, ref.count)
+			for range 1 + rng.Intn(2) {
+				tuples = append(tuples, []int64{x, rng.Int63n(40)})
+			}
+		}
+		name := fmt.Sprintf("E%d", i)
+		rels = append(rels, relation.MustNew(name, 2, tuples))
+		atoms = append(atoms, fmt.Sprintf("%s(x, y%d)", name, i))
+	}
+	return cq.MustParse(strings.Join(atoms, ", ")), relation.NewDB(rels...)
+}
+
+// checkBatched is TestBatchedDifferentialEquivalence on one plan of q
+// over db under pol at each worker count. tries is the source the plan's indices
+// came from (nil: private builds), which the reference leapfrog.Count
+// instance draws on too.
+func checkBatched(t *testing.T, label string, q *cq.Query, plan *Plan, db *relation.DB, tries leapfrog.TrieSource, pol Policy, workerCounts []int) {
+	t.Helper()
+	want, err := naive.Count(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := pol
+	nc.Disabled = true
+	nc.Workers = 1
+
+	// Fig. 1 on an instance of its own over the plan's order and
+	// indices: what the sequential no-cache count must charge.
+	var lc stats.Counters
+	inst, err := leapfrog.BuildWith(q, db, plan.Order(), &lc, tries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc.Reset() // the trie builds are not the scan's
+	if got := leapfrog.Count(inst); got != want {
+		t.Fatalf("%s: leapfrog.Count %d, want %d (query %s)", label, got, want, q)
+	}
+
+	// run is everything one block length executes, per worker count.
+	type run struct {
+		count, eval, sumC, minC stats.Counters
+		tuples, streamed        [][]int64
+		sum, min                float64
+		countLv, sumLv, minLv   []LevelStat
+	}
+	runAt := func(bl, workers int) (r run) {
+		atLeafLen(bl, func() {
+			base := pol
+			base.Workers = workers
+			res := must(plan.WithCounters(&r.count).CountParallelCtx(bg, base))
+			if res.Count != want {
+				t.Fatalf("%s w=%d len=%d: count %d, want %d (query %s)", label, workers, bl, res.Count, want, q)
+			}
+			r.countLv = res.Levels
+			var tl tally
+			r.sum, tl, _ = fold(bg, plan.WithCounters(&r.sumC), base, SumProductSemiring(), valueWeight, nil)
+			r.sumLv = tl.levels
+			r.min, tl, _ = fold(bg, plan.WithCounters(&r.minC), base, TropicalSemiring(), valueWeight, nil)
+			r.minLv = tl.levels
+			r.tuples = collectTuples(func(emit func([]int64) bool) {
+				plan.WithCounters(&r.eval).EvalParallelCtx(bg, base, emit)
+			})
+			r.streamed = collectTuples(func(emit func([]int64) bool) {
+				plan.EvalStreamCtx(bg, pol, workers, emit)
+			})
+			if workers == 1 {
+				var c stats.Counters
+				if got := plan.WithCounters(&c).Count(nc).Count; got != want || c != lc {
+					t.Fatalf("%s len=%d: no-cache count %d (want %d) diverges from leapfrog.Count\ncore:     %+v\nleapfrog: %+v",
+						label, bl, got, want, c, lc)
 				}
-				if got.eval != ref.eval {
-					t.Fatalf("trial %d w=%d len=%d: eval counters diverge\nblock:  %+v\nscalar: %+v", trial, workers, bl, got.eval, ref.eval)
-				}
-				if math.Float64bits(got.sum) != math.Float64bits(ref.sum) || math.Float64bits(got.min) != math.Float64bits(ref.min) {
-					t.Fatalf("trial %d w=%d len=%d: sum %v min %v, scalar %v and %v", trial, workers, bl, got.sum, got.min, ref.sum, ref.min)
-				}
-				if got.sumC != ref.sumC || got.minC != ref.minC {
-					t.Fatalf("trial %d w=%d len=%d: aggregate counters diverge\nblock:  %+v %+v\nscalar: %+v %+v", trial, workers, bl, got.sumC, got.minC, ref.sumC, ref.minC)
-				}
-				for _, lv := range []struct {
-					name      string
-					got, want []LevelStat
-				}{{"count", got.countLv, ref.countLv}, {"sum", got.sumLv, ref.sumLv}, {"min", got.minLv, ref.minLv}} {
-					if !slices.Equal(lv.got, lv.want) {
-						t.Fatalf("trial %d w=%d len=%d: %s levels %v, scalar %v", trial, workers, bl, lv.name, lv.got, lv.want)
-					}
+			}
+		})
+		return r
+	}
+
+	// The sequential no-cache scan order, which every enumeration
+	// emits at every policy, worker count and block length — the
+	// byte-determinism the NDJSON endpoint relies on.
+	canon := collectTuples(func(emit func([]int64) bool) {
+		plan.Eval(nc, emit)
+	})
+	if int64(len(canon)) != want {
+		t.Fatalf("%s: no-cache eval emitted %d, want %d", label, len(canon), want)
+	}
+	t.Logf("%s: %d tuples", label, want)
+	sumWant, minWant := weightedWant(canon)
+	for _, workers := range workerCounts {
+		ref := runAt(1, workers)
+		if ref.sum != sumWant || ref.min != minWant {
+			t.Fatalf("%s w=%d: scalar sum %v min %v, want %v and %v (query %s)", label, workers, ref.sum, ref.min, sumWant, minWant, q)
+		}
+		sameTuples(t, fmt.Sprintf("%s w=%d: scalar eval", label, workers), ref.tuples, canon)
+		sameTuples(t, fmt.Sprintf("%s w=%d: scalar stream", label, workers), ref.streamed, canon)
+		for _, bl := range blockLens[1:] {
+			got := runAt(bl, workers)
+			sameTuples(t, fmt.Sprintf("%s w=%d len=%d: block eval", label, workers, bl), got.tuples, canon)
+			sameTuples(t, fmt.Sprintf("%s w=%d len=%d: block stream", label, workers, bl), got.streamed, canon)
+			if got.count != ref.count {
+				t.Fatalf("%s w=%d len=%d: count counters diverge\nblock:  %+v\nscalar: %+v", label, workers, bl, got.count, ref.count)
+			}
+			if got.eval != ref.eval {
+				t.Fatalf("%s w=%d len=%d: eval counters diverge\nblock:  %+v\nscalar: %+v", label, workers, bl, got.eval, ref.eval)
+			}
+			if math.Float64bits(got.sum) != math.Float64bits(ref.sum) || math.Float64bits(got.min) != math.Float64bits(ref.min) {
+				t.Fatalf("%s w=%d len=%d: sum %v min %v, scalar %v and %v", label, workers, bl, got.sum, got.min, ref.sum, ref.min)
+			}
+			if got.sumC != ref.sumC || got.minC != ref.minC {
+				t.Fatalf("%s w=%d len=%d: aggregate counters diverge\nblock:  %+v %+v\nscalar: %+v %+v", label, workers, bl, got.sumC, got.minC, ref.sumC, ref.minC)
+			}
+			for _, lv := range []struct {
+				name      string
+				got, want []LevelStat
+			}{{"count", got.countLv, ref.countLv}, {"sum", got.sumLv, ref.sumLv}, {"min", got.minLv, ref.minLv}} {
+				if !slices.Equal(lv.got, lv.want) {
+					t.Fatalf("%s w=%d len=%d: %s levels %v, scalar %v", label, workers, bl, lv.name, lv.got, lv.want)
 				}
 			}
 		}

@@ -27,7 +27,7 @@ import (
 // tradeoff this design picks a side of.
 
 // blockLen is how many keys the deepest level's scan drains per
-// Frog.NextBatch call, and how many rows the streaming producer hands
+// Leapfrog.NextBatch call, and how many rows the streaming producer hands
 // the merger at a time. The block is a fixed array inside each executor,
 // which a run keeps on its own stack: neither a per-request heap object
 // nor memory a cached plan retains.

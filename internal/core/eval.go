@@ -199,7 +199,7 @@ func (e *evalExec) rjoin(d int) bool {
 	if d == p.numVars-1 && !seek {
 		// The leaf: a block of matches at a time feeds the per-tuple
 		// epilogue (emission, factorized collection).
-		// Runner.OpenLeaf and Frog.NextBatch charge what the scalar
+		// Runner.OpenLeaf and Leapfrog.NextBatch charge what the scalar
 		// Key/Next sequence would, so a completed scan accounts exactly as
 		// the loop below; a consumer that stops mid-block has read ahead
 		// to the block's end.

@@ -294,7 +294,7 @@ func (e *foldExec[T]) rjoin(d int, f T) {
 		// the association the per-key loop below uses, so the results are
 		// bit-identical to it: the bag's product is a left fold over its
 		// depths, whose prefix above d is the same for every key.
-		// Runner.OpenLeaf and Frog.NextBatch charge what the scalar
+		// Runner.OpenLeaf and Leapfrog.NextBatch charge what the scalar
 		// Key/Next sequence would, so a completed scan accounts exactly as
 		// that loop.
 		var above T

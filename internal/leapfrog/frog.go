@@ -8,6 +8,13 @@ import (
 // sibling ranges that a set of trie iterators are currently positioned at
 // (Veldhuizen §3). All legs must be at the same conceptual variable.
 //
+// Frog is the scalar reference: Init, Next and SeekGE are the per-key
+// Key/Next/SeekGE sequence of Iterator calls, which Runner.Count and
+// Runner.Eval run and every charge test compares against. The executors
+// run trie.Leapfrog instead (Runner.OpenDepth, Runner.OpenLeaf), the
+// kernel that steps the same iterators' legs in place and charges what
+// this sequence charges.
+//
 // A Frog is allocation-free after construction: Init re-sorts the legs
 // in place with an insertion sort (the legs are the handful of atoms
 // constraining one variable), so a runner re-entering a variable on
@@ -16,78 +23,20 @@ import (
 // sort.SliceStable runs on fewer than 20 elements, so the Key-read
 // accounting it charges is bit-identical to the historical
 // implementation.
-//
-// Init, Next and SeekGE are the per-key Key/Next/SeekGE sequence: the
-// scalar reference. The runner's depth entries (Runner.OpenDepth,
-// Runner.OpenLeaf) and the NextBatch drains after them run trie's
-// leapfrog kernel instead when the legs fit it (trie.LeapfrogReady: two
-// to trie.MaxLeapfrogLegs materialized legs sharing one sink); its
-// charges replay the scalar sequence's exactly.
 type Frog struct {
-	legs   []*trie.Iterator
-	p      int
-	done   bool
-	kernel bool // the depth was entered through the kernel, so NextBatch drains there
-	idle   bool // a leaf scan drained in place: the legs never descended
+	legs []*trie.Iterator
+	p    int
+	done bool
 }
 
 // NewFrog wraps the given legs. The slice is retained and its order may
 // be permuted.
 func NewFrog(legs []*trie.Iterator) *Frog { return &Frog{legs: legs} }
 
-// open is Open on every leg followed by Init, fused into one kernel call
-// when the legs fit it.
-func (f *Frog) open() bool {
-	f.idle = false
-	if f.kernel = trie.LeapfrogReady(f.legs); !f.kernel {
-		for _, l := range f.legs {
-			l.Open()
-		}
-		return f.Init()
-	}
-	return f.at(trie.LeapfrogOpen(f.legs))
-}
-
-// openLeaf is open followed by NextBatch into dst, fused into one kernel
-// call when the legs fit it; it returns the number of matches written.
-func (f *Frog) openLeaf(dst []int64) int {
-	if !trie.LeapfrogReady(f.legs) {
-		if !f.open() {
-			return 0
-		}
-		return f.NextBatch(dst)
-	}
-	n, p, open := trie.LeapfrogLeaf(f.legs, dst)
-	f.kernel, f.idle = true, !open
-	f.at(p, open)
-	return n
-}
-
-// close ascends every leg the frog's depth descended.
-func (f *Frog) close() {
-	switch {
-	case f.idle:
-	case f.kernel:
-		trie.LeapfrogUp(f.legs)
-	default:
-		for _, l := range f.legs {
-			l.Up()
-		}
-	}
-}
-
-// at records where a kernel call left the frog: on leg p's match, or
-// done.
-func (f *Frog) at(p int, ok bool) bool {
-	f.p, f.done = p, !ok
-	return ok
-}
-
 // Init must be called after all legs were Open'ed at the variable's
 // level. It positions the frog at the first match and returns whether one
 // exists.
 func (f *Frog) Init() bool {
-	f.kernel, f.idle = false, false
 	legs := f.legs
 	for _, l := range legs {
 		if l.AtEnd() {

@@ -57,57 +57,56 @@ func fuzzTuples(data []byte, shape int, parent, child int64) [][]int64 {
 	return out
 }
 
-// FuzzBlockIntersect drives the frog's kernel entries — Init, the fused
-// Open and Init of Runner.OpenDepth, the fused Open, Init and first block
-// of Runner.OpenLeaf, and NextBatch — against the scalar reference frog, which
-// never enters trie's leapfrog kernel, on fuzzer-chosen relations: a
-// k-way intersection over 1..4 legs of each shape (small unary domains,
-// dense roots, sibling ranges under a fuzzer-chosen parent), optionally
-// with a patched leg. Matches and flushed counters must be identical at
-// every block size, and the legs must come back up to where they were
-// opened.
+// FuzzBlockIntersect drives the kernel frog — trie.Leapfrog's Open,
+// Key, Next, SeekGE, NextBatch and Close, as Runner.OpenDepth,
+// Runner.OpenLeaf and core's executors call them — against the scalar
+// reference Frog on fuzzer-chosen relations: a k-way intersection over
+// 1..10 legs of each shape (small unary domains, dense roots, sibling
+// ranges under a fuzzer-chosen parent), any subset of them patched
+// (patchedTrie), opened with or without a first block and driven
+// by a fuzzer-written script of Next and SeekGE steps between block
+// drains. Legs past the fourth draw on the four byte streams again,
+// shorter by a byte each round. The keys read and the flushed counters
+// must be identical at every block size, and the legs must come back up
+// to where they were opened.
 func FuzzBlockIntersect(f *testing.F) {
-	f.Add([]byte{}, []byte{}, []byte{}, []byte{}, uint8(1), uint8(shapeUnary), uint8(0))                                     // empty legs
-	f.Add([]byte{5}, []byte{5}, []byte{}, []byte{}, uint8(1), uint8(shapeUnary), uint8(0))                                   // single-key legs
-	f.Add([]byte{1, 1, 1, 2, 2, 1, 2}, []byte{1, 2, 1, 1}, []byte{2, 2, 2}, []byte{}, uint8(6), uint8(shapeUnary), uint8(0)) // duplicate-heavy, patched
-	f.Add([]byte{0, 2, 4, 6, 8, 10}, []byte{1, 2, 3, 4, 5, 6}, []byte{2, 4, 8}, []byte{4}, uint8(3), uint8(shapeUnary), uint8(0))
-	f.Add([]byte{3, 9, 200, 17}, []byte{5, 130, 131, 250}, []byte{1, 2, 3}, []byte{}, uint8(2), uint8(shapeDense), uint8(0))
-	f.Add([]byte{65, 70, 80, 90, 100, 127}, []byte{66, 70, 90, 91, 127}, []byte{70, 90, 127}, []byte{90}, uint8(3), uint8(shapeBelow), uint8(1))
-	f.Add([]byte{10, 20, 30, 40, 50, 60}, []byte{20, 40, 60, 63}, []byte{}, []byte{}, uint8(5), uint8(shapeBelow), uint8(20))
+	f.Add([]byte{}, []byte{}, []byte{}, []byte{}, []byte{}, uint8(0), uint8(shapeUnary), uint8(0), uint16(0))                                            // empty legs
+	f.Add([]byte{5}, []byte{5}, []byte{}, []byte{}, []byte{0}, uint8(0), uint8(shapeUnary), uint8(0), uint16(1))                                         // single-key leg, patched
+	f.Add([]byte{1, 1, 1, 2, 2, 1, 2}, []byte{1, 2, 1, 1}, []byte{2, 2, 2}, []byte{}, []byte{2, 0, 1}, uint8(2), uint8(shapeUnary), uint8(0), uint16(4)) // duplicate-heavy, patched
+	f.Add([]byte{0, 2, 4, 6, 8, 10}, []byte{1, 2, 3, 4, 5, 6}, []byte{2, 4, 8}, []byte{4}, []byte{}, uint8(3), uint8(shapeUnary), uint8(0), uint16(0))
+	f.Add([]byte{3, 9, 200, 17}, []byte{5, 130, 131, 250}, []byte{1, 2, 3}, []byte{}, []byte{4, 2, 7}, uint8(1), uint8(shapeDense), uint8(0), uint16(2))
+	f.Add([]byte{65, 70, 80, 90, 100, 127}, []byte{66, 70, 90, 91, 127}, []byte{70, 90, 127}, []byte{90}, []byte{1, 0}, uint8(3), uint8(shapeBelow), uint8(1), uint16(15))
+	f.Add([]byte{10, 20, 30, 40, 50, 60}, []byte{20, 40, 60, 63}, []byte{}, []byte{}, []byte{}, uint8(4), uint8(shapeBelow), uint8(20), uint16(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{0, 2, 4, 6, 8}, []byte{0, 4, 8, 12}, []byte{0, 8, 16}, []byte{0, 1, 2, 3, 5, 8}, uint8(9), uint8(shapeUnary), uint8(0), uint16(0x2aa)) // ten legs, half patched
+	f.Add([]byte{1, 5, 9, 13}, []byte{1, 9}, []byte{1, 13}, []byte{1}, []byte{2, 2, 1}, uint8(8), uint8(shapeDense), uint8(0), uint16(0x3ff))                                              // nine legs, all patched
 
-	f.Fuzz(func(t *testing.T, aB, bB, cB, dB []byte, kRaw, shapeRaw, parentRaw uint8) {
-		k := int(kRaw%4) + 1
+	f.Fuzz(func(t *testing.T, aB, bB, cB, dB, script []byte, kRaw, shapeRaw, parentRaw uint8, patched uint16) {
+		k := int(kRaw%10) + 1
 		shape := int(shapeRaw % numShapes)
 		parent := int64(-1)
-		if shape == shapeBelow {
-			parent = int64(parentRaw % 4)
-		}
 		arity := 1
 		if shape == shapeBelow {
+			parent = int64(parentRaw % 4)
 			arity = 2
 		}
+		streams := [][]byte{aB, bB, cB, dB}
 		tries := make([]*trie.Trie, k)
-		for i, data := range [][]byte{aB, bB, cB, dB}[:k] {
-			rel := relation.MustNew("A", arity, fuzzTuples(data, shape, parent, int64(parentRaw&63)))
-			tries[i] = trie.Build(rel, nil)
-			if i == k-1 && kRaw&4 != 0 {
-				// A patched leg: rebuild the last one as a patch of an
-				// empty base carrying the same tuples, which sends the frog
-				// down the scalar fallback.
-				pt, err := trie.BuildPatched(trie.Build(relation.MustNew("A", arity, nil), nil),
-					rel, relation.MustNew("A", arity, nil), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tries[i] = pt
+		for i := range tries {
+			data := streams[i%4]
+			data = data[min(i/4, len(data)):]
+			tuples := fuzzTuples(data, shape, parent, int64(parentRaw&63))
+			if patched&(1<<i) != 0 {
+				tries[i] = patchedTrie(t, arity, tuples)
+			} else {
+				tries[i] = trie.Build(relation.MustNew("A", arity, tuples), nil)
 			}
 		}
 
-		// scan runs one frog to the end and closes it, returning its
-		// matches, the depth and key each leg is back on (no key at the
+		// scan runs one frog to the end and closes it, returning the keys
+		// it read, the depth and key each leg is back on (no key at the
 		// root) and the flushed counters.
-		scan := func(how frogInit, bs int) (matches, ups []int64, c stats.Counters) {
-			matches, legs := scanFrog(tries, &c, parent, how, bs)
+		scan := func(scalar, leaf bool, bs int) (keys, ups []int64, c stats.Counters) {
+			keys, legs := scanFrog(tries, &c, parent, scalar, leaf, script, bs)
 			for _, l := range legs {
 				ups = append(ups, int64(l.Depth()))
 				if parent >= 0 {
@@ -115,20 +114,20 @@ func FuzzBlockIntersect(f *testing.F) {
 				}
 			}
 			flushAll(legs)
-			return matches, ups, c
+			return keys, ups, c
 		}
-		want, wantUps, cs := scan(viaScalar, 0)
-		for _, how := range kernelInits {
+		for _, leaf := range []bool{false, true} {
 			for _, bs := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 256} {
-				got, ups, cb := scan(how, bs)
+				want, wantUps, cs := scan(true, leaf, bs)
+				got, ups, cb := scan(false, leaf, bs)
 				if !slices.Equal(got, want) {
-					t.Fatalf("init=%d bs=%d: matches %v, want %v", how, bs, got, want)
+					t.Fatalf("leaf=%v bs=%d: keys %v, want %v", leaf, bs, got, want)
 				}
 				if !slices.Equal(ups, wantUps) {
-					t.Fatalf("init=%d bs=%d: legs back on %v, want %v", how, bs, ups, wantUps)
+					t.Fatalf("leaf=%v bs=%d: legs back on %v, want %v", leaf, bs, ups, wantUps)
 				}
 				if cb != cs {
-					t.Fatalf("init=%d bs=%d: batch counters %+v, scalar %+v", how, bs, cb, cs)
+					t.Fatalf("leaf=%v bs=%d: kernel counters %+v, scalar %+v", leaf, bs, cb, cs)
 				}
 			}
 		}

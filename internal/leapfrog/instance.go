@@ -8,10 +8,12 @@
 // nothing cached (§3.2), so every LFTJ run that is timed, served or
 // reported is core's one-bag plan under a disabled cache policy, on
 // core's driver. What stays here is what that driver is made of — the
-// Runner, the Frog, and the shard primitives RootKeys, ShardDomain,
-// RunSharded and Canceler — plus the scalar reference Count and Eval:
-// sequential, uncancellable, one Key/Next step per match, which the
-// differential tests and YTD's bag construction use.
+// Runner, whose OpenDepth, OpenLeaf and CloseDepth hand out one
+// trie.Leapfrog per depth, and the shard primitives RootKeys,
+// ShardDomain, RunSharded and Canceler — plus the scalar reference: the
+// Frog, and Count and Eval on it — sequential, uncancellable, one
+// Key/Next step of Iterator calls per match, which every charge test
+// compares the kernel against and YTD's bag construction uses.
 package leapfrog
 
 import (
@@ -46,6 +48,7 @@ type Instance struct {
 	order    []string
 	atoms    []AtomLeg
 	legsAt   [][]int // legsAt[d] = indices of atoms participating at depth d
+	levelsAt [][]int // levelsAt[d][j] = the level of atom legsAt[d][j]'s trie at depth d
 	empty    bool    // some atom matches no tuple: result is ∅
 	counters *stats.Counters
 	embedded []SourceEntry // shared-source indices this instance draws on
@@ -143,10 +146,11 @@ func BuildOptions(q *cq.Query, db *relation.DB, order []string, opts BuildOpts) 
 // keeps it across updates and only re-acquires the tries. Immutable
 // after NewLayout.
 type Layout struct {
-	query  *cq.Query
-	order  []string
-	atoms  []atomLayout // one per query atom, in atom order
-	legsAt [][]int
+	query    *cq.Query
+	order    []string
+	atoms    []atomLayout // one per query atom, in atom order
+	legsAt   [][]int
+	levelsAt [][]int
 }
 
 // atomLayout is one atom's share of a Layout: the selection its
@@ -256,10 +260,11 @@ func NewLayout(q *cq.Query, order []string) (*Layout, error) {
 	}
 
 	l := &Layout{
-		query:  q,
-		order:  append([]string(nil), order...),
-		atoms:  make([]atomLayout, len(q.Atoms)),
-		legsAt: make([][]int, len(order)),
+		query:    q,
+		order:    append([]string(nil), order...),
+		atoms:    make([]atomLayout, len(q.Atoms)),
+		legsAt:   make([][]int, len(order)),
+		levelsAt: make([][]int, len(order)),
 	}
 	legs := 0
 	for i, atom := range q.Atoms {
@@ -278,6 +283,7 @@ func NewLayout(q *cq.Query, order []string) (*Layout, error) {
 				d := pos[vars[p]]
 				a.varPos[j] = d
 				l.legsAt[d] = append(l.legsAt[d], legs)
+				l.levelsAt[d] = append(l.levelsAt[d], j)
 			}
 			legs++
 			if len(a.equal) > 0 {
@@ -325,6 +331,7 @@ func (l *Layout) Bind(db *relation.DB, opts BuildOpts) (*Instance, error) {
 		order:    l.order,
 		atoms:    make([]AtomLeg, 0, len(l.atoms)),
 		legsAt:   l.legsAt,
+		levelsAt: l.levelsAt,
 		counters: counters,
 	}
 	for i, atom := range l.query.Atoms {

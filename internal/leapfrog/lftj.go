@@ -8,14 +8,17 @@ import (
 // Runner executes LFTJ over an Instance: TJCount of Fig. 1 and its
 // evaluation twin. A Runner holds per-run iterator state; obtain one per
 // execution (Count and Eval below do so). It is exported because CLFTJ
-// (package core) drives the same machinery with cache hooks; its own
+// (package core) drives the same machinery with cache hooks, through
+// OpenDepth, OpenLeaf and CloseDepth: one trie.Leapfrog per depth, over
+// the legs its atoms' iterators have at that depth. The runner's own
 // Count and Eval are the scalar reference — sequential, uncancellable,
-// one Key/Next step per match, never entering trie's leapfrog kernel —
-// that core's executor is checked against.
+// one Frog Key/Next step per match, never entering trie's leapfrog
+// kernel — that core's executor is checked against.
 type Runner struct {
 	inst  *Instance
 	iters []*trie.Iterator // one per atom leg
-	frogs []*Frog          // one per depth, legs bound at depth entry
+	frogs []*Frog          // the scalar reference's, one per depth
+	leaps []trie.Leapfrog  // the kernel's, one per depth
 	legs  [][]*trie.Iterator
 	mu    []int64         // current partial assignment, by depth
 	c     *stats.Counters // the sink the iterators are bound to
@@ -65,6 +68,7 @@ func NewRunnerCounters(inst *Instance, c *stats.Counters) *Runner {
 			for j, li := range legIdxs {
 				ls[j] = r.iters[li]
 			}
+			r.leaps[d].Reset()
 		}
 		for d := range r.attempts {
 			r.attempts[d] = 0
@@ -76,6 +80,7 @@ func NewRunnerCounters(inst *Instance, c *stats.Counters) *Runner {
 		inst:     inst,
 		iters:    make([]*trie.Iterator, len(inst.atoms)),
 		frogs:    make([]*Frog, inst.NumVars()),
+		leaps:    make([]trie.Leapfrog, inst.NumVars()),
 		legs:     make([][]*trie.Iterator, inst.NumVars()),
 		mu:       make([]int64, inst.NumVars()),
 		attempts: make([]int64, inst.NumVars()),
@@ -92,6 +97,7 @@ func NewRunnerCounters(inst *Instance, c *stats.Counters) *Runner {
 		}
 		r.legs[d] = ls
 		r.frogs[d] = NewFrog(ls)
+		r.leaps[d] = trie.NewLeapfrog(ls, inst.levelsAt[d])
 	}
 	return r
 }
@@ -116,32 +122,32 @@ func (r *Runner) Instance() *Instance { return r.inst }
 func (r *Runner) Assignment() []int64 { return r.mu }
 
 // OpenDepth opens all legs of depth d (descends each participating atom
-// iterator into the level of variable order[d]) and returns the frog,
-// initialized — through trie's leapfrog kernel, one call for the Opens
-// and the first search, when the legs fit it. Callers must balance with
-// CloseDepth. Each call is tallied in the per-depth level stats (see
-// LevelStats); a false return means the intersection at d is empty under
-// the current prefix.
-func (r *Runner) OpenDepth(d int) (*Frog, bool) {
-	f := r.frogs[d]
-	return f, r.tally(d, f.open())
+// iterator into the level of variable order[d]) and returns depth d's
+// kernel frog on its first match: one trie.Leapfrog call for the Opens
+// and the first search. Callers must balance with CloseDepth. Each call
+// is tallied in the per-depth level stats (see LevelStats); a false
+// return means the intersection at d is empty under the current prefix.
+func (r *Runner) OpenDepth(d int) (*trie.Leapfrog, bool) {
+	f := &r.leaps[d]
+	return f, r.tally(d, f.Open())
 }
 
 // OpenLeaf is OpenDepth for a depth whose matches the caller drains a
-// block at a time with Frog.NextBatch — the deepest: it also fills dst,
-// which must not be empty, with the first matches and returns how many.
-// When the intersection ends within dst, the legs of two or more atoms
-// never descend at all (trie.LeapfrogLeaf). CloseDepth balances it
-// either way, and the depth is tallied as OpenDepth tallies it.
-func (r *Runner) OpenLeaf(d int, dst []int64) (*Frog, int) {
-	f := r.frogs[d]
-	n := f.openLeaf(dst)
-	r.tally(d, n > 0)
-	return f, n
+// block at a time with NextBatch — the deepest: it also fills dst, which
+// must not be empty, with the first matches and returns how many.
+// CloseDepth balances it, and the depth is tallied as OpenDepth tallies
+// it.
+func (r *Runner) OpenLeaf(d int, dst []int64) (*trie.Leapfrog, int) {
+	f, ok := r.OpenDepth(d)
+	if !ok {
+		return f, 0
+	}
+	return f, f.NextBatch(dst)
 }
 
-// openScalar is OpenDepth through the scalar Open/Key/SeekGE sequence:
-// the reference Count and Eval never enter the kernel.
+// openScalar is OpenDepth through the scalar Open/Key/SeekGE sequence
+// and depth d's Frog: the reference Count and Eval never enter the
+// kernel.
 func (r *Runner) openScalar(d int) (*Frog, bool) {
 	for _, it := range r.legs[d] {
 		it.Open()
@@ -168,9 +174,8 @@ func (r *Runner) LevelStats() (attempts, empties []int64) {
 	return r.attempts, r.empties
 }
 
-// CloseDepth ascends all legs of depth d — none after an OpenLeaf whose
-// legs never descended.
-func (r *Runner) CloseDepth(d int) { r.frogs[d].close() }
+// CloseDepth ascends all legs of depth d, however it was opened.
+func (r *Runner) CloseDepth(d int) { r.leaps[d].Close() }
 
 // Count implements TJCount (Fig. 1): the number of tuples in q(D).
 func (r *Runner) Count() int64 {

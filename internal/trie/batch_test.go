@@ -166,13 +166,3 @@ func TestNextBatchEdgeCases(t *testing.T) {
 		t.Fatalf("AtEnd: NextBatch = %d, want 0", n)
 	}
 }
-
-func TestMaterialized(t *testing.T) {
-	tries := batchTries(t)
-	if !tries["materialized"].NewIterator().Materialized() {
-		t.Error("materialized trie iterator reports Materialized() == false")
-	}
-	if tries["patched"].NewIterator().Materialized() {
-		t.Error("patched trie iterator reports Materialized() == true")
-	}
-}

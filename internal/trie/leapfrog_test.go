@@ -6,43 +6,11 @@ import (
 	"repro/internal/stats"
 )
 
-// TestLeapfrogReady pins which legs the kernel takes: two to
-// MaxLeapfrogLegs materialized iterators accounting into one sink.
-func TestLeapfrogReady(t *testing.T) {
-	var c1, c2 stats.Counters
-	built := Build(unaryRel([]int64{1, 2, 3}), nil)
-	patched := patchOf(t, unaryRel([]int64{1, 2}), unaryRel([]int64{1, 3}), nil)
-	legs := func(n int, c *stats.Counters) []*Iterator {
-		its := make([]*Iterator, n)
-		for i := range its {
-			its[i] = built.NewIteratorCounters(c)
-		}
-		return its
-	}
-	for _, tc := range []struct {
-		name string
-		its  []*Iterator
-		want bool
-	}{
-		{"none", nil, false},
-		{"one", legs(1, &c1), false},
-		{"two", legs(2, &c1), true},
-		{"max", legs(MaxLeapfrogLegs, &c1), true},
-		{"past max", legs(MaxLeapfrogLegs+1, &c1), false},
-		{"no sink", legs(3, nil), true},
-		{"two sinks", append(legs(1, &c1), legs(1, &c2)...), false},
-		{"patched leg", append(legs(1, &c1), patched.NewIteratorCounters(&c1)), false},
-	} {
-		if got := LeapfrogReady(tc.its); got != tc.want {
-			t.Errorf("%s: LeapfrogReady = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestLeapfrogLeafInPlace checks the leaf entry's shortcut: an
-// intersection that ends within dst leaves every leg where it stood —
-// depth and key — with only the charges written back; one that does not
-// leaves the legs open on the next match.
+// TestLeapfrogLeafInPlace checks that the kernel steps the iterators'
+// own legs: a leaf opened and drained through a Leapfrog leaves each
+// iterator one level down on the frog's next match, readable through the
+// Iterator with nothing written back, and Close puts every leg back on
+// the key it stood on.
 func TestLeapfrogLeafInPlace(t *testing.T) {
 	a := Build(buildRel(t, 2, [][]int64{{1, 2}, {1, 4}, {1, 6}, {1, 8}, {2, 1}}), nil)
 	b := Build(buildRel(t, 2, [][]int64{{0, 5}, {1, 4}, {1, 5}, {1, 6}, {1, 7}}), nil)
@@ -52,28 +20,45 @@ func TestLeapfrogLeafInPlace(t *testing.T) {
 		it.Open()
 		it.SeekGE(1)
 	}
-	c.Reset()
+	f := NewLeapfrog(its, []int{1, 1})
 	dst := make([]int64, 2)
-	if n, _, open := LeapfrogLeaf(its, dst); open || n != 2 || dst[0] != 4 || dst[1] != 6 {
-		t.Fatalf("drain wrote %v, open=%v; want [4 6] drained", dst[:n], open)
+	if n := openLeaf(&f, dst); !f.AtEnd() || n != 2 || dst[0] != 4 || dst[1] != 6 {
+		t.Fatalf("drain wrote %v, AtEnd=%v; want [4 6] drained", dst[:n], f.AtEnd())
 	}
+	f.Close()
 	for _, it := range its {
-		it.Flush()
 		if it.Depth() != 0 || it.Key() != 1 {
-			t.Fatalf("drained leaf moved a leg to depth %d key %d", it.Depth(), it.Key())
+			t.Fatalf("closed leaf left a leg at depth %d key %d, want 0 and 1", it.Depth(), it.Key())
 		}
 	}
 	// The exact charge is the scalar frog's, which leapfrog's tests hold
-	// the kernel to; here it must only have been written back.
-	if c.TrieAccesses == 0 {
+	// the kernel to; here it must only have been credited.
+	flushed := func() int64 {
+		for _, it := range its {
+			it.Flush()
+		}
+		return c.TrieAccesses
+	}
+	if flushed() == 0 {
 		t.Fatal("drained leaf charged nothing")
 	}
 
-	n, p, open := LeapfrogLeaf(its, dst[:1])
-	if !open || n != 1 || dst[0] != 4 {
-		t.Fatalf("short block: n=%d open=%v first=%d, want 1 open 4", n, open, dst[0])
+	if n := openLeaf(&f, dst[:1]); f.AtEnd() || n != 1 || dst[0] != 4 {
+		t.Fatalf("short block: n=%d AtEnd=%v first=%d, want 1 open 4", n, f.AtEnd(), dst[0])
 	}
-	if its[p].Depth() != 1 || its[p].Key() != 6 {
-		t.Fatalf("short block left leg %d at depth %d key %d, want 1 and 6", p, its[p].Depth(), its[p].Key())
+	for i, it := range its {
+		if it.Depth() != 1 || it.AtEnd() || it.Key() != 6 {
+			t.Fatalf("short block left leg %d at depth %d key %d, want 1 and 6", i, it.Depth(), it.Key())
+		}
 	}
+	f.Close()
+}
+
+// openLeaf opens f and drains a first block into dst, as leapfrog's
+// Runner.OpenLeaf does.
+func openLeaf(f *Leapfrog, dst []int64) int {
+	if !f.Open() {
+		return 0
+	}
+	return f.NextBatch(dst)
 }

@@ -17,7 +17,6 @@
 package trie
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -243,44 +242,57 @@ func (t *Trie) Fanout(d int) float64 {
 // The iterator starts at the virtual root (depth -1); Open must be called
 // before the level-0 operations.
 //
-// Two concrete cursor shapes live behind this one type, selected at
-// NewIterator time: over a fully materialized trie (mg == nil) every
-// operation runs a branch-free array walk — the hot path of every join
-// engine — while over a patched trie (BuildPatched) the same interface
-// is served by an on-the-fly two-way merge held in mg: a base cursor
-// that skips dead nodes and an overlay cursor over the inserted tuples,
-// with Key/Next/Seek taking the minimum side. The base cursor position
-// is kept dead-skipped as an invariant after every positioning
-// operation. The fast-path methods test mg once and tail-call the merge
-// twin, so materialized tries never pay for the patch machinery.
+// Its state is one leg per depth — the cursor the leapfrog kernel steps
+// (see Leapfrog) — and the methods below read and write the leg of the
+// current depth in place. A parent's leg does not move while the
+// iterator is below it, so Up is a depth decrement. Over a fully
+// materialized trie a leg is a branch-lean array walk, the hot path of
+// every join engine; over a patched trie (BuildPatched) each leg also
+// carries the overlay side of an on-the-fly two-way merge (mergeLeg):
+// the base cursor skips dead nodes, the overlay cursor walks the
+// inserted tuples, and the leg's key is the lesser of the two. The base
+// cursor is kept dead-skipped as an invariant after every positioning
+// operation.
 //
 // Accounting is batched: operations accumulate access charges in the
 // iterator (one pending counter, no guarded sink write per probe) and
 // flush them at close boundaries — Flush, SetCounters, and the runners'
 // Release, which every engine entry point calls when its scan finishes.
 // The flushed totals are bit-identical to the historical per-probe-
-// accounted binary-search implementation — see seekLevel.
+// accounted binary-search implementation — see seekSide.
 type Iterator struct {
 	t       *Trie
 	c       *stats.Counters // accounting sink (defaults to the trie's)
 	pending int64           // batched access charges, flushed at Open/Up
-	cur     int64           // current key at the current depth (valid when !end)
-	end     bool            // whether the current sibling range is exhausted
 	depth   int
-	hi      []int32      // base sibling range end per depth
-	pos     []int32      // base cursor per depth (positions never move backwards)
-	mg      *mergeCursor // overlay cursor state; nil for materialized tries
+	legs    []leg // the cursor at each depth
 }
 
-// mergeCursor carries the patched-trie overlay side of an Iterator, off
-// the materialized fast path.
-type mergeCursor struct {
-	ahi  []int32 // overlay sibling range end per depth
-	apos []int32 // overlay cursor per depth
-	// dead[d] is the least dead base position at or after the point of
-	// depth d's last dead-list search: short of it the base cursor
-	// stands on a live node without looking (skipDead).
-	dead []int32
+// leg is an Iterator's cursor at one depth: the level, the position
+// within the sibling range [pos, hi), and the key at the position. The
+// scalar Iterator methods and the leapfrog kernel step the same legs.
+// Over a patched trie pos is the base side's position, mg holds the
+// overlay side, and cur is the lesser live side's key.
+type leg struct {
+	it      *Iterator
+	up      *leg // the leg one depth up; nil at depth 0
+	lvl     *level
+	pos, hi int32
+	cur     int64     // the key at the position, valid while !atEnd
+	mg      *mergeLeg // nil over a materialized trie
+}
+
+// mergeLeg is a patched leg's overlay side and the state of its base
+// side's dead-node skip. The merge steps charge the leg's iterator
+// directly: they are off the materialized fast path.
+type mergeLeg struct {
+	lvl     *level // the overlay level
+	pos, hi int32
+	dead    []int32 // the base level's dead positions, ascending
+	// nextDead is the least dead base position at or after the point of
+	// the last dead-list search: short of it the base cursor stands on a
+	// live node without looking (skipDead).
+	nextDead int32
 }
 
 // NewIterator returns an iterator at the virtual root, accounting into
@@ -293,17 +305,21 @@ func (t *Trie) NewIterator() *Iterator { return t.NewIteratorCounters(t.c) }
 // private Counters (the trie's own sink is not goroutine-safe). c may be
 // nil to disable accounting for this cursor.
 func (t *Trie) NewIteratorCounters(c *stats.Counters) *Iterator {
-	it := &Iterator{
-		t:     t,
-		c:     c,
-		depth: -1,
-		hi:    make([]int32, t.arity),
-		pos:   make([]int32, t.arity),
-	}
+	it := &Iterator{t: t, c: c, depth: -1, legs: make([]leg, t.arity)}
+	var mg []mergeLeg
 	if t.patch != nil {
-		k := t.arity
-		buf := make([]int32, 3*k)
-		it.mg = &mergeCursor{ahi: buf[:k:k], apos: buf[k : 2*k : 2*k], dead: buf[2*k:]}
+		mg = make([]mergeLeg, t.arity)
+	}
+	for d := range it.legs {
+		l := &it.legs[d]
+		l.it, l.lvl = it, &t.levels[d]
+		if d > 0 {
+			l.up = &it.legs[d-1]
+		}
+		if mg != nil {
+			l.mg = &mg[d]
+			l.mg.lvl, l.mg.dead = &t.patch.adds[d], t.patch.dead[d]
+		}
 	}
 	return it
 }
@@ -349,180 +365,185 @@ func (it *Iterator) Open() {
 	if d >= it.t.arity {
 		panic("trie: Open below the deepest level")
 	}
-	if it.mg != nil {
-		it.openMerge(d)
-		return
-	}
-	var lo, hi int32
-	if d == 0 {
-		lo, hi = it.t.root.lo, it.t.root.hi
+	if l := &it.legs[d]; l.mg != nil {
+		l.openMerge()
 	} else {
-		lvl := &it.t.levels[it.depth]
-		q := it.pos[it.depth]
-		lo, hi = lvl.start[q], lvl.start[q+1]
-		it.pending += 2
+		it.pending += l.open()
 	}
 	it.depth = d
-	it.hi[d], it.pos[d] = hi, lo
-	if lo < hi {
-		it.cur = it.t.levels[d].vals[lo]
-		it.end = false
-	} else {
-		it.end = true
-	}
-	it.pending++
 }
 
-// openMerge is the patched-trie Open: descend each side that carries the
-// current key. A side that does not gets an empty child range and sits
-// AtEnd below.
-func (it *Iterator) openMerge(d int) {
-	p := it.t.patch
-	var blo, bhi, alo, ahi int32
-	if d == 0 {
-		blo, bhi = it.t.root.lo, it.t.root.hi
-		alo, ahi = p.root.lo, p.root.hi
-	} else {
-		cur := it.cur
-		if bv, ok := it.baseKey(); ok && bv == cur {
-			lvl := &it.t.levels[it.depth]
-			q := it.pos[it.depth]
-			blo, bhi = lvl.start[q], lvl.start[q+1]
-			it.pending += 2
-		}
-		if av, ok := it.overlayKey(); ok && av == cur {
-			lvl := &p.adds[it.depth]
-			q := it.mg.apos[it.depth]
-			alo, ahi = lvl.start[q], lvl.start[q+1]
-			it.pending += 2
-		}
-	}
-	it.depth = d
-	it.hi[d], it.pos[d] = bhi, blo
-	it.mg.ahi[d], it.mg.apos[d] = ahi, alo
-	it.mg.dead[d] = blo // nothing known under this parent: the first check searches
-	it.skipDead(d)
-	it.refreshMerge(d)
-	it.pending++
-}
-
-// Up ascends one level, restoring the parent level's cached key and
-// end state (the parent cursor did not move while below it).
+// Up ascends one level, back onto the parent's leg, which did not move
+// while the iterator was below it.
 func (it *Iterator) Up() {
-	d := it.depth - 1
-	if d < -1 {
+	if it.depth < 0 {
 		panic("trie: Up above the virtual root")
 	}
-	it.depth = d
-	if d < 0 {
-		return
-	}
-	if it.mg == nil {
-		if p := it.pos[d]; p < it.hi[d] {
-			it.cur = it.t.levels[d].vals[p]
-			it.end = false
-		} else {
-			it.end = true
-		}
-		return
-	}
-	it.refreshMerge(d)
+	it.depth--
 }
 
 // AtEnd reports whether the iterator moved past the last sibling.
-func (it *Iterator) AtEnd() bool { return it.end }
+func (it *Iterator) AtEnd() bool { return it.legs[it.depth].atEnd() }
 
 // Key returns the value at the current position. It must not be called
 // when AtEnd.
 func (it *Iterator) Key() int64 {
 	it.pending++
-	return it.cur
+	return it.legs[it.depth].cur
 }
 
 // Next advances to the next sibling.
 func (it *Iterator) Next() {
 	it.pending++
-	if it.mg == nil {
-		d := it.depth
-		p := it.pos[d] + 1
-		it.pos[d] = p
-		if p < it.hi[d] {
-			it.cur = it.t.levels[d].vals[p]
-		} else {
-			it.end = true
-		}
-		return
+	if l := &it.legs[it.depth]; l.mg != nil {
+		l.nextMerge()
+	} else {
+		l.next()
 	}
-	it.nextMerge()
-}
-
-// nextMerge advances every merge side positioned on the current key.
-func (it *Iterator) nextMerge() {
-	d := it.depth
-	cur := it.cur
-	if bv, ok := it.baseKey(); ok && bv == cur {
-		it.pos[d]++
-		it.skipDead(d)
-	}
-	if av, ok := it.overlayKey(); ok && av == cur {
-		it.mg.apos[d]++
-	}
-	it.refreshMerge(d)
-}
-
-// refreshMerge recomputes the cached key/end state of the merge shape
-// from the two cursors at depth d.
-func (it *Iterator) refreshMerge(d int) {
-	if it.pos[d] >= it.hi[d] && it.mg.apos[d] >= it.mg.ahi[d] {
-		it.end = true
-		return
-	}
-	it.end = false
-	it.cur = it.mergedKey()
 }
 
 // SeekGE positions the iterator at the least sibling with value >= v,
-// or AtEnd if none, without moving backwards; see seekLevel for the cost
-// and accounting contract. The materialized fast path is flattened in
-// place: the current-position check reads the cached key (no memory
-// probe), and only real searches run level.lowerBound — a dense root
-// level's index read, a next-key check, or a gallop.
+// or AtEnd if none, without moving backwards; see seekSide for the cost
+// and accounting contract.
 func (it *Iterator) SeekGE(v int64) {
-	if it.mg != nil {
-		it.seekMerge(v)
-		return
+	if l := &it.legs[it.depth]; !l.atEnd() {
+		_, c := l.seekGE(v)
+		it.pending += c
 	}
-	if it.end {
-		return
+}
+
+// atEnd reports whether the leg ran off its sibling range: over a
+// patched trie, off both sides of it.
+func (l *leg) atEnd() bool {
+	return l.pos >= l.hi && (l.mg == nil || l.mg.pos >= l.mg.hi)
+}
+
+// open enters the child range of the node the leg above stands on — the
+// trie's root range at depth 0 — and returns Open's charge: 1, plus 2 to
+// read a node's child offsets. The leg must be materialized (a patched
+// leg opens through openMerge); open and next are kept small enough to
+// inline into the kernel's loops.
+func (l *leg) open() int64 {
+	r, c := l.it.t.root, int64(1)
+	if up := l.up; up != nil {
+		r, c = up.lvl.children(up.pos), 3
 	}
-	it.pending++
-	if it.cur >= v {
-		return
+	l.pos, l.hi = r.lo, r.hi
+	if r.lo < r.hi {
+		l.cur = l.lvl.vals[r.lo]
 	}
-	d := it.depth
-	hi := it.hi[d]
-	lvl := &it.t.levels[d]
-	p, charge := lvl.lowerBound(it.pos[d]+1, hi, v)
-	it.pending += charge
-	it.pos[d] = p
-	if p < hi {
-		it.cur = lvl.vals[p]
+	return c
+}
+
+// next advances a live materialized leg one sibling and reports whether
+// it still stands on one. It charges nothing of its own: Next's access
+// is the caller's.
+func (l *leg) next() bool {
+	if l.pos++; l.pos >= l.hi {
+		return false
+	}
+	l.cur = l.lvl.vals[l.pos]
+	return true
+}
+
+// seekGE is SeekGE on a live leg: it reports whether the leg still
+// stands on a key, and returns the materialized charge — one access for
+// the current-key check, which reads the cached key, and level.lowerBound's
+// model cost when the leg must move. The patched merge charges its own.
+func (l *leg) seekGE(v int64) (bool, int64) {
+	if l.mg != nil {
+		return l.seekMerge(v), 0
+	}
+	if l.cur >= v {
+		return true, 1
+	}
+	p, c := l.lvl.lowerBound(l.pos+1, l.hi, v)
+	if l.pos = p; p >= l.hi {
+		return false, 1 + c
+	}
+	l.cur = l.lvl.vals[p]
+	return true, 1 + c
+}
+
+// bulk copies keys from a materialized leg's position on into dst, up to
+// len(dst) of them, and advances past them. It returns how many it
+// copied and charges nothing.
+func (l *leg) bulk(dst []int64) int {
+	n := copy(dst, l.lvl.vals[l.pos:l.hi])
+	if l.pos += int32(n); l.pos < l.hi {
+		l.cur = l.lvl.vals[l.pos]
+	}
+	return n
+}
+
+// openMerge is the patched open: each side descends under the parent's
+// node when it carries the parent's key, and gets an empty range when it
+// does not.
+func (l *leg) openMerge() {
+	m, p := l.mg, l.it.t.patch
+	var b, a span
+	if up := l.up; up == nil {
+		b, a = l.it.t.root, p.root
 	} else {
-		it.end = true
+		if up.pos < up.hi && up.lvl.vals[up.pos] == up.cur {
+			b = up.lvl.children(up.pos)
+			l.it.pending += 2
+		}
+		if um := up.mg; um.pos < um.hi && um.lvl.vals[um.pos] == up.cur {
+			a = um.lvl.children(um.pos)
+			l.it.pending += 2
+		}
 	}
+	l.pos, l.hi = b.lo, b.hi
+	m.pos, m.hi = a.lo, a.hi
+	m.nextDead = b.lo // nothing known under this parent: the first check searches
+	l.skipDead()
+	l.merge()
+	l.it.pending++
 }
 
-// seekMerge is the patched-trie SeekGE: both sides advance through the
-// shared seekLevel, then the merged key refreshes.
-func (it *Iterator) seekMerge(v int64) {
-	d := it.depth
-	it.pos[d] = it.seekLevel(&it.t.levels[d], it.pos[d], it.hi[d], v)
-	it.skipDead(d)
-	it.mg.apos[d] = it.seekLevel(&it.t.patch.adds[d], it.mg.apos[d], it.mg.ahi[d], v)
-	it.refreshMerge(d)
+// nextMerge advances every side standing on the leg's key.
+func (l *leg) nextMerge() bool {
+	m := l.mg
+	if l.pos < l.hi && l.lvl.vals[l.pos] == l.cur {
+		l.pos++
+		l.skipDead()
+	}
+	if m.pos < m.hi && m.lvl.vals[m.pos] == l.cur {
+		m.pos++
+	}
+	return l.merge()
 }
 
-// seekLevel advances one merge side's cursor within one level's sibling
+// seekMerge is the patched SeekGE: both sides advance through seekSide,
+// then the merged key refreshes.
+func (l *leg) seekMerge(v int64) bool {
+	m := l.mg
+	l.pos = l.seekSide(l.lvl, l.pos, l.hi, v)
+	l.skipDead()
+	m.pos = l.seekSide(m.lvl, m.pos, m.hi, v)
+	return l.merge()
+}
+
+// merge sets a patched leg's key to the lesser of its live sides' keys
+// and reports whether either side is live.
+func (l *leg) merge() bool {
+	m := l.mg
+	b, a := l.pos < l.hi, m.pos < m.hi
+	switch {
+	case b && a:
+		l.cur = min(l.lvl.vals[l.pos], m.lvl.vals[m.pos])
+	case b:
+		l.cur = l.lvl.vals[l.pos]
+	case a:
+		l.cur = m.lvl.vals[m.pos]
+	default:
+		return false
+	}
+	return true
+}
+
+// seekSide advances one merge side's cursor within one level's sibling
 // range [pos,hi) to the least entry >= v: after checking the current
 // position (LFTJ seeks are frequently short), level.lowerBound finds the
 // rest — on the patched trie's base side the same dense root index,
@@ -542,17 +563,18 @@ func (it *Iterator) seekMerge(v int64) {
 // memory. This keeps stats totals bit-identical across the historical
 // binary-search implementation and this one, so the paper's
 // memory-traffic numbers stay comparable; the accounting-equivalence
-// tests pin the contract.
-func (it *Iterator) seekLevel(lvl *level, pos, hi int32, v int64) int32 {
+// tests pin the contract. The materialized seekGE charges the same,
+// reading its current key from the leg instead of the level.
+func (l *leg) seekSide(lvl *level, pos, hi int32, v int64) int32 {
 	if pos >= hi {
 		return pos
 	}
-	it.pending++
+	l.it.pending++
 	if lvl.vals[pos] >= v {
 		return pos
 	}
 	p, charge := lvl.lowerBound(pos+1, hi, v)
-	it.pending += charge
+	l.it.pending += charge
 	return p
 }
 
@@ -679,71 +701,28 @@ func replayBinProbes(n, r int32) int64 {
 	return int64(t) + int64(binProbeTable[(j-i)&(binProbeTableN-1)][(r-i)&(binProbeTableN-1)])
 }
 
-// baseKey returns the base cursor's key at the current depth, if the
-// base side is not exhausted. The base position is dead-skipped by
-// invariant, so a live position always carries a surviving node.
-func (it *Iterator) baseKey() (int64, bool) {
-	d := it.depth
-	if it.pos[d] >= it.hi[d] {
-		return 0, false
-	}
-	return it.t.levels[d].vals[it.pos[d]], true
-}
-
-// overlayKey returns the overlay cursor's key at the current depth, if
-// the overlay side is not exhausted.
-func (it *Iterator) overlayKey() (int64, bool) {
-	d := it.depth
-	if it.mg.apos[d] >= it.mg.ahi[d] {
-		return 0, false
-	}
-	return it.t.patch.adds[d].vals[it.mg.apos[d]], true
-}
-
-// mergedKey is the patched-trie current key: the minimum of the live
-// sides. It must not be called when AtEnd.
-func (it *Iterator) mergedKey() int64 {
-	bv, bok := it.baseKey()
-	av, aok := it.overlayKey()
-	switch {
-	case bok && aok:
-		if av < bv {
-			return av
-		}
-		return bv
-	case bok:
-		return bv
-	case aok:
-		return av
-	}
-	panic("trie: Key called at end")
-}
-
-// skipDead restores the base-cursor invariant at depth d: the position
-// never rests on a node whose every leaf was deleted. Under one parent
-// the cursor only moves forward, so it remembers the next dead position
-// ahead of it and searches the sorted dead list again only on reaching
-// that one; a run of adjacent dead nodes is walked in step with the list.
-func (it *Iterator) skipDead(d int) {
-	pos, hi := it.pos[d], it.hi[d]
-	if pos < it.mg.dead[d] || pos >= hi {
+// skipDead restores the base-cursor invariant of a patched leg: the
+// position never rests on a node whose every leaf was deleted. Under one
+// parent the cursor only moves forward, so the leg remembers the next
+// dead position ahead of it and searches the sorted dead list again only
+// on reaching that one; a run of adjacent dead nodes is walked in step
+// with the list.
+func (l *leg) skipDead() {
+	m := l.mg
+	pos, hi := l.pos, l.hi
+	if pos < m.nextDead || pos >= hi {
 		return
 	}
-	dead := it.t.patch.dead[d]
+	dead := m.dead
 	i, _ := slices.BinarySearch(dead, pos)
 	for i < len(dead) && dead[i] == pos && pos < hi {
 		pos++
 		i++
-		it.pending++
+		l.it.pending++
 	}
-	it.pos[d] = pos
-	it.mg.dead[d] = math.MaxInt32
+	l.pos = pos
+	m.nextDead = math.MaxInt32
 	if i < len(dead) {
-		it.mg.dead[d] = dead[i]
+		m.nextDead = dead[i]
 	}
-}
-
-// String aids debugging.
-func (it *Iterator) String() string {
-	return fmt.Sprintf("trie.Iterator{depth=%d pos=%v}", it.depth, it.pos)
 }
