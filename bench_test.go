@@ -109,7 +109,7 @@ func BenchmarkEngineCLFTJBounded5Path(b *testing.B) {
 func BenchmarkEngineYTDCount5Path(b *testing.B) {
 	db := microDB()
 	q := queries.Path(5)
-	tree, _ := td.Select(q, td.Options{}, td.DefaultCostConfig(len(q.Vars())))
+	tree, _ := td.Select(q, td.Options{}, td.CostConfig{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

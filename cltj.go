@@ -68,7 +68,7 @@ type (
 	// registry, per-query cache policies and engine-lifetime statistics.
 	Engine = server.Engine
 	// EngineConfig sizes a new Engine (default workers, trie byte
-	// budget, reuse toggle).
+	// budget, plan-cache capacity, default orderer).
 	EngineConfig = server.Config
 	// EngineRequest is one query submission to an Engine.
 	EngineRequest = server.Request
@@ -374,7 +374,7 @@ func CountLFTJ(q *Query, db *DB, counters *Counters) (int64, error) {
 // CountYTD evaluates |q(D)| with Yannakakis over an automatically
 // selected tree decomposition. counters may be nil.
 func CountYTD(q *Query, db *DB, counters *Counters) (int64, error) {
-	tree, _ := td.Select(q, td.Options{}, td.DefaultCostConfig(len(q.Vars())))
+	tree, _ := td.Select(q, td.Options{}, td.CostConfig{})
 	return yannakakis.Count(q, db, tree, counters)
 }
 

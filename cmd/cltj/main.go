@@ -253,7 +253,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	case "ytd":
-		tree, _ := td.Select(q, td.Options{}, td.DefaultCostConfig(len(q.Vars())))
+		tree, _ := td.Select(q, td.Options{}, td.CostConfig{})
 		if *showTD {
 			fmt.Fprintf(stdout, "selected TD:\n%s", tree)
 		}

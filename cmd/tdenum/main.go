@@ -51,15 +51,14 @@ func main() {
 	}
 
 	fmt.Printf("\ncandidate tree decompositions:\n")
-	cfg := td.DefaultCostConfig(len(vars))
 	tds := td.Enumerate(q, td.Options{MaxAdhesion: *maxAdh, MaxSeparators: *maxSeps, MaxTDs: *maxTDs})
 	for i, t := range tds {
 		fmt.Printf("-- TD %d: bags=%d width=%d maxAdhesion=%d depth=%d cost=%.1f\n",
-			i+1, t.N(), t.Width(), t.MaxAdhesion(), t.Depth(), td.Cost(t, cfg))
+			i+1, t.N(), t.Width(), t.MaxAdhesion(), t.Depth(), td.Cost(t, td.CostConfig{}))
 		fmt.Print(renderTD(t, vars))
 	}
 
-	best, orderIdx := td.Select(q, td.Options{MaxAdhesion: *maxAdh, MaxSeparators: *maxSeps, MaxTDs: *maxTDs}, cfg)
+	best, orderIdx := td.Select(q, td.Options{MaxAdhesion: *maxAdh, MaxSeparators: *maxSeps, MaxTDs: *maxTDs}, td.CostConfig{})
 	order := make([]string, len(orderIdx))
 	for d, xi := range orderIdx {
 		order[d] = vars[xi]

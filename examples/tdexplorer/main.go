@@ -41,7 +41,6 @@ func main() {
 	data := dataset.PreferentialAttachment(400, 4, 99)
 	db := data.DB(false)
 
-	cfg := td.DefaultCostConfig(len(vars))
 	fmt.Printf("%-4s  %5s  %6s  %7s  %10s  %10s  %s\n",
 		"TD", "bags", "maxAdh", "cost", "count", "time ms", "bags (preorder)")
 	for i, tree := range cands {
@@ -57,11 +56,11 @@ func main() {
 		res := plan.Count(core.Policy{})
 		dur := time.Since(start)
 		fmt.Printf("%-4d  %5d  %6d  %7.1f  %10d  %10.2f  %s\n",
-			i+1, tree.N(), tree.MaxAdhesion(), td.Cost(tree, cfg),
+			i+1, tree.N(), tree.MaxAdhesion(), td.Cost(tree, td.CostConfig{}),
 			res.Count, float64(dur.Microseconds())/1000, bagsLine(tree, vars))
 	}
 
-	best, orderIdx := td.Select(q, td.Options{}, cfg)
+	best, orderIdx := td.Select(q, td.Options{}, td.CostConfig{})
 	order := make([]string, len(orderIdx))
 	for d, xi := range orderIdx {
 		order[d] = vars[xi]

@@ -54,7 +54,7 @@ func Ablation(cfg Config) *Table {
 
 	// Axis 3: decomposition source under unbounded caches.
 	numVars := len(q.Vars())
-	selected, _ := td.Select(q, td.Options{}, td.DefaultCostConfig(numVars))
+	selected, _ := td.Select(q, td.Options{}, td.CostConfig{})
 	addTD := func(variant string, tree *td.TD) {
 		order := orderNames(q, tree.CompatibleOrder(numVars))
 		m := RunCLFTJWith(q, db, tree, order, core.Policy{})

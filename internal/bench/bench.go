@@ -199,7 +199,7 @@ func (m *Measurement) timeEval(plan *core.Plan, policy core.Policy) {
 // join work, not index loading.
 func RunYTD(q *cq.Query, db *relation.DB) Measurement {
 	var m Measurement
-	tree, _ := td.Select(q, td.Options{}, td.DefaultCostConfig(len(q.Vars())))
+	tree, _ := td.Select(q, td.Options{}, td.CostConfig{})
 	start := time.Now()
 	e, err := yannakakis.New(q, db, tree, &m.Counters)
 	if err != nil {
@@ -213,7 +213,7 @@ func RunYTD(q *cq.Query, db *relation.DB) Measurement {
 // RunYTDEval measures Yannakakis-over-TD full evaluation.
 func RunYTDEval(q *cq.Query, db *relation.DB) Measurement {
 	var m Measurement
-	tree, _ := td.Select(q, td.Options{}, td.DefaultCostConfig(len(q.Vars())))
+	tree, _ := td.Select(q, td.Options{}, td.CostConfig{})
 	start := time.Now()
 	e, err := yannakakis.New(q, db, tree, &m.Counters)
 	if err != nil {

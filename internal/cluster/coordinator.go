@@ -19,8 +19,8 @@ import (
 type Config struct {
 	// RouteCache bounds the routing cache (entries; 0:
 	// DefaultRouteCacheSize, negative: disabled). Entries are keyed by
-	// (query text, options) alone: a route and the variable order pinned
-	// with it are structural, so updates leave them valid.
+	// query text alone: a route and the variable order pinned with it
+	// are structural, so updates leave them valid.
 	RouteCache int
 }
 
@@ -258,21 +258,11 @@ func behind(have, want map[string]uint64) bool {
 	return false
 }
 
-// optsKey canonicalizes the route-affecting request options. The
-// orderer is always the forced greedy strategy, so only the order-cost
-// skip (plan-affecting on the shards) distinguishes entries.
-func optsKey(req server.Request) string {
-	if req.NoOrderCost {
-		return "noc"
-	}
-	return ""
-}
-
 // routed is one resolved execution: the route, the touched relations
 // and the expected variable order (nil until the query's first execution
 // learns it).
 type routed struct {
-	key   routeKey
+	key   string // the query text, the route cache's key
 	route RoutePlan
 	names []string
 	order []string
@@ -359,7 +349,7 @@ func (c *Coordinator) resolve(ctx context.Context, req server.Request) (context.
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		req.TimeoutMS = 0
 	}
-	rt := &routed{key: routeKey{text: req.Query, opts: optsKey(req)}}
+	rt := &routed{key: req.Query}
 	var cached bool
 	if rt.route, rt.names, rt.order, cached = c.routes.get(rt.key); !cached {
 		q, err := cq.Parse(req.Query)

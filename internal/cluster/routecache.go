@@ -6,23 +6,16 @@ import "sync"
 // the config does not name one.
 const DefaultRouteCacheSize = 256
 
-// routeKey identifies one routed query: the raw query text and the
-// plan-affecting options. No version component: the route is a function
-// of the query's shape and the partitioning, and the variable order
-// pinned with it comes from the greedy orderer the coordinator forces,
-// which reads the query's structure and no index — neither can be moved
-// by an update.
-type routeKey struct {
-	text string
-	opts string
-}
-
 // routeEntry is one cached routing decision plus what the query's first
 // execution learned: the sorted relation names the query touches and the
 // shards' common variable order, which every later execution is held
-// to.
+// to. Entries are keyed by the raw query text alone. No version or
+// option enters the key: the route is a function of the query's shape
+// and the partitioning, and the variable order pinned with it comes from
+// the greedy orderer the coordinator forces, which reads the query's
+// structure and no index — neither can be moved by an update.
 type routeEntry struct {
-	key        routeKey
+	key        string
 	route      RoutePlan
 	names      []string
 	order      []string
@@ -36,7 +29,7 @@ type routeEntry struct {
 type routeCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[routeKey]*routeEntry
+	entries map[string]*routeEntry
 	head    *routeEntry // least recently used (next victim)
 	tail    *routeEntry // most recently used
 	hits    int64
@@ -50,11 +43,11 @@ func newRouteCache(capacity int) *routeCache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &routeCache{cap: capacity, entries: make(map[routeKey]*routeEntry)}
+	return &routeCache{cap: capacity, entries: make(map[string]*routeEntry)}
 }
 
 // get returns the cached entry's route/names/order, refreshing recency.
-func (rc *routeCache) get(key routeKey) (RoutePlan, []string, []string, bool) {
+func (rc *routeCache) get(key string) (RoutePlan, []string, []string, bool) {
 	if rc == nil {
 		return RoutePlan{}, nil, nil, false
 	}
@@ -73,7 +66,7 @@ func (rc *routeCache) get(key routeKey) (RoutePlan, []string, []string, bool) {
 // put stores one routing decision, evicting the least recently used
 // entry past capacity. order may be nil (not yet learned); learn fills
 // it in later.
-func (rc *routeCache) put(key routeKey, route RoutePlan, names, order []string) {
+func (rc *routeCache) put(key string, route RoutePlan, names, order []string) {
 	if rc == nil {
 		return
 	}
@@ -97,7 +90,7 @@ func (rc *routeCache) put(key routeKey, route RoutePlan, names, order []string) 
 
 // learn records the variable order the shards agreed on for key, so
 // later executions are verified against it.
-func (rc *routeCache) learn(key routeKey, order []string) {
+func (rc *routeCache) learn(key string, order []string) {
 	if rc == nil {
 		return
 	}

@@ -31,8 +31,8 @@ const (
 	// OrdererAdaptive plans like OrdererGreedy; engines layered above
 	// (package server) additionally observe executions of the cached
 	// plan and re-plan with demoted variables when the observed trie
-	// traffic diverges from the estimate. At this layer it differs from
-	// OrdererGreedy only in honoring AutoOptions.Demote.
+	// traffic diverges from the plan's baseline execution. At this layer
+	// it differs from OrdererGreedy only in honoring AutoOptions.Demote.
 	OrdererAdaptive Orderer = "adaptive"
 )
 
@@ -48,22 +48,14 @@ func (o Orderer) Valid() bool {
 
 // AutoOptions configures automatic plan selection.
 type AutoOptions struct {
-	// TD controls the decomposition enumeration (zero value: defaults).
-	TD td.Options
-	// Cost overrides the TD cost weights (zero value: defaults).
-	Cost td.CostConfig
 	// Orderer selects the planning strategy ("" = OrdererCost). Greedy
 	// and adaptive skip the entire cost model — skew probes and
-	// order-cost trie builds included — so SkipOrderCost is irrelevant
-	// under them.
+	// order-cost trie builds included.
 	Orderer Orderer
 	// Demote lists variable names pushed to the back of the greedy
 	// ranking (execution feedback from always-empty intersection levels;
 	// see AlwaysEmptyLevels). Ignored under OrdererCost.
 	Demote []string
-	// SkipOrderCost disables the Chu-et-al.-style order-cost term, which
-	// requires building one trie set per candidate decomposition.
-	SkipOrderCost bool
 	// Counters is the accounting sink for the final plan (may be nil).
 	Counters *stats.Counters
 	// Tries is an optional shared trie source (a trie.Registry): both
@@ -112,50 +104,42 @@ func AutoSelect(q *cq.Query, db *relation.DB, opts AutoOptions) (*td.TD, []strin
 	}
 	qvars := q.Vars()
 	if opts.Orderer == OrdererGreedy || opts.Orderer == OrdererAdaptive {
-		tree, orderIdx := td.SelectGreedy(q, opts.TD, td.GreedyConfig{Demote: opts.Demote})
+		tree, orderIdx := td.SelectGreedy(q, td.Options{}, td.GreedyConfig{Demote: opts.Demote})
 		order := make([]string, len(orderIdx))
 		for d, xi := range orderIdx {
 			order[d] = qvars[xi]
 		}
 		return tree, order, nil
 	}
-	cfg := opts.Cost
-	if cfg.AdhesionBase == 0 {
-		cfg = td.DefaultCostConfig(len(qvars))
+	// Probe builds are excluded from accounting (the paper measures the
+	// run, not plan selection) — except for builds that land in a shared
+	// trie source: those are real, once-per-engine work that the
+	// triggering query must be charged for, and must NOT be charged to
+	// later queries that reuse them (the registry prewarms here, before
+	// the final plan compiles). A constant atom probes the shared index
+	// under its constant like any other atom; the private probe tries
+	// left (every atom without a source, atoms with a repeated variable
+	// with one) are throwaway and stay unaccounted, so a warm repeat of
+	// any query shape reports zero probe builds.
+	probeTries := opts.Tries
+	if opts.Tries != nil {
+		probeTries = chargedSource{src: opts.Tries, c: opts.Counters}
 	}
-	cfg.NumVars = len(qvars)
-	if cfg.VarSkew == nil {
-		cfg.VarSkew = varSkewFunc(q, db)
-	}
-	if !opts.SkipOrderCost && cfg.OrderCost == nil {
-		// Probe builds are excluded from accounting (the paper measures
-		// the run, not plan selection) — except for builds that land in a
-		// shared trie source: those are real, once-per-engine work that
-		// the triggering query must be charged for, and must NOT be
-		// charged to later queries that reuse them (the registry prewarms
-		// here, before the final plan compiles). A constant atom probes
-		// the shared index under its constant like any other atom; the
-		// private probe tries left (every atom without a source, atoms
-		// with a repeated variable with one) are throwaway and stay
-		// unaccounted, so a warm repeat of any query shape reports zero
-		// probe builds.
-		probeTries := opts.Tries
-		if opts.Tries != nil {
-			probeTries = chargedSource{src: opts.Tries, c: opts.Counters}
+	orderCost := func(orderIdx []int) float64 {
+		names := make([]string, len(orderIdx))
+		for d, xi := range orderIdx {
+			names[d] = qvars[xi]
 		}
-		cfg.OrderCost = func(orderIdx []int) float64 {
-			names := make([]string, len(orderIdx))
-			for d, xi := range orderIdx {
-				names[d] = qvars[xi]
-			}
-			inst, err := leapfrog.BuildWith(q, db, names, nil, probeTries)
-			if err != nil {
-				return math.Inf(1)
-			}
-			return inst.EstimateOrderCost()
+		inst, err := leapfrog.BuildWith(q, db, names, nil, probeTries)
+		if err != nil {
+			return math.Inf(1)
 		}
+		return inst.EstimateOrderCost()
 	}
-	tree, orderIdx := td.Select(q, opts.TD, cfg)
+	tree, orderIdx := td.Select(q, td.Options{}, td.CostConfig{
+		VarSkew:   varSkewFunc(q, db),
+		OrderCost: orderCost,
+	})
 	order := make([]string, len(orderIdx))
 	for d, xi := range orderIdx {
 		order[d] = qvars[xi]

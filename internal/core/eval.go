@@ -110,7 +110,7 @@ type evalExec struct {
 	collectRoot bool                     // materialize the whole result as a factorized set
 	cm          *manager[factorized.Set] // pooled; nil: nothing is cached (acquireManager)
 	cancel      *leapfrog.Canceler       // nil never cancels
-	enter       func(i int)              // sharded runs: called with the root key's index before its subtree is scanned
+	enter       func()                   // sharded runs: called before each root key's subtree is scanned
 	emit        func([]int64) bool
 	emitted     int64
 	block       [blockLen]int64 // the deepest level's keys, a block at a time
@@ -224,7 +224,7 @@ func (e *evalExec) rjoin(d int) bool {
 			if !seek {
 				e.mu[d] = frog.Key()
 			} else if i < len(e.keys) && frog.SeekGE(e.keys[i]) {
-				e.enter(i)
+				e.enter()
 				e.mu[d] = e.keys[i]
 			} else {
 				break

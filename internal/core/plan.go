@@ -271,7 +271,6 @@ func (p *shape) compile(orderIdx []int) error {
 		}
 		adh := t.Adhesion(v) // variable indices, sorted
 		depths := make([]int, len(adh))
-		good := true
 		for i, xi := range adh {
 			depths[i] = depthOf[xi]
 			if depths[i] >= firstVar[v] {
@@ -280,7 +279,7 @@ func (p *shape) compile(orderIdx []int) error {
 		}
 		sortInts(depths)
 		adhesionDepths[v] = depths
-		cacheable[v] = good && len(depths) <= MaxKeyDim
+		cacheable[v] = len(depths) <= MaxKeyDim
 	}
 
 	p.numNodes = numNodes

@@ -132,22 +132,6 @@ func TestAutoPlanSingletonForClique(t *testing.T) {
 	}
 }
 
-func TestAutoPlanOptionsVariants(t *testing.T) {
-	q := queries.Cycle(4)
-	db := dataset.ErdosRenyi(15, 0.25, 6).DB(false)
-	base, err := AutoPlan(q, db, AutoOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noCost, err := AutoPlan(q, db, AutoOptions{SkipOrderCost: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := noCost.Count(Policy{}).Count, base.Count(Policy{}).Count; got != want {
-		t.Fatalf("counts differ across cost options: %d vs %d", got, want)
-	}
-}
-
 func TestKeyAt(t *testing.T) {
 	q := queries.Path(3)
 	db := relation.NewDB(relation.MustNew("E", 2, [][]int64{{1, 2}, {2, 3}}))

@@ -86,7 +86,7 @@ func (p *Plan) evalSharded(ctx context.Context, policy Policy, keys []int64, wor
 				return true
 			})
 			open := false
-			e.enter = func(int) {
+			e.enter = func() {
 				// Group boundary: seal the previous root value's rows.
 				if open && !dead {
 					if send(streamItem{rows: buf, last: true}) {

@@ -443,10 +443,9 @@ func (in *Instance) Legs() []AtomLeg { return in.atoms }
 // The unit is estimated partial assignments (an LFTJ work proxy, not
 // wall time or bytes); 0 means a statically empty instance. Estimates
 // are comparable across variable orders of the same query over the same
-// relation versions — the planner's order-cost term and the adaptive
-// loop's divergence prediction both rely on exactly that comparison —
-// and not across queries or datasets. The walk is read-only and charges
-// nothing to the instance's counters.
+// relation versions — the planner's order-cost term relies on exactly
+// that comparison — and not across queries or datasets. The walk is
+// read-only and charges nothing to the instance's counters.
 func (in *Instance) EstimateOrderCost() float64 {
 	if in.empty {
 		return 0

@@ -117,9 +117,9 @@ func TestAdaptiveReplanOnDivergence(t *testing.T) {
 // caps out at adaptMaxReplans.
 func TestObserveAccumulatesDemotes(t *testing.T) {
 	pc := newPlanCache(4)
-	key := planKey{text: "q", opts: "ord=adaptive"}
+	key := planKey{text: "q", ord: "adaptive"}
 	vec := []uint64{0}
-	pc.put(key, cachedPlan(t), []string{"E"}, vec, nil, 42)
+	pc.put(key, cachedPlan(t), []string{"E"}, vec, nil)
 
 	if _, replan := pc.observe(key, 100, nil, 0.5, 2); replan {
 		t.Fatal("baselining observation replanned")
@@ -147,7 +147,7 @@ func TestObserveAccumulatesDemotes(t *testing.T) {
 	}
 
 	// replace re-baselines and counts.
-	pc.replace(key, cachedPlan(t), vec, nil, 7)
+	pc.replace(key, cachedPlan(t), vec, nil)
 	if s := pc.stats(); s.Replans != 1 {
 		t.Fatalf("Replans = %d, want 1", s.Replans)
 	}

@@ -14,10 +14,10 @@ import (
 // FuzzQueryBody posts arbitrary bytes to POST /query on a small engine:
 // a request body is untrusted input. No body may panic the handler. One
 // that does not decode as a Request (malformed JSON, an unknown field
-// such as the retired "stream_workers", trailing bytes) gets
-// decodeInto's 400. One that does gets a typed answer: a Response, an
-// NDJSON stream that ends in its summary or error line, or an
-// {"error": ...} document under a status of the error table.
+// such as the retired "stream_workers" or "no_order_cost", trailing
+// bytes) gets decodeInto's 400. One that does gets a typed answer: a
+// Response, an NDJSON stream that ends in its summary or error line, or
+// an {"error": ...} document under a status of the error table.
 func FuzzQueryBody(f *testing.F) {
 	e := NewEngine(dataset.ErdosRenyi(12, 0.3, 5).DB(false), Config{Workers: 2})
 	stmt, err := e.Prepare(Request{Query: "E(x,y), E(y,z)", Mode: "eval"})
@@ -25,11 +25,17 @@ func FuzzQueryBody(f *testing.F) {
 		f.Fatal(err)
 	}
 	h := NewHandler(e)
-	const retired = `{"query": "E(x,y), E(y,z)", "mode": "stream", "stream_workers": 2}`
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/query", strings.NewReader(retired)))
-	if rec.Code != http.StatusBadRequest {
-		f.Fatalf("stream_workers answered %d, want the unknown-field 400: %s", rec.Code, rec.Body)
+	retired := []string{
+		`{"query": "E(x,y), E(y,z)", "mode": "stream", "stream_workers": 2}`,
+		`{"query": "E(x,y), E(y,z)", "no_order_cost": true}`,
+	}
+	for _, body := range retired {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/query", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			f.Fatalf("%s answered %d, want the unknown-field 400: %s", body, rec.Code, rec.Body)
+		}
+		f.Add([]byte(body))
 	}
 	for _, seed := range []string{
 		`{"query": "E(x,y), E(y,z), E(x,z)"}`,
@@ -41,7 +47,6 @@ func FuzzQueryBody(f *testing.F) {
 		`{"stmt": "s999"}`,
 		`{"query": "E(x,y)", "if_versions": {"E": 0}}`,
 		`{"query": "E(x,y)", "if_versions": {"E": 7, "F": 1}}`,
-		retired,
 		`{"query": "E(x,y)"} {}`,
 		`{"query": "E(x,"}`,
 		`null`,

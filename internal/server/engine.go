@@ -53,7 +53,7 @@ type Config struct {
 	// DefaultPlanCacheSize, negative: disabled, so every request pays
 	// parse + TD selection + plan compilation — the cold arm behind
 	// benchmark/'s server.do_cold_us). Plans are keyed by (canonical
-	// query text, plan-affecting options); the snapshot is a binding, not
+	// query text, resolved orderer); the snapshot is a binding, not
 	// a key component. An update unbinds exactly the plans over the
 	// relation it touched — their superseded tries are released, their
 	// shapes stay — and the next read re-binds to the new snapshot's
@@ -482,7 +482,8 @@ func (e *Engine) policyOf(req Request) (core.Policy, error) {
 }
 
 // ordererOf resolves a request's planning strategy: the request's
-// override if set, else the engine default, validated.
+// override if set, else the engine default, validated, with "" read as
+// core.OrdererCost.
 func (e *Engine) ordererOf(req Request) (core.Orderer, error) {
 	o := core.Orderer(req.Orderer)
 	if o == "" {
@@ -490,6 +491,9 @@ func (e *Engine) ordererOf(req Request) (core.Orderer, error) {
 	}
 	if !o.Valid() {
 		return "", fmt.Errorf("server: unknown orderer %q (want cost, greedy or adaptive)", o)
+	}
+	if o == "" {
+		o = core.OrdererCost
 	}
 	return o, nil
 }
@@ -585,7 +589,7 @@ func (e *Engine) planFor(s *Stmt, req Request, x *execution) error {
 	if err != nil {
 		return err
 	}
-	x.key = planKey{text: s.text, opts: planOptsKey(req, ord)}
+	x.key = planKey{text: s.text, ord: ord}
 	bopts := leapfrog.BuildOpts{Counters: x.c, Tries: e.reg, Workers: e.buildWorkers()}
 	if p, bound := e.plans.get(x.key, x.vec); p != nil {
 		x.cached = true
@@ -601,16 +605,15 @@ func (e *Engine) planFor(s *Stmt, req Request, x *execution) error {
 		return nil
 	}
 	x.plan, err = core.AutoPlan(s.q, x.db, core.AutoOptions{
-		Counters:      x.c,
-		Tries:         bopts.Tries,
-		Orderer:       ord,
-		SkipOrderCost: req.NoOrderCost,
-		BuildWorkers:  bopts.Workers,
+		Counters:     x.c,
+		Tries:        bopts.Tries,
+		Orderer:      ord,
+		BuildWorkers: bopts.Workers,
 	})
 	if err != nil {
 		return err
 	}
-	e.plans.put(x.key, x.plan.WithCounters(nil), s.names, x.vec, x.plan.Embedded(), x.plan.Instance().EstimateOrderCost())
+	e.plans.put(x.key, x.plan.WithCounters(nil), s.names, x.vec, x.plan.Embedded())
 	return nil
 }
 
@@ -820,5 +823,5 @@ func (e *Engine) adapt(q *cq.Query, x execution, levels []core.LevelStat) {
 	if err != nil {
 		return // keep serving the incumbent plan
 	}
-	e.plans.replace(x.key, p.WithCounters(nil), x.vec, p.Embedded(), p.Instance().EstimateOrderCost())
+	e.plans.replace(x.key, p.WithCounters(nil), x.vec, p.Embedded())
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -16,9 +15,9 @@ import (
 const DefaultPlanCacheSize = 128
 
 // planKey identifies one plan shape: the canonical query text and the
-// plan-affecting options. The snapshot is deliberately not part of it. A
+// resolved orderer. The snapshot is deliberately not part of it. A
 // plan is a shape (TD, variable order, cache layout — functions of the
-// query and the options) plus a binding (the tries of one snapshot), and
+// query and the orderer) plus a binding (the tries of one snapshot), and
 // only the binding goes stale when data changes: an update unbinds the
 // entries over the touched relation, the next reader re-binds the kept
 // shape to its own snapshot's tries, and nothing is re-planned. Shapes
@@ -28,28 +27,13 @@ type planKey struct {
 	// text is the canonical query text (cq.Query.String of the parsed
 	// query, so formatting variants of one query share an entry).
 	text string
-	// opts canonicalizes the plan-affecting request options (today:
-	// whether order-cost probing was skipped; execution-only knobs like
-	// workers or cache policy never enter the key).
-	opts string
-}
-
-// planOptsKey canonicalizes the plan-affecting options of a request:
-// the resolved orderer and whether order-cost probing was skipped
-// (docs/PLANNING.md enumerates which options are plan-affecting and
-// why). ord must be the resolved strategy, request overlaid on engine
-// default, so one query's cost and greedy plans coexist as distinct
-// entries while requests spelling the default explicitly share the
-// default's entry.
-func planOptsKey(req Request, ord core.Orderer) string {
-	var parts []string
-	if req.NoOrderCost {
-		parts = append(parts, "noc")
-	}
-	if ord != "" && ord != core.OrdererCost {
-		parts = append(parts, "ord="+string(ord))
-	}
-	return strings.Join(parts, ",")
+	// ord is the resolved orderer (Engine.ordererOf: request overlaid on
+	// engine default, "" read as cost), the only plan-affecting option
+	// (docs/PLANNING.md says why), so one query's cost and greedy plans
+	// coexist as distinct entries while requests spelling the default
+	// explicitly share the default's entry. Execution-only knobs like
+	// workers or cache policy never enter the key.
+	ord core.Orderer
 }
 
 // DefaultAdaptThreshold is the relative divergence of observed trie
@@ -74,11 +58,6 @@ const adaptMaxReplans = 3
 // adaptiveState is the feedback record of one cached plan under the
 // adaptive orderer. All fields are guarded by planCache.mu.
 type adaptiveState struct {
-	// predicted is the orderer's implicit traffic prediction at compile
-	// time — Instance.EstimateOrderCost, in estimated prefix visits. It
-	// is recorded for observability (not compared against observations
-	// directly: its units are estimates, not accesses).
-	predicted float64
 	// baseline is the first observed stats.Counters.TrieAccesses of a
 	// cache-hit execution (0: not yet observed). Divergence is measured
 	// relative to it; a re-plan clears it so the swapped plan
@@ -244,10 +223,8 @@ func (pc *planCache) get(key planKey, vec []uint64) (p *core.Plan, bound bool) {
 // evicting the least recently used entry past capacity. Re-storing an
 // existing key (two requests raced on the same miss) keeps the
 // incumbent. names are the relations the plan touches, sorted, as vec
-// is; embedded the registry entries the binding pins; predicted the
-// orderer's traffic estimate at compile time (retained as the adaptive
-// feedback record's prediction).
-func (pc *planCache) put(key planKey, p *core.Plan, names []string, vec []uint64, embedded []leapfrog.SourceEntry, predicted float64) {
+// is; embedded the registry entries the binding pins.
+func (pc *planCache) put(key planKey, p *core.Plan, names []string, vec []uint64, embedded []leapfrog.SourceEntry) {
 	if pc == nil {
 		return
 	}
@@ -256,8 +233,7 @@ func (pc *planCache) put(key planKey, p *core.Plan, names []string, vec []uint64
 	if _, ok := pc.entries[key]; ok {
 		return
 	}
-	e := &planEntry{key: key, plan: p, names: names, vers: vec, embedded: embedded,
-		adapt: adaptiveState{predicted: predicted}}
+	e := &planEntry{key: key, plan: p, names: names, vers: vec, embedded: embedded}
 	pc.entries[key] = e
 	pc.pushBack(e)
 	for len(pc.entries) > pc.cap {
@@ -418,14 +394,14 @@ func (pc *planCache) observe(key planKey, observed int64, emptyVars []string, th
 }
 
 // replace swaps a re-planned entry's shape and binding in place — same
-// key (the query and options are unchanged; only the variable order
+// key (the query and orderer are unchanged; only the variable order
 // moved), fresh plan bound at version vector vec — and re-baselines the
 // feedback record so the swapped plan's own traffic becomes the new
 // reference. Counted in Replans. If the entry vanished meanwhile
 // (evicted, dropped at a compaction) or an update has moved it past vec,
 // the swap is dropped: the re-plan was compiled for a superseded
 // snapshot and the incumbent shape keeps serving.
-func (pc *planCache) replace(key planKey, p *core.Plan, vec []uint64, embedded []leapfrog.SourceEntry, predicted float64) {
+func (pc *planCache) replace(key planKey, p *core.Plan, vec []uint64, embedded []leapfrog.SourceEntry) {
 	if pc == nil {
 		return
 	}
@@ -436,7 +412,6 @@ func (pc *planCache) replace(key planKey, p *core.Plan, vec []uint64, embedded [
 		return
 	}
 	e.plan, e.vers, e.embedded = p, vec, embedded
-	e.adapt.predicted = predicted
 	e.adapt.baseline = 0
 	e.adapt.divergent = 0
 	pc.replans++

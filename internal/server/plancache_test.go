@@ -37,10 +37,10 @@ func TestPlanCachePerEntryInvalidation(t *testing.T) {
 	keyC := planKey{text: "c"}
 	keyD := planKey{text: "d"}
 	vec := []uint64{0}
-	pc.put(keyA, cachedPlan(t), []string{"E"}, vec, []leapfrog.SourceEntry{{Rel: relE, Perm: permID}}, 0)
-	pc.put(keyB, cachedPlan(t), []string{"E"}, vec, []leapfrog.SourceEntry{{Rel: relE, Perm: permSwap}}, 0)
-	pc.put(keyC, cachedPlan(t), []string{"E"}, vec, nil, 0) // private (constant-specialized) tries only
-	pc.put(keyD, cachedPlan(t), []string{"R"}, vec, []leapfrog.SourceEntry{{Rel: relR, Perm: permID}}, 0)
+	pc.put(keyA, cachedPlan(t), []string{"E"}, vec, []leapfrog.SourceEntry{{Rel: relE, Perm: permID}})
+	pc.put(keyB, cachedPlan(t), []string{"E"}, vec, []leapfrog.SourceEntry{{Rel: relE, Perm: permSwap}})
+	pc.put(keyC, cachedPlan(t), []string{"E"}, vec, nil) // private (constant-specialized) tries only
+	pc.put(keyD, cachedPlan(t), []string{"R"}, vec, []leapfrog.SourceEntry{{Rel: relR, Perm: permID}})
 
 	pc.invalidateEmbedding(relE, permID)
 
@@ -82,7 +82,7 @@ func TestPlanCacheBindingVersions(t *testing.T) {
 	key := planKey{text: "q"}
 	shape := cachedPlan(t)
 	names := []string{"E", "R"}
-	pc.put(key, shape, names, []uint64{4, 1}, nil, 0)
+	pc.put(key, shape, names, []uint64{4, 1}, nil)
 
 	if p, bound := pc.get(key, []uint64{5, 1}); p == nil || bound || p.Instance() != nil {
 		t.Fatal("a reader at another snapshot was handed the resident binding")

@@ -44,12 +44,6 @@ type Request struct {
 	// join unwinds cooperatively and the request fails with
 	// context.DeadlineExceeded.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// NoOrderCost skips the order-cost probes of plan selection, which
-	// build one trie set per candidate decomposition to estimate scan
-	// costs — worth skipping for short queries whose planning time
-	// rivals their execution time. Plan-affecting: keyed into the plan
-	// cache, so the cheap and thorough plans of one query coexist.
-	NoOrderCost bool `json:"no_order_cost,omitempty"`
 	// Orderer overrides the engine's default planning strategy for this
 	// query: "cost", "greedy" or "adaptive" ("" keeps the engine
 	// default; see Config.Orderer). Plan-affecting: the resolved value

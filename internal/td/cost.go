@@ -14,20 +14,26 @@ import (
 // per cached entry). A pluggable order-cost estimator stands in for the
 // cost model of Chu et al. [7].
 
-// CostConfig weights the terms of the TD cost. Lower cost is better.
-type CostConfig struct {
-	// AdhesionBase is the per-node penalty base: each non-root bag costs
-	// AdhesionBase^|adhesion|, so 2-dimensional caches are much more
+// The fixed weights of the structural and skew terms. Lower cost is
+// better.
+const (
+	// adhesionBase is the per-node penalty base: each non-root bag costs
+	// adhesionBase^|adhesion|, so 2-dimensional caches are much more
 	// expensive than 1-dimensional ones (cf. Fig. 11's CS3 vs CS2).
-	AdhesionBase float64
-	// BagBonus is subtracted per bag (more bags → more cache sites).
-	BagBonus float64
-	// DepthPenalty is added per level of tree depth.
-	DepthPenalty float64
-	// SkewBonus scales the reward for adhesions over skewed variables; it
+	adhesionBase = 8
+	// bagBonus is subtracted per bag (more bags → more cache sites).
+	bagBonus = 1
+	// depthPenalty is added per level of tree depth.
+	depthPenalty = 0.5
+	// skewBonus scales the reward for adhesions over skewed variables; it
 	// multiplies the average skew coefficient of adhesion variables. Used
 	// only when a VarSkew function is supplied.
-	SkewBonus float64
+	skewBonus = 2
+)
+
+// CostConfig carries the data hooks of the TD cost. The zero value
+// scores the structural terms alone.
+type CostConfig struct {
 	// VarSkew optionally reports a skew coefficient (>=1, higher = more
 	// skew) for a variable index, derived from database statistics.
 	VarSkew func(varIdx int) float64
@@ -36,25 +42,14 @@ type CostConfig struct {
 	// the caller). Added to the cost after a log transform to keep scales
 	// comparable.
 	OrderCost func(order []int) float64
-	// NumVars is required by the order-cost and skew terms.
+	// NumVars is required by the order-cost term; Select fills it in.
 	NumVars int
 }
 
-// DefaultCostConfig returns the weights used by the experiments.
-func DefaultCostConfig(numVars int) CostConfig {
-	return CostConfig{
-		AdhesionBase: 8,
-		BagBonus:     1,
-		DepthPenalty: 0.5,
-		SkewBonus:    2,
-		NumVars:      numVars,
-	}
-}
-
-// Cost evaluates t under the configuration; lower is better. The score
-// is a dimensionless weighted sum — the weights exist to make its terms
-// comparable — so values are meaningful only relative to other TDs of
-// the same query scored under the same configuration.
+// Cost evaluates t with the configuration's hooks; lower is better. The
+// score is a dimensionless weighted sum — the weights exist to make its
+// terms comparable — so values are meaningful only relative to other TDs
+// of the same query scored with the same hooks.
 func Cost(t *TD, cfg CostConfig) float64 {
 	cost := 0.0
 	for v := range t.Bags {
@@ -62,17 +57,17 @@ func Cost(t *TD, cfg CostConfig) float64 {
 			continue
 		}
 		adh := t.Adhesion(v)
-		cost += math.Pow(cfg.AdhesionBase, float64(len(adh)))
+		cost += math.Pow(adhesionBase, float64(len(adh)))
 		if cfg.VarSkew != nil && len(adh) > 0 {
 			s := 0.0
 			for _, x := range adh {
 				s += cfg.VarSkew(x)
 			}
-			cost -= cfg.SkewBonus * s / float64(len(adh))
+			cost -= skewBonus * s / float64(len(adh))
 		}
 	}
-	cost -= cfg.BagBonus * float64(t.N())
-	cost += cfg.DepthPenalty * float64(t.Depth())
+	cost -= bagBonus * float64(t.N())
+	cost += depthPenalty * float64(t.Depth())
 	if cfg.OrderCost != nil && cfg.NumVars > 0 {
 		oc := cfg.OrderCost(t.CompatibleOrder(cfg.NumVars))
 		if oc > 0 {

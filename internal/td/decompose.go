@@ -173,8 +173,6 @@ type Options struct {
 	MaxSeparators int
 	// MaxTDs bounds the number of decompositions returned (default 16).
 	MaxTDs int
-	// KeepRedundant, when set, skips the redundancy-elimination pass.
-	KeepRedundant bool
 }
 
 func (o Options) withDefaults() Options {
@@ -203,9 +201,7 @@ func Enumerate(q *cq.Query, opts Options) []*TD {
 	var tds []*TD
 	seen := make(map[string]bool)
 	add := func(t *TD) {
-		if !opts.KeepRedundant {
-			t = t.EliminateRedundancy()
-		}
+		t = t.EliminateRedundancy()
 		key := t.Canonical()
 		if !seen[key] {
 			seen[key] = true

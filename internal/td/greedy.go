@@ -74,18 +74,13 @@ type GreedyConfig struct {
 	// variables that actually extend assignments. Unknown names are
 	// ignored.
 	Demote []string
-	// InversionPenalty is the cost added per ranking inversion when
-	// scoring candidate decompositions (how strongly TD selection
-	// prefers trees whose compatible orders agree with the greedy
-	// ranking, against the structural terms of Cost). 0 means
-	// DefaultInversionPenalty.
-	InversionPenalty float64
 }
 
-// DefaultInversionPenalty weighs one greedy-ranking inversion against
-// the structural TD cost terms (same scale as CostConfig.DepthPenalty
-// units: a handful of inversions rivals one extra tree level).
-const DefaultInversionPenalty = 2.0
+// inversionPenalty is the cost added per ranking inversion when scoring
+// candidate decompositions: how strongly TD selection prefers trees
+// whose compatible orders agree with the greedy ranking, against the
+// structural terms of Cost.
+const inversionPenalty = 2.0
 
 // GreedyRanks computes the per-variable ranking keys of q (indexed like
 // query.Vars()). demote names variables forced to the back (nil: none).
@@ -155,11 +150,6 @@ func GreedyOrder(q *cq.Query, cfg GreedyConfig) []int {
 func SelectGreedy(q *cq.Query, opts Options, cfg GreedyConfig) (*TD, []int) {
 	numVars := len(q.Vars())
 	ranks := GreedyRanks(q, cfg.Demote)
-	penalty := cfg.InversionPenalty
-	if penalty == 0 {
-		penalty = DefaultInversionPenalty
-	}
-	structural := DefaultCostConfig(numVars) // no VarSkew, no OrderCost: structural terms only
 
 	opts = opts.withDefaults()
 	all := make([]int, numVars)
@@ -168,10 +158,7 @@ func SelectGreedy(q *cq.Query, opts Options, cfg GreedyConfig) (*TD, []int) {
 	}
 	cands := []*TD{MustNew([][]int{all}, []int{-1})}
 	if mf := MinFillDecompose(q); mf.MaxAdhesion() <= opts.MaxAdhesion {
-		if !opts.KeepRedundant {
-			mf = mf.EliminateRedundancy()
-		}
-		cands = append(cands, mf)
+		cands = append(cands, mf.EliminateRedundancy())
 	}
 
 	type scored struct {
@@ -182,7 +169,7 @@ func SelectGreedy(q *cq.Query, opts Options, cfg GreedyConfig) (*TD, []int) {
 	var ss []scored
 	for _, t := range cands {
 		rt, order := greedyReorder(t, ranks, numVars)
-		cost := Cost(rt, structural) + penalty*float64(inversions(order, ranks))
+		cost := Cost(rt, CostConfig{}) + inversionPenalty*float64(inversions(order, ranks))
 		ss = append(ss, scored{rt, order, cost})
 	}
 	sort.SliceStable(ss, func(i, j int) bool {

@@ -213,7 +213,7 @@ func TestEnumerateRespectsAdhesionBound(t *testing.T) {
 
 func TestSelectPrefersSmallAdhesionsOnPaths(t *testing.T) {
 	q := queries.Path(5)
-	tree, order := Select(q, Options{}, DefaultCostConfig(5))
+	tree, order := Select(q, Options{}, CostConfig{})
 	if tree.N() < 2 {
 		t.Fatalf("Select returned the singleton TD for a path:\n%s", tree)
 	}
@@ -227,7 +227,7 @@ func TestSelectPrefersSmallAdhesionsOnPaths(t *testing.T) {
 
 func TestSelectSingletonForClique(t *testing.T) {
 	q := queries.Clique(4)
-	tree, _ := Select(q, Options{}, DefaultCostConfig(4))
+	tree, _ := Select(q, Options{}, CostConfig{})
 	if tree.N() != 1 {
 		t.Fatalf("clique selection returned %d bags:\n%s", tree.N(), tree)
 	}
@@ -238,7 +238,7 @@ func TestCostOrdersCacheStructures(t *testing.T) {
 	// the {3,2}-lollipop, mirroring Fig. 11's runtime ordering.
 	cs2 := MustNew([][]int{{0, 1, 2}, {2, 3}, {3, 4}}, []int{-1, 0, 1})
 	cs3 := MustNew([][]int{{0, 1, 2}, {1, 2, 3}, {3, 4}}, []int{-1, 0, 1})
-	cfg := DefaultCostConfig(5)
+	cfg := CostConfig{}
 	if Cost(cs2, cfg) >= Cost(cs3, cfg) {
 		t.Errorf("cost(CS2)=%.1f >= cost(CS3)=%.1f", Cost(cs2, cfg), Cost(cs3, cfg))
 	}

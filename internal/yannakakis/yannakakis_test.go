@@ -15,7 +15,7 @@ import (
 
 func autoTD(t *testing.T, q *cq.Query) *td.TD {
 	t.Helper()
-	tree, _ := td.Select(q, td.Options{}, td.DefaultCostConfig(len(q.Vars())))
+	tree, _ := td.Select(q, td.Options{}, td.CostConfig{})
 	if err := tree.Validate(q); err != nil {
 		t.Fatalf("selected TD invalid: %v", err)
 	}
