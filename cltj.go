@@ -196,7 +196,10 @@ type Options struct {
 	// workers may retain up to K*Capacity entries in total.
 	Policy Policy
 	// TD forces a specific tree decomposition; nil selects one
-	// automatically per the paper's §4 heuristics.
+	// automatically with the default (greedy) orderer, from the query
+	// pattern alone. The paper's §4 cost model is core.OrdererCost,
+	// reached by name through an Engine (EngineConfig.Orderer or a
+	// request's Orderer).
 	TD *TD
 	// Order forces a variable order (must be strongly compatible with
 	// the TD); nil derives one from the TD.
@@ -241,8 +244,9 @@ func buildWorkersOf(workers int) int {
 }
 
 // NewPlan compiles a CLFTJ plan per the options (automatic TD selection
-// when opts.TD is nil). Options.Workers also bounds the goroutines each
-// private trie build may use during compilation (0: one per core).
+// by the default greedy orderer when opts.TD is nil). Options.Workers
+// also bounds the goroutines each private trie build may use during
+// compilation (0: one per core).
 func NewPlan(q *Query, db *DB, opts Options) (*Plan, error) {
 	if opts.TD == nil {
 		return core.AutoPlan(q, db, core.AutoOptions{

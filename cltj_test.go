@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/naive"
 	"repro/internal/queries"
@@ -359,5 +360,72 @@ func TestFacadeEngine(t *testing.T) {
 	}
 	if s := e.Stats(); s.Queries != 1 {
 		t.Errorf("engine queries = %d, want 1", s.Queries)
+	}
+}
+
+// TestDefaultOrdererIsGreedy pins the one default orderer: every
+// planning entry point that names no orderer — core.AutoSelect with zero
+// options, a default-config Engine and NewPlan with zero Options —
+// selects exactly the TD and order an explicit greedy orderer does, on
+// the plan-shape golden's shapes and dataset. The paper's cost model
+// stays reachable by name: on the server tests' 3-path, where the two
+// planners disagree, "cost" still answers with its own order.
+func TestDefaultOrdererIsGreedy(t *testing.T) {
+	db := dataset.TriadicPA(120, 3, 0.4, 4177).DB(false)
+	constQ, err := ParseQuery("E(a,b), E(b,c), E(c,7)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(db, EngineConfig{Workers: 1})
+	for _, q := range []*Query{
+		queries.Clique(3), queries.Clique(4), queries.Path(4), queries.Cycle(4),
+		queries.Path(5), queries.Lollipop(3, 2), constQ,
+	} {
+		wantTD, wantOrder, err := core.AutoSelect(q, db, core.AutoOptions{Orderer: core.OrdererGreedy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(entry string, tree *TD, order []string) {
+			t.Helper()
+			if tree != nil && tree.String() != wantTD.String() {
+				t.Errorf("%s: %s selects TD\n%s, greedy selects\n%s", q, entry, tree, wantTD)
+			}
+			if !slices.Equal(order, wantOrder) {
+				t.Errorf("%s: %s selects order %v, greedy selects %v", q, entry, order, wantOrder)
+			}
+		}
+		tree, order, err := core.AutoSelect(q, db, core.AutoOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("AutoSelect(AutoOptions{})", tree, order)
+		plan, err := NewPlan(q, db, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("NewPlan(Options{})", plan.TD(), plan.Order())
+		resp, err := e.Do(EngineRequest{Query: q.String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("default Engine", nil, resp.Order)
+	}
+
+	se := NewEngine(dataset.TriadicPA(150, 3, 0.4, 4242).DB(false), EngineConfig{Workers: 1})
+	for _, tc := range []struct {
+		orderer string
+		want    []string
+	}{
+		{"", []string{"z", "w", "y", "x"}},
+		{"greedy", []string{"z", "w", "y", "x"}},
+		{"cost", []string{"y", "z", "x", "w"}},
+	} {
+		resp, err := se.Do(EngineRequest{Query: "E(x,y), E(y,z), E(z,w)", Orderer: tc.orderer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(resp.Order, tc.want) {
+			t.Errorf("orderer %q: order %v, want %v", tc.orderer, resp.Order, tc.want)
+		}
 	}
 }

@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cacheFlag := fs.Int("cache", 0, "CLFTJ cache capacity (0 = unbounded)")
 	supportFlag := fs.Int("support", 0, "CLFTJ support threshold")
 	workersFlag := fs.Int("workers", 1, "worker goroutines for clftj and lftj, counting and -eval alike (0 = one per core, 1 = sequential); other algorithms ignore it")
-	ordererFlag := fs.String("orderer", "", "planning strategy for clftj and -queries: cost (default; full cost model), greedy (stats-free pattern ranking) or adaptive (greedy + feedback-driven re-planning of cached plans)")
+	ordererFlag := fs.String("orderer", "", "planning strategy for clftj and -queries: greedy (default; stats-free pattern ranking), cost (the paper's full §4 cost model) or adaptive (greedy + feedback-driven re-planning of cached plans)")
 	timeoutFlag := fs.Duration("timeout", 0, "wall-clock budget covering planning, index build and the join (clftj and lftj; 0 = unlimited): past it the run unwinds cooperatively and cltj exits nonzero")
 	symFlag := fs.Bool("symmetric", false, "treat edges as undirected (add both directions)")
 	showTD := fs.Bool("show-td", false, "print the selected tree decomposition")
@@ -111,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if !core.Orderer(*ordererFlag).Valid() {
-		return fail(fmt.Errorf("unknown -orderer %q (want cost, greedy or adaptive)", *ordererFlag))
+		return fail(fmt.Errorf("unknown -orderer %q (want greedy, cost or adaptive)", *ordererFlag))
 	}
 	if *cpuProfileFlag != "" {
 		pf, err := os.Create(*cpuProfileFlag)

@@ -34,7 +34,7 @@
 //	cltjd [-addr :8372] [-data graph.txt | -rel R=path ...] [-symmetric]
 //	      [-data-dir DIR] [-workers K]
 //	      [-trie-budget BYTES] [-max-tuples N]
-//	      [-orderer cost|greedy|adaptive] [-adapt-threshold F] [-adapt-runs K]
+//	      [-orderer greedy|cost|adaptive] [-adapt-threshold F] [-adapt-runs K]
 //	      [-compact-fraction F] [-plan-cache N] [-max-prepared N] [-drain DUR]
 //	      [-shard i/n]
 //	cltjd -coordinator -shards host1:8372,host2:8372 [-addr :8372]
@@ -122,7 +122,7 @@ func main() {
 	maxTuples := flag.Int("max-tuples", server.DefaultMaxTuples, "default cap on tuples returned by eval responses")
 	compactFlag := flag.Float64("compact-fraction", 0, "patch-vs-rebuild crossover as a fraction of the base relation size (0 = default)")
 	planCacheFlag := flag.Int("plan-cache", 0, "compiled-plan cache capacity in entries (0 = default, negative = disabled)")
-	ordererFlag := flag.String("orderer", "", "default planning strategy: cost (default; full cost model), greedy (stats-free pattern ranking) or adaptive (greedy + feedback-driven re-planning)")
+	ordererFlag := flag.String("orderer", "", "default planning strategy: greedy (default; stats-free pattern ranking), cost (the paper's full §4 cost model) or adaptive (greedy + feedback-driven re-planning)")
 	adaptThresholdFlag := flag.Float64("adapt-threshold", 0, "adaptive orderer: relative trie-traffic divergence from a cached plan's baseline that counts as divergent (0 = default 0.5)")
 	adaptRunsFlag := flag.Int("adapt-runs", 0, "adaptive orderer: consecutive divergent executions that trigger a re-plan (0 = default 3)")
 	maxPreparedFlag := flag.Int("max-prepared", 0, "prepared-statement registry cap (0 = default)")
@@ -136,7 +136,7 @@ func main() {
 	hedgeFlag := flag.Duration("hedge", 0, "coordinator mode: launch a buffered read on the next replica after this delay without an answer (0 = no hedging; only replica groups hedge)")
 	flag.Parse()
 	if !core.Orderer(*ordererFlag).Valid() {
-		log.Fatalf("cltjd: unknown -orderer %q (want cost, greedy or adaptive)", *ordererFlag)
+		log.Fatalf("cltjd: unknown -orderer %q (want greedy, cost or adaptive)", *ordererFlag)
 	}
 	if *coordFlag && *shardFlag != "" {
 		log.Fatalln("cltjd: -coordinator and -shard are mutually exclusive (a coordinator serves no data)")

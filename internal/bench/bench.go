@@ -139,11 +139,12 @@ func RunLFTJEval(q *cq.Query, db *relation.DB) Measurement {
 	return m
 }
 
-// RunCLFTJ measures CLFTJ count with an automatically selected TD (tree
-// selection and trie construction excluded from timing).
+// RunCLFTJ measures CLFTJ count with a TD selected by the paper's §4
+// planner, core.OrdererCost (tree selection and trie construction
+// excluded from timing).
 func RunCLFTJ(q *cq.Query, db *relation.DB, policy core.Policy) Measurement {
 	var m Measurement
-	plan, err := core.AutoPlan(q, db, core.AutoOptions{Counters: &m.Counters})
+	plan, err := core.AutoPlan(q, db, core.AutoOptions{Counters: &m.Counters, Orderer: core.OrdererCost})
 	if err != nil {
 		return Measurement{Err: err}
 	}
@@ -167,10 +168,11 @@ func RunCLFTJWith(q *cq.Query, db *relation.DB, tree *td.TD, order []string, pol
 	return m
 }
 
-// RunCLFTJEval measures CLFTJ full evaluation (auto TD).
+// RunCLFTJEval measures CLFTJ full evaluation (TD selected by
+// core.OrdererCost, as in RunCLFTJ).
 func RunCLFTJEval(q *cq.Query, db *relation.DB, policy core.Policy) Measurement {
 	var m Measurement
-	plan, err := core.AutoPlan(q, db, core.AutoOptions{Counters: &m.Counters})
+	plan, err := core.AutoPlan(q, db, core.AutoOptions{Counters: &m.Counters, Orderer: core.OrdererCost})
 	if err != nil {
 		return Measurement{Err: err}
 	}

@@ -61,7 +61,7 @@ func ParallelSpeedup(cfg Config) *Table {
 		// One compile per workload: the sweep isolates execution scaling,
 		// and RunCLFTJPlan never times plan selection — recompiling an
 		// identical plan per worker count only wastes driver wall-clock.
-		plan, perr := core.AutoPlan(w.q, db, core.AutoOptions{})
+		plan, perr := core.AutoPlan(w.q, db, core.AutoOptions{Orderer: core.OrdererCost})
 		base := RunCLFTJPlan(plan, perr, core.Policy{Workers: 1})
 		for _, k := range workerSweep {
 			m := base

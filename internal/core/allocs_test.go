@@ -18,8 +18,8 @@ import (
 // weighted sum, as the server runs it. A warm sequential no-cache eval,
 // and the one-worker stream that is the same scan, allocate their three
 // per-bag slices and the Levels. A cached eval also allocates the
-// factorized entries it stores (1 512 objects for this 4-path's 543
-// entries) and nothing per cache hit: the continuation a hit expands its
+// factorized entries it stores (1 512 objects for the 543 entries of
+// this 4-path's cost-model plan, pinned so the bound stays calibrated) and nothing per cache hit: the continuation a hit expands its
 // cached set into stays on the stack, where escaping would add an object
 // for each of the run's 1 431 hits. A rise here shows up in the
 // benchmark's allocs_per_req.
@@ -28,7 +28,7 @@ func TestCountSequentialAllocs(t *testing.T) {
 		t.Skip("race instrumentation perturbs allocation accounting")
 	}
 	db := dataset.PreferentialAttachment(100, 3, 41).DB(false)
-	plan, err := AutoPlan(queries.Path(4), db, AutoOptions{})
+	plan, err := AutoPlan(queries.Path(4), db, AutoOptions{Orderer: OrdererCost})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,16 +18,18 @@ import (
 type Orderer string
 
 const (
-	// OrdererCost is the default data-dependent strategy: score TD
-	// candidates with the full heuristic cost model (adhesion dimension,
-	// bag count, depth, data skew, estimated order cost — the expensive
-	// term, one probe trie set per candidate).
-	OrdererCost Orderer = "cost"
-	// OrdererGreedy is the stats-free strategy: rank variables by
-	// constant-specialized atoms, then shared-variable connectivity
+	// OrdererGreedy is the default, stats-free strategy: rank variables
+	// by constant-specialized atoms, then shared-variable connectivity
 	// (td.GreedyOrder) and select a TD by structural terms plus ranking
-	// agreement — O(vars·atoms) planning, no index ever touched.
+	// agreement — O(vars·atoms) planning, no index ever touched. The
+	// empty Orderer means OrdererGreedy.
 	OrdererGreedy Orderer = "greedy"
+	// OrdererCost is the paper's §4 planner, opt-in by name: enumerate
+	// TD candidates and score them with the full heuristic cost model
+	// (adhesion dimension, bag count, depth, data skew, estimated order
+	// cost — the expensive term, one probe trie set per candidate). The
+	// experiment drivers that reproduce the paper's figures name it.
+	OrdererCost Orderer = "cost"
 	// OrdererAdaptive plans like OrdererGreedy; engines layered above
 	// (package server) additionally observe executions of the cached
 	// plan and re-plan with demoted variables when the observed trie
@@ -37,7 +39,7 @@ const (
 )
 
 // Valid reports whether o names a known strategy ("" counts: it means
-// OrdererCost).
+// OrdererGreedy).
 func (o Orderer) Valid() bool {
 	switch o {
 	case "", OrdererCost, OrdererGreedy, OrdererAdaptive:
@@ -46,11 +48,21 @@ func (o Orderer) Valid() bool {
 	return false
 }
 
+// Resolve returns the strategy o stands for: OrdererGreedy for "", o
+// itself otherwise. Two spellings of one strategy resolve alike, so a
+// cache keyed on the resolved value holds one plan for both.
+func (o Orderer) Resolve() Orderer {
+	if o == "" {
+		return OrdererGreedy
+	}
+	return o
+}
+
 // AutoOptions configures automatic plan selection.
 type AutoOptions struct {
-	// Orderer selects the planning strategy ("" = OrdererCost). Greedy
-	// and adaptive skip the entire cost model — skew probes and
-	// order-cost trie builds included.
+	// Orderer selects the planning strategy ("" = OrdererGreedy). Only
+	// OrdererCost runs the cost model — skew probes and order-cost trie
+	// builds included; greedy and adaptive plan from the pattern alone.
 	Orderer Orderer
 	// Demote lists variable names pushed to the back of the greedy
 	// ranking (execution feedback from always-empty intersection levels;
@@ -72,13 +84,13 @@ type AutoOptions struct {
 
 // AutoPlan selects a tree decomposition and strongly compatible variable
 // order for q (AutoSelect) and compiles them. Under the default
-// OrdererCost selection follows §4: enumerate decompositions biased
-// toward small adhesions, score them with the heuristic cost model
-// (adhesion dimension, bag count, depth, data skew, estimated order
-// cost) and compile the best. Under OrdererGreedy/OrdererAdaptive it
-// ranks variables from the query pattern alone (td.SelectGreedy) —
-// planning touches no data, which is the point: BenchmarkAutoPlan pits
-// the two planning costs against each other.
+// OrdererGreedy (and OrdererAdaptive) it ranks variables from the query
+// pattern alone (td.SelectGreedy): planning touches no data. Under
+// OrdererCost, named explicitly, selection follows §4: enumerate
+// decompositions biased toward small adhesions, score them with the
+// heuristic cost model (adhesion dimension, bag count, depth, data
+// skew, estimated order cost) and compile the best. BenchmarkAutoPlan
+// pits the two planning costs against each other.
 func AutoPlan(q *cq.Query, db *relation.DB, opts AutoOptions) (*Plan, error) {
 	tree, order, err := AutoSelect(q, db, opts)
 	if err != nil {
@@ -96,14 +108,14 @@ func AutoPlan(q *cq.Query, db *relation.DB, opts AutoOptions) (*Plan, error) {
 // would compile, without building the plan (no final-plan trie work).
 // Under OrdererCost the order-cost probes still touch data — and still
 // charge shared-source builds to opts.Counters — because they ARE
-// planning; under OrdererGreedy/OrdererAdaptive no index is ever
-// opened.
+// planning; under every other orderer, the default included, no index
+// is ever opened.
 func AutoSelect(q *cq.Query, db *relation.DB, opts AutoOptions) (*td.TD, []string, error) {
 	if err := q.Validate(); err != nil {
 		return nil, nil, err
 	}
 	qvars := q.Vars()
-	if opts.Orderer == OrdererGreedy || opts.Orderer == OrdererAdaptive {
+	if opts.Orderer != OrdererCost {
 		tree, orderIdx := td.SelectGreedy(q, td.Options{}, td.GreedyConfig{Demote: opts.Demote})
 		order := make([]string, len(orderIdx))
 		for d, xi := range orderIdx {

@@ -50,7 +50,7 @@ func TestPlanShapeGolden(t *testing.T) {
 			label string
 			opts  AutoOptions
 		}{
-			{"cost", AutoOptions{}},
+			{"cost", AutoOptions{Orderer: OrdererCost}},
 			{"greedy", AutoOptions{Orderer: OrdererGreedy}},
 			{"adaptive", AutoOptions{Orderer: OrdererAdaptive}},
 			{"adaptive+demote", AutoOptions{Orderer: OrdererAdaptive, Demote: s.q.Vars()[:1]}},

@@ -1,17 +1,22 @@
 package server
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
-// TestOrdererPlanCacheKey pins the plan-affecting contract: one query
-// executed under different orderers must compile once per strategy
-// (distinct cache entries), while re-running under the same strategy
-// hits.
+// TestOrdererPlanCacheKey pins the plan-affecting contract: the cache
+// keys on the resolved orderer, so the default and an explicit "greedy"
+// (two spellings of one strategy) share one entry, while "cost" and
+// "adaptive" compile their own. A prepared statement that names no
+// orderer resolves the same way: its compile hits the greedy entry.
 func TestOrdererPlanCacheKey(t *testing.T) {
 	e := NewEngine(testDB(), Config{Workers: 1})
 	const query = "E(a,b), E(b,c), E(c,d)"
 	want, _ := e.Do(Request{Query: query})
 
-	for _, ord := range []string{"cost", "greedy", "adaptive"} {
+	run := func(ord string) {
+		t.Helper()
 		resp, err := e.Do(Request{Query: query, Orderer: ord})
 		if err != nil {
 			t.Fatalf("orderer %q: %v", ord, err)
@@ -20,11 +25,33 @@ func TestOrdererPlanCacheKey(t *testing.T) {
 			t.Fatalf("orderer %q count = %d, want %d", ord, resp.Count, want.Count)
 		}
 	}
-	// "" and "cost" share an entry; greedy and adaptive get their own:
-	// 3 misses total across the 4 calls above.
-	if s := e.Stats().Plans; s.Misses != 3 || s.Hits != 1 {
-		t.Fatalf("plan cache after orderer sweep: %v (want 3 misses, 1 hit)", s)
+	expect := func(step string, misses, hits int64, size int) {
+		t.Helper()
+		if s := e.Stats().Plans; s.Misses != misses || s.Hits != hits || s.Size != size {
+			t.Fatalf("plan cache after %s: %v (want %d misses, %d hits, size %d)", step, s, misses, hits, size)
+		}
 	}
+	run("greedy")
+	run("cost")
+	expect("default, greedy, cost", 2, 1, 2)
+
+	run("adaptive")
+	expect("adaptive", 3, 1, 3)
+
+	s, err := e.Prepare(Request{Query: query})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	expect("prepare", 3, 2, 3)
+	if _, err := s.Do(context.Background(), Request{}); err != nil {
+		t.Fatal(err)
+	}
+	expect("prepared execution", 3, 3, 3)
+	if _, err := s.Do(context.Background(), Request{Orderer: "cost"}); err != nil {
+		t.Fatal(err)
+	}
+	expect("prepared cost execution", 3, 4, 3)
 
 	if _, err := e.Do(Request{Query: query, Orderer: "nosuch"}); err == nil {
 		t.Fatal("unknown orderer accepted")

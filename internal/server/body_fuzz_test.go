@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 )
 
@@ -83,6 +84,97 @@ func FuzzQueryBody(f *testing.F) {
 			if err := json.Unmarshal(out, &resp); err != nil || resp.Mode == "" {
 				t.Fatalf("200 without a Response (%v): %s", err, out)
 			}
+		case http.StatusBadRequest, http.StatusGatewayTimeout:
+			errorDoc(t, out)
+		case http.StatusConflict:
+			if doc := errorDoc(t, out); doc["versions"] == nil {
+				t.Fatalf("409 without the snapshot's versions: %s", out)
+			}
+		default:
+			t.Fatalf("status %d outside the error table: %s", rec.Code, out)
+		}
+	})
+}
+
+// FuzzPrepareBody posts arbitrary bytes to POST /prepare, the other
+// handler that decodes a Request from an untrusted body. No body may
+// panic it. One that does not decode gets decodeInto's 400, as does a
+// decoded one naming an unknown orderer (checked on a seed up front).
+// Otherwise the answer is a typed error document, or a 200 naming the
+// new statement — which is then closed through DELETE /prepare/{id},
+// so the registry stays empty however long the fuzzer runs.
+func FuzzPrepareBody(f *testing.F) {
+	e := NewEngine(dataset.ErdosRenyi(12, 0.3, 5).DB(false), Config{Workers: 2})
+	h := NewHandler(e)
+	prepare := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/prepare", bytes.NewReader(body)))
+		return rec
+	}
+	// closeStmt closes the statement a 200 answer out names.
+	closeStmt := func(t testing.TB, out []byte) {
+		var ans struct{ Stmt, Query string }
+		if err := json.Unmarshal(out, &ans); err != nil || ans.Stmt == "" || ans.Query == "" {
+			t.Fatalf("200 without a statement (%v): %s", err, out)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("DELETE", "/prepare/"+ans.Stmt, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("closing %s answered %d: %s", ans.Stmt, rec.Code, rec.Body)
+		}
+	}
+	for _, tc := range []struct {
+		orderer string
+		status  int
+	}{
+		{"", http.StatusOK},
+		{"greedy", http.StatusOK},
+		{"cost", http.StatusOK},
+		{"adaptive", http.StatusOK},
+		{"nosuch", http.StatusBadRequest},
+	} {
+		body := []byte(`{"query": "E(x,y), E(y,z), E(z,w)", "mode": "eval", "orderer": "` + tc.orderer + `"}`)
+		rec := prepare(body)
+		if rec.Code != tc.status {
+			f.Fatalf("%s answered %d, want %d: %s", body, rec.Code, tc.status, rec.Body)
+		}
+		if rec.Code == http.StatusOK {
+			closeStmt(f, rec.Body.Bytes())
+		}
+		f.Add(body)
+	}
+	for _, seed := range []string{
+		`{"query": "E(x,y), E(y,z), E(x,z)", "workers": 2, "cache_capacity": 2, "cache_eviction": "lru"}`,
+		`{"query": "E(3,y), E(y,y)", "mode": "aggregate", "semiring": "min", "no_cache": true}`,
+		`{"query": "E(x,y)", "mode": "stream"}`,
+		`{"query": "E(x,y)", "semiring": "max"}`,
+		`{"query": "E(x,y)", "if_versions": {"E": 7}}`,
+		`{"query": "E(x,y)", "timeout_ms": 1}`,
+		`{"stmt": "s1"}`,
+		`{"query": "E(x,y)", "no_order_cost": true}`,
+		`{"query": "E(x,"}`,
+		`null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := prepare(body)
+		out := rec.Body.Bytes()
+
+		var req Request
+		if !decodeInto(httptest.NewRecorder(), httptest.NewRequest("POST", "/prepare", bytes.NewReader(body)), maxRequestBody, &req) {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("undecodable body answered %d, want 400: %s", rec.Code, out)
+			}
+			errorDoc(t, out)
+			return
+		}
+		switch rec.Code {
+		case http.StatusOK:
+			if !core.Orderer(req.Orderer).Valid() {
+				t.Fatalf("orderer %q prepared: %s", req.Orderer, out)
+			}
+			closeStmt(t, out)
 		case http.StatusBadRequest, http.StatusGatewayTimeout:
 			errorDoc(t, out)
 		case http.StatusConflict:

@@ -66,10 +66,10 @@ type Config struct {
 	// workloads.
 	PlanCache int
 	// Orderer selects the default planning strategy for requests that do
-	// not name their own: "cost" (or empty — the full cost model),
-	// "greedy" (stats-free pattern ranking) or "adaptive" (greedy plus
-	// feedback-driven re-planning of cached plans). See core.Orderer and
-	// docs/PLANNING.md.
+	// not name their own: "greedy" (or empty — stats-free pattern
+	// ranking), "cost" (the paper's full §4 cost model) or "adaptive"
+	// (greedy plus feedback-driven re-planning of cached plans). See
+	// core.Orderer and docs/PLANNING.md.
 	Orderer string
 	// AdaptThreshold is the relative divergence of a cached plan's
 	// observed trie accesses from its baseline execution that counts as
@@ -482,20 +482,18 @@ func (e *Engine) policyOf(req Request) (core.Policy, error) {
 }
 
 // ordererOf resolves a request's planning strategy: the request's
-// override if set, else the engine default, validated, with "" read as
-// core.OrdererCost.
+// override if set, else the engine default, validated and resolved
+// (core.Orderer.Resolve: "" is greedy), so the plan-cache key never
+// tells two spellings of one strategy apart.
 func (e *Engine) ordererOf(req Request) (core.Orderer, error) {
 	o := core.Orderer(req.Orderer)
 	if o == "" {
 		o = core.Orderer(e.cfg.Orderer)
 	}
 	if !o.Valid() {
-		return "", fmt.Errorf("server: unknown orderer %q (want cost, greedy or adaptive)", o)
+		return "", fmt.Errorf("server: unknown orderer %q (want greedy, cost or adaptive)", o)
 	}
-	if o == "" {
-		o = core.OrdererCost
-	}
-	return o, nil
+	return o.Resolve(), nil
 }
 
 // adaptParams resolves the adaptive feedback thresholds from the config.

@@ -28,7 +28,7 @@ type planKey struct {
 	// query, so formatting variants of one query share an entry).
 	text string
 	// ord is the resolved orderer (Engine.ordererOf: request overlaid on
-	// engine default, "" read as cost), the only plan-affecting option
+	// engine default, "" read as greedy), the only plan-affecting option
 	// (docs/PLANNING.md says why), so one query's cost and greedy plans
 	// coexist as distinct entries while requests spelling the default
 	// explicitly share the default's entry. Execution-only knobs like

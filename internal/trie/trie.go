@@ -174,8 +174,9 @@ func (t *Trie) Arity() int { return t.arity }
 // Len returns the number of nodes at depth d under the root range. For
 // patched tries it is an estimate (base + overlay − dead): a value
 // present in both the base and the overlay under the same prefix counts
-// twice. The estimator consumers (order cost, fanout) tolerate this;
-// the exact tolerance contract is pinned by TestPatchedLenTolerance.
+// twice. The estimator consumers (order cost and fanout, which only the
+// cost orderer's planning reads) tolerate this; the exact tolerance
+// contract is pinned by TestPatchedLenTolerance.
 func (t *Trie) Len(d int) int {
 	b := t.root.below(t.levels, d)
 	n := int(b.hi - b.lo)
