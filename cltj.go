@@ -68,7 +68,7 @@ type (
 	// registry, per-query cache policies and engine-lifetime statistics.
 	Engine = server.Engine
 	// EngineConfig sizes a new Engine (default workers, trie byte
-	// budget, plan-cache capacity, default orderer).
+	// budget, plan-cache capacity).
 	EngineConfig = server.Config
 	// EngineRequest is one query submission to an Engine.
 	EngineRequest = server.Request
@@ -196,10 +196,9 @@ type Options struct {
 	// workers may retain up to K*Capacity entries in total.
 	Policy Policy
 	// TD forces a specific tree decomposition; nil selects one
-	// automatically with the default (greedy) orderer, from the query
-	// pattern alone. The paper's §4 cost model is core.OrdererCost,
-	// reached by name through an Engine (EngineConfig.Orderer or a
-	// request's Orderer).
+	// automatically with the serving planner (greedy), from the query
+	// pattern alone, as an Engine does. The paper's §4 cost model is
+	// core.CostSelect, which only the figure drivers call.
 	TD *TD
 	// Order forces a variable order (must be strongly compatible with
 	// the TD); nil derives one from the TD.
@@ -244,7 +243,7 @@ func buildWorkersOf(workers int) int {
 }
 
 // NewPlan compiles a CLFTJ plan per the options (automatic TD selection
-// by the default greedy orderer when opts.TD is nil). Options.Workers
+// by the greedy serving planner when opts.TD is nil). Options.Workers
 // also bounds the goroutines each private trie build may use during
 // compilation (0: one per core).
 func NewPlan(q *Query, db *DB, opts Options) (*Plan, error) {

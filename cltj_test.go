@@ -363,13 +363,10 @@ func TestFacadeEngine(t *testing.T) {
 	}
 }
 
-// TestDefaultOrdererIsGreedy pins the one default orderer: every
-// planning entry point that names no orderer — core.AutoSelect with zero
-// options, a default-config Engine and NewPlan with zero Options —
-// selects exactly the TD and order an explicit greedy orderer does, on
-// the plan-shape golden's shapes and dataset. The paper's cost model
-// stays reachable by name: on the server tests' 3-path, where the two
-// planners disagree, "cost" still answers with its own order.
+// TestDefaultOrdererIsGreedy pins the one planner: the facade's NewPlan
+// with zero Options and a default-config Engine select exactly the TD
+// and order core.AutoSelect (the greedy serving planner) does, on the
+// plan-shape golden's shapes and dataset.
 func TestDefaultOrdererIsGreedy(t *testing.T) {
 	db := dataset.TriadicPA(120, 3, 0.4, 4177).DB(false)
 	constQ, err := ParseQuery("E(a,b), E(b,c), E(c,7)")
@@ -381,24 +378,19 @@ func TestDefaultOrdererIsGreedy(t *testing.T) {
 		queries.Clique(3), queries.Clique(4), queries.Path(4), queries.Cycle(4),
 		queries.Path(5), queries.Lollipop(3, 2), constQ,
 	} {
-		wantTD, wantOrder, err := core.AutoSelect(q, db, core.AutoOptions{Orderer: core.OrdererGreedy})
+		wantTD, wantOrder, err := core.AutoSelect(q, db, core.AutoOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		check := func(entry string, tree *TD, order []string) {
 			t.Helper()
 			if tree != nil && tree.String() != wantTD.String() {
-				t.Errorf("%s: %s selects TD\n%s, greedy selects\n%s", q, entry, tree, wantTD)
+				t.Errorf("%s: %s selects TD\n%s, AutoSelect selects\n%s", q, entry, tree, wantTD)
 			}
 			if !slices.Equal(order, wantOrder) {
-				t.Errorf("%s: %s selects order %v, greedy selects %v", q, entry, order, wantOrder)
+				t.Errorf("%s: %s selects order %v, AutoSelect selects %v", q, entry, order, wantOrder)
 			}
 		}
-		tree, order, err := core.AutoSelect(q, db, core.AutoOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("AutoSelect(AutoOptions{})", tree, order)
 		plan, err := NewPlan(q, db, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -409,23 +401,5 @@ func TestDefaultOrdererIsGreedy(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("default Engine", nil, resp.Order)
-	}
-
-	se := NewEngine(dataset.TriadicPA(150, 3, 0.4, 4242).DB(false), EngineConfig{Workers: 1})
-	for _, tc := range []struct {
-		orderer string
-		want    []string
-	}{
-		{"", []string{"z", "w", "y", "x"}},
-		{"greedy", []string{"z", "w", "y", "x"}},
-		{"cost", []string{"y", "z", "x", "w"}},
-	} {
-		resp, err := se.Do(EngineRequest{Query: "E(x,y), E(y,z), E(z,w)", Orderer: tc.orderer})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(resp.Order, tc.want) {
-			t.Errorf("orderer %q: order %v, want %v", tc.orderer, resp.Order, tc.want)
-		}
 	}
 }

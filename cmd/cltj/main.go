@@ -94,7 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cacheFlag := fs.Int("cache", 0, "CLFTJ cache capacity (0 = unbounded)")
 	supportFlag := fs.Int("support", 0, "CLFTJ support threshold")
 	workersFlag := fs.Int("workers", 1, "worker goroutines for clftj and lftj, counting and -eval alike (0 = one per core, 1 = sequential); other algorithms ignore it")
-	ordererFlag := fs.String("orderer", "", "planning strategy for clftj and -queries: greedy (default; stats-free pattern ranking), cost (the paper's full §4 cost model) or adaptive (greedy + feedback-driven re-planning of cached plans)")
 	timeoutFlag := fs.Duration("timeout", 0, "wall-clock budget covering planning, index build and the join (clftj and lftj; 0 = unlimited): past it the run unwinds cooperatively and cltj exits nonzero")
 	symFlag := fs.Bool("symmetric", false, "treat edges as undirected (add both directions)")
 	showTD := fs.Bool("show-td", false, "print the selected tree decomposition")
@@ -109,9 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "cltj:", err)
 		return 1
-	}
-	if !core.Orderer(*ordererFlag).Valid() {
-		return fail(fmt.Errorf("unknown -orderer %q (want greedy, cost or adaptive)", *ordererFlag))
 	}
 	if *cpuProfileFlag != "" {
 		pf, err := os.Create(*cpuProfileFlag)
@@ -186,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-timeout applies to single-query runs; the resident engine takes timeout_ms per request (cltjd)"))
 	}
 	if *queriesFlag != "" {
-		cfg := server.Config{Workers: engineWorkers, TrieBudget: *budgetFlag, DataDir: *dataDirFlag, Orderer: *ordererFlag}
+		cfg := server.Config{Workers: engineWorkers, TrieBudget: *budgetFlag, DataDir: *dataDirFlag}
 		engine, err := openEngine(db, cfg, rels, *dataFlag, *symFlag, stdout)
 		if err != nil {
 			return fail(err)
@@ -227,7 +223,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var count int64
 	switch *algoFlag {
 	case "clftj":
-		plan, err := core.AutoPlan(q, db, core.AutoOptions{Counters: &c, Orderer: core.Orderer(*ordererFlag)})
+		plan, err := core.AutoPlan(q, db, core.AutoOptions{Counters: &c})
 		if err != nil {
 			return fail(err)
 		}

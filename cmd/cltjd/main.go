@@ -34,7 +34,6 @@
 //	cltjd [-addr :8372] [-data graph.txt | -rel R=path ...] [-symmetric]
 //	      [-data-dir DIR] [-workers K]
 //	      [-trie-budget BYTES] [-max-tuples N]
-//	      [-orderer greedy|cost|adaptive] [-adapt-threshold F] [-adapt-runs K]
 //	      [-compact-fraction F] [-plan-cache N] [-max-prepared N] [-drain DUR]
 //	      [-shard i/n]
 //	cltjd -coordinator -shards host1:8372,host2:8372 [-addr :8372]
@@ -96,7 +95,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/relation"
 	"repro/internal/server"
@@ -122,9 +120,6 @@ func main() {
 	maxTuples := flag.Int("max-tuples", server.DefaultMaxTuples, "default cap on tuples returned by eval responses")
 	compactFlag := flag.Float64("compact-fraction", 0, "patch-vs-rebuild crossover as a fraction of the base relation size (0 = default)")
 	planCacheFlag := flag.Int("plan-cache", 0, "compiled-plan cache capacity in entries (0 = default, negative = disabled)")
-	ordererFlag := flag.String("orderer", "", "default planning strategy: greedy (default; stats-free pattern ranking), cost (the paper's full §4 cost model) or adaptive (greedy + feedback-driven re-planning)")
-	adaptThresholdFlag := flag.Float64("adapt-threshold", 0, "adaptive orderer: relative trie-traffic divergence from a cached plan's baseline that counts as divergent (0 = default 0.5)")
-	adaptRunsFlag := flag.Int("adapt-runs", 0, "adaptive orderer: consecutive divergent executions that trigger a re-plan (0 = default 3)")
 	maxPreparedFlag := flag.Int("max-prepared", 0, "prepared-statement registry cap (0 = default)")
 	dataDirFlag := flag.String("data-dir", "", "persistent data directory: snapshots + write-ahead logs + trie index files; a populated directory boots warm (dataset flags are ignored) and updates become durable")
 	drainFlag := flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight queries on SIGINT/SIGTERM")
@@ -135,9 +130,6 @@ func main() {
 	shardTimeoutFlag := flag.Duration("shard-timeout", cluster.DefaultShardTimeout, "coordinator mode: per-shard request timeout for buffered operations")
 	hedgeFlag := flag.Duration("hedge", 0, "coordinator mode: launch a buffered read on the next replica after this delay without an answer (0 = no hedging; only replica groups hedge)")
 	flag.Parse()
-	if !core.Orderer(*ordererFlag).Valid() {
-		log.Fatalf("cltjd: unknown -orderer %q (want greedy, cost or adaptive)", *ordererFlag)
-	}
 	if *coordFlag && *shardFlag != "" {
 		log.Fatalln("cltjd: -coordinator and -shard are mutually exclusive (a coordinator serves no data)")
 	}
@@ -188,9 +180,6 @@ func main() {
 			MaxTuples:       *maxTuples,
 			CompactFraction: *compactFlag,
 			PlanCache:       *planCacheFlag,
-			Orderer:         *ordererFlag,
-			AdaptThreshold:  *adaptThresholdFlag,
-			AdaptRuns:       *adaptRunsFlag,
 			MaxPrepared:     *maxPreparedFlag,
 			DataDir:         *dataDirFlag,
 		}, func() (*relation.DB, error) {

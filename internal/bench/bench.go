@@ -140,11 +140,11 @@ func RunLFTJEval(q *cq.Query, db *relation.DB) Measurement {
 }
 
 // RunCLFTJ measures CLFTJ count with a TD selected by the paper's §4
-// planner, core.OrdererCost (tree selection and trie construction
+// planner, core.CostSelect (tree selection and trie construction
 // excluded from timing).
 func RunCLFTJ(q *cq.Query, db *relation.DB, policy core.Policy) Measurement {
 	var m Measurement
-	plan, err := core.AutoPlan(q, db, core.AutoOptions{Counters: &m.Counters, Orderer: core.OrdererCost})
+	plan, err := costPlan(q, db, &m.Counters)
 	if err != nil {
 		return Measurement{Err: err}
 	}
@@ -153,6 +153,16 @@ func RunCLFTJ(q *cq.Query, db *relation.DB, policy core.Policy) Measurement {
 	m.Count = plan.Count(policy).Count
 	m.Duration = time.Since(start)
 	return m
+}
+
+// costPlan compiles q under the TD and order the paper's §4 planner,
+// core.CostSelect, picks; the plan accounts into counters (may be nil).
+func costPlan(q *cq.Query, db *relation.DB, counters *stats.Counters) (*core.Plan, error) {
+	tree, order, err := core.CostSelect(q, db)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewPlan(q, db, tree, order, counters)
 }
 
 // RunCLFTJWith measures CLFTJ count under an explicit TD and order.
@@ -169,10 +179,10 @@ func RunCLFTJWith(q *cq.Query, db *relation.DB, tree *td.TD, order []string, pol
 }
 
 // RunCLFTJEval measures CLFTJ full evaluation (TD selected by
-// core.OrdererCost, as in RunCLFTJ).
+// core.CostSelect, as in RunCLFTJ).
 func RunCLFTJEval(q *cq.Query, db *relation.DB, policy core.Policy) Measurement {
 	var m Measurement
-	plan, err := core.AutoPlan(q, db, core.AutoOptions{Counters: &m.Counters, Orderer: core.OrdererCost})
+	plan, err := costPlan(q, db, &m.Counters)
 	if err != nil {
 		return Measurement{Err: err}
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // RunCLFTJPlan measures one sharded count over an already-compiled plan
-// (compileErr threads AutoPlan's error through, so sweep drivers can
+// (compileErr threads the compile error through, so sweep drivers can
 // compile once and measure many runs). Accounting covers only the run.
 func RunCLFTJPlan(plan *core.Plan, compileErr error, policy core.Policy) Measurement {
 	if compileErr != nil {
@@ -61,7 +61,7 @@ func ParallelSpeedup(cfg Config) *Table {
 		// One compile per workload: the sweep isolates execution scaling,
 		// and RunCLFTJPlan never times plan selection — recompiling an
 		// identical plan per worker count only wastes driver wall-clock.
-		plan, perr := core.AutoPlan(w.q, db, core.AutoOptions{Orderer: core.OrdererCost})
+		plan, perr := costPlan(w.q, db, nil)
 		base := RunCLFTJPlan(plan, perr, core.Policy{Workers: 1})
 		for _, k := range workerSweep {
 			m := base

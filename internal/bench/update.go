@@ -44,7 +44,7 @@ func IncrementalUpdates(cfg Config) *Table {
 	// deployment pays.
 	for _, k := range deltas {
 		db := g.DB(false)
-		patched := server.NewEngine(db, server.Config{Workers: 1, CompactFraction: 1e9, Orderer: "cost"})
+		patched := server.NewEngine(db, server.Config{Workers: 1, CompactFraction: 1e9})
 		if _, err := patched.Do(server.Request{Query: query}); err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("ERROR warm (delta=%d): %v", k, err))
 			continue

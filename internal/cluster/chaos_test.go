@@ -89,7 +89,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Ground truth, all pinned to the orderer the coordinator forces:
+	// Ground truth:
 	// the oracle's full answer per query, its row set, and each shard's
 	// exact local count (what "exact over the survivors" must sum to).
 	ctx := context.Background()
@@ -106,14 +106,14 @@ func TestChaosSoak(t *testing.T) {
 		for _, q := range shardableQueries {
 			o := &oracle{rowSet: make(map[string]bool)}
 			_, o.rows, _ = streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-				return single.StreamCtx(ctx, server.Request{Query: q, Orderer: "greedy"}, hd, row)
+				return single.StreamCtx(ctx, server.Request{Query: q}, hd, row)
 			})
 			o.count = int64(len(o.rows))
 			for _, r := range o.rows {
 				o.rowSet[fmt.Sprint(r)] = true
 			}
 			for i, e := range engines {
-				resp, err := e.DoCtx(ctx, server.Request{Query: q, Orderer: "greedy"})
+				resp, err := e.DoCtx(ctx, server.Request{Query: q})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -328,20 +328,15 @@ func (rt *routed) absorb(ctx context.Context, asked []int, errs []error, first e
 // cache, or parse + route on a miss. The returned cancel is never nil.
 //
 // Prepared statements are engine-local handles a coordinator cannot
-// route, and the orderer is forced to the greedy strategy — the one
-// planning mode that is purely structural, so every shard (whatever its
-// data slice looks like, at whatever version) compiles the same variable
-// order and the merges are byte-exact. Cost or adaptive ordering would
-// let two shards pick different orders for one query.
+// route. Nothing about planning needs forcing: every engine plans from
+// the query pattern alone, so every shard (whatever its data slice looks
+// like, at whatever version) compiles the same variable order and the
+// merges are byte-exact.
 func (c *Coordinator) resolve(ctx context.Context, req server.Request) (context.Context, context.CancelFunc, server.Request, *routed, error) {
 	cancel := context.CancelFunc(func() {})
 	if req.Stmt != "" {
 		return ctx, cancel, req, nil, fmt.Errorf("cluster: prepared statements are engine-local — send query text to the coordinator")
 	}
-	if req.Orderer != "" && req.Orderer != "greedy" {
-		return ctx, cancel, req, nil, fmt.Errorf("cluster: coordinator plans with the greedy orderer only (got %q) — data-dependent ordering could diverge across shards", req.Orderer)
-	}
-	req.Orderer = "greedy"
 	if req.IfVersions != nil {
 		return ctx, cancel, req, nil, fmt.Errorf("cluster: if_versions is a precondition on one engine's snapshot — a fleet has one vector per shard, which the coordinator sends itself")
 	}

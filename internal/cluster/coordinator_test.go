@@ -57,9 +57,8 @@ var shardableQueries = []string{
 	"E(3,y), E(3,z)",
 }
 
-// checkDo runs req against the fleet and the single engine (pinned to
-// the greedy orderer the coordinator forces) and requires identical
-// results.
+// checkDo runs req against the fleet and the single engine and requires
+// identical results.
 func checkDo(t *testing.T, h *harness, req server.Request) (*server.Response, *server.Response) {
 	t.Helper()
 	ctx := context.Background()
@@ -67,9 +66,7 @@ func checkDo(t *testing.T, h *harness, req server.Request) (*server.Response, *s
 	if err != nil {
 		t.Fatalf("coordinator %+v: %v", req, err)
 	}
-	sreq := req
-	sreq.Orderer = "greedy"
-	want, err := h.single.DoCtx(ctx, sreq)
+	want, err := h.single.DoCtx(ctx, req)
 	if err != nil {
 		t.Fatalf("single engine %+v: %v", req, err)
 	}
@@ -133,10 +130,8 @@ func TestCoordinatorDifferential(t *testing.T) {
 					gotOrder, gotRows, gotSum := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
 						return h.coord.StreamCtx(ctx, req, hd, row)
 					})
-					sreq := req
-					sreq.Orderer = "greedy"
 					wantOrder, wantRows, wantSum := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-						return h.single.StreamCtx(ctx, sreq, hd, row)
+						return h.single.StreamCtx(ctx, req, hd, row)
 					})
 					if !reflect.DeepEqual(gotOrder, wantOrder) {
 						t.Errorf("stream %s limit=%d: order %v, single %v", q, limit, gotOrder, wantOrder)
@@ -361,7 +356,7 @@ func TestCoordinatorSnapshotMoved(t *testing.T) {
 			t.Fatalf("%s: one behind-the-back update was not absorbed: %v", q, err)
 		}
 		settle()
-		want, err := h.single.DoCtx(ctx, server.Request{Query: q, Mode: "eval", Orderer: "greedy"})
+		want, err := h.single.DoCtx(ctx, server.Request{Query: q, Mode: "eval"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +371,6 @@ func TestCoordinatorSnapshotMoved(t *testing.T) {
 		})
 		settle()
 		wantRetries += 2
-		req.Orderer = "greedy"
 		_, wantRows, wantSum := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
 			return h.single.StreamCtx(ctx, req, hd, row)
 		})

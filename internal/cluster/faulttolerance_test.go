@@ -83,11 +83,11 @@ func TestReplicaFailover(t *testing.T) {
 	if err := rs.Ready(ctx); err != nil {
 		t.Fatalf("Ready with one live replica: %v", err)
 	}
-	want, err := e.DoCtx(ctx, server.Request{Query: "E(x,y)", Orderer: "greedy"})
+	want, err := e.DoCtx(ctx, server.Request{Query: "E(x,y)"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rs.Do(ctx, server.Request{Query: "E(x,y)", Orderer: "greedy"})
+	got, err := rs.Do(ctx, server.Request{Query: "E(x,y)"})
 	if err != nil {
 		t.Fatalf("Do did not fail over: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestReplicaFailover(t *testing.T) {
 		t.Fatalf("Stats did not fail over: %v", err)
 	}
 	order, rows, _ := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-		return rs.Stream(ctx, server.Request{Query: "E(x,y)", Orderer: "greedy"}, hd, row)
+		return rs.Stream(ctx, server.Request{Query: "E(x,y)"}, hd, row)
 	})
 	if len(order) == 0 || int64(len(rows)) != want.Count {
 		t.Fatalf("stream failover: %d rows (order %v), want %d", len(rows), order, want.Count)
@@ -144,7 +144,7 @@ func TestReplicaHedgedDo(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	start := time.Now()
-	resp, err := rs.Do(ctx, server.Request{Query: "E(x,y)", Orderer: "greedy"})
+	resp, err := rs.Do(ctx, server.Request{Query: "E(x,y)"})
 	if err != nil {
 		t.Fatalf("hedged Do: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestReplicaStale(t *testing.T) {
 					return h.coord.StreamCtx(ctx, server.Request{Query: q}, hd, row)
 				})
 				_, want, _ := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-					return h.single.StreamCtx(ctx, server.Request{Query: q, Orderer: "greedy"}, hd, row)
+					return h.single.StreamCtx(ctx, server.Request{Query: q}, hd, row)
 				})
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: stream past a stale replica: %d rows, single engine %d", q, len(got), len(want))
@@ -257,7 +257,7 @@ func liveCount(t *testing.T, engines []*server.Engine, dead int, q string) int64
 		if i == dead {
 			continue
 		}
-		resp, err := e.DoCtx(context.Background(), server.Request{Query: q, Orderer: "greedy"})
+		resp, err := e.DoCtx(context.Background(), server.Request{Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +381,7 @@ func TestPartialStream(t *testing.T) {
 			continue
 		}
 		_, r, _ := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-			return e.StreamCtx(ctx, server.Request{Query: q, Orderer: "greedy"}, hd, row)
+			return e.StreamCtx(ctx, server.Request{Query: q}, hd, row)
 		})
 		want = append(want, r...)
 	}

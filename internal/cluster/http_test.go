@@ -83,7 +83,7 @@ func TestHTTPClusterDifferential(t *testing.T) {
 			}
 			for _, q := range shardableQueries {
 				for _, mode := range []string{"count", "eval", "aggregate"} {
-					body := fmt.Sprintf(`{"query": %q, "mode": %q, "orderer": "greedy"}`, q, mode)
+					body := fmt.Sprintf(`{"query": %q, "mode": %q}`, q, mode)
 					cs, craw := post(t, h.coordSrv.URL, body)
 					ss, sraw := post(t, h.singleSrv.URL, body)
 					if cs != http.StatusOK || ss != http.StatusOK {
@@ -107,7 +107,7 @@ func TestHTTPClusterDifferential(t *testing.T) {
 
 				// The streamed NDJSON must be byte-identical: same header,
 				// same rows in the same order, same trailer.
-				body := fmt.Sprintf(`{"query": %q, "mode": "stream", "orderer": "greedy"}`, q)
+				body := fmt.Sprintf(`{"query": %q, "mode": "stream"}`, q)
 				cs, craw := post(t, h.coordSrv.URL, body)
 				ss, sraw := post(t, h.singleSrv.URL, body)
 				if cs != http.StatusOK || ss != http.StatusOK {
@@ -412,7 +412,7 @@ func TestHTTPSurfaceConformance(t *testing.T) {
 		{name: "unshardable", on: "c", method: "POST", path: "/query", body: query("E(x,y), E(y,z), E(x,z)", ""), status: 400},
 		{name: "unshardable", on: "f", method: "POST", path: "/query", body: query("unshardable", ""), status: 400},
 		// Context outcomes, buffered and before a stream's first line.
-		{name: "timeout_ms", on: "ec", method: "POST", path: "/query", body: query(star, `, "mode": "eval", "no_cache": true, "orderer": "greedy", "timeout_ms": 1`), status: 504},
+		{name: "timeout_ms", on: "ec", method: "POST", path: "/query", body: query(star, `, "mode": "eval", "no_cache": true, "timeout_ms": 1`), status: 504},
 		{name: "timeout_ms", on: "f", method: "POST", path: "/query", body: query("deadline", ""), status: 504},
 		{name: "stream deadline", on: "f", method: "POST", path: "/query", body: query("deadline", `, "mode": "stream"`), status: 504},
 		{name: "cancelled", on: "ec", method: "POST", path: "/query", body: query("E(x,y), E(x,z)", ""), status: 499, ctx: cancelled},

@@ -12,8 +12,8 @@ const DefaultRouteCacheSize = 256
 // to. Entries are keyed by the raw query text alone. No version or
 // option enters the key: the route is a function of the query's shape
 // and the partitioning, and the variable order pinned with it comes from
-// the greedy orderer the coordinator forces, which reads the query's
-// structure and no index — neither can be moved by an update.
+// the serving planner, which reads the query's structure and no index —
+// neither can be moved by an update.
 type routeEntry struct {
 	key        string
 	route      RoutePlan

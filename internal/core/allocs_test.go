@@ -28,7 +28,11 @@ func TestCountSequentialAllocs(t *testing.T) {
 		t.Skip("race instrumentation perturbs allocation accounting")
 	}
 	db := dataset.PreferentialAttachment(100, 3, 41).DB(false)
-	plan, err := AutoPlan(queries.Path(4), db, AutoOptions{Orderer: OrdererCost})
+	tree, order, err := CostSelect(queries.Path(4), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewPlan(queries.Path(4), db, tree, order, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,46 +200,37 @@ func planBench(b *testing.B) (q *cq.Query, reg *trie.Registry, snaps [2]*relatio
 }
 
 // BenchmarkAutoPlan times what a plan-cache miss pays — selection,
-// validation, table compile and binding — per orderer, over a registry
-// that already holds every index the selection probes and the plan uses.
+// validation, table compile and binding — over a registry that already
+// holds every index the plan uses.
 func BenchmarkAutoPlan(b *testing.B) {
 	q, reg, snaps := planBench(b)
-	for _, ord := range []Orderer{OrdererCost, OrdererGreedy} {
-		b.Run(string(ord), func(b *testing.B) {
-			opts := AutoOptions{Orderer: ord, Tries: reg}
-			must(AutoPlan(q, snaps[0], opts))
-			must(AutoPlan(q, snaps[1], opts))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				must(AutoPlan(q, snaps[i&1], opts))
-			}
-		})
+	opts := AutoOptions{Tries: reg}
+	must(AutoPlan(q, snaps[0], opts))
+	must(AutoPlan(q, snaps[1], opts))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		must(AutoPlan(q, snaps[i&1], opts))
 	}
 }
 
 // BenchmarkPlanRebind times what the same read pays when the shape was
 // kept: Rebind to the other snapshot, alternating so every iteration
-// really changes tries. The orderer no longer matters — that is the
-// point — but the sub-benchmarks pair with BenchmarkAutoPlan's.
+// really changes tries. It pairs with BenchmarkAutoPlan.
 func BenchmarkPlanRebind(b *testing.B) {
 	q, reg, snaps := planBench(b)
-	for _, ord := range []Orderer{OrdererCost, OrdererGreedy} {
-		b.Run(string(ord), func(b *testing.B) {
-			bopts := leapfrog.BuildOpts{Tries: reg}
-			plan := must(AutoPlan(q, snaps[0], AutoOptions{Orderer: ord, Tries: reg}))
-			want := must(plan.CountParallelCtx(bg, Policy{Workers: 1})).Count
-			plan = must(plan.Rebind(snaps[1], bopts))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				plan = must(plan.Rebind(snaps[i&1], bopts))
-			}
-			b.StopTimer()
-			plan = must(plan.Rebind(snaps[0], bopts))
-			if got := must(plan.CountParallelCtx(bg, Policy{Workers: 1})).Count; got != want {
-				b.Fatalf("re-bound plan counts %d, compiled plan %d", got, want)
-			}
-		})
+	bopts := leapfrog.BuildOpts{Tries: reg}
+	plan := must(AutoPlan(q, snaps[0], AutoOptions{Tries: reg}))
+	want := must(plan.CountParallelCtx(bg, Policy{Workers: 1})).Count
+	plan = must(plan.Rebind(snaps[1], bopts))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan = must(plan.Rebind(snaps[i&1], bopts))
+	}
+	b.StopTimer()
+	plan = must(plan.Rebind(snaps[0], bopts))
+	if got := must(plan.CountParallelCtx(bg, Policy{Workers: 1})).Count; got != want {
+		b.Fatalf("re-bound plan counts %d, compiled plan %d", got, want)
 	}
 }

@@ -16,8 +16,7 @@ type EvalResult struct {
 	// caches at the end of the run.
 	CachedEntries int
 	// Levels holds the per-depth intersection tallies (merged across
-	// workers in parallel runs); see AlwaysEmptyLevels for the re-plan
-	// feedback they carry. Empty on cancelled runs.
+	// workers in parallel runs). Empty on cancelled runs.
 	Levels []LevelStat
 }
 

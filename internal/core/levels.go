@@ -13,24 +13,6 @@ type LevelStat struct {
 	Empties  int64 `json:"empties"`
 }
 
-// AlwaysEmptyLevels returns the depths d > 0 that were attempted at
-// least once and came up empty on every attempt — across every
-// root-domain shard, since callers pass merged per-worker stats. These
-// are the early-termination levels: the variable at such a depth never
-// extended any assignment, so every visit was wasted prefix work, and
-// an adaptive re-plan demotes it (td.GreedyConfig.Demote) to push the
-// dead intersection earlier in the scan. Depth 0 is excluded: an empty
-// root domain means the whole result is empty and no reordering helps.
-func AlwaysEmptyLevels(levels []LevelStat) []int {
-	var out []int
-	for d, l := range levels {
-		if d > 0 && l.Attempts > 0 && l.Empties == l.Attempts {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // levelsOf copies the runner's per-depth tallies out. Call before the
 // runner is Released — the tallies are pooled state.
 func levelsOf(r *leapfrog.Runner) []LevelStat {

@@ -11,19 +11,20 @@ import (
 	"repro/internal/cq"
 	"repro/internal/dataset"
 	"repro/internal/queries"
+	"repro/internal/relation"
+	"repro/internal/td"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// TestPlanShapeGolden pins the planner's output per (query shape,
-// orderer): the chosen variable order and the TD silhouette (bag count,
+// TestPlanShapeGolden pins both planners' output per query shape — the
+// figures' §4 planner (CostSelect) and the serving planner (AutoSelect,
+// greedy): the chosen variable order and the TD silhouette (bag count,
 // max adhesion) over a fixed dataset. Any change to the cost model, the
 // greedy ranking rules, or TD enumeration that moves a plan shows up as
 // a diff against testdata/planshape.golden — regenerate deliberately
 // with `go test ./internal/core -run PlanShapeGolden -update` and read
-// the diff before committing it. The adaptive orderer is pinned twice:
-// bare (identical to greedy by contract) and with a demoted variable,
-// the re-plan input that must reorder the tail.
+// the diff before committing it.
 func TestPlanShapeGolden(t *testing.T) {
 	db := dataset.TriadicPA(120, 3, 0.4, 4177).DB(false)
 
@@ -48,14 +49,14 @@ func TestPlanShapeGolden(t *testing.T) {
 	for _, s := range shapes {
 		for _, arm := range []struct {
 			label string
-			opts  AutoOptions
+			plan  func(*cq.Query, *relation.DB) (*td.TD, []string, error)
 		}{
-			{"cost", AutoOptions{Orderer: OrdererCost}},
-			{"greedy", AutoOptions{Orderer: OrdererGreedy}},
-			{"adaptive", AutoOptions{Orderer: OrdererAdaptive}},
-			{"adaptive+demote", AutoOptions{Orderer: OrdererAdaptive, Demote: s.q.Vars()[:1]}},
+			{"cost", CostSelect},
+			{"greedy", func(q *cq.Query, db *relation.DB) (*td.TD, []string, error) {
+				return AutoSelect(q, db, AutoOptions{})
+			}},
 		} {
-			tree, order, err := AutoSelect(s.q, db, arm.opts)
+			tree, order, err := arm.plan(s.q, db)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", s.name, arm.label, err)
 			}
@@ -64,16 +65,6 @@ func TestPlanShapeGolden(t *testing.T) {
 		}
 	}
 	got := sb.String()
-
-	// The layering contract stated in the Orderer docs: at this layer
-	// adaptive differs from greedy only in honoring Demote.
-	for _, line := range strings.Split(got, "\n") {
-		if strings.Contains(line, " adaptive ") {
-			if g := strings.Replace(line, " adaptive        ", " greedy          ", 1); !strings.Contains(got, g) {
-				t.Errorf("adaptive plan diverges from greedy without demotion:\n%s", line)
-			}
-		}
-	}
 
 	golden := filepath.Join("testdata", "planshape.golden")
 	if *updateGolden {

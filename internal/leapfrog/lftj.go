@@ -26,10 +26,8 @@ type Runner struct {
 	// attempts[d] counts OpenDepth entries at depth d; empties[d] counts
 	// those whose k-way intersection held no value at all (Frog.Init
 	// found no match). An "always empty" level (attempts > 0 and
-	// empties == attempts) is the early-termination feedback signal: the
-	// variable at that depth never extended any assignment, so an
-	// adaptive re-plan can demote it (see td.GreedyConfig.Demote). Both
-	// reset when a pooled runner is rebound.
+	// empties == attempts) is one whose variable never extended any
+	// assignment. Both reset when a pooled runner is rebound.
 	attempts []int64
 	empties  []int64
 }

@@ -52,32 +52,18 @@ type Config struct {
 	// PlanCache bounds the compiled-plan cache (entries; 0:
 	// DefaultPlanCacheSize, negative: disabled, so every request pays
 	// parse + TD selection + plan compilation — the cold arm behind
-	// benchmark/'s server.do_cold_us). Plans are keyed by (canonical
-	// query text, resolved orderer); the snapshot is a binding, not
-	// a key component. An update unbinds exactly the plans over the
-	// relation it touched — their superseded tries are released, their
-	// shapes stay — and the next read re-binds to the new snapshot's
-	// tries without re-planning; a shape is dropped only when its
-	// relation compacts.
+	// benchmark/'s server.do_cold_us). Plans are keyed by the canonical
+	// query text; the snapshot is a binding, not a key component. An
+	// update unbinds exactly the plans over the relation it touched —
+	// their superseded tries are released, their shapes stay — and the
+	// next read re-binds to the new snapshot's tries without
+	// re-planning; a shape is dropped only when its relation compacts.
 	// Note the cap is entries, not bytes: a bound plan over
 	// constant-specialized atoms retains their private derived tries
 	// (selections, so usually small) outside the TrieBudget accounting —
 	// lower PlanCache to bound that retention on constant-heavy
 	// workloads.
 	PlanCache int
-	// Orderer selects the default planning strategy for requests that do
-	// not name their own: "greedy" (or empty — stats-free pattern
-	// ranking), "cost" (the paper's full §4 cost model) or "adaptive"
-	// (greedy plus feedback-driven re-planning of cached plans). See
-	// core.Orderer and docs/PLANNING.md.
-	Orderer string
-	// AdaptThreshold is the relative divergence of a cached plan's
-	// observed trie accesses from its baseline execution that counts as
-	// divergent under the adaptive orderer (0: DefaultAdaptThreshold).
-	AdaptThreshold float64
-	// AdaptRuns is the number of consecutive divergent executions that
-	// trigger an adaptive re-plan (0: DefaultAdaptRuns).
-	AdaptRuns int
 	// MaxPrepared caps the prepared-statement registry (0:
 	// DefaultMaxPrepared). Prepare fails once the cap is reached —
 	// statements are explicit handles a client must Close, so the
@@ -481,34 +467,6 @@ func (e *Engine) policyOf(req Request) (core.Policy, error) {
 	return pol, nil
 }
 
-// ordererOf resolves a request's planning strategy: the request's
-// override if set, else the engine default, validated and resolved
-// (core.Orderer.Resolve: "" is greedy), so the plan-cache key never
-// tells two spellings of one strategy apart.
-func (e *Engine) ordererOf(req Request) (core.Orderer, error) {
-	o := core.Orderer(req.Orderer)
-	if o == "" {
-		o = core.Orderer(e.cfg.Orderer)
-	}
-	if !o.Valid() {
-		return "", fmt.Errorf("server: unknown orderer %q (want greedy, cost or adaptive)", o)
-	}
-	return o.Resolve(), nil
-}
-
-// adaptParams resolves the adaptive feedback thresholds from the config.
-func (e *Engine) adaptParams() (threshold float64, runs int) {
-	threshold = e.cfg.AdaptThreshold
-	if threshold == 0 {
-		threshold = DefaultAdaptThreshold
-	}
-	runs = e.cfg.AdaptRuns
-	if runs == 0 {
-		runs = DefaultAdaptRuns
-	}
-	return threshold, runs
-}
-
 // Do executes one request under context.Background() — the
 // uncancellable entry point kept for existing callers. New code should
 // prefer DoCtx.
@@ -582,14 +540,9 @@ func RelNames(q *cq.Query) []string {
 // compiles. Binding and compiling happen outside the cache's lock and
 // charge their work — including any shared trie builds or patches — to
 // the requester; what is cached carries a nil sink.
-func (e *Engine) planFor(s *Stmt, req Request, x *execution) error {
-	ord, err := e.ordererOf(req)
-	if err != nil {
-		return err
-	}
-	x.key = planKey{text: s.text, ord: ord}
+func (e *Engine) planFor(s *Stmt, x *execution) (err error) {
 	bopts := leapfrog.BuildOpts{Counters: x.c, Tries: e.reg, Workers: e.buildWorkers()}
-	if p, bound := e.plans.get(x.key, x.vec); p != nil {
+	if p, bound := e.plans.get(s.text, x.vec); p != nil {
 		x.cached = true
 		if bound {
 			x.plan = p.WithCounters(x.c)
@@ -599,19 +552,18 @@ func (e *Engine) planFor(s *Stmt, req Request, x *execution) error {
 		if x.plan, err = p.Rebind(x.db, bopts); err != nil {
 			return err
 		}
-		e.plans.rebound(x.key, x.plan.WithCounters(nil), x.vec, x.plan.Embedded())
+		e.plans.rebound(s.text, x.plan.WithCounters(nil), x.vec, x.plan.Embedded())
 		return nil
 	}
 	x.plan, err = core.AutoPlan(s.q, x.db, core.AutoOptions{
 		Counters:     x.c,
 		Tries:        bopts.Tries,
-		Orderer:      ord,
 		BuildWorkers: bopts.Workers,
 	})
 	if err != nil {
 		return err
 	}
-	e.plans.put(x.key, x.plan.WithCounters(nil), s.names, x.vec, x.plan.Embedded())
+	e.plans.put(s.text, x.plan.WithCounters(nil), s.names, x.vec, x.plan.Embedded())
 	return nil
 }
 
@@ -623,7 +575,6 @@ type execution struct {
 	db   *relation.DB
 	vec  []uint64 // versions of the statement's relations at db
 	plan *core.Plan
-	key  planKey
 	// cached: selection and compile were skipped; rebound: the cached
 	// shape had to be bound to this snapshot first.
 	cached, rebound bool
@@ -673,14 +624,14 @@ func (s *Stmt) run(ctx context.Context, req Request, body func(ctx context.Conte
 		}
 	}
 	defer e.life.Merge(x.c)
-	if err := e.planFor(s, req, &x); err != nil {
+	if err := e.planFor(s, &x); err != nil {
 		return err
 	}
 	return body(ctx, x)
 }
 
 // exec answers one buffered request: count, eval or aggregate under the
-// shared prologue, then the adaptive feedback step.
+// shared prologue.
 func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 	start := time.Now()
 	e := s.e
@@ -700,9 +651,6 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 		}
 		resp.Stats.PlanCached, resp.Stats.PlanRebound = x.cached, x.rebound
 
-		// levels collects the per-depth intersection tallies of count/eval
-		// executions — the adaptive orderer's early-termination feedback.
-		var levels []core.LevelStat
 		var err error
 
 		switch req.Mode {
@@ -712,7 +660,6 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 			res, err = plan.CountParallelCtx(ctx, pol)
 			resp.Count = res.Count
 			resp.Stats.CachedEntries = res.CachedEntries
-			levels = res.Levels
 
 		case "eval":
 			resp.Mode = "eval"
@@ -734,7 +681,6 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 				return true
 			})
 			resp.Stats.CachedEntries = res.CachedEntries
-			levels = res.Levels
 
 		case "aggregate":
 			resp.Mode = "aggregate"
@@ -742,13 +688,11 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 			case "", "count":
 				// Counting runs the count executor — what the fold over
 				// (ℕ, +, ×) with unit weights computes, charge for charge —
-				// and also reports the resident entries and the levels the
-				// adaptive loop feeds on.
+				// and also reports the resident entries.
 				var res core.CountResult
 				res, err = plan.CountParallelCtx(ctx, pol)
 				resp.Count = res.Count
 				resp.Stats.CachedEntries = res.CachedEntries
-				levels = res.Levels
 			case "sum":
 				sr := core.SumProductSemiring()
 				resp.Value, err = core.AggregateParallelCtx(ctx, plan, pol, sr,
@@ -773,19 +717,6 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 			return err
 		}
 
-		// Close the adaptive loop: cache-hit executions under the adaptive
-		// orderer feed their observed traffic back into the entry;
-		// persistent divergence re-plans against the still-pinned snapshot
-		// and swaps the entry in place. The snapshot pin (run releases it
-		// after body returns) makes the recompile race-free against
-		// updates: it compiles exactly the versions this execution read,
-		// and if an update superseded them meanwhile replace drops the
-		// swap. Re-binding executions are not observed: their counters
-		// also hold the binding's private trie builds.
-		if ord, _ := e.ordererOf(req); ord == core.OrdererAdaptive && x.cached && !x.rebound {
-			e.adapt(s.q, x, levels)
-		}
-
 		resp.Stats.DurationMS = float64(time.Since(start).Microseconds()) / 1000
 		resp.Stats.Counters = *x.c
 		e.queries.Add(1)
@@ -793,33 +724,4 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 		return nil
 	})
 	return out, err
-}
-
-// adapt is one step of the feedback loop (see exec): observe a cache-hit
-// execution's trie traffic, and when the cache signals persistent
-// divergence, recompile with the accumulated demote set and swap the
-// entry. The recompile is charged to the triggering request's counters —
-// it is work this request decided to do.
-func (e *Engine) adapt(q *cq.Query, x execution, levels []core.LevelStat) {
-	order := x.plan.Order()
-	var emptyVars []string
-	for _, d := range core.AlwaysEmptyLevels(levels) {
-		emptyVars = append(emptyVars, order[d])
-	}
-	threshold, runs := e.adaptParams()
-	demote, replan := e.plans.observe(x.key, x.c.TrieAccesses, emptyVars, threshold, runs)
-	if !replan {
-		return
-	}
-	p, err := core.AutoPlan(q, x.db, core.AutoOptions{
-		Counters:     x.c,
-		Tries:        e.reg,
-		Orderer:      core.OrdererAdaptive,
-		Demote:       demote,
-		BuildWorkers: e.buildWorkers(),
-	})
-	if err != nil {
-		return // keep serving the incumbent plan
-	}
-	e.plans.replace(x.key, p.WithCounters(nil), x.vec, p.Embedded())
 }

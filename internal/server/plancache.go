@@ -14,65 +14,18 @@ import (
 // the config does not name one.
 const DefaultPlanCacheSize = 128
 
-// planKey identifies one plan shape: the canonical query text and the
-// resolved orderer. The snapshot is deliberately not part of it. A
-// plan is a shape (TD, variable order, cache layout — functions of the
-// query and the orderer) plus a binding (the tries of one snapshot), and
-// only the binding goes stale when data changes: an update unbinds the
-// entries over the touched relation, the next reader re-binds the kept
-// shape to its own snapshot's tries, and nothing is re-planned. Shapes
-// are dropped only when their relation compacts, when the adaptive loop
-// replaces them, or by LRU eviction.
-type planKey struct {
-	// text is the canonical query text (cq.Query.String of the parsed
-	// query, so formatting variants of one query share an entry).
-	text string
-	// ord is the resolved orderer (Engine.ordererOf: request overlaid on
-	// engine default, "" read as greedy), the only plan-affecting option
-	// (docs/PLANNING.md says why), so one query's cost and greedy plans
-	// coexist as distinct entries while requests spelling the default
-	// explicitly share the default's entry. Execution-only knobs like
-	// workers or cache policy never enter the key.
-	ord core.Orderer
-}
-
-// DefaultAdaptThreshold is the relative divergence of observed trie
-// accesses from a cached plan's baseline that counts as divergent when
-// the config does not name one: 0.5 means an execution touching the
-// index 50% more (or less) than the entry's baseline execution.
-const DefaultAdaptThreshold = 0.5
-
-// DefaultAdaptRuns is the number of consecutive divergent cache-hit
-// executions that trigger a re-plan when the config does not name one.
-const DefaultAdaptRuns = 3
-
-// adaptMaxReplans caps the re-plans one cache entry may trigger, so a
-// workload that genuinely alternates between two traffic regimes cannot
-// make the engine recompile forever. An entry outlives updates, so the
-// cap is per statistics epoch, not per process lifetime: the compaction
-// that drops the shape (the data has moved by CompactFraction since the
-// order was chosen) drops the feedback record with it, and the entry
-// compiled next starts with a full budget and no baseline.
-const adaptMaxReplans = 3
-
-// adaptiveState is the feedback record of one cached plan under the
-// adaptive orderer. All fields are guarded by planCache.mu.
-type adaptiveState struct {
-	// baseline is the first observed stats.Counters.TrieAccesses of a
-	// cache-hit execution (0: not yet observed). Divergence is measured
-	// relative to it; a re-plan clears it so the swapped plan
-	// re-baselines.
-	baseline int64
-	// divergent counts consecutive cache-hit executions beyond the
-	// threshold; any conforming execution resets it.
-	divergent int
-	// demote accumulates the variables of always-empty intersection
-	// levels seen during divergent executions — the divergence-informed
-	// order hint handed to the re-plan.
-	demote []string
-	// replans counts re-plans already performed for this entry.
-	replans int
-}
+// The plan cache is keyed by the canonical query text (cq.Query.String
+// of the parsed query, so formatting variants of one query share an
+// entry): a plan is a function of the text alone, since the serving
+// planner reads the query pattern and no data, and execution-only knobs
+// like workers or cache policy never enter the key. The snapshot is
+// deliberately not part of it either. A plan is a shape (TD, variable
+// order, cache layout — functions of the query) plus a binding (the
+// tries of one snapshot), and only the binding goes stale when data
+// changes: an update unbinds the entries over the touched relation, the
+// next reader re-binds the kept shape to its own snapshot's tries, and
+// nothing is re-planned. Shapes are dropped only when their relation
+// compacts or by LRU eviction.
 
 // olderThan reports whether version vector a is older than b in some
 // component. Vectors of one relation set are totally ordered — snapshots
@@ -106,11 +59,6 @@ type PlanCacheStats struct {
 	// because the relation compacted.
 	Evictions     int64 `json:"evictions"`
 	Invalidations int64 `json:"invalidations"`
-	// Replans counts adaptive re-plans: cached plans recompiled with a
-	// divergence-informed order and swapped in place after observed trie
-	// traffic diverged from the entry's baseline for
-	// Config.AdaptRuns consecutive executions.
-	Replans int64 `json:"replans"`
 	// Size and Capacity describe the current residency (Capacity 0:
 	// the cache is disabled).
 	Size     int `json:"size"`
@@ -119,8 +67,8 @@ type PlanCacheStats struct {
 
 // String renders the stats as a one-line summary for logs and CLIs.
 func (s PlanCacheStats) String() string {
-	return fmt.Sprintf("size=%d capacity=%d hits=%d misses=%d rebinds=%d evictions=%d invalidations=%d replans=%d",
-		s.Size, s.Capacity, s.Hits, s.Misses, s.Rebinds, s.Evictions, s.Invalidations, s.Replans)
+	return fmt.Sprintf("size=%d capacity=%d hits=%d misses=%d rebinds=%d evictions=%d invalidations=%d",
+		s.Size, s.Capacity, s.Hits, s.Misses, s.Rebinds, s.Evictions, s.Invalidations)
 }
 
 // planCache is an LRU cache of compiled plans. Cached plans are stored
@@ -135,7 +83,7 @@ func (s PlanCacheStats) String() string {
 type planCache struct {
 	mu          sync.Mutex
 	cap         int
-	entries     map[planKey]*planEntry
+	entries     map[string]*planEntry
 	head        *planEntry // least recently used (next victim)
 	tail        *planEntry // most recently used
 	hits        int64
@@ -143,11 +91,10 @@ type planCache struct {
 	rebinds     int64
 	evicted     int64
 	invalidated int64
-	replans     int64
 }
 
 type planEntry struct {
-	key planKey
+	key string
 	// plan is the entry's shape and, while bound, the binding that
 	// serves readers pinned to vers; otherwise it is core.Plan.Unbound.
 	plan *core.Plan
@@ -161,10 +108,7 @@ type planEntry struct {
 	// (relation, column order) drawn when it was bound), so a registry
 	// byte-budget eviction can unbind exactly the entries holding the
 	// evicted index and no others.
-	embedded []leapfrog.SourceEntry
-	// adapt is the adaptive-orderer feedback record; only entries whose
-	// key carries the adaptive orderer ever observe into it.
-	adapt      adaptiveState
+	embedded   []leapfrog.SourceEntry
 	prev, next *planEntry
 }
 
@@ -184,7 +128,7 @@ func newPlanCache(capacity int) *planCache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &planCache{cap: capacity, entries: make(map[planKey]*planEntry)}
+	return &planCache{cap: capacity, entries: make(map[string]*planEntry)}
 }
 
 // get looks key up for a reader pinned to the snapshot with version
@@ -194,7 +138,7 @@ func newPlanCache(capacity int) *planCache {
 // belongs to another snapshot — and the caller re-binds it (see
 // rebound). A nil p is a miss. Hits and misses are counted here so
 // hit-rate accounting lives in one place.
-func (pc *planCache) get(key planKey, vec []uint64) (p *core.Plan, bound bool) {
+func (pc *planCache) get(key string, vec []uint64) (p *core.Plan, bound bool) {
 	if pc == nil {
 		return nil, false
 	}
@@ -224,7 +168,7 @@ func (pc *planCache) get(key planKey, vec []uint64) (p *core.Plan, bound bool) {
 // existing key (two requests raced on the same miss) keeps the
 // incumbent. names are the relations the plan touches, sorted, as vec
 // is; embedded the registry entries the binding pins.
-func (pc *planCache) put(key planKey, p *core.Plan, names []string, vec []uint64, embedded []leapfrog.SourceEntry) {
+func (pc *planCache) put(key string, p *core.Plan, names []string, vec []uint64, embedded []leapfrog.SourceEntry) {
 	if pc == nil {
 		return
 	}
@@ -247,12 +191,12 @@ func (pc *planCache) put(key planKey, p *core.Plan, names []string, vec []uint64
 // rebound records that a reader re-bound key's shape to the snapshot
 // with version vector vec, and offers the result p as the entry's
 // binding. It is taken only if the entry still holds that shape (it was
-// not dropped, re-planned or evicted and recompiled meanwhile) and vec
+// not dropped, or evicted and recompiled meanwhile) and vec
 // is not older than the entry's own vector: a reader pinned to a
 // superseded snapshot keeps its binding to itself and never displaces a
 // newer one, nor re-pins tries an update just let go. Between two
 // binders of one snapshot the first wins.
-func (pc *planCache) rebound(key planKey, p *core.Plan, vec []uint64, embedded []leapfrog.SourceEntry) {
+func (pc *planCache) rebound(key string, p *core.Plan, vec []uint64, embedded []leapfrog.SourceEntry) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	pc.rebinds++
@@ -274,9 +218,7 @@ func (pc *planCache) rebound(key planKey, p *core.Plan, vec []uint64, embedded [
 // stays for the next reader to re-bind. Their vector advances to num,
 // so a reader still pinned to the superseded snapshot cannot store its
 // binding back. When the update compacted, the entries are dropped
-// whole: the data has moved by the store's compact fraction since the
-// shape's statistics were read, so the next reader selects afresh (and
-// the adaptive feedback record starts over with it).
+// whole, and the next reader compiles afresh over the rebuilt indices.
 func (pc *planCache) invalidateTouching(name string, num uint64, compacted bool) {
 	if pc == nil {
 		return
@@ -337,86 +279,6 @@ func (pc *planCache) invalidateEmbedding(rel *relation.Relation, perm string) {
 	}
 }
 
-// observe feeds one cache-hit execution's outcome into the entry's
-// adaptive feedback record: observed is the execution's
-// stats.Counters.TrieAccesses, emptyVars the variables of the depths
-// whose every attempted intersection was empty (core.AlwaysEmptyLevels
-// mapped through the plan's order). The first observation sets the
-// baseline; later ones diverging from it by more than threshold
-// (relative) bump a consecutive-divergence counter and accumulate
-// emptyVars, and once the counter reaches runs the method returns the
-// accumulated demote set and true — the caller must re-plan with it and
-// swap via replace. At most adaptMaxReplans re-plans are signalled per
-// entry. Missing entries (evicted or dropped since the hit) are
-// ignored.
-func (pc *planCache) observe(key planKey, observed int64, emptyVars []string, threshold float64, runs int) ([]string, bool) {
-	if pc == nil {
-		return nil, false
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	e, ok := pc.entries[key]
-	if !ok {
-		return nil, false
-	}
-	a := &e.adapt
-	if a.baseline == 0 {
-		a.baseline = observed
-		return nil, false
-	}
-	div := float64(observed-a.baseline) / float64(a.baseline)
-	if div < 0 {
-		div = -div
-	}
-	if div <= threshold {
-		a.divergent = 0
-		return nil, false
-	}
-	a.divergent++
-	for _, v := range emptyVars {
-		seen := false
-		for _, d := range a.demote {
-			if d == v {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			a.demote = append(a.demote, v)
-		}
-	}
-	if a.divergent < runs || a.replans >= adaptMaxReplans {
-		return nil, false
-	}
-	a.divergent = 0
-	a.replans++
-	return append([]string(nil), a.demote...), true
-}
-
-// replace swaps a re-planned entry's shape and binding in place — same
-// key (the query and orderer are unchanged; only the variable order
-// moved), fresh plan bound at version vector vec — and re-baselines the
-// feedback record so the swapped plan's own traffic becomes the new
-// reference. Counted in Replans. If the entry vanished meanwhile
-// (evicted, dropped at a compaction) or an update has moved it past vec,
-// the swap is dropped: the re-plan was compiled for a superseded
-// snapshot and the incumbent shape keeps serving.
-func (pc *planCache) replace(key planKey, p *core.Plan, vec []uint64, embedded []leapfrog.SourceEntry) {
-	if pc == nil {
-		return
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	e, ok := pc.entries[key]
-	if !ok || olderThan(vec, e.vers) {
-		return
-	}
-	e.plan, e.vers, e.embedded = p, vec, embedded
-	e.adapt.baseline = 0
-	e.adapt.divergent = 0
-	pc.replans++
-}
-
 func (pc *planCache) stats() PlanCacheStats {
 	if pc == nil {
 		return PlanCacheStats{}
@@ -429,7 +291,6 @@ func (pc *planCache) stats() PlanCacheStats {
 		Rebinds:       pc.rebinds,
 		Evictions:     pc.evicted,
 		Invalidations: pc.invalidated,
-		Replans:       pc.replans,
 		Size:          len(pc.entries),
 		Capacity:      pc.cap,
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -21,6 +22,63 @@ func cachedPlan(t *testing.T) *core.Plan {
 	return p
 }
 
+// TestOrdererPlanCacheKey pins the plan-cache key — the canonical query
+// text alone: a default request and a prepared statement over the same
+// text compile into and execute from one entry.
+func TestOrdererPlanCacheKey(t *testing.T) {
+	e := NewEngine(testDB(), Config{Workers: 1})
+	const query = "E(a,b), E(b,c), E(c,d)"
+	expect := func(step string, misses, hits int64, size int) {
+		t.Helper()
+		if s := e.Stats().Plans; s.Misses != misses || s.Hits != hits || s.Size != size {
+			t.Fatalf("plan cache after %s: %v (want %d misses, %d hits, size %d)", step, s, misses, hits, size)
+		}
+	}
+	if _, err := e.Do(Request{Query: query}); err != nil {
+		t.Fatal(err)
+	}
+	expect("default request", 1, 0, 1)
+	s, err := e.Prepare(Request{Query: query})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	expect("prepare", 1, 1, 1)
+	if _, err := s.Do(context.Background(), Request{}); err != nil {
+		t.Fatal(err)
+	}
+	expect("prepared execution", 1, 2, 1)
+}
+
+// TestGreedyOrdererMatchesCost checks result equivalence between the
+// serving planner and the figures' §4 planner on the mixed workload:
+// plan shapes may differ, counts may not.
+func TestGreedyOrdererMatchesCost(t *testing.T) {
+	db := testDB()
+	e := NewEngine(db, Config{Workers: 2})
+	for _, req := range mixedRequests() {
+		if req.Mode != "" && req.Mode != "count" {
+			continue
+		}
+		resp, err := e.Do(req)
+		if err != nil {
+			t.Fatalf("%q: %v", req.Query, err)
+		}
+		q := cq.MustParse(req.Query)
+		tree, order, err := core.CostSelect(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := core.NewPlan(q, db, tree, order, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := plan.Count(core.Policy{}).Count; resp.Count != want {
+			t.Fatalf("%q served count = %d, cost-model plan counts %d", req.Query, resp.Count, want)
+		}
+	}
+}
+
 // TestPlanCachePerEntryInvalidation pins the precision contract of the
 // registry evict hook: dropping one (relation, column order) registry
 // entry unbinds exactly the plans embedding that entry — plans over the
@@ -32,10 +90,10 @@ func TestPlanCachePerEntryInvalidation(t *testing.T) {
 	relR := relation.MustNew("R", 2, [][]int64{{2, 3}})
 	permID, permSwap := "\x00\x01", "\x01\x00"
 
-	keyA := planKey{text: "a"}
-	keyB := planKey{text: "b"}
-	keyC := planKey{text: "c"}
-	keyD := planKey{text: "d"}
+	keyA := "a"
+	keyB := "b"
+	keyC := "c"
+	keyD := "d"
 	vec := []uint64{0}
 	pc.put(keyA, cachedPlan(t), []string{"E"}, vec, []leapfrog.SourceEntry{{Rel: relE, Perm: permID}})
 	pc.put(keyB, cachedPlan(t), []string{"E"}, vec, []leapfrog.SourceEntry{{Rel: relE, Perm: permSwap}})
@@ -48,7 +106,7 @@ func TestPlanCachePerEntryInvalidation(t *testing.T) {
 		t.Fatalf("plan embedding the evicted (E, id) entry: shape kept %v, still bound %v", p != nil, bound)
 	}
 	for _, tc := range []struct {
-		key  planKey
+		key  string
 		what string
 	}{
 		{keyB, "plan over E's other, still-resident order"},
@@ -79,7 +137,7 @@ func TestPlanCachePerEntryInvalidation(t *testing.T) {
 // a compaction drops the shape.
 func TestPlanCacheBindingVersions(t *testing.T) {
 	pc := newPlanCache(4)
-	key := planKey{text: "q"}
+	key := "q"
 	shape := cachedPlan(t)
 	names := []string{"E", "R"}
 	pc.put(key, shape, names, []uint64{4, 1}, nil)

@@ -160,9 +160,6 @@ func (s *Stmt) merge(over Request) Request {
 	if over.TimeoutMS != 0 {
 		req.TimeoutMS = over.TimeoutMS
 	}
-	if over.Orderer != "" {
-		req.Orderer = over.Orderer
-	}
 	if over.IfVersions != nil {
 		req.IfVersions = over.IfVersions
 	}

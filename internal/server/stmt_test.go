@@ -528,13 +528,14 @@ func TestStmtRows(t *testing.T) {
 	}
 }
 
-// TestDoCtxTimeout: a 1ms budget on a heavy cyclic query fails with
+// TestDoCtxTimeout: a 20ms budget on a heavy cyclic query fails with
 // DeadlineExceeded and does not count as a completed query.
 func TestDoCtxTimeout(t *testing.T) {
-	db := dataset.CliqueUnion(500, 280, 18, 1.6, 9).DB(false)
+	db := dataset.CliqueUnion(1000, 800, 18, 1.6, 9).DB(false)
 	e := NewEngine(db, Config{Workers: 1})
-	// 20ms: far below the query's runtime (deadline lands mid-join) yet
-	// wide enough that the scan demonstrably worked before it tripped.
+	// 20ms: far below the query's runtime (≈ 150ms on a 2-core host, so
+	// the deadline lands mid-join) yet wide enough that the scan
+	// demonstrably worked before it tripped.
 	req := Request{Query: "E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)", TimeoutMS: 20}
 	// Warm the plan first so the timeout lands in execution, not compile.
 	warm := req

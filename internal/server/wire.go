@@ -44,12 +44,6 @@ type Request struct {
 	// join unwinds cooperatively and the request fails with
 	// context.DeadlineExceeded.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// Orderer overrides the engine's default planning strategy for this
-	// query: "greedy", "cost" or "adaptive" ("" keeps the engine
-	// default, itself greedy unless configured; see Config.Orderer).
-	// Plan-affecting: the resolved value is part of the plan-cache key,
-	// so one query's cost and greedy plans coexist.
-	Orderer string `json:"orderer,omitempty"`
 	// Stmt executes a prepared statement by id (see Engine.Prepare and
 	// POST /prepare) instead of parsing Query, which must then be
 	// empty. Non-zero execution fields override the statement's

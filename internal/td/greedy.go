@@ -17,14 +17,10 @@ import (
 // normative description of the ranking rules lives in docs/PLANNING.md.
 
 // GreedyRank is one variable's greedy ranking key. Variables are ordered
-// by Less: demoted last, constant-specialized first, then descending
+// by Less: constant-specialized first, then descending
 // connectivity, then ascending minimum covering-atom arity, then
 // ascending first-appearance index (the deterministic tiebreak).
 type GreedyRank struct {
-	// Demoted marks a variable pushed to the back of the ranking by
-	// execution feedback (an adaptive re-plan demotes the variables of
-	// persistently empty intersection levels; see GreedyConfig.Demote).
-	Demoted bool
 	// Constants counts the atoms covering the variable that also carry
 	// at least one constant argument: the constant selects the atom's
 	// relation down before the join starts, so such variables are the
@@ -46,9 +42,6 @@ type GreedyRank struct {
 
 // Less reports whether r ranks strictly before o in the greedy order.
 func (r GreedyRank) Less(o GreedyRank) bool {
-	if r.Demoted != o.Demoted {
-		return !r.Demoted
-	}
 	if (r.Constants > 0) != (o.Constants > 0) {
 		return r.Constants > 0
 	}
@@ -64,17 +57,9 @@ func (r GreedyRank) Less(o GreedyRank) bool {
 	return r.Index < o.Index
 }
 
-// GreedyConfig tunes greedy selection. The zero value is the default
-// configuration.
-type GreedyConfig struct {
-	// Demote lists variable names to push to the back of the ranking —
-	// the re-plan feedback channel: an adaptive planner demotes the
-	// variables of intersection levels that came up empty on every
-	// attempt, so the replacement order spends the prefix work on
-	// variables that actually extend assignments. Unknown names are
-	// ignored.
-	Demote []string
-}
+// GreedyConfig tunes greedy selection. It has no settings: greedy
+// planning reads the query pattern alone.
+type GreedyConfig struct{}
 
 // inversionPenalty is the cost added per ranking inversion when scoring
 // candidate decompositions: how strongly TD selection prefers trees
@@ -83,8 +68,8 @@ type GreedyConfig struct {
 const inversionPenalty = 2.0
 
 // GreedyRanks computes the per-variable ranking keys of q (indexed like
-// query.Vars()). demote names variables forced to the back (nil: none).
-func GreedyRanks(q *cq.Query, demote []string) []GreedyRank {
+// query.Vars()).
+func GreedyRanks(q *cq.Query) []GreedyRank {
 	idx := q.VarIndex()
 	ranks := make([]GreedyRank, len(idx))
 	for i := range ranks {
@@ -110,11 +95,6 @@ func GreedyRanks(q *cq.Query, demote []string) []GreedyRank {
 			}
 		}
 	}
-	for _, name := range demote {
-		if i, ok := idx[name]; ok {
-			ranks[i].Demoted = true
-		}
-	}
 	return ranks
 }
 
@@ -122,8 +102,8 @@ func GreedyRanks(q *cq.Query, demote []string) []GreedyRank {
 // best first): rank every variable with GreedyRanks and sort. The whole
 // computation is O(vars·atoms + vars·log vars) and touches no data —
 // this is the planning-cost contrast to the probe-based cost model.
-func GreedyOrder(q *cq.Query, cfg GreedyConfig) []int {
-	ranks := GreedyRanks(q, cfg.Demote)
+func GreedyOrder(q *cq.Query) []int {
+	ranks := GreedyRanks(q)
 	order := make([]int, len(ranks))
 	for i := range order {
 		order[i] = i
@@ -147,9 +127,9 @@ func GreedyOrder(q *cq.Query, cfg GreedyConfig) []int {
 // follows the greedy ranking — together with that strongly compatible
 // variable order. Like Select, single-bag TDs are returned only when
 // nothing better exists.
-func SelectGreedy(q *cq.Query, opts Options, cfg GreedyConfig) (*TD, []int) {
+func SelectGreedy(q *cq.Query, opts Options, _ GreedyConfig) (*TD, []int) {
 	numVars := len(q.Vars())
-	ranks := GreedyRanks(q, cfg.Demote)
+	ranks := GreedyRanks(q)
 
 	opts = opts.withDefaults()
 	all := make([]int, numVars)
@@ -195,7 +175,7 @@ func greedyReorder(t *TD, ranks []GreedyRank, numVars int) (*TD, []int) {
 	best := make([]GreedyRank, t.N())
 	var fill func(v int)
 	fill = func(v int) {
-		b := GreedyRank{Demoted: true, Index: numVars} // worst possible
+		b := GreedyRank{Index: numVars} // worst possible
 		seed := false
 		consider := func(r GreedyRank) {
 			if !seed || r.Less(b) {

@@ -24,7 +24,7 @@ func TestGreedyOrderConnectivity(t *testing.T) {
 		cq.NewAtom("E", "y", "z"),
 		cq.NewAtom("E", "x", "z"),
 	)
-	got := varsOf(q, GreedyOrder(q, GreedyConfig{}))
+	got := varsOf(q, GreedyOrder(q))
 	if want := []string{"x", "y", "z"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("greedy order = %v, want %v", got, want)
 	}
@@ -39,7 +39,7 @@ func TestGreedyOrderConnectivity(t *testing.T) {
 		cq.NewAtom("E", "z", "t1"),
 		cq.NewAtom("E", "t1", "t2"),
 	)
-	got = varsOf(q, GreedyOrder(q, GreedyConfig{}))
+	got = varsOf(q, GreedyOrder(q))
 	if want := []string{"z", "x", "y", "t1", "t2"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("greedy order = %v, want %v", got, want)
 	}
@@ -53,7 +53,7 @@ func TestGreedyOrderConstantsFirst(t *testing.T) {
 		cq.NewAtom("E", "y", "z"),
 		cq.Atom{Rel: "S", Args: []cq.Term{cq.V("y"), cq.C(5)}},
 	)
-	got := varsOf(q, GreedyOrder(q, GreedyConfig{}))
+	got := varsOf(q, GreedyOrder(q))
 	if got[0] != "y" {
 		t.Fatalf("greedy order = %v, want y first (constant-specialized)", got)
 	}
@@ -67,23 +67,11 @@ func TestGreedyOrderArityTiebreak(t *testing.T) {
 		cq.NewAtom("R", "x", "a", "b"),
 		cq.NewAtom("E", "y", "a"),
 	)
-	ranks := GreedyRanks(q, nil)
+	ranks := GreedyRanks(q)
 	idx := q.VarIndex()
 	if !ranks[idx["y"]].Less(ranks[idx["x"]]) {
 		t.Fatalf("want y (binary atom) to outrank x (ternary atom): %+v vs %+v",
 			ranks[idx["y"]], ranks[idx["x"]])
-	}
-}
-
-func TestGreedyOrderDemote(t *testing.T) {
-	q := cq.New(
-		cq.NewAtom("E", "x", "y"),
-		cq.NewAtom("E", "y", "z"),
-		cq.NewAtom("E", "x", "z"),
-	)
-	got := varsOf(q, GreedyOrder(q, GreedyConfig{Demote: []string{"x", "nosuch"}}))
-	if want := []string{"y", "z", "x"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("demoted greedy order = %v, want %v", got, want)
 	}
 }
 
@@ -141,15 +129,5 @@ func TestSelectGreedyPrefersMultiBag(t *testing.T) {
 	tree, _ = SelectGreedy(q, Options{}, GreedyConfig{})
 	if err := tree.Validate(q); err != nil {
 		t.Fatalf("triangle TD invalid: %v", err)
-	}
-}
-
-func TestGreedyDemoteChangesSelectedOrder(t *testing.T) {
-	q := cq.New(
-		cq.NewAtom("E", "a", "b"), cq.NewAtom("E", "b", "c"), cq.NewAtom("E", "c", "d"))
-	_, base := SelectGreedy(q, Options{}, GreedyConfig{})
-	_, demoted := SelectGreedy(q, Options{}, GreedyConfig{Demote: []string{varsOf(q, base)[0]}})
-	if reflect.DeepEqual(base, demoted) {
-		t.Fatalf("demoting the first variable left the order unchanged: %v", base)
 	}
 }

@@ -6,8 +6,7 @@
 // planners that pick the decomposition and variable order CLFTJ caches
 // over: the data-dependent heuristic cost model (§4.3, Select) and the
 // stats-free greedy orderer (SelectGreedy). The normative description
-// of both — cost-model terms, ranking rules, and the adaptive feedback
-// contract layered on top — is docs/PLANNING.md.
+// of both — cost-model terms and ranking rules — is docs/PLANNING.md.
 //
 // Throughout the package, variables are identified by their index in
 // query.Vars() (the canonical first-appearance order). Every planner

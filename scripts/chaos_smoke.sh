@@ -25,9 +25,9 @@ S1=127.0.0.1:8397
 COORD=127.0.0.1:8398
 SINGLE=127.0.0.1:8399
 QUERY='E(x,y), E(x,z)'
-COUNT_BODY=$(printf '{"query": "%s", "mode": "count", "orderer": "greedy"}' "$QUERY")
-PARTIAL_BODY=$(printf '{"query": "%s", "mode": "count", "orderer": "greedy", "allow_partial": true}' "$QUERY")
-STREAM_BODY=$(printf '{"query": "%s", "mode": "stream", "orderer": "greedy"}' "$QUERY")
+COUNT_BODY=$(printf '{"query": "%s", "mode": "count"}' "$QUERY")
+PARTIAL_BODY=$(printf '{"query": "%s", "mode": "count", "allow_partial": true}' "$QUERY")
+STREAM_BODY=$(printf '{"query": "%s", "mode": "stream"}' "$QUERY")
 
 go build -o /tmp/cltjd-chaos ./cmd/cltjd
 

@@ -26,10 +26,8 @@ SINGLE=127.0.0.1:8394
 # Root-shardable workloads: every atom leads with x, so results
 # decompose disjointly by hash(x) and the coordinator accepts them.
 QUERY='E(x,y), E(x,z)'
-# The coordinator pins the data-independent greedy orderer for
-# deterministic merge order; the single-engine oracle must use it too.
-COUNT_BODY=$(printf '{"query": "%s", "mode": "count", "orderer": "greedy"}' "$QUERY")
-STREAM_BODY=$(printf '{"query": "%s", "mode": "stream", "orderer": "greedy"}' "$QUERY")
+COUNT_BODY=$(printf '{"query": "%s", "mode": "count"}' "$QUERY")
+STREAM_BODY=$(printf '{"query": "%s", "mode": "stream"}' "$QUERY")
 
 go build -o /tmp/cltjd-cluster ./cmd/cltjd
 
