@@ -725,20 +725,25 @@ func diffInt64(t testing.TB, cfg cacheDiff) {
 		func(a, b int64) bool { return a == b }, nil)
 }
 
-// diffSets runs the differential with factorized sets as values, costed
-// by length as evaluation costs them (an empty set costs 1, and a long
-// one can exceed a small Capacity outright).
+// diffSets runs the differential with eval cache entries as values,
+// costed as evaluation costs them (an empty set or a count alone costs
+// 1, and a long set can exceed a small Capacity outright).
 func diffSets(t testing.TB, cfg cacheDiff) {
 	diffCacheTable(t, cfg,
-		func(d *draws) factorized.Set {
+		func(d *draws) evalEntry {
 			s := make(factorized.Set, d.n(6))
 			for i := range s {
 				s[i] = &factorized.Entry{}
 			}
-			return s
+			if len(s) == 0 && d.n(2) == 1 {
+				return evalEntry{n: int64(1 + d.n(9))}
+			}
+			return evalEntry{set: s, n: int64(len(s))}
 		},
-		func(a, b factorized.Set) bool { return len(a) == len(b) && (len(a) == 0 || a[0] == b[0]) },
-		setCost)
+		func(a, b evalEntry) bool {
+			return a.n == b.n && len(a.set) == len(b.set) && (len(a.set) == 0 || a.set[0] == b.set[0])
+		},
+		entryCost)
 }
 
 // TestCacheTableDifferential sweeps the policy lattice over adversarial

@@ -94,6 +94,14 @@ func TestCountCtxCancelPromptness(t *testing.T) {
 			_, err := plan.EvalParallelCtx(ctx, Policy{Workers: 4}, func([]int64) bool { return true })
 			return err
 		}},
+		{"eval-limited", func(ctx context.Context) error {
+			_, err := plan.EvalLimitCtx(ctx, Policy{Workers: 1}, 5, func([]int64) bool { return true })
+			return err
+		}},
+		{"eval-limited-sharded", func(ctx context.Context) error {
+			_, err := plan.EvalLimitCtx(ctx, Policy{Workers: 4}, 5, func([]int64) bool { return true })
+			return err
+		}},
 		{"aggregate", func(ctx context.Context) error {
 			sr := CountSemiring()
 			_, err := AggregateParallelCtx(ctx, plan, Policy{Workers: 4}, sr, UnitWeight(sr))

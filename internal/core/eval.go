@@ -12,6 +12,10 @@ import (
 type EvalResult struct {
 	// Emitted is the number of result tuples delivered to the callback.
 	Emitted int64
+	// Count is the number of result tuples the run found, emitted or
+	// counted past a limit: |q(D)| for a completed run. A run that emit
+	// stopped or ctx cancelled reports what it had found by then.
+	Count int64
 	// CachedEntries is the number of factorized entries resident in the
 	// caches at the end of the run.
 	CachedEntries int
@@ -50,20 +54,37 @@ func (p *Plan) Eval(policy Policy, emit func(mu []int64) bool) EvalResult {
 // Emitted counts them, ctx's error is returned and nothing is cached
 // from the cancelled scan.
 func (p *Plan) EvalParallelCtx(ctx context.Context, policy Policy, emit func(mu []int64) bool) (EvalResult, error) {
+	return p.EvalLimitCtx(ctx, policy, 0, emit)
+}
+
+// EvalLimitCtx is EvalParallelCtx that emits only the first limit tuples
+// (limit <= 0: every tuple) and counts the rest. Once the consumer holds
+// limit rows and the scan finds one more, the run stops emitting and
+// stops building factorized sets, and finishes as CachedTJCount does: a
+// leaf block adds its length, a cache hit on bag v enters the depths
+// after v's subtree once and multiplies their count by the entry's, and
+// a bag it leaves stores its count. Result.Count is then |q(D)|, as
+// CountParallelCtx reports it. A run that finds no more than limit
+// tuples is EvalParallelCtx, charge for charge. On more than one worker
+// each worker switches after its own first limit rows — the merged
+// first limit rows come only from those — and Count is the workers' sum.
+func (p *Plan) EvalLimitCtx(ctx context.Context, policy Policy, limit int, emit func(mu []int64) bool) (EvalResult, error) {
 	keys, workers, err := p.shards(ctx, policy.Workers)
 	if workers == 0 {
 		return EvalResult{}, err
 	}
 	if workers > 1 {
-		return p.evalSharded(ctx, policy, keys, workers, emit)
+		return p.evalSharded(ctx, policy, limit, keys, workers, emit)
 	}
-	e := newEvalExec(ctx, p, policy, shard{}, p.counters, emit)
-	e.rjoin(0)
+	e := newEvalExec(ctx, p, policy, limit, shard{}, p.counters, emit)
+	e.rjoin(0, 1)
 	t := e.finish()
+	res := EvalResult{Emitted: e.emitted, Count: e.emitted + e.counted}
 	if t.err != nil {
-		return EvalResult{Emitted: e.emitted}, t.err
+		return res, t.err
 	}
-	return EvalResult{Emitted: e.emitted, CachedEntries: t.entries, Levels: t.levels}, nil
+	res.CachedEntries, res.Levels = t.entries, t.levels
+	return res, nil
 }
 
 // EvalFactorized materializes the entire result as a factorized
@@ -76,11 +97,11 @@ func (p *Plan) EvalFactorized(policy Policy) factorized.Set {
 	if p.inst.Empty() {
 		return nil
 	}
-	e := newEvalExec(context.Background(), p, policy, shard{}, p.counters, func([]int64) bool { return true })
+	e := newEvalExec(context.Background(), p, policy, 0, shard{}, p.counters, func([]int64) bool { return true })
 	e.collectRoot = true
-	e.rjoin(0)
+	e.rjoin(0, 1)
 	e.finish()
-	return e.sets[p.root]
+	return e.bags[p.root].set
 }
 
 // ExpandFactorized enumerates the tuples a factorized result produced by
@@ -90,9 +111,32 @@ func (p *Plan) ExpandFactorized(s factorized.Set, emit func(mu []int64) bool) {
 	if len(s) == 0 {
 		return
 	}
-	e := newEvalExec(context.Background(), p, Policy{Disabled: true}, shard{}, p.counters, emit)
+	e := newEvalExec(context.Background(), p, Policy{Disabled: true}, 0, shard{}, p.counters, emit)
 	e.expandSet(p.root, s, func() bool { return emit(e.mu) })
 	e.finish()
+}
+
+// evalEntry is an eval cache's value: a bag's factorized subtree result
+// for one adhesion assignment and the number of tuples it represents.
+// An entry the counting tail stores holds the count alone: only that
+// run's counting tail can hit it.
+type evalEntry struct {
+	set factorized.Set
+	n   int64
+}
+
+// entryCost is what a cached entry occupies of Policy.Capacity: a set's
+// entries count individually, and the store charges an empty set or a
+// count alone 1.
+func entryCost(x evalEntry) int { return len(x.set) }
+
+// bagState is one bag's part of the enumeration in its current
+// iteration.
+type bagState struct {
+	set     factorized.Set // the set built or reused
+	n       int64          // the tuples set represents, kept in both modes
+	collect bool           // building set right now
+	intent  bool           // will store to cache on exit
 }
 
 // evalExec is one worker's enumeration: a runner over the plan's tries,
@@ -103,41 +147,40 @@ type evalExec struct {
 	run         *leapfrog.Runner
 	ctrs        *stats.Counters // this execution's sink (worker-local in parallel runs)
 	mu          []int64
-	sets        []factorized.Set         // per bag: the set built/reused in the current iteration
-	collect     []bool                   // per bag: building its factorized set right now
-	intent      []bool                   // per bag: will store to cache on exit
-	collectRoot bool                     // materialize the whole result as a factorized set
-	cm          *manager[factorized.Set] // pooled; nil: nothing is cached (acquireManager)
-	cancel      *leapfrog.Canceler       // nil never cancels
-	enter       func()                   // sharded runs: called before each root key's subtree is scanned
+	bags        []bagState          // per bag, in the current iteration
+	collectRoot bool                // materialize the whole result as a factorized set
+	cm          *manager[evalEntry] // pooled; nil: nothing is cached (acquireManager)
+	cancel      *leapfrog.Canceler  // nil never cancels
+	enter       func()              // sharded runs: called before each root key's subtree is scanned
 	emit        func([]int64) bool
 	emitted     int64
+	limit       int64           // emit at most this many tuples; -1: no limit
+	counting    bool            // past the limit: the rest of the run counts
+	counted     int64           // tuples found while counting
 	block       [blockLen]int64 // the deepest level's keys, a block at a time
 }
 
-// newEvalExec builds a worker's executor over shard sh, accounting into
-// wc and delivering to emit. It returns the executor by value so that a
-// run keeps it on its own stack.
-func newEvalExec(ctx context.Context, p *Plan, policy Policy, sh shard, wc *stats.Counters, emit func([]int64) bool) evalExec {
+// newEvalExec builds a worker's executor over shard sh, emitting the
+// first limit tuples (limit <= 0: all) to emit, accounting into wc. It
+// returns the executor by value so that a run keeps it on its own stack.
+func newEvalExec(ctx context.Context, p *Plan, policy Policy, limit int, sh shard, wc *stats.Counters, emit func([]int64) bool) evalExec {
 	e := evalExec{
-		shard:   sh,
-		plan:    p,
-		run:     leapfrog.NewRunnerCounters(p.inst, wc),
-		ctrs:    wc,
-		sets:    make([]factorized.Set, p.numNodes),
-		collect: make([]bool, p.numNodes),
-		intent:  make([]bool, p.numNodes),
-		cm:      acquireManager(policy, p, wc, setCost),
-		cancel:  leapfrog.NewCanceler(ctx),
-		emit:    emit,
+		shard:  sh,
+		plan:   p,
+		run:    leapfrog.NewRunnerCounters(p.inst, wc),
+		ctrs:   wc,
+		bags:   make([]bagState, p.numNodes),
+		cm:     acquireManager(policy, p, wc, entryCost),
+		cancel: leapfrog.NewCanceler(ctx),
+		emit:   emit,
+		limit:  -1,
+	}
+	if limit > 0 {
+		e.limit = int64(limit)
 	}
 	e.mu = e.run.Assignment()
 	return e
 }
-
-// setCost is what a cached factorized set occupies of Policy.Capacity:
-// its entries count individually.
-func setCost(s factorized.Set) int { return len(s) }
 
 // finish closes the run (see the driver's finish) and hands the caches
 // back to the pool, whether the scan completed, stopped or was cancelled.
@@ -148,46 +191,62 @@ func (e *evalExec) finish() tally {
 }
 
 // rjoin is the fold's RCachedJoin with factorized sets as the
-// intermediate (§3.4). It returns false when the consumer stopped the
-// enumeration.
-func (e *evalExec) rjoin(d int) bool {
+// intermediate (§3.4). f is the counting tail's factor, as in the count
+// executor: the product of the cached counts of the subtrees skipped on
+// the way down, 1 wherever the run emits. It returns false when the
+// consumer stopped the enumeration.
+func (e *evalExec) rjoin(d int, f int64) bool {
 	p := e.plan
 	if d == p.numVars {
+		if e.emitted == e.limit {
+			// The consumer holds its limit and the scan found one more:
+			// from here on the run counts.
+			e.counting = true
+		}
+		if e.counting {
+			e.counted += f
+			return true
+		}
 		e.emitted++
 		return e.emit(e.mu)
 	}
 	v := p.ownerOf[d]
 	entering := e.cm != nil && p.bagFirst[d] && v != p.root && p.cacheable[v]
-	var slot int32 // where the missed adhesion assignment's set goes
+	var slot int32 // where the missed adhesion assignment's entry goes
+	b := &e.bags[v]
 	if p.bagFirst[d] {
-		e.intent[v] = false
-		e.collect[v] = (p.parent[v] != -1 && e.collect[p.parent[v]]) ||
-			(v == p.root && e.collectRoot)
-		e.sets[v] = nil
+		*b = bagState{collect: !e.counting && ((p.parent[v] != -1 && e.bags[p.parent[v]].collect) ||
+			(v == p.root && e.collectRoot))}
 	}
 	if entering {
 		var k Key
 		p.keyAt(v, e.mu, &k)
-		set, ref, ok := e.cm.lookup(v, &k)
+		ent, ref, ok := e.cm.lookup(v, &k)
 		slot = ref
 		if ok {
-			e.sets[v] = set
-			if len(set) == 0 {
+			b.set, b.n = ent.set, ent.n
+			if ent.n == 0 {
 				// Cached empty subtree: the prefix is dead.
 				return true
+			}
+			if e.counting {
+				// The depths after v's subtree see its rows only through
+				// the adhesion: count them once, times the entry's count.
+				return e.rjoin(p.subtreeEnd[v]+1, f*ent.n)
 			}
 			// The cached rows are the outer loop and the depths after
 			// v's subtree the inner one: those depths see v's rows only
 			// through the adhesion, so the emitted sequence is the
-			// scan's, and the later bags hit their own caches.
-			return e.expandSet(v, set, func() bool { return e.rjoin(p.subtreeEnd[v] + 1) })
+			// scan's, and the later bags hit their own caches. Should the
+			// limit fall inside, the rest of the set is counted row by row.
+			return e.expandSet(v, ent.set, func() bool { return e.rjoin(p.subtreeEnd[v]+1, 1) })
 		}
 		if e.cm.shouldCache(v, slot) {
 			// Decide the caching intent on entry: evaluation must build
 			// the factorized set during the scan to have something to
 			// store on exit (§3.4: intrmd is maintained only when needed).
-			e.intent[v] = true
-			e.collect[v] = true
+			b.intent = true
+			b.collect = !e.counting
 		}
 	}
 
@@ -197,7 +256,8 @@ func (e *evalExec) rjoin(d int) bool {
 	cont := true
 	if d == p.numVars-1 && !seek {
 		// The leaf: a block of matches at a time feeds the per-tuple
-		// epilogue (emission, factorized collection).
+		// epilogue (emission, factorized collection) until the run
+		// counts, and then adds its length.
 		// Runner.OpenLeaf and Leapfrog.NextBatch charge what the scalar
 		// Key/Next sequence would, so a completed scan accounts exactly as
 		// the loop below; a consumer that stops mid-block has read ahead
@@ -205,12 +265,18 @@ func (e *evalExec) rjoin(d int) bool {
 		block := e.block[:leafLen]
 		frog, n := e.run.OpenLeaf(d, block)
 		for n > 0 && !e.cancel.Poll() {
-			for j := 0; j < n && cont; j++ {
+			j := 0
+			for ; j < n && cont && !e.counting; j++ {
 				e.mu[d] = block[j]
-				cont = e.rjoin(d + 1)
-				if p.bagLast[d] && e.collect[v] && cont {
-					e.appendEntry(v)
+				if cont = e.rjoin(d+1, f); cont {
+					e.tally(v)
 				}
+			}
+			if e.counting {
+				// The leaf bag has no children: each match is one tuple.
+				rest := int64(n - j)
+				e.counted += f * rest
+				b.n += rest
 			}
 			if !cont || frog.AtEnd() {
 				break
@@ -228,9 +294,9 @@ func (e *evalExec) rjoin(d int) bool {
 			} else {
 				break
 			}
-			cont = e.rjoin(d + 1)
-			if p.bagLast[d] && e.collect[v] && cont {
-				e.appendEntry(v)
+			cont = e.rjoin(d+1, f)
+			if p.bagLast[d] && cont {
+				e.tally(v)
 			}
 			if cont && !seek {
 				ok = frog.Next()
@@ -239,27 +305,45 @@ func (e *evalExec) rjoin(d int) bool {
 	}
 	e.run.CloseDepth(d)
 
-	// A cancelled scan left sets[v] partial — never cache it.
-	if entering && e.intent[v] && cont && e.cancel.Err() == nil {
-		e.cm.store(v, slot, e.sets[v])
+	// A cancelled scan left b partial — never cache it. A set the limit
+	// cut short goes; its count stays.
+	if entering && b.intent && cont && e.cancel.Err() == nil {
+		ent := evalEntry{n: b.n}
+		if !e.counting {
+			ent.set = b.set
+		}
+		e.cm.store(v, slot, ent)
 	}
 	return cont
 }
 
+// tally closes one assignment of bag v's owned variables: it adds the
+// tuples the children's results make under it to v's count and, while v
+// collects, records it as a factorized entry.
+func (e *evalExec) tally(v int) {
+	prod := int64(1)
+	for _, c := range e.plan.children[v] {
+		if prod *= e.bags[c].n; prod == 0 {
+			// Combinations with an empty child set represent zero tuples.
+			return
+		}
+	}
+	b := &e.bags[v]
+	b.n += prod
+	if b.collect && !e.counting {
+		e.appendEntry(v)
+	}
+}
+
 // appendEntry records one assignment of bag v's owned variables together
-// with the children's factorized sets. Combinations with an empty child
-// set represent zero tuples and are skipped.
+// with the children's factorized sets, none of them empty.
 func (e *evalExec) appendEntry(v int) {
 	p := e.plan
 	var children []factorized.Set
 	if n := len(p.children[v]); n > 0 {
 		children = make([]factorized.Set, n)
 		for i, c := range p.children[v] {
-			s := e.sets[c]
-			if len(s) == 0 {
-				return
-			}
-			children[i] = s
+			children[i] = e.bags[c].set
 		}
 	}
 	vals := make([]int64, p.lastVar[v]-p.firstVar[v]+1)
@@ -267,7 +351,7 @@ func (e *evalExec) appendEntry(v int) {
 	if c := e.ctrs; c != nil {
 		c.TupleAccesses += int64(len(vals))
 	}
-	e.sets[v] = append(e.sets[v], &factorized.Entry{Vals: vals, Children: children})
+	e.bags[v].set = append(e.bags[v].set, &factorized.Entry{Vals: vals, Children: children})
 }
 
 // expandSet enumerates the assignments a factorized set represents,

@@ -43,9 +43,12 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, em
 // domain keys and merges their rows into emit in ascending root order.
 // Producers hand the merger rows blockLen at a time, so a stopped
 // stream's workers have scanned at most a few blocks past the last
-// delivered row. The workers' cache entries and level tallies are
+// delivered row. Under a limit each worker sends only its own first
+// limit rows, then counts the rest of its shard, and the merger stops
+// delivering at the limit and drains the channels while the workers
+// finish. The workers' counts, cache entries and level tallies are
 // summed, as in the fold; a run ctx cut short reports only Emitted.
-func (p *Plan) evalSharded(ctx context.Context, policy Policy, keys []int64, workers int, emit func(mu []int64) bool) (EvalResult, error) {
+func (p *Plan) evalSharded(ctx context.Context, policy Policy, limit int, keys []int64, workers int, emit func(mu []int64) bool) (EvalResult, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	chans := make([]chan streamItem, workers)
@@ -53,6 +56,7 @@ func (p *Plan) evalSharded(ctx context.Context, policy Policy, keys []int64, wor
 		chans[w] = make(chan streamItem, streamChanDepth)
 	}
 	parts := make([]tally, workers)
+	counts := make([]int64, workers)
 
 	joined := make(chan struct{})
 	go func() {
@@ -61,7 +65,9 @@ func (p *Plan) evalSharded(ctx context.Context, policy Policy, keys []int64, wor
 			defer close(chans[w])
 			// dead flips when the merger has gone away (sctx cancelled
 			// mid-send); emit then returns false so the scan unwinds.
-			dead := false
+			// sent flips once the worker has sent all it ever will: the
+			// group its limit fell in, sealed.
+			dead, sent := false, false
 			var buf [][]int64
 			send := func(it streamItem) bool {
 				select {
@@ -72,7 +78,7 @@ func (p *Plan) evalSharded(ctx context.Context, policy Policy, keys []int64, wor
 					return false
 				}
 			}
-			e := newEvalExec(sctx, p, policy, shard{keys, w, workers}, wc, func(mu []int64) bool {
+			e := newEvalExec(sctx, p, policy, limit, shard{keys, w, workers}, wc, func(mu []int64) bool {
 				if dead {
 					return false
 				}
@@ -88,35 +94,42 @@ func (p *Plan) evalSharded(ctx context.Context, policy Policy, keys []int64, wor
 			open := false
 			e.enter = func() {
 				// Group boundary: seal the previous root value's rows.
-				if open && !dead {
+				if open && !dead && !sent {
 					if send(streamItem{rows: buf, last: true}) {
 						buf = nil
 					}
+					sent = e.counting
 				}
 				open = true
 			}
-			e.rjoin(0)
-			if open && !dead {
+			e.rjoin(0, 1)
+			if open && !dead && !sent {
 				send(streamItem{rows: buf, last: true})
 			}
+			counts[w] = e.emitted + e.counted
 			parts[w] = e.finish()
 		})
 	}()
 
 	var res EvalResult
 	stopped := false
-	for i := 0; i < len(keys) && !stopped; i++ {
+	full := func() bool { return limit > 0 && res.Emitted == int64(limit) }
+	for i := 0; i < len(keys) && !stopped && !full(); i++ {
 		ch := chans[i%workers]
 		for {
 			item, ok := <-ch
 			if !ok {
 				// The worker ended without sealing this group — it was
 				// cancelled (workers otherwise produce one sealed group
-				// per owned index, in index order).
+				// per owned index, in index order, until the merger has
+				// its limit).
 				stopped = true
 				break
 			}
 			for _, row := range item.rows {
+				if full() {
+					break
+				}
 				res.Emitted++
 				if !emit(row) {
 					stopped = true
@@ -124,12 +137,20 @@ func (p *Plan) evalSharded(ctx context.Context, policy Policy, keys []int64, wor
 					break
 				}
 			}
-			if stopped || item.last {
+			if stopped || item.last || full() {
 				break
 			}
 		}
 	}
-	cancel()
+	if stopped {
+		cancel()
+	}
+	// The workers past the merger's limit are still counting, and those
+	// short of theirs still sending: take what they send until they end.
+	for _, ch := range chans {
+		for range ch {
+		}
+	}
 	<-joined
 	if err := ctx.Err(); err != nil {
 		return res, err
@@ -137,7 +158,8 @@ func (p *Plan) evalSharded(ctx context.Context, policy Policy, keys []int64, wor
 	// A worker the merger stopped latched sctx's cancellation; only the
 	// caller's ctx is an error here.
 	var t tally
-	for _, part := range parts {
+	for w, part := range parts {
+		res.Count += counts[w]
 		t.add(part)
 	}
 	res.CachedEntries, res.Levels = t.entries, t.levels

@@ -41,7 +41,9 @@ type Config struct {
 	TrieBudget int64
 	// MaxTuples caps the tuples an eval response carries when the
 	// request does not set its own limit (0: DefaultMaxTuples). The
-	// count is always exact; only the sample is capped.
+	// count is always exact; only the sample is capped. Past the cap the
+	// run counts instead of enumerating, so a larger cap costs the rows
+	// it adds, not the count.
 	MaxTuples int
 	// CompactFraction overrides the patch-vs-rebuild crossover of the
 	// relation stores (0: relation.DefaultCompactFraction): once a
@@ -57,7 +59,7 @@ type Config struct {
 	// update unbinds exactly the plans over the relation it touched —
 	// their superseded tries are released, their shapes stay — and the
 	// next read re-binds to the new snapshot's tries without
-	// re-planning; a shape is dropped only when its relation compacts.
+	// re-planning, after a compaction too.
 	// Note the cap is entries, not bytes: a bound plan over
 	// constant-specialized atoms retains their private derived tries
 	// (selections, so usually small) outside the TrieBudget accounting —
@@ -670,16 +672,13 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 			if limit <= 0 {
 				limit = DefaultMaxTuples
 			}
+			// The run emits the sample and counts the rest.
 			var res core.EvalResult
-			res, err = plan.EvalParallelCtx(ctx, pol, func(mu []int64) bool {
-				resp.Count++
-				if len(resp.Tuples) < limit {
-					resp.Tuples = append(resp.Tuples, append([]int64(nil), mu...))
-				} else {
-					resp.Truncated = true
-				}
+			res, err = plan.EvalLimitCtx(ctx, pol, limit, func(mu []int64) bool {
+				resp.Tuples = append(resp.Tuples, append([]int64(nil), mu...))
 				return true
 			})
+			resp.Count, resp.Truncated = res.Count, res.Count > int64(limit)
 			resp.Stats.CachedEntries = res.CachedEntries
 
 		case "aggregate":

@@ -24,8 +24,8 @@ const DefaultPlanCacheSize = 128
 // tries of one snapshot), and only the binding goes stale when data
 // changes: an update unbinds the entries over the touched relation, the
 // next reader re-binds the kept shape to its own snapshot's tries, and
-// nothing is re-planned. Shapes are dropped only when their relation
-// compacts or by LRU eviction.
+// nothing is re-planned — a compaction included, since the rebuilt
+// indices serve the same shape. Shapes are dropped only by LRU eviction.
 
 // olderThan reports whether version vector a is older than b in some
 // component. Vectors of one relation set are totally ordered — snapshots
@@ -54,9 +54,8 @@ type PlanCacheStats struct {
 	// Evictions counts entries dropped to respect the capacity bound.
 	// Invalidations counts entries that lost their binding eagerly, so
 	// the tries it pinned could be reclaimed: unbound by an update to a
-	// relation they touch or by a registry eviction of an index they
-	// embed (the shape stays; the next read re-binds), or dropped whole
-	// because the relation compacted.
+	// relation they touch, compacting or not, or by a registry eviction
+	// of an index they embed. The shape stays; the next read re-binds.
 	Evictions     int64 `json:"evictions"`
 	Invalidations int64 `json:"invalidations"`
 	// Size and Capacity describe the current residency (Capacity 0:
@@ -211,31 +210,26 @@ func (pc *planCache) rebound(key string, p *core.Plan, vec []uint64, embedded []
 }
 
 // invalidateTouching is Update's sweep over the entries that reference
-// relation name, whose installed version is now num. While the relation
-// keeps patching its base the entries are unbound: the binding, which
-// pins tries of the superseded version, is released so resident memory
-// under continuous updates tracks the live snapshot, and the shape
-// stays for the next reader to re-bind. Their vector advances to num,
-// so a reader still pinned to the superseded snapshot cannot store its
-// binding back. When the update compacted, the entries are dropped
-// whole, and the next reader compiles afresh over the rebuilt indices.
-func (pc *planCache) invalidateTouching(name string, num uint64, compacted bool) {
+// relation name, whose installed version is now num. The entries are
+// unbound: the binding, which pins tries of the superseded version, is
+// released so resident memory under continuous updates tracks the live
+// snapshot, and the shape stays for the next reader to re-bind — to
+// patched tries, or to rebuilt ones after a compaction, which changes
+// the indices and not the shape. Their vector advances to num, so a
+// reader still pinned to the superseded snapshot cannot store its
+// binding back.
+func (pc *planCache) invalidateTouching(name string, num uint64) {
 	if pc == nil {
 		return
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	for key, e := range pc.entries {
+	for _, e := range pc.entries {
 		i, ok := slices.BinarySearch(e.names, name)
 		if !ok {
 			continue
 		}
 		pc.invalidated++
-		if compacted {
-			pc.unlink(e)
-			delete(pc.entries, key)
-			continue
-		}
 		e.unbind()
 		// Readers hold the vector they stored; advance a copy.
 		e.vers = slices.Clone(e.vers)

@@ -134,7 +134,7 @@ func TestPlanCachePerEntryInvalidation(t *testing.T) {
 // inside one entry: a reader gets the resident binding only at exactly
 // its own version vector, an update's sweep leaves a floor no older
 // binding is stored under, a newer binding displaces an older one, and
-// a compaction drops the shape.
+// a compaction unbinds the entry like any update, keeping the shape.
 func TestPlanCacheBindingVersions(t *testing.T) {
 	pc := newPlanCache(4)
 	key := "q"
@@ -157,7 +157,7 @@ func TestPlanCacheBindingVersions(t *testing.T) {
 	}
 
 	// Update E to version 6: unbound, and 5 is now superseded too.
-	pc.invalidateTouching("E", 6, false)
+	pc.invalidateTouching("E", 6)
 	pc.rebound(key, shape, []uint64{5, 1}, nil)
 	if p, bound := pc.get(key, []uint64{5, 1}); p == nil || bound {
 		t.Fatal("a binding older than the update that unbound the entry was stored")
@@ -172,17 +172,17 @@ func TestPlanCacheBindingVersions(t *testing.T) {
 		t.Fatal("binding at the update's own version was refused")
 	}
 	// Updates to relations the plan does not touch leave it alone.
-	pc.invalidateTouching("S", 9, true)
+	pc.invalidateTouching("S", 9)
 	if _, bound := pc.get(key, []uint64{6, 1}); !bound {
 		t.Fatal("update to an untouched relation unbound the entry")
 	}
 
-	pc.invalidateTouching("R", 2, true)
-	if p, _ := pc.get(key, []uint64{6, 2}); p != nil {
-		t.Fatal("shape survived its relation's compaction")
+	pc.invalidateTouching("R", 2)
+	if p, bound := pc.get(key, []uint64{6, 2}); p == nil || bound || !p.SameShape(shape) {
+		t.Fatal("an update to R did not leave the entry unbound with its shape")
 	}
-	if s := pc.stats(); s.Rebinds != 5 || s.Invalidations != 2 || s.Misses != 1 {
-		t.Fatalf("stats = %+v, want 5 rebinds, 2 invalidations, 1 miss", s)
+	if s := pc.stats(); s.Rebinds != 5 || s.Invalidations != 2 || s.Misses != 0 || s.Size != 1 {
+		t.Fatalf("stats = %+v, want 5 rebinds, 2 invalidations, no miss, 1 entry", s)
 	}
 }
 

@@ -100,14 +100,13 @@ func (e *Engine) Update(req UpdateRequest) (*UpdateResult, error) {
 		if old.Base != v.Base && old.Base != old.Rel {
 			reclaim = append(reclaim, e.epochs.retire(old.Base)...)
 		}
-		// Release the bindings this delta staled (and, past the compaction
-		// crossover, their shapes): a binding pins tries of the superseded
-		// version, so resident memory under continuous updates must not
-		// wait for the next read of each plan. It happens before verMu
+		// Release the bindings this delta staled: a binding pins tries of
+		// the superseded version, so resident memory under continuous
+		// updates must not wait for the next read of each plan. It happens before verMu
 		// releases, so every query admitted afterwards finds the entries
 		// already advanced to this version (verMu → planCache.mu nests
 		// here; no other path holds them together).
-		e.plans.invalidateTouching(req.Relation, v.Num, compacted)
+		e.plans.invalidateTouching(req.Relation, v.Num)
 		e.verMu.Unlock()
 	}
 	e.release(reclaim)

@@ -240,6 +240,52 @@ func TestEngineCompactionCrossover(t *testing.T) {
 	}
 }
 
+// TestCompactionKeepsPlanShapes: a compaction unbinds the cached plans
+// over the relation and keeps their shapes, as a patch does. The plan
+// cache keeps its size, the next read of each shape is a hit that
+// re-binds (plans.rebinds +1, plans.misses unchanged), and the answers
+// are a fresh engine's.
+func TestCompactionKeepsPlanShapes(t *testing.T) {
+	e := NewEngine(testDB(), Config{Workers: 1}) // default fraction 0.25
+	shapes := []string{"E(x,y), E(y,z), E(x,z)", "E(a,b), E(b,c)", "E(3,y), E(y,z)"}
+	for _, q := range shapes {
+		if _, err := e.Do(Request{Query: q}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rel, _ := e.DB().Get("E")
+	big := make([][]int64, 0, rel.Len()/2)
+	for i := 0; i < rel.Len()/2; i++ {
+		big = append(big, []int64{int64(i % 7), int64(100 + i)})
+	}
+	before := e.Stats().Plans
+	if res, err := e.Update(UpdateRequest{Relation: "E", Inserts: big}); err != nil || !res.Compacted {
+		t.Fatalf("oversized delta did not compact: %+v, %v", res, err)
+	}
+	if after := e.Stats().Plans; after.Size != before.Size {
+		t.Fatalf("compaction changed the plan cache's size: %d → %d", before.Size, after.Size)
+	}
+	fresh := NewEngine(e.DB(), Config{Workers: 1})
+	for i, q := range shapes {
+		resp, err := e.Do(Request{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := e.Stats().Plans
+		if !resp.Stats.PlanCached || !resp.Stats.PlanRebound || s.Rebinds != before.Rebinds+int64(i+1) || s.Misses != before.Misses {
+			t.Fatalf("%s after the compaction: cached %v rebound %v, plans %v (before %v)",
+				q, resp.Stats.PlanCached, resp.Stats.PlanRebound, s, before)
+		}
+		want, err := fresh.Do(Request{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Count != want.Count || !slices.Equal(resp.Order, want.Order) {
+			t.Fatalf("%s: %d over %v, a fresh engine %d over %v", q, resp.Count, resp.Order, want.Count, want.Order)
+		}
+	}
+}
+
 // TestEngineEpochPinsOldVersions white-boxes the reclamation protocol:
 // a superseded version's registry indices survive exactly as long as a
 // query that entered before the update is still in flight.

@@ -28,7 +28,8 @@ type Request struct {
 	CacheEviction string `json:"cache_eviction,omitempty"`
 	NoCache       bool   `json:"no_cache,omitempty"`
 	// Limit caps the tuples returned by eval (0: engine default). The
-	// reported count is always the full |q(D)|. Streaming executions
+	// reported count is always the full |q(D)|; past the limit the run
+	// counts instead of enumerating. Streaming executions
 	// ("mode": "stream") instead stop the scan at the limit; there 0
 	// means unlimited for raw-text queries, while for a prepared
 	// statement 0 keeps the prepared default and a negative value
@@ -88,7 +89,9 @@ type QueryStats struct {
 	// repeated query with Counters.TrieBuilds == 0.
 	Counters stats.Counters `json:"counters"`
 	// CachedEntries is the number of intermediate results resident in
-	// the query's CLFTJ caches when it finished.
+	// the query's CLFTJ caches when it finished, in Capacity units: an
+	// eval's factorized set counts its entries, and a count an eval
+	// stored past its limit counts 1.
 	CachedEntries int `json:"cached_entries"`
 	// PlanCached reports that the query executed a plan served from the
 	// engine's plan cache — parse still happened (for raw-text
@@ -106,7 +109,8 @@ type Response struct {
 	// Mode echoes the executed mode.
 	Mode string `json:"mode"`
 	// Count is |q(D)| for count and eval, and the aggregate value for
-	// the counting semiring.
+	// the counting semiring. An eval emits its first Limit tuples and
+	// counts the rest the way count does.
 	Count int64 `json:"count"`
 	// Value is the aggregate value for the float-valued semirings
 	// ("sum", "min").
@@ -115,7 +119,8 @@ type Response struct {
 	Order []string `json:"order"`
 	// Tuples is the first Limit result tuples (eval only).
 	Tuples [][]int64 `json:"tuples,omitempty"`
-	// Truncated reports that eval found more tuples than Limit.
+	// Truncated reports that eval found more tuples than Limit: Count
+	// exceeds it.
 	Truncated bool `json:"truncated,omitempty"`
 	// Versions is the version sub-vector the query executed at: the
 	// version number of each relation it touches, in the consistent
