@@ -319,8 +319,8 @@ type Stmt struct {
 	opts Options
 }
 
-// Plan exposes the compiled plan (for Session, EvalFactorized and the
-// other lower-level entry points).
+// Plan exposes the compiled plan (for EvalFactorized and the other
+// lower-level entry points).
 func (s *Stmt) Plan() *Plan { return s.plan }
 
 // Order returns the plan's variable order; Rows assignments align with

@@ -195,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *qFlag != "" {
 		q, err = cq.Parse(*qFlag)
 	} else {
-		q, err = parseQuery(*queryFlag)
+		q, err = queries.Parse(*queryFlag)
 	}
 	if err != nil {
 		return fail(err)
@@ -450,7 +450,7 @@ func runBatch(engine *server.Engine, path string, stdout, stderr io.Writer) int 
 		}
 		text := line
 		if !strings.Contains(line, "(") {
-			q, err := parseQuery(line)
+			q, err := queries.Parse(line)
 			if err != nil {
 				fmt.Fprintf(stdout, "[%d] %s: error: %v\n", n, line, err)
 				failed++
@@ -516,44 +516,4 @@ func evalSome(stdout io.Writer, order []string, runEval func(emit func([]int64) 
 		fmt.Fprintf(stdout, "  ... (%d more)\n", n-5)
 	}
 	return n, err
-}
-
-func parseQuery(s string) (*cq.Query, error) {
-	parts := strings.Split(s, "-")
-	switch {
-	case len(parts) == 2 && parts[1] == "path":
-		k, err := strconv.Atoi(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad path query %q", s)
-		}
-		return queries.Path(k), nil
-	case len(parts) == 2 && parts[1] == "cycle":
-		k, err := strconv.Atoi(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad cycle query %q", s)
-		}
-		return queries.Cycle(k), nil
-	case len(parts) == 2 && parts[1] == "clique":
-		k, err := strconv.Atoi(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad clique query %q", s)
-		}
-		return queries.Clique(k), nil
-	case len(parts) == 3 && parts[0] == "lollipop":
-		c, err1 := strconv.Atoi(parts[1])
-		t, err2 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("bad lollipop query %q", s)
-		}
-		return queries.Lollipop(c, t), nil
-	case len(parts) == 4 && parts[0] == "rand":
-		n, err1 := strconv.Atoi(parts[1])
-		p, err2 := strconv.ParseFloat(parts[2], 64)
-		seed, err3 := strconv.ParseInt(parts[3], 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("bad random query %q", s)
-		}
-		return queries.Random(n, p, seed), nil
-	}
-	return nil, fmt.Errorf("unknown query %q (try 5-cycle, 4-path, lollipop-3-2, rand-5-0.4-7)", s)
 }

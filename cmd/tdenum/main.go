@@ -12,23 +12,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
-	"repro/internal/cq"
 	"repro/internal/graph"
 	"repro/internal/queries"
 	"repro/internal/td"
 )
 
 func main() {
-	queryFlag := flag.String("query", "5-cycle", "query: k-path, k-cycle, k-clique, lollipop-c-t")
+	queryFlag := flag.String("query", "5-cycle", "query: k-path, k-cycle, k-clique, lollipop-c-t, rand-N-P-SEED")
 	maxAdh := flag.Int("max-adhesion", 3, "separator/adhesion size bound")
 	maxSeps := flag.Int("max-seps", 10, "how many top-level separators to list/expand")
 	maxTDs := flag.Int("max-tds", 12, "how many decompositions to print")
 	flag.Parse()
 
-	q, err := parse(*queryFlag)
+	q, err := queries.Parse(*queryFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tdenum:", err)
 		os.Exit(1)
@@ -90,32 +88,4 @@ func renderTD(t *td.TD, vars []string) string {
 	}
 	walk(t.Root, 0)
 	return sb.String()
-}
-
-func parse(s string) (*cq.Query, error) {
-	parts := strings.Split(s, "-")
-	switch {
-	case len(parts) == 2 && parts[1] == "path":
-		k, err := strconv.Atoi(parts[0])
-		if err == nil {
-			return queries.Path(k), nil
-		}
-	case len(parts) == 2 && parts[1] == "cycle":
-		k, err := strconv.Atoi(parts[0])
-		if err == nil {
-			return queries.Cycle(k), nil
-		}
-	case len(parts) == 2 && parts[1] == "clique":
-		k, err := strconv.Atoi(parts[0])
-		if err == nil {
-			return queries.Clique(k), nil
-		}
-	case len(parts) == 3 && parts[0] == "lollipop":
-		c, err1 := strconv.Atoi(parts[1])
-		t, err2 := strconv.Atoi(parts[2])
-		if err1 == nil && err2 == nil {
-			return queries.Lollipop(c, t), nil
-		}
-	}
-	return nil, fmt.Errorf("unknown query %q", s)
 }

@@ -250,6 +250,53 @@ func TestCoordinatorRouteCache(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRouteCacheLRU checks the route cache evicts the least
+// recently used query past its capacity, that a hit refreshes recency,
+// and that Routes.Evictions counts each eviction.
+func TestCoordinatorRouteCacheLRU(t *testing.T) {
+	dbs, routing, err := Partition(testGraphDB(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]Shard, len(dbs))
+	for i, pdb := range dbs {
+		shards[i] = NewEngineShard(fmt.Sprintf("shard-%d", i), server.NewEngine(pdb, server.Config{}))
+	}
+	coord, err := New(routing, shards, Config{RouteCache: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	do := func(q string) {
+		t.Helper()
+		if _, err := coord.Do(ctx, server.Request{Query: q}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(hits, misses, evictions int64) {
+		t.Helper()
+		st, _ := coord.Stats(ctx)
+		r := st.Routes
+		if r.Hits != hits || r.Misses != misses || r.Evictions != evictions || r.Size != 2 || r.Capacity != 2 {
+			t.Fatalf("routes = %+v, want hits=%d misses=%d evictions=%d size=2 capacity=2", r, hits, misses, evictions)
+		}
+	}
+	q0, q1, q2 := "E(x,y)", "E(x,y), E(x,z)", "E(x,y), E(x,z), E(x,w)"
+	// q0's hit leaves q1 least recently used: q2's insert evicts q1.
+	do(q0)
+	do(q1)
+	do(q0)
+	do(q2)
+	check(1, 3, 1)
+	// q0 is still resident; q1 misses again and evicts q2, not the
+	// refreshed q0.
+	do(q0)
+	do(q1)
+	check(2, 4, 2)
+	do(q0)
+	check(3, 4, 2)
+}
+
 // rootOn returns a root value, well clear of the test graphs' vertex
 // ids, whose tuples hash to shard of n.
 func rootOn(shard, n int) int64 {

@@ -1,6 +1,9 @@
 package cluster
 
-import "sync"
+import (
+	"container/list"
+	"sync"
+)
 
 // DefaultRouteCacheSize is the coordinator's route-cache capacity when
 // the config does not name one.
@@ -15,11 +18,11 @@ const DefaultRouteCacheSize = 256
 // the serving planner, which reads the query's structure and no index —
 // neither can be moved by an update.
 type routeEntry struct {
-	key        string
-	route      RoutePlan
-	names      []string
-	order      []string
-	prev, next *routeEntry
+	key   string
+	route RoutePlan
+	names []string
+	order []string
+	elem  *list.Element // in routeCache.lru
 }
 
 // routeCache is the coordinator's LRU over routing decisions — the
@@ -30,8 +33,7 @@ type routeCache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*routeEntry
-	head    *routeEntry // least recently used (next victim)
-	tail    *routeEntry // most recently used
+	lru     list.List // of *routeEntry; front: least recently used (next victim)
 	hits    int64
 	misses  int64
 	evicted int64
@@ -59,7 +61,7 @@ func (rc *routeCache) get(key string) (RoutePlan, []string, []string, bool) {
 		return RoutePlan{}, nil, nil, false
 	}
 	rc.hits++
-	rc.moveToTail(e)
+	rc.lru.MoveToBack(e.elem)
 	return e.route, e.names, e.order, true
 }
 
@@ -74,15 +76,14 @@ func (rc *routeCache) put(key string, route RoutePlan, names, order []string) {
 	defer rc.mu.Unlock()
 	if e, ok := rc.entries[key]; ok {
 		e.route, e.names, e.order = route, names, order
-		rc.moveToTail(e)
+		rc.lru.MoveToBack(e.elem)
 		return
 	}
 	e := &routeEntry{key: key, route: route, names: names, order: order}
+	e.elem = rc.lru.PushBack(e)
 	rc.entries[key] = e
-	rc.pushTail(e)
 	for len(rc.entries) > rc.cap {
-		victim := rc.head
-		rc.unlink(victim)
+		victim := rc.lru.Remove(rc.lru.Front()).(*routeEntry)
 		delete(rc.entries, victim.key)
 		rc.evicted++
 	}
@@ -124,39 +125,4 @@ func (rc *routeCache) stats() RouteCacheStats {
 		Size:      len(rc.entries),
 		Capacity:  rc.cap,
 	}
-}
-
-// moveToTail, pushTail and unlink are the usual intrusive-list moves;
-// callers hold mu.
-func (rc *routeCache) moveToTail(e *routeEntry) {
-	if rc.tail == e {
-		return
-	}
-	rc.unlink(e)
-	rc.pushTail(e)
-}
-
-func (rc *routeCache) pushTail(e *routeEntry) {
-	e.prev, e.next = rc.tail, nil
-	if rc.tail != nil {
-		rc.tail.next = e
-	}
-	rc.tail = e
-	if rc.head == nil {
-		rc.head = e
-	}
-}
-
-func (rc *routeCache) unlink(e *routeEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		rc.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		rc.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }

@@ -271,8 +271,7 @@ func managerPool[V any]() *sync.Pool {
 // plan's cacheable bags, or returns nil when nothing would ever be
 // cached: the policy disables caching or the plan has no cacheable bag
 // (Entries and release accept the nil manager; executors probe only a
-// non-nil one). The owner hands it back with release; a Session simply
-// keeps it.
+// non-nil one). The owner hands it back with release.
 func acquireManager[V any](policy Policy, p *Plan, c *stats.Counters, cost func(V) int) *manager[V] {
 	if policy.Disabled || !slices.Contains(p.cacheable, true) {
 		return nil

@@ -175,7 +175,7 @@ func TestManagerSupportOutlivesEviction(t *testing.T) {
 
 // TestManagerReprobeAfterEviction: a bag's key whose slot went away
 // between two probes — evicted by another bag's store under the shared
-// capacity, by evictUntil as Session.Shrink calls it, refused by
+// capacity, by an explicit evictUntil(0), refused by
 // EvictNone, or reset by a pool round trip — misses on the re-probe and
 // charges exactly a hashed probe's miss, even though the table still
 // remembers the slot its last lookup resolved. Under a support threshold
@@ -590,8 +590,8 @@ func adversarialKeys(rng *rand.Rand, dim, n int) []Key {
 
 // diffCacheTable drives the flat-table manager and the reference model
 // with one op stream shaped like the executors' use — nested bag visits
-// (probe; on a miss visit deeper bags, then maybe store), with evictUntil
-// calls in between as Session.Shrink makes them — and requires the same
+// (probe; on a miss visit deeper bags, then maybe store), with explicit
+// evictUntil calls in between — and requires the same
 // answers, values, Entries, eviction order and counters after every op.
 func diffCacheTable[V any](t testing.TB, cfg cacheDiff, mk func(*draws) V, same func(a, b V) bool, cost func(V) int) {
 	t.Helper()

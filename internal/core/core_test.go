@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"sort"
@@ -95,12 +96,19 @@ func TestPaperExampleCacheContents(t *testing.T) {
 		t.Error("no cache hits in the paper's example")
 	}
 	// The subtree below the {x2,x3,x4} bag has 16 assignments per x2
-	// value (Example 3.1); check via a warm session lookup: a second run
-	// must hit on every bag entry.
-	s := plan.NewSession(Policy{})
-	s.Count()
+	// value (Example 3.1); check via warm caches: a second count over
+	// the first run's manager must hit on every bag entry.
+	seq := Policy{Workers: 1}
+	cm := acquireManager[int64](seq, plan, plan.counters, nil)
+	ctx := context.Background()
+	if _, err := plan.count(ctx, seq, cm); err != nil {
+		t.Fatal(err)
+	}
 	c.Reset()
-	again := s.Count()
+	again, err := plan.count(ctx, seq, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if again.Count != 64 {
 		t.Fatalf("warm count = %d", again.Count)
 	}

@@ -55,8 +55,8 @@ func (p *Plan) CountParallelCtx(ctx context.Context, policy Policy) (CountResult
 }
 
 // count is CountParallelCtx over the caches in cm (nil: pooled ones per
-// worker) — the seam a Session counts through. It drives the workers as
-// fold does.
+// worker) — the seam through which an owner other than the pool lends
+// an execution its caches. It drives the workers as fold does.
 func (p *Plan) count(ctx context.Context, policy Policy, cm *manager[int64]) (CountResult, error) {
 	keys, workers, err := p.shards(ctx, policy.Workers)
 	if workers == 0 {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/naive"
 	"repro/internal/queries"
 	"repro/internal/relation"
+	"repro/internal/stats"
 )
 
 func TestEvalFactorizedCountsMatch(t *testing.T) {
@@ -107,5 +108,39 @@ func TestEvalFactorizedEmpty(t *testing.T) {
 	}
 	if set := plan.EvalFactorized(Policy{}); set.Count() != 0 {
 		t.Fatalf("factorized set over empty result counts %d", set.Count())
+	}
+}
+
+// TestEvalFactorizedHonoursBatchSize pins that EvalFactorized, which
+// builds its executor apart from the fold and eval drivers, scans its
+// leaves as every other entry does: at every block length it reproduces
+// the length-1 (scalar) count with bit-identical stats.Counters.
+func TestEvalFactorizedHonoursBatchSize(t *testing.T) {
+	db := dataset.PreferentialAttachment(100, 3, 41).DB(false)
+	var c stats.Counters
+	plan, err := AutoPlan(queries.Path(5), db, AutoOptions{Counters: &c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(bl int) (n int64, eval stats.Counters) {
+		atLeafLen(bl, func() {
+			c.Reset()
+			n = plan.EvalFactorized(Policy{}).Count()
+			eval = c
+		})
+		return
+	}
+	want, wantEval := run(1)
+	if cnt := plan.Count(Policy{}).Count; want != cnt {
+		t.Fatalf("scalar factorized count %d != count %d", want, cnt)
+	}
+	for _, bl := range blockLens[1:] {
+		got, eval := run(bl)
+		if got != want {
+			t.Errorf("len=%d: factorized count %d, want %d", bl, got, want)
+		}
+		if eval != wantEval {
+			t.Errorf("len=%d: EvalFactorized counters diverge\nblock:  %+v\nscalar: %+v", bl, eval, wantEval)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -121,23 +119,3 @@ func (b *truncatedBody) Read(p []byte) (int, error) {
 }
 
 func (b *truncatedBody) Close() error { return b.rc.Close() }
-
-// CheckContext is Check with a context-aware delay: KindDelay waits for
-// the sooner of the delay and ctx, returning ctx's error if it loses.
-func (in *Injector) CheckContext(ctx context.Context, site string) error {
-	o := in.Fire(site)
-	if o == nil {
-		return nil
-	}
-	if o.Kind == KindDelay {
-		timer := time.NewTimer(o.Delay)
-		select {
-		case <-timer.C:
-			return nil
-		case <-ctx.Done():
-			timer.Stop()
-			return fmt.Errorf("faults: delay at %s interrupted: %w", site, ctx.Err())
-		}
-	}
-	return o.Err
-}

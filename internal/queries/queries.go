@@ -8,6 +8,8 @@ package queries
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"repro/internal/cq"
 )
@@ -165,4 +167,46 @@ func IMDBCycle(k int) *cq.Query {
 		atoms = append(atoms, cq.NewAtom(rel(i), p(i), m(prev)))
 	}
 	return cq.New(atoms...)
+}
+
+// Parse builds a workload query from its name: k-path, k-cycle,
+// k-clique, lollipop-c-t or rand-N-P-SEED (Random(N, P, SEED)).
+func Parse(s string) (*cq.Query, error) {
+	parts := strings.Split(s, "-")
+	switch {
+	case len(parts) == 2 && parts[1] == "path":
+		k, err := strconv.Atoi(parts[0])
+		if err != nil {
+			return nil, fmt.Errorf("bad path query %q", s)
+		}
+		return Path(k), nil
+	case len(parts) == 2 && parts[1] == "cycle":
+		k, err := strconv.Atoi(parts[0])
+		if err != nil {
+			return nil, fmt.Errorf("bad cycle query %q", s)
+		}
+		return Cycle(k), nil
+	case len(parts) == 2 && parts[1] == "clique":
+		k, err := strconv.Atoi(parts[0])
+		if err != nil {
+			return nil, fmt.Errorf("bad clique query %q", s)
+		}
+		return Clique(k), nil
+	case len(parts) == 3 && parts[0] == "lollipop":
+		c, err1 := strconv.Atoi(parts[1])
+		t, err2 := strconv.Atoi(parts[2])
+		if err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("bad lollipop query %q", s)
+		}
+		return Lollipop(c, t), nil
+	case len(parts) == 4 && parts[0] == "rand":
+		n, err1 := strconv.Atoi(parts[1])
+		p, err2 := strconv.ParseFloat(parts[2], 64)
+		seed, err3 := strconv.ParseInt(parts[3], 10, 64)
+		if err1 != nil || err2 != nil || err3 != nil {
+			return nil, fmt.Errorf("bad random query %q", s)
+		}
+		return Random(n, p, seed), nil
+	}
+	return nil, fmt.Errorf("unknown query %q (try 5-cycle, 4-path, lollipop-3-2, rand-5-0.4-7)", s)
 }

@@ -134,3 +134,31 @@ func TestPanics(t *testing.T) {
 		}()
 	}
 }
+
+func TestParse(t *testing.T) {
+	for name, want := range map[string]*cq.Query{
+		"4-path":       Path(4),
+		"5-cycle":      Cycle(5),
+		"4-clique":     Clique(4),
+		"lollipop-3-2": Lollipop(3, 2),
+		"rand-5-0.4-7": Random(5, 0.4, 7),
+	} {
+		q, err := Parse(name)
+		if err != nil || q.String() != want.String() {
+			t.Errorf("Parse(%q) = %v, %v; want %v", name, q, err, want)
+		}
+	}
+	for name, msg := range map[string]string{
+		"x-path":         `bad path query "x-path"`,
+		"x-cycle":        `bad cycle query "x-cycle"`,
+		"x-clique":       `bad clique query "x-clique"`,
+		"lollipop-3-x":   `bad lollipop query "lollipop-3-x"`,
+		"rand-5-p-7":     `bad random query "rand-5-p-7"`,
+		"triangle":       `unknown query "triangle" (try 5-cycle, 4-path, lollipop-3-2, rand-5-0.4-7)`,
+		"lollipop-3-2-1": `unknown query "lollipop-3-2-1" (try 5-cycle, 4-path, lollipop-3-2, rand-5-0.4-7)`,
+	} {
+		if _, err := Parse(name); err == nil || err.Error() != msg {
+			t.Errorf("Parse(%q) error = %v, want %q", name, err, msg)
+		}
+	}
+}

@@ -18,13 +18,10 @@ type LoadOptions struct {
 	// Arity, when > 0, requires exactly this many fields per row;
 	// otherwise the first data row fixes the arity.
 	Arity int
-	// Dict, when non-nil, dictionary-encodes every field; otherwise
-	// fields must parse as int64.
-	Dict *Dict
 }
 
-// LoadRelation reads a relation from delimited text: one tuple per line.
-// It returns the sorted, deduplicated relation.
+// LoadRelation reads a relation from delimited text: one tuple per line,
+// every field an int64. It returns the sorted, deduplicated relation.
 func LoadRelation(name string, r io.Reader, opts LoadOptions) (*Relation, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -60,10 +57,6 @@ func LoadRelation(name string, r io.Reader, opts LoadOptions) (*Relation, error)
 		}
 		row := make([]int64, arity)
 		for i, f := range fields {
-			if opts.Dict != nil {
-				row[i] = opts.Dict.Encode(f)
-				continue
-			}
 			v, err := strconv.ParseInt(f, 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("relation %s: line %d field %d: %v", name, line, i+1, err)

@@ -6,56 +6,6 @@ import (
 	"testing"
 )
 
-func TestDictRoundTrip(t *testing.T) {
-	d := NewDict()
-	a := d.Encode("alice")
-	b := d.Encode("bob")
-	if a == b {
-		t.Fatal("distinct strings share a code")
-	}
-	if again := d.Encode("alice"); again != a {
-		t.Fatal("re-encoding changed the code")
-	}
-	if s, ok := d.Decode(a); !ok || s != "alice" {
-		t.Fatalf("Decode = %q,%v", s, ok)
-	}
-	if _, ok := d.Decode(99); ok {
-		t.Fatal("unknown code decoded")
-	}
-	if c, ok := d.Code("bob"); !ok || c != b {
-		t.Fatal("Code lookup failed")
-	}
-	if _, ok := d.Code("carol"); ok {
-		t.Fatal("Code invented an entry")
-	}
-	if d.Len() != 2 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	if d.MustDecode(b) != "bob" {
-		t.Fatal("MustDecode wrong")
-	}
-	tup := d.EncodeTuple([]string{"alice", "carol"})
-	if tup[0] != a || d.Len() != 3 {
-		t.Fatalf("EncodeTuple = %v (len %d)", tup, d.Len())
-	}
-	back, err := d.DecodeTuple(tup)
-	if err != nil || !reflect.DeepEqual(back, []string{"alice", "carol"}) {
-		t.Fatalf("DecodeTuple = %v, %v", back, err)
-	}
-	if _, err := d.DecodeTuple([]int64{42}); err == nil {
-		t.Fatal("DecodeTuple accepted unknown code")
-	}
-}
-
-func TestMustDecodePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustDecode did not panic")
-		}
-	}()
-	NewDict().MustDecode(0)
-}
-
 func TestLoadRelationWhitespace(t *testing.T) {
 	input := "# header\n1 2\n3 4\n1 2\n"
 	r, err := LoadRelation("E", strings.NewReader(input), LoadOptions{Comment: "#"})
@@ -68,25 +18,15 @@ func TestLoadRelationWhitespace(t *testing.T) {
 	}
 }
 
-func TestLoadRelationCSVWithDict(t *testing.T) {
-	input := "alice,db\nbob,os\nalice,db\n"
-	d := NewDict()
-	r, err := LoadRelation("teaches", strings.NewReader(input), LoadOptions{Comma: ',', Dict: d})
+func TestLoadRelationCSV(t *testing.T) {
+	input := "3, 1\n1,2\n3,1\n"
+	r, err := LoadRelation("R", strings.NewReader(input), LoadOptions{Comma: ','})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 2 || r.Arity() != 2 {
-		t.Fatalf("len=%d arity=%d", r.Len(), r.Arity())
-	}
-	if d.Len() != 4 {
-		t.Fatalf("dict len = %d", d.Len())
-	}
-	row, err := d.DecodeTuple(r.Tuple(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row[0] != "alice" || row[1] != "db" {
-		t.Fatalf("decoded = %v", row)
+	want := [][]int64{{1, 2}, {3, 1}}
+	if !reflect.DeepEqual(r.Tuples(), want) {
+		t.Fatalf("tuples = %v", r.Tuples())
 	}
 }
 
@@ -95,7 +35,7 @@ func TestLoadRelationErrors(t *testing.T) {
 		t.Error("ragged rows accepted")
 	}
 	if _, err := LoadRelation("R", strings.NewReader("a b\n"), LoadOptions{}); err == nil {
-		t.Error("non-numeric fields accepted without Dict")
+		t.Error("non-numeric fields accepted")
 	}
 	if _, err := LoadRelation("R", strings.NewReader("1 2 3\n"), LoadOptions{Arity: 2}); err == nil {
 		t.Error("arity mismatch accepted")

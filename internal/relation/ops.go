@@ -95,12 +95,3 @@ tuples:
 	}
 	return b.Build(), nil
 }
-
-// DistinctCount returns the number of distinct values in a column.
-func (r *Relation) DistinctCount(col int) int {
-	seen := make(map[int64]struct{})
-	for i := 0; i < r.Len(); i++ {
-		seen[r.Tuple(i)[col]] = struct{}{}
-	}
-	return len(seen)
-}

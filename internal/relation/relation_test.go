@@ -125,16 +125,6 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestDistinctCount(t *testing.T) {
-	r := MustNew("R", 2, [][]int64{{1, 7}, {1, 8}, {2, 7}})
-	if got := r.DistinctCount(0); got != 2 {
-		t.Errorf("DistinctCount(0) = %d, want 2", got)
-	}
-	if got := r.DistinctCount(1); got != 2 {
-		t.Errorf("DistinctCount(1) = %d, want 2", got)
-	}
-}
-
 // TestColumnSkewMemo holds the memoized per-column skew to the plain
 // computation over a copy of the tuples, from several goroutines at once
 // (the planner's callers share one immutable relation).

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"container/list"
 	"fmt"
 	"slices"
 	"sync"
@@ -83,8 +84,7 @@ type planCache struct {
 	mu          sync.Mutex
 	cap         int
 	entries     map[string]*planEntry
-	head        *planEntry // least recently used (next victim)
-	tail        *planEntry // most recently used
+	lru         list.List // of *planEntry; front: least recently used (next victim)
 	hits        int64
 	misses      int64
 	rebinds     int64
@@ -107,8 +107,8 @@ type planEntry struct {
 	// (relation, column order) drawn when it was bound), so a registry
 	// byte-budget eviction can unbind exactly the entries holding the
 	// evicted index and no others.
-	embedded   []leapfrog.SourceEntry
-	prev, next *planEntry
+	embedded []leapfrog.SourceEntry
+	elem     *list.Element // in planCache.lru
 }
 
 func (e *planEntry) bound() bool { return e.plan.Instance() != nil }
@@ -149,10 +149,7 @@ func (pc *planCache) get(key string, vec []uint64) (p *core.Plan, bound bool) {
 		return nil, false
 	}
 	pc.hits++
-	if pc.tail != e {
-		pc.unlink(e)
-		pc.pushBack(e)
-	}
+	pc.lru.MoveToBack(e.elem)
 	if !e.bound() {
 		return e.plan, false
 	}
@@ -177,11 +174,10 @@ func (pc *planCache) put(key string, p *core.Plan, names []string, vec []uint64,
 		return
 	}
 	e := &planEntry{key: key, plan: p, names: names, vers: vec, embedded: embedded}
+	e.elem = pc.lru.PushBack(e)
 	pc.entries[key] = e
-	pc.pushBack(e)
 	for len(pc.entries) > pc.cap {
-		victim := pc.head
-		pc.unlink(victim)
+		victim := pc.lru.Remove(pc.lru.Front()).(*planEntry)
 		delete(pc.entries, victim.key)
 		pc.evicted++
 	}
@@ -288,28 +284,4 @@ func (pc *planCache) stats() PlanCacheStats {
 		Size:          len(pc.entries),
 		Capacity:      pc.cap,
 	}
-}
-
-func (pc *planCache) pushBack(e *planEntry) {
-	e.prev, e.next = pc.tail, nil
-	if pc.tail != nil {
-		pc.tail.next = e
-	} else {
-		pc.head = e
-	}
-	pc.tail = e
-}
-
-func (pc *planCache) unlink(e *planEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		pc.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		pc.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }

@@ -104,6 +104,27 @@ func TestPlanCacheLRUEvicts(t *testing.T) {
 	if resp.Stats.PlanCached {
 		t.Fatal("evicted plan reported as cached")
 	}
+
+	// A hit refreshes recency: touching the first query before the
+	// overflow leaves the second least recently used, so it is the victim.
+	e = NewEngine(testDB(), Config{Workers: 1, PlanCache: 2})
+	for _, q := range []string{queries[0], queries[1], queries[0], queries[2]} {
+		if _, err := e.Do(Request{Query: q}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := e.Stats().Plans; s.Size != 2 || s.Hits != 1 || s.Evictions != 1 {
+		t.Fatalf("plan cache after a hit and an overflow = %+v, want size 2, 1 hit, 1 eviction", s)
+	}
+	for i, want := range []bool{true, false} {
+		resp, err := e.Do(Request{Query: queries[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Stats.PlanCached != want {
+			t.Fatalf("query %d: plan cached = %v, want %v (the hit must refresh its recency)", i, resp.Stats.PlanCached, want)
+		}
+	}
 }
 
 // twoRelDB pairs the test graph with an independent relation R, to

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Frequencies returns the multiset of occurrence counts of the values in
 // column col (0-based) of the given tuples, sorted descending.
@@ -55,26 +52,4 @@ func SkewCoefficient(freqs []int) float64 {
 // ColumnSkew computes SkewCoefficient directly for a tuple column.
 func ColumnSkew(tuples [][]int64, col int) float64 {
 	return SkewCoefficient(Frequencies(tuples, col))
-}
-
-// GiniCoefficient computes the Gini coefficient of a frequency
-// distribution: 0 for perfectly uniform, approaching 1 for extreme skew.
-func GiniCoefficient(freqs []int) float64 {
-	n := len(freqs)
-	if n == 0 {
-		return 0
-	}
-	sorted := make([]int, n)
-	copy(sorted, freqs)
-	sort.Ints(sorted)
-	var cum, weighted float64
-	for i, f := range sorted {
-		weighted += float64(i+1) * float64(f)
-		cum += float64(f)
-	}
-	if cum == 0 {
-		return 0
-	}
-	g := (2*weighted)/(float64(n)*cum) - float64(n+1)/float64(n)
-	return math.Max(0, g)
 }

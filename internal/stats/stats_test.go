@@ -85,19 +85,6 @@ func TestSkewCoefficient(t *testing.T) {
 	}
 }
 
-func TestGiniCoefficient(t *testing.T) {
-	if g := GiniCoefficient([]int{5, 5, 5, 5}); g > 0.01 {
-		t.Fatalf("uniform Gini = %g", g)
-	}
-	g := GiniCoefficient([]int{0, 0, 0, 100})
-	if g < 0.5 {
-		t.Fatalf("concentrated Gini = %g, want large", g)
-	}
-	if GiniCoefficient(nil) != 0 {
-		t.Fatal("empty Gini != 0")
-	}
-}
-
 func TestColumnSkew(t *testing.T) {
 	tuples := [][]int64{{1, 1}, {1, 2}, {1, 3}, {2, 4}, {3, 5}}
 	if ColumnSkew(tuples, 0) <= ColumnSkew(tuples, 1) {

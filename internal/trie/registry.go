@@ -1,6 +1,7 @@
 package trie
 
 import (
+	"container/list"
 	"fmt"
 	"sync"
 
@@ -39,8 +40,7 @@ type Registry struct {
 	entries      map[regKey]*regEntry
 	lineage      map[*relation.Relation]relation.Version
 	bytes        int64
-	head         *regEntry // least recently used (next victim)
-	tail         *regEntry // most recently used
+	lru          list.List // of *regEntry; front: least recently used (next victim)
 	stats        RegistryStats
 	evictHook    func(rel *relation.Relation, perm string)
 	opener       func(rel *relation.Relation, perm []int) *Trie
@@ -98,12 +98,12 @@ func (k permKey) String() string {
 }
 
 type regEntry struct {
-	key        regKey
-	trie       *Trie
-	err        error // build failure, for waiters; set before ready closes
-	bytes      int64
-	ready      chan struct{} // closed once trie (or err) is set
-	prev, next *regEntry
+	key   regKey
+	trie  *Trie
+	err   error // build failure, for waiters; set before ready closes
+	bytes int64
+	ready chan struct{} // closed once trie (or err) is set
+	elem  *list.Element // in Registry.lru
 }
 
 // RegistryStats reports a registry's lifetime activity.
@@ -225,15 +225,13 @@ func (r *Registry) Release(rel *relation.Relation) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.lineage, rel)
-	for e := r.head; e != nil; {
-		next := e.next
+	for el := r.lru.Front(); el != nil; {
+		e := el.Value.(*regEntry)
+		el = el.Next()
 		if e.key.rel == rel && e.trie != nil {
-			r.unlink(e)
-			delete(r.entries, e.key)
-			r.bytes -= e.bytes
+			r.drop(e)
 			r.stats.Released++
 		}
-		e = next
 	}
 }
 
@@ -277,7 +275,7 @@ func (r *Registry) Trie(rel *relation.Relation, perm []int, c *stats.Counters) (
 		c.HashAccesses++
 	}
 	if e, ok := r.entries[key]; ok {
-		r.touch(e)
+		r.lru.MoveToBack(e.elem)
 		r.stats.Hits++
 		ready := e.ready
 		r.mu.Unlock()
@@ -289,8 +287,8 @@ func (r *Registry) Trie(rel *relation.Relation, perm []int, c *stats.Counters) (
 		return e.trie, nil
 	}
 	e := &regEntry{key: key, ready: make(chan struct{})}
+	e.elem = r.lru.PushBack(e)
 	r.entries[key] = e
-	r.pushBack(e)
 	r.stats.Builds++
 	lin, patchable := r.lineage[rel]
 	opener, buildHook := r.opener, r.buildHook
@@ -298,8 +296,7 @@ func (r *Registry) Trie(rel *relation.Relation, perm []int, c *stats.Counters) (
 
 	fail := func(err error) (*Trie, error) {
 		r.mu.Lock()
-		r.unlink(e)
-		delete(r.entries, key)
+		r.drop(e)
 		r.mu.Unlock()
 		e.err = err
 		close(e.ready)
@@ -374,69 +371,40 @@ func (r *Registry) Trie(rel *relation.Relation, perm []int, c *stats.Counters) (
 	e.trie = t
 	e.bytes = t.MemoryBytes()
 	r.bytes += e.bytes
-	r.evictOver(e)
+	if r.budget > 0 {
+		r.evictTo(r.budget, e)
+	}
 	r.mu.Unlock()
 	close(e.ready)
 	return t, nil
 }
 
-// evictOver drops least-recently-used ready entries until the resident
-// bytes fit the budget. Entries still being built are skipped (their
-// cost is unknown and a waiter holds them), as is keep — the entry just
-// inserted — so a single trie larger than the whole budget stays
-// resident rather than thrashing: the engine cannot answer without the
-// index, so the bound yields. Callers must hold r.mu.
-func (r *Registry) evictOver(keep *regEntry) {
-	if r.budget <= 0 {
-		return
-	}
-	for e := r.head; e != nil && r.bytes > r.budget; {
-		next := e.next
+// evictTo drops least-recently-used ready entries until at most limit
+// bytes are resident. Entries still being built are skipped (their cost
+// is unknown and a waiter holds them), as is keep — the entry just
+// inserted, under the budget — so a single trie larger than the whole
+// budget stays resident rather than thrashing: the engine cannot answer
+// without the index, so the bound yields. Callers must hold r.mu.
+func (r *Registry) evictTo(limit int64, keep *regEntry) {
+	for el := r.lru.Front(); el != nil && r.bytes > limit; {
+		e := el.Value.(*regEntry)
+		el = el.Next()
 		if e.trie != nil && e != keep {
-			r.unlink(e)
-			delete(r.entries, e.key)
-			r.bytes -= e.bytes
+			r.drop(e)
 			r.stats.Evictions++
 			if r.evictHook != nil {
 				r.evictHook(e.key.rel, e.key.perm.String())
 			}
 		}
-		e = next
 	}
 }
 
-// touch moves a hit entry to the most-recently-used position. Callers
+// drop removes e from the registry and uncharges its bytes. Callers
 // must hold r.mu.
-func (r *Registry) touch(e *regEntry) {
-	if r.tail == e {
-		return
-	}
-	r.unlink(e)
-	r.pushBack(e)
-}
-
-func (r *Registry) pushBack(e *regEntry) {
-	e.prev, e.next = r.tail, nil
-	if r.tail != nil {
-		r.tail.next = e
-	} else {
-		r.head = e
-	}
-	r.tail = e
-}
-
-func (r *Registry) unlink(e *regEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		r.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		r.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+func (r *Registry) drop(e *regEntry) {
+	r.lru.Remove(e.elem)
+	delete(r.entries, e.key)
+	r.bytes -= e.bytes
 }
 
 // Stats returns a snapshot of the registry's activity and residency.
@@ -454,23 +422,8 @@ func (r *Registry) Stats() RegistryStats {
 // resident — the operator's "reclaim memory now" knob, independent of
 // the steady-state budget. It reports the resulting resident bytes.
 func (r *Registry) Shrink(maxBytes int64) int64 {
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for e := r.head; e != nil && r.bytes > maxBytes; {
-		next := e.next
-		if e.trie != nil {
-			r.unlink(e)
-			delete(r.entries, e.key)
-			r.bytes -= e.bytes
-			r.stats.Evictions++
-			if r.evictHook != nil {
-				r.evictHook(e.key.rel, e.key.perm.String())
-			}
-		}
-		e = next
-	}
+	r.evictTo(max(maxBytes, 0), nil)
 	return r.bytes
 }
