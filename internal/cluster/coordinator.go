@@ -669,8 +669,9 @@ func (c *Coordinator) Update(ctx context.Context, req server.UpdateRequest) (*Up
 	results := make([]*server.UpdateResult, len(c.shards))
 	_, err = each(ctx, c.shards, idxs, "update", true, func(ctx context.Context, i int) error {
 		res, err := c.shards[i].Update(ctx, parts[i])
-		if err == nil {
-			// The coordinator's own writes never cost a reader a 409.
+		if res != nil {
+			// The coordinator's own writes never cost a reader a 409,
+			// even those a replica group applied only in part.
 			c.raise(i, map[string]uint64{res.Relation: res.Version})
 		}
 		results[i] = res

@@ -227,6 +227,67 @@ func TestReplicaStale(t *testing.T) {
 	}
 }
 
+// refusingUpdates serves reads from its shard and fails every update
+// without applying it: a replica unreachable while a delta went out.
+type refusingUpdates struct{ Shard }
+
+func (s *refusingUpdates) Update(ctx context.Context, req server.UpdateRequest) (*server.UpdateResult, error) {
+	return nil, errShardDown
+}
+
+// TestReplicaPartialUpdate: an update one replica of a group applied and
+// the other missed fails, but the coordinator learns the version the
+// group now serves from the replica that applied it. The next read
+// expects that version, so the replica left behind refuses and the
+// caught-up one answers, at the new version and without a snapshot
+// retry, whichever of the two is listed first.
+func TestReplicaPartialUpdate(t *testing.T) {
+	ctx := context.Background()
+	db := testGraphDB()
+	for _, missedFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("missed-first=%v", missedFirst), func(t *testing.T) {
+			missed := &refusingUpdates{NewEngineShard("a", server.NewEngine(db, server.Config{}))}
+			applied := NewEngineShard("b", server.NewEngine(db, server.Config{}))
+			reps := []Shard{missed, applied}
+			if !missedFirst {
+				reps = []Shard{applied, missed}
+			}
+			h := &harness{single: server.NewEngine(db, server.Config{})}
+			var err error
+			h.coord, err = New(Routing{Shards: 1}, []Shard{NewReplicaSet(reps, ReplicaConfig{})}, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := server.Request{Query: "E(1,y)"}
+			old, _ := checkDo(t, h, q)
+			delta := server.UpdateRequest{Relation: "E", Inserts: [][]int64{{1, 100001}, {1, 100002}}}
+			if _, err := h.coord.Update(ctx, delta); !errors.Is(err, errShardDown) {
+				t.Fatalf("update a replica missed: %v, want its failure", err)
+			}
+			if _, err := h.single.Update(delta); err != nil {
+				t.Fatal(err)
+			}
+			before, err := h.coord.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The coordinator's answer carries no version vector; the
+			// delta changes the count, so matching the single engine's
+			// is answering at the new version.
+			if got, want := checkDo(t, h, q); got.Count == old.Count {
+				t.Fatalf("count %d after the update, as before it (single engine %d)", got.Count, want.Count)
+			}
+			after, err := h.coord.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.SnapshotRetries != before.SnapshotRetries {
+				t.Fatalf("snapshot_retries %d -> %d, want unchanged", before.SnapshotRetries, after.SnapshotRetries)
+			}
+		})
+	}
+}
+
 // partialFleet builds a 4-shard coordinator with shard `dead` replaced
 // by a failingShard, returning the live engines for ground truth.
 func partialFleet(t *testing.T, db *relation.DB, dead int) (*Coordinator, []*server.Engine) {

@@ -220,18 +220,25 @@ func (r *ReplicaSet) hedgedDo(ctx context.Context, req server.Request) (*server.
 // the replica; a retry converges (set semantics make re-application a
 // version-preserving no-op on the replicas that already applied it).
 // Siblings are not cancelled on failure: the more replicas that apply,
-// the less the retry has left to repair.
+// the less the retry has left to repair. Beside that error it returns
+// the result of the first replica that did apply, if any: the version
+// the group now serves, which the coordinator's reads must expect so
+// the replicas left behind refuse them.
 func (r *ReplicaSet) Update(ctx context.Context, req server.UpdateRequest) (*server.UpdateResult, error) {
 	results := make([]*server.UpdateResult, len(r.reps))
 	_, err := each(ctx, r.reps, allIndexes(len(r.reps)), "update", false, func(ctx context.Context, i int) error {
 		res, err := r.reps[i].Update(ctx, req)
-		results[i] = res
+		if err == nil {
+			results[i] = res
+		}
 		return err
 	})
-	if err != nil {
-		return nil, err
+	for _, res := range results {
+		if res != nil {
+			return res, err
+		}
 	}
-	return results[0], nil
+	return nil, err
 }
 
 // Stream implements Shard. Failover is only sound while no row has been

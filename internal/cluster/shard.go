@@ -32,7 +32,9 @@ type Shard interface {
 	// deterministic order (root-ascending); row returning false stops
 	// the shard's scan.
 	Stream(ctx context.Context, req server.Request, header func(order []string), row func(mu []int64) bool) (server.StreamSummary, error)
-	// Update applies one (already routed) delta to the shard.
+	// Update applies one (already routed) delta to the shard. A failed
+	// update returns a nil result, unless part of the shard applied it
+	// (a replica group): the result is then the version that part serves.
 	Update(ctx context.Context, req server.UpdateRequest) (*server.UpdateResult, error)
 	// Stats snapshots the shard engine's lifetime statistics.
 	Stats(ctx context.Context) (*server.EngineStats, error)

@@ -113,8 +113,7 @@ func sameTuples(t *testing.T, label string, got, want [][]int64) {
 // value, the fold's weighted leaf) must give, at every block length,
 // exactly what length 1 — the scalar Key/Next sequence — gives: same
 // counts, bit-identical aggregates, bit-identical stats.Counters for
-// completed scans, and identical per-depth level tallies (what
-// AlwaysEmptyLevels reads), at worker counts 1, 2, 3 and 8. Eval and the
+// completed scans, at worker counts 1, 2, 3 and 8. Eval and the
 // stream, under the trial's caches, emit the no-cache sequential
 // sequence row for row. The sequential no-cache count is also held to
 // the counters of leapfrog.Count, the Fig. 1 loop that never enters
@@ -241,7 +240,6 @@ func checkBatched(t *testing.T, label string, q *cq.Query, plan *Plan, db *relat
 		count, eval, sumC, minC stats.Counters
 		tuples, streamed        [][]int64
 		sum, min                float64
-		countLv, sumLv, minLv   []LevelStat
 	}
 	runAt := func(bl, workers int) (r run) {
 		atLeafLen(bl, func() {
@@ -251,12 +249,8 @@ func checkBatched(t *testing.T, label string, q *cq.Query, plan *Plan, db *relat
 			if res.Count != want {
 				t.Fatalf("%s w=%d len=%d: count %d, want %d (query %s)", label, workers, bl, res.Count, want, q)
 			}
-			r.countLv = res.Levels
-			var tl tally
-			r.sum, tl, _ = fold(bg, plan.WithCounters(&r.sumC), base, SumProductSemiring(), valueWeight, nil)
-			r.sumLv = tl.levels
-			r.min, tl, _ = fold(bg, plan.WithCounters(&r.minC), base, TropicalSemiring(), valueWeight, nil)
-			r.minLv = tl.levels
+			r.sum, _, _ = fold(bg, plan.WithCounters(&r.sumC), base, SumProductSemiring(), valueWeight, nil)
+			r.min, _, _ = fold(bg, plan.WithCounters(&r.minC), base, TropicalSemiring(), valueWeight, nil)
 			r.tuples = collectTuples(func(emit func([]int64) bool) {
 				plan.WithCounters(&r.eval).EvalParallelCtx(bg, base, emit)
 			})
@@ -307,14 +301,6 @@ func checkBatched(t *testing.T, label string, q *cq.Query, plan *Plan, db *relat
 			}
 			if got.sumC != ref.sumC || got.minC != ref.minC {
 				t.Fatalf("%s w=%d len=%d: aggregate counters diverge\nblock:  %+v %+v\nscalar: %+v %+v", label, workers, bl, got.sumC, got.minC, ref.sumC, ref.minC)
-			}
-			for _, lv := range []struct {
-				name      string
-				got, want []LevelStat
-			}{{"count", got.countLv, ref.countLv}, {"sum", got.sumLv, ref.sumLv}, {"min", got.minLv, ref.minLv}} {
-				if !slices.Equal(lv.got, lv.want) {
-					t.Fatalf("%s w=%d len=%d: %s levels %v, scalar %v", label, workers, bl, lv.name, lv.got, lv.want)
-				}
 			}
 		}
 	}

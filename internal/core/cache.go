@@ -219,7 +219,7 @@ func (t *table[V]) unlink(ref int32) {
 	s.prev, s.next = 0, 0
 }
 
-// reset empties the table for the pool, keeping its memory unless the
+// reset clears the table for the pool, keeping its memory unless the
 // slab outgrew maxPooledSlots. Clearing the slab is what lets go of the
 // factorized sets it pointed to. A run that used a small part of a large
 // index clears just the cells it filled.
@@ -330,7 +330,7 @@ func (t *table[V]) alloc(slots int) {
 	}
 }
 
-// release empties the manager and returns it to the pool. Tables beyond
+// release clears the manager and returns it to the pool. Tables beyond
 // the bound plan's bags are already empty: every release resets all it
 // bound.
 func (m *manager[V]) release() {
@@ -435,7 +435,7 @@ func (m *manager[V]) store(v int, ref int32, val V) {
 	}
 }
 
-// vacate empties a slot that lost its value or never got one. Under a
+// vacate clears a slot that lost its value or never got one. Under a
 // support threshold it stays behind as the key's seen-only count —
 // support is not charged against Capacity and is never evicted —
 // otherwise it leaves the table.

@@ -21,9 +21,6 @@ type CountResult struct {
 	// CachedEntries is the number of intermediate results resident in the
 	// caches at the end of the run (summed over workers).
 	CachedEntries int
-	// Levels holds the per-depth intersection tallies (merged across
-	// workers in parallel runs). Empty on cancelled runs.
-	Levels []LevelStat
 }
 
 // Count runs CachedTJCount (Fig. 2) over the plan under the given policy
@@ -86,7 +83,7 @@ func (p *Plan) count(ctx context.Context, policy Policy, cm *manager[int64]) (Co
 	if t.err != nil {
 		return CountResult{}, t.err
 	}
-	return CountResult{Count: n, CachedEntries: t.entries, Levels: t.levels}, nil
+	return CountResult{Count: n, CachedEntries: t.entries}, nil
 }
 
 // countExec is one worker's count.

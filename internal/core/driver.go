@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/leapfrog"
+	"repro/internal/stats"
 )
 
 // This file is the one driver under every execution entry point. CLFTJ
@@ -64,29 +65,67 @@ func (p *Plan) shards(ctx context.Context, workers int) ([]int64, int, error) {
 	return keys, n, nil
 }
 
+// worker is one executor's per-worker state, whichever traversal it
+// runs: its shard of the root domain, a runner over the plan's tries,
+// the caches of subtree results, the canceler and the deepest level's
+// block. The fold (foldState) and the enumeration (evalExec) embed it and
+// add their own intermediates.
+type worker[V any] struct {
+	shard
+	plan   *Plan
+	run    *leapfrog.Runner
+	mu     []int64
+	cm     *manager[V]        // nil: nothing is cached (acquireManager)
+	ownCM  bool               // cm came from the pool and goes back at finish
+	cancel *leapfrog.Canceler // nil never cancels
+	block  [blockLen]int64    // the deepest level's keys, a block at a time
+}
+
+// newWorker builds a worker over shard sh, accounting into wc, with
+// pooled caches charged by cost unless cm hands it resident ones. It
+// returns the worker by value so that a run keeps it on its own stack.
+func newWorker[V any](ctx context.Context, p *Plan, policy Policy, cm *manager[V], cost func(V) int, sh shard, wc *stats.Counters) worker[V] {
+	own := cm == nil
+	if own {
+		cm = acquireManager(policy, p, wc, cost)
+	}
+	w := worker[V]{
+		shard:  sh,
+		plan:   p,
+		run:    leapfrog.NewRunnerCounters(p.inst, wc),
+		cm:     cm,
+		ownCM:  own,
+		cancel: leapfrog.NewCanceler(ctx),
+	}
+	w.mu = w.run.Assignment()
+	return w
+}
+
 // tally is what every executor hands back beside its traversal's own
-// result: resident cache entries, the per-depth intersection tallies,
-// and the cancellation its canceler latched (nil for a completed scan).
+// result: resident cache entries and the cancellation its canceler
+// latched (nil for a completed scan).
 type tally struct {
 	entries int
-	levels  []LevelStat
 	err     error
 }
 
-// finish closes an executor's run: it reads the runner's level tallies
-// (pooled state, so before the Release) and hands the runner back.
-func finish(run *leapfrog.Runner, entries int, cancel *leapfrog.Canceler) tally {
-	t := tally{entries: entries, levels: levelsOf(run), err: cancel.Err()}
-	run.Release()
+// finish closes a worker's run, whether the scan completed, stopped or
+// was cancelled: it reads the resident entries, hands the runner back
+// and returns pooled caches to the pool.
+func (w *worker[V]) finish() tally {
+	t := tally{entries: w.cm.Entries(), err: w.cancel.Err()}
+	w.run.Release()
+	if w.ownCM {
+		w.cm.release()
+	}
 	return t
 }
 
-// add merges a worker's tally: entries and levels sum (the capacity
-// bound applies per worker, so K workers may retain up to K*Capacity
-// entries in total), and the first cancellation wins.
+// add merges a worker's tally: entries sum (the capacity bound applies
+// per worker, so K workers may retain up to K*Capacity entries in
+// total), and the first cancellation wins.
 func (t *tally) add(o tally) {
 	t.entries += o.entries
-	t.levels = sumLevels(t.levels, o.levels)
 	if t.err == nil {
 		t.err = o.err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/factorized"
-	"repro/internal/leapfrog"
 	"repro/internal/stats"
 )
 
@@ -19,9 +18,6 @@ type EvalResult struct {
 	// CachedEntries is the number of factorized entries resident in the
 	// caches at the end of the run.
 	CachedEntries int
-	// Levels holds the per-depth intersection tallies (merged across
-	// workers in parallel runs). Empty on cancelled runs.
-	Levels []LevelStat
 }
 
 // Eval runs the evaluation variant of CachedTJCount (§3.4): the ordinary
@@ -83,7 +79,7 @@ func (p *Plan) EvalLimitCtx(ctx context.Context, policy Policy, limit int, emit 
 	if t.err != nil {
 		return res, t.err
 	}
-	res.CachedEntries, res.Levels = t.entries, t.levels
+	res.CachedEntries = t.entries
 	return res, nil
 }
 
@@ -139,55 +135,37 @@ type bagState struct {
 	intent  bool           // will store to cache on exit
 }
 
-// evalExec is one worker's enumeration: a runner over the plan's tries,
-// the caches of factorized subtree results, and the consumer.
+// evalExec is one worker's enumeration: the worker, whose caches hold
+// factorized subtree results, the per-bag state and the consumer.
 type evalExec struct {
-	shard
-	plan        *Plan
-	run         *leapfrog.Runner
+	worker[evalEntry]
 	ctrs        *stats.Counters // this execution's sink (worker-local in parallel runs)
-	mu          []int64
-	bags        []bagState          // per bag, in the current iteration
-	collectRoot bool                // materialize the whole result as a factorized set
-	cm          *manager[evalEntry] // pooled; nil: nothing is cached (acquireManager)
-	cancel      *leapfrog.Canceler  // nil never cancels
-	enter       func()              // sharded runs: called before each root key's subtree is scanned
+	bags        []bagState      // per bag, in the current iteration
+	collectRoot bool            // materialize the whole result as a factorized set
+	enter       func()          // sharded runs: called before each root key's subtree is scanned
 	emit        func([]int64) bool
 	emitted     int64
-	limit       int64           // emit at most this many tuples; -1: no limit
-	counting    bool            // past the limit: the rest of the run counts
-	counted     int64           // tuples found while counting
-	block       [blockLen]int64 // the deepest level's keys, a block at a time
+	limit       int64 // emit at most this many tuples; -1: no limit
+	counting    bool  // past the limit: the rest of the run counts
+	counted     int64 // tuples found while counting
 }
 
-// newEvalExec builds a worker's executor over shard sh, emitting the
-// first limit tuples (limit <= 0: all) to emit, accounting into wc. It
-// returns the executor by value so that a run keeps it on its own stack.
+// newEvalExec builds a worker's executor over shard sh, on pooled caches,
+// emitting the first limit tuples (limit <= 0: all) to emit, accounting
+// into wc. It returns the executor by value so that a run keeps it on its
+// own stack.
 func newEvalExec(ctx context.Context, p *Plan, policy Policy, limit int, sh shard, wc *stats.Counters, emit func([]int64) bool) evalExec {
 	e := evalExec{
-		shard:  sh,
-		plan:   p,
-		run:    leapfrog.NewRunnerCounters(p.inst, wc),
+		worker: newWorker(ctx, p, policy, nil, entryCost, sh, wc),
 		ctrs:   wc,
 		bags:   make([]bagState, p.numNodes),
-		cm:     acquireManager(policy, p, wc, entryCost),
-		cancel: leapfrog.NewCanceler(ctx),
 		emit:   emit,
 		limit:  -1,
 	}
 	if limit > 0 {
 		e.limit = int64(limit)
 	}
-	e.mu = e.run.Assignment()
 	return e
-}
-
-// finish closes the run (see the driver's finish) and hands the caches
-// back to the pool, whether the scan completed, stopped or was cancelled.
-func (e *evalExec) finish() tally {
-	t := finish(e.run, e.cm.Entries(), e.cancel)
-	e.cm.release()
-	return t
 }
 
 // rjoin is the fold's RCachedJoin with factorized sets as the

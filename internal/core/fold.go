@@ -163,53 +163,18 @@ func fold[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring[T], w 
 }
 
 // foldState is one worker's state under either fold executor — the
-// semiring fold below and the count executor: a runner over the plan's
-// tries, the caches of subtree aggregates, the per-bag intermediates and
-// the running total.
+// semiring fold below and the count executor: the worker, the per-bag
+// intermediates and the running total.
 type foldState[T any] struct {
-	shard
-	plan   *Plan
-	run    *leapfrog.Runner
-	mu     []int64
+	worker[T]
 	intrmd []T
-	cm     *manager[T]        // nil: nothing is cached (acquireManager)
-	ownCM  bool               // cm came from the pool and goes back at finish
-	cancel *leapfrog.Canceler // nil never cancels
 	total  T
-	block  [blockLen]int64 // the deepest level's keys, a block at a time
 }
 
-// newFoldState builds a worker's state over shard sh, accounting into
-// wc, with pooled caches unless cm hands it resident ones, and the total
-// at zero. It returns the state by value so that a run keeps it on its
-// own stack.
+// newFoldState builds a worker's fold state with caches as newWorker
+// takes them and the total at zero.
 func newFoldState[T any](ctx context.Context, p *Plan, policy Policy, cm *manager[T], sh shard, wc *stats.Counters, zero T) foldState[T] {
-	own := cm == nil
-	if own {
-		cm = acquireManager[T](policy, p, wc, nil)
-	}
-	e := foldState[T]{
-		shard:  sh,
-		plan:   p,
-		run:    leapfrog.NewRunnerCounters(p.inst, wc),
-		intrmd: make([]T, p.numNodes),
-		cm:     cm,
-		ownCM:  own,
-		cancel: leapfrog.NewCanceler(ctx),
-		total:  zero,
-	}
-	e.mu = e.run.Assignment()
-	return e
-}
-
-// finish closes the run (see the driver's finish) and hands pooled
-// caches back, whether the scan completed or was cancelled.
-func (e *foldState[T]) finish() tally {
-	t := finish(e.run, e.cm.Entries(), e.cancel)
-	if e.ownCM {
-		e.cm.release()
-	}
-	return t
+	return foldState[T]{newWorker(ctx, p, policy, cm, nil, sh, wc), make([]T, p.numNodes), zero}
 }
 
 // probe is lines 6-12 of Fig. 2: bag v is entered from a different bag

@@ -88,7 +88,9 @@ func TestParallelCountMatchesSequential(t *testing.T) {
 
 // TestParallelEvalMatchesSequential checks that the parallel evaluation
 // emits the sequential no-cache sequence tuple for tuple under every
-// cache policy, and that its tallies are the count's.
+// cache policy, that it leaves cache entries where the count does, and
+// that at an unbounded capacity it charges the count's trie accesses: a
+// cache hit replaces the subtree's scan in both.
 func TestParallelEvalMatchesSequential(t *testing.T) {
 	for _, sh := range parallelShapes() {
 		plan, err := AutoPlan(sh.q, sh.db, AutoOptions{})
@@ -101,24 +103,22 @@ func TestParallelEvalMatchesSequential(t *testing.T) {
 				pol := pol
 				pol.Workers = workers
 				var par [][]int64
-				res := must(plan.EvalParallelCtx(bg, pol, func(mu []int64) bool {
+				var ce, cc stats.Counters
+				res := must(plan.WithCounters(&ce).EvalParallelCtx(bg, pol, func(mu []int64) bool {
 					par = append(par, append([]int64(nil), mu...))
 					return true
 				}))
 				if res.Emitted != int64(len(seq)) {
 					t.Fatalf("%s workers=%d: emitted %d, want %d", sh.name, workers, res.Emitted, len(seq))
 				}
-				// The sharded run sums its workers' tallies like the fold
-				// does: the same scan under the same policy opens the same
-				// levels (set and count costs differ only under a bound).
-				cnt := must(plan.CountParallelCtx(bg, pol))
+				cnt := must(plan.WithCounters(&cc).CountParallelCtx(bg, pol))
 				if (res.CachedEntries > 0) != (cnt.CachedEntries > 0) {
 					t.Errorf("%s workers=%d policy=%+v: eval CachedEntries = %d, count's = %d",
 						sh.name, workers, pol, res.CachedEntries, cnt.CachedEntries)
 				}
-				if pol.Capacity == 0 && !reflect.DeepEqual(res.Levels, cnt.Levels) {
-					t.Errorf("%s workers=%d policy=%+v: eval Levels %+v, count Levels %+v",
-						sh.name, workers, pol, res.Levels, cnt.Levels)
+				if pol.Capacity == 0 && ce.TrieAccesses != cc.TrieAccesses {
+					t.Errorf("%s workers=%d policy=%+v: eval TrieAccesses %d, count's %d",
+						sh.name, workers, pol, ce.TrieAccesses, cc.TrieAccesses)
 				}
 				if !reflect.DeepEqual(par, seq) {
 					t.Errorf("%s workers=%d policy=%+v: parallel stream differs from the sequential no-cache order", sh.name, workers, pol)

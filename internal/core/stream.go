@@ -46,8 +46,8 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, em
 // delivered row. Under a limit each worker sends only its own first
 // limit rows, then counts the rest of its shard, and the merger stops
 // delivering at the limit and drains the channels while the workers
-// finish. The workers' counts, cache entries and level tallies are
-// summed, as in the fold; a run ctx cut short reports only Emitted.
+// finish. The workers' counts and cache entries are summed, as in the
+// fold; a run ctx cut short reports only Emitted.
 func (p *Plan) evalSharded(ctx context.Context, policy Policy, limit int, keys []int64, workers int, emit func(mu []int64) bool) (EvalResult, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -162,6 +162,6 @@ func (p *Plan) evalSharded(ctx context.Context, policy Policy, limit int, keys [
 		res.Count += counts[w]
 		t.add(part)
 	}
-	res.CachedEntries, res.Levels = t.entries, t.levels
+	res.CachedEntries = t.entries
 	return res, nil
 }

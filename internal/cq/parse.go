@@ -2,6 +2,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -15,7 +16,8 @@ import (
 // Identifiers starting with a letter or underscore are variables;
 // (signed) integer literals are constants. Relation names follow the
 // same identifier syntax. Whitespace is insignificant. A trailing
-// period, as in Datalog bodies, is permitted.
+// period, as in Datalog bodies, is permitted. A query of more than
+// maxAtoms atoms or maxVars distinct variables is refused.
 func Parse(input string) (*Query, error) {
 	p := &parser{src: input}
 	q, err := p.parseQuery()
@@ -34,6 +36,17 @@ func MustParse(input string) *Query {
 	return q
 }
 
+// maxAtoms and maxVars bound the queries Parse accepts, and with it every
+// text path: the HTTP endpoints, the coordinator and the CLI. Planning
+// runs before an execution takes a context, so no timeout or client
+// disconnect stops it, and its time grows steeply with the query size:
+// hundreds of atoms plan for seconds, thousands for minutes. The queries
+// of the figures, examples, tests and benchmark workloads stay far below.
+const (
+	maxAtoms = 64
+	maxVars  = 64
+)
+
 type parser struct {
 	src string
 	pos int
@@ -49,6 +62,9 @@ func (p *parser) parseQuery() (*Query, error) {
 		atom, err := p.parseAtom()
 		if err != nil {
 			return nil, err
+		}
+		if len(atoms) == maxAtoms {
+			return nil, fmt.Errorf("query has more than %d atoms", maxAtoms)
 		}
 		atoms = append(atoms, atom)
 		p.skipSpace()
@@ -72,7 +88,31 @@ func (p *parser) parseQuery() (*Query, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	if tooManyVars(atoms) {
+		return nil, fmt.Errorf("query has more than %d distinct variables", maxVars)
+	}
 	return q, nil
+}
+
+// tooManyVars reports whether atoms hold more than maxVars distinct
+// variables. It allocates nothing, so the bound costs a served query no
+// heap object.
+func tooManyVars(atoms []Atom) bool {
+	var seen [maxVars]string
+	n := 0
+	for _, a := range atoms {
+		for _, t := range a.Args {
+			if !t.IsVar() || slices.Contains(seen[:n], t.Var) {
+				continue
+			}
+			if n == maxVars {
+				return true
+			}
+			seen[n] = t.Var
+			n++
+		}
+	}
+	return false
 }
 
 func (p *parser) parseAtom() (Atom, error) {

@@ -113,9 +113,9 @@ type BuildOpts struct {
 // level still corresponds to a distinct variable: constants are bound
 // as a prefix of the relation's index, a repeated variable is selected
 // and projected away first. Atoms left with no variables act as boolean
-// guards (a guard matching no tuple empties the result).
+// guards (a guard matching no tuple makes the result empty).
 func Build(q *cq.Query, db *relation.DB, order []string, counters *stats.Counters) (*Instance, error) {
-	return BuildOptions(q, db, order, BuildOpts{Counters: counters})
+	return buildOptions(q, db, order, BuildOpts{Counters: counters})
 }
 
 // BuildWith is Build with an optional trie source: when tries is non-nil,
@@ -125,13 +125,13 @@ func Build(q *cq.Query, db *relation.DB, order []string, counters *stats.Counter
 // no column order expresses their selection. tries may be nil, which is
 // exactly Build.
 func BuildWith(q *cq.Query, db *relation.DB, order []string, counters *stats.Counters, tries TrieSource) (*Instance, error) {
-	return BuildOptions(q, db, order, BuildOpts{Counters: counters, Tries: tries})
+	return buildOptions(q, db, order, BuildOpts{Counters: counters, Tries: tries})
 }
 
-// BuildOptions is the full-control compilation entry point: BuildWith
+// buildOptions is the full-control compilation entry point: BuildWith
 // plus the trie-build parallelism knob. It is NewLayout followed by
 // Layout.Bind.
-func BuildOptions(q *cq.Query, db *relation.DB, order []string, opts BuildOpts) (*Instance, error) {
+func buildOptions(q *cq.Query, db *relation.DB, order []string, opts BuildOpts) (*Instance, error) {
 	l, err := NewLayout(q, order)
 	if err != nil {
 		return nil, err
@@ -236,7 +236,7 @@ func (a *atomLayout) derive(rel *relation.Relation) (*relation.Relation, error) 
 	return selected.Project(a.cols)
 }
 
-// NewLayout compiles the data-independent half of BuildOptions: order
+// NewLayout compiles the data-independent half of buildOptions: order
 // must be a permutation of q.Vars().
 func NewLayout(q *cq.Query, order []string) (*Layout, error) {
 	if err := q.Validate(); err != nil {

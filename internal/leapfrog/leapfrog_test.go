@@ -15,6 +15,16 @@ import (
 	"repro/internal/trie"
 )
 
+// evalTuples materializes the result of Eval in order-variable order.
+func evalTuples(inst *Instance) [][]int64 {
+	var out [][]int64
+	Eval(inst, func(mu []int64) bool {
+		out = append(out, append([]int64(nil), mu...))
+		return true
+	})
+	return out
+}
+
 func edgeDB(edges [][]int64) *relation.DB {
 	return relation.NewDB(relation.MustNew("E", 2, edges))
 }
@@ -71,7 +81,7 @@ func TestEvalMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := EvalTuples(inst)
+	got := evalTuples(inst)
 	sort.Slice(got, func(i, j int) bool { return relation.CompareTuples(got[i], got[j]) < 0 })
 	want, _ := naive.Eval(q, db)
 	if !reflect.DeepEqual(got, want) {
@@ -159,7 +169,7 @@ func TestEmptyRelationYieldsZero(t *testing.T) {
 	if got := Count(inst); got != 0 {
 		t.Fatalf("count = %d, want 0", got)
 	}
-	if tuples := EvalTuples(inst); len(tuples) != 0 {
+	if tuples := evalTuples(inst); len(tuples) != 0 {
 		t.Fatalf("eval emitted %d tuples, want 0", len(tuples))
 	}
 }

@@ -22,23 +22,15 @@ type Runner struct {
 	legs  [][]*trie.Iterator
 	mu    []int64         // current partial assignment, by depth
 	c     *stats.Counters // the sink the iterators are bound to
-
-	// attempts[d] counts OpenDepth entries at depth d; empties[d] counts
-	// those whose k-way intersection held no value at all (Frog.Init
-	// found no match). An "always empty" level (attempts > 0 and
-	// empties == attempts) is one whose variable never extended any
-	// assignment. Both reset when a pooled runner is rebound.
-	attempts []int64
-	empties  []int64
 }
 
-// NewRunner prepares iterators and per-depth frogs for one execution
+// newRunner prepares iterators and per-depth frogs for one execution
 // over the instance, accounting into the instance's counters.
-func NewRunner(inst *Instance) *Runner {
+func newRunner(inst *Instance) *Runner {
 	return NewRunnerCounters(inst, inst.counters)
 }
 
-// NewRunnerCounters is NewRunner with an explicit accounting sink: every
+// NewRunnerCounters is newRunner with an explicit accounting sink: every
 // trie iterator the runner owns accounts into c instead of the shared
 // instance counters. Parallel executions give each worker its own runner
 // and a private Counters (merged after the workers join), so the
@@ -68,22 +60,16 @@ func NewRunnerCounters(inst *Instance, c *stats.Counters) *Runner {
 			}
 			r.leaps[d].Reset()
 		}
-		for d := range r.attempts {
-			r.attempts[d] = 0
-			r.empties[d] = 0
-		}
 		return r
 	}
 	r := &Runner{
-		inst:     inst,
-		iters:    make([]*trie.Iterator, len(inst.atoms)),
-		frogs:    make([]*Frog, inst.NumVars()),
-		leaps:    make([]trie.Leapfrog, inst.NumVars()),
-		legs:     make([][]*trie.Iterator, inst.NumVars()),
-		mu:       make([]int64, inst.NumVars()),
-		attempts: make([]int64, inst.NumVars()),
-		empties:  make([]int64, inst.NumVars()),
-		c:        c,
+		inst:  inst,
+		iters: make([]*trie.Iterator, len(inst.atoms)),
+		frogs: make([]*Frog, inst.NumVars()),
+		leaps: make([]trie.Leapfrog, inst.NumVars()),
+		legs:  make([][]*trie.Iterator, inst.NumVars()),
+		mu:    make([]int64, inst.NumVars()),
+		c:     c,
 	}
 	for i, leg := range inst.atoms {
 		r.iters[i] = leg.Trie.NewIteratorCounters(c)
@@ -122,19 +108,17 @@ func (r *Runner) Assignment() []int64 { return r.mu }
 // OpenDepth opens all legs of depth d (descends each participating atom
 // iterator into the level of variable order[d]) and returns depth d's
 // kernel frog on its first match: one trie.Leapfrog call for the Opens
-// and the first search. Callers must balance with CloseDepth. Each call
-// is tallied in the per-depth level stats (see LevelStats); a false
+// and the first search. Callers must balance with CloseDepth. A false
 // return means the intersection at d is empty under the current prefix.
 func (r *Runner) OpenDepth(d int) (*trie.Leapfrog, bool) {
 	f := &r.leaps[d]
-	return f, r.tally(d, f.Open())
+	return f, f.Open()
 }
 
 // OpenLeaf is OpenDepth for a depth whose matches the caller drains a
 // block at a time with NextBatch — the deepest: it also fills dst, which
 // must not be empty, with the first matches and returns how many.
-// CloseDepth balances it, and the depth is tallied as OpenDepth tallies
-// it.
+// CloseDepth balances it.
 func (r *Runner) OpenLeaf(d int, dst []int64) (*trie.Leapfrog, int) {
 	f, ok := r.OpenDepth(d)
 	if !ok {
@@ -151,25 +135,7 @@ func (r *Runner) openScalar(d int) (*Frog, bool) {
 		it.Open()
 	}
 	f := r.frogs[d]
-	return f, r.tally(d, f.Init())
-}
-
-// tally counts an entry of depth d whose intersection was empty unless ok.
-func (r *Runner) tally(d int, ok bool) bool {
-	r.attempts[d]++
-	if !ok {
-		r.empties[d]++
-	}
-	return ok
-}
-
-// LevelStats returns this runner's per-depth intersection tallies:
-// attempts[d] OpenDepth entries at depth d, of which empties[d] found an
-// empty intersection. Both slices are the runner's internal state — valid
-// until Release, then reused; callers retaining them must copy. Depths the
-// run never reached report zero attempts.
-func (r *Runner) LevelStats() (attempts, empties []int64) {
-	return r.attempts, r.empties
+	return f, f.Init()
 }
 
 // CloseDepth ascends all legs of depth d, however it was opened.
@@ -230,7 +196,7 @@ func (r *Runner) evalFrom(d int, emit func([]int64) bool) bool {
 // are allocation-free: the runner is drawn from and returned to the
 // instance's pool.
 func Count(inst *Instance) int64 {
-	r := NewRunner(inst)
+	r := newRunner(inst)
 	n := r.Count()
 	r.Release()
 	return n
@@ -238,18 +204,7 @@ func Count(inst *Instance) int64 {
 
 // Eval runs vanilla LFTJ evaluation over the instance.
 func Eval(inst *Instance, emit func(mu []int64) bool) {
-	r := NewRunner(inst)
+	r := newRunner(inst)
 	r.Eval(emit)
 	r.Release()
-}
-
-// EvalTuples materializes the result in order-variable order; intended
-// for tests and small results.
-func EvalTuples(inst *Instance) [][]int64 {
-	var out [][]int64
-	Eval(inst, func(mu []int64) bool {
-		out = append(out, append([]int64(nil), mu...))
-		return true
-	})
-	return out
 }

@@ -38,9 +38,9 @@ func RootKeys(inst *Instance, c *stats.Counters) []int64 {
 	return keys
 }
 
-// ResolveWorkers normalizes a worker-count knob: values <= 0 mean "use
+// resolveWorkers normalizes a worker-count knob: values <= 0 mean "use
 // every core" (runtime.GOMAXPROCS), anything else is taken as given.
-func ResolveWorkers(workers int) int {
+func resolveWorkers(workers int) int {
 	if workers <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -56,7 +56,7 @@ func ResolveWorkers(workers int) int {
 // empty result). Every parallel engine derives its shards from this one
 // helper so the sharding invariants cannot diverge.
 func ShardDomain(inst *Instance, workers int, sink *stats.Counters) ([]int64, int) {
-	workers = ResolveWorkers(workers)
+	workers = resolveWorkers(workers)
 	if workers <= 1 {
 		return nil, 1
 	}

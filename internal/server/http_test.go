@@ -2,10 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *Engine) {
@@ -52,6 +54,35 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 	resp, body = postQuery(t, srv, `{"query": "E(x,y), E(y,z), E(x,z)", "batch_size": 256}`)
 	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, `unknown field "batch_size"`) {
 		t.Fatalf("batch_size body: status %d, body %v, want 400 unknown field", resp.StatusCode, body)
+	}
+}
+
+// TestHTTPOversizedQueryRefused posts a 3 200-atom body over 1 601
+// variables, 47 KB and far inside the request-size limit, that the
+// greedy planner would chew on for minutes: the parser's size bound
+// answers 400 before any planning starts.
+func TestHTTPOversizedQueryRefused(t *testing.T) {
+	srv, _ := newTestServer(t)
+	atoms := make([]string, 3200)
+	for i := range atoms {
+		j := i / 2
+		if i%2 == 0 {
+			atoms[i] = fmt.Sprintf("E(x%d,x%d)", j, j+1)
+		} else {
+			atoms[i] = fmt.Sprintf("E(x%d,x%d)", j+1, j)
+		}
+	}
+	req, err := json.Marshal(map[string]string{"query": strings.Join(atoms, ", ")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp, body := postQuery(t, srv, string(req))
+	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "more than 64 atoms") {
+		t.Fatalf("status %d, body %v, want 400 naming the atom bound", resp.StatusCode, body)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("refusal took %v", took)
 	}
 }
 
