@@ -21,10 +21,9 @@
 // resident engine, so trie indices built for early queries are reused
 // by later ones. The HTTP/JSON service over the same engine is cltjd.
 //
-// Update replay (-updates) batch-applies a delta file to the loaded
-// dataset through the versioned stores before any query runs — the
-// offline counterpart of the daemon's live POST /update. One op per
-// line:
+// Update replay (-updates) applies a delta file to the loaded dataset
+// before any query runs, through a memory-only engine's Update — the
+// path of the daemon's live POST /update. One op per line:
 //
 //	"+ E 7 9"     insert tuple (7,9) into relation E
 //	"- E 1 2"     delete tuple (1,2) from relation E
@@ -66,15 +65,6 @@ import (
 	"repro/internal/yannakakis"
 )
 
-// relFlags collects repeated -rel name=path flags.
-type relFlags []string
-
-func (r *relFlags) String() string { return strings.Join(*r, ",") }
-func (r *relFlags) Set(v string) error {
-	*r = append(*r, v)
-	return nil
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -86,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	queryFlag := fs.String("query", "4-cycle", "query: k-path, k-cycle, k-clique, lollipop-c-t, rand-N-P-SEED")
 	qFlag := fs.String("q", "", "explicit query text, e.g. 'E(x,y), E(y,z), E(x,z)' (overrides -query)")
-	var rels relFlags
+	var rels dataset.RelSpecs
 	fs.Var(&rels, "rel", "load a relation from a whitespace-delimited file: -rel R=path (repeatable)")
 	dataFlag := fs.String("data", "", "edge-list file for relation E (default: built-in skewed sample graph)")
 	algoFlag := fs.String("algo", "clftj", "algorithm: clftj, lftj, ytd, pairwise")
@@ -125,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// -data-dir only makes sense where an engine owns the data: batch
-	// mode. -updates replays offline through bare stores, bypassing the
+	// mode. -updates replays through a memory-only engine, bypassing the
 	// WAL, so combining them would silently drop durability — reject it.
 	if *dataDirFlag != "" {
 		if *queriesFlag == "" {
@@ -159,10 +149,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 
 		if *updatesFlag != "" {
-			db, err = replayUpdates(db, *updatesFlag, stdout)
-			if err != nil {
+			engine := server.NewEngine(db, server.Config{})
+			if err := replayUpdates(engine, *updatesFlag, stdout); err != nil {
 				return fail(err)
 			}
+			db = engine.DB()
 		}
 	}
 
@@ -297,43 +288,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// replayUpdates batch-applies a delta file to db through versioned
-// relation stores (see the package comment for the line format) and
-// returns the database at the final versions. Pending ops flush as one
-// delta per relation on each "apply" line and at end of file, so a
-// replayed history advances versions exactly as live updates would.
-func replayUpdates(db *relation.DB, path string, stdout io.Writer) (*relation.DB, error) {
+// replayUpdates applies a delta file (see the package comment for the
+// line format) through e.Update, the path of a live POST /update: the
+// same validation, version numbers and compaction. Pending ops flush as
+// one delta per relation, in first-touched order, on each "apply" line
+// and at end of file.
+func replayUpdates(e *server.Engine, path string, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
 
-	stores := make(map[string]*relation.Store)
-	var order []string // flush in first-touched order, for stable output
-	type delta struct{ ins, del [][]int64 }
-	pending := make(map[string]*delta)
+	var order []string
+	pending := make(map[string]*server.UpdateRequest)
 	applied := 0
 
 	flush := func() error {
 		for _, name := range order {
-			d := pending[name]
-			if d == nil || (len(d.ins) == 0 && len(d.del) == 0) {
+			req := pending[name]
+			if len(req.Inserts) == 0 && len(req.Deletes) == 0 {
 				continue
 			}
-			v, changed, err := stores[name].ApplyDelta(d.ins, d.del)
+			res, err := e.Update(*req)
 			if err != nil {
-				return err
+				return fmt.Errorf("%s: %w", path, err)
 			}
-			if changed {
+			if res.Applied {
 				applied++
 				fmt.Fprintf(stdout, "update %s: +%d -%d -> version %d (%d tuples)\n",
-					name, len(d.ins), len(d.del), v.Num, v.Rel.Len())
+					name, len(req.Inserts), len(req.Deletes), res.Version, res.Tuples)
 			} else {
 				fmt.Fprintf(stdout, "update %s: +%d -%d -> no-op (version %d)\n",
-					name, len(d.ins), len(d.del), v.Num)
+					name, len(req.Inserts), len(req.Deletes), res.Version)
 			}
-			pending[name] = &delta{}
+			pending[name] = &server.UpdateRequest{Relation: name}
 		}
 		return nil
 	}
@@ -348,58 +337,43 @@ func replayUpdates(db *relation.DB, path string, stdout io.Writer) (*relation.DB
 		}
 		if line == "apply" {
 			if err := flush(); err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
 		fields := strings.Fields(line)
 		if len(fields) < 3 || (fields[0] != "+" && fields[0] != "-") {
-			return nil, fmt.Errorf("%s:%d: want '+ R v...', '- R v...' or 'apply', got %q", path, lineNo, line)
+			return fmt.Errorf("%s:%d: want '+ R v...', '- R v...' or 'apply', got %q", path, lineNo, line)
 		}
 		name := fields[1]
 		tup := make([]int64, len(fields)-2)
 		for i, fv := range fields[2:] {
 			v, err := strconv.ParseInt(fv, 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("%s:%d: bad value %q", path, lineNo, fv)
+				return fmt.Errorf("%s:%d: bad value %q", path, lineNo, fv)
 			}
 			tup[i] = v
 		}
-		if _, ok := stores[name]; !ok {
-			rel, err := db.Get(name)
-			if err != nil {
-				return nil, fmt.Errorf("%s:%d: %w", path, lineNo, err)
-			}
-			stores[name] = relation.NewStore(rel)
-			pending[name] = &delta{}
+		req := pending[name]
+		if req == nil {
+			req = &server.UpdateRequest{Relation: name}
+			pending[name] = req
 			order = append(order, name)
 		}
 		if fields[0] == "+" {
-			pending[name].ins = append(pending[name].ins, tup)
+			req.Inserts = append(req.Inserts, tup)
 		} else {
-			pending[name].del = append(pending[name].del, tup)
+			req.Deletes = append(req.Deletes, tup)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := flush(); err != nil {
-		return nil, err
-	}
-
-	out := relation.NewDB()
-	for _, name := range db.Names() {
-		r, err := db.Get(name)
-		if err != nil {
-			continue
-		}
-		out.Put(r)
-	}
-	for name, st := range stores {
-		out.Put(st.Version().Rel.Rename(name))
+		return err
 	}
 	fmt.Fprintf(stdout, "updates: %d deltas applied\n", applied)
-	return out, nil
+	return nil
 }
 
 // openEngine builds the resident engine of batch mode. With an empty
@@ -407,7 +381,7 @@ func replayUpdates(db *relation.DB, path string, stdout io.Writer) (*relation.DB
 // with a data directory it routes through server.OpenEngine, loading the
 // dataset only on a cold start and echoing the warm/cold outcome plus
 // the served relation inventory.
-func openEngine(db *relation.DB, cfg server.Config, rels relFlags, dataPath string, symmetric bool, stdout io.Writer) (*server.Engine, error) {
+func openEngine(db *relation.DB, cfg server.Config, rels dataset.RelSpecs, dataPath string, symmetric bool, stdout io.Writer) (*server.Engine, error) {
 	if cfg.DataDir == "" {
 		return server.NewEngine(db, cfg), nil
 	}

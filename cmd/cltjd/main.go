@@ -100,18 +100,9 @@ import (
 	"repro/internal/server"
 )
 
-// relFlags collects repeated -rel name=path flags.
-type relFlags []string
-
-func (r *relFlags) String() string { return strings.Join(*r, ",") }
-func (r *relFlags) Set(v string) error {
-	*r = append(*r, v)
-	return nil
-}
-
 func main() {
 	addr := flag.String("addr", ":8372", "listen address")
-	var rels relFlags
+	var rels dataset.RelSpecs
 	flag.Var(&rels, "rel", "load a relation from a whitespace-delimited file: -rel R=path (repeatable)")
 	dataFlag := flag.String("data", "", "edge-list file for relation E (default: built-in skewed sample graph)")
 	symFlag := flag.Bool("symmetric", false, "treat edges as undirected (add both directions)")

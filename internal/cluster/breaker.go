@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-// DefaultBreakerThreshold is how many consecutive transport failures
-// open an endpoint's circuit when the config does not name a count.
-const DefaultBreakerThreshold = 5
+// defaultBreakerThreshold is how many consecutive transport failures
+// open an endpoint's circuit.
+const defaultBreakerThreshold = 5
 
-// DefaultBreakerCooldown is how long an open circuit rejects requests
+// defaultBreakerCooldown is how long an open circuit rejects requests
 // before admitting one half-open probe.
-const DefaultBreakerCooldown = time.Second
+const defaultBreakerCooldown = time.Second
 
 // breaker is a per-endpoint circuit breaker over transport outcomes.
 // Closed admits everything; Threshold consecutive transport failures
@@ -37,11 +37,11 @@ type breaker struct {
 }
 
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	if threshold == 0 {
-		threshold = DefaultBreakerThreshold
+	if threshold <= 0 {
+		threshold = defaultBreakerThreshold
 	}
 	if cooldown <= 0 {
-		cooldown = DefaultBreakerCooldown
+		cooldown = defaultBreakerCooldown
 	}
 	return &breaker{threshold: threshold, cooldown: cooldown, state: "closed"}
 }
@@ -50,9 +50,6 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 // admits exactly one probe per cooldown window (flipping to half_open);
 // in half_open it rejects everything until the in-flight probe records.
 func (b *breaker) allow() bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -72,9 +69,6 @@ func (b *breaker) allow() bool {
 // record feeds one transport outcome back. ok is "the endpoint
 // answered" (any HTTP status), not "the request succeeded".
 func (b *breaker) record(ok bool) {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if ok {
@@ -96,9 +90,6 @@ func (b *breaker) record(ok bool) {
 // served, so the next request is the probe instead of the circuit waiting
 // on one that will never record.
 func (b *breaker) forget() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == "half_open" {
@@ -121,9 +112,6 @@ type BreakerState struct {
 }
 
 func (b *breaker) snapshot(endpoint string) BreakerState {
-	if b == nil {
-		return BreakerState{Endpoint: endpoint, State: "closed"}
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return BreakerState{

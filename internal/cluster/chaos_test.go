@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand/v2"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -38,6 +39,20 @@ func chaosInvariant(t *testing.T, tag string, err error) {
 	default:
 		t.Fatalf("%s: untyped failure %v", tag, err)
 	}
+}
+
+// underPressure serves e's HTTP surface with forced eviction pressure in
+// front of it: each query the "registry/pressure" rule fires on finds
+// the engine's resident tries shrunk to zero, so it pays cold rebuilds —
+// correctness must not depend on a warm registry.
+func underPressure(e *server.Engine, inj *faults.Injector) http.Handler {
+	h := server.NewHandler(e)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/query" && inj.Fire("registry/pressure") != nil {
+			e.Registry().Shrink(0)
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // TestChaosSoak drives a mixed read workload through a real 4-shard
@@ -73,13 +88,13 @@ func TestChaosSoak(t *testing.T) {
 	shards := make([]Shard, 4)
 	idxOf := make(map[string]int, 4) // shard name (addr) -> partition
 	for i, pdb := range dbs {
-		engines[i] = server.NewEngine(pdb, server.Config{Faults: inj})
-		srv := httptest.NewServer(server.NewHandler(engines[i]))
+		engines[i] = server.NewEngine(pdb, server.Config{})
+		srv := httptest.NewServer(underPressure(engines[i], inj))
 		t.Cleanup(srv.Close)
 		shards[i] = NewClient(srv.URL, ClientConfig{
 			Timeout:         10 * time.Second,
-			Backoff:         -1, // tight soak loop: no sleeps between retries
-			BreakerCooldown: 50 * time.Millisecond,
+			backoff:         -1, // tight soak loop: no sleeps between retries
+			breakerCooldown: 50 * time.Millisecond,
 			Transport:       &faults.Transport{Inj: inj, Site: fmt.Sprintf("transport/shard-%d", i)},
 		})
 		idxOf[srv.URL] = i

@@ -23,45 +23,46 @@ type ClientConfig struct {
 	// requests are bounded only by their context — a large result set is
 	// not a failure.
 	Timeout time.Duration
-	// Retries is the number of extra attempts for idempotent reads
-	// (query, versions, stats, readiness) after a transport failure —
-	// never after an HTTP-level answer, and never for updates, which are
-	// not idempotent. Negative disables retry; 0 uses
-	// DefaultShardRetries.
-	Retries int
-	// Backoff is the base delay before the first retry; attempt k waits
-	// Backoff·2^k scaled by a uniform jitter in [0.5, 1.5), so a fleet
-	// of retriers does not re-converge on a struggling shard in
-	// lockstep. 0 uses DefaultShardBackoff; negative disables the sleep
-	// (retries fire immediately — the pre-backoff behavior, used by
-	// tight test loops).
-	Backoff time.Duration
-	// BreakerThreshold is how many consecutive transport failures open
-	// the endpoint's circuit (requests then fail fast with
-	// ErrBreakerOpen until a half-open probe succeeds). A call ended by
-	// its caller's context does not count; one ended by Timeout does.
-	// 0 uses DefaultBreakerThreshold; negative disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is the open-circuit rejection window before one
-	// half-open probe is admitted; 0 uses DefaultBreakerCooldown.
-	BreakerCooldown time.Duration
 	// Transport overrides the HTTP transport (nil builds the pooled
 	// default). The fault-injection harness wraps the default in a
 	// faults.Transport here; production leaves it nil.
 	Transport http.RoundTripper
+
+	// The fields below are test seams: production leaves them zero,
+	// which selects each default.
+
+	// retries is the number of extra attempts for idempotent reads
+	// (query, versions, stats, readiness) after a transport failure —
+	// never after an HTTP-level answer, and never for updates, which are
+	// not idempotent. Negative disables retry; 0 uses
+	// defaultShardRetries.
+	retries int
+	// backoff is the base delay before the first retry; attempt k waits
+	// backoff·2^k scaled by a uniform jitter in [0.5, 1.5), so a fleet
+	// of retriers does not re-converge on a struggling shard in
+	// lockstep. 0 uses defaultShardBackoff; negative disables the sleep
+	// (retries fire immediately).
+	backoff time.Duration
+	// breakerThreshold is how many consecutive transport failures open
+	// the endpoint's circuit (requests then fail fast with
+	// ErrBreakerOpen until a half-open probe succeeds). A call ended by
+	// its caller's context does not count; one ended by Timeout does.
+	// 0 uses defaultBreakerThreshold.
+	breakerThreshold int
+	// breakerCooldown is the open-circuit rejection window before one
+	// half-open probe is admitted; 0 uses defaultBreakerCooldown.
+	breakerCooldown time.Duration
 }
 
 // DefaultShardTimeout bounds one buffered shard request when the config
 // does not name one.
 const DefaultShardTimeout = 30 * time.Second
 
-// DefaultShardRetries is the bounded retry budget for idempotent reads
-// when the config does not name one.
-const DefaultShardRetries = 2
+// defaultShardRetries is the bounded retry budget for idempotent reads.
+const defaultShardRetries = 2
 
-// DefaultShardBackoff is the base retry delay when the config does not
-// name one.
-const DefaultShardBackoff = 50 * time.Millisecond
+// defaultShardBackoff is the base retry delay.
+const defaultShardBackoff = 50 * time.Millisecond
 
 // Client speaks the shard protocol over the daemon's HTTP/JSON surface.
 // It keeps one transport per shard with connection reuse (the
@@ -89,16 +90,16 @@ func NewClient(addr string, cfg ClientConfig) *Client {
 	if timeout == 0 {
 		timeout = DefaultShardTimeout
 	}
-	retries := cfg.Retries
+	retries := cfg.retries
 	if retries == 0 {
-		retries = DefaultShardRetries
+		retries = defaultShardRetries
 	}
 	if retries < 0 {
 		retries = 0
 	}
-	backoff := cfg.Backoff
+	backoff := cfg.backoff
 	if backoff == 0 {
-		backoff = DefaultShardBackoff
+		backoff = defaultShardBackoff
 	}
 	if backoff < 0 {
 		backoff = 0
@@ -111,10 +112,6 @@ func NewClient(addr string, cfg ClientConfig) *Client {
 			IdleConnTimeout:     90 * time.Second,
 		}
 	}
-	var brk *breaker
-	if cfg.BreakerThreshold >= 0 {
-		brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-	}
 	return &Client{
 		name:    addr,
 		base:    strings.TrimSuffix(base, "/"),
@@ -122,7 +119,7 @@ func NewClient(addr string, cfg ClientConfig) *Client {
 		timeout: timeout,
 		retries: retries,
 		backoff: backoff,
-		brk:     brk,
+		brk:     newBreaker(cfg.breakerThreshold, cfg.breakerCooldown),
 	}
 }
 

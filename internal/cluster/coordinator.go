@@ -15,13 +15,14 @@ import (
 	"repro/internal/stats"
 )
 
-// Config tunes a Coordinator.
+// Config tunes a Coordinator. Production passes the zero value.
 type Config struct {
-	// RouteCache bounds the routing cache (entries; 0:
-	// DefaultRouteCacheSize, negative: disabled). Entries are keyed by
-	// query text alone: a route and the variable order pinned with it
-	// are structural, so updates leave them valid.
-	RouteCache int
+	// routeCache bounds the routing cache in entries (0:
+	// defaultRouteCacheSize); the package's tests shrink it to force
+	// evictions. Entries are keyed by query text alone: a route and the
+	// variable order pinned with it are structural, so updates leave
+	// them valid.
+	routeCache int
 }
 
 // Coordinator fans queries out over a fixed shard fleet and merges the
@@ -64,9 +65,9 @@ func New(routing Routing, shards []Shard, cfg Config) (*Coordinator, error) {
 	if len(shards) != routing.Shards {
 		return nil, fmt.Errorf("cluster: routing describes %d shards but %d were given", routing.Shards, len(shards))
 	}
-	capacity := cfg.RouteCache
-	if capacity == 0 {
-		capacity = DefaultRouteCacheSize
+	capacity := cfg.routeCache
+	if capacity <= 0 {
+		capacity = defaultRouteCacheSize
 	}
 	known := make([]map[string]uint64, len(shards))
 	for i := range known {
@@ -110,9 +111,6 @@ func NewHTTPFleet(groups [][]string, ccfg ClientConfig, rcfg ReplicaConfig, cfg 
 	}
 	return New(Routing{Shards: len(groups)}, shards, cfg)
 }
-
-// Routing returns the partitioning descriptor the coordinator routes by.
-func (c *Coordinator) Routing() Routing { return c.routing }
 
 // readyPollInterval paces WaitReady's probes between failed rounds.
 const readyPollInterval = 100 * time.Millisecond

@@ -262,7 +262,7 @@ func TestCoordinatorRouteCacheLRU(t *testing.T) {
 	for i, pdb := range dbs {
 		shards[i] = NewEngineShard(fmt.Sprintf("shard-%d", i), server.NewEngine(pdb, server.Config{}))
 	}
-	coord, err := New(routing, shards, Config{RouteCache: 2})
+	coord, err := New(routing, shards, Config{routeCache: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

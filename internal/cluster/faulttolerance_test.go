@@ -538,10 +538,10 @@ func TestBreakerOpensFailsFastAndRecovers(t *testing.T) {
 
 	inj := faults.New(7).Add(faults.Rule{Site: "transport/s0/query", P: 1, Limit: 3})
 	cl := NewClient(srv.URL, ClientConfig{
-		Retries:          -1,
-		Backoff:          -1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
+		retries:          -1,
+		backoff:          -1,
+		breakerThreshold: 3,
+		breakerCooldown:  50 * time.Millisecond,
 		Transport:        &faults.Transport{Inj: inj, Site: "transport/s0"},
 	})
 	req := server.Request{Query: "E(x,y)"}
@@ -619,7 +619,7 @@ func TestBreakerIgnoresCallerCancel(t *testing.T) {
 		}
 	}
 
-	cl := NewClient(srv.URL, ClientConfig{Timeout: 10 * time.Second, Retries: -1, Backoff: -1, BreakerThreshold: 2})
+	cl := NewClient(srv.URL, ClientConfig{Timeout: 10 * time.Second, retries: -1, backoff: -1, breakerThreshold: 2})
 	hang.Store(true)
 	for i := 0; i < 3; i++ {
 		for name, call := range map[string]func(context.Context) error{"do": do(cl), "stream": stream(cl)} {
@@ -633,7 +633,7 @@ func TestBreakerIgnoresCallerCancel(t *testing.T) {
 	}
 
 	// The client's own timeout is not the caller's ctx: it still counts.
-	slow := NewClient(srv.URL, ClientConfig{Timeout: 20 * time.Millisecond, Retries: -1, Backoff: -1, BreakerThreshold: 2})
+	slow := NewClient(srv.URL, ClientConfig{Timeout: 20 * time.Millisecond, retries: -1, backoff: -1, breakerThreshold: 2})
 	for i := 0; i < 2; i++ {
 		if _, err := slow.Do(bg, req); err == nil {
 			t.Fatalf("call %d against a hung endpoint answered", i)
@@ -646,8 +646,8 @@ func TestBreakerIgnoresCallerCancel(t *testing.T) {
 	// An abandoned half-open probe gives the slot back.
 	inj := faults.New(7).Add(faults.Rule{Site: "transport/s0/query", P: 1, Limit: 2})
 	probed := NewClient(srv.URL, ClientConfig{
-		Timeout: 10 * time.Second, Retries: -1, Backoff: -1,
-		BreakerThreshold: 2, BreakerCooldown: 20 * time.Millisecond,
+		Timeout: 10 * time.Second, retries: -1, backoff: -1,
+		breakerThreshold: 2, breakerCooldown: 20 * time.Millisecond,
 		Transport: &faults.Transport{Inj: inj, Site: "transport/s0"},
 	})
 	for i := 0; i < 2; i++ {

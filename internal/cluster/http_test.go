@@ -9,12 +9,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/faults"
 	"repro/internal/relation"
 	"repro/internal/server"
 )
@@ -218,7 +218,7 @@ func TestHTTPClusterAdmissionGate(t *testing.T) {
 	ready := httptest.NewServer(server.NewHandler(server.NewEngine(dbs[1], server.Config{})))
 	defer ready.Close()
 
-	coord, err := NewHTTP([]string{booting.URL, ready.URL}, ClientConfig{Timeout: time.Second, Retries: -1}, Config{})
+	coord, err := NewHTTP([]string{booting.URL, ready.URL}, ClientConfig{Timeout: time.Second, retries: -1}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,16 +325,20 @@ func TestHTTPSurfaceConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The engine is persistent with its second WAL fsync armed to fail:
-	// the read-only row's update flips it, after every other row ran.
-	engine, _, err := server.OpenEngine(server.Config{
-		DataDir: t.TempDir(),
-		Faults:  faults.New(1).Add(faults.Rule{Site: "store/E.wal/appendsync", Nth: 1}),
-	}, func() (*relation.DB, error) { return db, nil })
+	// The engine is persistent and compacts on every update, so each
+	// update rewrites its snapshot; with the data directory gone from
+	// under it, the read-only row's update fails to persist and flips
+	// it, after every other row ran.
+	dataDir := t.TempDir()
+	engine, _, err := server.OpenEngine(server.Config{DataDir: dataDir, CompactFraction: -1},
+		func() (*relation.DB, error) { return db, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer engine.Close()
+	if err := os.RemoveAll(dataDir); err != nil {
+		t.Fatal(err)
+	}
 	// fleet builds a coordinator over fresh engines on the two partitions,
 	// reached in process or through their own HTTP handlers.
 	fleet := func(socket bool) (http.Handler, *faultyShard) {

@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// DefaultRouteCacheSize is the coordinator's route-cache capacity when
+// defaultRouteCacheSize is the coordinator's route-cache capacity when
 // the config does not name one.
-const DefaultRouteCacheSize = 256
+const defaultRouteCacheSize = 256
 
 // routeEntry is one cached routing decision plus what the query's first
 // execution learned: the sorted relation names the query touches and the
@@ -40,19 +40,13 @@ type routeCache struct {
 }
 
 // newRouteCache returns an LRU route cache holding at most capacity
-// entries; capacity <= 0 returns nil (caching disabled).
+// entries.
 func newRouteCache(capacity int) *routeCache {
-	if capacity <= 0 {
-		return nil
-	}
 	return &routeCache{cap: capacity, entries: make(map[string]*routeEntry)}
 }
 
 // get returns the cached entry's route/names/order, refreshing recency.
 func (rc *routeCache) get(key string) (RoutePlan, []string, []string, bool) {
-	if rc == nil {
-		return RoutePlan{}, nil, nil, false
-	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	e, ok := rc.entries[key]
@@ -69,9 +63,6 @@ func (rc *routeCache) get(key string) (RoutePlan, []string, []string, bool) {
 // entry past capacity. order may be nil (not yet learned); learn fills
 // it in later.
 func (rc *routeCache) put(key string, route RoutePlan, names, order []string) {
-	if rc == nil {
-		return
-	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if e, ok := rc.entries[key]; ok {
@@ -92,9 +83,6 @@ func (rc *routeCache) put(key string, route RoutePlan, names, order []string) {
 // learn records the variable order the shards agreed on for key, so
 // later executions are verified against it.
 func (rc *routeCache) learn(key string, order []string) {
-	if rc == nil {
-		return
-	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if e, ok := rc.entries[key]; ok && e.order == nil {
@@ -113,9 +101,6 @@ type RouteCacheStats struct {
 }
 
 func (rc *routeCache) stats() RouteCacheStats {
-	if rc == nil {
-		return RouteCacheStats{}
-	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return RouteCacheStats{

@@ -127,10 +127,14 @@ func (q *Query) Validate() error {
 			return fmt.Errorf("atom %d (%s) has no arguments", i, a.Rel)
 		}
 	}
-	if len(q.Vars()) == 0 {
-		return fmt.Errorf("query has no variables")
+	for _, a := range q.Atoms {
+		for _, t := range a.Args {
+			if t.IsVar() {
+				return nil
+			}
+		}
 	}
-	return nil
+	return fmt.Errorf("query has no variables")
 }
 
 // String renders the query as a comma-separated atom list.

@@ -48,6 +48,20 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateAllocs: Parse validates every served query, and a yes/no
+// answer must not cost a heap object.
+func TestValidateAllocs(t *testing.T) {
+	for _, text := range []string{"W(5,y), W(y,z)", "E(x,y), E(y,z), E(z,w)"} {
+		q, err := Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = q.Validate() }); n != 0 {
+			t.Errorf("Validate(%s) allocates %.0f objects, want 0", text, n)
+		}
+	}
+}
+
 func TestGaifmanEdges(t *testing.T) {
 	// Triangle x-y-z plus pendant w on z.
 	q := New(

@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -259,8 +260,8 @@ func Community(n, k int, pIn, pOut float64, seed int64) *Graph {
 }
 
 // Load parses a SNAP-style edge list: one "from<ws>to" pair per line,
-// '#' comment lines skipped. Node ids may be arbitrary non-negative
-// integers; N is one past the largest id seen.
+// '#' comment lines skipped. Node ids may be any non-negative int64
+// below math.MaxInt64; N is one past the largest id seen.
 func Load(name string, r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -287,6 +288,10 @@ func Load(name string, r io.Reader) (*Graph, error) {
 		}
 		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("dataset %s: line %d: negative node id", name, line)
+		}
+		if u == math.MaxInt64 || v == math.MaxInt64 {
+			// Nodes are 0..N-1, and N must fit an int64.
+			return nil, fmt.Errorf("dataset %s: line %d: node id %d out of range", name, line, int64(math.MaxInt64))
 		}
 		edges = append(edges, [2]int64{u, v})
 		if u > maxID {

@@ -8,6 +8,18 @@ import (
 	"repro/internal/relation"
 )
 
+// RelSpecs collects repeated -rel name=path flags; it is the flag.Value
+// cmd/cltj and cmd/cltjd register for LoadDB's first argument.
+type RelSpecs []string
+
+func (r *RelSpecs) String() string { return strings.Join(*r, ",") }
+
+// Set appends one name=path spec.
+func (r *RelSpecs) Set(v string) error {
+	*r = append(*r, v)
+	return nil
+}
+
 // LoadDB assembles a query database from the CLI-style sources shared
 // by cmd/cltj and cmd/cltjd, in priority order:
 //
@@ -18,7 +30,7 @@ import (
 //
 // The returned Graph is non-nil in the edge-list cases so callers can
 // report its shape; symmetric only applies to those.
-func LoadDB(relSpecs []string, dataPath string, symmetric bool) (*relation.DB, *Graph, error) {
+func LoadDB(relSpecs RelSpecs, dataPath string, symmetric bool) (*relation.DB, *Graph, error) {
 	if len(relSpecs) > 0 {
 		db := relation.NewDB()
 		for _, spec := range relSpecs {
@@ -30,7 +42,7 @@ func LoadDB(relSpecs []string, dataPath string, symmetric bool) (*relation.DB, *
 			if err != nil {
 				return nil, nil, err
 			}
-			r, err := relation.LoadRelation(name, f, relation.LoadOptions{Comment: "#"})
+			r, err := relation.LoadRelation(name, f)
 			f.Close()
 			if err != nil {
 				return nil, nil, err

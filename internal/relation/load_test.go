@@ -8,7 +8,7 @@ import (
 
 func TestLoadRelationWhitespace(t *testing.T) {
 	input := "# header\n1 2\n3 4\n1 2\n"
-	r, err := LoadRelation("E", strings.NewReader(input), LoadOptions{Comment: "#"})
+	r, err := LoadRelation("E", strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,33 +18,18 @@ func TestLoadRelationWhitespace(t *testing.T) {
 	}
 }
 
-func TestLoadRelationCSV(t *testing.T) {
-	input := "3, 1\n1,2\n3,1\n"
-	r, err := LoadRelation("R", strings.NewReader(input), LoadOptions{Comma: ','})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]int64{{1, 2}, {3, 1}}
-	if !reflect.DeepEqual(r.Tuples(), want) {
-		t.Fatalf("tuples = %v", r.Tuples())
-	}
-}
-
 func TestLoadRelationErrors(t *testing.T) {
-	if _, err := LoadRelation("R", strings.NewReader("1 2\n3\n"), LoadOptions{}); err == nil {
+	if _, err := LoadRelation("R", strings.NewReader("1 2\n3\n")); err == nil {
 		t.Error("ragged rows accepted")
 	}
-	if _, err := LoadRelation("R", strings.NewReader("a b\n"), LoadOptions{}); err == nil {
+	if _, err := LoadRelation("R", strings.NewReader("a b\n")); err == nil {
 		t.Error("non-numeric fields accepted")
 	}
-	if _, err := LoadRelation("R", strings.NewReader("1 2 3\n"), LoadOptions{Arity: 2}); err == nil {
-		t.Error("arity mismatch accepted")
+	if _, err := LoadRelation("R", strings.NewReader("")); err == nil {
+		t.Error("empty input accepted")
 	}
-	if _, err := LoadRelation("R", strings.NewReader(""), LoadOptions{}); err == nil {
-		t.Error("empty input without arity accepted")
-	}
-	r, err := LoadRelation("R", strings.NewReader("# only comments\n"), LoadOptions{Comment: "#", Arity: 2})
-	if err != nil || r.Len() != 0 {
-		t.Errorf("comment-only input: %v, len %d", err, r.Len())
+	// With no data row there is no arity to give the relation.
+	if _, err := LoadRelation("R", strings.NewReader("# only comments\n")); err == nil {
+		t.Error("comment-only input accepted")
 	}
 }

@@ -80,12 +80,13 @@ type Config struct {
 	// and every applied update is durable before it is acknowledged.
 	// NewEngine ignores DataDir and always builds a memory-only engine.
 	DataDir string
-	// Faults threads a fault injector through the engine's I/O: the
+
+	// faults threads a fault injector through the engine's I/O: the
 	// store's file operations (WAL appends/fsyncs, snapshot writes) and
 	// the registry's byte budget (site "registry/pressure" shrinks the
 	// resident tries to zero before a query executes, forcing rebuilds).
-	// Nil — the default, and the only production value — is inert.
-	Faults *faults.Injector
+	// Only the package's tests set it; nil is inert.
+	faults *faults.Injector
 }
 
 // DefaultMaxTuples is the eval response cap when neither the request
@@ -255,7 +256,7 @@ func OpenEngine(cfg Config, load func() (*relation.DB, error)) (e *Engine, warm 
 	if err != nil {
 		return nil, false, err
 	}
-	pdb.SetFaults(cfg.Faults)
+	pdb.SetFaults(cfg.faults)
 	defer func() {
 		if err != nil {
 			pdb.Close()
@@ -641,7 +642,7 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 	// shrinks the resident tries to zero before this query plans, so the
 	// execution pays cold rebuilds — correctness must not depend on a
 	// warm registry.
-	if e.cfg.Faults.Fire("registry/pressure") != nil {
+	if e.cfg.faults.Fire("registry/pressure") != nil {
 		e.reg.Shrink(0)
 	}
 	var out *Response

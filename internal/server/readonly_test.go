@@ -15,7 +15,7 @@ import (
 // store and returns it with the baseline triangle count.
 func openFaulty(t *testing.T, dir string, inj *faults.Injector) (*Engine, int64) {
 	t.Helper()
-	e, _, err := OpenEngine(Config{Workers: 1, DataDir: dir, Faults: inj}, testLoader(t, nil))
+	e, _, err := OpenEngine(Config{Workers: 1, DataDir: dir, faults: inj}, testLoader(t, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestReadOnlyAfterTornAppend(t *testing.T) {
 // byte-correct.
 func TestRegistryPressureFault(t *testing.T) {
 	inj := faults.New(3)
-	e, _, err := OpenEngine(Config{Workers: 1, Faults: inj}, testLoader(t, nil))
+	e, _, err := OpenEngine(Config{Workers: 1, faults: inj}, testLoader(t, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

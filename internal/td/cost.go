@@ -42,8 +42,6 @@ type CostConfig struct {
 	// the caller). Added to the cost after a log transform to keep scales
 	// comparable.
 	OrderCost func(order []int) float64
-	// NumVars is required by the order-cost term; Select fills it in.
-	NumVars int
 }
 
 // Cost evaluates t with the configuration's hooks; lower is better. The
@@ -68,8 +66,8 @@ func Cost(t *TD, cfg CostConfig) float64 {
 	}
 	cost -= bagBonus * float64(t.N())
 	cost += depthPenalty * float64(t.Depth())
-	if cfg.OrderCost != nil && cfg.NumVars > 0 {
-		oc := cfg.OrderCost(t.CompatibleOrder(cfg.NumVars))
+	if cfg.OrderCost != nil {
+		oc := cfg.OrderCost(t.CompatibleOrder(t.numVars()))
 		if oc > 0 {
 			cost += math.Log2(1 + oc)
 		}
@@ -85,10 +83,6 @@ func Cost(t *TD, cfg CostConfig) float64 {
 // selection scans column statistics and probes tries — SelectGreedy is
 // the O(vars·atoms) alternative that never touches an index.
 func Select(q *cq.Query, opts Options, cfg CostConfig) (*TD, []int) {
-	numVars := len(q.Vars())
-	if cfg.NumVars == 0 {
-		cfg.NumVars = numVars
-	}
 	cands := Enumerate(q, opts)
 	type scored struct {
 		t    *TD
@@ -107,5 +101,5 @@ func Select(q *cq.Query, opts Options, cfg CostConfig) (*TD, []int) {
 		return ss[i].cost < ss[j].cost
 	})
 	best := ss[0].t
-	return best, best.CompatibleOrder(numVars)
+	return best, best.CompatibleOrder(len(q.Vars()))
 }

@@ -5,12 +5,6 @@ import (
 	"testing"
 )
 
-// costConfig is the configuration the planner scores with: the fixed
-// weights plus whatever data hooks the caller adds.
-func costConfig(numVars int) CostConfig {
-	return CostConfig{NumVars: numVars}
-}
-
 // TestCostTerms pins Cost exactly, term by term: 8^|adhesion| per
 // non-root bag, −1 per bag, +0.5 per tree level, −2·(mean adhesion
 // skew) per non-root bag when VarSkew is set, and +log2(1+estimate)
@@ -39,12 +33,12 @@ func TestCostTerms(t *testing.T) {
 	}
 	skew := func(x int) float64 { return float64(x + 1) }
 	for _, c := range cases {
-		cfg := costConfig(c.numVars)
+		cfg := CostConfig{}
 		if got := Cost(c.tree, cfg); got != c.structural {
 			t.Errorf("%s: structural cost = %v, want %v", c.name, got, c.structural)
 		}
 
-		cfg = costConfig(c.numVars)
+		cfg = CostConfig{}
 		cfg.VarSkew = skew
 		if got := Cost(c.tree, cfg); got != c.skewed {
 			t.Errorf("%s: cost with VarSkew = %v, want %v", c.name, got, c.skewed)
@@ -52,7 +46,7 @@ func TestCostTerms(t *testing.T) {
 
 		// log2(1+7) = 3; the estimate is asked for the compatible order.
 		var asked []int
-		cfg = costConfig(c.numVars)
+		cfg = CostConfig{}
 		cfg.OrderCost = func(order []int) float64 {
 			asked = append([]int(nil), order...)
 			return 7
@@ -64,16 +58,10 @@ func TestCostTerms(t *testing.T) {
 			t.Errorf("%s: OrderCost asked for %v, want %v", c.name, asked, want)
 		}
 
-		// A non-positive estimate adds nothing, and without NumVars the
-		// order term is not evaluated at all.
+		// A non-positive estimate adds nothing.
 		cfg.OrderCost = func([]int) float64 { return 0 }
 		if got := Cost(c.tree, cfg); got != c.structural {
 			t.Errorf("%s: cost with zero OrderCost = %v, want %v", c.name, got, c.structural)
-		}
-		cfg.NumVars = 0
-		cfg.OrderCost = func([]int) float64 { t.Fatalf("%s: OrderCost called without NumVars", c.name); return 0 }
-		if got := Cost(c.tree, cfg); got != c.structural {
-			t.Errorf("%s: cost without NumVars = %v, want %v", c.name, got, c.structural)
 		}
 	}
 }

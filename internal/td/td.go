@@ -103,6 +103,19 @@ func Singleton(numVars int) *TD {
 // N returns the number of bags.
 func (t *TD) N() int { return len(t.Bags) }
 
+// numVars is the number of variables t covers: one more than the largest
+// variable index in any bag (bags are sorted). A TD of q covers every
+// variable of q, so this is len(q.Vars()).
+func (t *TD) numVars() int {
+	n := 0
+	for _, b := range t.Bags {
+		if len(b) > 0 {
+			n = max(n, b[len(b)-1]+1)
+		}
+	}
+	return n
+}
+
 // Preorder returns the nodes in preorder (root first, children
 // left-to-right, each subtree fully before the next sibling).
 func (t *TD) Preorder() []int {
