@@ -90,13 +90,15 @@ type benchShape struct {
 	plan *Plan
 }
 
-// benchShapes are the two multi-bag shapes the count and eval rungs run,
-// planned over one skewed graph.
+// benchShapes are the multi-bag shapes the count and eval rungs run,
+// planned over one skewed graph. The 3-star's two leaf bags see nothing
+// of each other, so most of its count is a bag's independent tail.
 func benchShapes() []benchShape {
 	db := dataset.TriadicPA(700, 6, 0.5, 33).DB(false)
 	return []benchShape{
 		{"path4", must(AutoPlan(queries.Path(4), db, AutoOptions{}))},
 		{"lollipop32", must(AutoPlan(queries.Lollipop(3, 2), db, AutoOptions{}))},
+		{"star3", must(AutoPlan(starQuery(3), db, AutoOptions{}))},
 	}
 }
 

@@ -93,7 +93,7 @@ type countExec struct {
 
 // rjoin is foldExec.rjoin at CountSemiring with unit weights: f is the
 // product of the cached counts of the subtrees skipped on the way down,
-// every arrival at depth n adds it to the total, and with no cache hits
+// every arrival at depth n adds it to the total, and with caching off
 // (f == 1 throughout) the procedure is exactly RJoin of Fig. 1. See the
 // fold for the steps; only the arithmetic is spelled out here.
 func (e *countExec) rjoin(d int, f int64) {
@@ -103,9 +103,9 @@ func (e *countExec) rjoin(d int, f int64) {
 		return
 	}
 	v := p.ownerOf[d]
-	entering := e.cm != nil && p.bagFirst[d] && v != p.root && p.cacheable[v]
+	entering := e.cm != nil && p.is(d, bagFirst) && v != p.root && p.cacheable[v]
 	var slot int32
-	if p.bagFirst[d] {
+	if p.is(d, bagFirst) {
 		e.intrmd[v] = 0
 	}
 	if entering {
@@ -121,18 +121,30 @@ func (e *countExec) rjoin(d int, f int64) {
 	}
 
 	seek := d == 0 && e.keys != nil
-	if d == p.numVars-1 && !seek {
-		// The leaf: a block of n matches adds f·n to the total and n to
-		// the bag's count.
-		block := e.block[:leafLen]
-		frog, n := e.run.OpenLeaf(d, block)
-		for n > 0 && !e.cancel.Poll() {
-			e.total += f * int64(n)
-			e.intrmd[v] += int64(n)
-			if frog.AtEnd() {
-				break
+	if !seek && (d == p.numVars-1 || e.cm != nil && p.is(d, tailFirst)) {
+		// The bag's independent tail, depths d..L: the depths after L see
+		// none of it, so its n bindings are counted, the rest of the join
+		// runs once and counts n times, and each binding adds the
+		// children's product to the bag's count. The deepest depth is
+		// always such a tail — its bag's last, with no children — so the
+		// leaf drains a block at a time even when nothing is cached.
+		last := p.lastVar[v]
+		if n := e.countTail(d, last); n > 0 {
+			rest := f // what the depths after L add per binding
+			if last+1 < p.numVars {
+				outer := e.total
+				e.total = 0
+				e.rjoin(last+1, f)
+				rest, e.total = e.total, outer
 			}
-			n = frog.NextBatch(block)
+			e.total += n * rest
+			prod := n
+			for _, c := range p.children[v] {
+				if prod *= e.intrmd[c]; prod == 0 {
+					break
+				}
+			}
+			e.intrmd[v] += prod
 		}
 	} else {
 		frog, ok := e.run.OpenDepth(d)
@@ -145,7 +157,7 @@ func (e *countExec) rjoin(d int, f int64) {
 				break
 			}
 			e.rjoin(d+1, f)
-			if p.bagLast[d] {
+			if p.is(d, bagLast) {
 				prod := int64(1)
 				for _, c := range p.children[v] {
 					if prod *= e.intrmd[c]; prod == 0 {
@@ -158,8 +170,8 @@ func (e *countExec) rjoin(d int, f int64) {
 				ok = frog.Next()
 			}
 		}
+		e.run.CloseDepth(d)
 	}
-	e.run.CloseDepth(d)
 	if entering {
 		e.store(v, slot)
 	}

@@ -101,6 +101,35 @@ func newWorker[V any](ctx context.Context, p *Plan, policy Policy, cm *manager[V
 	return w
 }
 
+// countTail counts the bindings of depths d..last under the assignment
+// above d with plain LFTJ, draining last a block at a time, and closes
+// the depths it opened. Runner.OpenLeaf and Leapfrog.NextBatch charge
+// what the scalar Key/Next sequence would, so a completed count accounts
+// exactly as the per-key scan of the same depths.
+func (w *worker[V]) countTail(d, last int) int64 {
+	var n int64
+	if d == last {
+		block := w.block[:leafLen]
+		frog, k := w.run.OpenLeaf(d, block)
+		for k > 0 && !w.cancel.Poll() {
+			n += int64(k)
+			if frog.AtEnd() {
+				break
+			}
+			k = frog.NextBatch(block)
+		}
+	} else {
+		frog, ok := w.run.OpenDepth(d)
+		for ok && !w.cancel.Poll() {
+			w.mu[d] = frog.Key()
+			n += w.countTail(d+1, last)
+			ok = frog.Next()
+		}
+	}
+	w.run.CloseDepth(d)
+	return n
+}
+
 // tally is what every executor hands back beside its traversal's own
 // result: resident cache entries and the cancellation its canceler
 // latched (nil for a completed scan).

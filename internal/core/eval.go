@@ -189,10 +189,10 @@ func (e *evalExec) rjoin(d int, f int64) bool {
 		return e.emit(e.mu)
 	}
 	v := p.ownerOf[d]
-	entering := e.cm != nil && p.bagFirst[d] && v != p.root && p.cacheable[v]
+	entering := e.cm != nil && p.is(d, bagFirst) && v != p.root && p.cacheable[v]
 	var slot int32 // where the missed adhesion assignment's entry goes
 	b := &e.bags[v]
-	if p.bagFirst[d] {
+	if p.is(d, bagFirst) {
 		*b = bagState{collect: !e.counting && ((p.parent[v] != -1 && e.bags[p.parent[v]].collect) ||
 			(v == p.root && e.collectRoot))}
 	}
@@ -273,7 +273,7 @@ func (e *evalExec) rjoin(d int, f int64) bool {
 				break
 			}
 			cont = e.rjoin(d+1, f)
-			if p.bagLast[d] && cont {
+			if p.is(d, bagLast) && cont {
 				e.tally(v)
 			}
 			if cont && !seek {

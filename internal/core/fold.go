@@ -31,8 +31,8 @@ type Semiring[T any] struct {
 }
 
 // times returns a ⊕ a ⊕ … ⊕ a (n terms; Zero for none) in O(log n)
-// additions — what a block of n unit-weight matches adds up to.
-func (sr *Semiring[T]) times(a T, n int) T {
+// additions — what n unit-weight bindings add up to.
+func (sr *Semiring[T]) times(a T, n int64) T {
 	sum := sr.Zero
 	for ; n > 0; n >>= 1 {
 		if n&1 == 1 {
@@ -87,8 +87,9 @@ func TropicalSemiring() Semiring[float64] {
 // The aggregate computed is ⊕ over all result tuples of ⊗ over depths of
 // the weights — the FAQ/AJAR form restricted to per-variable factors. A
 // nil VarWeight weighs every assignment with One: the fold then makes no
-// per-key weight call at all, and its deepest level collapses each block
-// of n matches into n·One.
+// per-key weight call at all, and it counts a bag's independent tail
+// (its deepest level among them) instead of iterating it, as the count
+// executor does.
 type VarWeight[T any] func(d int, v int64) T
 
 // UnitWeight is the nil VarWeight at sr's type: every assignment weighs
@@ -212,7 +213,7 @@ func newFoldExec[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring
 // rjoin is RCachedJoin(d, f) of Fig. 2 (0-based depths). f aggregates the
 // weights of the assigned prefix and the cached factors of skipped
 // subtrees; every arrival at depth n ⊕-adds f to the total, so over
-// CountSemiring with no cache hits (f == 1 throughout) the procedure is
+// CountSemiring with caching off (f == 1 throughout) the procedure is
 // exactly RJoin of Fig. 1.
 func (e *foldExec[T]) rjoin(d int, f T) {
 	p, sr := e.plan, &e.sr
@@ -224,9 +225,9 @@ func (e *foldExec[T]) rjoin(d int, f T) {
 	// Caching applies only when entering a cacheable bag; bags whose
 	// adhesion is wider than MaxKeyDim run plain LFTJ (cf. §4 footnote on
 	// wide relations).
-	entering := e.cm != nil && p.bagFirst[d] && v != p.root && p.cacheable[v]
+	entering := e.cm != nil && p.is(d, bagFirst) && v != p.root && p.cacheable[v]
 	var slot int32 // where the missed adhesion assignment's result goes
-	if p.bagFirst[d] {
+	if p.is(d, bagFirst) {
 		e.intrmd[v] = sr.Zero
 	}
 	if entering {
@@ -248,46 +249,60 @@ func (e *foldExec[T]) rjoin(d int, f T) {
 	// Lines 13-19: the ordinary trie-join scan of x_d. A sharded worker's
 	// depth 0 seeks its own root values instead of advancing with Next().
 	seek := d == 0 && e.keys != nil
-	if d == p.numVars-1 && !seek {
-		// The leaf: the deepest depth is always its bag's last (the
-		// subtree intervals compile() builds are contiguous and end at
-		// numVars-1) and the bag has no effective children, so each match
-		// a contributes f ⊗ w(d, a) to the total and the bag's weight
-		// product to intrmd[v] — no per-key mu write or child fold is
-		// needed. Under unit weights a block of n matches collapses to
-		// f ⊗ n·One and n·One. Weighted, every key applies its weight in
-		// the association the per-key loop below uses, so the results are
-		// bit-identical to it: the bag's product is a left fold over its
-		// depths, whose prefix above d is the same for every key.
-		// Runner.OpenLeaf and Leapfrog.NextBatch charge what the scalar
-		// Key/Next sequence would, so a completed scan accounts exactly as
-		// that loop.
-		var above T
-		if e.w != nil {
-			above = sr.One
-			for dd := p.firstVar[v]; dd < d; dd++ {
-				above = sr.Mul(above, e.w(dd, e.mu[dd]))
+	if !seek && e.w == nil && (d == p.numVars-1 || e.cm != nil && p.is(d, tailFirst)) {
+		// Unit weights: the bag's independent tail, as the count executor
+		// runs it. Its n bindings add n·One ⊗ the children's product to
+		// intrmd[v], and the rest of the join, run once, adds its total
+		// n times.
+		last := p.lastVar[v]
+		if n := e.countTail(d, last); n > 0 {
+			rest := f // what the depths after L add per binding
+			if last+1 < p.numVars {
+				outer := e.total
+				e.total = sr.Zero
+				e.rjoin(last+1, f)
+				rest, e.total = e.total, outer
 			}
+			e.total = sr.Add(e.total, sr.times(rest, n))
+			prod := sr.times(sr.One, n)
+			for _, c := range p.children[v] {
+				prod = sr.Mul(prod, e.intrmd[c])
+				if sr.IsZero != nil && sr.IsZero(prod) {
+					break
+				}
+			}
+			e.intrmd[v] = sr.Add(e.intrmd[v], prod)
+		}
+	} else if d == p.numVars-1 && !seek {
+		// The weighted leaf: the deepest depth is always its bag's last
+		// (the subtree intervals compile() builds are contiguous and end
+		// at numVars-1) and the bag has no effective children, so each
+		// match a contributes f ⊗ w(d, a) to the total and the bag's
+		// weight product to intrmd[v] — no per-key mu write or child fold
+		// is needed. Every key applies its weight in the association the
+		// per-key loop below uses, so the results are bit-identical to
+		// it: the bag's product is a left fold over its depths, whose
+		// prefix above d is the same for every key. Runner.OpenLeaf and
+		// Leapfrog.NextBatch charge what the scalar Key/Next sequence
+		// would, so a completed scan accounts exactly as that loop.
+		above := sr.One
+		for dd := p.firstVar[v]; dd < d; dd++ {
+			above = sr.Mul(above, e.w(dd, e.mu[dd]))
 		}
 		block := e.block[:leafLen]
 		frog, n := e.run.OpenLeaf(d, block)
 		for n > 0 && !e.cancel.Poll() {
-			if e.w == nil {
-				ones := sr.times(sr.One, n)
-				e.total = sr.Add(e.total, sr.Mul(f, ones))
-				e.intrmd[v] = sr.Add(e.intrmd[v], ones)
-			} else {
-				for _, a := range block[:n] {
-					wa := e.w(d, a)
-					e.total = sr.Add(e.total, sr.Mul(f, wa))
-					e.intrmd[v] = sr.Add(e.intrmd[v], sr.Mul(above, wa))
-				}
+			for _, a := range block[:n] {
+				wa := e.w(d, a)
+				e.total = sr.Add(e.total, sr.Mul(f, wa))
+				e.intrmd[v] = sr.Add(e.intrmd[v], sr.Mul(above, wa))
 			}
 			if frog.AtEnd() {
 				break
 			}
 			n = frog.NextBatch(block)
 		}
+		e.run.CloseDepth(d)
 	} else {
 		frog, ok := e.run.OpenDepth(d)
 		for i := e.start; ok && !e.cancel.Poll(); i += e.stride {
@@ -305,7 +320,7 @@ func (e *foldExec[T]) rjoin(d int, f T) {
 			} else {
 				e.rjoin(d+1, sr.Mul(f, e.w(d, a)))
 			}
-			if p.bagLast[d] {
+			if p.is(d, bagLast) {
 				// Lines 16-18: fold the children's aggregates with the
 				// weight of the bag's own variable block under the
 				// current assignment.
@@ -327,8 +342,8 @@ func (e *foldExec[T]) rjoin(d int, f T) {
 				ok = frog.Next()
 			}
 		}
+		e.run.CloseDepth(d)
 	}
-	e.run.CloseDepth(d)
 
 	if entering {
 		e.store(v, slot)

@@ -16,23 +16,22 @@ import (
 	"repro/internal/stats"
 )
 
-// parallelShapes returns every query-shape family of internal/queries
-// paired with a database it runs against: the graph shapes over a skewed
-// triangle-rich graph and the IMDB cycles over the cast stand-in.
-func parallelShapes() []struct {
+// queryCase is a named query over the database it runs against.
+type queryCase struct {
 	name string
 	q    *cq.Query
 	db   *relation.DB
-} {
+}
+
+// parallelShapes returns every query-shape family of internal/queries
+// paired with a database it runs against: the graph shapes over a skewed
+// triangle-rich graph and the IMDB cycles over the cast stand-in.
+func parallelShapes() []queryCase {
 	g := dataset.TriadicPA(90, 3, 0.5, 7).DB(false)
 	imdbCfg := dataset.DefaultIMDB()
 	imdbCfg.Persons, imdbCfg.Movies, imdbCfg.Appearances = 120, 40, 480
 	imdb := dataset.IMDBCast(imdbCfg)
-	return []struct {
-		name string
-		q    *cq.Query
-		db   *relation.DB
-	}{
+	return []queryCase{
 		{"4-path", queries.Path(4), g},
 		{"5-path", queries.Path(5), g},
 		{"4-cycle", queries.Cycle(4), g},
@@ -44,6 +43,33 @@ func parallelShapes() []struct {
 		{"imdb-4-cycle", queries.IMDBCycle(2), imdb},
 		{"imdb-6-cycle", queries.IMDBCycle(3), imdb},
 	}
+}
+
+// naiveCounts memoizes naiveCount by case name.
+var naiveCounts struct {
+	sync.Mutex
+	m map[string]int64
+}
+
+// naiveCount is naive.Count of the named case, evaluated once per test
+// binary: the oracle takes seconds on the largest parallel shapes, which
+// several tests check against it.
+func naiveCount(t *testing.T, name string, q *cq.Query, db *relation.DB) int64 {
+	t.Helper()
+	naiveCounts.Lock()
+	defer naiveCounts.Unlock()
+	if n, ok := naiveCounts.m[name]; ok {
+		return n
+	}
+	n, err := naive.Count(q, db)
+	if err != nil {
+		t.Fatalf("%s: naive: %v", name, err)
+	}
+	if naiveCounts.m == nil {
+		naiveCounts.m = make(map[string]int64)
+	}
+	naiveCounts.m[name] = n
+	return n
 }
 
 var parallelPolicies = []Policy{
@@ -64,10 +90,7 @@ func TestParallelCountMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: AutoPlan: %v", sh.name, err)
 		}
-		want, err := naive.Count(sh.q, sh.db)
-		if err != nil {
-			t.Fatalf("%s: naive: %v", sh.name, err)
-		}
+		want := naiveCount(t, sh.name, sh.q, sh.db)
 		for _, pol := range parallelPolicies {
 			seq := plan.Count(pol)
 			if seq.Count != want {

@@ -43,9 +43,8 @@ type shape struct {
 
 	// ownerOf[d] is the (effective) bag owning depth d's variable.
 	ownerOf []int
-	// bagFirst[d] / bagLast[d] mark the first/last depth owned by the bag.
-	bagFirst []bool
-	bagLast  []bool
+	// flags[d] marks depth d's place in the bag owning it.
+	flags []depthFlag
 	// firstVar[v] / subtreeEnd[v] delimit the contiguous depth interval
 	// of node v's subtree: v's owned depths start the interval and the
 	// descendants' depths complete it (a consequence of strong
@@ -256,13 +255,6 @@ func (p *shape) compile(orderIdx []int) error {
 		}
 	}
 
-	bagFirst := make([]bool, n)
-	bagLast := make([]bool, n)
-	for d := 0; d < n; d++ {
-		bagFirst[d] = firstVar[ownerOf[d]] == d
-		bagLast[d] = lastVar[ownerOf[d]] == d
-	}
-
 	adhesionDepths := make([][]int, numNodes)
 	cacheable := make([]bool, numNodes)
 	for v := 0; v < numNodes; v++ {
@@ -282,10 +274,30 @@ func (p *shape) compile(orderIdx []int) error {
 		cacheable[v] = len(depths) <= MaxKeyDim
 	}
 
+	// A bag's tail starts past the last of its depths a child's adhesion
+	// holds. A child's adhesion depths are the bag's or an ancestor's, and
+	// an ancestor's lie before the bag's first depth.
+	flags := make([]depthFlag, n)
+	for v := range children {
+		if firstVar[v] == -1 {
+			continue
+		}
+		tail := firstVar[v]
+		for _, c := range children[v] {
+			for _, d := range adhesionDepths[c] {
+				tail = max(tail, d+1)
+			}
+		}
+		flags[firstVar[v]] |= bagFirst
+		flags[lastVar[v]] |= bagLast
+		if tail <= lastVar[v] {
+			flags[tail] |= tailFirst
+		}
+	}
+
 	p.numNodes = numNodes
 	p.ownerOf = ownerOf
-	p.bagFirst = bagFirst
-	p.bagLast = bagLast
+	p.flags = flags
 	p.firstVar = firstVar
 	p.lastVar = lastVar
 	p.subtreeEnd = subtreeEnd
@@ -297,6 +309,24 @@ func (p *shape) compile(orderIdx []int) error {
 	p.root = t.Root
 	return nil
 }
+
+// depthFlag is a set of marks on a depth, relative to the bag owning it.
+type depthFlag uint8
+
+const (
+	bagFirst depthFlag = 1 << iota // the bag's first depth
+	bagLast                        // the bag's last depth
+	// tailFirst starts the bag's independent tail: no child's adhesion
+	// holds this depth or a later one of the bag. By the running
+	// intersection property no later bag's adhesion does either, and no
+	// atom joins the tail's variables to a later depth's, so the depths
+	// after the bag's last see the tail only through the count of its
+	// bindings (see the count executor).
+	tailFirst
+)
+
+// is reports whether depth d carries mark f.
+func (p *shape) is(d int, f depthFlag) bool { return p.flags[d]&f != 0 }
 
 // Instance exposes the underlying leapfrog instance (nil on an Unbound
 // plan).

@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/relation"
 )
@@ -270,19 +269,19 @@ func Load(name string, r io.Reader) (*Graph, error) {
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		f0, rest := relation.CutField(sc.Bytes())
+		if len(f0) == 0 || f0[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("dataset %s: line %d: want 2 fields, got %d", name, line, len(fields))
+		f1, _ := relation.CutField(rest)
+		if len(f1) == 0 {
+			return nil, fmt.Errorf("dataset %s: line %d: want 2 fields, got 1", name, line)
 		}
-		u, err := strconv.ParseInt(fields[0], 10, 64)
+		u, err := strconv.ParseInt(string(f0), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("dataset %s: line %d: %v", name, line, err)
 		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
+		v, err := strconv.ParseInt(string(f1), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("dataset %s: line %d: %v", name, line, err)
 		}

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -202,5 +203,25 @@ func TestIMDBCastShape(t *testing.T) {
 	// Zero config falls back to defaults.
 	if IMDBCast(IMDBConfig{}).Len() != 2 {
 		t.Error("zero config did not fall back to defaults")
+	}
+}
+
+// TestLoadAllocs bounds Load's heap objects: a line is split and parsed
+// in place, so what a load allocates grows with the edge list's storage,
+// not with its lines.
+func TestLoadAllocs(t *testing.T) {
+	const lines = 10000
+	var sb strings.Builder
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&sb, "%d %d\n", i%977, i)
+	}
+	text := sb.String()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Load("g", strings.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > lines/100 {
+		t.Errorf("loading %d lines allocated %.0f objects, want at most %d", lines, allocs, lines/100)
 	}
 }

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // LoadRelation reads a relation from whitespace-delimited text: one
@@ -15,28 +16,35 @@ import (
 func LoadRelation(name string, r io.Reader) (*Relation, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var b *Builder
+	var (
+		b   *Builder
+		row []int64 // one line's values; Builder.Add copies them
+	)
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		f, rest := CutField(sc.Bytes())
+		if len(f) == 0 || f[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
+		n := 1
+		for g, more := CutField(rest); len(g) > 0; g, more = CutField(more) {
+			n++
+		}
 		if b == nil {
-			b = NewBuilder(name, len(fields))
+			b = NewBuilder(name, n)
+			row = make([]int64, n)
 		}
-		if len(fields) != b.arity {
-			return nil, fmt.Errorf("relation %s: line %d has %d fields, want %d", name, line, len(fields), b.arity)
+		if n != b.arity {
+			return nil, fmt.Errorf("relation %s: line %d has %d fields, want %d", name, line, n, b.arity)
 		}
-		row := make([]int64, len(fields))
-		for i, f := range fields {
-			v, err := strconv.ParseInt(f, 10, 64)
+		for i := range row {
+			v, err := strconv.ParseInt(string(f), 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("relation %s: line %d field %d: %v", name, line, i+1, err)
 			}
 			row[i] = v
+			f, rest = CutField(rest)
 		}
 		b.Add(row...)
 	}
@@ -47,4 +55,28 @@ func LoadRelation(name string, r io.Reader) (*Relation, error) {
 		return nil, fmt.Errorf("relation %s: no data", name)
 	}
 	return b.Build(), nil
+}
+
+// CutField returns the first whitespace-delimited field of s and what
+// follows it; the field is empty when s holds none. Whitespace is what
+// unicode.IsSpace accepts, so successive calls split s as strings.Fields
+// does, without allocating.
+func CutField(s []byte) (field, rest []byte) {
+	i := 0
+	for i < len(s) {
+		r, n := utf8.DecodeRune(s[i:])
+		if !unicode.IsSpace(r) {
+			break
+		}
+		i += n
+	}
+	j := i
+	for j < len(s) {
+		r, n := utf8.DecodeRune(s[j:])
+		if unicode.IsSpace(r) {
+			break
+		}
+		j += n
+	}
+	return s[i:j], s[j:]
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,5 +32,25 @@ func TestLoadRelationErrors(t *testing.T) {
 	// With no data row there is no arity to give the relation.
 	if _, err := LoadRelation("R", strings.NewReader("# only comments\n")); err == nil {
 		t.Error("comment-only input accepted")
+	}
+}
+
+// TestLoadRelationAllocs bounds the loader's heap objects: a line is
+// split and parsed in place into one reused row, so what a load
+// allocates grows with the relation's storage, not with its lines.
+func TestLoadRelationAllocs(t *testing.T) {
+	const lines = 10000
+	var sb strings.Builder
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&sb, "%d\t%d\n", i%977, i)
+	}
+	text := sb.String()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := LoadRelation("E", strings.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > lines/100 {
+		t.Errorf("loading %d lines allocated %.0f objects, want at most %d", lines, allocs, lines/100)
 	}
 }
