@@ -210,12 +210,13 @@ type Options struct {
 	// set Workers to 1 to reproduce the paper's sequential
 	// memory-traffic numbers on any machine.
 	Counters *Counters
-	// Workers shards the execution over this many goroutines by
+	// Workers shards a count or aggregate over this many goroutines by
 	// partitioning the first variable's domain: 0 uses one worker per
 	// core, 1 forces the sequential path, K > 1 runs K workers with
 	// private caches and counters. Counts are bit-identical to the
-	// sequential engine at any setting. Overrides Policy.Workers when
-	// non-zero.
+	// sequential engine at any setting. An enumeration (Eval,
+	// Stmt.Rows) runs on one worker at every setting and reuses the
+	// emitted slice. Overrides Policy.Workers when non-zero.
 	Workers int
 	// Tries is an optional shared trie source (see NewTrieRegistry):
 	// plan compilation draws indices from it instead of building
@@ -278,15 +279,12 @@ func Count(q *Query, db *DB, opts Options) (int64, error) {
 
 // Eval enumerates q(D) with CLFTJ; emit receives assignments aligned
 // with the plan's variable order and may return false to stop. It
-// returns the order used. Options.Workers is honored exactly as in
-// Count: the default (0) shards over one worker per core and merges
-// the workers' rows in root order as they are found (emitted slices are
-// then fresh and may be retained); Workers: 1 forces the sequential
-// path, which reuses the emit slice (copy to retain). Either way
-// tuples stream, in the lexicographic order of the plan's variable order
-// at every worker count and cache policy, and a false from emit stops
-// the join. For an iterator
-// with cancellation, see Prepare and Stmt.Rows.
+// returns the order used. The enumeration runs on one worker whatever
+// Options.Workers says, and it reuses the emitted slice (copy to
+// retain). Tuples stream in the lexicographic order of the plan's
+// variable order under every cache policy, and a false from emit stops
+// the join. For an iterator with cancellation, see Prepare and
+// Stmt.Rows.
 func Eval(q *Query, db *DB, opts Options, emit func(mu []int64) bool) ([]string, error) {
 	plan, err := NewPlan(q, db, opts)
 	if err != nil {

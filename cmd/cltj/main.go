@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	evalFlag := fs.Bool("eval", false, "enumerate tuples instead of counting (prints the first few)")
 	cacheFlag := fs.Int("cache", 0, "CLFTJ cache capacity (0 = unbounded)")
 	supportFlag := fs.Int("support", 0, "CLFTJ support threshold")
-	workersFlag := fs.Int("workers", 1, "worker goroutines for clftj and lftj, counting and -eval alike (0 = one per core, 1 = sequential); other algorithms ignore it")
+	workersFlag := fs.Int("workers", 1, "worker goroutines for clftj and lftj counts (0 = one per core, 1 = sequential); -eval runs on one worker, other algorithms ignore it")
 	timeoutFlag := fs.Duration("timeout", 0, "wall-clock budget covering planning, index build and the join (clftj and lftj; 0 = unlimited): past it the run unwinds cooperatively and cltj exits nonzero")
 	symFlag := fs.Bool("symmetric", false, "treat edges as undirected (add both directions)")
 	showTD := fs.Bool("show-td", false, "print the selected tree decomposition")
@@ -459,7 +459,8 @@ func runBatch(engine *server.Engine, path string, stdout, stderr io.Writer) int 
 }
 
 // runPlan counts the plan's result, or with eval enumerates it through
-// evalSome, under policy (its Workers included) and ctx.
+// evalSome (on one worker whatever policy.Workers says), under policy
+// and ctx.
 func runPlan(ctx context.Context, stdout io.Writer, plan *core.Plan, policy core.Policy, eval bool) (int64, error) {
 	if !eval {
 		res, err := plan.CountParallelCtx(ctx, policy)

@@ -106,7 +106,7 @@ func main() {
 	flag.Var(&rels, "rel", "load a relation from a whitespace-delimited file: -rel R=path (repeatable)")
 	dataFlag := flag.String("data", "", "edge-list file for relation E (default: built-in skewed sample graph)")
 	symFlag := flag.Bool("symmetric", false, "treat edges as undirected (add both directions)")
-	workersFlag := flag.Int("workers", 0, "default per-query worker goroutines, streams included (0 = one per core); results and streamed rows are identical at every count")
+	workersFlag := flag.Int("workers", 0, "default per-query worker goroutines of counts and aggregates (0 = one per core); eval and stream run on one worker, and results are identical at every count")
 	budgetFlag := flag.Int64("trie-budget", 0, "resident trie byte budget shared across queries (0 = unbounded)")
 	maxTuples := flag.Int("max-tuples", server.DefaultMaxTuples, "default cap on tuples returned by eval responses")
 	compactFlag := flag.Float64("compact-fraction", 0, "patch-vs-rebuild crossover as a fraction of the base relation size (0 = default)")

@@ -152,10 +152,10 @@ func BenchmarkCount(b *testing.B) {
 // BenchmarkEval times a warm enumeration of the same shapes into a
 // consumer that keeps nothing: the leaf scan feeding the per-tuple
 // epilogue, where BenchmarkCount is the leaf scan collapsed to a sum.
-// One worker is the sequential scan, two the sharded producers and their
-// merger; "cached" and "nocache" are EvalParallelCtx with the factorized
-// caches on and off. A stream is the cached run: it emits the same
-// sequence at every worker count and policy.
+// "cached" and "nocache" are EvalParallelCtx with the factorized caches
+// on and off; both emit the same sequence. An enumeration runs on one
+// worker whatever Workers says, so there is no worker axis. A stream is
+// the cached run.
 func BenchmarkEval(b *testing.B) {
 	discard := func([]int64) bool { return true }
 	eval := func(p *Plan, pol Policy) int64 {
@@ -165,16 +165,13 @@ func BenchmarkEval(b *testing.B) {
 		for _, tc := range []struct {
 			name   string
 			policy Policy
-			run    func(*Plan, Policy) int64
 		}{
-			{"cached", Policy{}, eval},
-			{"nocache", Policy{Disabled: true}, eval},
+			{"cached", Policy{}},
+			{"nocache", Policy{Disabled: true}},
 		} {
-			for _, workers := range []int{1, 2} {
-				b.Run(fmt.Sprintf("%s/%s/workers=%d", shape.name, tc.name, workers), func(b *testing.B) {
-					benchRun(b, shape.plan, tc.policy, workers, tc.run)
-				})
-			}
+			b.Run(shape.name+"/"+tc.name, func(b *testing.B) {
+				benchRun(b, shape.plan, tc.policy, 1, eval)
+			})
 		}
 	}
 }

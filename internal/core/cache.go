@@ -50,13 +50,14 @@ type Policy struct {
 	Eviction EvictionMode
 	// Disabled turns all caching off; CLFTJ then coincides with LFTJ.
 	Disabled bool
-	// Workers sets the parallelism of the *ParallelCtx entry points
-	// (CountParallelCtx, EvalParallelCtx, AggregateParallelCtx): 0 uses
-	// one worker per core (runtime.GOMAXPROCS), 1 is the sequential scan,
-	// K > 1 shards the root variable's domain over K goroutines, each
-	// with private caches and counters (merged after the join). Count,
-	// Eval and Aggregate are the one-worker forms: they run the same
-	// code with Workers set to 1.
+	// Workers sets the parallelism of the folds (CountParallelCtx,
+	// AggregateParallelCtx): 0 uses one worker per core
+	// (runtime.GOMAXPROCS), 1 is the sequential scan, K > 1 shards the
+	// root variable's domain over K goroutines, each with private caches
+	// and counters (merged after the join). Count and Aggregate are the
+	// one-worker forms: they run the same code with Workers set to 1. An
+	// enumeration (Eval, EvalParallelCtx, EvalLimitCtx) runs on one
+	// worker and ignores it.
 	Workers int
 }
 

@@ -49,8 +49,9 @@ func innerCountCases() []queryCase {
 // inserts, keep one entry per insert and probe no more often than it:
 // the skipped re-entries were cache hits. With caching off they charge
 // the enumeration's trie accesses, which is then plain LFTJ. Under
-// bounded and support-gated policies, at every worker count, they count
-// |q(D)| and charge no more trie accesses than the enumeration.
+// bounded and support-gated policies they count |q(D)| at every worker
+// count and, on one worker, charge no more trie accesses than the
+// enumeration.
 func TestInnerCountCharges(t *testing.T) {
 	sr := CountSemiring()
 	discard := func([]int64) bool { return true }
@@ -89,17 +90,20 @@ func TestInnerCountCharges(t *testing.T) {
 			{SupportThreshold: 1},
 			{SupportThreshold: 2},
 		} {
+			var ce stats.Counters
+			must(plan.WithCounters(&ce).EvalParallelCtx(bg, pol, discard))
 			for _, workers := range []int{1, 2, 4} {
 				pol := pol
 				pol.Workers = workers
-				var ce, cc stats.Counters
-				must(plan.WithCounters(&ce).EvalParallelCtx(bg, pol, discard))
+				var cc stats.Counters
 				cnt := must(plan.WithCounters(&cc).CountParallelCtx(bg, pol))
 				agg := must(AggregateParallelCtx(bg, plan, pol, sr, UnitWeight(sr)))
 				if cnt.Count != want || agg != want {
 					t.Fatalf("%s %+v: count %d, aggregate %d, naive %d", tc.name, pol, cnt.Count, agg, want)
 				}
-				if cc.TrieAccesses > ce.TrieAccesses {
+				// A sharded count pays the root-domain prescan and its
+				// workers' duplicated misses; the enumeration never shards.
+				if workers == 1 && cc.TrieAccesses > ce.TrieAccesses {
 					t.Errorf("%s %+v: count charged %d trie accesses, eval %d", tc.name, pol, cc.TrieAccesses, ce.TrieAccesses)
 				}
 			}

@@ -9,12 +9,13 @@ import (
 
 // This file is the one driver under every execution entry point. CLFTJ
 // has two traversals — the semiring fold (fold.go) and the enumeration
-// (eval.go) — and both parallelize the same way, by sharding the root
-// trie level. The outermost loop of CachedTJCount iterates the matches
+// (eval.go). The folds parallelize by sharding the root trie level; an
+// enumeration runs on one worker, streaming rows to its consumer in one
+// reused slice. The outermost loop of CachedTJCount iterates the matches
 // of the first variable, and distinct root values are independent: no
 // cache key ever spans two of them, because adhesion depths of every
 // cacheable bag are strictly smaller than the bag's first depth and
-// depth 0 belongs to the root bag, which is never cached. A run
+// depth 0 belongs to the root bag, which is never cached. A sharded fold
 // therefore enumerates the root domain once (a cheap k-way intersection
 // scan), deals the values to K workers round-robin, and gives every
 // worker its own executor: a private runner (trie cursors over the
@@ -28,10 +29,9 @@ import (
 // tradeoff this design picks a side of.
 
 // blockLen is how many keys the deepest level's scan drains per
-// Leapfrog.NextBatch call, and how many rows the streaming producer hands
-// the merger at a time. The block is a fixed array inside each executor,
-// which a run keeps on its own stack: neither a per-request heap object
-// nor memory a cached plan retains.
+// Leapfrog.NextBatch call. The block is a fixed array inside each
+// executor, which a run keeps on its own stack: neither a per-request
+// heap object nor memory a cached plan retains.
 const blockLen = 256
 
 // leafLen is the part of the block a scan uses. It is blockLen outside
@@ -49,7 +49,7 @@ type shard struct {
 	start, stride int
 }
 
-// shards is the prologue of every execution: it fails on a dead ctx,
+// shards is the prologue of every fold: it fails on a dead ctx,
 // reports zero workers for an empty instance (the result is the
 // traversal's zero value), and otherwise resolves the worker knob
 // against the root domain (leapfrog.ShardDomain). One worker comes with

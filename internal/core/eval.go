@@ -27,30 +27,29 @@ type EvalResult struct {
 // depth (aligned with Plan.Order), in the lexicographic order of
 // Plan.Order under every policy: the sequence a no-cache scan emits. The
 // slice is reused, so emit must copy to retain. Returning false stops
-// the enumeration. It is EvalParallelCtx on one worker, never cancelled.
+// the enumeration. It is EvalParallelCtx, never cancelled.
 func (p *Plan) Eval(policy Policy, emit func(mu []int64) bool) EvalResult {
-	policy.Workers = 1
 	res, _ := p.EvalParallelCtx(context.Background(), policy, emit)
 	return res
 }
 
-// EvalParallelCtx is Eval sharded over policy.Workers goroutines (0: one
-// per core; 1: the sequential scan, which streams tuples to emit as it
-// finds them and reuses the emitted slice). More workers run evalSharded
-// (stream.go) under the caller's policy, per-worker caches included, and
-// the merged stream is the sequential one row for row, whatever the
-// worker count and cache policy. On the sharded path the emitted slices
-// are freshly allocated and may be retained by the callback, at most
-// workers × streamChanDepth × blockLen rows (plus the block each worker
-// is filling) are held between the scans and emit, and an emit
-// returning false cancels the producers instead of finishing the join.
+// EvalParallelCtx is Eval under a context. An enumeration runs on one
+// worker whatever policy.Workers says: the scan streams tuples to emit
+// as it finds them, in one slice it reuses at every worker count (emit
+// must copy to retain), and an emit returning false stops the scan. Only
+// the folds shard (CountParallelCtx, AggregateParallelCtx).
 //
 // Cancellation is cooperative, as in CountParallelCtx. When ctx trips,
-// the stream ends early on every path: tuples already emitted stand,
-// Emitted counts them, ctx's error is returned and nothing is cached
-// from the cancelled scan.
+// the stream ends early: tuples already emitted stand, Emitted counts
+// them, ctx's error is returned and nothing is cached from the cancelled
+// scan.
 func (p *Plan) EvalParallelCtx(ctx context.Context, policy Policy, emit func(mu []int64) bool) (EvalResult, error) {
 	return p.EvalLimitCtx(ctx, policy, 0, emit)
+}
+
+// EvalStreamCtx is EvalParallelCtx; workers is ignored.
+func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, emit func(mu []int64) bool) (EvalResult, error) {
+	return p.EvalParallelCtx(ctx, policy, emit)
 }
 
 // EvalLimitCtx is EvalParallelCtx that emits only the first limit tuples
@@ -61,18 +60,12 @@ func (p *Plan) EvalParallelCtx(ctx context.Context, policy Policy, emit func(mu 
 // after v's subtree once and multiplies their count by the entry's, and
 // a bag it leaves stores its count. Result.Count is then |q(D)|, as
 // CountParallelCtx reports it. A run that finds no more than limit
-// tuples is EvalParallelCtx, charge for charge. On more than one worker
-// each worker switches after its own first limit rows — the merged
-// first limit rows come only from those — and Count is the workers' sum.
+// tuples is EvalParallelCtx, charge for charge.
 func (p *Plan) EvalLimitCtx(ctx context.Context, policy Policy, limit int, emit func(mu []int64) bool) (EvalResult, error) {
-	keys, workers, err := p.shards(ctx, policy.Workers)
-	if workers == 0 {
+	if err := ctx.Err(); err != nil || p.inst.Empty() {
 		return EvalResult{}, err
 	}
-	if workers > 1 {
-		return p.evalSharded(ctx, policy, limit, keys, workers, emit)
-	}
-	e := newEvalExec(ctx, p, policy, limit, shard{}, p.counters, emit)
+	e := newEvalExec(ctx, p, policy, limit, p.counters, emit)
 	e.rjoin(0, 1)
 	t := e.finish()
 	res := EvalResult{Emitted: e.emitted, Count: e.emitted + e.counted}
@@ -93,7 +86,7 @@ func (p *Plan) EvalFactorized(policy Policy) factorized.Set {
 	if p.inst.Empty() {
 		return nil
 	}
-	e := newEvalExec(context.Background(), p, policy, 0, shard{}, p.counters, func([]int64) bool { return true })
+	e := newEvalExec(context.Background(), p, policy, 0, p.counters, func([]int64) bool { return true })
 	e.collectRoot = true
 	e.rjoin(0, 1)
 	e.finish()
@@ -107,7 +100,7 @@ func (p *Plan) ExpandFactorized(s factorized.Set, emit func(mu []int64) bool) {
 	if len(s) == 0 {
 		return
 	}
-	e := newEvalExec(context.Background(), p, Policy{Disabled: true}, 0, shard{}, p.counters, emit)
+	e := newEvalExec(context.Background(), p, Policy{Disabled: true}, 0, p.counters, emit)
 	e.expandSet(p.root, s, func() bool { return emit(e.mu) })
 	e.finish()
 }
@@ -135,14 +128,13 @@ type bagState struct {
 	intent  bool           // will store to cache on exit
 }
 
-// evalExec is one worker's enumeration: the worker, whose caches hold
-// factorized subtree results, the per-bag state and the consumer.
+// evalExec is the enumeration: the worker, whose caches hold factorized
+// subtree results, the per-bag state and the consumer.
 type evalExec struct {
 	worker[evalEntry]
-	ctrs        *stats.Counters // this execution's sink (worker-local in parallel runs)
+	ctrs        *stats.Counters // this execution's sink
 	bags        []bagState      // per bag, in the current iteration
 	collectRoot bool            // materialize the whole result as a factorized set
-	enter       func()          // sharded runs: called before each root key's subtree is scanned
 	emit        func([]int64) bool
 	emitted     int64
 	limit       int64 // emit at most this many tuples; -1: no limit
@@ -150,13 +142,13 @@ type evalExec struct {
 	counted     int64 // tuples found while counting
 }
 
-// newEvalExec builds a worker's executor over shard sh, on pooled caches,
-// emitting the first limit tuples (limit <= 0: all) to emit, accounting
-// into wc. It returns the executor by value so that a run keeps it on its
-// own stack.
-func newEvalExec(ctx context.Context, p *Plan, policy Policy, limit int, sh shard, wc *stats.Counters, emit func([]int64) bool) evalExec {
+// newEvalExec builds the executor over the whole root level, on pooled
+// caches, emitting the first limit tuples (limit <= 0: all) to emit,
+// accounting into wc. It returns the executor by value so that a run
+// keeps it on its own stack.
+func newEvalExec(ctx context.Context, p *Plan, policy Policy, limit int, wc *stats.Counters, emit func([]int64) bool) evalExec {
 	e := evalExec{
-		worker: newWorker(ctx, p, policy, nil, entryCost, sh, wc),
+		worker: newWorker(ctx, p, policy, nil, entryCost, shard{}, wc),
 		ctrs:   wc,
 		bags:   make([]bagState, p.numNodes),
 		emit:   emit,
@@ -228,11 +220,9 @@ func (e *evalExec) rjoin(d int, f int64) bool {
 		}
 	}
 
-	// The trie-join scan of x_d. A sharded worker's depth 0 seeks its own
-	// root values instead of advancing with Next().
-	seek := d == 0 && e.keys != nil
+	// The trie-join scan of x_d.
 	cont := true
-	if d == p.numVars-1 && !seek {
+	if d == p.numVars-1 {
 		// The leaf: a block of matches at a time feeds the per-tuple
 		// epilogue (emission, factorized collection) until the run
 		// counts, and then adds its length.
@@ -263,20 +253,13 @@ func (e *evalExec) rjoin(d int, f int64) bool {
 		}
 	} else {
 		frog, ok := e.run.OpenDepth(d)
-		for i := e.start; ok && cont && !e.cancel.Poll(); i += e.stride {
-			if !seek {
-				e.mu[d] = frog.Key()
-			} else if i < len(e.keys) && frog.SeekGE(e.keys[i]) {
-				e.enter()
-				e.mu[d] = e.keys[i]
-			} else {
-				break
-			}
+		for ok && cont && !e.cancel.Poll() {
+			e.mu[d] = frog.Key()
 			cont = e.rjoin(d+1, f)
 			if p.is(d, bagLast) && cont {
 				e.tally(v)
 			}
-			if cont && !seek {
+			if cont {
 				ok = frog.Next()
 			}
 		}

@@ -42,13 +42,15 @@ func limitQuery(trial int, rng *rand.Rand) *cq.Query {
 // TestEvalLimitOracle is the limited eval's differential oracle. On
 // random small graphs and query shapes, under no caching, unbounded
 // caches, LRU and FIFO at small capacities and a support threshold of 2,
-// at workers 1, 2 and 8 and limits 1, 7, |q(D)|−1, |q(D)| and |q(D)|+1,
-// EvalLimitCtx must emit exactly the first limit rows of the no-cache
-// sequence and report CountParallelCtx's count. At one worker it must
-// charge no more accesses than the full enumeration under the same
-// policy, and exactly as many when the limit is not below |q(D)|, the
-// policy caches nothing or the plan has no cache site: the counting tail
-// then has nothing to skip.
+// at limits 0 (the full enumeration), 1, 7, |q(D)|−1, |q(D)| and
+// |q(D)|+1, EvalLimitCtx must emit exactly the first limit rows of the
+// no-cache sequence and report CountParallelCtx's count. On one worker a
+// limited run must charge no more accesses than the full enumeration
+// under the same policy, and exactly as many when the limit is not below
+// |q(D)|, the policy caches nothing or the plan has no cache site: the
+// counting tail then has nothing to skip. At workers 0, 2 and 4 every
+// run must equal the Workers: 1 run: its rows, its result and every
+// counter.
 func TestEvalLimitOracle(t *testing.T) {
 	policies := []Policy{
 		{Disabled: true},
@@ -58,6 +60,12 @@ func TestEvalLimitOracle(t *testing.T) {
 		{Capacity: 2},
 		{Capacity: 9},
 		{SupportThreshold: 2},
+	}
+	// run is one EvalLimitCtx: what it emitted, reported and charged.
+	type run struct {
+		rows [][]int64
+		res  EvalResult
+		c    stats.Counters
 	}
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 15; trial++ {
@@ -69,7 +77,8 @@ func TestEvalLimitOracle(t *testing.T) {
 		total := int64(len(canon))
 		sites := slices.Contains(plan.cacheable, true)
 		for _, pol := range policies {
-			for _, workers := range []int{1, 2, 8} {
+			one := map[int64]run{} // the Workers: 1 runs by limit
+			for _, workers := range []int{1, 0, 2, 4} {
 				pol := pol
 				pol.Workers = workers
 				label := fmt.Sprintf("trial %d %s |q(D)|=%d %+v", trial, q, total, pol)
@@ -77,28 +86,35 @@ func TestEvalLimitOracle(t *testing.T) {
 				if want != total {
 					t.Fatalf("%s: CountParallelCtx %d, no-cache eval %d", label, want, total)
 				}
-				var full stats.Counters
-				if workers == 1 {
-					must(plan.WithCounters(&full).EvalParallelCtx(bg, pol, func([]int64) bool { return true }))
-				}
-				for _, limit := range []int64{1, 7, total - 1, total, total + 1} {
-					if limit <= 0 {
+				for _, limit := range []int64{0, 1, 7, total - 1, total, total + 1} {
+					if limit < 0 {
 						continue
 					}
-					var c stats.Counters
-					var rows [][]int64
-					res := must(plan.WithCounters(&c).EvalLimitCtx(bg, pol, int(limit), func(mu []int64) bool {
-						rows = append(rows, slices.Clone(mu))
+					var r run
+					r.res = must(plan.WithCounters(&r.c).EvalLimitCtx(bg, pol, int(limit), func(mu []int64) bool {
+						r.rows = append(r.rows, slices.Clone(mu))
 						return true
 					}))
 					at := fmt.Sprintf("%s limit %d", label, limit)
-					sameTuples(t, at, rows, canon[:min(limit, total)])
-					if res.Count != want || res.Emitted != int64(len(rows)) {
-						t.Fatalf("%s: count %d emitted %d, want %d and %d", at, res.Count, res.Emitted, want, len(rows))
+					prefix := total
+					if limit > 0 {
+						prefix = min(limit, total)
+					}
+					sameTuples(t, at, r.rows, canon[:prefix])
+					if r.res.Count != want || r.res.Emitted != int64(len(r.rows)) {
+						t.Fatalf("%s: count %d emitted %d, want %d and %d", at, r.res.Count, r.res.Emitted, want, len(r.rows))
 					}
 					if workers != 1 {
+						if w := one[limit]; r.res != w.res || r.c != w.c {
+							t.Fatalf("%s: %+v charging %+v, Workers: 1 %+v charging %+v", at, r.res, r.c, w.res, w.c)
+						}
 						continue
 					}
+					one[limit] = r
+					if limit == 0 {
+						continue
+					}
+					c, full := r.c, one[0].c
 					if c.Total() > full.Total() {
 						t.Fatalf("%s: charged %d accesses, the full enumeration %d\nlimited: %+v\nfull:    %+v", at, c.Total(), full.Total(), c, full)
 					}

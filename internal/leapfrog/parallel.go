@@ -71,9 +71,9 @@ func ShardDomain(inst *Instance, workers int, sink *stats.Counters) ([]int64, in
 }
 
 // RunSharded is the shard orchestration of core's driver, under every
-// multi-worker count, aggregate and evaluation — LFTJ's included, which
-// is the one-bag plan with caching disabled: it spawns one goroutine per
-// worker, hands each a private Counters when
+// multi-worker count and aggregate — LFTJ's included, which is the
+// one-bag plan with caching disabled; an enumeration never shards. It
+// spawns one goroutine per worker, hands each a private Counters when
 // sink is non-nil (nil sink: accounting disabled, workers receive nil),
 // waits for all of them, and merges the per-worker accounting into sink
 // in worker order, so the combined totals are exact without hot-path

@@ -13,6 +13,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,10 +31,12 @@ import (
 
 // Config sizes a new Engine.
 type Config struct {
-	// Workers is the default per-query parallelism of every mode,
-	// streams included, when a request does not set its own: 0 uses one
-	// worker per core, 1 forces sequential. Counts, eval samples and
-	// streamed rows are identical at every setting.
+	// Workers is the default per-query parallelism of counts and
+	// aggregates when a request does not set its own: 0 uses one worker
+	// per core, 1 forces sequential. Eval and stream run on one worker
+	// at every setting. Counts, eval samples and streamed rows are
+	// identical at every setting. A request may ask for more workers,
+	// up to this or the CPU count, whichever is larger.
 	Workers int
 	// TrieBudget bounds the registry's resident trie bytes, shared
 	// across all queries (0 = unbounded). Under pressure the least
@@ -446,13 +449,15 @@ func (e *Engine) buildWorkers() int {
 	return e.cfg.Workers
 }
 
-// policyOf resolves a request's cache/execution policy.
+// policyOf resolves a request's cache/execution policy. A request's
+// Workers is clamped to the engine's or the CPU count, whichever is
+// larger: each worker is a goroutine with its own runner and caches.
 func (e *Engine) policyOf(req Request) (core.Policy, error) {
 	pol := core.Policy{
 		Capacity:         req.CacheCapacity,
 		SupportThreshold: req.CacheSupport,
 		Disabled:         req.NoCache,
-		Workers:          req.Workers,
+		Workers:          min(req.Workers, max(e.cfg.Workers, runtime.NumCPU())),
 	}
 	if pol.Workers == 0 {
 		pol.Workers = e.cfg.Workers

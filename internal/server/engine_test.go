@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -270,6 +271,30 @@ func TestEngineErrors(t *testing.T) {
 	}
 	if got := e.Stats().Queries; got != 0 {
 		t.Fatalf("failed requests counted as %d completed queries", got)
+	}
+}
+
+// TestPolicyOfClampsWorkers pins the bound on a request's workers: the
+// engine's own count or the CPU count, whichever is larger. No query
+// runs at the requested value.
+func TestPolicyOfClampsWorkers(t *testing.T) {
+	cpus := runtime.NumCPU()
+	for _, tc := range []struct{ cfg, req, want int }{
+		{0, 1 << 30, cpus},
+		{cpus + 3, 1 << 30, cpus + 3},
+		{0, 2, min(2, cpus)},
+		{0, 0, 0},
+		{5, 0, 5},
+		{0, 1, 1},
+	} {
+		e := &Engine{cfg: Config{Workers: tc.cfg}}
+		pol, err := e.policyOf(Request{Workers: tc.req})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pol.Workers != tc.want {
+			t.Errorf("Config.Workers %d, request %d: policy Workers %d, want %d", tc.cfg, tc.req, pol.Workers, tc.want)
+		}
 	}
 }
 

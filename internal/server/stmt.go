@@ -187,13 +187,11 @@ func (s *Stmt) CountCtx(ctx context.Context) (int64, error) {
 // Rows streams the result set one assignment at a time, aligned with
 // the plan's variable order (each yielded slice is a fresh copy the
 // consumer may retain). Unlike eval-mode Do, nothing is buffered and no
-// limit applies: rows are produced as the scan finds them (by the
-// sequential engine, or by the sharded producers when the statement's
-// Workers default asks for parallelism — the row sequence, the
-// lexicographic order of the plan's variable order, is identical at
-// every worker count and cache policy), so the first row arrives before
-// the join finishes and an abandoned iteration (break) stops the scan
-// immediately. When ctx is cancelled — or the statement's default
+// limit applies: rows are produced as the scan finds them, on one worker
+// whatever the statement's Workers default says, in the lexicographic
+// order of the plan's variable order under every cache policy, so the
+// first row arrives before the join finishes and an abandoned iteration
+// (break) stops the scan immediately. When ctx is cancelled — or the statement's default
 // timeout passes — the stream ends with a final (nil, ctx.Err()) pair
 // after the rows already yielded; iterate with
 // `for row, err := range stmt.Rows(ctx)` and check err before using
@@ -236,8 +234,8 @@ func (s *Stmt) stream(ctx context.Context, req Request, header func(order []stri
 		if header != nil {
 			header(x.plan.Order())
 		}
-		// Workers and the cache policy apply as in every mode: the row
-		// sequence is the same at every worker count and policy.
+		// The cache policy applies as in every mode; the enumeration runs
+		// on one worker whatever Workers says.
 		if _, err := x.plan.EvalParallelCtx(ctx, x.pol, row); err != nil {
 			return err
 		}

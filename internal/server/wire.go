@@ -17,7 +17,10 @@ type Request struct {
 	// "aggregate".
 	Mode string `json:"mode,omitempty"`
 	// Workers overrides the engine's default parallelism for this query
-	// (0: engine default; 1: sequential; K: K goroutines).
+	// (0: engine default; 1: sequential; K: K goroutines, at most the
+	// engine's Workers or its CPU count, whichever is larger). Counts
+	// and aggregates shard; eval and stream run on one worker at every
+	// setting.
 	Workers int `json:"workers,omitempty"`
 	// CacheCapacity bounds this query's CLFTJ caches (entries per
 	// worker; 0 = unbounded), CacheSupport is the support threshold and
