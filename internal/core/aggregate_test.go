@@ -234,14 +234,25 @@ func TestCountAggregateCancelledAlike(t *testing.T) {
 	}
 }
 
+// aggregatePolicies is pols on one worker, then the regimes in which a
+// re-entered bag could miss — a bounded LRU and a support threshold of 2
+// — and a sharded run.
+func aggregatePolicies(pols []Policy) []Policy {
+	pols = append(pols, Policy{Capacity: 16, Eviction: EvictLRU}, Policy{SupportThreshold: 2})
+	for i := range pols {
+		pols[i].Workers = 1
+	}
+	return append(pols, Policy{Workers: 2})
+}
+
 func TestAggregateSumProduct(t *testing.T) {
 	plan, q, db := aggregateFixtures(t)
 	sr := SumProductSemiring()
 	// Weight: each variable value contributes (1 + v mod 3) / 2.
 	w := func(d int, v int64) float64 { return (1 + float64(v%3)) / 2 }
 	want := naiveAggregate(t, q, db, plan.Order(), sr, w)
-	for _, pol := range []Policy{{}, {Disabled: true}, {SupportThreshold: 1}} {
-		got := Aggregate(plan, pol, sr, w)
+	for _, pol := range aggregatePolicies([]Policy{{}, {Disabled: true}, {SupportThreshold: 1}}) {
+		got := must(AggregateParallelCtx(bg, plan, pol, sr, w))
 		if math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
 			t.Errorf("policy %+v: sum-product %g, want %g", pol, got, want)
 		}
@@ -254,8 +265,8 @@ func TestAggregateTropicalMinWeight(t *testing.T) {
 	// Weight of a tuple = sum of node ids; Aggregate = cheapest witness.
 	w := func(d int, v int64) float64 { return float64(v) }
 	want := naiveAggregate(t, q, db, plan.Order(), sr, w)
-	for _, pol := range []Policy{{}, {Disabled: true}, {Capacity: 8}} {
-		got := Aggregate(plan, pol, sr, w)
+	for _, pol := range aggregatePolicies([]Policy{{}, {Disabled: true}, {Capacity: 8}}) {
+		got := must(AggregateParallelCtx(bg, plan, pol, sr, w))
 		if got != want {
 			t.Errorf("policy %+v: tropical %g, want %g", pol, got, want)
 		}

@@ -110,7 +110,7 @@ func sameTuples(t *testing.T, label string, got, want [][]int64) {
 // harness: on random graphs, random query shapes and random cache
 // policies, every execution (Count, Eval, the streaming entry point, and
 // Aggregate over SumProductSemiring and TropicalSemiring with weight =
-// value, the fold's weighted leaf) must give, at every block length,
+// value, the fold's weighted tail) must give, at every block length,
 // exactly what length 1 — the scalar Key/Next sequence — gives: same
 // counts, bit-identical aggregates, bit-identical stats.Counters for
 // completed scans, at worker counts 1, 2, 3 and 8. Eval and the

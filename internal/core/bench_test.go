@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cq"
@@ -171,6 +172,65 @@ func BenchmarkEval(b *testing.B) {
 		} {
 			b.Run(shape.name+"/"+tc.name, func(b *testing.B) {
 				benchRun(b, shape.plan, tc.policy, 1, eval)
+			})
+		}
+	}
+}
+
+// BenchmarkAggregate times a warm weighted fold of the same shapes on one
+// worker, with the caches on and off: "sum" is the sum-product semiring
+// with weight 1 + v mod 3, "min" the min-plus semiring with weight v —
+// the two weighted aggregates a served query names. The result's bits
+// must not drift.
+func BenchmarkAggregate(b *testing.B) {
+	sum, tropical := SumProductSemiring(), TropicalSemiring()
+	for _, shape := range benchShapes() {
+		for _, agg := range []struct {
+			name string
+			run  func(*Plan, Policy) float64
+		}{
+			{"sum", func(p *Plan, pol Policy) float64 {
+				return must(AggregateParallelCtx(bg, p, pol, sum, func(_ int, v int64) float64 { return 1 + float64(v%3) }))
+			}},
+			{"min", func(p *Plan, pol Policy) float64 {
+				return must(AggregateParallelCtx(bg, p, pol, tropical, func(_ int, v int64) float64 { return float64(v) }))
+			}},
+		} {
+			for _, tc := range []struct {
+				name   string
+				policy Policy
+			}{
+				{"cached", Policy{}},
+				{"nocache", Policy{Disabled: true}},
+			} {
+				b.Run(shape.name+"/"+agg.name+"/"+tc.name, func(b *testing.B) {
+					benchRun(b, shape.plan, tc.policy, 1, func(p *Plan, pol Policy) int64 {
+						return int64(math.Float64bits(agg.run(p, pol)))
+					})
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkEvalLimit times a warm capped eval of the same shapes: the
+// first 100 rows go to a consumer that keeps nothing, and the rest of
+// the result is counted, as a buffered eval with a limit runs.
+func BenchmarkEvalLimit(b *testing.B) {
+	discard := func([]int64) bool { return true }
+	evalLimit := func(p *Plan, pol Policy) int64 {
+		return must(p.EvalLimitCtx(bg, pol, 100, discard)).Count
+	}
+	for _, shape := range benchShapes() {
+		for _, tc := range []struct {
+			name   string
+			policy Policy
+		}{
+			{"cached", Policy{}},
+			{"nocache", Policy{Disabled: true}},
+		} {
+			b.Run(shape.name+"/"+tc.name, func(b *testing.B) {
+				benchRun(b, shape.plan, tc.policy, 1, evalLimit)
 			})
 		}
 	}

@@ -92,10 +92,10 @@ type countExec struct {
 }
 
 // rjoin is foldExec.rjoin at CountSemiring with unit weights: f is the
-// product of the cached counts of the subtrees skipped on the way down,
-// every arrival at depth n adds it to the total, and with caching off
-// (f == 1 throughout) the procedure is exactly RJoin of Fig. 1. See the
-// fold for the steps; only the arithmetic is spelled out here.
+// product of the cached counts of the subtrees skipped and the tails
+// counted on the way down, every arrival at depth n adds it to the total,
+// and with caching off (f == 1 above the leaf) the procedure is exactly
+// RJoin of Fig. 1. The fold documents the steps.
 func (e *countExec) rjoin(d int, f int64) {
 	p := e.plan
 	if d == p.numVars {
@@ -124,27 +124,14 @@ func (e *countExec) rjoin(d int, f int64) {
 	if !seek && (d == p.numVars-1 || e.cm != nil && p.is(d, tailFirst)) {
 		// The bag's independent tail, depths d..L: the depths after L see
 		// none of it, so its n bindings are counted, the rest of the join
-		// runs once and counts n times, and each binding adds the
+		// runs once with n in its factor, and each binding adds the
 		// children's product to the bag's count. The deepest depth is
 		// always such a tail — its bag's last, with no children — so the
 		// leaf drains a block at a time even when nothing is cached.
 		last := p.lastVar[v]
 		if n := e.countTail(d, last); n > 0 {
-			rest := f // what the depths after L add per binding
-			if last+1 < p.numVars {
-				outer := e.total
-				e.total = 0
-				e.rjoin(last+1, f)
-				rest, e.total = e.total, outer
-			}
-			e.total += n * rest
-			prod := n
-			for _, c := range p.children[v] {
-				if prod *= e.intrmd[c]; prod == 0 {
-					break
-				}
-			}
-			e.intrmd[v] += prod
+			e.rjoin(last+1, f*n)
+			e.settle(v, n)
 		}
 	} else {
 		frog, ok := e.run.OpenDepth(d)
@@ -158,13 +145,7 @@ func (e *countExec) rjoin(d int, f int64) {
 			}
 			e.rjoin(d+1, f)
 			if p.is(d, bagLast) {
-				prod := int64(1)
-				for _, c := range p.children[v] {
-					if prod *= e.intrmd[c]; prod == 0 {
-						break
-					}
-				}
-				e.intrmd[v] += prod
+				e.settle(v, 1)
 			}
 			if !seek {
 				ok = frog.Next()
@@ -175,4 +156,15 @@ func (e *countExec) rjoin(d int, f int64) {
 	if entering {
 		e.store(v, slot)
 	}
+}
+
+// settle is foldExec.settle at CountSemiring: it adds n times the
+// children's counts to bag v's.
+func (e *countExec) settle(v int, n int64) {
+	for _, c := range e.plan.children[v] {
+		if n *= e.intrmd[c]; n == 0 {
+			return
+		}
+	}
+	e.intrmd[v] += n
 }

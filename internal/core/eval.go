@@ -57,10 +57,11 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, policy Policy, workers int, em
 // limit rows and the scan finds one more, the run stops emitting and
 // stops building factorized sets, and finishes as CachedTJCount does: a
 // leaf block adds its length, a cache hit on bag v enters the depths
-// after v's subtree once and multiplies their count by the entry's, and
-// a bag it leaves stores its count. Result.Count is then |q(D)|, as
-// CountParallelCtx reports it. A run that finds no more than limit
-// tuples is EvalParallelCtx, charge for charge.
+// after v's subtree once and multiplies their count by the entry's, a
+// bag's independent tail is counted and the depths after the bag run
+// once (with caching on), and a bag it leaves stores its count.
+// Result.Count is then |q(D)|, as CountParallelCtx reports it. A run that
+// finds no more than limit tuples is EvalParallelCtx, charge for charge.
 func (p *Plan) EvalLimitCtx(ctx context.Context, policy Policy, limit int, emit func(mu []int64) bool) (EvalResult, error) {
 	if err := ctx.Err(); err != nil || p.inst.Empty() {
 		return EvalResult{}, err
@@ -162,8 +163,8 @@ func newEvalExec(ctx context.Context, p *Plan, policy Policy, limit int, wc *sta
 
 // rjoin is the fold's RCachedJoin with factorized sets as the
 // intermediate (§3.4). f is the counting tail's factor, as in the count
-// executor: the product of the cached counts of the subtrees skipped on
-// the way down, 1 wherever the run emits. It returns false when the
+// executor: the product of the cached counts of the subtrees skipped and
+// the tails counted on the way down, 1 wherever the run emits. It returns false when the
 // consumer stopped the enumeration.
 func (e *evalExec) rjoin(d int, f int64) bool {
 	p := e.plan
@@ -222,14 +223,20 @@ func (e *evalExec) rjoin(d int, f int64) bool {
 
 	// The trie-join scan of x_d.
 	cont := true
-	if d == p.numVars-1 {
+	if e.counting && e.cm != nil && p.is(d, tailFirst) {
+		// The bag's independent tail, counted as the count executor
+		// counts it: the depths after its bag see none of its bindings.
+		if n := e.countTail(d, p.lastVar[v]); n > 0 {
+			cont = e.rjoin(p.lastVar[v]+1, f*n)
+			e.tally(v, n)
+		}
+	} else if d == p.numVars-1 {
 		// The leaf: a block of matches at a time feeds the per-tuple
 		// epilogue (emission, factorized collection) until the run
-		// counts, and then adds its length.
-		// Runner.OpenLeaf and Leapfrog.NextBatch charge what the scalar
-		// Key/Next sequence would, so a completed scan accounts exactly as
-		// the loop below; a consumer that stops mid-block has read ahead
-		// to the block's end.
+		// counts, and then adds its length. Runner.OpenLeaf and
+		// Leapfrog.NextBatch charge what the scalar Key/Next sequence
+		// would; a consumer that stops mid-block has read ahead to the
+		// block's end.
 		block := e.block[:leafLen]
 		frog, n := e.run.OpenLeaf(d, block)
 		for n > 0 && !e.cancel.Poll() {
@@ -237,7 +244,7 @@ func (e *evalExec) rjoin(d int, f int64) bool {
 			for ; j < n && cont && !e.counting; j++ {
 				e.mu[d] = block[j]
 				if cont = e.rjoin(d+1, f); cont {
-					e.tally(v)
+					e.tally(v, 1)
 				}
 			}
 			if e.counting {
@@ -251,20 +258,21 @@ func (e *evalExec) rjoin(d int, f int64) bool {
 			}
 			n = frog.NextBatch(block)
 		}
+		e.run.CloseDepth(d)
 	} else {
 		frog, ok := e.run.OpenDepth(d)
 		for ok && cont && !e.cancel.Poll() {
 			e.mu[d] = frog.Key()
 			cont = e.rjoin(d+1, f)
 			if p.is(d, bagLast) && cont {
-				e.tally(v)
+				e.tally(v, 1)
 			}
 			if cont {
 				ok = frog.Next()
 			}
 		}
+		e.run.CloseDepth(d)
 	}
-	e.run.CloseDepth(d)
 
 	// A cancelled scan left b partial — never cache it. A set the limit
 	// cut short goes; its count stays.
@@ -278,19 +286,18 @@ func (e *evalExec) rjoin(d int, f int64) bool {
 	return cont
 }
 
-// tally closes one assignment of bag v's owned variables: it adds the
-// tuples the children's results make under it to v's count and, while v
-// collects, records it as a factorized entry.
-func (e *evalExec) tally(v int) {
-	prod := int64(1)
+// tally closes n assignments of bag v's owned variables: it adds the
+// tuples the children's results make under them to v's count and, while
+// v collects, records the current one (n is then 1) as a factorized entry.
+func (e *evalExec) tally(v int, n int64) {
 	for _, c := range e.plan.children[v] {
-		if prod *= e.bags[c].n; prod == 0 {
+		if n *= e.bags[c].n; n == 0 {
 			// Combinations with an empty child set represent zero tuples.
 			return
 		}
 	}
 	b := &e.bags[v]
-	b.n += prod
+	b.n += n
 	if b.collect && !e.counting {
 		e.appendEntry(v)
 	}

@@ -85,11 +85,12 @@ func TropicalSemiring() Semiring[float64] {
 
 // VarWeight assigns a semiring weight to variable depth d taking value v.
 // The aggregate computed is ⊕ over all result tuples of ⊗ over depths of
-// the weights — the FAQ/AJAR form restricted to per-variable factors. A
-// nil VarWeight weighs every assignment with One: the fold then makes no
-// per-key weight call at all, and it counts a bag's independent tail
-// (its deepest level among them) instead of iterating it, as the count
-// executor does.
+// the weights — the FAQ/AJAR form restricted to per-variable factors.
+// Since a weight reads one depth, the fold sums a bag's independent tail
+// (the deepest level among them) once — ⊕ over its bindings of their
+// weights' product — and runs the rest of the join once with that sum in
+// its factor, as the count executor counts it. A nil VarWeight weighs
+// every assignment with One: the fold then makes no weight call at all.
 type VarWeight[T any] func(d int, v int64) T
 
 // UnitWeight is the nil VarWeight at sr's type: every assignment weighs
@@ -112,15 +113,16 @@ func Aggregate[T any](p *Plan, policy Policy, sr Semiring[T], w VarWeight[T]) T 
 
 // AggregateParallelCtx is Aggregate sharded over policy.Workers
 // goroutines and cancelled like CountParallelCtx (it returns sr.Zero
-// and ctx's error when ctx trips). Per-tuple ⊗-products are formed in
-// exactly the sequential association; only the ⊕-fold is regrouped by
-// shard, so the result is bit-identical at every worker count whenever
-// ⊕ is exactly associative (integer addition, min/max — hence
-// CountSemiring and TropicalSemiring). For floating-point ⊕
-// (SumProductSemiring) the result is deterministic for a fixed worker
-// count but may differ from the sequential rounding by the usual
-// reassociation error. (A free function, not a Plan method, because Go
-// methods cannot introduce type parameters.)
+// and ctx's error when ctx trips). The fold regroups ⊕ and ⊗ by
+// distributivity — a cached subtree's or a bag's tail's aggregate enters
+// the prefix's product once, and the ⊕-fold is regrouped by shard — so
+// the result is bit-identical at every worker count and policy whenever
+// both are exact on the weights (integer arithmetic; min-plus over
+// integer-valued weights — hence CountSemiring, and TropicalSemiring on
+// such weights). For floating-point sums (SumProductSemiring) the result
+// is deterministic for a fixed worker count and policy but may differ
+// across them by the usual rounding error. (A free function, not a Plan
+// method, because Go methods cannot introduce type parameters.)
 func AggregateParallelCtx[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring[T], w VarWeight[T]) (T, error) {
 	total, _, err := fold(ctx, p, policy, sr, w, nil)
 	return total, err
@@ -211,10 +213,10 @@ func newFoldExec[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring
 }
 
 // rjoin is RCachedJoin(d, f) of Fig. 2 (0-based depths). f aggregates the
-// weights of the assigned prefix and the cached factors of skipped
-// subtrees; every arrival at depth n ⊕-adds f to the total, so over
-// CountSemiring with caching off (f == 1 throughout) the procedure is
-// exactly RJoin of Fig. 1.
+// weights of the assigned prefix, the cached factors of skipped subtrees
+// and the sums of counted tails; every arrival at depth n ⊕-adds f to the
+// total, so over CountSemiring with caching off (f == 1 above the leaf)
+// the procedure is exactly RJoin of Fig. 1.
 func (e *foldExec[T]) rjoin(d int, f T) {
 	p, sr := e.plan, &e.sr
 	if d == p.numVars {
@@ -249,60 +251,17 @@ func (e *foldExec[T]) rjoin(d int, f T) {
 	// Lines 13-19: the ordinary trie-join scan of x_d. A sharded worker's
 	// depth 0 seeks its own root values instead of advancing with Next().
 	seek := d == 0 && e.keys != nil
-	if !seek && e.w == nil && (d == p.numVars-1 || e.cm != nil && p.is(d, tailFirst)) {
-		// Unit weights: the bag's independent tail, as the count executor
-		// runs it. Its n bindings add n·One ⊗ the children's product to
-		// intrmd[v], and the rest of the join, run once, adds its total
-		// n times.
+	if !seek && (d == p.numVars-1 || e.cm != nil && p.is(d, tailFirst)) {
+		// The bag's independent tail, depths d..L, as the count executor
+		// runs it: no depth after L reads its bindings b, so by
+		// distributivity the rest of the join runs once with
+		// t = ⊕_b ⊗_{d..L} w(·, b) in its factor. The deepest depth is
+		// always such a tail, so the leaf drains a block at a time.
 		last := p.lastVar[v]
-		if n := e.countTail(d, last); n > 0 {
-			rest := f // what the depths after L add per binding
-			if last+1 < p.numVars {
-				outer := e.total
-				e.total = sr.Zero
-				e.rjoin(last+1, f)
-				rest, e.total = e.total, outer
-			}
-			e.total = sr.Add(e.total, sr.times(rest, n))
-			prod := sr.times(sr.One, n)
-			for _, c := range p.children[v] {
-				prod = sr.Mul(prod, e.intrmd[c])
-				if sr.IsZero != nil && sr.IsZero(prod) {
-					break
-				}
-			}
-			e.intrmd[v] = sr.Add(e.intrmd[v], prod)
+		if n, t := e.tail(d, last); n > 0 {
+			e.rjoin(last+1, sr.Mul(f, t))
+			e.settle(v, sr.Mul(e.weights(p.firstVar[v], d), t))
 		}
-	} else if d == p.numVars-1 && !seek {
-		// The weighted leaf: the deepest depth is always its bag's last
-		// (the subtree intervals compile() builds are contiguous and end
-		// at numVars-1) and the bag has no effective children, so each
-		// match a contributes f ⊗ w(d, a) to the total and the bag's
-		// weight product to intrmd[v] — no per-key mu write or child fold
-		// is needed. Every key applies its weight in the association the
-		// per-key loop below uses, so the results are bit-identical to
-		// it: the bag's product is a left fold over its depths, whose
-		// prefix above d is the same for every key. Runner.OpenLeaf and
-		// Leapfrog.NextBatch charge what the scalar Key/Next sequence
-		// would, so a completed scan accounts exactly as that loop.
-		above := sr.One
-		for dd := p.firstVar[v]; dd < d; dd++ {
-			above = sr.Mul(above, e.w(dd, e.mu[dd]))
-		}
-		block := e.block[:leafLen]
-		frog, n := e.run.OpenLeaf(d, block)
-		for n > 0 && !e.cancel.Poll() {
-			for _, a := range block[:n] {
-				wa := e.w(d, a)
-				e.total = sr.Add(e.total, sr.Mul(f, wa))
-				e.intrmd[v] = sr.Add(e.intrmd[v], sr.Mul(above, wa))
-			}
-			if frog.AtEnd() {
-				break
-			}
-			n = frog.NextBatch(block)
-		}
-		e.run.CloseDepth(d)
 	} else {
 		frog, ok := e.run.OpenDepth(d)
 		for i := e.start; ok && !e.cancel.Poll(); i += e.stride {
@@ -315,28 +274,10 @@ func (e *foldExec[T]) rjoin(d int, f T) {
 				break
 			}
 			e.mu[d] = a
-			if e.w == nil {
-				e.rjoin(d+1, f)
-			} else {
-				e.rjoin(d+1, sr.Mul(f, e.w(d, a)))
-			}
+			e.rjoin(d+1, sr.Mul(f, e.weights(d, d+1)))
 			if p.is(d, bagLast) {
-				// Lines 16-18: fold the children's aggregates with the
-				// weight of the bag's own variable block under the
-				// current assignment.
-				prod := sr.One
-				if e.w != nil {
-					for dd := p.firstVar[v]; dd <= p.lastVar[v]; dd++ {
-						prod = sr.Mul(prod, e.w(dd, e.mu[dd]))
-					}
-				}
-				for _, c := range p.children[v] {
-					prod = sr.Mul(prod, e.intrmd[c])
-					if sr.IsZero != nil && sr.IsZero(prod) {
-						break
-					}
-				}
-				e.intrmd[v] = sr.Add(e.intrmd[v], prod)
+				// Lines 16-18: the bag's weights ⊗ its children's.
+				e.settle(v, e.weights(p.firstVar[v], d+1))
 			}
 			if !seek {
 				ok = frog.Next()
@@ -348,4 +289,64 @@ func (e *foldExec[T]) rjoin(d int, f T) {
 	if entering {
 		e.store(v, slot)
 	}
+}
+
+// weights is One ⊗ w(from, µ[from]) ⊗ … ⊗ w(to-1, µ[to-1]): the weight
+// of the bag's depths in [from, to) under the current assignment.
+func (e *foldExec[T]) weights(from, to int) T {
+	prod := e.sr.One
+	for d := from; d < to && e.w != nil; d++ {
+		prod = e.sr.Mul(prod, e.w(d, e.mu[d]))
+	}
+	return prod
+}
+
+// settle closes bindings of bag v's depths weighing prod: it ⊕-adds prod
+// ⊗ the children's aggregates to v's.
+func (e *foldExec[T]) settle(v int, prod T) {
+	sr := &e.sr
+	for _, c := range e.plan.children[v] {
+		if prod = sr.Mul(prod, e.intrmd[c]); sr.IsZero != nil && sr.IsZero(prod) {
+			break
+		}
+	}
+	e.intrmd[v] = sr.Add(e.intrmd[v], prod)
+}
+
+// tail is worker.countTail with weights: it returns the n bindings b of
+// depths d..last under the assignment above d and t = ⊕_b ⊗_{d..last}
+// w(·, b), charging what countTail charges. Unit weights make t the
+// n-fold sum of One, formed in O(log n) additions.
+func (e *foldExec[T]) tail(d, last int) (n int64, t T) {
+	sr := &e.sr
+	if e.w == nil {
+		n = e.countTail(d, last)
+		return n, sr.times(sr.One, n)
+	}
+	t = sr.Zero
+	if d == last {
+		block := e.block[:leafLen]
+		frog, k := e.run.OpenLeaf(d, block)
+		for k > 0 && !e.cancel.Poll() {
+			n += int64(k)
+			for _, a := range block[:k] {
+				t = sr.Add(t, e.w(d, a))
+			}
+			if frog.AtEnd() {
+				break
+			}
+			k = frog.NextBatch(block)
+		}
+	} else {
+		frog, ok := e.run.OpenDepth(d)
+		for ok && !e.cancel.Poll() {
+			a := frog.Key()
+			e.mu[d] = a
+			m, u := e.tail(d+1, last)
+			n, t = n+m, sr.Add(t, sr.Mul(e.w(d, a), u))
+			ok = frog.Next()
+		}
+	}
+	e.run.CloseDepth(d)
+	return n, t
 }
