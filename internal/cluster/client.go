@@ -318,11 +318,12 @@ func (c *Client) Stats(ctx context.Context) (*server.EngineStats, error) {
 
 // Stream implements Shard: POST /query with "mode": "stream", decoding
 // the NDJSON answer with the reader that sits beside the shard's writer
-// (server.ReadStream) — header line, row lines, summary or error trailer.
-// Not retried: rows may already have been delivered. The request's
-// context bounds the whole stream (no per-request timeout — long
-// streams are not failures); row returning false abandons the response
-// body, which cancels the shard's scan through its request context.
+// (server.ReadStream) — header line, row lines, summary or error trailer;
+// row gets ReadStream's reused slice — copy to retain. Not retried: rows
+// may already have been delivered. The request's context bounds the
+// whole stream (no per-request timeout — long streams are not
+// failures); row returning false abandons the response body, which
+// cancels the shard's scan through its request context.
 func (c *Client) Stream(ctx context.Context, req server.Request, header func(order []string), row func(mu []int64) bool) (server.StreamSummary, error) {
 	req.Mode = "stream"
 	payload, err := json.Marshal(req)

@@ -526,6 +526,86 @@ func TestStreamShardDeathCancelsSiblings(t *testing.T) {
 	}
 }
 
+// stallingStream is a shard whose scan pauses after its first n rows
+// until release closes (or its request is cancelled): a sparse shard
+// whose next row is a long way off.
+type stallingStream struct {
+	Shard
+	n       int
+	release chan struct{}
+}
+
+func (s *stallingStream) Stream(ctx context.Context, req server.Request, header func([]string), row func(mu []int64) bool) (server.StreamSummary, error) {
+	k := 0
+	sum, err := s.Shard.Stream(ctx, req, header, func(mu []int64) bool {
+		if k == s.n {
+			select {
+			case <-s.release:
+			case <-ctx.Done():
+				return false
+			}
+		}
+		k++
+		return row(mu)
+	})
+	if err == nil {
+		err = ctx.Err() // a stall cut short fails, as a cancelled scan does
+	}
+	return sum, err
+}
+
+// TestStreamMergeDeliversSparseRows: rows a shard has produced reach the
+// consumer while the shard's next row is still pending — the merge hands
+// rows over in blocks, but never waits for a block to fill. Shard 0
+// stalls after 3 rows, far fewer than a block, and is released only once
+// every row the merge can order without its next head has arrived: its
+// 3 rows and shard 1's rows rooted below the last of them.
+func TestStreamMergeDeliversSparseRows(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	dbs, routing, err := Partition(testGraphDB(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := server.Request{Query: "E(x,y), E(x,z)"}
+	engines := make([]*server.Engine, 2)
+	parts := make([][][]int64, 2)
+	for i, pdb := range dbs {
+		engines[i] = server.NewEngine(pdb, server.Config{})
+		_, parts[i], _ = streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
+			return engines[i].StreamCtx(ctx, q, hd, row)
+		})
+	}
+	const n = 3
+	if len(parts[0]) <= n {
+		t.Fatalf("shard 0 streams %d rows, want more than %d", len(parts[0]), n)
+	}
+	ready := n
+	for _, mu := range parts[1] {
+		if mu[0] < parts[0][n-1][0] {
+			ready++
+		}
+	}
+	stall := &stallingStream{Shard: NewEngineShard("shard-0", engines[0]), n: n, release: make(chan struct{})}
+	coord, err := New(routing, []Shard{stall, NewEngineShard("shard-1", engines[1])}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	sum, err := coord.StreamCtx(ctx, q, nil, func([]int64) bool {
+		if delivered++; delivered == ready {
+			close(stall.release)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatalf("stream failed with %d rows delivered, %d orderable before the stall: %v", delivered, ready, err)
+	}
+	if total := len(parts[0]) + len(parts[1]); sum.Count != int64(total) || delivered != total {
+		t.Fatalf("merged %d rows (count %d), want %d", delivered, sum.Count, total)
+	}
+}
+
 // TestBreakerOpensFailsFastAndRecovers drives a real HTTP client
 // through an injected outage: consecutive transport failures open the
 // circuit (requests then fail fast with ErrBreakerOpen without touching

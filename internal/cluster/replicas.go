@@ -247,7 +247,8 @@ func (r *ReplicaSet) Update(ctx context.Context, req server.UpdateRequest) (*ser
 // (the coordinator's partial mode decides what to do with it). A stale
 // replica refuses before its header, so it is always still failed over.
 // The header is deduplicated across attempts — replicas plan
-// identically, so the first fired order stands.
+// identically, so the first fired order stands. row gets the serving
+// replica's slice as it passes it on (reused slice — copy to retain).
 func (r *ReplicaSet) Stream(ctx context.Context, req server.Request, header func(order []string), row func(mu []int64) bool) (server.StreamSummary, error) {
 	fired := false
 	hdr := func(order []string) {

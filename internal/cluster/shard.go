@@ -29,8 +29,8 @@ type Shard interface {
 	Do(ctx context.Context, req server.Request) (*server.Response, error)
 	// Stream executes one streaming eval: header once with the plan's
 	// variable order, then row per result tuple in the engine's
-	// deterministic order (root-ascending); row returning false stops
-	// the shard's scan.
+	// deterministic order (root-ascending; reused slice — copy to
+	// retain); row returning false stops the shard's scan.
 	Stream(ctx context.Context, req server.Request, header func(order []string), row func(mu []int64) bool) (server.StreamSummary, error)
 	// Update applies one (already routed) delta to the shard. A failed
 	// update returns a nil result, unless part of the shard applied it
@@ -92,7 +92,8 @@ func (s *EngineShard) Do(ctx context.Context, req server.Request) (*server.Respo
 	return resp, refusal(err)
 }
 
-// Stream implements Shard.
+// Stream implements Shard: the engine's rows as Engine.StreamCtx hands
+// them out (reused slice — copy to retain).
 func (s *EngineShard) Stream(ctx context.Context, req server.Request, header func(order []string), row func(mu []int64) bool) (server.StreamSummary, error) {
 	sum, err := s.e.StreamCtx(ctx, req, header, row)
 	return sum, refusal(err)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"repro/internal/server"
 )
@@ -15,17 +16,47 @@ const streamMergeBuffer = 64
 // shardStream is one producer of the k-way merge. sum and err are
 // written by the producer goroutine before done closes and read only
 // after it — the close is the publication barrier.
+//
+// Rows cross from the producer to the merge in blocks, not one by one:
+// the producer copies each row onto the pending block (q) under mu, and
+// the merge, once it has used up its current block, swaps the whole
+// pending block out for it — however many rows it holds, one row or
+// streamMergeBuffer. So a sparse shard's row is ready to merge the
+// moment it is decoded, while a dense shard costs one handoff per block;
+// the two blocks' slabs are reused for the whole stream.
 type shardStream struct {
 	shard  int
 	cancel context.CancelFunc
 	hdr    chan []string
-	rows   chan []int64
 	done   chan struct{}
 	sum    server.StreamSummary
 	err    error
-	// head/ok are merge-loop state, touched only by the coordinator.
+
+	mu    sync.Mutex
+	cond  sync.Cond // q gained rows, q was taken, or the producer ended
+	q     rowBlock  // decoded rows the merge has not taken yet
+	ended bool      // the producer's scan returned; q holds its last rows
+
+	// blk, next, head and ok are merge-loop state, touched only by the
+	// coordinator: the block being merged, its next row, and the head.
+	blk  rowBlock
+	next int
 	head []int64
 	ok   bool
+}
+
+// rowBlock is a run of rows in one slab: row i is vals[ends[i-1]:ends[i]].
+type rowBlock struct {
+	vals []int64
+	ends []int
+}
+
+func (b *rowBlock) row(i int) []int64 {
+	lo := 0
+	if i > 0 {
+		lo = b.ends[i-1]
+	}
+	return b.vals[lo:b.ends[i]:b.ends[i]]
 }
 
 // openStream starts shard i's producer: its scan runs ahead of the merge
@@ -36,26 +67,55 @@ func (c *Coordinator) openStream(ctx context.Context, i int, req server.Request)
 		shard:  i,
 		cancel: cancel,
 		hdr:    make(chan []string, 1),
-		rows:   make(chan []int64, streamMergeBuffer),
 		done:   make(chan struct{}),
 	}
+	s.cond.L = &s.mu
 	go func() {
+		// A producer waiting for room must see its stream cancelled.
+		unhook := context.AfterFunc(ctx, func() {
+			s.mu.Lock()
+			s.cond.Broadcast()
+			s.mu.Unlock()
+		})
 		s.sum, s.err = c.shards[i].Stream(ctx, req,
 			func(order []string) { s.hdr <- order },
 			func(mu []int64) bool {
-				cp := append([]int64(nil), mu...)
-				select {
-				case s.rows <- cp:
-					return true
-				case <-ctx.Done():
-					return false
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				for len(s.q.ends) >= streamMergeBuffer {
+					if ctx.Err() != nil {
+						return false
+					}
+					s.cond.Wait()
 				}
+				s.q.vals = append(s.q.vals, mu...)
+				s.q.ends = append(s.q.ends, len(s.q.vals))
+				s.cond.Signal()
+				return true
 			})
-		close(s.rows)
+		unhook()
+		s.mu.Lock()
+		s.ended = true
+		s.cond.Signal()
+		s.mu.Unlock()
 		close(s.hdr)
 		close(s.done)
 	}()
 	return s
+}
+
+// take waits for the producer's next block and swaps it in as the one
+// being merged; false once the producer has ended with nothing left.
+func (s *shardStream) take() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.q.ends) == 0 && !s.ended {
+		s.cond.Wait()
+	}
+	s.q, s.blk = rowBlock{s.blk.vals[:0], s.blk.ends[:0]}, s.q
+	s.next = 0
+	s.cond.Signal() // the producer may be waiting for room
+	return len(s.blk.ends) > 0
 }
 
 // stop cancels the producer's scan and waits for its goroutine.
@@ -204,9 +264,12 @@ func (c *Coordinator) StreamCtx(ctx context.Context, req server.Request, header 
 	// mispartitioned fleet) break to the lower position so the merge
 	// stays deterministic.
 	advance := func(s *shardStream) error {
-		if s.head, s.ok = <-s.rows; s.ok {
+		if s.next < len(s.blk.ends) || s.take() {
+			s.head, s.ok = s.blk.row(s.next), true
+			s.next++
 			return nil
 		}
+		s.head, s.ok = nil, false
 		<-s.done
 		if s.err == nil {
 			return nil
