@@ -39,6 +39,11 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // the surface. The header gives each part's total; "exported names"
 // counts the first part's lines but its interface methods, which the
 // header counts apart.
+//
+// A func, method or type of an internal/ package that no non-test file
+// of the module, nested modules included, references outside its own
+// declaration ends in " # tests only": code that only tests call
+// belongs beside them, so a new one shows as a diff to review.
 func TestAPISurfaceGolden(t *testing.T) {
 	got := apiSurface(t)
 	if *update {
@@ -60,10 +65,67 @@ func TestAPISurfaceGolden(t *testing.T) {
 	}
 }
 
+// TestTestsOnlyMarker pins what counts as a reference: a declaration's
+// own name, its recursion and its methods' receivers do not; a bare or
+// qualified use, a selected method name and a type named in another
+// declaration do. The root package and Unwrap are never marked.
+func TestTestsOnlyMarker(t *testing.T) {
+	s := surface{fset: token.NewFileSet(), names: map[string]string{}, refs: map[string]bool{}}
+	files := []struct{ pkg, src string }{
+		{"repro/internal/lib", `package lib
+type Used struct{ next *Used }
+type Alone struct{ next *Alone }
+func (a *Alone) Walk() { a.Walk() }
+func (u Used) Called() {}
+func Rec(n int) int { return Rec(n - 1) }
+func Helper() {}
+func NewUsed() *Used { Helper(); return nil }
+type E struct{}
+func (E) Unwrap() error { return nil }`},
+		{"repro", `package cltj
+func Public() {}`},
+		{"repro/cmd/x", `package main
+import l "repro/internal/lib"
+func main() { l.NewUsed().Called() }`},
+	}
+	for _, f := range files {
+		file, err := parser.ParseFile(s.fset, "x.go", f.src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.refsOf(f.pkg, file)
+		if file.Name.Name != "main" {
+			s.decls(f.pkg, file)
+		}
+	}
+	var marked []string
+	for l := range s.nameLines() {
+		if strings.HasSuffix(l, " # tests only") {
+			marked = append(marked, l)
+		}
+	}
+	sort.Strings(marked)
+	want := []string{
+		"repro/internal/lib: func Rec(n int) int # tests only",
+		"repro/internal/lib: method (*Alone) Walk() # tests only",
+		"repro/internal/lib: type Alone struct # tests only",
+		"repro/internal/lib: type E struct # tests only",
+	}
+	if !reflect.DeepEqual(marked, want) {
+		t.Errorf("marked:\n%s\nwant:\n%s", strings.Join(marked, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 // surface collects the golden's four parts as sets of lines.
 type surface struct {
-	fset                     *token.FileSet
-	names, flags, json, envs map[string]bool
+	fset              *token.FileSet
+	flags, json, envs map[string]bool
+	// names maps each exported-name line to the refs key of its
+	// identifier: "path.Name" for a func or type, ".Name" for a method,
+	// "" for a line that is never marked.
+	names map[string]string
+	// refs holds the keys that non-test code references.
+	refs map[string]bool
 }
 
 // apiSurface renders the surface of the module rooted at the working
@@ -72,11 +134,13 @@ func apiSurface(t *testing.T) []byte {
 	t.Helper()
 	s := surface{
 		fset:  token.NewFileSet(),
-		names: map[string]bool{},
+		names: map[string]string{},
 		flags: map[string]bool{},
 		json:  map[string]bool{},
 		envs:  map[string]bool{},
+		refs:  map[string]bool{},
 	}
+	nested := "" // the nested module being walked, whose code only counts as references
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -86,11 +150,14 @@ func apiSurface(t *testing.T) []byte {
 			if base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") {
 				return filepath.SkipDir
 			}
+			if nested != "" && !strings.HasPrefix(p, nested+string(filepath.Separator)) {
+				nested = ""
+			}
 			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
-				return filepath.SkipDir // a nested module
+				nested = p
 			}
 		}
-		return s.dir(p)
+		return s.dir(p, nested == "")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +175,7 @@ func apiSurface(t *testing.T) []byte {
 	fmt.Fprintf(&b, "# command flags: %d\n", len(s.flags))
 	fmt.Fprintf(&b, "# JSON fields: %d\n", len(s.json))
 	fmt.Fprintf(&b, "# environment variables read: %d\n", len(s.envs))
-	for _, part := range []map[string]bool{s.names, s.flags, s.json, s.envs} {
+	for _, part := range []map[string]bool{s.nameLines(), s.flags, s.json, s.envs} {
 		lines := make([]string, 0, len(part))
 		for l := range part {
 			lines = append(lines, l)
@@ -122,9 +189,23 @@ func apiSurface(t *testing.T) []byte {
 	return b.Bytes()
 }
 
-// dir adds one directory's package. Files under mutually exclusive
-// build constraints declare the same names, which the sets merge.
-func (s *surface) dir(dir string) error {
+// nameLines is the exported-name part, each line whose identifier only
+// tests reference marked.
+func (s *surface) nameLines() map[string]bool {
+	lines := make(map[string]bool, len(s.names))
+	for l, key := range s.names {
+		if key != "" && !s.refs[key] {
+			l += " # tests only"
+		}
+		lines[l] = true
+	}
+	return lines
+}
+
+// dir adds one directory's package, to the surface only when onSurface.
+// Files under mutually exclusive build constraints declare the same
+// names, which the sets merge.
+func (s *surface) dir(dir string, onSurface bool) error {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return err
@@ -139,6 +220,10 @@ func (s *surface) dir(dir string) error {
 			return err
 		}
 		pkg := path.Join("repro", filepath.ToSlash(dir))
+		s.refsOf(pkg, f)
+		if !onSurface {
+			continue
+		}
 		if f.Name.Name == "main" {
 			s.flagsOf(path.Base(pkg), f)
 		} else {
@@ -159,7 +244,17 @@ func (s *surface) expr(n ast.Node) string {
 
 // decls adds a non-main file's exported declarations.
 func (s *surface) decls(pkg string, f *ast.File) {
-	add := func(format string, args ...any) { s.names[pkg+": "+fmt.Sprintf(format, args...)] = true }
+	// marked is the refs key of a func, method or type line that the
+	// golden marks when only tests reference it. The root package is the
+	// library's public surface, there for callers outside the module, and
+	// Unwrap is called by package errors, which no source file shows.
+	marked := func(key, name string) string {
+		if !strings.HasPrefix(pkg, "repro/internal/") || name == "Unwrap" {
+			return ""
+		}
+		return key
+	}
+	add := func(key, format string, args ...any) { s.names[pkg+": "+fmt.Sprintf(format, args...)] = key }
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
@@ -168,12 +263,12 @@ func (s *surface) decls(pkg string, f *ast.File) {
 			}
 			sig := strings.TrimPrefix(s.expr(d.Type), "func")
 			if d.Recv == nil {
-				add("func %s%s", d.Name.Name, sig)
+				add(marked(pkg+"."+d.Name.Name, d.Name.Name), "func %s%s", d.Name.Name, sig)
 				continue
 			}
 			recv := d.Recv.List[0].Type
 			if recvName(recv).IsExported() {
-				add("method (%s) %s%s", s.expr(recv), d.Name.Name, sig)
+				add(marked("."+d.Name.Name, d.Name.Name), "method (%s) %s%s", s.expr(recv), d.Name.Name, sig)
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
@@ -184,53 +279,134 @@ func (s *surface) decls(pkg string, f *ast.File) {
 							continue
 						}
 						if sp.Type != nil {
-							add("%s %s %s", d.Tok, n.Name, s.expr(sp.Type))
+							add("", "%s %s %s", d.Tok, n.Name, s.expr(sp.Type))
 						} else {
-							add("%s %s", d.Tok, n.Name)
+							add("", "%s %s", d.Tok, n.Name)
 						}
 					}
 				case *ast.TypeSpec:
 					if !sp.Name.IsExported() {
 						continue
 					}
-					s.typeSpec(sp, add)
+					s.typeSpec(sp, marked(pkg+"."+sp.Name.Name, sp.Name.Name), add)
 				}
 			}
 		}
 	}
 }
 
-// typeSpec adds an exported type and its exported fields or interface
-// methods.
-func (s *surface) typeSpec(sp *ast.TypeSpec, add func(string, ...any)) {
+// typeSpec adds an exported type, whose line has the refs key given,
+// and its exported fields or interface methods.
+func (s *surface) typeSpec(sp *ast.TypeSpec, key string, add func(string, string, ...any)) {
 	name := sp.Name.Name
 	if sp.TypeParams != nil {
 		name += s.expr(sp.TypeParams)
 	}
 	switch ty := sp.Type.(type) {
 	case *ast.StructType:
-		add("type %s struct", name)
+		add(key, "type %s struct", name)
 		for _, fl := range ty.Fields.List {
 			for _, n := range fieldNames(fl) {
 				if n.IsExported() {
-					add("field %s.%s %s", sp.Name.Name, n.Name, s.expr(fl.Type))
+					add("", "field %s.%s %s", sp.Name.Name, n.Name, s.expr(fl.Type))
 				}
 			}
 		}
 	case *ast.InterfaceType:
-		add("type %s interface", name)
+		add(key, "type %s interface", name)
 		for _, m := range ty.Methods.List {
 			for _, n := range fieldNames(m) {
 				if n.IsExported() {
-					add("method %s.%s%s", sp.Name.Name, n.Name, strings.TrimPrefix(s.expr(m.Type), "func"))
+					add("", "method %s.%s%s", sp.Name.Name, n.Name, strings.TrimPrefix(s.expr(m.Type), "func"))
 				}
 			}
 		}
 	default:
 		if sp.Assign.IsValid() {
-			add("type %s = %s", name, s.expr(sp.Type))
+			add(key, "type %s = %s", name, s.expr(sp.Type))
 		} else {
-			add("type %s %s", name, s.expr(sp.Type))
+			add(key, "type %s %s", name, s.expr(sp.Type))
+		}
+	}
+}
+
+// refsOf adds the references a non-test file of package pkg makes: a
+// package-level name as "path.Name", whether qualified by an import or
+// bare within its own package, and any other selected name (a method or
+// field, whose receiver's type the parser does not resolve) as ".Name".
+// A declaration's names, a method's receiver, and references a
+// declaration makes to itself (recursion, a type's own fields, a
+// method's receiver type) do not count.
+func (s *surface) refsOf(pkg string, f *ast.File) {
+	imports := map[string]string{}
+	for _, im := range f.Imports {
+		p, _ := strconv.Unquote(im.Path.Value)
+		name := path.Base(p)
+		if im.Name != nil {
+			name = im.Name.Name
+		}
+		imports[name] = p
+	}
+	var self, recv, method string // the declaration being read
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok {
+				if p, ok := imports[id.Name]; ok {
+					s.refs[p+"."+x.Sel.Name] = true
+					return false
+				}
+				if id.Name == recv && x.Sel.Name == method {
+					return false
+				}
+			}
+			s.refs["."+x.Sel.Name] = true
+			ast.Inspect(x.X, visit)
+			return false
+		case *ast.Ident:
+			if key := pkg + "." + x.Name; key != self {
+				s.refs[key] = true
+			}
+		}
+		return true
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			self, recv, method = pkg+"."+d.Name.Name, "", ""
+			if d.Recv != nil {
+				self, method = "", d.Name.Name
+				if id := recvName(d.Recv.List[0].Type); id != nil {
+					self = pkg + "." + id.Name
+				}
+				if names := d.Recv.List[0].Names; len(names) > 0 {
+					recv = names[0].Name
+				}
+			}
+			ast.Inspect(d.Type, visit)
+			if d.Body != nil {
+				ast.Inspect(d.Body, visit)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				self, recv, method = "", "", ""
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					self = pkg + "." + sp.Name.Name
+					if sp.TypeParams != nil {
+						ast.Inspect(sp.TypeParams, visit)
+					}
+					ast.Inspect(sp.Type, visit)
+				case *ast.ValueSpec:
+					if sp.Type != nil {
+						ast.Inspect(sp.Type, visit)
+					}
+					for _, v := range sp.Values {
+						ast.Inspect(v, visit)
+					}
+				}
+			}
 		}
 	}
 }

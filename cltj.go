@@ -84,7 +84,7 @@ type (
 	EngineStats = server.EngineStats
 	// EngineStmt is a prepared statement over an Engine: one query
 	// parsed and compiled once through the engine's plan cache, with
-	// ctx-aware Do/CountCtx/Rows executions (Engine.Prepare). The
+	// ctx-aware Do and Rows executions (Engine.Prepare). The
 	// engine variant follows live updates — execution always runs
 	// against the current snapshot, re-binding the compiled plan to the
 	// new tries (not recompiling it) when the touched relations changed

@@ -287,8 +287,8 @@ func TestChaosSoak(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("chaos soak: %d served (%d partial), %d typed failures over %d iterations; fires=%v",
-		served, partials, failures, iterations, inj.Fires())
+	t.Logf("chaos soak: %d served (%d partial), %d typed failures over %d iterations",
+		served, partials, failures, iterations)
 	if served == 0 {
 		t.Fatal("chaos schedule killed every request — soak proved nothing")
 	}

@@ -252,7 +252,7 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 
 // decodeError turns a non-2xx answer back into the error the shard
 // refused with: a 409 carrying "versions" is the engine's
-// *server.VersionMismatch, the type an in-process shard returns, and
+// *server.VersionMismatch, the type the engine itself returns, and
 // anything else a *StatusError with the daemon's JSON error message (the
 // raw body for non-JSON answers).
 func decodeError(status int, r io.Reader) error {
@@ -284,6 +284,12 @@ func (c *Client) Versions(ctx context.Context, names []string) (map[string]uint6
 	if err != nil {
 		return nil, err
 	}
+	return relationVersions(st, names), nil
+}
+
+// relationVersions is the version number of each named relation in st
+// (every relation when names is nil; unknown names are omitted).
+func relationVersions(st *server.EngineStats, names []string) map[string]uint64 {
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
 		want[n] = true
@@ -294,7 +300,7 @@ func (c *Client) Versions(ctx context.Context, names []string) (map[string]uint6
 			out[rel.Name] = rel.Version
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Do implements Shard: POST /query. Count, eval and aggregate are

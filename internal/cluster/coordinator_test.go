@@ -35,7 +35,7 @@ func newHarness(t *testing.T, db *relation.DB, n int, cfg server.Config) *harnes
 	for i, pdb := range dbs {
 		e := server.NewEngine(pdb, cfg)
 		h.engines = append(h.engines, e)
-		shards[i] = NewEngineShard(fmt.Sprintf("shard-%d", i), e)
+		shards[i] = newEngineShard(fmt.Sprintf("shard-%d", i), e)
 	}
 	h.coord, err = New(routing, shards, Config{})
 	if err != nil {
@@ -260,7 +260,7 @@ func TestCoordinatorRouteCacheLRU(t *testing.T) {
 	}
 	shards := make([]Shard, len(dbs))
 	for i, pdb := range dbs {
-		shards[i] = NewEngineShard(fmt.Sprintf("shard-%d", i), server.NewEngine(pdb, server.Config{}))
+		shards[i] = newEngineShard(fmt.Sprintf("shard-%d", i), server.NewEngine(pdb, server.Config{}))
 	}
 	coord, err := New(routing, shards, Config{routeCache: 2})
 	if err != nil {
@@ -351,7 +351,7 @@ func (m *movingShard) Stream(ctx context.Context, req server.Request, header fun
 // newMovingShard wraps an in-process shard 0 of n over pdb.
 func newMovingShard(pdb *relation.DB, n int) *movingShard {
 	e := server.NewEngine(pdb, server.Config{})
-	return &movingShard{Shard: NewEngineShard("shard-0", e), engine: e, root: rootOn(0, n)}
+	return &movingShard{Shard: newEngineShard("shard-0", e), engine: e, root: rootOn(0, n)}
 }
 
 // TestCoordinatorSnapshotMoved pins what the optimistic handshake does
@@ -371,7 +371,7 @@ func TestCoordinatorSnapshotMoved(t *testing.T) {
 	}
 	mover := newMovingShard(dbs[0], 2)
 	h := &harness{single: server.NewEngine(db, server.Config{})}
-	h.coord, err = New(routing, []Shard{mover, NewEngineShard("shard-1", server.NewEngine(dbs[1], server.Config{}))}, Config{})
+	h.coord, err = New(routing, []Shard{mover, newEngineShard("shard-1", server.NewEngine(dbs[1], server.Config{}))}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestCoordinatorCallBudget(t *testing.T) {
 	spies := make([]*spyShard, 2)
 	shards := make([]Shard, 2)
 	for i, pdb := range dbs {
-		spies[i] = &spyShard{Shard: NewEngineShard(fmt.Sprintf("shard-%d", i), server.NewEngine(pdb, server.Config{}))}
+		spies[i] = &spyShard{Shard: newEngineShard(fmt.Sprintf("shard-%d", i), server.NewEngine(pdb, server.Config{}))}
 		shards[i] = spies[i]
 	}
 	coord, err := New(routing, shards, Config{})
@@ -609,7 +609,7 @@ func TestCoordinatorShardFailureTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord, err := New(routing, []Shard{
-		NewEngineShard("shard-0", server.NewEngine(dbs[0], server.Config{})),
+		newEngineShard("shard-0", server.NewEngine(dbs[0], server.Config{})),
 		&failingShard{name: "shard-1"},
 	}, Config{})
 	if err != nil {

@@ -74,7 +74,7 @@ func TestReplicaFailover(t *testing.T) {
 	e := server.NewEngine(db, server.Config{})
 	rs := NewReplicaSet([]Shard{
 		&failingShard{name: "dead:1"},
-		NewEngineShard("live:1", e),
+		newEngineShard("live:1", e),
 	}, ReplicaConfig{})
 
 	if rs.Name() != "dead:1|live:1" {
@@ -121,8 +121,8 @@ func TestReplicaAuthoritative4xx(t *testing.T) {
 	db := testGraphDB()
 	e := server.NewEngine(db, server.Config{})
 	rs := NewReplicaSet([]Shard{
-		&rejectingShard{NewEngineShard("a", e)},
-		NewEngineShard("b", e),
+		&rejectingShard{newEngineShard("a", e)},
+		newEngineShard("b", e),
 	}, ReplicaConfig{})
 	_, err := rs.Do(context.Background(), server.Request{Query: "E(x,y)"})
 	var se *StatusError
@@ -138,8 +138,8 @@ func TestReplicaHedgedDo(t *testing.T) {
 	db := testGraphDB()
 	e := server.NewEngine(db, server.Config{})
 	rs := NewReplicaSet([]Shard{
-		&slowShard{Shard: NewEngineShard("slow", e), delay: 30 * time.Second},
-		NewEngineShard("fast", e),
+		&slowShard{Shard: newEngineShard("slow", e), delay: 30 * time.Second},
+		newEngineShard("fast", e),
 	}, ReplicaConfig{Hedge: 5 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -169,8 +169,8 @@ func TestReplicaStale(t *testing.T) {
 	db := testGraphDB()
 	for _, hedge := range []time.Duration{0, time.Millisecond} {
 		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
-			restarted := &spyShard{Shard: NewEngineShard("a", server.NewEngine(db, server.Config{}))}
-			fresh := &spyShard{Shard: NewEngineShard("b", server.NewEngine(db, server.Config{}))}
+			restarted := &spyShard{Shard: newEngineShard("a", server.NewEngine(db, server.Config{}))}
+			fresh := &spyShard{Shard: newEngineShard("b", server.NewEngine(db, server.Config{}))}
 			h := &harness{single: server.NewEngine(db, server.Config{})}
 			var err error
 			h.coord, err = New(Routing{Shards: 1}, []Shard{NewReplicaSet([]Shard{restarted, fresh}, ReplicaConfig{Hedge: hedge})}, Config{})
@@ -184,7 +184,7 @@ func TestReplicaStale(t *testing.T) {
 			if _, err := h.single.Update(delta); err != nil {
 				t.Fatal(err)
 			}
-			restarted.Shard = NewEngineShard("a", server.NewEngine(db, server.Config{}))
+			restarted.Shard = newEngineShard("a", server.NewEngine(db, server.Config{}))
 
 			for _, q := range []string{"E(1,y)", "E(x,y), E(x,z)"} {
 				checkDo(t, h, server.Request{Query: q})
@@ -246,8 +246,8 @@ func TestReplicaPartialUpdate(t *testing.T) {
 	db := testGraphDB()
 	for _, missedFirst := range []bool{true, false} {
 		t.Run(fmt.Sprintf("missed-first=%v", missedFirst), func(t *testing.T) {
-			missed := &refusingUpdates{NewEngineShard("a", server.NewEngine(db, server.Config{}))}
-			applied := NewEngineShard("b", server.NewEngine(db, server.Config{}))
+			missed := &refusingUpdates{newEngineShard("a", server.NewEngine(db, server.Config{}))}
+			applied := newEngineShard("b", server.NewEngine(db, server.Config{}))
 			reps := []Shard{missed, applied}
 			if !missedFirst {
 				reps = []Shard{applied, missed}
@@ -300,7 +300,7 @@ func partialFleet(t *testing.T, db *relation.DB, dead int) (*Coordinator, []*ser
 	shards := make([]Shard, 4)
 	for i, pdb := range dbs {
 		engines[i] = server.NewEngine(pdb, server.Config{})
-		shards[i] = NewEngineShard(fmt.Sprintf("shard-%d", i), engines[i])
+		shards[i] = newEngineShard(fmt.Sprintf("shard-%d", i), engines[i])
 	}
 	shards[dead] = &failingShard{name: fmt.Sprintf("shard-%d", dead)}
 	coord, err := New(routing, shards, Config{})
@@ -471,7 +471,7 @@ func TestStreamShardDeathCancelsSiblings(t *testing.T) {
 	}
 	shards := make([]Shard, 4)
 	for i, pdb := range dbs {
-		s := Shard(NewEngineShard(fmt.Sprintf("shard-%d", i), server.NewEngine(pdb, server.Config{})))
+		s := Shard(newEngineShard(fmt.Sprintf("shard-%d", i), server.NewEngine(pdb, server.Config{})))
 		if i == 1 {
 			s = &dyingStream{Shard: s, rows: 0}
 		}
@@ -586,8 +586,8 @@ func TestStreamMergeDeliversSparseRows(t *testing.T) {
 			ready++
 		}
 	}
-	stall := &stallingStream{Shard: NewEngineShard("shard-0", engines[0]), n: n, release: make(chan struct{})}
-	coord, err := New(routing, []Shard{stall, NewEngineShard("shard-1", engines[1])}, Config{})
+	stall := &stallingStream{Shard: newEngineShard("shard-0", engines[0]), n: n, release: make(chan struct{})}
+	coord, err := New(routing, []Shard{stall, newEngineShard("shard-1", engines[1])}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -344,9 +344,9 @@ func TestHTTPSurfaceConformance(t *testing.T) {
 	fleet := func(socket bool) (http.Handler, *faultyShard) {
 		shards := make([]Shard, 2)
 		faulty := &faultyShard{movingShard: newMovingShard(dbs[0], 2)}
-		shards[1] = NewEngineShard("shard-1", server.NewEngine(dbs[1], server.Config{}))
+		shards[1] = newEngineShard("shard-1", server.NewEngine(dbs[1], server.Config{}))
 		if socket {
-			for i, e := range []*server.Engine{faulty.engine, shards[1].(*EngineShard).Engine()} {
+			for i, e := range []*server.Engine{faulty.engine, shards[1].(*engineShard).e} {
 				srv := httptest.NewServer(server.NewHandler(e))
 				t.Cleanup(srv.Close)
 				shards[i] = NewClient(srv.URL, ClientConfig{Timeout: 10 * time.Second})

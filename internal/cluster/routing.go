@@ -1,8 +1,7 @@
 // Package cluster is the distributed scatter–gather serving tier over
 // the resident query engine: a partitioner that hash-splits a database
 // across N independent shard engines, a small shard protocol spoken
-// either in-process (EngineShard) or over the daemon's HTTP/JSON
-// surface (Client), and a Coordinator that fans queries out and merges
+// over the daemon's HTTP/JSON surface (Client), and a Coordinator that fans queries out and merges
 // the per-shard answers with single-engine semantics — counts and
 // aggregates merged exactly, eval samples and NDJSON streams merged in
 // root-key order so the combined output is byte-identical to one engine

@@ -82,7 +82,7 @@ func (p *Plan) EvalLimitCtx(ctx context.Context, policy Policy, limit int, emit 
 // "constitute a factorized representation that may be decomposed upon
 // need"). Cache hits link shared sub-sets, so heavily reused subtrees are
 // stored once; Set.Count() equals |q(D)| while Set.NumEntries() is often
-// far smaller. Decompress with ExpandFactorized.
+// far smaller.
 func (p *Plan) EvalFactorized(policy Policy) factorized.Set {
 	if p.inst.Empty() {
 		return nil
@@ -92,18 +92,6 @@ func (p *Plan) EvalFactorized(policy Policy) factorized.Set {
 	e.rjoin(0, 1)
 	e.finish()
 	return e.bags[p.root].set
-}
-
-// ExpandFactorized enumerates the tuples a factorized result produced by
-// EvalFactorized represents, invoking emit with assignments aligned with
-// Plan.Order (reused slice; copy to retain). Returning false stops.
-func (p *Plan) ExpandFactorized(s factorized.Set, emit func(mu []int64) bool) {
-	if len(s) == 0 {
-		return
-	}
-	e := newEvalExec(context.Background(), p, Policy{Disabled: true}, 0, p.counters, emit)
-	e.expandSet(p.root, s, func() bool { return emit(e.mu) })
-	e.finish()
 }
 
 // evalEntry is an eval cache's value: a bag's factorized subtree result

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"repro/internal/cq"
 	"repro/internal/dataset"
+	"repro/internal/factorized"
 	"repro/internal/naive"
 	"repro/internal/queries"
 	"repro/internal/relation"
@@ -32,6 +34,18 @@ func TestEvalFactorizedCountsMatch(t *testing.T) {
 	}
 }
 
+// expandFactorized enumerates the tuples a factorized result produced by
+// EvalFactorized represents, invoking emit with assignments aligned with
+// Plan.Order (reused slice; copy to retain). Returning false stops.
+func (p *Plan) expandFactorized(s factorized.Set, emit func(mu []int64) bool) {
+	if len(s) == 0 {
+		return
+	}
+	e := newEvalExec(context.Background(), p, Policy{Disabled: true}, 0, p.counters, emit)
+	e.expandSet(p.root, s, func() bool { return emit(e.mu) })
+	e.finish()
+}
+
 func TestEvalFactorizedExpansionMatchesNaive(t *testing.T) {
 	g := dataset.ErdosRenyi(20, 0.2, 52)
 	db := g.DB(false)
@@ -43,7 +57,7 @@ func TestEvalFactorizedExpansionMatchesNaive(t *testing.T) {
 	set := plan.EvalFactorized(Policy{})
 
 	var got [][]int64
-	plan.ExpandFactorized(set, func(mu []int64) bool {
+	plan.expandFactorized(set, func(mu []int64) bool {
 		got = append(got, append([]int64(nil), mu...))
 		return true
 	})
@@ -87,7 +101,7 @@ func TestEvalFactorizedEarlyStopExpansion(t *testing.T) {
 		t.Skip("result too small")
 	}
 	n := 0
-	plan.ExpandFactorized(set, func([]int64) bool {
+	plan.expandFactorized(set, func([]int64) bool {
 		n++
 		return n < 10
 	})

@@ -160,7 +160,7 @@ func TestPlanRebind(t *testing.T) {
 	// The guard is an edge both graphs have, so neither result is empty.
 	e1, _ := db1.Get("E")
 	e2, _ := db2.Get("E")
-	guard := e1.Intersect(e2).Tuple(0)
+	guard := e1.Subtract(e1.Subtract(e2)).Tuple(0)
 	q := cq.MustParse(fmt.Sprintf("E(x,y), E(y,z), E(x,z), E(3,w), E(w,y), E(%d,%d)", guard[0], guard[1]))
 	reg := trie.NewRegistry(0)
 

@@ -189,8 +189,8 @@ func TestIMDBCastShape(t *testing.T) {
 	}
 	// The paper's key property: person_id (col 0) much more skewed than
 	// movie_id (col 1).
-	pSkew := stats.ColumnSkew(male.Tuples(), 0)
-	mSkew := stats.ColumnSkew(male.Tuples(), 1)
+	pSkew := male.ColumnSkew(0)
+	mSkew := male.ColumnSkew(1)
 	if pSkew <= 1.5*mSkew {
 		t.Errorf("person skew %.2f not well above movie skew %.2f", pSkew, mSkew)
 	}

@@ -96,12 +96,14 @@ type Injector struct {
 
 	mu    sync.Mutex
 	rules []*rule
-	fired map[string]int64
 }
 
-// New returns an injector whose decisions derive from seed.
+// New returns an injector whose decisions derive from seed. Only tests
+// build one: this package's, the cluster chaos and fault-tolerance
+// tests (chaos_test.go, faulttolerance_test.go) and the server's
+// read-only tests (readonly_test.go); production code passes nil.
 func New(seed uint64) *Injector {
-	return &Injector{seed: seed, fired: make(map[string]int64)}
+	return &Injector{seed: seed}
 }
 
 // Seed returns the injector's seed (printed by failing chaos runs).
@@ -165,7 +167,6 @@ func (in *Injector) Fire(site string) *Outcome {
 		return nil
 	}
 	hit.fires++
-	in.fired[site]++
 	err := hit.Err
 	if err == nil {
 		err = fmt.Errorf("faults: injected %s at %s", hit.Kind, site)
@@ -207,21 +208,6 @@ func (in *Injector) WriteLen(site string, full int) (int, error) {
 	default:
 		return 0, o.Err
 	}
-}
-
-// Fires snapshots how many faults have fired per site — the soak test's
-// evidence that a schedule actually exercised its sites.
-func (in *Injector) Fires() map[string]int64 {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[string]int64, len(in.fired))
-	for site, n := range in.fired {
-		out[site] = n
-	}
-	return out
 }
 
 // matchSite matches a '/'-separated glob against a site: "*" matches

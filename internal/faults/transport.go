@@ -12,7 +12,9 @@ import (
 // from the request path ("query", "stream", "update", "stats",
 // "healthz", or "other"): streamed and buffered queries are separate
 // classes so a schedule can cut streams mid-body without also dropping
-// the cheap preflight probes.
+// the cheap preflight probes. Only tests install one: this package's
+// and the cluster chaos and fault-tolerance tests (chaos_test.go,
+// faulttolerance_test.go), through ClientConfig.Transport.
 type Transport struct {
 	// Base performs the real round trips (http.DefaultTransport when nil).
 	Base http.RoundTripper

@@ -29,15 +29,6 @@ func New(n int) *Undirected {
 	return g
 }
 
-// FromEdges builds a graph on n nodes with the given edges.
-func FromEdges(n int, edges [][2]int) *Undirected {
-	g := New(n)
-	for _, e := range edges {
-		g.AddEdge(e[0], e[1])
-	}
-	return g
-}
-
 // N returns the number of nodes.
 func (g *Undirected) N() int { return g.n }
 
@@ -71,9 +62,6 @@ func (g *Undirected) Neighbors(u int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// Degree returns the degree of u.
-func (g *Undirected) Degree(u int) int { return len(g.adj[u]) }
 
 // Edges returns all edges {u,v} with u<v, sorted.
 func (g *Undirected) Edges() [][2]int {
@@ -130,12 +118,6 @@ func (g *Undirected) Without(s []int) (sub *Undirected, origOf []int) {
 	return g.Induced(keep)
 }
 
-// Components returns the connected components of g, each sorted, ordered
-// by smallest member.
-func (g *Undirected) Components() [][]int {
-	return g.ComponentsAvoiding(nil)
-}
-
 // ComponentsAvoiding returns the connected components of g - removed.
 // Nodes in removed appear in no component.
 func (g *Undirected) ComponentsAvoiding(removed []int) [][]int {
@@ -169,28 +151,9 @@ func (g *Undirected) ComponentsAvoiding(removed []int) [][]int {
 	return comps
 }
 
-// IsConnected reports whether g is connected (true for the empty and
-// single-node graphs).
-func (g *Undirected) IsConnected() bool {
-	return len(g.Components()) <= 1
-}
-
 // IsSeparator reports whether removing S disconnects g.
 func (g *Undirected) IsSeparator(s []int) bool {
 	return len(g.ComponentsAvoiding(s)) >= 2
-}
-
-// Clone returns a deep copy of g.
-func (g *Undirected) Clone() *Undirected {
-	h := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
-			if u < v {
-				h.AddEdge(u, v)
-			}
-		}
-	}
-	return h
 }
 
 func uniqueSorted(xs []int) []int {

@@ -59,9 +59,9 @@ func TestConstAtomsEmbedShared(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.query, err)
 		}
-		if len(inst.Legs()) != tc.legs || len(inst.Embedded()) != tc.shared {
+		if len(inst.atoms) != tc.legs || len(inst.Embedded()) != tc.shared {
 			t.Fatalf("%s: %d legs, %d of them shared; want %d and %d",
-				tc.query, len(inst.Legs()), len(inst.Embedded()), tc.legs, tc.shared)
+				tc.query, len(inst.atoms), len(inst.Embedded()), tc.legs, tc.shared)
 		}
 		for i, emb := range inst.Embedded() {
 			if rel, _ := db.Get(q.Atoms[i].Rel); emb.Rel != rel || emb.Perm != tc.sigs[i] {

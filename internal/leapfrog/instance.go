@@ -429,9 +429,6 @@ func (in *Instance) Empty() bool { return in.empty }
 // modify it.
 func (in *Instance) Embedded() []SourceEntry { return in.embedded }
 
-// Legs returns the atom legs (for engines layered on the instance).
-func (in *Instance) Legs() []AtomLeg { return in.atoms }
-
 // EstimateOrderCost approximates the cost model of Chu et al. [7] for the
 // instance's variable ordering: the total number of partial assignments
 // explored, estimated from trie fanouts. For each depth the expected

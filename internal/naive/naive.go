@@ -80,7 +80,9 @@ func Eval(q *cq.Query, db *relation.DB) ([][]int64, error) {
 	return out, nil
 }
 
-// Count returns |q(D)|.
+// Count returns |q(D)|. Only tests call it: it is the reference count
+// the root package's and the core, genericjoin, leapfrog, pairwise,
+// server, td and yannakakis tests hold the engines to.
 func Count(q *cq.Query, db *relation.DB) (int64, error) {
 	tuples, err := Eval(q, db)
 	if err != nil {

@@ -19,21 +19,3 @@ func Key(vals []int64) string {
 	}
 	return string(buf)
 }
-
-// DecodeKey inverts Key given the number of values.
-func DecodeKey(key string, n int) []int64 {
-	vals := make([]int64, n)
-	for i := 0; i < n; i++ {
-		off := 8 * i
-		u := uint64(key[off+0]) |
-			uint64(key[off+1])<<8 |
-			uint64(key[off+2])<<16 |
-			uint64(key[off+3])<<24 |
-			uint64(key[off+4])<<32 |
-			uint64(key[off+5])<<40 |
-			uint64(key[off+6])<<48 |
-			uint64(key[off+7])<<56
-		vals[i] = int64(u)
-	}
-	return vals
-}

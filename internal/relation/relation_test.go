@@ -125,6 +125,20 @@ func TestSelect(t *testing.T) {
 	}
 }
 
+// plainSkew is the skew coefficient of column col's value frequencies,
+// counted over a copy of r's tuples.
+func plainSkew(r *Relation, col int) float64 {
+	counts := map[int64]int{}
+	for _, tup := range r.Tuples() {
+		counts[tup[col]]++
+	}
+	freqs := make([]int, 0, len(counts))
+	for _, n := range counts {
+		freqs = append(freqs, n)
+	}
+	return stats.SkewCoefficient(freqs)
+}
+
 // TestColumnSkewMemo holds the memoized per-column skew to the plain
 // computation over a copy of the tuples, from several goroutines at once
 // (the planner's callers share one immutable relation).
@@ -136,7 +150,7 @@ func TestColumnSkewMemo(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for col := 0; col < 2; col++ {
-				if got, want := r.ColumnSkew(col), stats.ColumnSkew(r.Tuples(), col); got != want {
+				if got, want := r.ColumnSkew(col), plainSkew(r, col); got != want {
 					t.Errorf("column %d: memoized skew %v, computed %v", col, got, want)
 				}
 			}
@@ -169,9 +183,27 @@ func TestRenameSharesData(t *testing.T) {
 	}
 }
 
+// decodeKey inverts Key given the number of values.
+func decodeKey(key string, n int) []int64 {
+	vals := make([]int64, n)
+	for i := 0; i < n; i++ {
+		off := 8 * i
+		u := uint64(key[off+0]) |
+			uint64(key[off+1])<<8 |
+			uint64(key[off+2])<<16 |
+			uint64(key[off+3])<<24 |
+			uint64(key[off+4])<<32 |
+			uint64(key[off+5])<<40 |
+			uint64(key[off+6])<<48 |
+			uint64(key[off+7])<<56
+		vals[i] = int64(u)
+	}
+	return vals
+}
+
 func TestKeyRoundTrip(t *testing.T) {
 	f := func(vals []int64) bool {
-		got := DecodeKey(Key(vals), len(vals))
+		got := decodeKey(Key(vals), len(vals))
 		return reflect.DeepEqual(got, vals) || (len(vals) == 0 && len(got) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -218,30 +218,3 @@ func (r *Relation) Subtract(o *Relation) *Relation {
 	out = append(out, r.data[i*k:]...)
 	return &Relation{name: r.name, arity: k, data: out}
 }
-
-// Intersect returns the tuples present in both r and o (same arity;
-// linear merge). The receiver's name is kept.
-func (r *Relation) Intersect(o *Relation) *Relation {
-	if r.arity != o.arity {
-		panic(fmt.Sprintf("relation %s: intersect with arity %d, want %d", r.name, o.arity, r.arity))
-	}
-	if r.Len() == 0 || o.Len() == 0 {
-		return &Relation{name: r.name, arity: r.arity}
-	}
-	out := make([]int64, 0)
-	i, n := 0, r.Len()
-	oi, on := 0, o.Len()
-	for i < n && oi < on {
-		switch CompareTuples(r.Tuple(i), o.Tuple(oi)) {
-		case -1:
-			i++
-		case 1:
-			oi++
-		default:
-			out = append(out, r.Tuple(i)...)
-			i++
-			oi++
-		}
-	}
-	return &Relation{name: r.name, arity: r.arity, data: out}
-}

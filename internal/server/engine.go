@@ -396,31 +396,6 @@ func (e *Engine) snapshotFor(names []string) (*relation.DB, []uint64, uint64) {
 	return e.db, vec, e.epochs.enter()
 }
 
-// VersionNumbers returns the current version number of each named
-// relation (unknown names are omitted), atomically with respect to
-// Update's install step. A distributed coordinator asks once per shard
-// it knows nothing about; from then on it sends the vector it expects
-// with each query (Request.IfVersions) and learns of a move from the
-// refusal. With names == nil, every relation's version is returned.
-func (e *Engine) VersionNumbers(names []string) map[string]uint64 {
-	e.verMu.Lock()
-	defer e.verMu.Unlock()
-	if names == nil {
-		nums := make(map[string]uint64, len(e.versions))
-		for name, v := range e.versions {
-			nums[name] = v.Num
-		}
-		return nums
-	}
-	nums := make(map[string]uint64, len(names))
-	for _, name := range names {
-		if v, ok := e.versions[name]; ok {
-			nums[name] = v.Num
-		}
-	}
-	return nums
-}
-
 // finish exits the query's epoch and releases any superseded versions
 // whose pins drained with it.
 func (e *Engine) finish(ep uint64) {

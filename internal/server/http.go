@@ -231,11 +231,6 @@ func (b *Backend) status(err error) int {
 	return http.StatusBadRequest
 }
 
-// ErrorStatus is the status an engine's own handler answers err with —
-// what an in-process caller standing in for a socket client (a cluster
-// coordinator over in-process shards) must see in its place.
-func ErrorStatus(err error) int { return new(Backend).status(err) }
-
 // decodeInto reads a bounded JSON body — one value, unknown fields and
 // trailing bytes refused — into v, answering the error itself and
 // reporting whether the handler should continue.

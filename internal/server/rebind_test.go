@@ -193,7 +193,7 @@ func TestSupersededReaderKeepsItsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := stmt.CountCtx(context.Background())
+	before, err := stmt.countCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSupersededReaderKeepsItsSnapshot(t *testing.T) {
 		if rebinder {
 			// The newer reader has stored its binding; without it the
 			// entry is merely unbound, with the update's vector as floor.
-			if n, err := stmt.CountCtx(context.Background()); err != nil || n != before+1 {
+			if n, err := stmt.countCtx(context.Background()); err != nil || n != before+1 {
 				t.Fatalf("reader after the update: %d, %v; want %d", n, err, before+1)
 			}
 		}
@@ -255,7 +255,7 @@ func TestRebindStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := stmt.CountCtx(context.Background())
+	base, err := stmt.countCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestRebindStorm(t *testing.T) {
 	if s.Updates != updates || rebounds == 0 || s.Plans.Rebinds < rebounds {
 		t.Fatalf("storm exercised too little: %d updates, %d re-bound responses of %d, plans %v", s.Updates, rebounds, reads, s.Plans)
 	}
-	got, err := stmt.CountCtx(context.Background())
+	got, err := stmt.countCtx(context.Background())
 	if want := seqCount(t, e.DB(), query); err != nil || got != want || got != base+updates {
 		t.Fatalf("after the storm: engine %d (%v), fresh sequential run %d, want %d", got, err, want, base+updates)
 	}

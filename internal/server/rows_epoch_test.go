@@ -22,7 +22,7 @@ func TestRowsPinsOneEpoch(t *testing.T) {
 	}
 	defer stmt.Close()
 
-	want, err := stmt.CountCtx(context.Background())
+	want, err := stmt.countCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

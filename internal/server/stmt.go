@@ -174,16 +174,6 @@ func (s *Stmt) Do(ctx context.Context, over Request) (*Response, error) {
 	return s.exec(ctx, s.merge(over))
 }
 
-// CountCtx counts |q(D)| at the engine's current snapshot under the
-// statement's default policy.
-func (s *Stmt) CountCtx(ctx context.Context) (int64, error) {
-	resp, err := s.Do(ctx, Request{Mode: "count"})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Count, nil
-}
-
 // Rows streams the result set one assignment at a time, aligned with
 // the plan's variable order (each yielded slice is a fresh copy the
 // consumer may retain). Unlike eval-mode Do, nothing is buffered and no

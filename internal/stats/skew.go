@@ -2,21 +2,6 @@ package stats
 
 import "sort"
 
-// Frequencies returns the multiset of occurrence counts of the values in
-// column col (0-based) of the given tuples, sorted descending.
-func Frequencies(tuples [][]int64, col int) []int {
-	counts := make(map[int64]int)
-	for _, t := range tuples {
-		counts[t[col]]++
-	}
-	freqs := make([]int, 0, len(counts))
-	for _, n := range counts {
-		freqs = append(freqs, n)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(freqs)))
-	return freqs
-}
-
 // SkewCoefficient measures how skewed a frequency distribution is as the
 // ratio between the mean of the top decile and the overall mean. A uniform
 // column yields ~1; heavy-tailed columns yield large values. The paper
@@ -47,9 +32,4 @@ func SkewCoefficient(freqs []int) float64 {
 		return 0
 	}
 	return meanTop / mean
-}
-
-// ColumnSkew computes SkewCoefficient directly for a tuple column.
-func ColumnSkew(tuples [][]int64, col int) float64 {
-	return SkewCoefficient(Frequencies(tuples, col))
 }

@@ -105,9 +105,6 @@ func Open(dir string) (*DB, error) {
 	}, nil
 }
 
-// Dir returns the managed data directory.
-func (db *DB) Dir() string { return db.dir }
-
 // SetFaults installs a fault injector over the DB's file operations
 // (WAL appends and fsyncs, snapshot writes/syncs/renames). Call it
 // before attaching relations; a nil injector (the default) is inert.

@@ -236,12 +236,3 @@ func (w *wal) close() error {
 	w.f = nil
 	return err
 }
-
-// sizeBytes reports the current log size (header + records).
-func (w *wal) sizeBytes() int64 {
-	st, err := w.f.Stat()
-	if err != nil {
-		return 0
-	}
-	return st.Size()
-}

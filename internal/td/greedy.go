@@ -98,22 +98,6 @@ func GreedyRanks(q *cq.Query) []GreedyRank {
 	return ranks
 }
 
-// GreedyOrder returns the greedy variable order of q (variable indices,
-// best first): rank every variable with GreedyRanks and sort. The whole
-// computation is O(vars·atoms + vars·log vars) and touches no data —
-// this is the planning-cost contrast to the probe-based cost model.
-func GreedyOrder(q *cq.Query) []int {
-	ranks := GreedyRanks(q)
-	order := make([]int, len(ranks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return ranks[order[a]].Less(ranks[order[b]])
-	})
-	return order
-}
-
 // SelectGreedy picks a TD of q without any data-dependent cost
 // evaluation — and without the §4.2 separator-driven candidate search,
 // which dominates planning time once probes are gone. It considers

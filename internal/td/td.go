@@ -316,29 +316,6 @@ func (t *TD) StronglyCompatible(order []int) bool {
 	return true
 }
 
-// Compatible reports whether t is compatible with the ordering: whenever
-// owner(x_i) is the parent of owner(x_j), i < j (§2.3, after [10]).
-func (t *TD) Compatible(order []int) bool {
-	numVars := len(order)
-	owner := t.Owners(numVars)
-	pos := make([]int, numVars)
-	for i, x := range order {
-		pos[x] = i
-	}
-	for xi := 0; xi < numVars; xi++ {
-		for xj := 0; xj < numVars; xj++ {
-			oi, oj := owner[xi], owner[xj]
-			if oi == -1 || oj == -1 {
-				continue
-			}
-			if t.Parent[oj] == oi && pos[xi] >= pos[xj] && xi != xj {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // EliminateRedundancy removes bags contained in an adjacent bag,
 // reattaching their children (§4.1 closing remark). The result is a valid
 // TD of the same query with no bag contained in a neighbor.

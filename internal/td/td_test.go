@@ -59,6 +59,29 @@ func TestPreorderAndAdhesions(t *testing.T) {
 	}
 }
 
+// compatible reports whether t is compatible with the ordering: whenever
+// owner(x_i) is the parent of owner(x_j), i < j (§2.3, after [10]).
+func (t *TD) compatible(order []int) bool {
+	numVars := len(order)
+	owner := t.Owners(numVars)
+	pos := make([]int, numVars)
+	for i, x := range order {
+		pos[x] = i
+	}
+	for xi := 0; xi < numVars; xi++ {
+		for xj := 0; xj < numVars; xj++ {
+			oi, oj := owner[xi], owner[xj]
+			if oi == -1 || oj == -1 {
+				continue
+			}
+			if t.Parent[oj] == oi && pos[xi] >= pos[xj] && xi != xj {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestOwnersAndCompatibleOrder(t *testing.T) {
 	tree := fig3TD()
 	owners := tree.Owners(6)
@@ -72,7 +95,7 @@ func TestOwnersAndCompatibleOrder(t *testing.T) {
 	if !tree.StronglyCompatible(order) {
 		t.Fatal("derived order not strongly compatible")
 	}
-	if !tree.Compatible(order) {
+	if !tree.compatible(order) {
 		t.Fatal("derived order not compatible")
 	}
 }
@@ -87,7 +110,7 @@ func TestStrongCompatibilityStricterThanCompatibility(t *testing.T) {
 	if tree.StronglyCompatible(order) {
 		t.Fatal("order 0,2,1 should violate strong compatibility (owner(1) ≺pre owner(2))")
 	}
-	if !tree.Compatible(order) {
+	if !tree.compatible(order) {
 		t.Fatal("order 0,2,1 should still be (weakly) compatible")
 	}
 }

@@ -346,17 +346,6 @@ func (e *Engine) Eval(emit func(tuple []int64) bool) {
 	}
 }
 
-// BagSizes returns the materialized (post-reduction) bag cardinalities —
-// the intermediate-result footprint the paper contrasts with CLFTJ's
-// bounded caches.
-func (e *Engine) BagSizes() []int {
-	out := make([]int, len(e.bags))
-	for i, b := range e.bags {
-		out[i] = len(b)
-	}
-	return out
-}
-
 // Count runs YTD count over q with an automatically selected TD.
 func Count(q *cq.Query, db *relation.DB, tree *td.TD, counters *stats.Counters) (int64, error) {
 	e, err := New(q, db, tree, counters)

@@ -115,8 +115,7 @@ func TestYTDCountsAccesses(t *testing.T) {
 	if c.Total() == 0 {
 		t.Error("YTD performed no counted memory accesses")
 	}
-	sizes := e.BagSizes()
-	if len(sizes) != e.tree.N() {
-		t.Errorf("BagSizes length %d, want %d", len(sizes), e.tree.N())
+	if len(e.bags) != e.tree.N() {
+		t.Errorf("%d bags materialized, want %d", len(e.bags), e.tree.N())
 	}
 }
