@@ -40,6 +40,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // counts the first part's lines but its interface methods, which the
 // header counts apart.
 //
+// A type alias makes the methods of the type it names part of its
+// package's surface, so each is listed under the alias's package too.
+//
 // A func, method or type of an internal/ package that no non-test file
 // of the module, nested modules included, references outside its own
 // declaration ends in " # tests only": code that only tests call
@@ -68,9 +71,10 @@ func TestAPISurfaceGolden(t *testing.T) {
 // TestTestsOnlyMarker pins what counts as a reference: a declaration's
 // own name, its recursion and its methods' receivers do not; a bare or
 // qualified use, a selected method name and a type named in another
-// declaration do. The root package and Unwrap are never marked.
+// declaration do. The root package, the methods it aliases and Unwrap
+// are never marked.
 func TestTestsOnlyMarker(t *testing.T) {
-	s := surface{fset: token.NewFileSet(), names: map[string]string{}, refs: map[string]bool{}}
+	s := surface{fset: token.NewFileSet(), names: map[string]string{}, refs: map[string]bool{}, members: map[string][]string{}}
 	files := []struct{ pkg, src string }{
 		{"repro/internal/lib", `package lib
 type Used struct{ next *Used }
@@ -83,6 +87,8 @@ func NewUsed() *Used { Helper(); return nil }
 type E struct{}
 func (E) Unwrap() error { return nil }`},
 		{"repro", `package cltj
+import "repro/internal/lib"
+type Lonely = lib.Alone
 func Public() {}`},
 		{"repro/cmd/x", `package main
 import l "repro/internal/lib"
@@ -98,8 +104,9 @@ func main() { l.NewUsed().Called() }`},
 			s.decls(f.pkg, file)
 		}
 	}
+	lines := s.nameLines()
 	var marked []string
-	for l := range s.nameLines() {
+	for l := range lines {
 		if strings.HasSuffix(l, " # tests only") {
 			marked = append(marked, l)
 		}
@@ -108,11 +115,13 @@ func main() { l.NewUsed().Called() }`},
 	want := []string{
 		"repro/internal/lib: func Rec(n int) int # tests only",
 		"repro/internal/lib: method (*Alone) Walk() # tests only",
-		"repro/internal/lib: type Alone struct # tests only",
 		"repro/internal/lib: type E struct # tests only",
 	}
 	if !reflect.DeepEqual(marked, want) {
 		t.Errorf("marked:\n%s\nwant:\n%s", strings.Join(marked, "\n"), strings.Join(want, "\n"))
+	}
+	if !lines["repro: method (*Lonely) Walk()"] {
+		t.Error("the root alias of lib.Alone does not list its method Walk")
 	}
 }
 
@@ -126,7 +135,15 @@ type surface struct {
 	names map[string]string
 	// refs holds the keys that non-test code references.
 	refs map[string]bool
+	// members maps "path.Type" to its method lines, and aliases lists
+	// the surface's type aliases, whose lines nameLines adds.
+	members map[string][]string
+	aliases []alias
 }
+
+// alias is a type alias on the surface: pkg's type name names the type
+// typ of package target.
+type alias struct{ pkg, name, target, typ string }
 
 // apiSurface renders the surface of the module rooted at the working
 // directory.
@@ -139,6 +156,8 @@ func apiSurface(t *testing.T) []byte {
 		json:  map[string]bool{},
 		envs:  map[string]bool{},
 		refs:  map[string]bool{},
+
+		members: map[string][]string{},
 	}
 	nested := "" // the nested module being walked, whose code only counts as references
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -162,20 +181,21 @@ func apiSurface(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	names := s.nameLines()
 	iface := 0
-	for l := range s.names {
+	for l := range names {
 		if _, decl, _ := strings.Cut(l, ": "); strings.HasPrefix(decl, "method ") && !strings.HasPrefix(decl, "method (") {
 			iface++
 		}
 	}
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "# Exported surface of module repro, read from the source by TestAPISurfaceGolden.\n")
-	fmt.Fprintf(&b, "# exported names (non-main packages, methods and struct fields of exported types): %d\n", len(s.names)-iface)
+	fmt.Fprintf(&b, "# exported names (non-main packages, methods and struct fields of exported types): %d\n", len(names)-iface)
 	fmt.Fprintf(&b, "# interface methods of exported types (not in the names above): %d\n", iface)
 	fmt.Fprintf(&b, "# command flags: %d\n", len(s.flags))
 	fmt.Fprintf(&b, "# JSON fields: %d\n", len(s.json))
 	fmt.Fprintf(&b, "# environment variables read: %d\n", len(s.envs))
-	for _, part := range []map[string]bool{s.nameLines(), s.flags, s.json, s.envs} {
+	for _, part := range []map[string]bool{names, s.flags, s.json, s.envs} {
 		lines := make([]string, 0, len(part))
 		for l := range part {
 			lines = append(lines, l)
@@ -190,7 +210,8 @@ func apiSurface(t *testing.T) []byte {
 }
 
 // nameLines is the exported-name part, each line whose identifier only
-// tests reference marked.
+// tests reference marked, and the method lines of every aliased type
+// repeated under the alias, never marked.
 func (s *surface) nameLines() map[string]bool {
 	lines := make(map[string]bool, len(s.names))
 	for l, key := range s.names {
@@ -198,6 +219,12 @@ func (s *surface) nameLines() map[string]bool {
 			l += " # tests only"
 		}
 		lines[l] = true
+	}
+	for _, a := range s.aliases {
+		for _, m := range s.members[a.target+"."+a.typ] {
+			// The type's first mention in a method line is its receiver.
+			lines[a.pkg+": "+strings.Replace(m, a.typ, a.name, 1)] = true
+		}
 	}
 	return lines
 }
@@ -255,6 +282,7 @@ func (s *surface) decls(pkg string, f *ast.File) {
 		return key
 	}
 	add := func(key, format string, args ...any) { s.names[pkg+": "+fmt.Sprintf(format, args...)] = key }
+	imports := importsOf(f)
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
@@ -267,8 +295,10 @@ func (s *surface) decls(pkg string, f *ast.File) {
 				continue
 			}
 			recv := d.Recv.List[0].Type
-			if recvName(recv).IsExported() {
-				add(marked("."+d.Name.Name, d.Name.Name), "method (%s) %s%s", s.expr(recv), d.Name.Name, sig)
+			if typ := recvName(recv); typ.IsExported() {
+				line := fmt.Sprintf("method (%s) %s%s", s.expr(recv), d.Name.Name, sig)
+				add(marked("."+d.Name.Name, d.Name.Name), "%s", line)
+				s.members[pkg+"."+typ.Name] = append(s.members[pkg+"."+typ.Name], line)
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
@@ -288,16 +318,32 @@ func (s *surface) decls(pkg string, f *ast.File) {
 					if !sp.Name.IsExported() {
 						continue
 					}
-					s.typeSpec(sp, marked(pkg+"."+sp.Name.Name, sp.Name.Name), add)
+					s.typeSpec(pkg, sp, marked(pkg+"."+sp.Name.Name, sp.Name.Name), add)
+					if sp.Assign.IsValid() {
+						s.alias(pkg, sp.Name.Name, imports, sp.Type)
+					}
 				}
 			}
 		}
 	}
 }
 
-// typeSpec adds an exported type, whose line has the refs key given,
-// and its exported fields or interface methods.
-func (s *surface) typeSpec(sp *ast.TypeSpec, key string, add func(string, string, ...any)) {
+// alias records the type alias name = e of package pkg when e names a
+// type of a package the file imports.
+func (s *surface) alias(pkg, name string, imports map[string]string, e ast.Expr) {
+	if ix, ok := e.(*ast.IndexExpr); ok {
+		e = ix.X
+	}
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		if id, ok := sel.X.(*ast.Ident); ok && imports[id.Name] != "" {
+			s.aliases = append(s.aliases, alias{pkg, name, imports[id.Name], sel.Sel.Name})
+		}
+	}
+}
+
+// typeSpec adds an exported type of package pkg, whose line has the
+// refs key given, and its exported fields or interface methods.
+func (s *surface) typeSpec(pkg string, sp *ast.TypeSpec, key string, add func(string, string, ...any)) {
 	name := sp.Name.Name
 	if sp.TypeParams != nil {
 		name += s.expr(sp.TypeParams)
@@ -317,7 +363,9 @@ func (s *surface) typeSpec(sp *ast.TypeSpec, key string, add func(string, string
 		for _, m := range ty.Methods.List {
 			for _, n := range fieldNames(m) {
 				if n.IsExported() {
-					add("", "method %s.%s%s", sp.Name.Name, n.Name, strings.TrimPrefix(s.expr(m.Type), "func"))
+					line := fmt.Sprintf("method %s.%s%s", sp.Name.Name, n.Name, strings.TrimPrefix(s.expr(m.Type), "func"))
+					add("", "%s", line)
+					s.members[pkg+"."+sp.Name.Name] = append(s.members[pkg+"."+sp.Name.Name], line)
 				}
 			}
 		}
@@ -338,15 +386,7 @@ func (s *surface) typeSpec(sp *ast.TypeSpec, key string, add func(string, string
 // declaration makes to itself (recursion, a type's own fields, a
 // method's receiver type) do not count.
 func (s *surface) refsOf(pkg string, f *ast.File) {
-	imports := map[string]string{}
-	for _, im := range f.Imports {
-		p, _ := strconv.Unquote(im.Path.Value)
-		name := path.Base(p)
-		if im.Name != nil {
-			name = im.Name.Name
-		}
-		imports[name] = p
-	}
+	imports := importsOf(f)
 	var self, recv, method string // the declaration being read
 	var visit func(n ast.Node) bool
 	visit = func(n ast.Node) bool {
@@ -409,6 +449,20 @@ func (s *surface) refsOf(pkg string, f *ast.File) {
 			}
 		}
 	}
+}
+
+// importsOf maps the names a file imports packages under to their paths.
+func importsOf(f *ast.File) map[string]string {
+	imports := map[string]string{}
+	for _, im := range f.Imports {
+		p, _ := strconv.Unquote(im.Path.Value)
+		name := path.Base(p)
+		if im.Name != nil {
+			name = im.Name.Name
+		}
+		imports[name] = p
+	}
+	return imports
 }
 
 // fieldNames is a field's names, or its type's name when embedded.

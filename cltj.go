@@ -234,26 +234,11 @@ func (o Options) policy() Policy {
 	return pol
 }
 
-// buildWorkersOf maps the facade's Workers knob (0: one per core) to
-// the builders' convention (0/1: sequential; < 0: one per core).
-func buildWorkersOf(workers int) int {
-	if workers == 0 {
-		return -1
-	}
-	return workers
-}
-
 // NewPlan compiles a CLFTJ plan per the options (automatic TD selection
-// by the greedy serving planner when opts.TD is nil). Options.Workers
-// also bounds the goroutines each private trie build may use during
-// compilation (0: one per core).
+// by the greedy serving planner when opts.TD is nil).
 func NewPlan(q *Query, db *DB, opts Options) (*Plan, error) {
 	if opts.TD == nil {
-		return core.AutoPlan(q, db, core.AutoOptions{
-			Counters:     opts.Counters,
-			Tries:        opts.Tries,
-			BuildWorkers: buildWorkersOf(opts.Workers),
-		})
+		return core.AutoPlan(q, db, core.AutoOptions{Counters: opts.Counters, Tries: opts.Tries})
 	}
 	order := opts.Order
 	if order == nil {

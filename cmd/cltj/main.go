@@ -95,6 +95,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *workersFlag < 0 {
+		fmt.Fprintf(stderr, "invalid value %d for flag -workers: negative\n", *workersFlag)
+		fs.Usage()
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "cltj:", err)
 		return 1

@@ -124,6 +124,13 @@ func TestCLIBadFlag(t *testing.T) {
 	if got := run([]string{"-no-such-flag"}, &stdout, &stderr); got != 2 {
 		t.Fatalf("exit = %d, want 2", got)
 	}
+	stderr.Reset()
+	if got := run([]string{"-workers", "-1"}, &stdout, &stderr); got != 2 {
+		t.Fatalf("-workers -1: exit = %d, want 2", got)
+	}
+	if want := "flag -workers"; !bytes.Contains(stderr.Bytes(), []byte(want)) {
+		t.Fatalf("-workers -1: stderr %q missing %q", &stderr, want)
+	}
 }
 
 func TestCLITimeout(t *testing.T) {

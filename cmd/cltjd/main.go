@@ -121,6 +121,11 @@ func main() {
 	shardTimeoutFlag := flag.Duration("shard-timeout", cluster.DefaultShardTimeout, "coordinator mode: per-shard request timeout for buffered operations")
 	hedgeFlag := flag.Duration("hedge", 0, "coordinator mode: launch a buffered read on the next replica after this delay without an answer (0 = no hedging; only replica groups hedge)")
 	flag.Parse()
+	if *workersFlag < 0 {
+		fmt.Fprintf(os.Stderr, "invalid value %d for flag -workers: negative\n", *workersFlag)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *coordFlag && *shardFlag != "" {
 		log.Fatalln("cltjd: -coordinator and -shard are mutually exclusive (a coordinator serves no data)")
 	}

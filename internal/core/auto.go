@@ -18,9 +18,8 @@ type AutoOptions struct {
 	// final plan draws its indices from, so a long-lived engine compiles
 	// repeated queries without a single trie build. May be nil.
 	Tries leapfrog.TrieSource
-	// BuildWorkers bounds the goroutines each private trie build of the
-	// final plan may use (0 or 1: sequential; < 0: one per core); see
-	// leapfrog.BuildOpts.Workers.
+	// BuildWorkers is ignored: a trie build sizes its own chunks
+	// (trie.Build), and selection reads no option.
 	BuildWorkers int
 }
 
@@ -32,11 +31,7 @@ func AutoPlan(q *cq.Query, db *relation.DB, opts AutoOptions) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPlan(q, db, tree, order, leapfrog.BuildOpts{
-		Counters: opts.Counters,
-		Tries:    opts.Tries,
-		Workers:  opts.BuildWorkers,
-	})
+	return newPlan(q, db, tree, order, leapfrog.BuildOpts{Counters: opts.Counters, Tries: opts.Tries})
 }
 
 // AutoSelect is the planning stage of AutoPlan alone: it returns the
@@ -90,8 +85,7 @@ func varNames(q *cq.Query, idx []int) []string {
 
 // varSkewFunc derives a per-variable skew coefficient from the database:
 // the maximum skew of any relation column the variable is matched
-// against. A column's skew is memoized on the relation itself, so only
-// the first plan over a relation version scans it.
+// against, each column scanned once per call.
 func varSkewFunc(q *cq.Query, db *relation.DB) func(int) float64 {
 	idx := q.VarIndex()
 	skews := make([]float64, len(idx))

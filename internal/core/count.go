@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"repro/internal/leapfrog"
 	"repro/internal/stats"
 )
 
@@ -70,7 +69,7 @@ func (p *Plan) count(ctx context.Context, policy Policy, cm *manager[int64]) (Co
 	} else {
 		totals := make([]int64, workers)
 		parts := make([]tally, workers)
-		leapfrog.RunSharded(workers, p.counters, func(i int, wc *stats.Counters) {
+		runSharded(workers, p.counters, func(i int, wc *stats.Counters) {
 			e := countExec{newFoldState(ctx, p, policy, nil, shard{keys, i, workers}, wc, int64(0))}
 			e.rjoin(0, 1)
 			totals[i], parts[i] = e.total, e.finish()

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"runtime"
+	"sync"
 
 	"repro/internal/leapfrog"
 	"repro/internal/stats"
@@ -52,8 +54,11 @@ type shard struct {
 // shards is the prologue of every fold: it fails on a dead ctx,
 // reports zero workers for an empty instance (the result is the
 // traversal's zero value), and otherwise resolves the worker knob
-// against the root domain (leapfrog.ShardDomain). One worker comes with
-// nil keys — the sequential scan, which never enumerates the root level.
+// (Policy.Workers; <= 0: one per core) against the root domain. One
+// worker comes with nil keys — the sequential scan, which never
+// enumerates the root level. More are clamped to the root keys, which
+// are enumerated once and charged to the plan's sink; a domain too small
+// to shard (one key or none) leaves one worker.
 func (p *Plan) shards(ctx context.Context, workers int) ([]int64, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -61,8 +66,56 @@ func (p *Plan) shards(ctx context.Context, workers int) ([]int64, int, error) {
 	if p.inst.Empty() {
 		return nil, 0, nil
 	}
-	keys, n := leapfrog.ShardDomain(p.inst, workers, p.counters)
-	return keys, n, nil
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers == 1 {
+		return nil, 1, nil
+	}
+	keys := rootKeys(p.inst, p.counters)
+	if workers = min(workers, len(keys)); workers <= 1 {
+		return nil, 1, nil
+	}
+	return keys, workers, nil
+}
+
+// rootKeys enumerates the matches of the join's first variable (the
+// intersection of the participating atoms' root trie levels), in
+// ascending order, charging the scan to c (may be nil). It is the shard
+// domain.
+func rootKeys(inst *leapfrog.Instance, c *stats.Counters) []int64 {
+	r := leapfrog.NewRunnerCounters(inst, c)
+	var keys []int64
+	for frog, ok := r.OpenDepth(0); ok; ok = frog.Next() {
+		keys = append(keys, frog.Key())
+	}
+	r.CloseDepth(0)
+	r.Release()
+	return keys
+}
+
+// runSharded runs body once per worker, each on its own goroutine, and
+// hands each a private Counters when sink is non-nil (nil: accounting
+// off, workers get nil). It waits for all of them and merges their
+// accounting into sink in worker order, so the totals are exact without
+// hot-path atomics.
+func runSharded(workers int, sink *stats.Counters, body func(w int, wc *stats.Counters)) {
+	ctrs := make([]*stats.Counters, workers)
+	if sink != nil {
+		for w := range ctrs {
+			ctrs[w] = &stats.Counters{}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body(w, ctrs[w])
+		}()
+	}
+	wg.Wait()
+	sink.Merge(ctrs...)
 }
 
 // worker is one executor's per-worker state, whichever traversal it

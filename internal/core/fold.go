@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"repro/internal/leapfrog"
 	"repro/internal/stats"
 )
 
@@ -148,7 +147,7 @@ func fold[T any](ctx context.Context, p *Plan, policy Policy, sr Semiring[T], w 
 	} else {
 		totals := make([]T, workers)
 		parts := make([]tally, workers)
-		leapfrog.RunSharded(workers, p.counters, func(i int, wc *stats.Counters) {
+		runSharded(workers, p.counters, func(i int, wc *stats.Counters) {
 			e := newFoldExec(ctx, p, policy, sr, w, nil, shard{keys, i, workers}, wc)
 			e.rjoin(0, sr.One)
 			totals[i], parts[i] = e.total, e.finish()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -231,38 +232,39 @@ func TestParallelAggregateMatchesSequential(t *testing.T) {
 // TestParallelWorkersOneIsSequential is the regression test that
 // Workers: 1 takes the sequential code path: the parallel entry points
 // must then produce exactly the sequential accounting — in particular no
-// root-domain prescan (which any sharded run performs) may appear.
+// root-domain prescan (which any sharded run performs) may appear. It
+// holds with caches in play and with none (LFTJ).
 func TestParallelWorkersOneIsSequential(t *testing.T) {
-	sh := parallelShapes()[3] // 5-cycle: multi-bag TD, caches in play
+	sh := parallelShapes()[3] // 5-cycle: multi-bag TD
 	var c stats.Counters
 	plan, err := AutoPlan(sh.q, sh.db, AutoOptions{Counters: &c})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, pol := range []Policy{{}, {Disabled: true}} {
+		c.Reset()
+		seq := plan.Count(pol)
+		seqCtrs := c
 
-	c.Reset()
-	seq := plan.Count(Policy{})
-	seqCtrs := c
+		pol.Workers = 1
+		c.Reset()
+		par := must(plan.CountParallelCtx(bg, pol))
+		if !reflect.DeepEqual(par, seq) {
+			t.Fatalf("%+v: CountParallelCtx = %+v, sequential = %+v", pol, par, seq)
+		}
+		if c != seqCtrs {
+			t.Errorf("%+v: CountParallelCtx accounting %+v differs from sequential %+v (parallel path taken?)", pol, c, seqCtrs)
+		}
 
-	c.Reset()
-	par := must(plan.CountParallelCtx(bg, Policy{Workers: 1}))
-	if !reflect.DeepEqual(par, seq) {
-		t.Fatalf("CountParallelCtx(Workers:1) = %+v, sequential = %+v", par, seq)
-	}
-	if c != seqCtrs {
-		t.Errorf("CountParallelCtx(Workers:1) accounting %+v differs from sequential %+v (parallel path taken?)", c, seqCtrs)
-	}
-
-	c.Reset()
-	plan.Count(Policy{})
-	seqCtrs = c
-	c.Reset()
-	par2 := must(plan.CountParallelCtx(bg, Policy{Workers: 2}))
-	if par2.Count != seq.Count {
-		t.Fatalf("CountParallelCtx(Workers:2) = %d, want %d", par2.Count, seq.Count)
-	}
-	if c == seqCtrs {
-		t.Errorf("CountParallelCtx(Workers:2) accounting identical to sequential; expected the root prescan to show up")
+		pol.Workers = 2
+		c.Reset()
+		par2 := must(plan.CountParallelCtx(bg, pol))
+		if par2.Count != seq.Count {
+			t.Fatalf("%+v: CountParallelCtx = %d, want %d", pol, par2.Count, seq.Count)
+		}
+		if c == seqCtrs {
+			t.Errorf("%+v: accounting identical to sequential; expected the root prescan to show up", pol)
+		}
 	}
 }
 
@@ -270,7 +272,8 @@ func TestParallelWorkersOneIsSequential(t *testing.T) {
 // merged after the join add up: the merged sink must equal the sum the
 // workers would report individually — verified indirectly by running the
 // same parallel execution twice and requiring identical accounting
-// (deterministic sharding) and a non-empty trie trace.
+// (deterministic sharding) and a non-empty trie trace, with caches in
+// play and with none (LFTJ).
 func TestParallelAccountingMergesExactly(t *testing.T) {
 	sh := parallelShapes()[5] // 4-clique
 	var c stats.Counters
@@ -278,18 +281,44 @@ func TestParallelAccountingMergesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := Policy{Workers: 4}
-	c.Reset()
-	must(plan.CountParallelCtx(bg, pol))
-	first := c
-	c.Reset()
-	must(plan.CountParallelCtx(bg, pol))
-	if c != first {
-		t.Errorf("parallel accounting not deterministic: %+v vs %+v", c, first)
+	for _, pol := range []Policy{{Workers: 4}, {Workers: 3, Disabled: true}} {
+		c.Reset()
+		must(plan.CountParallelCtx(bg, pol))
+		first := c
+		c.Reset()
+		must(plan.CountParallelCtx(bg, pol))
+		if c != first {
+			t.Errorf("%+v: parallel accounting not deterministic: %+v vs %+v", pol, c, first)
+		}
+		if c.TrieAccesses == 0 {
+			t.Errorf("%+v: parallel run accounted no trie accesses", pol)
+		}
 	}
-	if c.TrieAccesses == 0 {
-		t.Errorf("parallel run accounted no trie accesses")
+}
+
+// TestRootKeys pins the shard domain: the root keys are strictly
+// ascending, and the first variable of every result is one of them.
+func TestRootKeys(t *testing.T) {
+	q := queries.Path(3)
+	plan, err := AutoPlan(q, dataset.ErdosRenyi(20, 0.2, 3).DB(false), AutoOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	keys := rootKeys(plan.inst, nil)
+	if len(keys) == 0 {
+		t.Fatal("no root keys on a non-empty graph")
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i] <= keys[i-1] {
+			t.Fatalf("root keys not strictly ascending at %d: %v", i, keys)
+		}
+	}
+	plan.Eval(Policy{}, func(mu []int64) bool {
+		if _, found := slices.BinarySearch(keys, mu[0]); !found {
+			t.Fatalf("result root value %d missing from the root keys %v", mu[0], keys)
+		}
+		return true
+	})
 }
 
 // TestParallelRandomizedEquivalence is the quick-check twin of the core

@@ -7,13 +7,14 @@
 // The package does not execute LFTJ for the system. LFTJ is CLFTJ with
 // nothing cached (§3.2), so every LFTJ run that is timed, served or
 // reported is core's one-bag plan under a disabled cache policy, on
-// core's driver. What stays here is what that driver is made of — the
-// Runner, whose OpenDepth, OpenLeaf and CloseDepth hand out one
-// trie.Leapfrog per depth, and the shard primitives RootKeys,
-// ShardDomain, RunSharded and Canceler — plus the scalar reference: the
-// Frog, and Count and Eval on it — sequential, uncancellable, one
-// Key/Next step of Iterator calls per match, which every charge test
-// compares the kernel against and YTD's bag construction uses.
+// core's driver, which alone decides how a run is sharded. What stays
+// here is what that driver is made of — the Runner, whose OpenDepth,
+// OpenLeaf and CloseDepth hand out one trie.Leapfrog per depth, and the
+// Canceler — plus the scalar reference: the Frog, and Count and Eval on
+// it — sequential, uncancellable, one Key/Next step of Iterator calls
+// per match, which every charge test compares the kernel against and
+// YTD's bag construction uses. How a trie is built, chunking included,
+// is package trie's decision.
 package leapfrog
 
 import (
@@ -98,12 +99,6 @@ type BuildOpts struct {
 	Counters *stats.Counters
 	// Tries is an optional shared trie source (see BuildWith).
 	Tries TrieSource
-	// Workers bounds the goroutines trie construction may use per index
-	// (0 or 1: sequential; <0: one per core). Only the private builds
-	// performed by this compilation are affected (every atom without a
-	// source, atoms with a repeated variable with one) — a shared source
-	// applies its own build parallelism (trie.Registry.SetBuildWorkers).
-	Workers int
 }
 
 // Build compiles the query against db under the given variable order
@@ -322,10 +317,6 @@ func NewLayout(q *cq.Query, order []string) (*Layout, error) {
 // repeats none of the layout's work.
 func (l *Layout) Bind(db *relation.DB, opts BuildOpts) (*Instance, error) {
 	counters, tries := opts.Counters, opts.Tries
-	buildWorkers := opts.Workers
-	if buildWorkers == 0 {
-		buildWorkers = 1
-	}
 	inst := &Instance{
 		query:    l.query,
 		order:    l.order,
@@ -357,7 +348,7 @@ func (l *Layout) Bind(db *relation.DB, opts BuildOpts) (*Instance, error) {
 			if err != nil {
 				return nil, err
 			}
-			if tr, err = buildPrivate(derived, a.perm, counters, buildWorkers); err != nil {
+			if tr, err = buildPrivate(derived, a.perm, counters); err != nil {
 				return nil, err
 			}
 		} else {
@@ -367,7 +358,7 @@ func (l *Layout) Bind(db *relation.DB, opts BuildOpts) (*Instance, error) {
 				tr, err = tries.Trie(rel, a.perm, counters)
 				inst.embedded = append(inst.embedded, SourceEntry{Rel: rel, Perm: a.permSig})
 			} else {
-				tr, err = buildPrivate(rel, a.perm, counters, buildWorkers)
+				tr, err = buildPrivate(rel, a.perm, counters)
 			}
 			if err != nil {
 				return nil, err
@@ -385,12 +376,12 @@ func (l *Layout) Bind(db *relation.DB, opts BuildOpts) (*Instance, error) {
 }
 
 // buildPrivate indexes rel under perm for this instance alone.
-func buildPrivate(rel *relation.Relation, perm []int, c *stats.Counters, workers int) (*trie.Trie, error) {
+func buildPrivate(rel *relation.Relation, perm []int, c *stats.Counters) (*trie.Trie, error) {
 	permuted, err := rel.Permute(perm)
 	if err != nil {
 		return nil, err
 	}
-	return trie.BuildParallel(permuted, c, workers), nil
+	return trie.Build(permuted, c), nil
 }
 
 // DeriveAtomRelation applies the atom's constants and repeated-variable

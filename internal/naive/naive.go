@@ -24,10 +24,30 @@ func Eval(q *cq.Query, db *relation.DB) ([][]int64, error) {
 		}
 		rels[i] = r
 	}
+	// cols[ai][col] is the position in mu of atom ai's column col (-1: a
+	// constant), resolved once; newly[ai] is the buffer of variables
+	// atom ai's current tuple binds.
+	cols := make([][]int, len(q.Atoms))
+	newly := make([][]int, len(q.Atoms))
+	for ai, a := range q.Atoms {
+		cols[ai] = make([]int, len(a.Args))
+		for col, term := range a.Args {
+			cols[ai][col] = -1
+			if term.IsVar() {
+				cols[ai][col] = idx[term.Var]
+			}
+		}
+		newly[ai] = make([]int, 0, len(a.Args))
+	}
 	assigned := make([]bool, len(vars))
 	mu := make([]int64, len(vars))
 	seen := make(map[string]bool)
 	var out [][]int64
+	unbind := func(xs []int) {
+		for _, x := range xs {
+			assigned[x] = false
+		}
+	}
 
 	var rec func(ai int)
 	rec = func(ai int) {
@@ -39,40 +59,24 @@ func Eval(q *cq.Query, db *relation.DB) ([][]int64, error) {
 			}
 			return
 		}
-		atom := q.Atoms[ai]
-		rel := rels[ai]
+		args, rel, at := q.Atoms[ai].Args, rels[ai], cols[ai]
 	tuples:
 		for ti := 0; ti < rel.Len(); ti++ {
 			t := rel.Tuple(ti)
-			var newly []int
-			for col, term := range atom.Args {
-				if !term.IsVar() {
-					if t[col] != term.Const {
-						for _, x := range newly {
-							assigned[x] = false
-						}
-						continue tuples
-					}
-					continue
+			bound := newly[ai][:0]
+			for col, x := range at {
+				switch {
+				case x < 0 && t[col] != args[col].Const, x >= 0 && assigned[x] && mu[x] != t[col]:
+					unbind(bound)
+					continue tuples
+				case x >= 0 && !assigned[x]:
+					assigned[x] = true
+					mu[x] = t[col]
+					bound = append(bound, x)
 				}
-				x := idx[term.Var]
-				if assigned[x] {
-					if mu[x] != t[col] {
-						for _, y := range newly {
-							assigned[y] = false
-						}
-						continue tuples
-					}
-					continue
-				}
-				assigned[x] = true
-				mu[x] = t[col]
-				newly = append(newly, x)
 			}
 			rec(ai + 1)
-			for _, x := range newly {
-				assigned[x] = false
-			}
+			unbind(bound)
 		}
 	}
 	rec(0)

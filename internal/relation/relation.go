@@ -13,7 +13,6 @@ package relation
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/stats"
 )
@@ -25,10 +24,6 @@ type Relation struct {
 	name  string
 	arity int
 	data  []int64 // len(data) == arity * Len()
-
-	// skew memoizes ColumnSkew per column (-1: not computed yet).
-	skewMu sync.Mutex
-	skew   []float64
 }
 
 // New builds a relation from the given tuples. Tuples are copied, sorted
@@ -112,30 +107,17 @@ func (r *Relation) Tuples() [][]int64 {
 }
 
 // ColumnSkew returns the skew coefficient (stats.SkewCoefficient) of the
-// value frequencies in column col. The relation is immutable, so the
-// number is a property of it: each column is scanned at most once, and
-// concurrent callers wait for that scan instead of repeating it.
+// value frequencies in column col, counted by one scan of the column.
 func (r *Relation) ColumnSkew(col int) float64 {
-	r.skewMu.Lock()
-	defer r.skewMu.Unlock()
-	if r.skew == nil {
-		r.skew = make([]float64, r.arity)
-		for i := range r.skew {
-			r.skew[i] = -1
-		}
+	counts := make(map[int64]int)
+	for i := col; i < len(r.data); i += r.arity {
+		counts[r.data[i]]++
 	}
-	if r.skew[col] < 0 {
-		counts := make(map[int64]int)
-		for i := col; i < len(r.data); i += r.arity {
-			counts[r.data[i]]++
-		}
-		freqs := make([]int, 0, len(counts))
-		for _, n := range counts {
-			freqs = append(freqs, n)
-		}
-		r.skew[col] = stats.SkewCoefficient(freqs)
+	freqs := make([]int, 0, len(counts))
+	for _, n := range counts {
+		freqs = append(freqs, n)
 	}
-	return r.skew[col]
+	return stats.SkewCoefficient(freqs)
 }
 
 // Contains reports whether the relation contains the given tuple, using

@@ -54,6 +54,7 @@ func FuzzQueryBody(f *testing.F) {
 		`{"stmt": "` + stmt.ID() + `", "limit": -1, "mode": "stream"}`,
 		`{"stmt": "` + stmt.ID() + `", "limit": 7, "workers": 8, "cache_support": 2}`,
 		`{"query": "E(x,y), E(y,z), E(z,x)", "mode": "eval", "workers": 1}`,
+		`{"query": "E(x,y), E(y,z)", "mode": "stream", "workers": -1}`,
 		`{"stmt": "s999"}`,
 		`{"query": "E(x,y)", "if_versions": {"E": 0}}`,
 		`{"query": "E(x,y)", "if_versions": {"E": 7, "F": 1}}`,

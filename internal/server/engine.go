@@ -187,9 +187,6 @@ func newEngine(db *relation.DB, cfg Config, stores map[string]*relation.Store) *
 		stmts:    make(map[string]*Stmt),
 		reg:      trie.NewRegistry(cfg.TrieBudget),
 	}
-	// Cold index builds use the same parallelism budget as the queries
-	// they unblock.
-	e.reg.SetBuildWorkers(e.buildWorkers())
 	// A cached binding embeds the registry tries it was bound to, so a
 	// byte-budget eviction must also unbind the plans pinning that index
 	// — otherwise TrieBudget would stop bounding resident trie memory
@@ -414,20 +411,14 @@ func (e *Engine) release(rels []*relation.Relation) {
 // Registry returns the shared trie registry.
 func (e *Engine) Registry() *trie.Registry { return e.reg }
 
-// buildWorkers resolves the trie-build parallelism from the engine
-// config: the configured per-query worker count, with the "one per
-// core" default rendered as the builders' per-core sentinel.
-func (e *Engine) buildWorkers() int {
-	if e.cfg.Workers == 0 {
-		return -1
-	}
-	return e.cfg.Workers
-}
-
 // policyOf resolves a request's cache/execution policy. A request's
 // Workers is clamped to the engine's or the CPU count, whichever is
-// larger: each worker is a goroutine with its own runner and caches.
+// larger: each worker is a goroutine with its own runner and caches. A
+// negative one is refused.
 func (e *Engine) policyOf(req Request) (core.Policy, error) {
+	if req.Workers < 0 {
+		return core.Policy{}, fmt.Errorf("server: negative workers %d (want 0 for the engine default, or a count)", req.Workers)
+	}
 	pol := core.Policy{
 		Capacity:         req.CacheCapacity,
 		SupportThreshold: req.CacheSupport,
@@ -524,7 +515,7 @@ func RelNames(q *cq.Query) []string {
 // charge their work — including any shared trie builds or patches — to
 // the requester; what is cached carries a nil sink.
 func (e *Engine) planFor(s *Stmt, x *execution) (err error) {
-	bopts := leapfrog.BuildOpts{Counters: x.c, Tries: e.reg, Workers: e.buildWorkers()}
+	bopts := leapfrog.BuildOpts{Counters: x.c, Tries: e.reg}
 	if p, bound := e.plans.get(s.text, x.vec); p != nil {
 		x.cached = true
 		if bound {
@@ -538,11 +529,7 @@ func (e *Engine) planFor(s *Stmt, x *execution) (err error) {
 		e.plans.rebound(s.text, x.plan.WithCounters(nil), x.vec, x.plan.Embedded())
 		return nil
 	}
-	x.plan, err = core.AutoPlan(s.q, x.db, core.AutoOptions{
-		Counters:     x.c,
-		Tries:        bopts.Tries,
-		BuildWorkers: bopts.Workers,
-	})
+	x.plan, err = core.AutoPlan(s.q, x.db, core.AutoOptions{Counters: x.c, Tries: e.reg})
 	if err != nil {
 		return err
 	}

@@ -264,6 +264,7 @@ func TestEngineErrors(t *testing.T) {
 		{Query: "E(x,y)", Mode: "stream"}, // transport-level; StreamCtx/HTTP only
 		{Query: "E(x,y)", Mode: "aggregate", Semiring: "max"},
 		{Query: "E(x,y)", CacheEviction: "random"},
+		{Query: "E(x,y)", Workers: -1},
 	} {
 		if _, err := e.Do(req); err == nil {
 			t.Errorf("request %+v: want error", req)

@@ -20,7 +20,7 @@ type Request struct {
 	// (0: engine default; 1: sequential; K: K goroutines, at most the
 	// engine's Workers or its CPU count, whichever is larger). Counts
 	// and aggregates shard; eval and stream run on one worker at every
-	// setting.
+	// setting. A negative count is refused.
 	Workers int `json:"workers,omitempty"`
 	// CacheCapacity bounds this query's CLFTJ caches (entries per
 	// worker; 0 = unbounded), CacheSupport is the support threshold and

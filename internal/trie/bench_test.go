@@ -133,7 +133,7 @@ func BenchmarkBuild(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				BuildParallel(rel, nil, tc.workers)
+				build(rel, nil, tc.workers)
 			}
 			b.ReportMetric(float64(rel.Len())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})

@@ -15,10 +15,10 @@ import (
 // level's row boundaries by grouping equal column-d values. The builder
 // reads each column through one contiguous gather (instead of a strided
 // r.Tuple(i)[d] per row), sizes every level array exactly with a
-// counting pass (no append regrowth), and — under BuildParallel — runs
-// the counting and filling passes over independent sibling spans on
-// worker goroutines, with chunk boundaries aligned to node starts so
-// the parallel result is bit-identical to the sequential one.
+// counting pass (no append regrowth), and runs the counting and filling
+// passes of a large level over independent sibling spans, one chunk per
+// core on its own goroutine, with chunk boundaries aligned to node
+// starts so the result is bit-identical to a one-chunk build.
 
 // parallelBuildMinRows is the level size below which the parallel
 // builder stays sequential: goroutine fan-out costs more than scanning
@@ -27,18 +27,17 @@ const parallelBuildMinRows = 1 << 14
 
 // Build constructs a trie over the relation. The relation must already be
 // in the column order the trie should index (use Relation.Permute first).
-// counters may be nil to disable accounting.
+// counters may be nil to disable accounting. A level of at least
+// parallelBuildMinRows rows is scanned in one chunk per core; smaller
+// levels (and small relations) stay on the calling goroutine.
 func Build(r *relation.Relation, counters *stats.Counters) *Trie {
-	return BuildParallel(r, counters, 1)
+	return build(r, counters, runtime.GOMAXPROCS(0))
 }
 
-// BuildParallel is Build with the per-level scans sharded over up to
-// workers goroutines (<= 0: one per core; 1: the sequential path).
-// Sibling spans at one level are independent, so large levels are
-// counted and filled in parallel chunks whose boundaries are aligned to
-// node starts; the constructed trie is bit-identical to Build's at any
-// worker count. Small levels (and small relations) stay sequential.
-func BuildParallel(r *relation.Relation, counters *stats.Counters, workers int) *Trie {
+// build is Build with a large level split into up to workers chunks (1:
+// the sequential build). The trie is bit-identical at every count; the
+// tests and benchmarks that compare counts call it directly.
+func build(r *relation.Relation, counters *stats.Counters, workers int) *Trie {
 	if counters != nil {
 		counters.TrieBuilds++
 	}
@@ -51,9 +50,6 @@ func BuildParallel(r *relation.Relation, counters *stats.Counters, workers int) 
 			t.levels[d] = level{start: []int32{0}}
 		}
 		return t
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 
 	data := r.Data()

@@ -16,8 +16,8 @@ func TestBuildParallelEquivalence(t *testing.T) {
 	trial := func(arity, n, workers int) {
 		t.Helper()
 		rel := randomRel(rng, arity, n)
-		seq := Build(rel, nil)
-		par := BuildParallel(rel, nil, workers)
+		seq := build(rel, nil, 1)
+		par := build(rel, nil, workers)
 		for d := 0; d < arity; d++ {
 			if !reflect.DeepEqual(seq.levels[d].vals, par.levels[d].vals) {
 				t.Fatalf("arity %d n %d workers %d: level %d vals diverge", arity, n, workers, d)
@@ -37,9 +37,9 @@ func TestBuildParallelEquivalence(t *testing.T) {
 		big = append(big, []int64{int64(rng.Intn(500)), int64(rng.Intn(64)), int64(rng.Intn(1 << 20))})
 	}
 	rel := buildRel(t, 3, big)
-	seq := Build(rel, nil)
+	seq := build(rel, nil, 1)
 	for _, workers := range []int{2, 3, 8} {
-		par := BuildParallel(rel, nil, workers)
+		par := build(rel, nil, workers)
 		for d := 0; d < 3; d++ {
 			if !reflect.DeepEqual(seq.levels[d].vals, par.levels[d].vals) ||
 				!reflect.DeepEqual(seq.levels[d].start, par.levels[d].start) {

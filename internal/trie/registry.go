@@ -36,16 +36,15 @@ import (
 type Registry struct {
 	budget int64 // max resident bytes; 0 = unbounded
 
-	mu           sync.Mutex
-	entries      map[regKey]*regEntry
-	lineage      map[*relation.Relation]relation.Version
-	bytes        int64
-	lru          list.List // of *regEntry; front: least recently used (next victim)
-	stats        RegistryStats
-	evictHook    func(rel *relation.Relation, perm string)
-	opener       func(rel *relation.Relation, perm []int) *Trie
-	buildHook    func(rel *relation.Relation, perm []int, t *Trie)
-	buildWorkers int // goroutines per index construction (<=1: sequential)
+	mu        sync.Mutex
+	entries   map[regKey]*regEntry
+	lineage   map[*relation.Relation]relation.Version
+	bytes     int64
+	lru       list.List // of *regEntry; front: least recently used (next victim)
+	stats     RegistryStats
+	evictHook func(rel *relation.Relation, perm string)
+	opener    func(rel *relation.Relation, perm []int) *Trie
+	buildHook func(rel *relation.Relation, perm []int, t *Trie)
 }
 
 // regKey identifies one cached trie: the identity of the (immutable)
@@ -161,17 +160,6 @@ func (r *Registry) SetEvictHook(f func(rel *relation.Relation, perm string)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.evictHook = f
-}
-
-// SetBuildWorkers bounds the goroutines each index construction may use
-// (BuildParallel): <= 1 builds sequentially, < 0 uses one per core. A
-// resident engine typically passes its configured per-query worker
-// count, so cold index builds use the same parallelism budget as the
-// joins they unblock.
-func (r *Registry) SetBuildWorkers(workers int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buildWorkers = workers
 }
 
 // SetOpener registers a function consulted on every registry miss before
@@ -346,13 +334,7 @@ func (r *Registry) Trie(rel *relation.Relation, perm []int, c *stats.Counters) (
 		if err != nil {
 			return fail(err)
 		}
-		r.mu.Lock()
-		workers := r.buildWorkers
-		r.mu.Unlock()
-		if workers == 0 {
-			workers = 1 // unset: sequential (BuildParallel reads <= 0 as per-core)
-		}
-		t = BuildParallel(permuted, nil, workers) // nil sink: shared across goroutines
+		t = Build(permuted, nil) // nil sink: shared across goroutines
 		if c != nil {
 			c.TrieBuilds++
 		}
