@@ -8,7 +8,7 @@
 //	db := cltj.NewDB(cltj.MustRelation("E", 2, edges))
 //	q, err := cltj.ParseQuery("E(x,y), E(y,z), E(x,z)")  // or build atoms
 //	n, err := cltj.Count(q, db, cltj.Options{})          // CLFTJ, auto TD, all cores
-//	n, err = cltj.Count(q, db, cltj.Options{Workers: 1}) // force sequential
+//	n, err = cltj.Count(q, db, cltj.Options{Policy: cltj.Policy{Workers: 1}}) // sequential
 //	n, err = cltj.CountLFTJ(q, db, nil)                  // vanilla LFTJ
 //	n, err = cltj.CountYTD(q, db, nil)                   // Yannakakis+TD
 //
@@ -190,10 +190,17 @@ func NewRelationStore(base *Relation) *RelationStore { return relation.NewStore(
 
 // Options configures the automatic CLFTJ entry points.
 type Options struct {
-	// Policy is the cache policy (zero value: unbounded caches that
-	// store every intermediate result). In parallel runs caches are
-	// per worker, so Policy.Capacity bounds each worker's memory: K
-	// workers may retain up to K*Capacity entries in total.
+	// Policy is the cache and execution policy (zero value: unbounded
+	// caches that store every intermediate result, one worker per
+	// core). Policy.Workers shards a count or aggregate over this many
+	// goroutines by partitioning the first variable's domain: 0 uses
+	// one worker per core, 1 forces the sequential path, K > 1 runs K
+	// workers with private caches and counters. Counts are
+	// bit-identical to the sequential engine at any setting. An
+	// enumeration (Eval, Stmt.Rows) runs on one worker at every setting
+	// and reuses the emitted slice. Caches are per worker, so
+	// Policy.Capacity bounds each worker's memory: K workers may retain
+	// up to K*Capacity entries in total.
 	Policy Policy
 	// TD forces a specific tree decomposition; nil selects one
 	// automatically with the serving planner (greedy), from the query
@@ -207,31 +214,14 @@ type Options struct {
 	// Parallel runs merge per-worker accounting exactly, but the
 	// totals depend on the worker count (the root-domain prescan and
 	// per-worker cache misses add accesses a sequential run avoids) —
-	// set Workers to 1 to reproduce the paper's sequential
+	// set Policy.Workers to 1 to reproduce the paper's sequential
 	// memory-traffic numbers on any machine.
 	Counters *Counters
-	// Workers shards a count or aggregate over this many goroutines by
-	// partitioning the first variable's domain: 0 uses one worker per
-	// core, 1 forces the sequential path, K > 1 runs K workers with
-	// private caches and counters. Counts are bit-identical to the
-	// sequential engine at any setting. An enumeration (Eval,
-	// Stmt.Rows) runs on one worker at every setting and reuses the
-	// emitted slice. Overrides Policy.Workers when non-zero.
-	Workers int
 	// Tries is an optional shared trie source (see NewTrieRegistry):
 	// plan compilation draws indices from it instead of building
 	// per-query tries, so repeated queries skip trie construction
 	// entirely. nil builds private tries, as before.
 	Tries TrieSource
-}
-
-// policy resolves the effective cache/execution policy of the options.
-func (o Options) policy() Policy {
-	pol := o.Policy
-	if o.Workers != 0 {
-		pol.Workers = o.Workers
-	}
-	return pol
 }
 
 // NewPlan compiles a CLFTJ plan per the options (automatic TD selection
@@ -250,22 +240,22 @@ func NewPlan(q *Query, db *DB, opts Options) (*Plan, error) {
 	return core.NewPlanWith(q, db, opts.TD, order, opts.Counters, opts.Tries)
 }
 
-// Count evaluates |q(D)| with CLFTJ. With opts.Workers unset (or 0) the
-// join is sharded over one worker per core; the count is bit-identical
-// to a sequential run regardless of the worker count.
+// Count evaluates |q(D)| with CLFTJ. With opts.Policy.Workers unset (or
+// 0) the join is sharded over one worker per core; the count is
+// bit-identical to a sequential run regardless of the worker count.
 func Count(q *Query, db *DB, opts Options) (int64, error) {
 	plan, err := NewPlan(q, db, opts)
 	if err != nil {
 		return 0, err
 	}
-	res, err := plan.CountParallelCtx(context.Background(), opts.policy())
+	res, err := plan.CountParallelCtx(context.Background(), opts.Policy)
 	return res.Count, err
 }
 
 // Eval enumerates q(D) with CLFTJ; emit receives assignments aligned
 // with the plan's variable order and may return false to stop. It
 // returns the order used. The enumeration runs on one worker whatever
-// Options.Workers says, and it reuses the emitted slice (copy to
+// Policy.Workers says, and it reuses the emitted slice (copy to
 // retain). Tuples stream in the lexicographic order of the plan's
 // variable order under every cache policy, and a false from emit stops
 // the join. For an iterator with cancellation, see Prepare and
@@ -275,7 +265,7 @@ func Eval(q *Query, db *DB, opts Options, emit func(mu []int64) bool) ([]string,
 	if err != nil {
 		return nil, err
 	}
-	_, err = plan.EvalParallelCtx(context.Background(), opts.policy(), emit)
+	_, err = plan.EvalParallelCtx(context.Background(), opts.Policy, emit)
 	return plan.Order(), err
 }
 
@@ -310,10 +300,10 @@ func (s *Stmt) Plan() *Plan { return s.plan }
 // it.
 func (s *Stmt) Order() []string { return s.plan.Order() }
 
-// Count evaluates |q(D)|, sharded per the prepare-time Workers option,
+// Count evaluates |q(D)|, sharded per the prepare-time Policy.Workers,
 // unwinding cooperatively when ctx is cancelled or times out.
 func (s *Stmt) Count(ctx context.Context) (int64, error) {
-	res, err := s.plan.CountParallelCtx(ctx, s.opts.policy())
+	res, err := s.plan.CountParallelCtx(ctx, s.opts.Policy)
 	if err != nil {
 		return 0, err
 	}
@@ -333,7 +323,7 @@ func (s *Stmt) Count(ctx context.Context) (int64, error) {
 func (s *Stmt) Rows(ctx context.Context) iter.Seq2[[]int64, error] {
 	return func(yield func([]int64, error) bool) {
 		stopped := false
-		_, err := s.plan.EvalParallelCtx(ctx, s.opts.policy(), func(mu []int64) bool {
+		_, err := s.plan.EvalParallelCtx(ctx, s.opts.Policy, func(mu []int64) bool {
 			if !yield(append([]int64(nil), mu...), nil) {
 				stopped = true
 				return false

@@ -163,14 +163,14 @@ func TestFacadePrepare(t *testing.T) {
 	}
 }
 
-// TestFacadeRowsWorkers checks that Rows honours Options.Workers: a
+// TestFacadeRowsWorkers checks that Rows honours Policy.Workers: a
 // statement sharded over two workers yields the one-worker sequence row
 // for row.
 func TestFacadeRowsWorkers(t *testing.T) {
 	db := facadeDB()
 	q := queries.Path(3)
 	rows := func(workers int) [][]int64 {
-		stmt, err := Prepare(q, db, Options{Workers: workers})
+		stmt, err := Prepare(q, db, Options{Policy: Policy{Workers: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,12 +282,12 @@ func TestFacadeWorkers(t *testing.T) {
 		queries.Cycle(5),
 		queries.Clique(4),
 	} {
-		want, err := Count(q, db, Options{Workers: 1})
+		want, err := Count(q, db, Options{Policy: Policy{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 2, 4} {
-			got, err := Count(q, db, Options{Workers: workers})
+			got, err := Count(q, db, Options{Policy: Policy{Workers: workers}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -296,9 +296,8 @@ func TestFacadeWorkers(t *testing.T) {
 			}
 			// Sharded LFTJ: the one-bag TD with caching disabled.
 			lftj, err := Count(q, db, Options{
-				TD:      td.Singleton(len(q.Vars())),
-				Policy:  Policy{Disabled: true},
-				Workers: workers,
+				TD:     td.Singleton(len(q.Vars())),
+				Policy: Policy{Disabled: true, Workers: workers},
 			})
 			if err != nil {
 				t.Fatal(err)

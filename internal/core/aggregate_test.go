@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -43,99 +42,44 @@ func naiveAggregate[T any](t *testing.T, q *cq.Query, db *relation.DB, order []s
 	return total
 }
 
-func aggregateFixtures(t *testing.T) (*Plan, *cq.Query, *relation.DB) {
-	t.Helper()
-	g := dataset.PreferentialAttachment(60, 3, 21)
-	db := g.DB(false)
-	q := queries.Path(4)
-	plan, err := AutoPlan(q, db, AutoOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return plan, q, db
-}
-
 // TestAggregateCountCoincidesWithCount is the differential between the
 // two fold executors: CountParallelCtx runs the count executor, and the
-// fold at CountSemiring with unit weights must agree with it on every
-// fixed and random shape, every cache regime (bounded under FIFO, LRU and
-// EvictNone included), worker counts 1, 2 and 8 and block sizes 1, 7 and
-// blockLen — same value, bit-identical stats.Counters and the same
-// resident entries — and the enumeration delivers exactly that many rows.
+// fold at CountSemiring with unit weights must agree with it in every
+// cell, on one worker at block length 1 and at the cell's shard count
+// and block length — same value, |q(D)|, bit-identical stats.Counters
+// and the same resident entries — and unit weights over
+// SumProductSemiring count the same tuples. TestInnerCountCharges holds
+// the two to each other on one worker at the default length.
 func TestAggregateCountCoincidesWithCount(t *testing.T) {
-	pa := dataset.PreferentialAttachment(60, 3, 21).DB(false)
-	shapes := []struct {
-		name string
-		q    *cq.Query
-		db   *relation.DB
-	}{
-		{"4-path", queries.Path(4), pa},
-		{"4-cycle", queries.Cycle(4), pa},
-		{"lollipop-3-2", queries.Lollipop(3, 2), pa},
-	}
-	rng := rand.New(rand.NewSource(4321))
-	for trial := 0; trial < 5; trial++ {
-		db := dataset.ErdosRenyi(10+rng.Intn(10), 0.15+rng.Float64()*0.2, rng.Int63()).DB(rng.Intn(2) == 0)
-		q := diffQuery(trial, rng)
-		shapes = append(shapes, struct {
-			name string
-			q    *cq.Query
-			db   *relation.DB
-		}{fmt.Sprintf("random %d: %s", trial, q), q, db})
-	}
 	sr, fsr := CountSemiring(), SumProductSemiring()
-	for _, sh := range shapes {
-		plan, err := AutoPlan(sh.q, sh.db, AutoOptions{})
-		if err != nil {
-			t.Fatalf("%s: AutoPlan: %v", sh.name, err)
-		}
-		want := must(naive.Count(sh.q, sh.db))
-		for _, pol := range coincidePolicies {
-			for _, pol.Workers = range []int{1, 2, 8} {
-				for _, bl := range []int{1, 7, blockLen} {
-					atLeafLen(bl, func() {
-						var cc, ca stats.Counters
-						cnt := must(plan.WithCounters(&cc).CountParallelCtx(bg, pol))
-						agg, tl, err := fold(bg, plan.WithCounters(&ca), pol, sr, UnitWeight(sr), nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if cnt.Count != want || agg != want {
-							t.Fatalf("%s %+v len=%d: count %d, aggregate %d, want %d", sh.name, pol, bl, cnt.Count, agg, want)
-						}
-						if cc != ca {
-							t.Fatalf("%s %+v len=%d: counters diverge\ncount:     %+v\naggregate: %+v", sh.name, pol, bl, cc, ca)
-						}
-						if cnt.CachedEntries != tl.entries {
-							t.Fatalf("%s %+v len=%d: count leaves %d entries, aggregate %d",
-								sh.name, pol, bl, cnt.CachedEntries, tl.entries)
-						}
-						// Unit weights over another semiring count the same tuples.
-						if f := must(AggregateParallelCtx(bg, plan, pol, fsr, UnitWeight(fsr))); f != float64(want) {
-							t.Fatalf("%s %+v: sum-product unit aggregate %g, want %d", sh.name, pol, f, want)
-						}
-						var rows int64
-						ev := must(plan.EvalParallelCtx(bg, pol, func([]int64) bool { rows++; return true }))
-						if rows != want || ev.Emitted != want {
-							t.Fatalf("%s %+v: eval delivered %d (reported %d), want %d", sh.name, pol, rows, ev.Emitted, want)
-						}
-					})
+	forEachCell(nil, func(cl cell) {
+		want := cl.oracle(t).count
+		for _, run := range []struct{ workers, leaf int }{{1, 1}, {cl.shard, cl.leaf}} {
+			pol := cl.pol
+			pol.Workers = run.workers
+			at := fmt.Sprintf("%s workers %d len=%d", cl, run.workers, run.leaf)
+			atLeafLen(run.leaf, func() {
+				var cc, ca stats.Counters
+				cnt := must(cl.plan.WithCounters(&cc).CountParallelCtx(bg, pol))
+				agg, tl, err := fold(bg, cl.plan.WithCounters(&ca), pol, sr, UnitWeight(sr), nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
+				if cnt.Count != want || agg != want {
+					t.Fatalf("%s: count %d, aggregate %d, want %d", at, cnt.Count, agg, want)
+				}
+				if cc != ca {
+					t.Fatalf("%s: counters diverge\ncount:     %+v\naggregate: %+v", at, cc, ca)
+				}
+				if cnt.CachedEntries != tl.entries {
+					t.Fatalf("%s: count leaves %d entries, aggregate %d", at, cnt.CachedEntries, tl.entries)
+				}
+				if f := must(AggregateParallelCtx(bg, cl.plan, pol, fsr, UnitWeight(fsr))); f != float64(want) {
+					t.Fatalf("%s: sum-product unit aggregate %g, want %d", at, f, want)
+				}
+			})
 		}
-	}
-}
-
-// coincidePolicies are the cache regimes the two fold executors are held
-// to each other under: unbounded, off, bounded under each eviction mode,
-// and support-gated.
-var coincidePolicies = []Policy{
-	{},
-	{Disabled: true},
-	{Capacity: 4},
-	{Capacity: 4, Eviction: EvictLRU},
-	{Capacity: 4, Eviction: EvictNone},
-	{SupportThreshold: 1},
+	})
 }
 
 // tripCtx reports itself cancelled from the first Err call past its
@@ -195,7 +139,7 @@ func TestCountAggregateCancelledAlike(t *testing.T) {
 		full := acquireManager[int64](Policy{}, plan, nil, nil)
 		want := must(plan.count(bg, Policy{Workers: 1}, full)).Count
 		truth := storedValues(full)
-		for _, pol := range coincidePolicies {
+		for _, pol := range lattice {
 			for _, allow := range []int64{1, 2, 5, 12} {
 				var cc, ca stats.Counters
 				pc, pa := plan.WithCounters(&cc), plan.WithCounters(&ca)
@@ -234,43 +178,33 @@ func TestCountAggregateCancelledAlike(t *testing.T) {
 	}
 }
 
-// aggregatePolicies is pols on one worker, then the regimes in which a
-// re-entered bag could miss — a bounded LRU and a support threshold of 2
-// — and a sharded run.
-func aggregatePolicies(pols []Policy) []Policy {
-	pols = append(pols, Policy{Capacity: 16, Eviction: EvictLRU}, Policy{SupportThreshold: 2})
-	for i := range pols {
-		pols[i].Workers = 1
-	}
-	return append(pols, Policy{Workers: 2})
-}
-
+// TestAggregateSumProduct and TestAggregateTropicalMinWeight hold the
+// folds of the skewed 4-path's cells, at every worker count, to the
+// oracle's result set folded by hand through the plan's order.
 func TestAggregateSumProduct(t *testing.T) {
-	plan, q, db := aggregateFixtures(t)
 	sr := SumProductSemiring()
 	// Weight: each variable value contributes (1 + v mod 3) / 2.
 	w := func(d int, v int64) float64 { return (1 + float64(v%3)) / 2 }
-	want := naiveAggregate(t, q, db, plan.Order(), sr, w)
-	for _, pol := range aggregatePolicies([]Policy{{}, {Disabled: true}, {SupportThreshold: 1}}) {
-		got := must(AggregateParallelCtx(bg, plan, pol, sr, w))
-		if math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
-			t.Errorf("policy %+v: sum-product %g, want %g", pol, got, want)
-		}
-	}
+	checkAggregate(t, sr, w, func(got, want float64) bool {
+		return math.Abs(got-want) <= 1e-6*math.Max(1, math.Abs(want))
+	})
 }
 
 func TestAggregateTropicalMinWeight(t *testing.T) {
-	plan, q, db := aggregateFixtures(t)
-	sr := TropicalSemiring()
 	// Weight of a tuple = sum of node ids; Aggregate = cheapest witness.
-	w := func(d int, v int64) float64 { return float64(v) }
-	want := naiveAggregate(t, q, db, plan.Order(), sr, w)
-	for _, pol := range aggregatePolicies([]Policy{{}, {Disabled: true}, {Capacity: 8}}) {
-		got := must(AggregateParallelCtx(bg, plan, pol, sr, w))
-		if got != want {
-			t.Errorf("policy %+v: tropical %g, want %g", pol, got, want)
+	checkAggregate(t, TropicalSemiring(), minWeight, func(got, want float64) bool { return got == want })
+}
+
+func checkAggregate(t *testing.T, sr Semiring[float64], w VarWeight[float64], same func(got, want float64) bool) {
+	forEachCell(func(c *latticeCase) bool { return c.name == "pa-4-path" }, func(cl cell) {
+		want := naiveAggregate(t, cl.q, cl.db, cl.plan.Order(), sr, w)
+		pol := cl.pol
+		for _, pol.Workers = range latticeWorkers {
+			if got := must(AggregateParallelCtx(bg, cl.plan, pol, sr, w)); !same(got, want) {
+				t.Fatalf("%s workers %d: aggregate %g, want %g", cl, pol.Workers, got, want)
+			}
 		}
-	}
+	})
 }
 
 func TestAggregateOnCycles(t *testing.T) {

@@ -2,9 +2,6 @@ package core
 
 import (
 	"context"
-	"reflect"
-	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/cq"
@@ -117,201 +114,48 @@ func TestPaperExampleCacheContents(t *testing.T) {
 	}
 }
 
-// engines under comparison: CLFTJ with various policies vs LFTJ vs naive.
-func checkAllEngines(t *testing.T, q *cq.Query, db *relation.DB) {
-	t.Helper()
-	want, err := naive.Count(q, db)
-	if err != nil {
-		t.Fatalf("naive: %v", err)
-	}
-
-	inst, err := leapfrog.Build(q, db, q.Vars(), nil)
-	if err != nil {
-		t.Fatalf("leapfrog.Build: %v", err)
-	}
-	if got := leapfrog.Count(inst); got != want {
-		t.Errorf("LFTJ count = %d, want %d", got, want)
-	}
-
-	plan, err := AutoPlan(q, db, AutoOptions{})
-	if err != nil {
-		t.Fatalf("AutoPlan: %v", err)
-	}
-	policies := []Policy{
-		{},               // cache everything
-		{Disabled: true}, // pure LFTJ
-		{Capacity: 3},    // tiny bounded cache, FIFO eviction
-		{Capacity: 3, Eviction: EvictNone},
-		{SupportThreshold: 1}, // cache from the second occurrence
-		{SupportThreshold: 2, Capacity: 5},
-	}
-	for _, pol := range policies {
-		if got := plan.Count(pol); got.Count != want {
-			t.Errorf("CLFTJ count with %+v = %d, want %d (td=\n%s order=%v)",
-				pol, got.Count, want, plan.TD(), plan.Order())
-		}
-	}
-
-	// Evaluation must produce exactly the naive result set.
-	wantTuples, err := naive.Eval(q, db)
-	if err != nil {
-		t.Fatalf("naive eval: %v", err)
-	}
-	for _, pol := range policies {
-		got := evalSortedQVars(plan, pol, q)
-		if len(got) != len(wantTuples) {
-			t.Errorf("CLFTJ eval with %+v: %d tuples, want %d", pol, len(got), len(wantTuples))
-			continue
-		}
-		for i := range got {
-			if relation.CompareTuples(got[i], wantTuples[i]) != 0 {
-				t.Errorf("CLFTJ eval with %+v: tuple %d = %v, want %v", pol, i, got[i], wantTuples[i])
-				break
-			}
-		}
-	}
-}
-
-// evalSortedQVars runs plan.Eval and reorders tuples into q.Vars() order,
-// sorted, for comparison with the naive oracle.
-func evalSortedQVars(plan *Plan, pol Policy, q *cq.Query) [][]int64 {
-	order := plan.Order()
-	qvars := q.Vars()
-	pos := make(map[string]int, len(order))
-	for d, v := range order {
-		pos[v] = d
-	}
-	var out [][]int64
-	plan.Eval(pol, func(mu []int64) bool {
-		tup := make([]int64, len(qvars))
-		for i, v := range qvars {
-			tup[i] = mu[pos[v]]
-		}
-		out = append(out, tup)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return relation.CompareTuples(out[i], out[j]) < 0 })
-	return out
-}
-
-func TestEnginesAgreeOnWorkloads(t *testing.T) {
-	g := dataset.ErdosRenyi(30, 0.12, 7)
-	db := g.DB(false)
-	cases := []struct {
-		name string
-		q    *cq.Query
-	}{
-		{"3-path", queries.Path(3)},
-		{"4-path", queries.Path(4)},
-		{"5-path", queries.Path(5)},
-		{"3-cycle", queries.Cycle(3)},
-		{"4-cycle", queries.Cycle(4)},
-		{"5-cycle", queries.Cycle(5)},
-		{"lollipop-3-2", queries.Lollipop(3, 2)},
-		{"4-clique", queries.Clique(4)},
-		{"5-rand", queries.Random(5, 0.5, 3)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) { checkAllEngines(t, tc.q, db) })
-	}
-}
-
-func TestEnginesAgreeOnSkewedData(t *testing.T) {
-	g := dataset.PreferentialAttachment(60, 3, 11)
-	db := g.DB(false)
-	for _, q := range []*cq.Query{queries.Path(4), queries.Cycle(4), queries.Cycle(5)} {
-		checkAllEngines(t, q, db)
-	}
-}
-
-func TestIMDBQueriesAgree(t *testing.T) {
-	db := dataset.IMDBCast(dataset.IMDBConfig{Persons: 40, Movies: 15, Appearances: 150, PersonSkew: 1.7, Seed: 5})
-	for _, k := range []int{2, 3} {
-		checkAllEngines(t, queries.IMDBCycle(k), db)
-	}
-}
-
 // TestDisabledCacheMatchesLFTJAccesses verifies the §3.2 claim that with
 // no caching the two algorithms coincide, and with it that LFTJ as the
-// system runs it — the one-bag plan under Policy{Disabled: true}, on the
+// system runs it — a one-bag plan under Policy{Disabled: true}, on the
 // driver every execution shares — is the scalar reference leapfrog.Count
-// and leapfrog.Eval: the same count at every worker count and, on one
-// worker, identical build and run counters and the same tuple sequence.
-// A sharded eval must emit the sequential sequence too.
+// and leapfrog.Eval. In every no-cache cell of a one-bag plan, bound
+// afresh beside a leapfrog instance over the same order and index source,
+// the plan charges the instance's build counters, counts what
+// leapfrog.Count does with identical run counters and no hash access, and
+// its enumeration is leapfrog.Eval's tuple sequence. At the cell's shard
+// count it counts the same.
 func TestDisabledCacheMatchesLFTJAccesses(t *testing.T) {
-	db := dataset.TriadicPA(150, 3, 0.4, 2101).DB(false)
-	off := Policy{Disabled: true}
-	for _, sh := range []struct {
-		name string
-		q    *cq.Query
-	}{
-		{"3-path", queries.Path(3)},
-		{"4-path", queries.Path(4)},
-		{"5-path", queries.Path(5)},
-		{"triangle", queries.Clique(3)},
-		{"4-clique", queries.Clique(4)},
-		{"4-cycle", queries.Cycle(4)},
-		{"5-cycle", queries.Cycle(5)},
-		{"lollipop-3-2", queries.Lollipop(3, 2)},
-	} {
-		q := sh.q
+	t.Parallel()
+	forEachCell(nil, func(cl cell) {
+		if !cl.pol.Disabled || cl.plan.TD().N() != 1 {
+			return
+		}
 		var cRef, cPlan stats.Counters
-		inst, err := leapfrog.Build(q, db, q.Vars(), &cRef)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := NewPlan(q, db, td.Singleton(len(q.Vars())), q.Vars(), &cPlan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inst := must(leapfrog.BuildWith(cl.q, cl.db, cl.plan.Order(), &cRef, cl.tries))
+		plan := must(cl.plan.Rebind(cl.db, leapfrog.BuildOpts{Counters: &cPlan, Tries: cl.tries}))
 		if cPlan != cRef {
-			t.Errorf("%s: build counters %+v, reference %+v", sh.name, cPlan, cRef)
+			t.Fatalf("%s: build counters %+v, reference %+v", cl, cPlan, cRef)
 		}
+		cPlan.Reset() // a registry's probes are the builds'
+		cRef.Reset()
 		want := leapfrog.Count(inst)
-		if got := plan.Count(off).Count; got != want {
-			t.Fatalf("%s: count %d, reference %d", sh.name, got, want)
+		if got := plan.Count(cl.pol).Count; got != want {
+			t.Fatalf("%s: count %d, reference %d", cl, got, want)
 		}
 		if cPlan != cRef {
-			t.Errorf("%s: counters %+v, reference %+v", sh.name, cPlan, cRef)
+			t.Fatalf("%s: counters %+v, reference %+v", cl, cPlan, cRef)
 		}
 		if cPlan.HashAccesses != 0 {
-			t.Errorf("%s: disabled cache still probed: %d hash accesses", sh.name, cPlan.HashAccesses)
+			t.Fatalf("%s: disabled cache still probed: %d hash accesses", cl, cPlan.HashAccesses)
 		}
-
-		var ref [][]int64
-		leapfrog.Eval(inst, func(mu []int64) bool {
-			ref = append(ref, slices.Clone(mu))
-			return true
-		})
-		seq := collectEval(t, plan, off)
-		if !reflect.DeepEqual(seq, ref) {
-			t.Errorf("%s: eval sequence differs from leapfrog.Eval's (%d vs %d tuples)", sh.name, len(seq), len(ref))
+		ref := collectTuples(func(emit func([]int64) bool) { leapfrog.Eval(inst, emit) })
+		sameTuples(t, cl.String()+": eval against leapfrog.Eval", cl.oracle(t).canon[cl.i], ref)
+		pol := cl.pol
+		pol.Workers = cl.shard
+		if got := must(plan.CountParallelCtx(bg, pol)).Count; got != want {
+			t.Fatalf("%s workers=%d: count %d, reference %d", cl, cl.shard, got, want)
 		}
-		for _, workers := range []int{2, 4} {
-			pol := off
-			pol.Workers = workers
-			if got := must(plan.CountParallelCtx(bg, pol)).Count; got != want {
-				t.Errorf("%s workers=%d: count %d, reference %d", sh.name, workers, got, want)
-			}
-			if got := collectEval(t, plan, pol); !reflect.DeepEqual(got, seq) {
-				t.Errorf("%s workers=%d: sharded eval sequence differs from the sequential one", sh.name, workers)
-			}
-		}
-	}
-}
-
-// collectEval runs plan's evaluation under pol and returns the emitted
-// tuples in emission order.
-func collectEval(t *testing.T, plan *Plan, pol Policy) [][]int64 {
-	t.Helper()
-	var out [][]int64
-	if _, err := plan.EvalParallelCtx(bg, pol, func(mu []int64) bool {
-		out = append(out, slices.Clone(mu))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return out
+	})
 }
 
 // TestCachingReducesAccesses asserts the headline effect: on a skewed

@@ -3,162 +3,56 @@ package core
 import (
 	"context"
 	"errors"
-	"math/rand"
-	"reflect"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
 
-	"repro/internal/cq"
 	"repro/internal/dataset"
-	"repro/internal/naive"
 	"repro/internal/queries"
-	"repro/internal/relation"
 	"repro/internal/stats"
 )
 
-// queryCase is a named query over the database it runs against.
-type queryCase struct {
-	name string
-	q    *cq.Query
-	db   *relation.DB
-}
-
-// parallelShapes returns every query-shape family of internal/queries
-// paired with a database it runs against: the graph shapes over a skewed
-// triangle-rich graph and the IMDB cycles over the cast stand-in.
-func parallelShapes() []queryCase {
-	g := dataset.TriadicPA(90, 3, 0.5, 7).DB(false)
-	imdbCfg := dataset.DefaultIMDB()
-	imdbCfg.Persons, imdbCfg.Movies, imdbCfg.Appearances = 120, 40, 480
-	imdb := dataset.IMDBCast(imdbCfg)
-	return []queryCase{
-		{"4-path", queries.Path(4), g},
-		{"5-path", queries.Path(5), g},
-		{"4-cycle", queries.Cycle(4), g},
-		{"5-cycle", queries.Cycle(5), g},
-		{"triangle", queries.Clique(3), g},
-		{"4-clique", queries.Clique(4), g},
-		{"lollipop-3-2", queries.Lollipop(3, 2), g},
-		{"rand-5", queries.Random(5, 0.5, 11), g},
-		{"imdb-4-cycle", queries.IMDBCycle(2), imdb},
-		{"imdb-6-cycle", queries.IMDBCycle(3), imdb},
-	}
-}
-
-// naiveCounts memoizes naiveCount by case name.
-var naiveCounts struct {
-	sync.Mutex
-	m map[string]int64
-}
-
-// naiveCount is naive.Count of the named case, evaluated once per test
-// binary: the oracle takes seconds on the largest parallel shapes, which
-// several tests check against it.
-func naiveCount(t *testing.T, name string, q *cq.Query, db *relation.DB) int64 {
-	t.Helper()
-	naiveCounts.Lock()
-	defer naiveCounts.Unlock()
-	if n, ok := naiveCounts.m[name]; ok {
-		return n
-	}
-	n, err := naive.Count(q, db)
-	if err != nil {
-		t.Fatalf("%s: naive: %v", name, err)
-	}
-	if naiveCounts.m == nil {
-		naiveCounts.m = make(map[string]int64)
-	}
-	naiveCounts.m[name] = n
-	return n
-}
-
-var parallelPolicies = []Policy{
-	{},
-	{Capacity: 8},
-	{Capacity: 16, Eviction: EvictLRU},
-	{Capacity: 4, Eviction: EvictNone},
-	{SupportThreshold: 1},
-	{Disabled: true},
-}
-
-// TestParallelCountMatchesSequential is the tentpole's correctness bar:
-// for every query shape, policy and worker count, the sharded count must
-// be bit-identical to the sequential one (and to the naive oracle).
-func TestParallelCountMatchesSequential(t *testing.T) {
-	for _, sh := range parallelShapes() {
-		plan, err := AutoPlan(sh.q, sh.db, AutoOptions{})
-		if err != nil {
-			t.Fatalf("%s: AutoPlan: %v", sh.name, err)
-		}
-		want := naiveCount(t, sh.name, sh.q, sh.db)
-		for _, pol := range parallelPolicies {
-			seq := plan.Count(pol)
-			if seq.Count != want {
-				t.Fatalf("%s: sequential count = %d, naive = %d", sh.name, seq.Count, want)
-			}
-			for _, workers := range []int{0, 2, 3, 4, 7} {
-				pol := pol
-				pol.Workers = workers
-				par := must(plan.CountParallelCtx(bg, pol))
-				if par.Count != seq.Count {
-					t.Errorf("%s workers=%d policy=%+v: parallel count = %d, sequential = %d",
-						sh.name, workers, pol, par.Count, seq.Count)
-				}
-			}
-		}
-	}
-}
-
 // TestParallelEvalMatchesSequential checks that an enumeration ignores
-// Workers: under every cache policy, EvalParallelCtx at workers 0, 2 and
-// 4 emits the sequential no-cache sequence tuple for tuple and reports
-// and charges exactly what the Workers: 1 run does.
+// Workers: in every cell the eval at the cell's shard count, and the
+// stream asked for that many workers, emit the plan's no-cache sequence
+// tuple for tuple and report and charge exactly what the Workers: 1 eval
+// does. TestEvalLimitOracle holds the capped eval to the same identity.
 func TestParallelEvalMatchesSequential(t *testing.T) {
-	for _, sh := range parallelShapes() {
-		plan, err := AutoPlan(sh.q, sh.db, AutoOptions{})
-		if err != nil {
-			t.Fatalf("%s: AutoPlan: %v", sh.name, err)
+	t.Parallel()
+	forEachCell(nil, func(cl cell) {
+		canon := cl.oracle(t).canon[cl.i]
+		one, par := cl.pol, cl.pol
+		one.Workers, par.Workers = 1, cl.shard
+		// run is one enumeration: what it reported and charged.
+		run := func(label string, exec func(p *Plan, emit func([]int64) bool) (EvalResult, error)) (res EvalResult, c stats.Counters) {
+			p := cl.plan.WithCounters(&c)
+			res = sameRows(t, fmt.Sprintf("%s %s", cl, label), canon, func(emit func([]int64) bool) (EvalResult, error) {
+				return exec(p, emit)
+			})
+			return res, c
 		}
-		seq := collectTuples(func(emit func([]int64) bool) { plan.Eval(Policy{Disabled: true}, emit) })
-		for _, pol := range []Policy{{}, {Capacity: 8}, {Disabled: true}} {
-			var one EvalResult
-			var oneCtrs stats.Counters
-			for _, workers := range []int{1, 0, 2, 4} {
-				pol := pol
-				pol.Workers = workers
-				var par [][]int64
-				var c stats.Counters
-				res := must(plan.WithCounters(&c).EvalParallelCtx(bg, pol, func(mu []int64) bool {
-					par = append(par, append([]int64(nil), mu...))
-					return true
-				}))
-				if res.Emitted != int64(len(seq)) {
-					t.Fatalf("%s workers=%d: emitted %d, want %d", sh.name, workers, res.Emitted, len(seq))
-				}
-				if !reflect.DeepEqual(par, seq) {
-					t.Errorf("%s workers=%d policy=%+v: stream differs from the sequential no-cache order", sh.name, workers, pol)
-				}
-				if workers == 1 {
-					one, oneCtrs = res, c
-				} else if res != one || c != oneCtrs {
-					t.Errorf("%s workers=%d policy=%+v: %+v charging %+v, Workers: 1 %+v charging %+v",
-						sh.name, workers, pol, res, c, one, oneCtrs)
-				}
-			}
+		r1, c1 := run("one worker", func(p *Plan, emit func([]int64) bool) (EvalResult, error) {
+			return p.EvalParallelCtx(bg, one, emit)
+		})
+		r, c := run("sharded", func(p *Plan, emit func([]int64) bool) (EvalResult, error) {
+			return p.EvalParallelCtx(bg, par, emit)
+		})
+		rs, cs := run("stream", func(p *Plan, emit func([]int64) bool) (EvalResult, error) {
+			return p.EvalStreamCtx(bg, one, cl.shard, emit)
+		})
+		if r != r1 || c != c1 || rs != r1 || cs != c1 {
+			t.Fatalf("%s: eval at %d workers %+v charging %+v, stream %+v charging %+v; Workers: 1 %+v charging %+v",
+				cl, cl.shard, r, c, rs, cs, r1, c1)
 		}
-	}
+	})
 }
 
 // TestParallelEvalEarlyStop pins the documented early-stop semantics:
 // the callback returning false stops the delivery, and Emitted reports
 // only delivered tuples.
 func TestParallelEvalEarlyStop(t *testing.T) {
-	sh := parallelShapes()[0]
-	plan, err := AutoPlan(sh.q, sh.db, AutoOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := caseNamed("tpa-4-path").plans[0]
 	total := plan.Count(Policy{}).Count
 	if total < 5 {
 		t.Fatalf("workload too small for the test: %d tuples", total)
@@ -202,98 +96,59 @@ func TestParallelEvalStopsProducers(t *testing.T) {
 	}
 }
 
-// TestParallelAggregateMatchesSequential checks the semiring engine:
-// counting and tropical (min-plus) aggregates — whose ⊕ is exactly
-// associative — must be bit-identical to the sequential run under every
-// worker count.
-func TestParallelAggregateMatchesSequential(t *testing.T) {
-	weight := func(d int, v int64) float64 { return float64(v % 17) }
-	for _, sh := range parallelShapes() {
-		plan, err := AutoPlan(sh.q, sh.db, AutoOptions{})
-		if err != nil {
-			t.Fatalf("%s: AutoPlan: %v", sh.name, err)
-		}
-		cnt := CountSemiring()
-		seqCount := Aggregate(plan, Policy{}, cnt, UnitWeight(cnt))
-		trop := TropicalSemiring()
-		seqMin := Aggregate(plan, Policy{}, trop, weight)
-		for _, workers := range []int{0, 2, 4} {
-			pol := Policy{Workers: workers}
-			if got := must(AggregateParallelCtx(bg, plan, pol, cnt, UnitWeight(cnt))); got != seqCount {
-				t.Errorf("%s workers=%d: count aggregate = %d, sequential = %d", sh.name, workers, got, seqCount)
-			}
-			if got := must(AggregateParallelCtx(bg, plan, pol, trop, weight)); got != seqMin {
-				t.Errorf("%s workers=%d: tropical aggregate = %v, sequential = %v", sh.name, workers, got, seqMin)
-			}
-		}
-	}
-}
-
 // TestParallelWorkersOneIsSequential is the regression test that
-// Workers: 1 takes the sequential code path: the parallel entry points
-// must then produce exactly the sequential accounting — in particular no
-// root-domain prescan (which any sharded run performs) may appear. It
-// holds with caches in play and with none (LFTJ).
+// Workers: 1 takes the sequential code path, which enumerates no root
+// domain: in every cell CountParallelCtx at Workers: 1 returns and
+// charges exactly what Count does, and, over a non-empty instance, a
+// count at two workers counts the same but charges what the sequential
+// count does not — the root-domain prescan any sharded run performs.
 func TestParallelWorkersOneIsSequential(t *testing.T) {
-	sh := parallelShapes()[3] // 5-cycle: multi-bag TD
-	var c stats.Counters
-	plan, err := AutoPlan(sh.q, sh.db, AutoOptions{Counters: &c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pol := range []Policy{{}, {Disabled: true}} {
-		c.Reset()
-		seq := plan.Count(pol)
-		seqCtrs := c
-
+	t.Parallel()
+	forEachCell(nil, func(cl cell) {
+		var seq, one, two stats.Counters
+		want := cl.plan.WithCounters(&seq).Count(cl.pol)
+		pol := cl.pol
 		pol.Workers = 1
-		c.Reset()
-		par := must(plan.CountParallelCtx(bg, pol))
-		if !reflect.DeepEqual(par, seq) {
-			t.Fatalf("%+v: CountParallelCtx = %+v, sequential = %+v", pol, par, seq)
+		if got := must(cl.plan.WithCounters(&one).CountParallelCtx(bg, pol)); got != want || one != seq {
+			t.Fatalf("%s: Workers: 1 %+v charging %+v, sequential %+v charging %+v", cl, got, one, want, seq)
 		}
-		if c != seqCtrs {
-			t.Errorf("%+v: CountParallelCtx accounting %+v differs from sequential %+v (parallel path taken?)", pol, c, seqCtrs)
+		if cl.plan.inst.Empty() {
+			return
 		}
-
 		pol.Workers = 2
-		c.Reset()
-		par2 := must(plan.CountParallelCtx(bg, pol))
-		if par2.Count != seq.Count {
-			t.Fatalf("%+v: CountParallelCtx = %d, want %d", pol, par2.Count, seq.Count)
+		if got := must(cl.plan.WithCounters(&two).CountParallelCtx(bg, pol)); got.Count != want.Count {
+			t.Fatalf("%s: two workers count %d, sequential %d", cl, got.Count, want.Count)
 		}
-		if c == seqCtrs {
-			t.Errorf("%+v: accounting identical to sequential; expected the root prescan to show up", pol)
+		if two == seq {
+			t.Fatalf("%s: two workers charge what the sequential count does; expected the root prescan to show up", cl)
 		}
-	}
+	})
 }
 
 // TestParallelAccountingMergesExactly checks that per-worker counters
 // merged after the join add up: the merged sink must equal the sum the
-// workers would report individually — verified indirectly by running the
-// same parallel execution twice and requiring identical accounting
-// (deterministic sharding) and a non-empty trie trace, with caches in
-// play and with none (LFTJ).
+// workers would report individually — verified indirectly by running
+// every cell of a non-empty instance twice at its shard count and
+// requiring identical accounting (deterministic sharding) and a
+// non-empty trie trace.
 func TestParallelAccountingMergesExactly(t *testing.T) {
-	sh := parallelShapes()[5] // 4-clique
-	var c stats.Counters
-	plan, err := AutoPlan(sh.q, sh.db, AutoOptions{Counters: &c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pol := range []Policy{{Workers: 4}, {Workers: 3, Disabled: true}} {
-		c.Reset()
-		must(plan.CountParallelCtx(bg, pol))
-		first := c
-		c.Reset()
-		must(plan.CountParallelCtx(bg, pol))
-		if c != first {
-			t.Errorf("%+v: parallel accounting not deterministic: %+v vs %+v", pol, c, first)
+	t.Parallel()
+	forEachCell(nil, func(cl cell) {
+		if cl.plan.inst.Empty() {
+			return
 		}
-		if c.TrieAccesses == 0 {
-			t.Errorf("%+v: parallel run accounted no trie accesses", pol)
+		pol := cl.pol
+		pol.Workers = cl.shard
+		var first, again stats.Counters
+		must(cl.plan.WithCounters(&first).CountParallelCtx(bg, pol))
+		must(cl.plan.WithCounters(&again).CountParallelCtx(bg, pol))
+		if again != first {
+			t.Fatalf("%s workers %d: parallel accounting not deterministic: %+v vs %+v", cl, cl.shard, again, first)
 		}
-	}
+		if again.TrieAccesses == 0 {
+			t.Fatalf("%s workers %d: parallel run accounted no trie accesses", cl, cl.shard)
+		}
+	})
 }
 
 // TestRootKeys pins the shard domain: the root keys are strictly
@@ -319,48 +174,6 @@ func TestRootKeys(t *testing.T) {
 		}
 		return true
 	})
-}
-
-// TestParallelRandomizedEquivalence is the quick-check twin of the core
-// cross-engine property test: random graphs, random patterns, random
-// policies and random worker counts must agree with the naive oracle.
-func TestParallelRandomizedEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(431))
-	for trial := 0; trial < 25; trial++ {
-		n := 8 + rng.Intn(12)
-		g := dataset.ErdosRenyi(n, 0.12+rng.Float64()*0.2, rng.Int63())
-		db := g.DB(rng.Intn(2) == 0)
-		var q *cq.Query
-		switch trial % 4 {
-		case 0:
-			q = queries.Path(3 + rng.Intn(3))
-		case 1:
-			q = queries.Cycle(3 + rng.Intn(3))
-		case 2:
-			q = queries.Random(4+rng.Intn(2), 0.4+rng.Float64()*0.3, rng.Int63())
-		default:
-			q = queries.Clique(3 + rng.Intn(2))
-		}
-		want, err := naive.Count(q, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := AutoPlan(q, db, AutoOptions{})
-		if err != nil {
-			t.Fatalf("trial %d: AutoPlan: %v", trial, err)
-		}
-		pol := Policy{
-			Capacity:         rng.Intn(20),
-			SupportThreshold: rng.Intn(3),
-			Eviction:         EvictionMode(rng.Intn(3)),
-			Disabled:         rng.Intn(4) == 0,
-			Workers:          2 + rng.Intn(4),
-		}
-		if got := must(plan.CountParallelCtx(bg, pol)).Count; got != want {
-			t.Errorf("trial %d (%s, workers=%d): parallel count = %d, naive = %d",
-				trial, q, pol.Workers, got, want)
-		}
-	}
 }
 
 // TestPooledRunnersParallelEvalRace exercises the per-instance runner

@@ -36,7 +36,8 @@ type Config struct {
 	// per core, 1 forces sequential. Eval and stream run on one worker
 	// at every setting. Counts, eval samples and streamed rows are
 	// identical at every setting. A request may ask for more workers,
-	// up to this or the CPU count, whichever is larger.
+	// up to this or the CPU count, whichever is larger. A negative
+	// default fails every request that takes it.
 	Workers int
 	// TrieBudget bounds the registry's resident trie bytes, shared
 	// across all queries (0 = unbounded). Under pressure the least
@@ -413,20 +414,22 @@ func (e *Engine) Registry() *trie.Registry { return e.reg }
 
 // policyOf resolves a request's cache/execution policy. A request's
 // Workers is clamped to the engine's or the CPU count, whichever is
-// larger: each worker is a goroutine with its own runner and caches. A
-// negative one is refused.
+// larger: each worker is a goroutine with its own runner and caches.
+// Workers 0 takes the engine's. A negative count, requested or taken
+// from the engine, is refused.
 func (e *Engine) policyOf(req Request) (core.Policy, error) {
-	if req.Workers < 0 {
-		return core.Policy{}, fmt.Errorf("server: negative workers %d (want 0 for the engine default, or a count)", req.Workers)
+	workers := req.Workers
+	if workers == 0 {
+		workers = e.cfg.Workers
+	}
+	if workers < 0 {
+		return core.Policy{}, fmt.Errorf("server: negative workers %d (want 0 for the engine default, or a count)", workers)
 	}
 	pol := core.Policy{
 		Capacity:         req.CacheCapacity,
 		SupportThreshold: req.CacheSupport,
 		Disabled:         req.NoCache,
-		Workers:          min(req.Workers, max(e.cfg.Workers, runtime.NumCPU())),
-	}
-	if pol.Workers == 0 {
-		pol.Workers = e.cfg.Workers
+		Workers:          min(workers, max(e.cfg.Workers, runtime.NumCPU())),
 	}
 	switch req.CacheEviction {
 	case "", "fifo":

@@ -273,6 +273,15 @@ func TestEngineErrors(t *testing.T) {
 	if got := e.Stats().Queries; got != 0 {
 		t.Fatalf("failed requests counted as %d completed queries", got)
 	}
+	// A negative engine default is refused where a request takes it, not
+	// read as one worker per core.
+	neg := NewEngine(testDB(), Config{Workers: -1})
+	if _, err := neg.Do(Request{Query: "E(x,y)"}); err == nil {
+		t.Error("Config{Workers: -1}: a request taking the default ran")
+	}
+	if got := neg.Stats().Queries; got != 0 {
+		t.Fatalf("failed requests counted as %d completed queries", got)
+	}
 }
 
 // TestPolicyOfClampsWorkers pins the bound on a request's workers: the
