@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -586,6 +587,10 @@ func (c *Coordinator) Do(ctx context.Context, req server.Request) (*server.Respo
 		for _, r := range resps[1:] {
 			merged.Value = min(merged.Value, r.Value)
 		}
+	}
+	if math.IsInf(merged.Value, 0) || math.IsNaN(merged.Value) {
+		// Every shard's value was finite; their sum need not be.
+		return nil, &nonFiniteError{value: merged.Value}
 	}
 	if req.Mode == "eval" {
 		merged.Tuples = mergeSamples(resps, limit)

@@ -1,10 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -625,5 +631,50 @@ func TestCoordinatorShardFailureTyped(t *testing.T) {
 	}
 	if !errors.Is(err, errShardDown) {
 		t.Fatalf("ShardError does not wrap the cause: %v", err)
+	}
+}
+
+// TestCoordinatorNonFiniteSum: two shards each hold one self-loop
+// (a, a) with a ≈ 1.33e18, so a 16-leg star's "sum" aggregate is
+// a^17 ≈ 1.3e308 on each — finite — and their merged sum overflows to
+// +Inf. The coordinator refuses the merge with its typed error, a 400
+// over HTTP, as the single engine over the union refuses its own fold.
+func TestCoordinatorNonFiniteSum(t *testing.T) {
+	var loops [][]int64
+	for v := int64(1_330_000_000_000_000_000); len(loops) < 2; v++ {
+		if ShardOf(v, 2) == len(loops) {
+			loops = append(loops, []int64{v, v})
+		}
+	}
+	rel, err := relation.New("E", 2, loops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, relation.NewDB(rel), 2, server.Config{})
+	legs := make([]string, 16)
+	for i := range legs {
+		legs[i] = fmt.Sprintf("E(x,y%d)", i)
+	}
+	req := server.Request{Query: strings.Join(legs, ", "), Mode: "aggregate", Semiring: "sum"}
+	for i, e := range h.engines {
+		if resp, err := e.Do(req); err != nil || math.IsInf(resp.Value, 0) {
+			t.Fatalf("shard %d: %+v, %v; want a finite value", i, resp, err)
+		}
+	}
+	if _, err := h.single.Do(req); err == nil {
+		t.Fatal("the single engine answered the overflowing sum")
+	}
+	_, err = h.coord.Do(context.Background(), req)
+	var nf *nonFiniteError
+	if !errors.As(err, &nf) || !math.IsInf(nf.value, 1) {
+		t.Fatalf("coordinator: %v, want a *nonFiniteError carrying +Inf", err)
+	}
+
+	body, _ := json.Marshal(req)
+	w := httptest.NewRecorder()
+	NewHandler(h.coord).ServeHTTP(w, httptest.NewRequest("POST", "/query", bytes.NewReader(body)))
+	var got map[string]string
+	if w.Code != http.StatusBadRequest || json.Unmarshal(w.Body.Bytes(), &got) != nil || !strings.Contains(got["error"], "+Inf") {
+		t.Fatalf("HTTP: status %d, body %q; want 400 with an error naming +Inf", w.Code, w.Body)
 	}
 }

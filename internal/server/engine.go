@@ -13,6 +13,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -475,8 +476,18 @@ func (e *Engine) DoCtx(ctx context.Context, req Request) (*Response, error) {
 // the statement's defaults merged under it: the registered statement
 // req.Stmt names, or a transient one parsed from req.Query. (By value:
 // a transient statement then never reaches the heap.)
+//
+// A raw text that is itself a resident plan-cache key is not parsed:
+// keys are canonical texts q.String(), and canonical text is a fixed
+// point of the parser (Parse(k).String() == k, FuzzParse), so parsing it
+// would yield the very key and the entry's relation names. The
+// statement then carries no query; planFor parses the text only if the
+// entry is gone by the time it looks.
 func (e *Engine) resolve(req Request) (Stmt, Request, error) {
 	if req.Stmt == "" {
+		if names, ok := e.plans.names(req.Query); ok {
+			return Stmt{e: e, text: req.Query, names: names}, req, nil
+		}
 		q, err := cq.Parse(req.Query)
 		if err != nil {
 			return Stmt{}, req, err
@@ -532,7 +543,15 @@ func (e *Engine) planFor(s *Stmt, x *execution) (err error) {
 		e.plans.rebound(s.text, x.plan.WithCounters(nil), x.vec, x.plan.Embedded())
 		return nil
 	}
-	x.plan, err = core.AutoPlan(s.q, x.db, core.AutoOptions{Counters: x.c, Tries: e.reg})
+	q := s.q
+	if q == nil {
+		// resolve found the text resident and skipped the parse; the
+		// entry went since. The text is canonical, so it parses.
+		if q, err = cq.Parse(s.text); err != nil {
+			return err
+		}
+	}
+	x.plan, err = core.AutoPlan(q, x.db, core.AutoOptions{Counters: x.c, Tries: e.reg})
 	if err != nil {
 		return err
 	}
@@ -673,6 +692,10 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 					func(_ int, v int64) float64 { return float64(v) })
 			default:
 				return fmt.Errorf("server: unknown semiring %q (want count, sum or min)", req.Semiring)
+			}
+			if err == nil && (math.IsInf(resp.Value, 0) || math.IsNaN(resp.Value)) {
+				// The value is final here: refuse one JSON cannot carry.
+				err = &nonFiniteError{semiring: req.Semiring, value: resp.Value}
 			}
 
 		case "stream":

@@ -250,12 +250,38 @@ func decodeInto(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	return true
 }
 
+// jsonContentType is every JSON reply's Content-Type value, shared so
+// that setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
+
+// writeJSON answers status with v as one line of compact JSON: a
+// *Response through appendResponse, every other document through
+// encoding/json, which spell a Response alike. The body is complete
+// before the status line goes out, so a value that cannot be encoded is
+// answered as a 500 {"error": ...}, never as a 200 with a cut body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := replyBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= maxPooledReply {
+			replyBufs.Put(buf)
+		}
+	}()
+	var err error
+	if r, ok := v.(*Response); ok {
+		*buf, err = appendResponse((*buf)[:0], r)
+	} else {
+		var doc []byte
+		if doc, err = json.Marshal(v); err == nil {
+			*buf = append(append((*buf)[:0], doc...), '\n')
+		}
+	}
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("server: cannot encode the reply: %w", err))
+		return
+	}
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is out; nothing useful to do on error
+	_, _ = w.Write(*buf) // the client sees a short body
 }
 
 // writeError answers {"error": "..."}; a refused if_versions precondition

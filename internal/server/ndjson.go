@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -148,14 +147,9 @@ func (sw *streamWriter) nullRow(mu []int64, now bool) { sw.write(streamLine{Row:
 
 // appendRowLine appends the canonical row line for a non-nil mu.
 func appendRowLine(b []byte, mu []int64) []byte {
-	b = append(b, `{"row":[`...)
-	for i, v := range mu {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, v, 10)
-	}
-	return append(b, "]}\n"...)
+	b = append(b, `{"row":`...)
+	b = appendInts(b, mu)
+	return append(b, "}\n"...)
 }
 
 func (sw *streamWriter) summary(sum StreamSummary) { sw.write(streamLine{Summary: &sum}, true) }

@@ -159,6 +159,22 @@ func (pc *planCache) get(key string, vec []uint64) (p *core.Plan, bound bool) {
 	return e.plan, true
 }
 
+// names returns the relation names of the entry under key, if one is
+// resident. It counts neither a hit nor a miss and leaves recency alone:
+// the get of the execution that follows does both.
+func (pc *planCache) names(key string) ([]string, bool) {
+	if pc == nil {
+		return nil, false
+	}
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	e, ok := pc.entries[key]
+	if !ok {
+		return nil, false
+	}
+	return e.names, true
+}
+
 // put stores a freshly compiled plan, bound at version vector vec,
 // evicting the least recently used entry past capacity. Re-storing an
 // existing key (two requests raced on the same miss) keeps the

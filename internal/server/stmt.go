@@ -24,10 +24,10 @@ import (
 type Stmt struct {
 	e     *Engine
 	id    string
-	q     *cq.Query
-	text  string   // canonical query text (q.String())
-	names []string // sorted distinct relation names, the components of its version vector
-	def   Request  // defaults from the prepare request (Query and Stmt cleared)
+	q     *cq.Query // nil on a transient statement whose text is a resident plan-cache key (see resolve)
+	text  string    // canonical query text (q.String())
+	names []string  // sorted distinct relation names, the components of its version vector
+	def   Request   // defaults from the prepare request (Query and Stmt cleared)
 }
 
 // Prepare parses, validates and compiles req.Query, registers the

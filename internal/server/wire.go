@@ -97,9 +97,10 @@ type QueryStats struct {
 	// stored past its limit counts 1.
 	CachedEntries int `json:"cached_entries"`
 	// PlanCached reports that the query executed a plan served from the
-	// engine's plan cache — parse still happened (for raw-text
-	// requests), but TD selection and plan compilation were skipped
-	// entirely. PlanRebound adds that the cached shape was first bound
+	// engine's plan cache: TD selection and plan compilation were
+	// skipped entirely. A raw-text request whose text is exactly a
+	// resident key (canonical text) skipped the parse too; any other
+	// spelling was parsed to find its key. PlanRebound adds that the cached shape was first bound
 	// to this request's snapshot: its tries were re-acquired (patched,
 	// usually) because an update or a registry eviction had released the
 	// cached binding, or the request was pinned to another snapshot.
