@@ -78,7 +78,7 @@ func TestChaosSoak(t *testing.T) {
 		Add(faults.Rule{Site: "transport/shard-3/*", Kind: faults.KindDelay, P: 0.20, Delay: 2 * time.Millisecond}).
 		Add(faults.Rule{Site: "registry/pressure", P: 0.05})
 
-	db := testGraphDB()
+	db := latticeDB()
 	single := server.NewEngine(db, server.Config{})
 	dbs, routing, err := Partition(db, 4)
 	if err != nil {
@@ -120,9 +120,7 @@ func TestChaosSoak(t *testing.T) {
 	refresh := func() {
 		for _, q := range shardableQueries {
 			o := &oracle{rowSet: make(map[string]bool)}
-			_, o.rows, _ = streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-				return single.StreamCtx(ctx, server.Request{Query: q}, hd, row)
-			})
+			_, o.rows, _ = streamAll(t, single.StreamCtx, server.Request{Query: q})
 			o.count = int64(len(o.rows))
 			for _, r := range o.rows {
 				o.rowSet[fmt.Sprint(r)] = true

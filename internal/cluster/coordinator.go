@@ -501,14 +501,14 @@ func (c *Coordinator) checkOrders(rt *routed, idxs []int, orders [][]string) ([]
 
 // Do executes one buffered request across the fleet and merges the
 // per-shard responses: counts and counting aggregates by summation,
-// "sum" by summation and "min" by minimum (an empty shard answers the
-// semiring identity, so the fold is exact), eval samples by a k-way
-// root-key merge that reproduces the single-engine tuple order, and
-// per-query counters by stats.Counters.Merge. Every shard call carries
-// the vector the coordinator expects of that shard (fanout), so the
-// responses merged here all executed at one global snapshot. The merged
-// Response carries no Versions map — per-shard vectors do not collapse
-// into one.
+// "sum" by summation and "min" by minimum over the shards that are not
+// empty (the merge is empty only when every answering shard is), eval
+// samples by a k-way root-key merge that reproduces the single-engine
+// tuple order, and per-query counters by stats.Counters.Merge. Every
+// shard call carries the vector the coordinator expects of that shard
+// (fanout), so the responses merged here all executed at one global
+// snapshot. The merged Response carries no Versions map — per-shard
+// vectors do not collapse into one.
 func (c *Coordinator) Do(ctx context.Context, req server.Request) (*server.Response, error) {
 	start := time.Now()
 	// The coordinator folds by mode and semiring, so it refuses the ones
@@ -571,26 +571,31 @@ func (c *Coordinator) Do(ctx context.Context, req server.Request) (*server.Respo
 
 	// Counts (count, eval, the counting aggregate) and "sum" values fold
 	// by addition — a response leaves the field its mode does not use at
-	// zero — and "min" by minimum.
+	// zero — and "min" by minimum over the shards that found a tuple.
 	merged := &server.Response{Mode: resps[0].Mode, Order: order}
 	merged.Stats.PlanCached = true
+	isMin := req.Mode == "aggregate" && req.Semiring == "min"
+	merged.Empty = isMin
 	for _, r := range resps {
 		merged.Stats.Counters.Merge(&r.Stats.Counters)
 		merged.Stats.CachedEntries += r.Stats.CachedEntries
 		merged.Stats.PlanCached = merged.Stats.PlanCached && r.Stats.PlanCached
 		merged.Stats.PlanRebound = merged.Stats.PlanRebound || r.Stats.PlanRebound
 		merged.Count += r.Count
-		merged.Value += r.Value
-	}
-	if req.Mode == "aggregate" && req.Semiring == "min" {
-		merged.Value = resps[0].Value
-		for _, r := range resps[1:] {
+		switch {
+		case !isMin:
+			merged.Value += r.Value
+		case r.Empty:
+		case merged.Empty:
+			merged.Value, merged.Empty = r.Value, false
+		default:
 			merged.Value = min(merged.Value, r.Value)
 		}
 	}
 	if math.IsInf(merged.Value, 0) || math.IsNaN(merged.Value) {
-		// Every shard's value was finite; their sum need not be.
-		return nil, &nonFiniteError{value: merged.Value}
+		// Every shard's value was finite; their sum need not be. JSON
+		// has no number for it, and the query is at fault: a 400.
+		return nil, fmt.Errorf("cluster: the sum aggregate merged over the shards is %v, which has no JSON number: the float64 sum left the finite range", merged.Value)
 	}
 	if req.Mode == "eval" {
 		merged.Tuples = mergeSamples(resps, limit)

@@ -63,15 +63,3 @@ type StatusError struct {
 func (e *StatusError) Error() string {
 	return fmt.Sprintf("shard answered %d: %s", e.Status, e.Msg)
 }
-
-// nonFiniteError refuses a merged "sum" aggregate that left the finite
-// float64 range although every shard's own value was finite: JSON has no
-// number for it. The query is at fault, as when one engine's fold
-// overflows, so it answers 400.
-type nonFiniteError struct {
-	value float64
-}
-
-func (e *nonFiniteError) Error() string {
-	return fmt.Sprintf("cluster: the sum aggregate merged over the shards is %v, which has no JSON number: the float64 sum left the finite range", e.value)
-}

@@ -70,7 +70,7 @@ func (d *dyingStream) Stream(ctx context.Context, req server.Request, header fun
 // serves every read from the survivor; updates require the whole group.
 func TestReplicaFailover(t *testing.T) {
 	ctx := context.Background()
-	db := testGraphDB()
+	db := latticeDB()
 	e := server.NewEngine(db, server.Config{})
 	rs := NewReplicaSet([]Shard{
 		&failingShard{name: "dead:1"},
@@ -100,9 +100,7 @@ func TestReplicaFailover(t *testing.T) {
 	if _, err := rs.Stats(ctx); err != nil {
 		t.Fatalf("Stats did not fail over: %v", err)
 	}
-	order, rows, _ := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-		return rs.Stream(ctx, server.Request{Query: "E(x,y)"}, hd, row)
-	})
+	order, rows, _ := streamAll(t, rs.Stream, server.Request{Query: "E(x,y)"})
 	if len(order) == 0 || int64(len(rows)) != want.Count {
 		t.Fatalf("stream failover: %d rows (order %v), want %d", len(rows), order, want.Count)
 	}
@@ -118,7 +116,7 @@ func TestReplicaFailover(t *testing.T) {
 // TestReplicaAuthoritative4xx: a 4xx is the shard answering about the
 // request, so the set must NOT mask it by consulting another replica.
 func TestReplicaAuthoritative4xx(t *testing.T) {
-	db := testGraphDB()
+	db := latticeDB()
 	e := server.NewEngine(db, server.Config{})
 	rs := NewReplicaSet([]Shard{
 		&rejectingShard{newEngineShard("a", e)},
@@ -135,7 +133,7 @@ func TestReplicaAuthoritative4xx(t *testing.T) {
 // overtaken by the hedge launched on the second — the answer arrives
 // long before the slow replica's delay elapses.
 func TestReplicaHedgedDo(t *testing.T) {
-	db := testGraphDB()
+	db := latticeDB()
 	e := server.NewEngine(db, server.Config{})
 	rs := NewReplicaSet([]Shard{
 		&slowShard{Shard: newEngineShard("slow", e), delay: 30 * time.Second},
@@ -166,37 +164,33 @@ func TestReplicaHedgedDo(t *testing.T) {
 // the old data.
 func TestReplicaStale(t *testing.T) {
 	ctx := context.Background()
-	db := testGraphDB()
+	db := latticeDB()
 	for _, hedge := range []time.Duration{0, time.Millisecond} {
 		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
 			restarted := &spyShard{Shard: newEngineShard("a", server.NewEngine(db, server.Config{}))}
-			fresh := &spyShard{Shard: newEngineShard("b", server.NewEngine(db, server.Config{}))}
-			h := &harness{single: server.NewEngine(db, server.Config{})}
-			var err error
-			h.coord, err = New(Routing{Shards: 1}, []Shard{NewReplicaSet([]Shard{restarted, fresh}, ReplicaConfig{Hedge: hedge})}, Config{})
+			caughtUp := server.NewEngine(db, server.Config{})
+			fresh := &spyShard{Shard: newEngineShard("b", caughtUp)}
+			coord, err := New(Routing{Shards: 1}, []Shard{NewReplicaSet([]Shard{restarted, fresh}, ReplicaConfig{Hedge: hedge})}, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			delta := server.UpdateRequest{Relation: "E", Inserts: [][]int64{{1, 100001}, {1, 100002}, {2, 100003}}}
-			if _, err := h.coord.Update(ctx, delta); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := h.single.Update(delta); err != nil {
+			if _, err := coord.Update(ctx, delta); err != nil {
 				t.Fatal(err)
 			}
 			restarted.Shard = newEngineShard("a", server.NewEngine(db, server.Config{}))
 
+			// One partition: the caught-up replica's own answer is the truth.
 			for _, q := range []string{"E(1,y)", "E(x,y), E(x,z)"} {
-				checkDo(t, h, server.Request{Query: q})
-				checkDo(t, h, server.Request{Query: q, Mode: "eval"})
-				_, got, _ := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-					return h.coord.StreamCtx(ctx, server.Request{Query: q}, hd, row)
-				})
-				_, want, _ := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-					return h.single.StreamCtx(ctx, server.Request{Query: q}, hd, row)
-				})
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: stream past a stale replica: %d rows, single engine %d", q, len(got), len(want))
+				for _, mode := range []string{"count", "eval", "stream"} {
+					req := server.Request{Query: q, Mode: mode}
+					got, err := inProcess(coord.Do, coord.StreamCtx, req)
+					if err != nil {
+						t.Fatalf("%s %s past a stale replica: %v", q, mode, err)
+					}
+					if want, _ := inProcess(caughtUp.DoCtx, caughtUp.StreamCtx, req); diffAnswers(got, want) != "" {
+						t.Fatalf("%s %s past a stale replica: %s", q, mode, diffAnswers(got, want))
+					}
 				}
 			}
 			if restarted.do.Load() == 0 || restarted.stream.Load() == 0 {
@@ -205,10 +199,10 @@ func TestReplicaStale(t *testing.T) {
 
 			fresh.Shard = &failingShard{name: "b"}
 			for _, ap := range []bool{false, true} {
-				if _, err := h.coord.Do(ctx, server.Request{Query: "E(1,y)", AllowPartial: ap}); !errors.Is(err, ErrSnapshotMoved) {
+				if _, err := coord.Do(ctx, server.Request{Query: "E(1,y)", AllowPartial: ap}); !errors.Is(err, ErrSnapshotMoved) {
 					t.Fatalf("allow_partial=%v read with only the stale replica alive: %v, want ErrSnapshotMoved", ap, err)
 				}
-				_, err := h.coord.StreamCtx(ctx, server.Request{Query: "E(1,y)", AllowPartial: ap}, nil, func([]int64) bool {
+				_, err := coord.StreamCtx(ctx, server.Request{Query: "E(1,y)", AllowPartial: ap}, nil, func([]int64) bool {
 					t.Error("a stale replica's row was delivered")
 					return true
 				})
@@ -216,7 +210,7 @@ func TestReplicaStale(t *testing.T) {
 					t.Fatalf("allow_partial=%v stream with only the stale replica alive: %v, want ErrSnapshotMoved", ap, err)
 				}
 			}
-			st, err := h.coord.Stats(ctx)
+			st, err := coord.Stats(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +237,7 @@ func (s *refusingUpdates) Update(ctx context.Context, req server.UpdateRequest) 
 // retry, whichever of the two is listed first.
 func TestReplicaPartialUpdate(t *testing.T) {
 	ctx := context.Background()
-	db := testGraphDB()
+	db := latticeDB()
 	for _, missedFirst := range []bool{true, false} {
 		t.Run(fmt.Sprintf("missed-first=%v", missedFirst), func(t *testing.T) {
 			missed := &refusingUpdates{newEngineShard("a", server.NewEngine(db, server.Config{}))}
@@ -252,32 +246,30 @@ func TestReplicaPartialUpdate(t *testing.T) {
 			if !missedFirst {
 				reps = []Shard{applied, missed}
 			}
-			h := &harness{single: server.NewEngine(db, server.Config{})}
-			var err error
-			h.coord, err = New(Routing{Shards: 1}, []Shard{NewReplicaSet(reps, ReplicaConfig{})}, Config{})
+			coord, err := New(Routing{Shards: 1}, []Shard{NewReplicaSet(reps, ReplicaConfig{})}, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			q := server.Request{Query: "E(1,y)"}
-			old, _ := checkDo(t, h, q)
-			delta := server.UpdateRequest{Relation: "E", Inserts: [][]int64{{1, 100001}, {1, 100002}}}
-			if _, err := h.coord.Update(ctx, delta); !errors.Is(err, errShardDown) {
-				t.Fatalf("update a replica missed: %v, want its failure", err)
-			}
-			if _, err := h.single.Update(delta); err != nil {
+			old, err := coord.Do(ctx, q)
+			if err != nil {
 				t.Fatal(err)
 			}
-			before, err := h.coord.Stats(ctx)
+			delta := server.UpdateRequest{Relation: "E", Inserts: [][]int64{{1, 100001}, {1, 100002}}}
+			if _, err := coord.Update(ctx, delta); !errors.Is(err, errShardDown) {
+				t.Fatalf("update a replica missed: %v, want its failure", err)
+			}
+			before, err := coord.Stats(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The coordinator's answer carries no version vector; the
-			// delta changes the count, so matching the single engine's
-			// is answering at the new version.
-			if got, want := checkDo(t, h, q); got.Count == old.Count {
-				t.Fatalf("count %d after the update, as before it (single engine %d)", got.Count, want.Count)
+			// delta adds two rows, so counting them is answering at the
+			// new version.
+			if got, err := coord.Do(ctx, q); err != nil || got.Count != old.Count+2 {
+				t.Fatalf("count %d (%v) after the update, want %d", got.Count, err, old.Count+2)
 			}
-			after, err := h.coord.Stats(ctx)
+			after, err := coord.Stats(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,22 +284,12 @@ func TestReplicaPartialUpdate(t *testing.T) {
 // by a failingShard, returning the live engines for ground truth.
 func partialFleet(t *testing.T, db *relation.DB, dead int) (*Coordinator, []*server.Engine) {
 	t.Helper()
-	dbs, routing, err := Partition(db, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := make([]*server.Engine, 4)
-	shards := make([]Shard, 4)
-	for i, pdb := range dbs {
-		engines[i] = server.NewEngine(pdb, server.Config{})
-		shards[i] = newEngineShard(fmt.Sprintf("shard-%d", i), engines[i])
-	}
-	shards[dead] = &failingShard{name: fmt.Sprintf("shard-%d", dead)}
-	coord, err := New(routing, shards, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return coord, engines
+	return newFleet(t, db, 4, server.Config{}, Config{}, func(i int, s Shard) Shard {
+		if i == dead {
+			return &failingShard{name: s.Name()}
+		}
+		return s
+	})
 }
 
 // liveCount sums a query's count over every engine except the dead one.
@@ -333,7 +315,7 @@ func liveCount(t *testing.T, engines []*server.Engine, dead int, q string) int64
 // entirely to live shards is never marked partial.
 func TestPartialResults(t *testing.T) {
 	ctx := context.Background()
-	db := testGraphDB()
+	db := latticeDB()
 	const dead = 2
 	coord, engines := partialFleet(t, db, dead)
 	q := "E(x,y), E(x,z)"
@@ -412,7 +394,7 @@ func TestPartialResults(t *testing.T) {
 // flagged; strict mode refuses before any row.
 func TestPartialStream(t *testing.T) {
 	ctx := context.Background()
-	db := testGraphDB()
+	db := latticeDB()
 	const dead = 1
 	coord, engines := partialFleet(t, db, dead)
 	q := "E(x,y), E(x,z)"
@@ -427,9 +409,7 @@ func TestPartialStream(t *testing.T) {
 		t.Fatalf("strict stream delivered %d rows before failing", strictRows)
 	}
 
-	_, rows, sum := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-		return coord.StreamCtx(ctx, server.Request{Query: q, Mode: "stream", AllowPartial: true}, hd, row)
-	})
+	_, rows, sum := streamAll(t, coord.StreamCtx, server.Request{Query: q, Mode: "stream", AllowPartial: true})
 	if !sum.Partial || !reflect.DeepEqual(sum.Missing, []string{"shard-1"}) {
 		t.Fatalf("partial stream summary %+v, want partial naming shard-1", sum)
 	}
@@ -441,9 +421,7 @@ func TestPartialStream(t *testing.T) {
 		if i == dead {
 			continue
 		}
-		_, r, _ := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-			return e.StreamCtx(ctx, server.Request{Query: q}, hd, row)
-		})
+		_, r, _ := streamAll(t, e.StreamCtx, server.Request{Query: q})
 		want = append(want, r...)
 	}
 	sort.SliceStable(want, func(i, j int) bool { return want[i][0] < want[j][0] })
@@ -464,26 +442,15 @@ func TestPartialStream(t *testing.T) {
 func TestStreamShardDeathCancelsSiblings(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx := context.Background()
-	db := testGraphDB()
-	dbs, routing, err := Partition(db, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := make([]Shard, 4)
-	for i, pdb := range dbs {
-		s := Shard(newEngineShard(fmt.Sprintf("shard-%d", i), server.NewEngine(pdb, server.Config{})))
+	coord, _ := newFleet(t, latticeDB(), 4, server.Config{}, Config{}, func(i int, s Shard) Shard {
 		if i == 1 {
-			s = &dyingStream{Shard: s, rows: 0}
+			return &dyingStream{Shard: s, rows: 0}
 		}
-		shards[i] = s
-	}
-	coord, err := New(routing, shards, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+		return s
+	})
 
 	delivered := 0
-	_, err = coord.StreamCtx(ctx, server.Request{Query: "E(x,y), E(x,z)"}, nil,
+	_, err := coord.StreamCtx(ctx, server.Request{Query: "E(x,y), E(x,z)"}, nil,
 		func(mu []int64) bool { delivered++; return true })
 	var se *ShardError
 	if !errors.As(err, &se) || se.Shard != "shard-1" {
@@ -500,9 +467,7 @@ func TestStreamShardDeathCancelsSiblings(t *testing.T) {
 	}
 
 	// Under allow_partial the same fleet serves the survivors instead.
-	_, rows, sum := streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-		return coord.StreamCtx(ctx, server.Request{Query: "E(x,y), E(x,z)", AllowPartial: true}, hd, row)
-	})
+	_, rows, sum := streamAll(t, coord.StreamCtx, server.Request{Query: "E(x,y), E(x,z)", AllowPartial: true})
 	if !sum.Partial || !reflect.DeepEqual(sum.Missing, []string{"shard-1"}) {
 		t.Fatalf("partial summary %+v, want missing shard-1", sum)
 	}
@@ -563,7 +528,7 @@ func (s *stallingStream) Stream(ctx context.Context, req server.Request, header 
 func TestStreamMergeDeliversSparseRows(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	dbs, routing, err := Partition(testGraphDB(), 2)
+	dbs, routing, err := Partition(latticeDB(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,9 +537,7 @@ func TestStreamMergeDeliversSparseRows(t *testing.T) {
 	parts := make([][][]int64, 2)
 	for i, pdb := range dbs {
 		engines[i] = server.NewEngine(pdb, server.Config{})
-		_, parts[i], _ = streamAll(t, func(hd func([]string), row func([]int64) bool) (server.StreamSummary, error) {
-			return engines[i].StreamCtx(ctx, q, hd, row)
-		})
+		_, parts[i], _ = streamAll(t, engines[i].StreamCtx, q)
 	}
 	const n = 3
 	if len(parts[0]) <= n {
@@ -612,7 +575,7 @@ func TestStreamMergeDeliversSparseRows(t *testing.T) {
 // the wire), and after the cooldown a half-open probe closes it again.
 func TestBreakerOpensFailsFastAndRecovers(t *testing.T) {
 	ctx := context.Background()
-	db := testGraphDB()
+	db := latticeDB()
 	srv := httptest.NewServer(server.NewHandler(server.NewEngine(db, server.Config{})))
 	defer srv.Close()
 

@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,12 +18,9 @@ import (
 )
 
 // socketHarness is the wire-level fleet: every shard is a real HTTP
-// daemon handler behind a test server, the coordinator talks to them
-// through cluster.Client, and the coordinator itself is served over
-// HTTP — the full socket path of the tentpole.
+// daemon handler behind a test server, and the coordinator talks to
+// them through cluster.Client.
 type socketHarness struct {
-	singleSrv *httptest.Server
-	coordSrv  *httptest.Server
 	shardSrvs []*httptest.Server
 	coord     *Coordinator
 }
@@ -36,10 +31,7 @@ func newSocketHarness(t *testing.T, db *relation.DB, n int) *socketHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &socketHarness{
-		singleSrv: httptest.NewServer(server.NewHandler(server.NewEngine(db, server.Config{}))),
-	}
-	t.Cleanup(h.singleSrv.Close)
+	h := &socketHarness{}
 	addrs := make([]string, n)
 	for i, pdb := range dbs {
 		srv := httptest.NewServer(server.NewHandler(server.NewEngine(pdb, server.Config{})))
@@ -51,155 +43,52 @@ func newSocketHarness(t *testing.T, db *relation.DB, n int) *socketHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.coordSrv = httptest.NewServer(NewHandler(h.coord))
-	t.Cleanup(h.coordSrv.Close)
 	return h
-}
-
-func post(t *testing.T, url, body string) (int, []byte) {
-	t.Helper()
-	resp, err := http.Post(url+"/query", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, raw
-}
-
-// TestHTTPClusterDifferential drives the socket path end to end: the
-// coordinator daemon's answers must match the single daemon's — counts
-// and eval samples field-for-field, NDJSON streams byte-for-byte.
-func TestHTTPClusterDifferential(t *testing.T) {
-	db := testGraphDB()
-	for _, n := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			h := newSocketHarness(t, db, n)
-			if err := h.coord.WaitReady(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range shardableQueries {
-				for _, mode := range []string{"count", "eval", "aggregate"} {
-					body := fmt.Sprintf(`{"query": %q, "mode": %q}`, q, mode)
-					cs, craw := post(t, h.coordSrv.URL, body)
-					ss, sraw := post(t, h.singleSrv.URL, body)
-					if cs != http.StatusOK || ss != http.StatusOK {
-						t.Fatalf("%s %s: coordinator %d, single %d (%s / %s)", q, mode, cs, ss, craw, sraw)
-					}
-					var got, want server.Response
-					if err := json.Unmarshal(craw, &got); err != nil {
-						t.Fatal(err)
-					}
-					if err := json.Unmarshal(sraw, &want); err != nil {
-						t.Fatal(err)
-					}
-					if got.Count != want.Count || got.Value != want.Value || got.Truncated != want.Truncated {
-						t.Errorf("%s %s: got count=%d value=%v truncated=%v, single count=%d value=%v truncated=%v",
-							q, mode, got.Count, got.Value, got.Truncated, want.Count, want.Value, want.Truncated)
-					}
-					if fmt.Sprint(got.Tuples) != fmt.Sprint(want.Tuples) {
-						t.Errorf("%s %s: eval samples diverge over the socket path", q, mode)
-					}
-				}
-
-				// The streamed NDJSON must be byte-identical: same header,
-				// same rows in the same order, same trailer.
-				body := fmt.Sprintf(`{"query": %q, "mode": "stream"}`, q)
-				cs, craw := post(t, h.coordSrv.URL, body)
-				ss, sraw := post(t, h.singleSrv.URL, body)
-				if cs != http.StatusOK || ss != http.StatusOK {
-					t.Fatalf("stream %s: coordinator %d, single %d", q, cs, ss)
-				}
-				if !bytes.Equal(craw, sraw) {
-					t.Errorf("stream %s: %d merged bytes diverge from single engine's %d:\ncoordinator: %.200s\nsingle:      %.200s",
-						q, len(craw), len(sraw), craw, sraw)
-				}
-			}
-		})
-	}
 }
 
 // TestHTTPClusterUpdateAndStats routes a delta over the sockets and
 // checks the merged stats view parses and folds.
 func TestHTTPClusterUpdateAndStats(t *testing.T) {
-	db := testGraphDB()
-	h := newSocketHarness(t, db, 2)
-	res, err := http.Post(h.coordSrv.URL+"/update", "application/json",
-		strings.NewReader(`{"relation": "E", "inserts": [[900, 901], [901, 902]]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
+	h := NewHandler(newSocketHarness(t, latticeDB(), 2).coord)
+	out, err := serveJSON(h, "/update", server.UpdateRequest{Relation: "E", Inserts: [][]int64{{900, 901}, {901, 902}}})
 	var ur UpdateResponse
-	if err := json.NewDecoder(res.Body).Decode(&ur); err != nil {
-		t.Fatal(err)
+	if err != nil || json.Unmarshal(out, &ur) != nil || !ur.Applied {
+		t.Fatalf("update: %s (%v)", out, err)
 	}
-	if res.StatusCode != http.StatusOK || !ur.Applied {
-		t.Fatalf("update: status %d, applied %v", res.StatusCode, ur.Applied)
-	}
-
-	sres, err := http.Get(h.coordSrv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sres.Body.Close()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
 	var st Stats
-	if err := json.NewDecoder(sres.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Shards != 2 || len(st.PerShard) != 2 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if st.Updates != 1 {
-		t.Fatalf("stats updates = %d, want 1", st.Updates)
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || st.Shards != 2 || len(st.PerShard) != 2 || st.Updates != 1 {
+		t.Fatalf("stats: %s (%v), want 2 shards and 1 update", rec.Body, err)
 	}
 }
 
 // TestHTTPClusterShardFailure502 kills one shard daemon mid-fleet and
 // requires the coordinator to answer a typed 502 naming it — and 400
-// (not 502) for requests the shards themselves reject.
+// (not 502) for requests the shards themselves reject. An unshardable
+// query's 400 is TestHTTPClusterDifferential's.
 func TestHTTPClusterShardFailure502(t *testing.T) {
-	db := testGraphDB()
-	h := newSocketHarness(t, db, 2)
+	h := newSocketHarness(t, latticeDB(), 2)
+	coord := NewHandler(h.coord)
 
 	// A shard-rejected request passes its 4xx through.
-	status, raw := post(t, h.coordSrv.URL, `{"query": "E(x,y), E(x,z)", "cache_eviction": "nope"}`)
-	if status != http.StatusBadRequest || !strings.Contains(string(raw), "shard answered 400") {
-		t.Fatalf("bad cache_eviction: %d (%s), want the shard's 400", status, raw)
-	}
-	// An unshardable query is a client error, not a fleet failure.
-	status, raw = post(t, h.coordSrv.URL, `{"query": "E(x,y), E(y,z), E(x,z)"}`)
-	if status != http.StatusBadRequest || !strings.Contains(string(raw), "not shardable") {
-		t.Fatalf("triangle: %d (%s), want 400 not shardable", status, raw)
+	_, err := serveJSON(coord, "/query", server.Request{Query: "E(x,y), E(x,z)", CacheEviction: "nope"})
+	if hs := (*httpStatus)(nil); !errors.As(err, &hs) || hs.code != http.StatusBadRequest || !strings.Contains(hs.body, "shard answered 400") {
+		t.Fatalf("bad cache_eviction: %v, want the shard's 400", err)
 	}
 
 	killed := h.shardSrvs[1]
 	killed.Close()
-	status, raw = post(t, h.coordSrv.URL, `{"query": "E(x,y), E(x,z)"}`)
-	if status != http.StatusBadGateway {
-		t.Fatalf("dead shard: status %d (%s), want 502", status, raw)
-	}
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(raw, &e); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(e.Error, killed.URL) {
-		t.Fatalf("502 body %q does not name the failed shard %s", e.Error, killed.URL)
+	_, err = serveJSON(coord, "/query", server.Request{Query: "E(x,y), E(x,z)"})
+	if hs := (*httpStatus)(nil); !errors.As(err, &hs) || hs.code != http.StatusBadGateway || !strings.Contains(hs.body, killed.URL) {
+		t.Fatalf("dead shard: %v, want a 502 naming %s", err, killed.URL)
 	}
 
 	// The fleet health reflects the outage.
-	hres, err := http.Get(h.coordSrv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hres.Body.Close()
-	if hres.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("healthz with dead shard: %d, want 503", hres.StatusCode)
+	rec := httptest.NewRecorder()
+	coord.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz with dead shard: %d, want 503", rec.Code)
 	}
 }
 
@@ -207,7 +96,7 @@ func TestHTTPClusterShardFailure502(t *testing.T) {
 // readiness gate keeps the coordinator unready (503) and WaitReady
 // blocked; once the gate opens, admission follows.
 func TestHTTPClusterAdmissionGate(t *testing.T) {
-	db := testGraphDB()
+	db := latticeDB()
 	dbs, _, err := Partition(db, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -222,17 +111,13 @@ func TestHTTPClusterAdmissionGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coordSrv := httptest.NewServer(NewHandler(coord))
-	defer coordSrv.Close()
-
-	hres, err := http.Get(coordSrv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	health := func() int {
+		rec := httptest.NewRecorder()
+		NewHandler(coord).ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		return rec.Code
 	}
-	io.Copy(io.Discard, hres.Body)
-	hres.Body.Close()
-	if hres.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("healthz with booting shard: %d, want 503", hres.StatusCode)
+	if code := health(); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz with booting shard: %d, want 503", code)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	if err := coord.WaitReady(ctx); err == nil {
@@ -247,14 +132,8 @@ func TestHTTPClusterAdmissionGate(t *testing.T) {
 	if err := coord.WaitReady(ctx); err != nil {
 		t.Fatalf("WaitReady after gate open: %v", err)
 	}
-	hres, err = http.Get(coordSrv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, hres.Body)
-	hres.Body.Close()
-	if hres.StatusCode != http.StatusOK {
-		t.Fatalf("healthz after gate open: %d, want 200", hres.StatusCode)
+	if code := health(); code != http.StatusOK {
+		t.Fatalf("healthz after gate open: %d, want 200", code)
 	}
 }
 

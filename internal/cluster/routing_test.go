@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cq"
-	"repro/internal/dataset"
-	"repro/internal/relation"
 	"repro/internal/server"
 )
 
@@ -43,18 +41,12 @@ func TestShardOfContract(t *testing.T) {
 	}
 }
 
-func testGraphDB() *relation.DB {
-	g := dataset.TriadicPA(150, 3, 0.4, 4242)
-	r := dataset.TriadicPA(120, 2, 0.3, 99)
-	return relation.NewDB(g.EdgeRelation("E", false), r.EdgeRelation("R", false))
-}
-
 // TestPartitionDisjointUnion checks the partition invariant the whole
 // tier rests on: per relation, the shard slices are disjoint, their
 // union is the original, order is preserved within each slice, and
 // tuples land exactly where ShardOf says.
 func TestPartitionDisjointUnion(t *testing.T) {
-	db := testGraphDB()
+	db := latticeDB()
 	for _, n := range []int{1, 2, 4, 7} {
 		dbs, routing, err := Partition(db, n)
 		if err != nil {

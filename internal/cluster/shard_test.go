@@ -3,15 +3,17 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
+	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/server"
 )
 
 // engineShard adapts an in-process *server.Engine to the shard
 // protocol: the coordinator's fan-out and merge logic runs unchanged
-// over function calls instead of sockets, which is what the
-// differential harness drives.
+// over function calls instead of sockets.
 type engineShard struct {
 	name string
 	e    *server.Engine
@@ -20,6 +22,30 @@ type engineShard struct {
 // newEngineShard wraps an engine as a named in-process shard.
 func newEngineShard(name string, e *server.Engine) *engineShard {
 	return &engineShard{name: name, e: e}
+}
+
+// newFleet partitions db across n in-process engines and stands up a
+// coordinator over them; wrap, when set, stands in for shard i.
+func newFleet(t *testing.T, db *relation.DB, n int, cfg server.Config, ccfg Config, wrap func(i int, s Shard) Shard) (*Coordinator, []*server.Engine) {
+	t.Helper()
+	dbs, routing, err := Partition(db, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := make([]*server.Engine, n)
+	shards := make([]Shard, n)
+	for i, pdb := range dbs {
+		engines[i] = server.NewEngine(pdb, cfg)
+		shards[i] = newEngineShard(fmt.Sprintf("shard-%d", i), engines[i])
+		if wrap != nil {
+			shards[i] = wrap(i, shards[i])
+		}
+	}
+	coord, err := New(routing, shards, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return coord, engines
 }
 
 // Name implements Shard.

@@ -14,13 +14,15 @@ import (
 	"repro/internal/relation"
 )
 
-// slowPlan compiles a cyclic query that runs for hundreds of
-// milliseconds sequentially — long enough that a cancellation landing
-// mid-join exercises the cooperative unwind, short enough for CI.
+// slowPlan compiles a cyclic query that runs for seconds at every
+// worker count (over 3 s at 1 and at 4 workers on 2 vCPUs), so the
+// tests' head starts (20-30 ms) always land mid-join, however fast the
+// host or however late a loaded scheduler wakes the canceller. Every
+// test cancels it, so its length costs no test time.
 func slowPlan(t *testing.T) *Plan {
 	t.Helper()
-	db := dataset.CliqueUnion(600, 340, 20, 1.6, 9).DB(false)
-	plan, err := AutoPlan(queries.Cycle(5), db, AutoOptions{})
+	db := dataset.CliqueUnion(4000, 4000, 20, 1.6, 9).DB(false)
+	plan, err := AutoPlan(queries.Cycle(6), db, AutoOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

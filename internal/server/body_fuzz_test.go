@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -24,7 +25,8 @@ import (
 // an {"error": ...} document under a status of the error table. An eval
 // Response must agree with two more requests on the engine: a count of
 // the same query, and a no_cache stream of it with the limit cleared,
-// whose prefix its tuples are (checkEval).
+// whose prefix its tuples are (checkEval); an aggregate Response must
+// agree with the same two (checkAggregate).
 func FuzzQueryBody(f *testing.F) {
 	e := NewEngine(dataset.ErdosRenyi(12, 0.3, 5).DB(false), Config{Workers: 2})
 	stmt, err := e.Prepare(Request{Query: "E(x,y), E(y,z)", Mode: "eval"})
@@ -61,6 +63,8 @@ func FuzzQueryBody(f *testing.F) {
 		`{"query": "E(x,y)"} {}`,
 		`{"query": "E(x,"}`,
 		`null`,
+		`{"query": "E(99,y), E(y,z)", "mode": "aggregate", "semiring": "min"}`,
+		`{"query": "E(x,y), E(y,z), E(z,w)", "mode": "aggregate", "semiring": "sum", "workers": 2, "cache_capacity": 3}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -94,8 +98,11 @@ func FuzzQueryBody(f *testing.F) {
 			if err := json.Unmarshal(out, &resp); err != nil || resp.Mode == "" {
 				t.Fatalf("200 without a Response (%v): %s", err, out)
 			}
-			if resp.Mode == "eval" {
+			switch resp.Mode {
+			case "eval":
 				checkEval(t, e, req, &resp)
+			case "aggregate":
+				checkAggregate(t, e, req, &resp)
 			}
 		case http.StatusBadRequest, http.StatusGatewayTimeout:
 			errorDoc(t, out)
@@ -119,12 +126,7 @@ func FuzzQueryBody(f *testing.F) {
 func checkEval(t *testing.T, e *Engine, req Request, resp *Response) {
 	t.Helper()
 	req.TimeoutMS = 0
-	cnt := req
-	cnt.Mode = "count"
-	want, err := e.Do(cnt)
-	if err != nil {
-		t.Fatalf("count of an answered eval failed: %v", err)
-	}
+	want := countOf(t, e, req)
 	limit := int64(DefaultMaxTuples)
 	if req.Limit > 0 {
 		limit = int64(req.Limit)
@@ -136,23 +138,81 @@ func checkEval(t *testing.T, e *Engine, req Request, resp *Response) {
 	if want.Count > 1<<16 {
 		return
 	}
-	str := req
-	str.Mode, str.NoCache, str.Limit = "stream", true, -1
-	var rows [][]int64
-	if _, err := e.StreamCtx(context.Background(), str, nil, func(mu []int64) bool {
-		rows = append(rows, slices.Clone(mu))
-		return true
-	}); err != nil {
-		t.Fatalf("no_cache stream of an answered eval failed: %v", err)
-	}
-	if int64(len(rows)) != want.Count {
-		t.Fatalf("no_cache stream has %d rows, the count %d", len(rows), want.Count)
-	}
+	rows := noCacheRows(t, e, req, want.Count)
 	for i, tu := range resp.Tuples {
 		if !slices.Equal(tu, rows[i]) {
 			t.Fatalf("eval tuple %d is %v, the stream's row %v", i, tu, rows[i])
 		}
 	}
+}
+
+// checkAggregate holds an aggregate answer to the engine's own count of
+// req's query: the counting semiring answers it, and "min" is empty
+// exactly when it is 0. Up to 1<<16 rows, "sum" and "min" must also be
+// the folds of the no_cache stream's rows — a sum of products, a minimum
+// of sums — compared exactly while every product and partial sum is an
+// integer float64 holds exactly (always under min, on the fuzz engine's
+// vertex ids 0..11; under sum, unless a row binds many variables).
+func checkAggregate(t *testing.T, e *Engine, req Request, resp *Response) {
+	t.Helper()
+	req.TimeoutMS = 0
+	want := countOf(t, e, req)
+	isMin := req.Semiring == "min"
+	if req.Semiring == "" || req.Semiring == "count" {
+		if resp.Count != want.Count {
+			t.Fatalf("count aggregate %d, the count %d", resp.Count, want.Count)
+		}
+		return
+	}
+	if resp.Empty != (isMin && want.Count == 0) || (resp.Empty && resp.Value != 0) {
+		t.Fatalf("%s aggregate empty=%v value %v over %d rows", req.Semiring, resp.Empty, resp.Value, want.Count)
+	}
+	if want.Count > 1<<16 {
+		return
+	}
+	sum, least, exact := 0.0, math.Inf(1), true
+	for _, row := range noCacheRows(t, e, req, want.Count) {
+		prod, total := 1.0, 0.0
+		for _, v := range row {
+			prod, total = prod*float64(v), total+float64(v)
+		}
+		sum, least = sum+prod, min(least, total)
+		exact = exact && math.Abs(prod) <= 1<<53 && math.Abs(sum) <= 1<<53
+	}
+	if isMin && !resp.Empty && resp.Value != least || !isMin && exact && resp.Value != sum {
+		t.Fatalf("%s aggregate %v; the stream's rows fold to sum %v, min %v", req.Semiring, resp.Value, sum, least)
+	}
+}
+
+// countOf runs req as a count on e: the reference an answered eval or
+// aggregate is held to.
+func countOf(t *testing.T, e *Engine, req Request) *Response {
+	t.Helper()
+	mode := req.Mode
+	req.Mode = "count"
+	want, err := e.Do(req)
+	if err != nil {
+		t.Fatalf("count of an answered %s failed: %v", mode, err)
+	}
+	return want
+}
+
+// noCacheRows streams req's query on e with caching off and the limit
+// cleared, and requires exactly count rows.
+func noCacheRows(t *testing.T, e *Engine, req Request, count int64) [][]int64 {
+	t.Helper()
+	req.Mode, req.NoCache, req.Limit = "stream", true, -1
+	var rows [][]int64
+	if _, err := e.StreamCtx(context.Background(), req, nil, func(mu []int64) bool {
+		rows = append(rows, slices.Clone(mu))
+		return true
+	}); err != nil {
+		t.Fatalf("no_cache stream of an answered request failed: %v", err)
+	}
+	if int64(len(rows)) != count {
+		t.Fatalf("no_cache stream has %d rows, the count %d", len(rows), count)
+	}
+	return rows
 }
 
 // FuzzPrepareBody posts arbitrary bytes to POST /prepare, the other

@@ -690,6 +690,11 @@ func (s *Stmt) exec(ctx context.Context, req Request) (*Response, error) {
 				sr := core.TropicalSemiring()
 				resp.Value, err = core.AggregateParallelCtx(ctx, plan, pol, sr,
 					func(_ int, v int64) float64 { return float64(v) })
+				if sr.IsZero(resp.Value) {
+					// The fold of no tuple is the semiring's +∞
+					// stand-in, not a minimum: answer "empty" instead.
+					resp.Value, resp.Empty = 0, true
+				}
 			default:
 				return fmt.Errorf("server: unknown semiring %q (want count, sum or min)", req.Semiring)
 			}

@@ -159,22 +159,17 @@ func TestEngineConstantQuerySteadyBuilds(t *testing.T) {
 	}
 }
 
+// TestEngineEval pins the shape of a capped eval: the limit's tuples,
+// marked truncated, each aligned with the reported order. The answers
+// themselves are TestServiceLattice's (internal/cluster).
 func TestEngineEval(t *testing.T) {
-	db := testDB()
-	e := NewEngine(db, Config{})
-	total := seqCount(t, db, "E(x,y), E(y,z), E(x,z)")
+	e := NewEngine(testDB(), Config{})
 	resp, err := e.Do(Request{Query: "E(x,y), E(y,z), E(x,z)", Mode: "eval", Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Count != total {
-		t.Fatalf("eval count %d, want %d", resp.Count, total)
-	}
-	if len(resp.Tuples) != 3 || !resp.Truncated {
-		t.Fatalf("eval returned %d tuples (truncated=%v), want 3 truncated", len(resp.Tuples), resp.Truncated)
-	}
-	if len(resp.Order) != 3 {
-		t.Fatalf("order %v, want 3 variables", resp.Order)
+	if len(resp.Tuples) != 3 || !resp.Truncated || len(resp.Order) != 3 {
+		t.Fatalf("eval returned %d tuples (truncated=%v) under order %v, want 3 truncated under 3 variables", len(resp.Tuples), resp.Truncated, resp.Order)
 	}
 	for _, tup := range resp.Tuples {
 		if len(tup) != len(resp.Order) {
@@ -183,20 +178,15 @@ func TestEngineEval(t *testing.T) {
 	}
 }
 
+// TestEngineAggregate: the count semiring is the count entry — same
+// stats block, resident cache entries included — with the mode still
+// "aggregate". The aggregates' values are TestServiceLattice's.
 func TestEngineAggregate(t *testing.T) {
-	db := testDB()
-	e := NewEngine(db, Config{})
-	total := seqCount(t, db, "E(x,y), E(y,z)")
-
+	e := NewEngine(testDB(), Config{})
 	resp, err := e.Do(Request{Query: "E(x,y), E(y,z)", Mode: "aggregate"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Count != total {
-		t.Fatalf("aggregate count %d, want %d", resp.Count, total)
-	}
-	// The count semiring is the count entry: same answer, same stats
-	// block (resident cache entries included), mode still "aggregate".
 	cnt, err := e.Do(Request{Query: "E(x,y), E(y,z)"})
 	if err != nil {
 		t.Fatal(err)
@@ -204,30 +194,6 @@ func TestEngineAggregate(t *testing.T) {
 	if resp.Mode != "aggregate" || resp.Stats.CachedEntries == 0 || resp.Stats.CachedEntries != cnt.Stats.CachedEntries {
 		t.Fatalf("aggregate/count: mode %q, cached entries %d; count mode reports %d",
 			resp.Mode, resp.Stats.CachedEntries, cnt.Stats.CachedEntries)
-	}
-
-	// min over tuples of the sum of bound values must match a direct
-	// scan of the evaluated result.
-	resp, err = e.Do(Request{Query: "E(x,y), E(y,z)", Mode: "aggregate", Semiring: "min", Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := e.Do(Request{Query: "E(x,y), E(y,z)", Mode: "eval", Limit: int(total) + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := float64(1e300)
-	for _, tup := range ev.Tuples {
-		s := 0.0
-		for _, v := range tup {
-			s += float64(v)
-		}
-		if s < best {
-			best = s
-		}
-	}
-	if resp.Value != best {
-		t.Fatalf("tropical aggregate %v, scan says %v", resp.Value, best)
 	}
 }
 

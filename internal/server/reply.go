@@ -50,6 +50,9 @@ func appendResponse(b []byte, r *Response) ([]byte, error) {
 			return b, err
 		}
 	}
+	if r.Empty {
+		b = append(b, `,"empty":true`...)
+	}
 	b = append(b, `,"order":`...)
 	b = appendStrings(b, r.Order)
 	if len(r.Tuples) > 0 {

@@ -30,7 +30,7 @@ func encodeResponse(r *Response) ([]byte, error) {
 // and the version keys: escapes, HTML characters, U+2028, non-ASCII and
 // invalid UTF-8), the counters, the tuples (8 bytes a value) and, by
 // flag bits, nil against empty for Order, Tuples, Versions and Missing,
-// a nil tuple, and every boolean.
+// a nil tuple, and every boolean (Empty's bit 15 doubles as a width bit).
 func FuzzResponseCodec(f *testing.F) {
 	le := binary.LittleEndian
 	raw := le.AppendUint64(le.AppendUint64(nil, 1<<63), 1<<63-1)
@@ -52,13 +52,14 @@ func FuzzResponseCodec(f *testing.F) {
 		{"aggregate", 1, math.NaN(), "x", 0x001},
 		{"e\"val", 0, 0, "q\"uote\x00back\\slash\x00<a&b>\x00line\u2028sep\u2029\x00エッジ\x00\x01\x1f\x7f\x00\xff\xfe", 0x1ff},
 		{"", 0, 0, "\x00", 0x0f5},
+		{"aggregate", 0, 0.25, "x", 0x8001},
 	} {
 		f.Add(seed.mode, int64(-7), seed.value, seed.duration, seed.names, raw, seed.flags)
 	}
 	f.Fuzz(func(t *testing.T, mode string, count int64, value, duration float64, names string, raw []byte, flags uint16) {
 		bit := func(i uint) bool { return flags&(1<<i) != 0 }
 		strs := strings.Split(names, "\x00")
-		r := Response{Mode: mode, Count: count, Value: value, Truncated: bit(3), Partial: bit(4)}
+		r := Response{Mode: mode, Count: count, Value: value, Empty: bit(15), Truncated: bit(3), Partial: bit(4)}
 		r.Stats.DurationMS = duration
 		r.Stats.PlanCached, r.Stats.PlanRebound = bit(5), bit(6)
 		r.Stats.CachedEntries = int(count >> 3)

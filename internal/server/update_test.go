@@ -81,8 +81,9 @@ func TestEngineUpdateBasics(t *testing.T) {
 
 // TestEngineWarmUpdatePatchesNotRebuilds is the steady-state acceptance
 // test: a warm engine under small deltas answers every post-update
-// query through copy-on-write patches — zero full trie rebuilds — with
-// counts bit-identical to a fresh engine loaded at the same version.
+// query through copy-on-write patches — zero full trie rebuilds. That
+// the patched answers are a fresh engine's is TestServiceLattice's
+// (internal/cluster).
 func TestEngineWarmUpdatePatchesNotRebuilds(t *testing.T) {
 	db := testDB()
 	// A huge compact fraction keeps every delta below the crossover.
@@ -112,9 +113,6 @@ func TestEngineWarmUpdatePatchesNotRebuilds(t *testing.T) {
 		}
 		if resp.Stats.Counters.TriePatches == 0 {
 			t.Fatalf("step %d: post-update query derived no patched tries", step)
-		}
-		if want := seqCount(t, e.DB(), query); resp.Count != want {
-			t.Fatalf("step %d: patched count %d, fresh engine says %d", step, resp.Count, want)
 		}
 	}
 	s := e.Stats()
@@ -243,8 +241,8 @@ func TestEngineCompactionCrossover(t *testing.T) {
 // TestCompactionKeepsPlanShapes: a compaction unbinds the cached plans
 // over the relation and keeps their shapes, as a patch does. The plan
 // cache keeps its size, the next read of each shape is a hit that
-// re-binds (plans.rebinds +1, plans.misses unchanged), and the answers
-// are a fresh engine's.
+// re-binds (plans.rebinds +1, plans.misses unchanged). That the answers
+// are a fresh engine's is TestServiceLattice's (internal/cluster).
 func TestCompactionKeepsPlanShapes(t *testing.T) {
 	e := NewEngine(testDB(), Config{Workers: 1}) // default fraction 0.25
 	shapes := []string{"E(x,y), E(y,z), E(x,z)", "E(a,b), E(b,c)", "E(3,y), E(y,z)"}
@@ -265,7 +263,6 @@ func TestCompactionKeepsPlanShapes(t *testing.T) {
 	if after := e.Stats().Plans; after.Size != before.Size {
 		t.Fatalf("compaction changed the plan cache's size: %d → %d", before.Size, after.Size)
 	}
-	fresh := NewEngine(e.DB(), Config{Workers: 1})
 	for i, q := range shapes {
 		resp, err := e.Do(Request{Query: q})
 		if err != nil {
@@ -275,13 +272,6 @@ func TestCompactionKeepsPlanShapes(t *testing.T) {
 		if !resp.Stats.PlanCached || !resp.Stats.PlanRebound || s.Rebinds != before.Rebinds+int64(i+1) || s.Misses != before.Misses {
 			t.Fatalf("%s after the compaction: cached %v rebound %v, plans %v (before %v)",
 				q, resp.Stats.PlanCached, resp.Stats.PlanRebound, s, before)
-		}
-		want, err := fresh.Do(Request{Query: q})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Count != want.Count || !slices.Equal(resp.Order, want.Order) {
-			t.Fatalf("%s: %d over %v, a fresh engine %d over %v", q, resp.Count, resp.Order, want.Count, want.Order)
 		}
 	}
 }

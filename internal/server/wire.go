@@ -119,6 +119,10 @@ type Response struct {
 	// Value is the aggregate value for the float-valued semirings
 	// ("sum", "min").
 	Value float64 `json:"value,omitempty"`
+	// Empty reports a "min" aggregate over an empty result: there is no
+	// minimum, so Value is absent (zero). A coordinator sets it only
+	// when every shard it asked is empty.
+	Empty bool `json:"empty,omitempty"`
 	// Order is the plan's variable order; eval tuples align with it.
 	Order []string `json:"order"`
 	// Tuples is the first Limit result tuples (eval only).
