@@ -659,7 +659,11 @@ type UpdateResponse struct {
 // failure surfaces as a typed ShardError; the delta may then be applied
 // on some shards only, and retrying the same request converges — set
 // semantics make the re-application of the already-applied sub-deltas a
-// version-preserving no-op.
+// version-preserving no-op. A failure does not cancel the siblings, for
+// the reason ReplicaSet.Update gives: every routed shard finishes its
+// sub-delta, so the retry has the least left to repair, and no sibling
+// applies its part after its call was abandoned, unseen by the
+// coordinator's known vector.
 func (c *Coordinator) Update(ctx context.Context, req server.UpdateRequest) (*UpdateResponse, error) {
 	parts, err := SplitUpdate(req, c.routing.Shards)
 	if err != nil {
@@ -675,11 +679,12 @@ func (c *Coordinator) Update(ctx context.Context, req server.UpdateRequest) (*Up
 		idxs = allIndexes(len(c.shards))
 	}
 	results := make([]*server.UpdateResult, len(c.shards))
-	_, err = each(ctx, c.shards, idxs, "update", true, func(ctx context.Context, i int) error {
+	_, err = each(ctx, c.shards, idxs, "update", false, func(ctx context.Context, i int) error {
 		res, err := c.shards[i].Update(ctx, parts[i])
 		if res != nil {
-			// The coordinator's own writes never cost a reader a 409,
-			// even those a replica group applied only in part.
+			// A read after the coordinator's own write never meets a
+			// refusal for it, even one a replica group applied only in
+			// part (a read overlapping the write may).
 			c.raise(i, map[string]uint64{res.Relation: res.Version})
 		}
 		results[i] = res

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -184,11 +185,11 @@ func TestReplicaStale(t *testing.T) {
 			for _, q := range []string{"E(1,y)", "E(x,y), E(x,z)"} {
 				for _, mode := range []string{"count", "eval", "stream"} {
 					req := server.Request{Query: q, Mode: mode}
-					got, err := inProcess(coord.Do, coord.StreamCtx, req)
+					got, err := inProcess(coord.Do, coord.StreamCtx, req, 0)
 					if err != nil {
 						t.Fatalf("%s %s past a stale replica: %v", q, mode, err)
 					}
-					if want, _ := inProcess(caughtUp.DoCtx, caughtUp.StreamCtx, req); diffAnswers(got, want) != "" {
+					if want, _ := inProcess(caughtUp.DoCtx, caughtUp.StreamCtx, req, 0); diffAnswers(got, want) != "" {
 						t.Fatalf("%s %s past a stale replica: %s", q, mode, diffAnswers(got, want))
 					}
 				}
@@ -218,6 +219,83 @@ func TestReplicaStale(t *testing.T) {
 				t.Fatalf("snapshot_retries=%d snapshot_rejects=%d, want 0 (behind is not retried) and 4", st.SnapshotRetries, st.SnapshotRejects)
 			}
 		})
+	}
+}
+
+// cutShort stalls its shard's first query until the query is cancelled,
+// closing entered as it begins (stall set), or holds every query until
+// entered is closed.
+type cutShort struct {
+	Shard
+	entered chan struct{}
+	stall   bool
+	once    sync.Once
+}
+
+func (s *cutShort) Do(ctx context.Context, req server.Request) (*server.Response, error) {
+	first := false
+	if s.stall {
+		s.once.Do(func() { first = true; close(s.entered) })
+	}
+	if !first {
+		select {
+		case <-s.entered:
+			return s.Shard.Do(ctx, req)
+		case <-ctx.Done():
+		}
+	}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestReplicaFailoverCutShort: a replica group whose failover a
+// sibling's refusal cuts short answers with the cancellation, not with
+// the stale refusal it passed over — so the coordinator retries at the
+// sibling's newer vector instead of answering 409. The group's preferred
+// replica missed an update and refuses as behind; the read fails over to
+// the caught-up replica, which stalls; only then does the other shard,
+// moved behind the coordinator's back, refuse with its newer vector.
+func TestReplicaFailoverCutShort(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	dbs, routing, err := Partition(latticeDB(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caughtUp, moved := server.NewEngine(dbs[0], server.Config{}), server.NewEngine(dbs[1], server.Config{})
+	entered := make(chan struct{})
+	coord, err := New(routing, []Shard{
+		NewReplicaSet([]Shard{
+			&refusingUpdates{newEngineShard("stale", server.NewEngine(dbs[0], server.Config{}))},
+			&cutShort{Shard: newEngineShard("caught-up", caughtUp), entered: entered, stall: true},
+		}, ReplicaConfig{}),
+		&cutShort{Shard: newEngineShard("moved", moved), entered: entered},
+	}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, r1 := rootOn(0, 2), rootOn(1, 2)
+	if _, err := coord.Update(ctx, server.UpdateRequest{Relation: "E", Inserts: [][]int64{{r0, 1}, {r0, 2}, {r1, 1}}}); !errors.Is(err, errShardDown) {
+		t.Fatalf("update the stale replica missed: %v, want its failure", err)
+	}
+	if _, err := moved.Update(server.UpdateRequest{Relation: "E", Inserts: [][]int64{{r1, 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	q := server.Request{Query: "E(x,y), E(x,z)"}
+	got, err := coord.Do(ctx, q)
+	if err != nil {
+		t.Fatalf("read past a failover cut short: %v", err)
+	}
+	var want int64
+	for _, e := range []*server.Engine{caughtUp, moved} {
+		resp, err := e.DoCtx(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += resp.Count
+	}
+	if st, err := coord.Stats(ctx); err != nil || got.Count != want || st.SnapshotRetries != 1 || st.SnapshotRejects != 0 {
+		t.Fatalf("count %d, the partitions' %d; stats %+v (%v), want one snapshot retry and no reject", got.Count, want, st, err)
 	}
 }
 

@@ -39,7 +39,8 @@ import (
 // (one engine in process, over HTTP, by prepared statement, and
 // durable), TestCoordinatorDifferential (coordinators over in-process
 // shards) and TestHTTPClusterDifferential (coordinators over sockets)
-// hold every backend to it cell by cell, and
+// hold every backend to it cell by cell, each step's cells asked by
+// concurrent clients while the step's update is applied, and
 // TestCoordinatorUpdateDifferential holds a coordinator's shards to the
 // partitions of its snapshots; the package's white-box tests draw their
 // data and queries from the same generator.
@@ -105,15 +106,14 @@ type latticeStep struct {
 	// expect is what the in-process engine must report installing: "base"
 	// (the base's content, nothing compacted), "noop" or "compact".
 	expect string
-	db     *relation.DB // the content after the step: the oracle's snapshot
-	oracle http.Handler // a fresh one-worker engine over db
+	db     *relation.DB   // the content after the step: the oracle's snapshot
+	oracle *server.Engine // a fresh one-worker engine over db
 }
 
 // foreignRoot heads every tuple of a foreign delta, so it lands on one
-// shard at every fleet size. It heads the delta a replica misses too, so
-// that delta reaches the replica group alone: a delta spread over other
-// shards would race their updates against the group's failure, which
-// cancels them.
+// shard at every fleet size. It heads one insert of the delta a replica
+// misses too, so the replica group — the shard it hashes to — takes part
+// of that delta beside the other shards.
 const foreignRoot = 7
 
 // latticeHistory draws the seeded update history.
@@ -145,10 +145,10 @@ func latticeHistory(seed int64) []*latticeStep {
 	var steps []*latticeStep
 	add := func(st *latticeStep) {
 		if d := st.delta; d.Relation != "" {
-			cur[d.Relation] = cur[d.Relation].Subtract(relation.MustNew(d.Relation, 2, d.Deletes)).Union(relation.MustNew(d.Relation, 2, d.Inserts))
+			cur[d.Relation] = withDelta(cur[d.Relation], d)
 		}
 		st.db = relation.NewDB(cur["E"], cur["R"])
-		st.oracle = server.NewHandler(server.NewEngine(st.db, server.Config{Workers: 1}))
+		st.oracle = server.NewEngine(st.db, server.Config{Workers: 1})
 		steps = append(steps, st)
 	}
 	add(&latticeStep{what: "load"})
@@ -161,8 +161,8 @@ func latticeHistory(seed int64) []*latticeStep {
 	d.Deletes = append(d.Deletes, headedBy(cur["E"], 3)...)
 	add(&latticeStep{what: "delete every edge 3 heads; 500's overlay edges again", delta: d})
 	// 7 heads no edge to a node past 159 before this step: it applies.
-	d = server.UpdateRequest{Relation: "E", Inserts: [][]int64{{foreignRoot, 160 + rng.Int63n(40)}, {foreignRoot, 100 + rng.Int63n(60)}}}
-	add(&latticeStep{what: "insert under 7; the preferred replica misses it", missed: true, delta: d})
+	d = patch("E", 1+rng.Intn(8), []int64{foreignRoot, 160 + rng.Int63n(40)})
+	add(&latticeStep{what: "patch E, an insert under 7 among it; the preferred replica misses it", missed: true, delta: d})
 	add(&latticeStep{what: "replay the last delta: a no-op, and the replica catches up", expect: "noop", delta: d})
 	add(&latticeStep{what: "compact E; reopen", reopen: true, expect: "compact", delta: patch("E", 70)})
 	add(&latticeStep{what: "patch R; registries emptied", shrink: true, delta: patch("R", 1+rng.Intn(4))})
@@ -172,6 +172,11 @@ func latticeHistory(seed int64) []*latticeStep {
 	add(&latticeStep{what: "compact R", delta: patch("R", 40)})
 	add(&latticeStep{what: "foreign update; reopen", foreign: true, reopen: true, delta: foreign()})
 	return steps
+}
+
+// withDelta is r after d: its deletes, then its inserts.
+func withDelta(r *relation.Relation, d server.UpdateRequest) *relation.Relation {
+	return r.Subtract(relation.MustNew(d.Relation, 2, d.Deletes)).Union(relation.MustNew(d.Relation, 2, d.Inserts))
 }
 
 // headedBy lists r's tuples whose first value is v.
@@ -210,14 +215,15 @@ var latticePolicies = []server.Request{
 }
 
 // latticeCell is one query × request of a step, with the policy,
-// workers, spelling and alt (for prepared statements: bit 0 picks the
-// statement with defaults, bit 1 HTTP) drawn for it.
+// workers, spelling, alt (for prepared statements: bit 0 picks the
+// statement with defaults, bit 1 HTTP) and cut (an in-process stream's
+// consumer stops after cut rows, or cancels after −cut) drawn for it.
 type latticeCell struct {
 	query        string
 	req          latticeReq
 	pol, workers int
 	respell      bool
-	alt          int
+	alt, cut     int
 }
 
 func (c *latticeCell) request() server.Request {
@@ -232,24 +238,28 @@ func (c *latticeCell) request() server.Request {
 func (c *latticeCell) String() string {
 	pol, _ := json.Marshal(latticePolicies[c.pol])
 	pol = bytes.Replace(bytes.Replace(pol, []byte(`"query":"",`), nil, 1), []byte(`"query":""`), nil, 1)
-	return fmt.Sprintf("%+v under %s at workers %d (respelled %v, alt %d)", c.req, pol, c.workers, c.respell, c.alt)
+	return fmt.Sprintf("%+v under %s at workers %d (respelled %v, alt %d, cut %d)", c.req, pol, c.workers, c.respell, c.alt, c.cut)
 }
 
 // latticeAnswer is an answer as a backend and the oracle are compared
 // on: tuples is eval's sample or the stream's rows, ndjson a stream's
-// body over HTTP. rebound is accounting, not compared.
+// body over HTTP; cut marks a stream its consumer stopped short, whose
+// rows are a prefix and whose summary is not compared. versions is the
+// vector a buffered answer names, rebound accounting.
 type latticeAnswer struct {
-	order            []string
-	count            int64
-	value            float64
-	empty, truncated bool
-	tuples           [][]int64
-	ndjson           []byte
-	rebound          bool
+	order                 []string
+	count                 int64
+	value                 float64
+	empty, truncated, cut bool
+	tuples                [][]int64
+	ndjson                []byte
+	versions              map[string]uint64
+	rebound               bool
 }
 
 func answerOf(r *server.Response) *latticeAnswer {
-	return &latticeAnswer{order: r.Order, count: r.Count, value: r.Value, empty: r.Empty, truncated: r.Truncated, tuples: r.Tuples, rebound: r.Stats.PlanRebound}
+	return &latticeAnswer{order: r.Order, count: r.Count, value: r.Value, empty: r.Empty, truncated: r.Truncated, tuples: r.Tuples,
+		versions: r.Versions, rebound: r.Stats.PlanRebound}
 }
 
 // collect returns the header and row callbacks that fill a's order and
@@ -259,10 +269,12 @@ func (a *latticeAnswer) collect() (func([]string), func([]int64) bool) {
 		func(mu []int64) bool { a.tuples = append(a.tuples, slices.Clone(mu)); return true }
 }
 
-// inProcess answers req through a backend's Go API.
+// inProcess answers req through a backend's Go API. A stream's consumer
+// stops after cut rows when cut > 0, or cancels the request after −cut
+// rows when cut < 0.
 func inProcess(do func(context.Context, server.Request) (*server.Response, error),
 	stream func(context.Context, server.Request, func([]string), func([]int64) bool) (server.StreamSummary, error),
-	req server.Request) (*latticeAnswer, error) {
+	req server.Request, cut int) (*latticeAnswer, error) {
 	if req.Mode != "stream" {
 		resp, err := do(context.Background(), req)
 		if err != nil {
@@ -270,9 +282,22 @@ func inProcess(do func(context.Context, server.Request) (*server.Response, error
 		}
 		return answerOf(resp), nil
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	a := &latticeAnswer{}
 	header, row := a.collect()
-	sum, err := stream(context.Background(), req, header, row)
+	sum, err := stream(ctx, req, header, func(mu []int64) bool {
+		more := row(mu)
+		if n := len(a.tuples); n == cut || n == -cut {
+			a.cut = true
+			if cut < 0 {
+				cancel()
+			} else {
+				more = false
+			}
+		}
+		return more
+	})
 	a.count, a.truncated = sum.Count, sum.Truncated
 	return a, err
 }
@@ -322,16 +347,20 @@ func overHTTP(h http.Handler, req server.Request) (*latticeAnswer, error) {
 // diffAnswers says how got differs from the oracle's want ("": it does
 // not).
 func diffAnswers(got, want *latticeAnswer) string {
+	rows := want.tuples
+	if got.cut && len(got.tuples) <= len(rows) {
+		rows = rows[:len(got.tuples)]
+	}
 	switch {
 	case got.ndjson != nil && !bytes.Equal(got.ndjson, want.ndjson):
 		return fmt.Sprintf("NDJSON body\n%.400s\nthe oracle's\n%.400s", got.ndjson, want.ndjson)
 	case !slices.Equal(got.order, want.order):
 		return fmt.Sprintf("order %v, the oracle's %v", got.order, want.order)
-	case got.count != want.count || got.value != want.value || got.empty != want.empty || got.truncated != want.truncated:
+	case !got.cut && (got.count != want.count || got.value != want.value || got.empty != want.empty || got.truncated != want.truncated):
 		return fmt.Sprintf("count %d value %v empty %v truncated %v; the oracle says %d, %v, %v, %v",
 			got.count, got.value, got.empty, got.truncated, want.count, want.value, want.empty, want.truncated)
-	case !slices.EqualFunc(got.tuples, want.tuples, func(a, b []int64) bool { return slices.Equal(a, b) }):
-		return fmt.Sprintf("%d tuples differ from the oracle's %d", len(got.tuples), len(want.tuples))
+	case !slices.EqualFunc(got.tuples, rows, func(a, b []int64) bool { return slices.Equal(a, b) }):
+		return fmt.Sprintf("%d tuples (cut %v) differ from the oracle's %d", len(got.tuples), got.cut, len(want.tuples))
 	}
 	return ""
 }
@@ -344,7 +373,7 @@ type latticeOracle struct {
 }
 
 type oracleKey struct {
-	step  int
+	st    *latticeStep
 	query string
 	req   latticeReq
 }
@@ -358,37 +387,89 @@ type oracleEntry struct {
 // naiveRows bounds the results whose count is anchored to internal/naive.
 const naiveRows = 5000
 
-func (o *latticeOracle) answer(t *testing.T, step int, query string, req latticeReq) *latticeAnswer {
+// answer is the oracle's answer to query and req over st's content.
+func (o *latticeOracle) answer(t *testing.T, st *latticeStep, query string, req latticeReq) *latticeAnswer {
 	t.Helper()
-	v, _ := o.memo.LoadOrStore(oracleKey{step, query, req}, new(oracleEntry))
-	e, st := v.(*oracleEntry), o.steps[step]
+	v, _ := o.memo.LoadOrStore(oracleKey{st, query, req}, new(oracleEntry))
+	e := v.(*oracleEntry)
 	e.once.Do(func() {
-		e.a, e.err = overHTTP(st.oracle, server.Request{Query: query, Mode: req.mode, Semiring: req.semiring, Limit: req.limit})
-		if e.err == nil && req.mode == "count" && e.a.count <= naiveRows {
+		r := server.Request{Query: query, Mode: req.mode, Semiring: req.semiring, Limit: req.limit}
+		if req.mode == "stream" {
+			e.a, e.err = overHTTP(server.NewHandler(st.oracle), r)
+		} else {
+			e.a, e.err = inProcess(st.oracle.DoCtx, nil, r, 0)
+		}
+		switch {
+		case e.err != nil || req.mode != "count" || e.a.count > naiveRows:
+		case req.semiring != "":
+			if n := o.answer(t, st, query, latticeReq{mode: "count"}).count; n != e.a.count {
+				e.err = fmt.Errorf("count %d, without the semiring %d", e.a.count, n)
+			}
+		default:
 			if n, err := naive.Count(cq.MustParse(query), st.db); err != nil || n != e.a.count {
 				e.err = fmt.Errorf("count %d, internal/naive %d (%v)", e.a.count, n, err)
 			}
 		}
 	})
 	if e.err != nil {
-		t.Fatalf("seed %d, step %d (%s), query %q, request %+v: oracle: %v", o.seed, step, st.what, query, req, e.err)
+		t.Fatalf("seed %d, %s, query %q, request %+v: oracle: %v", o.seed, st.what, query, req, e.err)
 	}
 	return e.a
 }
 
+// partialStates are the contents a fleet of n shards passes through
+// while step si's delta goes in, since a fleet's update is not atomic
+// across shards: the content before it, with the sub-deltas of some of
+// the shards applied and of the others not yet.
+func (o *latticeOracle) partialStates(si, n int) (states []*latticeStep) {
+	d := o.steps[si].delta
+	for mask := 1; mask < 1<<n-1; mask++ {
+		off := func(tu []int64) bool { return mask>>ShardOf(tu[0], n)&1 == 0 }
+		cur := map[string]*relation.Relation{}
+		for _, name := range []string{"E", "R"} {
+			cur[name], _ = o.steps[si-1].db.Get(name)
+		}
+		cur[d.Relation] = withDelta(cur[d.Relation], server.UpdateRequest{Relation: d.Relation,
+			Inserts: slices.DeleteFunc(slices.Clone(d.Inserts), off), Deletes: slices.DeleteFunc(slices.Clone(d.Deletes), off)})
+		db := relation.NewDB(cur["E"], cur["R"])
+		states = append(states, &latticeStep{what: fmt.Sprintf("step %d on shards %0*b of %d", si, n, mask, n),
+			db: db, oracle: server.NewEngine(db, server.Config{Workers: 1})})
+	}
+	return states
+}
+
 // latticeBackend is one way of serving the engine's answers.
 type latticeBackend struct {
-	name  string
-	fleet bool // refuses unshardableQueries with ErrNotShardable
-	// apply takes one history step; ask answers one cell. want, when
-	// set, is the request the oracle answers for the cell (a prepared
-	// statement's defaults fill in what the cell leaves unset).
-	apply func(t *testing.T, st *latticeStep)
-	ask   func(c *latticeCell) (*latticeAnswer, error)
-	want  func(c *latticeCell) latticeReq
+	name string
+	// shards counts a fleet's partitions (0: one engine). A fleet refuses
+	// unshardableQueries with ErrNotShardable.
+	shards int
+	// apply takes one history step; ask answers one cell, concurrently
+	// with other cells and with apply. want, when set, is the request the
+	// oracle answers for the cell (a prepared statement's defaults fill in
+	// what the cell leaves unset). served, when set, is the vector the
+	// backend's answers name after the step it last applied.
+	apply  func(t *testing.T, st *latticeStep)
+	ask    func(c *latticeCell) (*latticeAnswer, error)
+	want   func(c *latticeCell) latticeReq
+	served func() map[string]uint64
 	// guard, when set, checks after the history that the backend lived
 	// through what the history is there to exercise.
-	guard func(t *testing.T, rebounds int)
+	guard func(t *testing.T, n tally)
+}
+
+// tally is what a sweep saw of a backend: the responses that report a
+// re-bound plan, and the requests answered without an error.
+type tally struct{ rebounds, answered int64 }
+
+// movedTwice reports whether err is a fleet's 409 for a read that met a
+// shard moving during its one retry too: what a read racing a
+// multi-shard update may be answered, since the coordinator learns each
+// shard's new version only once that shard's part is in.
+func movedTwice(err error) bool {
+	var hs *httpStatus
+	return (errors.Is(err, ErrSnapshotMoved) || errors.As(err, &hs) && hs.code == http.StatusConflict) &&
+		strings.Contains(err.Error(), "after one retry already")
 }
 
 var sharedOracle struct {
@@ -410,8 +491,8 @@ func theOracle(t *testing.T) *latticeOracle {
 	o := sharedOracle.o
 	t.Logf("lattice seed %d — reproduce with: go test ./internal/cluster -run %s -lattice-seed=%d", o.seed, t.Name(), o.seed)
 	counts := func(q string) (c []int64) {
-		for i := range o.steps {
-			c = append(c, o.answer(t, i, q, latticeReq{mode: "count"}).count)
+		for _, st := range o.steps {
+			c = append(c, o.answer(t, st, q, latticeReq{mode: "count"}).count)
 		}
 		return c
 	}
@@ -445,8 +526,9 @@ func sweepAll(t *testing.T, o *latticeOracle, backends ...*latticeBackend) {
 func TestServiceLattice(t *testing.T) {
 	o := theOracle(t)
 	cfg := latticeCfg
-	// The in-process engine's trie budget is half of what a warm
-	// unbounded one indexes, so evictions and resident indices coexist.
+	// The in-process engine's and the statements' trie budget is half of
+	// what a warm unbounded one indexes, so evictions and resident
+	// indices coexist.
 	probe := server.NewEngine(latticeDB(), cfg)
 	for _, q := range latticeQueries() {
 		if _, err := probe.Do(server.Request{Query: q}); err != nil {
@@ -455,7 +537,7 @@ func TestServiceLattice(t *testing.T) {
 	}
 	budgeted := cfg
 	budgeted.TrieBudget = probe.Registry().Stats().Bytes / 2
-	sweepAll(t, o, engineBackend(budgeted), httpEngineBackend(cfg), stmtBackend(t, cfg), durableBackend(t, cfg))
+	sweepAll(t, o, engineBackend(budgeted), httpEngineBackend(cfg), stmtBackend(t, budgeted), durableBackend(t, cfg))
 }
 
 // TestCoordinatorDifferential holds coordinators over 1, 2 and 4
@@ -508,44 +590,140 @@ func TestCoordinatorUpdateDifferential(t *testing.T) {
 	}
 }
 
+// sweepClients split each step's cells between them.
+const sweepClients = 4
+
 // sweep walks b through the history, holding it to the oracle in every
-// cell of every step.
+// cell of every step. A step's cells are drawn from rng before any is
+// asked; sweepClients clients split them, each asked once, and once they
+// have taken a drawn few the step is applied on this goroutine, so the
+// cells in flight race the update and may or may not see it. Once both are done the answers are checked
+// (see check) against the window of steps a request spanned: from the
+// step installed when it started to the step being applied.
 func sweep(t *testing.T, o *latticeOracle, b *latticeBackend, rng *rand.Rand) {
-	rebounds := 0
+	var n tally
+	served := make([]map[string]uint64, len(o.steps))
+	type result struct {
+		a      *latticeAnswer
+		err    error
+		during bool // asked before the step's apply returned
+	}
 	for si, st := range o.steps {
-		b.apply(t, st)
+		var cells []*latticeCell
 		for _, q := range latticeQueries() {
-			refuse := b.fleet && slices.Contains(unshardableQueries, q)
-			for _, r := range latticeRequests(o.answer(t, si, q, latticeReq{mode: "count"}).count) {
-				c := &latticeCell{query: q, req: r, pol: rng.Intn(len(latticePolicies)), workers: 1 + rng.Intn(2), respell: rng.Intn(2) == 1, alt: rng.Intn(4)}
-				want := c.req
-				if b.want != nil {
-					want = b.want(c)
+			for _, r := range latticeRequests(o.answer(t, st, q, latticeReq{mode: "count"}).count) {
+				k := 1 + rng.Intn(8)
+				cells = append(cells, &latticeCell{query: q, req: r, pol: rng.Intn(len(latticePolicies)), workers: 1 + rng.Intn(2),
+					respell: rng.Intn(2) == 1, alt: rng.Intn(4), cut: [4]int{0, 0, k, -k}[rng.Intn(4)]})
+			}
+		}
+		results := make([]result, len(cells))
+		// The update starts once the clients have taken cell first.
+		first, start := int64(rng.Intn(2*sweepClients)), make(chan struct{})
+		var applied atomic.Bool
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range sweepClients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := next.Add(1) - 1; i < int64(len(cells)); i = next.Add(1) - 1 {
+					if i == first {
+						close(start)
+					}
+					r := &results[i]
+					r.during = !applied.Load()
+					r.a, r.err = b.ask(cells[i])
 				}
-				got, err := b.ask(c)
-				at := fmt.Sprintf("seed %d, step %d (%s), query %q, request %s, backend %s", o.seed, si, st.what, q, c, b.name)
-				var hs *httpStatus
-				switch {
-				case refuse:
-					if !errors.Is(err, ErrNotShardable) && !(errors.As(err, &hs) && hs.code == http.StatusBadRequest && strings.Contains(hs.body, "not shardable")) {
-						t.Fatalf("%s: %v, want the refusal of an unshardable query", at, err)
-					}
-				case err != nil:
-					t.Fatalf("%s: %v", at, err)
-				default:
-					if d := diffAnswers(got, o.answer(t, si, q, want)); d != "" {
-						t.Fatalf("%s: %s", at, d)
-					}
-					if got.rebound {
-						rebounds++
-					}
+			}()
+		}
+		func() {
+			defer wg.Wait()
+			<-start
+			b.apply(t, st)
+			applied.Store(true)
+		}()
+		if b.served != nil {
+			served[si] = b.served()
+		}
+		for i, c := range cells {
+			lo, r := si, results[i]
+			if r.during && si > 0 {
+				lo = si - 1
+			}
+			at := fmt.Sprintf("seed %d, steps %d..%d (%s), query %q, request %s, backend %s", o.seed, lo, si, st.what, c.query, c, b.name)
+			var hs *httpStatus
+			switch {
+			case b.shards > 0 && slices.Contains(unshardableQueries, c.query):
+				if !errors.Is(r.err, ErrNotShardable) && !(errors.As(r.err, &hs) && hs.code == http.StatusBadRequest && strings.Contains(hs.body, "not shardable")) {
+					t.Fatalf("%s: %v, want the refusal of an unshardable query", at, r.err)
+				}
+			case b.shards > 0 && lo < si && movedTwice(r.err):
+			case r.err != nil && !(r.a != nil && r.a.cut && errors.Is(r.err, context.Canceled)):
+				t.Fatalf("%s: %v", at, r.err)
+			default:
+				if d := o.check(t, b, c, r.a, lo, si, served); d != "" {
+					t.Fatalf("%s: %s", at, d)
+				}
+				if r.a.rebound {
+					n.rebounds++
+				}
+				if r.err == nil {
+					n.answered++
 				}
 			}
 		}
 	}
 	if b.guard != nil {
-		b.guard(t, rebounds)
+		b.guard(t, n)
 	}
+}
+
+// check says how b's answer got to cell c, asked over steps lo..hi,
+// differs from the oracle's ("": it does not). An answer naming the
+// vector it ran at must equal the oracle at the step in the window whose
+// served vector that is; any other must equal the oracle at a step of
+// the window — or, from a fleet, at a content it passes through while
+// step hi's delta goes in.
+func (o *latticeOracle) check(t *testing.T, b *latticeBackend, c *latticeCell, got *latticeAnswer, lo, hi int, served []map[string]uint64) string {
+	t.Helper()
+	want := c.req
+	if b.want != nil {
+		want = b.want(c)
+	}
+	var states []*latticeStep
+	named := got.versions != nil && b.served != nil
+	for s := hi; s >= lo; s-- {
+		if !named || agrees(served[s], got.versions) {
+			states = append(states, o.steps[s])
+		}
+	}
+	if len(states) == 0 {
+		return fmt.Sprintf("versions %v name no step of the window (served %v)", got.versions, served[lo:hi+1])
+	}
+	d := diffAnswers(got, o.answer(t, states[0], c.query, want))
+	if d == "" {
+		return ""
+	}
+	if b.shards > 0 && lo < hi {
+		states = append(states, o.partialStates(hi, b.shards)...)
+	}
+	for _, st := range states[1:] {
+		if diffAnswers(got, o.answer(t, st, c.query, want)) == "" {
+			return ""
+		}
+	}
+	return d
+}
+
+// agrees reports whether vector vec holds every version named in sub.
+func agrees(vec, sub map[string]uint64) bool {
+	for name, v := range sub {
+		if vec[name] != v {
+			return false
+		}
+	}
+	return true
 }
 
 // applyTo applies st to engines: its delta, and its registry pressure.
@@ -585,14 +763,36 @@ func engineBackend(cfg server.Config) *latticeBackend {
 			}
 			applyTo(t, &latticeStep{shrink: st.shrink}, e)
 		},
-		ask: func(c *latticeCell) (*latticeAnswer, error) { return inProcess(e.DoCtx, e.StreamCtx, c.request()) },
-		guard: func(t *testing.T, rebounds int) {
+		ask: func(c *latticeCell) (*latticeAnswer, error) {
+			return inProcess(e.DoCtx, e.StreamCtx, c.request(), c.cut)
+		},
+		served: func() map[string]uint64 { return servedVector(e) },
+		guard: func(t *testing.T, n tally) {
 			s := e.Stats()
-			if compactions == 0 || s.Registry.Evictions == 0 || rebounds == 0 || s.Plans.Rebinds == 0 {
-				t.Fatalf("history exercised too little: %d compactions, %d evictions, %d re-bound responses, plans %+v",
-					compactions, s.Registry.Evictions, rebounds, s.Plans)
+			rebindGuard(t, s, n)
+			if compactions == 0 || s.Lifetime.DeltaApplies != s.Updates || s.Registry.Bytes < 0 || s.Registry.Hits == 0 ||
+				s.Queries != n.answered || s.LiveVersions > 2*len(s.Relations) {
+				t.Fatalf("%d compactions; %d delta applies for %d updates; registry %+v; %d queries for %d answered requests; %d live versions of %d relations",
+					compactions, s.Lifetime.DeltaApplies, s.Updates, s.Registry, s.Queries, n.answered, s.LiveVersions, len(s.Relations))
 			}
 		},
+	}
+}
+
+// servedVector is the vector e's answers name: every relation's
+// installed version.
+func servedVector(e *server.Engine) map[string]uint64 {
+	st := e.Stats()
+	return relationVersions(&st, nil)
+}
+
+// rebindGuard checks that plan re-binds raced the trie budget's
+// evictions: responses reported a re-bound plan, no more than the plan
+// cache counted re-binds, while the registry evicted.
+func rebindGuard(t *testing.T, s server.EngineStats, n tally) {
+	t.Helper()
+	if n.rebounds == 0 || s.Plans.Rebinds < n.rebounds || s.Registry.Evictions == 0 {
+		t.Fatalf("history exercised too little: %d re-bound responses, %d evictions, plans %+v", n.rebounds, s.Registry.Evictions, s.Plans)
 	}
 }
 
@@ -626,14 +826,15 @@ func httpEngineBackend(cfg server.Config) *latticeBackend {
 				t.Fatalf("step %q (applied %v) unbound %d plans, want the %d over %s", st.what, res.Applied, got, want, st.delta.Relation)
 			}
 		},
-		ask: func(c *latticeCell) (*latticeAnswer, error) { return overHTTP(h, c.request()) },
+		ask:    func(c *latticeCell) (*latticeAnswer, error) { return overHTTP(h, c.request()) },
+		served: func() map[string]uint64 { return servedVector(e) },
 	}
 }
 
 // stmtBackend executes statements prepared before the history, by id,
-// in process and over HTTP: one without defaults per query, and one
-// whose defaults (eval, limit 7, a bounded LRU cache) the cell's fields
-// override where they are set.
+// in process and over HTTP, under a trie budget: one without defaults
+// per query, and one whose defaults (eval, limit 7, a bounded LRU cache)
+// the cell's fields override where they are set.
 func stmtBackend(t *testing.T, cfg server.Config) *latticeBackend {
 	e := server.NewEngine(latticeDB(), cfg)
 	h := server.NewHandler(e)
@@ -656,7 +857,7 @@ func stmtBackend(t *testing.T, cfg server.Config) *latticeBackend {
 			if c.alt&2 != 0 {
 				return overHTTP(h, req)
 			}
-			return inProcess(e.DoCtx, e.StreamCtx, req)
+			return inProcess(e.DoCtx, e.StreamCtx, req, c.cut)
 		},
 		want: func(c *latticeCell) latticeReq {
 			r := c.req
@@ -665,12 +866,15 @@ func stmtBackend(t *testing.T, cfg server.Config) *latticeBackend {
 			}
 			return r
 		},
+		served: func() map[string]uint64 { return servedVector(e) },
+		guard:  func(t *testing.T, n tally) { rebindGuard(t, e.Stats(), n) },
 	}
 }
 
 // durableBackend is an engine over a data directory, closed and
 // reopened — a warm boot: snapshots opened, the WAL replayed — where the
-// history says so.
+// history says so. A reopen is a barrier: it waits for the cells in
+// flight, and the cells after it wait for the reopened engine.
 func durableBackend(t *testing.T, cfg server.Config) *latticeBackend {
 	cfg.DataDir = t.TempDir()
 	open := func(t *testing.T, warm bool) *server.Engine {
@@ -682,16 +886,24 @@ func durableBackend(t *testing.T, cfg server.Config) *latticeBackend {
 	}
 	e := open(t, false)
 	t.Cleanup(func() { e.Close() })
+	var mu sync.RWMutex // e, replaced by a reopen
 	return &latticeBackend{
 		name: "durable",
 		apply: func(t *testing.T, st *latticeStep) {
 			applyTo(t, st, e)
 			if st.reopen {
+				mu.Lock()
+				defer mu.Unlock()
 				e.Close()
 				e = open(t, true)
 			}
 		},
-		ask: func(c *latticeCell) (*latticeAnswer, error) { return inProcess(e.DoCtx, e.StreamCtx, c.request()) },
+		ask: func(c *latticeCell) (*latticeAnswer, error) {
+			mu.RLock()
+			defer mu.RUnlock()
+			return inProcess(e.DoCtx, e.StreamCtx, c.request(), c.cut)
+		},
+		served: func() map[string]uint64 { return servedVector(e) },
 	}
 }
 
@@ -715,8 +927,8 @@ func fleetApply(t *testing.T, st *latticeStep, n int, engines func(shard int) []
 // fleetGuard checks what a coordinator must have lived through and
 // folded: a snapshot retry after a foreign update, and its lifetime
 // counters as the exact fold of the engines answering its stats.
-func fleetGuard(coord *Coordinator, engines ...*server.Engine) func(*testing.T, int) {
-	return func(t *testing.T, _ int) {
+func fleetGuard(coord *Coordinator, engines ...*server.Engine) func(*testing.T, tally) {
+	return func(t *testing.T, _ tally) {
 		st, err := coord.Stats(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -737,15 +949,17 @@ func fleetGuard(coord *Coordinator, engines ...*server.Engine) func(*testing.T, 
 func fleetBackend(t *testing.T, cfg server.Config, n int) *latticeBackend {
 	coord, engines := newFleet(t, latticeDB(), n, cfg, Config{}, nil)
 	return &latticeBackend{
-		name:  fmt.Sprintf("shards=%d", n),
-		fleet: true,
+		name:   fmt.Sprintf("shards=%d", n),
+		shards: n,
 		apply: func(t *testing.T, st *latticeStep) {
 			fleetApply(t, st, n, func(i int) []*server.Engine { return engines[i : i+1] }, func() error {
 				_, err := coord.Update(context.Background(), st.delta)
 				return err
 			})
 		},
-		ask:   func(c *latticeCell) (*latticeAnswer, error) { return inProcess(coord.Do, coord.StreamCtx, c.request()) },
+		ask: func(c *latticeCell) (*latticeAnswer, error) {
+			return inProcess(coord.Do, coord.StreamCtx, c.request(), c.cut)
+		},
 		guard: fleetGuard(coord, engines...),
 	}
 }
@@ -815,15 +1029,10 @@ func socketFleetBackend(t *testing.T, cfg server.Config, n int) *latticeBackend 
 		t.Fatal(err)
 	}
 	h := NewHandler(coord)
-	// A replica group answers stats from its preferred replica.
-	var answering []*server.Engine
-	for _, p := range parts {
-		answering = append(answering, p[0])
-	}
-	guard := fleetGuard(coord, answering...)
+	guard := fleetGuard(coord, slices.Concat(parts...)...)
 	return &latticeBackend{
-		name:  fmt.Sprintf("shards=%d", n),
-		fleet: true,
+		name:   fmt.Sprintf("shards=%d", n),
+		shards: n,
 		apply: func(t *testing.T, st *latticeStep) {
 			fleetApply(t, st, n, func(i int) []*server.Engine { return parts[i] }, func() error {
 				lag.miss.Store(st.missed)
@@ -840,8 +1049,8 @@ func socketFleetBackend(t *testing.T, cfg server.Config, n int) *latticeBackend 
 			})
 		},
 		ask: func(c *latticeCell) (*latticeAnswer, error) { return overHTTP(h, c.request()) },
-		guard: func(t *testing.T, rebounds int) {
-			guard(t, rebounds)
+		guard: func(t *testing.T, n tally) {
+			guard(t, n)
 			if lag.stale.Load() == 0 {
 				t.Fatal("history exercised too little: the replica that missed a delta was never asked")
 			}

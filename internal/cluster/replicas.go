@@ -81,9 +81,13 @@ func failoverable(err error, want map[string]uint64) bool {
 }
 
 // passedOver collects the failures a read failed over past and picks the
-// one the group answers with when no replica served: a stale replica's
-// refusal if there was one — the partition is up but behind, which the
-// caller must not mistake for down — else the last failure.
+// one the group answers with when no replica served. Once ctx is done
+// that is ctx's error: a failover cut short by its caller (a sibling
+// shard's refusal cancelling the coordinator's fan-out) says nothing of
+// the replicas it did not reach, and the caller acts on why it
+// cancelled. Otherwise it is a stale replica's refusal if there was one
+// — the partition is up but behind, which the caller must not mistake
+// for down — else the last failure.
 type passedOver struct{ stale, last error }
 
 func (p *passedOver) add(err error) {
@@ -94,7 +98,10 @@ func (p *passedOver) add(err error) {
 	}
 }
 
-func (p *passedOver) err() error {
+func (p *passedOver) err(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if p.stale != nil {
 		return p.stale
 	}
@@ -117,10 +124,7 @@ func read[T any](ctx context.Context, r *ReplicaSet, want map[string]uint64, f f
 		}
 		failed.add(err)
 	}
-	if err := failed.err(); err != nil {
-		return zero, err
-	}
-	return zero, ctx.Err()
+	return zero, failed.err(ctx)
 }
 
 // Ready implements Shard: the partition is ready when any replica is.
@@ -138,11 +142,32 @@ func (r *ReplicaSet) Versions(ctx context.Context, names []string) (map[string]u
 	})
 }
 
-// Stats implements Shard, answering from the first live replica.
+// Stats implements Shard: every replica is asked, and the group answers
+// with the stats of the first in preference order that answered, its
+// Lifetime the exact fold of every answering replica's — reads failed
+// over or hedged did their work on replicas other than the preferred
+// one, and the coordinator's lifetime must count it.
 func (r *ReplicaSet) Stats(ctx context.Context) (*server.EngineStats, error) {
-	return read(ctx, r, nil, func(ctx context.Context, s Shard) (*server.EngineStats, error) {
-		return s.Stats(ctx)
+	per := make([]*server.EngineStats, len(r.reps))
+	_, first := each(ctx, r.reps, allIndexes(len(r.reps)), "stats", false, func(ctx context.Context, i int) error {
+		st, err := r.reps[i].Stats(ctx)
+		per[i] = st
+		return err
 	})
+	var out *server.EngineStats
+	for _, st := range per {
+		switch {
+		case st == nil:
+		case out == nil:
+			out = st
+		default:
+			out.Lifetime.Merge(&st.Lifetime)
+		}
+	}
+	if out == nil {
+		return nil, first
+	}
+	return out, nil
 }
 
 // Do implements Shard: sequential failover, or hedged when configured —
@@ -211,7 +236,7 @@ func (r *ReplicaSet) hedgedDo(ctx context.Context, req server.Request) (*server.
 			}
 		}
 	}
-	return nil, failed.err()
+	return nil, failed.err(ctx)
 }
 
 // Update implements Shard: the delta fans out to every replica
@@ -276,10 +301,7 @@ func (r *ReplicaSet) Stream(ctx context.Context, req server.Request, header func
 		failed.add(err)
 		lastSum = sum
 	}
-	if err := failed.err(); err != nil {
-		return lastSum, err
-	}
-	return lastSum, ctx.Err()
+	return lastSum, failed.err(ctx)
 }
 
 // BreakerStates implements BreakerStater: the concatenation of every

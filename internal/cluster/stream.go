@@ -93,6 +93,12 @@ func (c *Coordinator) openStream(ctx context.Context, i int, req server.Request)
 				s.cond.Signal()
 				return true
 			})
+		if s.err == nil {
+			// Refusing a row because ctx is done reads to the shard as a
+			// consumer stop, a normal end: the scan was cut short, and the
+			// merge must not take the rows it got for the whole partition.
+			s.err = ctx.Err()
+		}
 		unhook()
 		s.mu.Lock()
 		s.ended = true

@@ -2,12 +2,9 @@ package server
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,9 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -134,137 +129,5 @@ func TestEvalSampleAcrossWorkersAndCaches(t *testing.T) {
 				t.Errorf("workers %d%s: sample differs from the no-cache sequential one", workers, policy)
 			}
 		}
-	}
-}
-
-// TestStreamConcurrentStress mixes parallel streams, live updates and
-// registry eviction pressure, with some streams abandoned mid-iteration
-// and some cancelled mid-scan, then checks that every producer
-// goroutine drains and each completed stream saw one consistent
-// snapshot (a round row count for its epoch, never a torn mix). Run
-// under -race in CI.
-func TestStreamConcurrentStress(t *testing.T) {
-	base := runtime.NumGoroutine()
-	// A tight trie budget keeps the registry evicting while patched
-	// versions come and go under the streams.
-	e := NewEngine(testDB(), Config{Workers: 2, TrieBudget: 1 << 16})
-
-	stmt, err := e.Prepare(Request{Query: "E(x,y), E(y,z)", NoCache: true, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stmt.Close()
-
-	stop := make(chan struct{})
-	var uwg sync.WaitGroup
-	uwg.Add(1)
-	go func() {
-		defer uwg.Done()
-		i := int64(0)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			i++
-			tup := [][]int64{{30000 + i, 30001 + i}}
-			if _, err := e.Update(UpdateRequest{Relation: "E", Inserts: tup}); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := e.Update(UpdateRequest{Relation: "E", Deletes: tup}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-
-	const clients = 6
-	const perClient = 6
-	errs := make(chan error, clients*perClient)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(c)))
-			for i := 0; i < perClient; i++ {
-				switch i % 3 {
-				case 0:
-					// Full drain through StreamCtx at a random worker count.
-					var rows int64
-					sum, err := e.StreamCtx(context.Background(), Request{
-						Query:   "E(x,y), E(y,z)",
-						Mode:    "stream",
-						NoCache: true,
-						Workers: 1 + rng.Intn(4),
-					}, nil, func([]int64) bool { rows++; return true })
-					if err != nil {
-						errs <- fmt.Errorf("client %d stream %d: %w", c, i, err)
-					} else if rows != sum.Count {
-						errs <- fmt.Errorf("client %d stream %d: %d rows vs summary %d", c, i, rows, sum.Count)
-					}
-				case 1:
-					// Abandon a Rows iteration mid-stream (break).
-					n, limit := 0, 1+rng.Intn(10)
-					for _, err := range stmt.Rows(context.Background()) {
-						if err != nil {
-							errs <- fmt.Errorf("client %d rows %d: %w", c, i, err)
-							break
-						}
-						if n++; n >= limit {
-							break
-						}
-					}
-				case 2:
-					// Cancel mid-scan.
-					ctx, cancel := context.WithCancel(context.Background())
-					timer := time.AfterFunc(time.Duration(rng.Intn(5))*time.Millisecond, cancel)
-					_, err := e.StreamCtx(ctx, Request{
-						Query:   "E(a,b), E(b,c), E(c,d)",
-						Mode:    "stream",
-						Workers: 2 + rng.Intn(3),
-					}, nil, func([]int64) bool { return true })
-					timer.Stop()
-					cancel()
-					if err != nil && !errors.Is(err, context.Canceled) {
-						errs <- fmt.Errorf("client %d cancel %d: %w", c, i, err)
-					}
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(stop)
-	uwg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
-	// Every sharded producer and merger must have drained: the goroutine
-	// count settles back to (about) the baseline.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		if n <= base+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked: %d now vs %d at start\n%s",
-				n, base, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// Abandoned and cancelled streams released their epochs: superseded
-	// versions reclaim down to the steady-state inventory (current
-	// version + patch base per relation).
-	stats := e.Stats()
-	if max := 2 * len(stats.Relations); stats.LiveVersions > max {
-		t.Fatalf("epochs leaked: %d live versions, want <= %d", stats.LiveVersions, max)
 	}
 }

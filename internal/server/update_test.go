@@ -1,13 +1,10 @@
 package server
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/relation"
 )
 
@@ -305,153 +302,5 @@ func TestEngineEpochPinsOldVersions(t *testing.T) {
 	}
 	if s.LiveVersions != 1 {
 		t.Fatalf("live versions = %d, want 1 after drain", s.LiveVersions)
-	}
-}
-
-// TestEngineConcurrentUpdatesQueriesEvictions is the satellite -race
-// stress test: updaters, queriers and LRU byte pressure run together,
-// and every observed count must be explainable by a database snapshot
-// that was current at some instant during that query — verified against
-// fresh sequential runs after the storm.
-func TestEngineConcurrentUpdatesQueriesEvictions(t *testing.T) {
-	db := dataset.TriadicPA(120, 3, 0.4, 911).DB(false)
-	// The budget holds only a few indices, so version turnover plus the
-	// two attribute orders of E force evictions throughout.
-	e := NewEngine(db, Config{Workers: 2, TrieBudget: 12_000, CompactFraction: 0.6})
-
-	queries := []string{
-		"E(x,y), E(y,z), E(x,z)",
-		"E(a,b), E(b,c)",
-		"E(x,y), E(y,x)",
-	}
-
-	// history[i] is the database after the i-th serialized update;
-	// history[0] is the load state. Appends are atomic with the install
-	// (updMu wraps Update), so a query running while len(history)
-	// moves from h0 to h1 must have seen one of history[h0-1 : h1+1].
-	var updMu sync.Mutex
-	history := []*relation.DB{db}
-	histLen := func() int {
-		updMu.Lock()
-		defer updMu.Unlock()
-		return len(history)
-	}
-
-	const updaters, queriers = 2, 4
-	const updatesPer, queriesPer = 12, 16
-	type obs struct {
-		query  string
-		count  int64
-		h0, h1 int
-	}
-	var obsMu sync.Mutex
-	var observed []obs
-	errs := make(chan error, updaters*updatesPer+queriers*queriesPer)
-
-	var wg sync.WaitGroup
-	var applied int64 // applied (non-no-op) deltas, guarded by updMu
-	for u := 0; u < updaters; u++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < updatesPer; i++ {
-				ins := [][]int64{{rng.Int63n(130), rng.Int63n(130)}}
-				var del [][]int64
-				if rng.Intn(2) == 0 {
-					rel, _ := e.DB().Get("E")
-					if rel.Len() > 0 {
-						del = append(del, append([]int64(nil), rel.Tuple(rng.Intn(rel.Len()))...))
-					}
-				}
-				updMu.Lock()
-				res, err := e.Update(UpdateRequest{Relation: "E", Inserts: ins, Deletes: del})
-				if err == nil && res.Applied {
-					applied++
-					history = append(history, e.DB())
-				}
-				updMu.Unlock()
-				if err != nil {
-					errs <- fmt.Errorf("update %d: %w", i, err)
-					return
-				}
-			}
-		}(int64(1000 + u))
-	}
-	for qg := 0; qg < queriers; qg++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < queriesPer; i++ {
-				q := queries[rng.Intn(len(queries))]
-				h0 := histLen()
-				resp, err := e.Do(Request{Query: q})
-				if err != nil {
-					errs <- fmt.Errorf("query %d (%s): %w", i, q, err)
-					return
-				}
-				h1 := histLen()
-				obsMu.Lock()
-				observed = append(observed, obs{query: q, count: resp.Count, h0: h0, h1: h1})
-				obsMu.Unlock()
-			}
-		}(int64(2000 + qg))
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	// Replay: every count must match a fresh sequential run against one
-	// of the snapshots current during the query's execution window.
-	truth := make(map[string]int64) // (snapshot idx, query) -> count
-	lookup := func(h int, q string) int64 {
-		key := fmt.Sprintf("%d|%s", h, q)
-		if v, ok := truth[key]; ok {
-			return v
-		}
-		v := seqCount(t, history[h], q)
-		truth[key] = v
-		return v
-	}
-	for i, o := range observed {
-		lo := o.h0 - 1
-		hi := o.h1 // inclusive; h1 counts appends completed by query end
-		if hi > len(history)-1 {
-			hi = len(history) - 1
-		}
-		ok := false
-		for h := lo; h <= hi; h++ {
-			if lookup(h, o.query) == o.count {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			t.Errorf("observation %d: count %d for %q matches no snapshot in window [%d,%d]",
-				i, o.count, o.query, lo, hi)
-		}
-	}
-
-	s := e.Stats()
-	if s.Updates != applied || applied == 0 {
-		t.Errorf("updates = %d, want %d applied", s.Updates, applied)
-	}
-	if s.Lifetime.DeltaApplies != s.Updates {
-		t.Errorf("lifetime DeltaApplies = %d, updates = %d", s.Lifetime.DeltaApplies, s.Updates)
-	}
-	if s.Registry.Evictions == 0 {
-		t.Error("byte pressure produced no evictions")
-	}
-	if s.Registry.Bytes < 0 {
-		t.Errorf("registry bytes went negative: %+v", s.Registry)
-	}
-	if s.LiveVersions < 1 || s.LiveVersions > 2 {
-		t.Errorf("live versions after drain = %d, want 1 or 2 (current [+ base])", s.LiveVersions)
-	}
-	if s.Queries != int64(queriers*queriesPer) {
-		t.Errorf("queries = %d, want %d", s.Queries, queriers*queriesPer)
 	}
 }
